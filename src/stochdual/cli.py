@@ -10,9 +10,10 @@ Problem files are UTF-8 JSON with four sections: "tree", "model",
     stochdual report   file.json      all of the above
 
 Exit codes: 0 success/pass, 1 usage or parse error, 2 certificate failure,
-3 degenerate or inconclusive, 4 solver non-convergence.  Reports are
-emitted as deterministic JSON (sorted keys, no timestamps) or aligned
-text.
+3 degenerate or inconclusive, 4 solver non-convergence.  Each command
+solves the primal, the dual and the annihilator bound at most once and
+shares them between its sections.  Reports are emitted as deterministic
+JSON (sorted keys, no timestamps) or aligned text.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -63,7 +63,6 @@ from .optimality import (
 from .solver import (
     Problem,
     SolverConfig,
-    dual_objective,
     dual_via_orthocomplement,
     duality_gap,
     solve_dual,
@@ -347,15 +346,6 @@ def _config(solver_sec, args) -> SolverConfig:
     return cfg
 
 
-def _threads() -> int:
-    raw = os.environ.get("STOCHDUAL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(n, 1)
-
-
 def _solve_block(res) -> dict:
     return {
         "status": res.status,
@@ -375,22 +365,20 @@ def _split_zk(problem, x):
     return (StochasticProcess(tree, z_vals), StochasticProcess(tree, k_vals))
 
 
-def _dual_representation(problem, family, u, dual_res, cfg) -> dict:
+def _dual_representation(problem, family, u, dual_res, bound) -> dict:
     out = {}
     y = dual_res.optimizer
     if y is None:
         return out
-    dob = dual_objective(problem, y, cfg)
+    dob = dual_res.objective
     out["conjugate_at_y"] = dob.value if np.isfinite(dob.value) else None
     out["conjugate_lower_variant"] = (
         dob.lower_value if dob.lower_value is not None and np.isfinite(dob.lower_value)
         else None
     )
-    try:
-        bound = dual_via_orthocomplement(problem, y, cfg)
-        out["annihilator_bound"] = bound.value if np.isfinite(bound.value) else None
-    except Exception:
-        out["annihilator_bound"] = None
+    out["annihilator_bound"] = (
+        bound.value if bound is not None and np.isfinite(bound.value) else None
+    )
     if family == "alm":
         rep = check_martingale_density(y, problem.integrand.price)
         out["martingale_density"] = {
@@ -418,24 +406,31 @@ def _checker_for(family: str) -> str:
     }[family]
 
 
-def _run_check(problem, family, params, cfg, checker: str):
+def _run_check(problem, family, params, cfg, checker: str,
+               primal=None, dual=None, bound=None):
+    """Certificate for the candidate (x, y, v), filling in what the problem
+    file leaves out from the primal, the dual and the dual's annihilator
+    bound already solved, or by solving them here."""
     u = params["u"]
     cand = params["candidate"] or {}
     x = cand.get("x")
     y = cand.get("y")
     v = cand.get("v")
     if x is None:
-        primal = solve_primal(problem, u, cfg)
+        if primal is None:
+            primal = solve_primal(problem, u, cfg)
         if primal.status != "optimal":
             return None, primal.status
         x = primal.optimizer
     if y is None:
-        dual = solve_dual(problem, u, cfg)
+        if dual is None:
+            dual = solve_dual(problem, u, cfg, primal)
         y = dual.optimizer
         if y is None:
             return None, dual.status
     if v is None and checker in ("saddle", "kkt"):
-        bound = dual_via_orthocomplement(problem, y, cfg)
+        if bound is None or y is not dual.optimizer:
+            bound = dual_via_orthocomplement(problem, y, cfg)
         v = bound.v
         if v is None:
             v = StochasticProcess.zeros(problem.tree, problem.n_dims)
@@ -516,7 +511,6 @@ def run(argv) -> tuple[int, dict]:
         "family": family,
         "tree": {"leaves": problem.tree.n_leaves,
                  "stages": problem.tree.stage_count},
-        "threads": _threads(),
     }
     code = EXIT_OK
     u = params["u"]
@@ -524,24 +518,33 @@ def run(argv) -> tuple[int, dict]:
     def covers(name):
         return args.command in (name, "report")
 
-    if covers("solve"):
+    # each object of the verdict is solved once and shared by the sections
+    primal = dual = bound = None
+    if args.command != "check":
         primal = solve_primal(problem, u, cfg)
         report["primal"] = _solve_block(primal)
         if primal.status == "max-iter":
             code = max(code, EXIT_NO_CONVERGENCE)
     if covers("dualize") or covers("gap"):
-        gap_rep = duality_gap(problem, u, cfg)
-        report["primal"] = _solve_block(gap_rep.primal)
+        gap_rep = duality_gap(problem, u, cfg, primal)
+        if gap_rep.dual.status != "not-run":
+            dual = gap_rep.dual
         report["dual"] = _solve_block(gap_rep.dual)
         report["gap"] = gap_rep.gap if np.isfinite(gap_rep.gap) else None
         if args.command in ("dualize", "report"):
+            if dual is not None and dual.optimizer is not None:
+                try:
+                    bound = dual_via_orthocomplement(problem, dual.optimizer, cfg)
+                except Exception:
+                    bound = None  # reported as annihilator_bound: null
             report["dual_representation"] = _dual_representation(
-                problem, family, u, gap_rep.dual, cfg)
+                problem, family, u, gap_rep.dual, bound)
         if "max-iter" in (gap_rep.primal.status, gap_rep.dual.status):
             code = max(code, EXIT_NO_CONVERGENCE)
     if covers("check"):
         checker = args.checker or _checker_for(family)
-        cert, failure = _run_check(problem, family, params, cfg, checker)
+        cert, failure = _run_check(problem, family, params, cfg, checker,
+                                   primal, dual, bound)
         if cert is None:
             report["certificate"] = {"verdict": "unavailable", "reason": failure}
             code = max(code, EXIT_NO_CONVERGENCE)
@@ -569,7 +572,7 @@ def render_text(report: dict) -> str:
     for block in ("primal", "dual"):
         if block in report:
             b = report[block]
-            val = "inf" if b["value"] is None else f"{b['value']:.12g}"
+            val = b["value_repr"] if b["value"] is None else f"{b['value']:.12g}"
             lines.append(
                 f"{block + ' value:':<{width}}{val}  [{b['status']}, "
                 f"{b['iterations']} iterations, {b['method']}]"

@@ -4,10 +4,14 @@
 
 P is symmetric positive semidefinite.  Subproblems on the working set are
 solved through a null-space factorisation with least squares, so redundant
-rows and singular reduced Hessians are tolerated.  Unboundedness is
-certified by a recession ray (d with Pd = 0, q.d < 0, Gd <= 0, Ad = 0)
-found by linear programming, mirroring how the LP engine certifies its own
-unbounded verdicts.  Deterministic lowest-index tie-breaking throughout.
+rows and singular reduced Hessians are tolerated.  A feasible start comes
+from least squares when there are only equality rows, and from LP phase 1
+otherwise.  Unboundedness is certified by the active-set loop's descent
+ray: when the reduced Hessian on the current face is singular along the
+gradient, the loop follows a direction d with Pd = 0 and q.d < 0 inside the
+face (so Ad = 0 and the working rows stay tight), and reports the ray when
+no inactive constraint blocks it (Gd <= 0).  Deterministic lowest-index
+tie-breaking throughout.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from .simplex import solve_lp
 
 __all__ = ["QPResult", "solve_qp", "project_onto_polyhedron"]
 
-TOL = 1e-9
-
 
 @dataclass
 class QPResult:
@@ -33,10 +35,6 @@ class QPResult:
     ray: np.ndarray | None = None
     iterations: int = 0
 
-    @property
-    def residual(self) -> float:
-        return 0.0
-
 
 def _null_space(M: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
     if M.shape[0] == 0:
@@ -44,29 +42,6 @@ def _null_space(M: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
     u, s, vt = np.linalg.svd(M, full_matrices=True)
     rank = int(np.sum(s > rcond * max(M.shape) * (s[0] if s.size else 1.0)))
     return vt[rank:].T
-
-
-def _recession_ray(P, q, G, A) -> np.ndarray | None:
-    """Feasible direction with Pd = 0 and q.d < 0, if one exists."""
-    Z = _null_space(P)
-    if Z.shape[1] == 0:
-        return None
-    cz = Z.T @ q
-    if np.max(np.abs(cz)) <= TOL:
-        return None
-    k = Z.shape[1]
-    box = np.vstack([np.eye(k), -np.eye(k)])
-    a_ub = [box]
-    b_ub = [np.ones(2 * k)]
-    if G.shape[0]:
-        a_ub.append(G @ Z)
-        b_ub.append(np.zeros(G.shape[0]))
-    a_eq = A @ Z if A.shape[0] else None
-    b_eq = np.zeros(A.shape[0]) if A.shape[0] else None
-    res = solve_lp(cz, np.vstack(a_ub), np.concatenate(b_ub), a_eq, b_eq)
-    if res.status == "optimal" and res.value < -1e-8:
-        return Z @ res.x
-    return None
 
 
 def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
@@ -93,14 +68,16 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             return QPResult("unbounded", None, -np.inf, ray=-r)
         return QPResult("optimal", x, objective(x))
 
-    feas = solve_lp(np.zeros(n), G, h, A, b)
-    if feas.status == "infeasible":
-        return QPResult("infeasible", None, np.inf)
-    x = feas.x
-
-    ray = _recession_ray(P, q, G, A)
-    if ray is not None:
-        return QPResult("unbounded", x, -np.inf, ray=ray)
+    if m == 0:
+        # equality rows only: least squares gives a feasible point, if any
+        x, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if np.max(np.abs(A @ x - b)) > 1e-8 * max(1.0, np.max(np.abs(b), initial=0.0)):
+            return QPResult("infeasible", None, np.inf)
+    else:
+        feas = solve_lp(np.zeros(n), G, h, A, b)
+        if feas.status == "infeasible":
+            return QPResult("infeasible", None, np.inf)
+        x = feas.x
 
     working = [i for i in range(m) if G[i] @ x - h[i] > -1e-8]
     scale = max(1.0, np.max(np.abs(q), initial=0.0), np.max(np.abs(h), initial=0.0))

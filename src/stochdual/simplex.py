@@ -1,9 +1,9 @@
 """Dense two-phase simplex with Bland's rule.
 
-Desk-scale LP engine used for support functions, polyhedron feasibility and
-recession-ray detection.  Determinism matters more than speed here: entering
-and leaving variables are chosen by lowest index, pivots below 1e-9 are
-treated as zero.
+Desk-scale LP engine used for support functions and polyhedron feasibility,
+including the QP's starting point when it has inequality rows.  Determinism
+matters more than speed here: entering and leaving variables are chosen by
+lowest index, pivots below 1e-9 are treated as zero.
 """
 
 from __future__ import annotations

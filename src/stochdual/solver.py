@@ -102,6 +102,12 @@ class SolveResult:
     residual: float
     status: str  # optimal | unbounded | infeasible | max-iter
     method: str = ""
+    # polyhedral primal: inequality multipliers of the lowered QP and the
+    # (leaf, label) of each row, from which constraint prices are read
+    multipliers: np.ndarray | None = None
+    labels: list | None = None
+    # dual: phi*(y) at the returned y, as computed during the solve
+    objective: DualObjective | None = None
 
     def __repr__(self):
         return (f"SolveResult(status={self.status!r}, value={self.value:.10g}, "
@@ -405,22 +411,17 @@ def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResu
 # ---------------------------------------------------------------------------
 
 
-def _u_vectors(p: Problem, u: StochasticProcess):
-    if u.dims != p.m_dims:
-        raise ValueError(f"parameter dims {u.dims} do not match {p.m_dims}")
-    return [u.leaf_vector(leaf) for leaf in range(p.tree.n_leaves)]
-
-
-def _y_vectors(p: Problem, y: StochasticProcess):
-    if y.dims != p.m_dims:
-        raise ValueError(f"dual dims {y.dims} do not match {p.m_dims}")
-    return [y.leaf_vector(leaf) for leaf in range(p.tree.n_leaves)]
+def _leaf_vectors(p: Problem, proc: StochasticProcess, what: str):
+    """Per-leaf vectors of a parameter-space process (u or y)."""
+    if proc.dims != p.m_dims:
+        raise ValueError(f"{what} dims {proc.dims} do not match {p.m_dims}")
+    return [proc.leaf_vector(leaf) for leaf in range(p.tree.n_leaves)]
 
 
 def primal_objective(p: Problem, u: StochasticProcess):
     """Compiled objective of the primal solve (exposed for oracles/tests)."""
     layout = AdaptedLayout(p.tree, p.n_dims)
-    uvecs = _u_vectors(p, u)
+    uvecs = _leaf_vectors(p, u, "parameter")
     terms = []
     for leaf in range(p.tree.n_leaves):
         fn = p.integrand.primal_function(leaf, uvecs[leaf])
@@ -437,12 +438,12 @@ def solve_primal(p: Problem, u: StochasticProcess,
     res = _minimize(obj, cfg)
     opt = layout.to_process(res.x) if res.x is not None and res.status in ("optimal", "max-iter") else None
     return SolveResult(opt, res.value, res.iterations, res.residual, res.status,
-                       res.method)
+                       res.method, res.multipliers, res.labels)
 
 
 def _lagrangian_objective(p: Problem, y: StochasticProcess):
     layout = AdaptedLayout(p.tree, p.n_dims)
-    yvecs = _y_vectors(p, y)
+    yvecs = _leaf_vectors(p, y, "dual")
     terms = []
     for leaf in range(p.tree.n_leaves):
         fn = p.integrand.lagrangian_function_of_x(leaf, yvecs[leaf])
@@ -477,7 +478,7 @@ def _lower_dual_value(p, y, minimizer, value):
     """-inf E lower-l(x, y); coincides with the Lagrangian value whenever
     l(., y) is closed proper, so evaluate at the inner minimizer."""
     try:
-        yv = _y_vectors(p, y)
+        yv = _leaf_vectors(p, y, "dual")
         total = 0.0
         for leaf in range(p.tree.n_leaves):
             lv = p.integrand.lower_lagrangian(leaf, minimizer.leaf_vector(leaf), yv[leaf])
@@ -497,7 +498,7 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     upper bound)."""
     cfg = cfg or SolverConfig()
     tree = p.tree
-    yvecs = _y_vectors(p, y)
+    yvecs = _leaf_vectors(p, y, "dual")
     basis = _orthocomplement_basis(tree, p.n_dims)
     K = basis.shape[1]
     n_total = sum(p.n_dims)
@@ -519,10 +520,6 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
         return OrthoBound(-INF, None, "unbounded")
     v = _expand_orthocomplement(tree, p.n_dims, basis, res.x)
     return OrthoBound(res.value, v, res.status)
-
-
-def _coord_index(tree, dims, t, leaf, comp, stage_offsets):
-    return stage_offsets[t] + leaf * dims[t] + comp
 
 
 def _leaf_rows(tree, dims, leaf):
@@ -569,10 +566,16 @@ def _expand_orthocomplement(tree, dims, basis, z) -> StochasticProcess:
 
 
 def solve_dual(p: Problem, u: StochasticProcess,
-               cfg: SolverConfig | None = None) -> SolveResult:
-    """Maximize <u, y> - phi*(y); adapted y for dynamic-structure problems."""
+               cfg: SolverConfig | None = None,
+               primal: SolveResult | None = None) -> SolveResult:
+    """Maximize <u, y> - phi*(y); adapted y for dynamic-structure problems.
+
+    ``primal`` is the result of ``solve_primal(p, u, cfg)`` when the caller
+    already has it; it is solved here otherwise.
+    """
     cfg = cfg or SolverConfig()
-    primal = solve_primal(p, u, cfg)
+    if primal is None:
+        primal = solve_primal(p, u, cfg)
     if primal.status == "optimal":
         candidate = _recover_dual_candidate(p, u, primal, cfg)
         if candidate is not None:
@@ -582,14 +585,14 @@ def solve_dual(p: Problem, u: StochasticProcess,
                 value = pairing(u, y) - dob.value
                 gap = abs(primal.value - value) if np.isfinite(primal.value) else INF
                 return SolveResult(y, value, primal.iterations, gap, "optimal",
-                                   "recovered")
+                                   "recovered", objective=dob)
     return _ascend_dual(p, u, cfg, primal)
 
 
 def _recover_dual_candidate(p, u, primal, cfg):
     integrand = p.integrand
     tree = p.tree
-    uvecs = _u_vectors(p, u)
+    uvecs = _leaf_vectors(p, u, "parameter")
     x = primal.optimizer
     if x is None:
         return None
@@ -631,20 +634,25 @@ def _recover_dual_candidate(p, u, primal, cfg):
 
 def _recover_constrained(p, u, primal, cfg):
     """Constraint prices from the primal QP multipliers (scaled by 1/p)."""
-    layout, obj = primal_objective(p, u)
-    data = obj.qp_data()
-    if data is None:
-        return None
-    P, q, c, G, h, A, b, labels, n_main = data
-    res = solve_qp(P, q, c, G, h, A, b)
-    if res.status != "optimal":
-        return None
+    mult, labels = primal.multipliers, primal.labels
+    if mult is None:
+        # primal solved off the polyhedral path: lower and solve the QP
+        data = primal_objective(p, u)[1].qp_data()
+        if data is None:
+            return None
+        P, q, c, G, h, A, b, labels, n_main = data
+        res = solve_qp(P, q, c, G, h, A, b)
+        if res.status != "optimal":
+            return None
+        mult = res.ineq_multipliers
     arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
     for row, lab in enumerate(labels):
+        if lab is None:  # epigraph row of a kinked term
+            continue
         leaf, tag = lab
         if isinstance(tag, tuple) and tag[0] == "constraint":
             j = tag[1]
-            arrays[-1][leaf, j] = res.ineq_multipliers[row] / p.tree.probabilities[leaf]
+            arrays[-1][leaf, j] = mult[row] / p.tree.probabilities[leaf]
     return StochasticProcess(p.tree, tuple(arrays))
 
 
@@ -686,7 +694,7 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
     stalled = 0
     for k in range(1, iters + 1):
         x_star = cur_dob.minimizer
-        yvecs = _y_vectors(p, cur_y)
+        yvecs = _leaf_vectors(p, cur_y, "dual")
         grads = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
         ok = True
         for leaf in range(tree.n_leaves):
@@ -736,18 +744,25 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
                 break
     gap = primal.value - best_val if np.isfinite(primal.value) else INF
     status = "optimal" if gap <= 1e-5 * max(1.0, abs(primal.value)) else "max-iter"
-    return SolveResult(best_y, best_val, iters, max(gap, 0.0), status, "ascent")
+    return SolveResult(best_y, best_val, iters, max(gap, 0.0), status, "ascent",
+                       objective=best_dob)
 
 
 def duality_gap(p: Problem, u: StochasticProcess,
-                cfg: SolverConfig | None = None) -> GapReport:
-    """Primal optimal value minus dual optimal value (with both statuses)."""
+                cfg: SolverConfig | None = None,
+                primal: SolveResult | None = None) -> GapReport:
+    """Primal optimal value minus dual optimal value (with both statuses).
+
+    ``primal`` is the result of ``solve_primal(p, u, cfg)`` when the caller
+    already has it; it is solved here otherwise.
+    """
     cfg = cfg or SolverConfig()
-    primal = solve_primal(p, u, cfg)
+    if primal is None:
+        primal = solve_primal(p, u, cfg)
     if primal.status == "infeasible":
         dual = SolveResult(None, INF, 0, INF, "not-run")
         return GapReport(INF, primal, dual)
-    dual = solve_dual(p, u, cfg)
+    dual = solve_dual(p, u, cfg, primal)
     if np.isfinite(primal.value) and np.isfinite(dual.value):
         gap = primal.value - dual.value
     else:

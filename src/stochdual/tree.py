@@ -252,6 +252,16 @@ def _check_same_tree(a: StochasticProcess, b: StochasticProcess):
         raise TreeError("processes live on different trees")
 
 
+def _block_average(arr: np.ndarray, blocks, probs) -> np.ndarray:
+    """Probability-weighted mean of arr's rows over each block of leaves."""
+    new = np.empty_like(arr)
+    for block in blocks:
+        idx = list(block)
+        w = probs[idx]
+        new[idx] = w @ arr[idx] / w.sum()
+    return new
+
+
 def conditional_expectation(proc: StochasticProcess, t: int) -> StochasticProcess:
     """Average every stage component over the stage-t information blocks.
 
@@ -261,32 +271,18 @@ def conditional_expectation(proc: StochasticProcess, t: int) -> StochasticProces
     tree = proc.tree
     if t < 0 or t >= tree.stage_count:
         raise TreeError(f"stage {t} out of range 0..{tree.stage_count - 1}")
-    probs = tree.probabilities
-    out = []
-    for arr in proc.values:
-        new = np.empty_like(arr)
-        for block in tree.partitions[t]:
-            idx = list(block)
-            w = probs[idx]
-            avg = w @ arr[idx] / w.sum()
-            new[idx] = avg
-        out.append(new)
-    return StochasticProcess(tree, tuple(out))
+    return StochasticProcess(tree, tuple(
+        _block_average(arr, tree.partitions[t], tree.probabilities) for arr in proc.values
+    ))
 
 
 def adapted_projection(proc: StochasticProcess) -> StochasticProcess:
     """Replace each stage-t component by its stage-t conditional expectation."""
     tree = proc.tree
-    probs = tree.probabilities
-    out = []
-    for t, arr in enumerate(proc.values):
-        new = np.empty_like(arr)
-        for block in tree.partitions[t]:
-            idx = list(block)
-            w = probs[idx]
-            new[idx] = w @ arr[idx] / w.sum()
-        out.append(new)
-    return StochasticProcess(tree, tuple(out))
+    return StochasticProcess(tree, tuple(
+        _block_average(arr, tree.partitions[t], tree.probabilities)
+        for t, arr in enumerate(proc.values)
+    ))
 
 
 def is_adapted(proc: StochasticProcess) -> bool:

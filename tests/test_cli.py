@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from stochdual import cli, solver
 from stochdual.cli import (
     ProblemFileError,
     fixture_path,
@@ -12,7 +13,7 @@ from stochdual.cli import (
     render_text,
     run,
 )
-from stochdual.solver import AdaptedLayout
+from stochdual.solver import AdaptedLayout, SolverConfig, solve_dual, solve_primal
 
 FIXTURES = [
     "quadratic-tracking.json",
@@ -172,3 +173,159 @@ class TestDeterminism:
         assert "verdict:" in text
         assert "stationarity" in text
         assert "exit code:" in text
+
+    def test_text_rendering_keeps_the_sign_of_infinity(self, tmp_path):
+        # f(x, u) = x: the primal is unbounded below
+        doc = {
+            "tree": {"probabilities": [1.0], "partitions": [[[0]]]},
+            "model": {"family": "generic", "x_dims": [1], "u_dims": [1],
+                      "functions": [{"kind": "affine", "a": [1.0, 0.0]}]},
+        }
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(doc))
+        _, report = run(["gap", str(path)])
+        assert report["primal"]["status"] == "unbounded"
+        assert report["primal"]["value"] is None
+        lines = render_text(report).splitlines()
+        assert any(line.split()[:3] == ["primal", "value:", "-inf"] for line in lines)
+        assert any(line.split()[:3] == ["duality", "gap:", "inf"] for line in lines)
+
+    def test_report_has_no_threads_field(self):
+        _, report = run(["report", fixture_path("binomial-alm.json")])
+        assert "threads" not in report
+
+
+def hedging_file(tmp_path, horizon, liability):
+    """Quadratic hedging on a binary tree: price x1.2 or x0.9 per step."""
+    n = 2 ** horizon
+    leaves = np.arange(n)
+    prices = np.ones((horizon + 1, n))
+    for t in range(1, horizon + 1):
+        down = (leaves >> (horizon - t)) & 1
+        prices[t] = prices[t - 1] * np.where(down, 0.9, 1.2)
+    doc = {
+        "tree": {"probabilities": [f"1/{n}"] * n,
+                 "partitions": [[list(range(b * (n >> t), (b + 1) * (n >> t)))
+                                 for b in range(2 ** t)]
+                                for t in range(horizon + 1)]},
+        "model": {"family": "alm", "disutility": {"kind": "quadratic", "weights": [0.5]},
+                  "price": [[[float(s)] for s in stage] for stage in prices]},
+        "parameters": {"u": [0] * horizon + [[[float(x)] for x in liability]]},
+    }
+    path = tmp_path / f"hedge-H{horizon}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestAnnihilatorBound:
+    def test_32_leaf_hedging_bound_is_present(self, tmp_path):
+        # 129 variables under 192 equality rows: found by least squares
+        liability = np.random.default_rng(7).uniform(2.5, 3.5, 32)
+        code, report = run(["report", hedging_file(tmp_path, 5, liability)])
+        assert code == 0
+        rep = report["dual_representation"]
+        assert rep["annihilator_bound"] is not None
+        assert rep["annihilator_bound"] == pytest.approx(rep["conjugate_at_y"], abs=1e-9)
+        assert report["certificate"]["verdict"] == "pass"
+
+
+def count_calls(monkeypatch, module, name, calls, modules=()):
+    """Replace module.name (and its alias in each of modules) by a wrapper
+    that counts calls under calls[name]."""
+    original = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in (module, *modules):
+        monkeypatch.setattr(mod, name, counted)
+
+
+class TestSolveOnce:
+    """A command solves each object of its verdict once."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_report_solves_primal_once(self, monkeypatch, name):
+        calls = {}
+        count_calls(monkeypatch, solver, "solve_primal", calls, [cli])
+        count_calls(monkeypatch, solver, "_ascend_dual", calls)
+        count_calls(monkeypatch, solver, "dual_objective", calls)
+        count_calls(monkeypatch, solver, "dual_via_orthocomplement", calls, [cli])
+        code, report = run(["report", fixture_path(name)])
+        assert code == 0
+        assert calls["solve_primal"] == 1
+        assert calls["_ascend_dual"] <= 1
+        if report["dual"]["method"] == "recovered":
+            assert calls["dual_objective"] == 1
+        assert calls["dual_via_orthocomplement"] <= 1
+
+    def test_check_solves_primal_once(self, monkeypatch):
+        calls = {}
+        count_calls(monkeypatch, solver, "solve_primal", calls, [cli])
+        code, _ = run(["check", fixture_path("binomial-alm.json")])
+        assert code == 0
+        assert calls["solve_primal"] == 1
+
+    def test_constraint_prices_come_from_the_primal_multipliers(self, monkeypatch):
+        inside = {"recover": False, "qp_calls": 0}
+        recover, solve_qp = solver._recover_constrained, solver.solve_qp
+
+        def traced_recover(*args):
+            inside["recover"] = True
+            try:
+                return recover(*args)
+            finally:
+                inside["recover"] = False
+
+        def traced_qp(*args, **kwargs):
+            inside["qp_calls"] += inside["recover"]
+            return solve_qp(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_recover_constrained", traced_recover)
+        monkeypatch.setattr(solver, "solve_qp", traced_qp)
+        code, report = run(["report", fixture_path("kkt-single.json")])
+        assert code == 0
+        assert report["dual"]["method"] == "recovered"
+        assert report["dual"]["value"] == pytest.approx(1.0, abs=1e-9)
+        assert inside["qp_calls"] == 0
+
+    def test_kinked_constraint_prices(self, tmp_path):
+        # min |x| s.t. 1 - x <= 0: the lowered QP mixes epigraph rows of |x|
+        # with the labelled constraint row; the price is 1
+        doc = {
+            "tree": {"probabilities": [1.0], "partitions": [[[0]]]},
+            "model": {"family": "constrained", "x_dims": [1],
+                      "objective": {"kind": "abs"},
+                      "constraints": [{"kind": "affine", "a": [-1.0], "b": 1.0}]},
+        }
+        path = tmp_path / "kinked-kkt.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(["report", str(path)])
+        assert code == 0
+        assert report["dual"]["method"] == "recovered"
+        assert report["dual"]["value"] == pytest.approx(1.0, abs=1e-9)
+        assert report["certificate"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_solve_dual_with_and_without_primal(self, name):
+        problem, _, params, solver_sec, _ = parse_problem_file(fixture_path(name))
+        cfg = cli._config(solver_sec, None)
+        u = params["u"]
+        alone = solve_dual(problem, u, cfg)
+        shared = solve_dual(problem, u, cfg, solve_primal(problem, u, cfg))
+        assert (alone.status, alone.method, alone.value, alone.iterations) == \
+               (shared.status, shared.method, shared.value, shared.iterations)
+        np.testing.assert_array_equal(alone.optimizer.to_vector(),
+                                      shared.optimizer.to_vector())
+        assert alone.objective.value == shared.objective.value
+
+    def test_solve_dual_without_primal_on_a_subgradient_solve(self):
+        # a primal solved off the polyhedral path carries no multipliers;
+        # the constraint prices then come from the lowered QP
+        problem, _, params, _, _ = parse_problem_file(fixture_path("kkt-single.json"))
+        cfg = SolverConfig(method="subgradient", max_iter=4000)
+        res = solve_dual(problem, params["u"], cfg)
+        assert res.method == "recovered"
+        np.testing.assert_allclose(res.optimizer.to_vector(), [2.0], atol=1e-6)

@@ -141,3 +141,148 @@ class TestAgainstGrid:
             assert np.max(np.abs(station)) < 1e-7, f"trial {trial}"
             slack = h - G @ res.x
             assert np.max(np.abs(lam * slack)) < 1e-6, f"trial {trial}"
+
+
+class TestEqualityOnly:
+    """With no inequality rows the starting point comes from least squares."""
+
+    def test_inconsistent_system_is_infeasible(self):
+        res = solve_qp(np.eye(2), np.zeros(2), A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0])
+        assert res.status == "infeasible"
+        assert res.x is None
+
+    def test_rank_deficient_consistent_system(self):
+        # the second row doubles the first; min 1/2|x|^2 on x1 + x2 = 1
+        res = solve_qp(np.eye(2), np.zeros(2), A=[[1.0, 1.0], [2.0, 2.0]], b=[1.0, 2.0])
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-10)
+        assert res.value == pytest.approx(0.25, abs=1e-12)
+
+    def test_tall_full_rank_system(self):
+        # more rows than unknowns, all consistent: the point is pinned
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        res = solve_qp(np.eye(2), [1.0, 1.0], A=A, b=A @ [2.0, -1.0])
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, [2.0, -1.0], atol=1e-10)
+
+
+# (P, q, G, h, A, b) of QPs with a singular Hessian whose verdict the
+# active-set loop decides by its descent ray
+RAY_CASES = {
+    # x1 - x2 <= 1 blocks the first step along +x1; the face it leaves
+    # still descends along (1, 1)
+    "blocked-then-unbounded": (np.zeros((2, 2)), [-1.0, 0.0], [[1.0, -1.0]], [1.0],
+                               None, None),
+    # the same with x2 <= 5 as well: bounded, optimal at (6, 5)
+    "blocked-then-bounded": (np.zeros((2, 2)), [-1.0, 0.0],
+                             [[1.0, -1.0], [0.0, 1.0]], [1.0, 5.0], None, None),
+    # x2 + x3 = 1 leaves the descent direction (0, -1, 1) open
+    "equality-unbounded": (np.diag([1.0, 0.0, 0.0]), [0.0, 1.0, -1.0], None, None,
+                           [[0.0, 1.0, 1.0]], [1.0]),
+    # an equality and an inequality row together close it
+    "equality-bounded": (np.diag([1.0, 0.0, 0.0]), [0.0, 1.0, -1.0],
+                         [[0.0, 0.0, 1.0]], [2.0], [[0.0, 1.0, 1.0]], [1.0]),
+    # the equality row mixes in the curved coordinate; still a ray
+    "equality-mixed-unbounded": (np.diag([2.0, 0.0, 0.0]), [0.0, 0.0, -1.0],
+                                 [[0.0, -1.0, 0.0]], [0.0],
+                                 [[1.0, 1.0, -1.0]], [0.0]),
+}
+
+
+def _random_singular_qps():
+    """Seeded QPs with a rank-deficient Hessian and a feasible origin; about
+    half are unbounded."""
+    rng = np.random.default_rng(45)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        r = int(rng.integers(0, n))
+        L = rng.normal(size=(n, r))
+        P = L @ L.T
+        q = rng.normal(size=n)
+        m = int(rng.integers(0, 2 * n + 1))
+        G = rng.normal(size=(m, n)) if m else None
+        h = rng.uniform(0.1, 1.0, m) if m else None
+        k = int(rng.integers(0, n - 1)) if rng.random() < 0.4 else 0
+        A = rng.normal(size=(k, n)) if k else None
+        b = np.zeros(k) if k else None
+        cases.append((P, q, G, h, A, b))
+    return cases
+
+
+def _as_arrays(P, q, G, h, A, b):
+    n = len(q)
+    G = np.zeros((0, n)) if G is None else np.asarray(G, dtype=float)
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
+    return np.asarray(P, dtype=float), np.asarray(q, dtype=float), G, A
+
+
+def _assert_certified(case, res):
+    """An unbounded ray is a recession direction along which the objective
+    falls linearly; an optimum satisfies the KKT conditions."""
+    P, q, G, A = _as_arrays(*case)
+    if res.status == "unbounded":
+        d = res.ray / np.max(np.abs(res.ray))
+        assert np.max(np.abs(P @ d), initial=0.0) <= 1e-8
+        assert q @ d < -1e-8
+        assert np.max(G @ d, initial=0.0) <= 1e-8
+        assert np.max(np.abs(A @ d), initial=0.0) <= 1e-8
+    else:
+        assert res.status == "optimal"
+        h = np.zeros(0) if case[3] is None else np.asarray(case[3], dtype=float)
+        lam = res.ineq_multipliers
+        station = P @ res.x + q + G.T @ lam
+        if A.shape[0]:
+            station = station + A.T @ res.eq_multipliers
+        assert np.max(np.abs(station)) <= 1e-7
+        assert np.max(G @ res.x - h, initial=0.0) <= 1e-8
+        assert np.all(lam >= 0.0)
+
+
+def _recession_lp_unbounded(case) -> bool:
+    """Independent verdict: is some d with Pd = 0, Gd <= 0, Ad = 0 a descent
+    direction of q?  Solved by HiGHS over a box in the null space of P."""
+    from scipy.linalg import null_space
+    from scipy.optimize import linprog
+
+    P, q, G, A = _as_arrays(*case)
+    Z = null_space(P) if np.any(P) else np.eye(len(q))
+    if Z.shape[1] == 0:
+        return False
+    res = linprog(Z.T @ q, A_ub=G @ Z if G.shape[0] else None,
+                  b_ub=np.zeros(G.shape[0]) if G.shape[0] else None,
+                  A_eq=A @ Z if A.shape[0] else None,
+                  b_eq=np.zeros(A.shape[0]) if A.shape[0] else None,
+                  bounds=[(-1.0, 1.0)] * Z.shape[1], method="highs")
+    assert res.status == 0
+    return res.fun < -1e-9
+
+
+class TestUnboundedRays:
+    @pytest.mark.parametrize("name", sorted(RAY_CASES))
+    def test_named_cases(self, name):
+        case = RAY_CASES[name]
+        res = solve_qp(case[0], case[1], 0.0, *case[2:])
+        assert res.status == ("unbounded" if name.endswith("-unbounded") else "optimal")
+        _assert_certified(case, res)
+
+    def test_blocked_case_optimum(self):
+        case = RAY_CASES["blocked-then-bounded"]
+        res = solve_qp(case[0], case[1], 0.0, *case[2:])
+        np.testing.assert_allclose(res.x, [6.0, 5.0], atol=1e-9)
+
+    def test_random_singular_hessians(self):
+        statuses = []
+        for case in _random_singular_qps():
+            res = solve_qp(case[0], case[1], 0.0, *case[2:])
+            statuses.append(res.status)
+            _assert_certified(case, res)
+        assert 10 <= statuses.count("unbounded") <= 50
+
+    def test_verdicts_match_recession_lp(self):
+        pytest.importorskip("scipy")
+        cases = list(RAY_CASES.values()) + _random_singular_qps()
+        for trial, case in enumerate(cases):
+            res = solve_qp(case[0], case[1], 0.0, *case[2:])
+            assert (res.status == "unbounded") == _recession_lp_unbounded(case), \
+                f"case {trial}: {res.status}"
