@@ -21,10 +21,10 @@ from .integrand import (
     MINUS_INF,
 )
 from .simplex import solve_lp
-from .solver import AdaptedLayout, Problem
+from .solver import Problem
 from .tree import (
     StochasticProcess,
-    conditional_expectation,
+    expected_dual_increments,
     is_adapted,
     pairing,
 )
@@ -83,15 +83,10 @@ def check_martingale_density(y, s: StochasticProcess, tol: float = 1e-8) -> Mart
         raise ValueError("density values must be leaf-indexed")
     negativity = max(0.0, float(-vals.min(initial=0.0)))
     is_zero = float(np.max(np.abs(vals), initial=0.0)) <= tol
-    probs = tree.probabilities
     worst = 0.0
     for t in range(tree.horizon):
-        ds = s.stage(t + 1) - s.stage(t)
-        for block in tree.blocks(t):
-            idx = list(block)
-            w = probs[idx]
-            mean = w @ (vals[idx, None] * ds[idx]) / w.sum()
-            worst = max(worst, float(np.max(np.abs(mean), initial=0.0)))
+        mean = tree.conditional_mean(vals[:, None] * (s.stage(t + 1) - s.stage(t)), t)
+        worst = max(worst, float(np.max(np.abs(mean), initial=0.0)))
     ok = (negativity <= tol) and (worst <= tol) and not is_zero
     return MartingaleReport(ok, worst, negativity, is_zero)
 
@@ -140,18 +135,10 @@ def bolza_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess) -> 
     if not is_adapted(u) or not is_adapted(y):
         raise ValueError("the dynamic dual takes adapted processes")
     tree = p.tree
-    T = tree.horizon
-    expect_dy = []
-    for t in range(T + 1):
-        nxt = y.stage(t + 1) if t < T else np.zeros_like(y.stage(t))
-        dy = StochasticProcess(tree, tuple(
-            (nxt - y.stage(t)) if r == t else np.zeros_like(y.stage(r))
-            for r in range(T + 1)
-        ))
-        expect_dy.append(conditional_expectation(dy, t).stage(t))
+    expect_dy = expected_dual_increments(y)
     total = pairing(u, y)
     for leaf in range(tree.n_leaves):
-        for t in range(T + 1):
+        for t in range(tree.stage_count):
             term = f.stage_cost(leaf, t).conjugate_value(
                 expect_dy[t][leaf], y.stage(t)[leaf]
             )
@@ -293,7 +280,7 @@ def _project_rows(dom: Polyhedron, n: int) -> Polyhedron | None:
 def check_domain_condition(p: Problem, y: StochasticProcess) -> DomainConditionReport:
     """Best-effort domain check for the dual representation, in the block
     coordinates of the adapted decision space."""
-    layout = AdaptedLayout(p.tree, p.n_dims)
+    layout = p.layout
     l_rows_ub, l_rhs_ub, l_rows_eq, l_rhs_eq = [], [], [], []
     d_rows_ub, d_rhs_ub, d_rows_eq, d_rhs_eq = [], [], [], []
     for leaf in range(p.tree.n_leaves):

@@ -266,12 +266,6 @@ class ParametricIntegrand:
             return False
         return _is_identically_infinite(sliced)
 
-    def stage_x(self, x, t) -> np.ndarray:
-        return np.asarray(x, dtype=float).ravel()[self.x_slices[t]]
-
-    def stage_u(self, u, t) -> np.ndarray:
-        return np.asarray(u, dtype=float).ravel()[self.u_slices[t]]
-
 
 class GenericIntegrand(ParametricIntegrand):
     """Integrand given directly as one catalog function per leaf."""

@@ -27,7 +27,7 @@ from .integrand import (
 from .solver import Problem
 from .tree import (
     StochasticProcess,
-    conditional_expectation,
+    expected_dual_increments,
     in_orthocomplement,
     is_adapted,
 )
@@ -204,20 +204,6 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     return cert.finalize()
 
 
-def _expected_dual_increments(p: Problem, y: StochasticProcess):
-    tree = p.tree
-    T = tree.horizon
-    out = []
-    for t in range(T + 1):
-        nxt = y.stage(t + 1) if t < T else np.zeros_like(y.stage(t))
-        dy = StochasticProcess(tree, tuple(
-            (nxt - y.stage(t)) if r == t else np.zeros_like(y.stage(r))
-            for r in range(T + 1)
-        ))
-        out.append(conditional_expectation(dy, t).stage(t))
-    return out
-
-
 def check_euler_lagrange(p: Problem, x: StochasticProcess, u: StochasticProcess,
                          y: StochasticProcess, tol: float = DEFAULT_TOL) -> Certificate:
     """Stagewise inclusion (E_t dy_{t+1}, y_t) in the stage-cost
@@ -231,7 +217,7 @@ def check_euler_lagrange(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not is_adapted(u):
         raise ValueError("the parameter must be adapted for the stage conditions")
     cert = Certificate("pending", tol, y=y)
-    e_dy = _expected_dual_increments(p, y)
+    e_dy = expected_dual_increments(y)
     for t in range(p.tree.stage_count):
         for b, block in enumerate(p.tree.blocks(t)):
             leaf = block[0]
@@ -259,7 +245,7 @@ def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProc
     if not is_adapted(y):
         raise ValueError("the dual candidate must be adapted")
     cert = Certificate("pending", tol, y=y)
-    e_dy = _expected_dual_increments(p, y)
+    e_dy = expected_dual_increments(y)
     for t in range(p.tree.stage_count):
         for b, block in enumerate(p.tree.blocks(t)):
             leaf = block[0]
@@ -316,11 +302,7 @@ def check_consistent_price_system(p: Problem, z: StochasticProcess,
         return cert
     # martingale property stops at t = T-1; no terminal convention is used
     for t in range(T):
-        dy = y.stage(t + 1) - y.stage(t)
-        proc = StochasticProcess(tree, tuple(
-            dy if r == t else np.zeros_like(y.stage(r)) for r in range(T + 1)
-        ))
-        mean = conditional_expectation(proc, t).stage(t)
+        mean = tree.conditional_mean(y.stage(t + 1) - y.stage(t), t)
         cert.add("martingale", float(np.max(np.abs(mean), initial=0.0)), stage=t)
     for t in range(T + 1):
         for b, block in enumerate(tree.blocks(t)):

@@ -22,6 +22,7 @@ supergradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,11 @@ class Problem:
     def tag(self):
         return self.integrand.tag
 
+    @cached_property
+    def layout(self) -> AdaptedLayout:
+        """Block coordinates of the adapted decisions, built once."""
+        return AdaptedLayout(self.tree, self.n_dims)
+
 
 @dataclass
 class SolverConfig:
@@ -143,58 +149,45 @@ class GapReport:
 # ---------------------------------------------------------------------------
 
 
+def _stage_major_columns(index, dims) -> tuple[np.ndarray, int]:
+    """Coordinates of every leaf in a stage-major vector.
+
+    Stage t holds dims[t] entries for each value of the leaf-indexed integer
+    array index[t], in the order of those values.  Returns the
+    (n_leaves, sum(dims)) array of each leaf's coordinates and the length of
+    the vector.
+    """
+    cols, at = [], 0
+    for idx, d in zip(index, dims):
+        cols.append(at + idx[:, None] * d + np.arange(d))
+        at += (int(idx.max()) + 1) * d
+    return np.hstack(cols), at
+
+
 class AdaptedLayout:
-    """One free vector per (stage, block); leaves embed by selection."""
+    """One free vector per (stage, block); leaf coordinates gather from it."""
 
     def __init__(self, tree: ScenarioTree, dims):
         self.tree = tree
         self.dims = tuple(int(d) for d in dims)
-        self.offsets = {}
-        width = 0
-        for t in range(tree.stage_count):
-            for b in range(len(tree.blocks(t))):
-                self.offsets[(t, b)] = width
-                width += self.dims[t]
-        self.width = width
-        stage_off = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-        self._stage_off = stage_off
+        self.columns, self.width = _stage_major_columns(tree.leaf_block, self.dims)
         self._leaf_mats = {}
 
     def leaf_matrix(self, leaf: int) -> np.ndarray:
+        """Selection matrix taking the block vector to the leaf's coordinates."""
         mat = self._leaf_mats.get(leaf)
         if mat is None:
-            n_total = self._stage_off[-1]
-            mat = np.zeros((n_total, self.width))
-            for t in range(self.tree.stage_count):
-                d = self.dims[t]
-                if d == 0:
-                    continue
-                b = self.tree.block_of(t, leaf)
-                off = self.offsets[(t, b)]
-                mat[self._stage_off[t]:self._stage_off[t + 1], off:off + d] = np.eye(d)
+            cols = self.columns[leaf]
+            mat = np.zeros((cols.size, self.width))
+            mat[np.arange(cols.size), cols] = 1.0
+            mat.setflags(write=False)
             self._leaf_mats[leaf] = mat
         return mat
 
     def to_process(self, w) -> StochasticProcess:
-        w = np.asarray(w, dtype=float).ravel()
-        arrays = []
-        for t in range(self.tree.stage_count):
-            d = self.dims[t]
-            arr = np.zeros((self.tree.n_leaves, d))
-            for b, block in enumerate(self.tree.blocks(t)):
-                off = self.offsets[(t, b)]
-                arr[list(block)] = w[off:off + d]
-            arrays.append(arr)
-        return StochasticProcess(self.tree, tuple(arrays))
-
-    def from_process(self, proc: StochasticProcess) -> np.ndarray:
-        w = np.zeros(self.width)
-        for t in range(self.tree.stage_count):
-            d = self.dims[t]
-            for b, block in enumerate(self.tree.blocks(t)):
-                off = self.offsets[(t, b)]
-                w[off:off + d] = proc.stage(t)[block[0]]
-        return w
+        flat = np.asarray(w, dtype=float).ravel()[self.columns]
+        return StochasticProcess(self.tree, tuple(
+            np.split(flat, np.cumsum(self.dims)[:-1], axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +200,11 @@ class _Term:
     weight: float
     fn: ConvexFunction
     mat: np.ndarray
-    off: np.ndarray
     leaf: int
 
 
 class CompiledObjective:
-    """sum_k weight_k * fn_k(M_k w + m_k) over w in R^width."""
+    """sum_k weight_k * fn_k(M_k w) over w in R^width."""
 
     def __init__(self, width: int, terms: list[_Term]):
         self.width = width
@@ -222,7 +214,7 @@ class CompiledObjective:
         w = np.asarray(w, dtype=float).ravel()
         total = 0.0
         for t in self.terms:
-            v = t.fn.value(t.mat @ w + t.off)
+            v = t.fn.value(t.mat @ w)
             if v == INF:
                 return INF
             total += t.weight * v
@@ -232,14 +224,14 @@ class CompiledObjective:
         W = np.asarray(W, dtype=float)
         total = np.zeros(W.shape[0])
         for t in self.terms:
-            total = total + t.weight * t.fn.value_many(W @ t.mat.T + t.off)
+            total = total + t.weight * t.fn.value_many(W @ t.mat.T)
         return total
 
     def subgradient(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
         g = np.zeros(self.width)
         for t in self.terms:
-            g += t.weight * (t.mat.T @ t.fn.subgradient(t.mat @ w + t.off))
+            g += t.weight * (t.mat.T @ t.fn.subgradient(t.mat @ w))
         return g
 
     def qp_data(self):
@@ -259,7 +251,7 @@ class CompiledObjective:
             form = t.fn.qp_form()
             if form is None:
                 return None
-            form = form.compose(t.mat, t.off)
+            form = form.compose(t.mat, np.zeros(t.fn.dim))
             P += t.weight * form.P
             q += t.weight * form.q
             c += t.weight * form.c
@@ -314,10 +306,10 @@ class CompiledObjective:
                 continue
             if dom.a_ub.shape[0]:
                 G_rows.append(dom.a_ub @ t.mat)
-                h_rows.append(dom.b_ub - dom.a_ub @ t.off)
+                h_rows.append(dom.b_ub)
             if dom.a_eq.shape[0]:
                 A_rows.append(dom.a_eq @ t.mat)
-                b_rows.append(dom.b_eq - dom.a_eq @ t.off)
+                b_rows.append(dom.b_eq)
         G = np.vstack(G_rows) if G_rows else np.zeros((0, self.width))
         h = np.concatenate(h_rows) if h_rows else np.zeros(0)
         A = np.vstack(A_rows) if A_rows else np.zeros((0, self.width))
@@ -420,13 +412,13 @@ def _leaf_vectors(p: Problem, proc: StochasticProcess, what: str):
 
 def primal_objective(p: Problem, u: StochasticProcess):
     """Compiled objective of the primal solve (exposed for oracles/tests)."""
-    layout = AdaptedLayout(p.tree, p.n_dims)
+    layout = p.layout
     uvecs = _leaf_vectors(p, u, "parameter")
     terms = []
     for leaf in range(p.tree.n_leaves):
         fn = p.integrand.primal_function(leaf, uvecs[leaf])
         terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
-                           layout.leaf_matrix(leaf), np.zeros(fn.dim), leaf))
+                           layout.leaf_matrix(leaf), leaf))
     return layout, CompiledObjective(layout.width, terms)
 
 
@@ -442,7 +434,7 @@ def solve_primal(p: Problem, u: StochasticProcess,
 
 
 def _lagrangian_objective(p: Problem, y: StochasticProcess):
-    layout = AdaptedLayout(p.tree, p.n_dims)
+    layout = p.layout
     yvecs = _leaf_vectors(p, y, "dual")
     terms = []
     for leaf in range(p.tree.n_leaves):
@@ -450,7 +442,7 @@ def _lagrangian_objective(p: Problem, y: StochasticProcess):
         if fn is MINUS_INF:
             return layout, None
         terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
-                           layout.leaf_matrix(leaf), np.zeros(fn.dim), leaf))
+                           layout.leaf_matrix(leaf), leaf))
     return layout, CompiledObjective(layout.width, terms)
 
 
@@ -500,35 +492,20 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     tree = p.tree
     yvecs = _leaf_vectors(p, y, "dual")
     basis = _orthocomplement_basis(tree, p.n_dims)
-    K = basis.shape[1]
-    n_total = sum(p.n_dims)
-    terms = []
-    for leaf in range(tree.n_leaves):
-        try:
-            fn = p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
-        except NoClosedFormError:
-            raise
-        rows = _leaf_rows(tree, p.n_dims, leaf)
-        mat = basis[rows] if K else np.zeros((n_total, 0))
-        terms.append(_Term(float(tree.probabilities[leaf]), fn, mat,
-                           np.zeros(fn.dim), leaf))
-    obj = CompiledObjective(K, terms)
-    res = _minimize(obj, cfg)
+    # coordinates of each leaf in the flat order of StochasticProcess.to_vector
+    rows, _ = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
+                                   p.n_dims)
+    terms = [_Term(float(tree.probabilities[leaf]),
+                   p.integrand.conjugate_function_of_v(leaf, yvecs[leaf]),
+                   basis[rows[leaf]], leaf)
+             for leaf in range(tree.n_leaves)]
+    res = _minimize(CompiledObjective(basis.shape[1], terms), cfg)
     if res.status == "infeasible":
         return OrthoBound(INF, None, "infeasible")
     if res.status == "unbounded":
         return OrthoBound(-INF, None, "unbounded")
-    v = _expand_orthocomplement(tree, p.n_dims, basis, res.x)
+    v = StochasticProcess.from_vector(tree, p.n_dims, basis @ res.x)
     return OrthoBound(res.value, v, res.status)
-
-
-def _leaf_rows(tree, dims, leaf):
-    stage_offsets = np.concatenate([[0], np.cumsum([tree.n_leaves * d for d in dims])]).astype(int)
-    rows = []
-    for t, d in enumerate(dims):
-        for comp in range(d):
-            rows.append(stage_offsets[t] + leaf * d + comp)
-    return np.array(rows, dtype=int)
 
 
 def _orthocomplement_basis(tree, dims) -> np.ndarray:
@@ -548,16 +525,6 @@ def _orthocomplement_basis(tree, dims) -> np.ndarray:
                     col[stage_offsets[t] + last * d + comp] = -probs[leaf] / probs[last]
                     cols.append(col)
     return np.column_stack(cols) if cols else np.zeros((total, 0))
-
-
-def _expand_orthocomplement(tree, dims, basis, z) -> StochasticProcess:
-    flat = basis @ z if basis.shape[1] else np.zeros(basis.shape[0])
-    arrays, at = [], 0
-    for d in dims:
-        size = tree.n_leaves * d
-        arrays.append(flat[at:at + size].reshape(tree.n_leaves, d))
-        at += size
-    return StochasticProcess(tree, tuple(arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +658,7 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
     step0 = cfg.step_constant or max(1.0, abs(best_val))
     cur_y, cur_val, cur_dob = y, best_val, best_dob
     iters = min(cfg.ascent_iter, cfg.max_iter)
-    stalled = 0
+    stalled = rounds = 0
     for k in range(1, iters + 1):
         x_star = cur_dob.minimizer
         yvecs = _leaf_vectors(p, cur_y, "dual")
@@ -711,6 +678,7 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
                 at += d
         if not ok:
             break
+        rounds = k
         gproc = StochasticProcess(tree, tuple(grads))
         if restrict_adapted:
             gproc = adapted_projection(gproc)
@@ -744,7 +712,7 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
                 break
     gap = primal.value - best_val if np.isfinite(primal.value) else INF
     status = "optimal" if gap <= 1e-5 * max(1.0, abs(primal.value)) else "max-iter"
-    return SolveResult(best_y, best_val, iters, max(gap, 0.0), status, "ascent",
+    return SolveResult(best_y, best_val, rounds, max(gap, 0.0), status, "ascent",
                        objective=best_dob)
 
 

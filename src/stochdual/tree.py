@@ -24,6 +24,7 @@ __all__ = [
     "build_tree",
     "conditional_expectation",
     "adapted_projection",
+    "expected_dual_increments",
     "is_adapted",
     "pairing",
     "in_orthocomplement",
@@ -56,7 +57,6 @@ class ScenarioTree:
     probabilities: np.ndarray
     partitions: tuple[tuple[tuple[int, ...], ...], ...]
     leaf_block: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    block_weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
@@ -80,7 +80,6 @@ class ScenarioTree:
         object.__setattr__(self, "partitions", parts)
 
         leaf_block = []
-        block_weights = []
         for t, stage in enumerate(parts):
             seen = np.full(n, -1, dtype=int)
             for b, block in enumerate(stage):
@@ -96,9 +95,6 @@ class ScenarioTree:
                 missing = int(np.argmin(seen))
                 raise TreeError(f"leaf {missing} missing from stage {t} partition")
             leaf_block.append(seen)
-            block_weights.append(
-                np.array([probs[list(block)].sum() for block in stage])
-            )
         # nesting: every stage-(t+1) block inside exactly one stage-t block
         for t in range(len(parts) - 1):
             coarse = leaf_block[t]
@@ -111,7 +107,6 @@ class ScenarioTree:
         for arr in leaf_block:
             arr.setflags(write=False)
         object.__setattr__(self, "leaf_block", tuple(leaf_block))
-        object.__setattr__(self, "block_weights", tuple(block_weights))
 
     # -- basic shape ------------------------------------------------------
 
@@ -133,6 +128,17 @@ class ScenarioTree:
 
     def block_of(self, t: int, leaf: int) -> int:
         return int(self.leaf_block[t][leaf])
+
+    def conditional_mean(self, arr, t: int) -> np.ndarray:
+        """E_t of a leaf-indexed array: the probability-weighted mean of its
+        rows over each stage-t block, repeated on the block's leaves."""
+        arr = np.asarray(arr, dtype=float)
+        new = np.empty_like(arr)
+        for block in self.partitions[t]:
+            idx = list(block)
+            w = self.probabilities[idx]
+            new[idx] = w @ arr[idx] / w.sum()
+        return new
 
     # -- convenience constructors ----------------------------------------
 
@@ -252,16 +258,6 @@ def _check_same_tree(a: StochasticProcess, b: StochasticProcess):
         raise TreeError("processes live on different trees")
 
 
-def _block_average(arr: np.ndarray, blocks, probs) -> np.ndarray:
-    """Probability-weighted mean of arr's rows over each block of leaves."""
-    new = np.empty_like(arr)
-    for block in blocks:
-        idx = list(block)
-        w = probs[idx]
-        new[idx] = w @ arr[idx] / w.sum()
-    return new
-
-
 def conditional_expectation(proc: StochasticProcess, t: int) -> StochasticProcess:
     """Average every stage component over the stage-t information blocks.
 
@@ -271,18 +267,24 @@ def conditional_expectation(proc: StochasticProcess, t: int) -> StochasticProces
     tree = proc.tree
     if t < 0 or t >= tree.stage_count:
         raise TreeError(f"stage {t} out of range 0..{tree.stage_count - 1}")
-    return StochasticProcess(tree, tuple(
-        _block_average(arr, tree.partitions[t], tree.probabilities) for arr in proc.values
-    ))
+    return StochasticProcess(tree, tuple(tree.conditional_mean(arr, t) for arr in proc.values))
 
 
 def adapted_projection(proc: StochasticProcess) -> StochasticProcess:
     """Replace each stage-t component by its stage-t conditional expectation."""
     tree = proc.tree
     return StochasticProcess(tree, tuple(
-        _block_average(arr, tree.partitions[t], tree.probabilities)
-        for t, arr in enumerate(proc.values)
+        tree.conditional_mean(arr, t) for t, arr in enumerate(proc.values)
     ))
+
+
+def expected_dual_increments(y: StochasticProcess) -> tuple[np.ndarray, ...]:
+    """E_t(y_{t+1} - y_t) for every stage t, with y_{T+1} = 0."""
+    tree, T = y.tree, y.tree.horizon
+    return tuple(
+        tree.conditional_mean((y.stage(t + 1) if t < T else 0.0) - y.stage(t), t)
+        for t in range(T + 1)
+    )
 
 
 def is_adapted(proc: StochasticProcess) -> bool:
@@ -330,17 +332,14 @@ def in_orthocomplement(v: StochasticProcess, tol: float = 1e-9) -> OrthoReport:
     of the adapted processes under the pairing E(x.v).
     """
     tree = v.tree
-    probs = tree.probabilities
     worst = 0.0
     worst_stage, worst_block = -1, -1
     for t, arr in enumerate(v.values):
         if arr.shape[1] == 0:
             continue
-        for b, block in enumerate(tree.partitions[t]):
-            idx = list(block)
-            w = probs[idx]
-            mean = w @ arr[idx] / w.sum()
-            res = float(np.max(np.abs(mean))) if mean.size else 0.0
-            if res > worst:
-                worst, worst_stage, worst_block = res, t, b
+        firsts = [block[0] for block in tree.partitions[t]]
+        res = np.max(np.abs(tree.conditional_mean(arr, t)[firsts]), axis=1)
+        b = int(np.argmax(res))  # the first block in partition order on ties
+        if res[b] > worst:
+            worst, worst_stage, worst_block = float(res[b]), t, b
     return OrthoReport(worst <= tol, worst, worst_stage, worst_block)

@@ -1,0 +1,215 @@
+"""Block arithmetic on irregular trees: the conditional-mean primitive, the
+quantities built on it, and the adapted-variable layout, each checked
+against a brute-force loop over the information blocks."""
+
+import numpy as np
+import pytest
+
+from stochdual.convex import Polyhedron, Quadratic
+from stochdual.duality import check_martingale_density
+from stochdual.models import build_kabanov
+from stochdual.optimality import check_consistent_price_system
+from stochdual.solver import AdaptedLayout
+from stochdual.tree import (
+    StochasticProcess,
+    adapted_projection,
+    build_tree,
+    expected_dual_increments,
+    in_orthocomplement,
+    is_adapted,
+)
+
+SEEDS = range(6)
+STAGE_DIMS = (2, 0, 1, 2)  # one entry per stage of irregular_tree
+CONE_GENERATORS = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def irregular_tree(seed, n=9, stages=4):
+    """Nested partitions with unequal block sizes, blocks listed out of leaf
+    order, shuffled leaves inside each block and non-uniform probabilities."""
+    rng = np.random.default_rng(seed)
+    parts = [[[int(i) for i in rng.permutation(n)]]]
+    for _ in range(stages - 1):
+        stage = []
+        for block in parts[-1]:
+            block = rng.permutation(block)
+            n_cuts = int(rng.integers(0, min(3, len(block))))
+            cuts = np.sort(rng.choice(np.arange(1, len(block)), n_cuts, replace=False)) \
+                if n_cuts else []
+            stage += [[int(i) for i in piece] for piece in np.split(block, cuts)]
+        parts.append([stage[j] for j in rng.permutation(len(stage))])
+    probs = rng.uniform(0.2, 1.0, n)
+    return build_tree(probs / probs.sum(), parts)
+
+
+def brute_mean(tree, arr, t):
+    """E_t by an explicit sum over each block."""
+    out = np.empty_like(arr)
+    for block in tree.blocks(t):
+        mass = sum(tree.probabilities[i] for i in block)
+        mean = sum(tree.probabilities[i] * arr[i] for i in block) / mass
+        for i in block:
+            out[i] = mean
+    return out
+
+
+def random_process(rng, tree, dims):
+    return StochasticProcess(tree, tuple(rng.normal(size=(tree.n_leaves, d)) for d in dims))
+
+
+def test_trees_are_irregular():
+    trees = [irregular_tree(seed) for seed in SEEDS]
+    sizes = {len(block) for tree in trees for stage in tree.partitions for block in stage}
+    assert len(sizes) >= 3
+    firsts = [[min(block) for block in stage] for tree in trees for stage in tree.partitions]
+    assert any(f != sorted(f) for f in firsts)
+    assert not np.allclose(trees[0].probabilities, trees[0].probabilities[0])
+
+
+class TestConditionalMean:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_block_loop(self, seed):
+        tree = irregular_tree(seed)
+        rng = np.random.default_rng(100 + seed)
+        for t in range(tree.stage_count):
+            for d in (0, 1, 2):
+                arr = rng.normal(size=(tree.n_leaves, d))
+                got = tree.conditional_mean(arr, t)
+                assert got.shape == arr.shape
+                np.testing.assert_allclose(got, brute_mean(tree, arr, t), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("d", (0, 1, 2))
+    def test_expected_dual_increments(self, seed, d):
+        tree = irregular_tree(seed)
+        y = random_process(np.random.default_rng(200 + seed), tree, [d] * tree.stage_count)
+        got = expected_dual_increments(y)
+        T = tree.horizon
+        assert len(got) == T + 1
+        for t in range(T + 1):
+            nxt = y.stage(t + 1) if t < T else np.zeros_like(y.stage(t))
+            np.testing.assert_allclose(got[t], brute_mean(tree, nxt - y.stage(t), t),
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_martingale_density_residual(self, seed, d):
+        tree = irregular_tree(seed)
+        rng = np.random.default_rng(300 + seed)
+        s = random_process(rng, tree, [d] * tree.stage_count)
+        vals = rng.uniform(0.5, 2.0, tree.n_leaves)
+        worst = 0.0
+        for t in range(tree.horizon):
+            ds = s.stage(t + 1) - s.stage(t)
+            mean = brute_mean(tree, vals[:, None] * ds, t)
+            worst = max(worst, float(np.max(np.abs(mean))))
+        report = check_martingale_density(vals, s)
+        assert report.max_residual == pytest.approx(worst, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_price_system_martingale_rows(self, seed):
+        tree = irregular_tree(seed)
+        C = Polyhedron.from_cone_generators(CONE_GENERATORS)
+        p = build_kabanov(tree, [[C]] * tree.stage_count,
+                          [[Quadratic([0.5, 0.5])]] * tree.stage_count)
+        rng = np.random.default_rng(400 + seed)
+        y = adapted_projection(random_process(rng, tree, [2] * tree.stage_count))
+        zero = StochasticProcess.zeros(tree, [2] * tree.stage_count)
+        cert = check_consistent_price_system(p, zero, zero, zero, y)
+        rows = {r["stage"]: r["residual"] for r in cert.rows if r["condition"] == "martingale"}
+        assert sorted(rows) == list(range(tree.horizon))
+        for t in range(tree.horizon):
+            mean = brute_mean(tree, y.stage(t + 1) - y.stage(t), t)
+            assert rows[t] == pytest.approx(float(np.max(np.abs(mean))), rel=0, abs=1e-15)
+
+
+class TestOrthocomplementWorst:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_worst_block_matches_block_loop(self, seed):
+        tree = irregular_tree(seed)
+        v = random_process(np.random.default_rng(500 + seed), tree, STAGE_DIMS)
+        worst, where = 0.0, (-1, -1)
+        for t, arr in enumerate(v.values):
+            if arr.shape[1] == 0:
+                continue
+            mean = brute_mean(tree, arr, t)
+            for b, block in enumerate(tree.blocks(t)):
+                res = float(np.max(np.abs(mean[block[0]])))
+                if res > worst:
+                    worst, where = res, (t, b)
+        report = in_orthocomplement(v)
+        assert report.max_residual == pytest.approx(worst, rel=0, abs=1e-15)
+        assert (report.worst_stage, report.worst_block) == where
+
+    def tie_tree(self):
+        # stage-1 blocks listed with the higher leaves first
+        return build_tree([0.25] * 4, [[[0, 1, 2, 3]], [[2, 3], [0, 1]], [[3], [2], [1], [0]]])
+
+    def test_tie_across_blocks_reports_first_in_partition_order(self):
+        tree = self.tie_tree()
+        v = StochasticProcess(tree, (np.zeros((4, 1)), np.ones((4, 1)), np.zeros((4, 0))))
+        report = in_orthocomplement(v)
+        assert report.max_residual == 1.0
+        assert (report.worst_stage, report.worst_block) == (1, 0)
+
+    def test_tie_across_stages_reports_first_stage(self):
+        tree = self.tie_tree()
+        v = StochasticProcess(tree, (np.ones((4, 1)), np.ones((4, 1)), np.zeros((4, 0))))
+        report = in_orthocomplement(v)
+        assert (report.worst_stage, report.worst_block) == (0, 0)
+
+    def test_larger_second_block_wins(self):
+        tree = self.tie_tree()
+        v = StochasticProcess(tree, (np.zeros((4, 1)), np.array([[2.0], [2.0], [1.0], [1.0]]),
+                                     np.zeros((4, 0))))
+        report = in_orthocomplement(v)
+        assert report.max_residual == 2.0
+        assert (report.worst_stage, report.worst_block) == (1, 1)
+
+    def test_annihilator_member_has_no_worst_block(self):
+        tree = self.tie_tree()
+        v = StochasticProcess(tree, (np.zeros((4, 1)), np.array([[1.0], [-1.0], [2.0], [-2.0]]),
+                                     np.zeros((4, 0))))
+        report = in_orthocomplement(v)
+        assert report.ok and report.max_residual == 0.0
+        assert (report.worst_stage, report.worst_block) == (-1, -1)
+
+
+class TestAdaptedLayout:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_width_counts_blocks(self, seed):
+        tree = irregular_tree(seed)
+        layout = AdaptedLayout(tree, STAGE_DIMS)
+        assert layout.width == sum(d * len(tree.blocks(t)) for t, d in enumerate(STAGE_DIMS))
+        assert layout.columns.shape == (tree.n_leaves, sum(STAGE_DIMS))
+        # every block coordinate belongs to some leaf
+        assert set(layout.columns.ravel()) == set(range(layout.width))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_leaf_matrix_selects_columns(self, seed):
+        tree = irregular_tree(seed)
+        layout = AdaptedLayout(tree, STAGE_DIMS)
+        for leaf in range(tree.n_leaves):
+            mat = layout.leaf_matrix(leaf)
+            assert mat.shape == (sum(STAGE_DIMS), layout.width)
+            for row, col in zip(mat, layout.columns[leaf]):
+                assert np.flatnonzero(row).tolist() == [col]
+                assert row[col] == 1.0
+            assert layout.leaf_matrix(leaf) is mat
+            assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_to_process_agrees_with_leaf_matrix(self, seed):
+        tree = irregular_tree(seed)
+        layout = AdaptedLayout(tree, STAGE_DIMS)
+        w = np.random.default_rng(600 + seed).normal(size=layout.width)
+        proc = layout.to_process(w)
+        assert proc.dims == STAGE_DIMS
+        assert is_adapted(proc)
+        for leaf in range(tree.n_leaves):
+            np.testing.assert_array_equal(layout.leaf_matrix(leaf) @ w, proc.leaf_vector(leaf))
+        # blocks of one stage own distinct coordinates
+        for t, d in enumerate(STAGE_DIMS):
+            if d:
+                firsts = [block[0] for block in tree.blocks(t)]
+                assert len({tuple(proc.stage(t)[leaf]) for leaf in firsts}) == len(firsts)

@@ -261,6 +261,20 @@ class TestSolveOnce:
             assert calls["dual_objective"] == 1
         assert calls["dual_via_orthocomplement"] <= 1
 
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_report_builds_one_layout(self, monkeypatch, name):
+        built = []
+        init = AdaptedLayout.__init__
+
+        def counted(self, tree, dims):
+            built.append(tree)
+            init(self, tree, dims)
+
+        monkeypatch.setattr(AdaptedLayout, "__init__", counted)
+        code, _ = run(["report", fixture_path(name)])
+        assert code == 0
+        assert len(built) == 1
+
     def test_check_solves_primal_once(self, monkeypatch):
         calls = {}
         count_calls(monkeypatch, solver, "solve_primal", calls, [cli])

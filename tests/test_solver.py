@@ -398,6 +398,8 @@ class TestAscentFallback:
         res = _ascend_dual(p, u, cfg, primal)
         assert res.status in ("max-iter", "optimal")
         assert res.value <= primal.value + 1e-9
+        # it stops after a few stalled rounds and counts only those
+        assert res.iterations < cfg.ascent_iter
 
 
 class TestSubgradientPath:
