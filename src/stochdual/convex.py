@@ -74,6 +74,10 @@ class QPForm:
     scalar piecewise-linear summands as (row, offset, pwl) atoms whose
     value pwl(row.x + offset) adds to the quadratic part; the solver
     lowers each atom to one epigraph variable with supporting-line rows.
+
+    ``embed`` places a form on a subset of the coordinates of a larger
+    space by scattering through an index array; ``compose`` is for genuine
+    affine maps.
     """
 
     def __init__(self, dim, P=None, q=None, c=0.0, G=None, h=None,
@@ -106,6 +110,25 @@ class QPForm:
                  for row, off, pwl in self.epi],
         )
 
+    def embed(self, cols, dim) -> "QPForm":
+        """Form of w -> self(w[cols]) for w in R^dim (``cols`` distinct)."""
+        cols = np.asarray(cols, dtype=int)
+        P = np.zeros((dim, dim))
+        P[np.ix_(cols, cols)] = self.P
+        q = np.zeros(dim)
+        q[cols] = self.q
+        G = np.zeros((self.G.shape[0], dim))
+        G[:, cols] = self.G
+        A = np.zeros((self.A.shape[0], dim))
+        A[:, cols] = self.A
+        epi = []
+        for row, off, pwl in self.epi:
+            full = np.zeros(dim)
+            full[cols] = row
+            epi.append((full, off, pwl))
+        return QPForm(dim, P=P, q=q, c=self.c, G=G, h=self.h, A=A, b=self.b,
+                      labels=self.labels, epi=epi)
+
     @staticmethod
     def add(forms: list["QPForm"], dim: int) -> "QPForm":
         out = QPForm(dim)
@@ -113,12 +136,12 @@ class QPForm:
             out.P = out.P + f.P
             out.q = out.q + f.q
             out.c += f.c
-            out.G = np.vstack([out.G, f.G])
-            out.h = np.concatenate([out.h, f.h])
-            out.A = np.vstack([out.A, f.A])
-            out.b = np.concatenate([out.b, f.b])
             out.labels += f.labels
             out.epi += f.epi
+        out.G = np.vstack([out.G] + [f.G for f in forms])
+        out.h = np.concatenate([out.h] + [f.h for f in forms])
+        out.A = np.vstack([out.A] + [f.A for f in forms])
+        out.b = np.concatenate([out.b] + [f.b for f in forms])
         return out
 
 
@@ -171,8 +194,9 @@ def _split_fix(idx, vals, dim):
     vals = np.asarray(vals, dtype=float).ravel()
     if idx.size != vals.size:
         raise ValueError("fix() needs one value per frozen coordinate")
-    keep = np.setdiff1d(np.arange(dim), idx)
-    return idx, vals, keep
+    keep = np.ones(dim, dtype=bool)
+    keep[idx] = False
+    return idx, vals, np.flatnonzero(keep)
 
 
 def constant(value: float, dim: int = 0) -> "ConvexFunction":
@@ -879,9 +903,7 @@ class SeparableSum(ConvexFunction):
             f = part.qp_form()
             if f is None:
                 return None
-            M = np.zeros((part.dim, self.dim))
-            M[:, self.offsets[i]:self.offsets[i + 1]] = np.eye(part.dim)
-            forms.append(f.compose(M, np.zeros(part.dim)))
+            forms.append(f.embed(np.arange(self.offsets[i], self.offsets[i + 1]), self.dim))
         return QPForm.add(forms, self.dim)
 
 

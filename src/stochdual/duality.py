@@ -21,7 +21,7 @@ from .integrand import (
     MINUS_INF,
 )
 from .simplex import solve_lp
-from .solver import Problem
+from .solver import Problem, _stack_rows
 from .tree import (
     StochasticProcess,
     expected_dual_increments,
@@ -75,18 +75,19 @@ def check_martingale_density(y, s: StochasticProcess, tol: float = 1e-8) -> Mart
     """Is y a positive multiple of a martingale density for the price s?
 
     Requires y >= -tol, y not identically zero, and blockwise
-    E_t(y ds_{t+1}) = 0 within tol for every t < T.
+    E_t(y ds_{t+1}) = 0 within tol for every t < T.  NaN values propagate
+    into the residuals, so they fail.
     """
     vals = _density_values(y)
     tree = s.tree
     if vals.size != tree.n_leaves:
         raise ValueError("density values must be leaf-indexed")
-    negativity = max(0.0, float(-vals.min(initial=0.0)))
+    negativity = float(np.max(-vals, initial=0.0))
     is_zero = float(np.max(np.abs(vals), initial=0.0)) <= tol
     worst = 0.0
     for t in range(tree.horizon):
         mean = tree.conditional_mean(vals[:, None] * (s.stage(t + 1) - s.stage(t)), t)
-        worst = max(worst, float(np.max(np.abs(mean), initial=0.0)))
+        worst = float(np.max(np.abs(mean), initial=worst))
     ok = (negativity <= tol) and (worst <= tol) and not is_zero
     return MartingaleReport(ok, worst, negativity, is_zero)
 
@@ -281,12 +282,11 @@ def check_domain_condition(p: Problem, y: StochasticProcess) -> DomainConditionR
     """Best-effort domain check for the dual representation, in the block
     coordinates of the adapted decision space."""
     layout = p.layout
-    l_rows_ub, l_rhs_ub, l_rows_eq, l_rhs_eq = [], [], [], []
-    d_rows_ub, d_rhs_ub, d_rows_eq, d_rhs_eq = [], [], [], []
+    l_ub, l_eq, d_ub, d_eq = [], [], [], []  # (leaf columns, rows, rhs) blocks
+    yvecs = y.leaf_rows()
     for leaf in range(p.tree.n_leaves):
-        yv = y.leaf_vector(leaf)
         try:
-            l_fn = p.integrand.lagrangian_function_of_x(leaf, yv)
+            l_fn = p.integrand.lagrangian_function_of_x(leaf, yvecs[leaf])
         except NoClosedFormError:
             return DomainConditionReport("inconclusive", "no closed-form Lagrangian")
         if l_fn is MINUS_INF:
@@ -295,20 +295,13 @@ def check_domain_condition(p: Problem, y: StochasticProcess) -> DomainConditionR
         dom_1 = _x_domain_rows(p, leaf)
         if dom_l is None or dom_1 is None:
             return DomainConditionReport("inconclusive", "non-polyhedral domain")
-        E = layout.leaf_matrix(leaf)
-        l_rows_ub.append(dom_l.a_ub @ E); l_rhs_ub.append(dom_l.b_ub)
-        l_rows_eq.append(dom_l.a_eq @ E); l_rhs_eq.append(dom_l.b_eq)
-        d_rows_ub.append(dom_1.a_ub @ E); d_rhs_ub.append(dom_1.b_ub)
-        d_rows_eq.append(dom_1.a_eq @ E); d_rhs_eq.append(dom_1.b_eq)
-
-    def stack(rows, rhs, width):
-        if not rows:
-            return np.zeros((0, width)), np.zeros(0)
-        return np.vstack(rows), np.concatenate(rhs)
+        cols = layout.columns[leaf]
+        l_ub.append((cols, dom_l.a_ub, dom_l.b_ub))
+        l_eq.append((cols, dom_l.a_eq, dom_l.b_eq))
+        d_ub.append((cols, dom_1.a_ub, dom_1.b_ub))
+        d_eq.append((cols, dom_1.a_eq, dom_1.b_eq))
 
     w = layout.width
-    dl = Polyhedron(*stack(l_rows_ub, l_rhs_ub, w),
-                    *stack(l_rows_eq, l_rhs_eq, w), validate=False)
-    d1 = Polyhedron(*stack(d_rows_ub, d_rhs_ub, w),
-                    *stack(d_rows_eq, d_rhs_eq, w), validate=False)
+    dl = Polyhedron(*_stack_rows(l_ub, w), *_stack_rows(l_eq, w), validate=False)
+    d1 = Polyhedron(*_stack_rows(d_ub, w), *_stack_rows(d_eq, w), validate=False)
     return polyhedral_domain_verdict(dl, d1)

@@ -88,10 +88,6 @@ class Certificate:
         return self
 
 
-def _leafwise(p: Problem, proc: StochasticProcess):
-    return [proc.leaf_vector(leaf) for leaf in range(p.tree.n_leaves)]
-
-
 def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
                  y: StochasticProcess, v: StochasticProcess,
                  tol: float = DEFAULT_TOL) -> Certificate:
@@ -103,7 +99,7 @@ def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
         cert.verdict = "fail"
         cert.reason = "candidate decision is not adapted"
         return cert
-    xs, us, ys, vs = (_leafwise(p, q) for q in (x, u, y, v))
+    xs, us, ys, vs = (q.leaf_rows() for q in (x, u, y, v))
     feasible = True
     for leaf in range(p.tree.n_leaves):
         fval = p.integrand.value(leaf, xs[leaf], us[leaf])
@@ -148,7 +144,7 @@ def check_kkt(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not isinstance(f, ConstrainedIntegrand):
         raise TypeError("check_kkt needs an inequality-constrained problem")
     cert = Certificate("pending", tol, y=y, v=v)
-    xs, us, ys, vs = (_leafwise(p, q) for q in (x, u, y, v))
+    xs, us, ys, vs = (q.leaf_rows() for q in (x, u, y, v))
     for leaf in range(p.tree.n_leaves):
         xv, uv, yv = xs[leaf], us[leaf], ys[leaf]
         for j, fj in enumerate(f.constraints[leaf]):
@@ -178,14 +174,14 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not isinstance(f, AlmIntegrand):
         raise TypeError("check_alm needs a hedging-model problem")
     cert = Certificate("pending", tol, y=y)
-    vals = np.array([y.leaf_vector(leaf) for leaf in range(p.tree.n_leaves)]).ravel()
+    vals = y.leaf_rows().ravel()
     if np.max(np.abs(vals), initial=0.0) <= tol:
         cert.verdict = "degenerate"
         cert.reason = "zero dual: the density cone excludes it"
         return cert
     report = check_martingale_density(vals, f.price, tol)
     cert.add("martingale-density", max(report.max_residual, report.negativity))
-    xs, us = _leafwise(p, x), _leafwise(p, u)
+    xs, us = x.leaf_rows(), u.leaf_rows()
     for leaf in range(p.tree.n_leaves):
         wealth = us[leaf][-1] - float(xs[leaf] @ f.gain_rows[leaf])
         V = f.disutilities[leaf]

@@ -10,6 +10,13 @@ program:
   * upper bound:  inf over v in the annihilator of E f*(v, y)
   * dual solve:   maximize <u, y> - phi*(y)
 
+Each of the three objectives is a probability-weighted sum of per-leaf
+functions of one leaf's coordinates.  A compiled objective holds, per leaf,
+the index array of those coordinates: evaluation gathers through it and
+the QP lowering scatters each leaf's local form through it.  The upper
+bound's annihilator basis enters once, as a linear map applied to the
+whole lowered objective.
+
 Quadratic-plus-polyhedral instances route to the active-set QP path and
 solve to machine precision; everything else falls back to a projected
 subgradient method with diminishing steps c/sqrt(k).  The dual solve
@@ -165,24 +172,13 @@ def _stage_major_columns(index, dims) -> tuple[np.ndarray, int]:
 
 
 class AdaptedLayout:
-    """One free vector per (stage, block); leaf coordinates gather from it."""
+    """One free vector per (stage, block); leaf ``l`` reads the coordinates
+    ``columns[l]`` of it (distinct within the row)."""
 
     def __init__(self, tree: ScenarioTree, dims):
         self.tree = tree
         self.dims = tuple(int(d) for d in dims)
         self.columns, self.width = _stage_major_columns(tree.leaf_block, self.dims)
-        self._leaf_mats = {}
-
-    def leaf_matrix(self, leaf: int) -> np.ndarray:
-        """Selection matrix taking the block vector to the leaf's coordinates."""
-        mat = self._leaf_mats.get(leaf)
-        if mat is None:
-            cols = self.columns[leaf]
-            mat = np.zeros((cols.size, self.width))
-            mat[np.arange(cols.size), cols] = 1.0
-            mat.setflags(write=False)
-            self._leaf_mats[leaf] = mat
-        return mat
 
     def to_process(self, w) -> StochasticProcess:
         flat = np.asarray(w, dtype=float).ravel()[self.columns]
@@ -195,125 +191,147 @@ class AdaptedLayout:
 # ---------------------------------------------------------------------------
 
 
+def _stack_rows(blocks, width: int):
+    """Stack (cols, rows, rhs) blocks into one (matrix, rhs) pair of width
+    ``width``, scattering each block's columns to ``cols``."""
+    mat = np.zeros((sum(rows.shape[0] for _, rows, _ in blocks), width))
+    at = 0
+    for cols, rows, _ in blocks:
+        mat[at:at + rows.shape[0], cols] = rows
+        at += rows.shape[0]
+    rhs = np.concatenate([r for _, _, r in blocks]) if blocks else np.zeros(0)
+    return mat, rhs
+
+
 @dataclass
 class _Term:
     weight: float
     fn: ConvexFunction
-    mat: np.ndarray
+    cols: np.ndarray  # the leaf's coordinates, distinct
     leaf: int
 
 
 class CompiledObjective:
-    """sum_k weight_k * fn_k(M_k w) over w in R^width."""
+    """sum_k weight_k * fn_k(z[cols_k]) with z = B w, over w in R^width.
 
-    def __init__(self, width: int, terms: list[_Term]):
-        self.width = width
+    Term k reads its leaf's coordinates of z in R^n through the index array
+    cols_k.  ``basis`` is an optional (n, width) matrix B whose columns span
+    the space searched (the annihilator bound); without it z = w.
+    """
+
+    def __init__(self, n: int, terms: list[_Term], basis: np.ndarray | None = None):
+        self.n = n
         self.terms = terms
+        self.basis = basis
+        self.width = n if basis is None else basis.shape[1]
 
     def value(self, w) -> float:
-        w = np.asarray(w, dtype=float).ravel()
+        z = np.asarray(w, dtype=float).ravel()
+        if self.basis is not None:
+            z = self.basis @ z
         total = 0.0
         for t in self.terms:
-            v = t.fn.value(t.mat @ w)
+            v = t.fn.value(z[t.cols])
             if v == INF:
                 return INF
             total += t.weight * v
         return total
 
     def value_many(self, W) -> np.ndarray:
-        W = np.asarray(W, dtype=float)
-        total = np.zeros(W.shape[0])
+        Z = np.asarray(W, dtype=float)
+        if self.basis is not None:
+            Z = Z @ self.basis.T
+        total = np.zeros(Z.shape[0])
         for t in self.terms:
-            total = total + t.weight * t.fn.value_many(W @ t.mat.T)
+            total = total + t.weight * t.fn.value_many(Z[:, t.cols])
         return total
 
     def subgradient(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float).ravel()
-        g = np.zeros(self.width)
+        z = np.asarray(w, dtype=float).ravel()
+        if self.basis is not None:
+            z = self.basis @ z
+        g = np.zeros(self.n)
         for t in self.terms:
-            g += t.weight * (t.mat.T @ t.fn.subgradient(t.mat @ w))
-        return g
+            g[t.cols] += t.weight * t.fn.subgradient(z[t.cols])
+        return g if self.basis is None else self.basis.T @ g
 
     def qp_data(self):
         """Lowered quadratic program, or None off the polyhedral path.
 
-        Kinked piecewise-linear summands become epigraph variables: one
-        auxiliary coordinate per atom, bounded below by the supporting
-        lines of the (probability-weighted) piece structure.
+        Each term's local form scatters into the rows and columns of its
+        leaf.  Kinked piecewise-linear summands become epigraph variables:
+        one auxiliary coordinate per atom, after the n main ones, bounded
+        below by the supporting lines of the (probability-weighted) piece
+        structure.  With a basis the lowered program is then mapped to the
+        basis coefficients once; auxiliary coordinates pass through.
         """
-        P = np.zeros((self.width, self.width))
-        q = np.zeros(self.width)
+        n = self.n
+        P = np.zeros((n, n))
+        q = np.zeros(n)
         c = 0.0
-        G_rows, h_rows, labels = [], [], []
-        A_rows, b_rows = [], []
-        atoms = []  # (row in base coords, offset, weighted pwl)
+        G_blocks, A_blocks, labels = [], [], []
+        atoms = []  # (cols, local row, offset, weighted pwl)
         for t in self.terms:
             form = t.fn.qp_form()
             if form is None:
                 return None
-            form = form.compose(t.mat, np.zeros(t.fn.dim))
-            P += t.weight * form.P
-            q += t.weight * form.q
+            P[np.ix_(t.cols, t.cols)] += t.weight * form.P
+            q[t.cols] += t.weight * form.q
             c += t.weight * form.c
             if form.G.shape[0]:
-                G_rows.append(form.G)
-                h_rows.append(form.h)
+                G_blocks.append((t.cols, form.G, form.h))
                 labels.extend((t.leaf, lab) for lab in form.labels)
             if form.A.shape[0]:
-                A_rows.append(form.A)
-                b_rows.append(form.b)
+                A_blocks.append((t.cols, form.A, form.b))
             for row, off, pwl in form.epi:
-                atoms.append((row, off, pwl.scaled(t.weight)))
-        n_aux = len(atoms)
-        total = self.width + n_aux
-        G = np.vstack(G_rows) if G_rows else np.zeros((0, self.width))
-        h = np.concatenate(h_rows) if h_rows else np.zeros(0)
-        A = np.vstack(A_rows) if A_rows else np.zeros((0, self.width))
-        b = np.concatenate(b_rows) if b_rows else np.zeros(0)
-        if n_aux == 0:
-            return P, q, c, G, h, A, b, labels, self.width
-        Pt = np.zeros((total, total)); Pt[:self.width, :self.width] = P
-        qt = np.zeros(total); qt[:self.width] = q
-        qt[self.width:] = 1.0  # each epigraph variable enters at weight one
-        Gt = [np.hstack([G, np.zeros((G.shape[0], n_aux))])]
-        ht = [h]
-        for i, (row, off, pwl) in enumerate(atoms):
+                atoms.append((t.cols, row, off, pwl.scaled(t.weight)))
+        total = n + len(atoms)
+        for i, (cols, row, off, pwl) in enumerate(atoms):
+            rows, rhs = [], []
             for slope, intercept in pwl.supporting_lines():
-                line = np.zeros(total)
-                line[:self.width] = slope * row
-                line[self.width + i] = -1.0
-                Gt.append(line.reshape(1, -1))
-                ht.append(np.array([-(intercept + slope * off)]))
-                labels.append(None)
+                rows.append(np.append(slope * row, -1.0))
+                rhs.append(-(intercept + slope * off))
             if pwl.hi != INF:
-                line = np.zeros(total); line[:self.width] = row
-                Gt.append(line.reshape(1, -1)); ht.append(np.array([pwl.hi - off]))
-                labels.append(None)
+                rows.append(np.append(row, 0.0)); rhs.append(pwl.hi - off)
             if pwl.lo != -INF:
-                line = np.zeros(total); line[:self.width] = -row
-                Gt.append(line.reshape(1, -1)); ht.append(np.array([off - pwl.lo]))
-                labels.append(None)
-        At = np.hstack([A, np.zeros((A.shape[0], n_aux))])
-        return (Pt, qt, c, np.vstack(Gt), np.concatenate(ht), At, b, labels,
-                self.width)
+                rows.append(np.append(-row, 0.0)); rhs.append(off - pwl.lo)
+            G_blocks.append((np.append(cols, n + i), np.array(rows), np.array(rhs)))
+            labels.extend([None] * len(rows))
+        G, h = _stack_rows(G_blocks, total)
+        A, b = _stack_rows(A_blocks, total)
+        if total > n:
+            P = np.pad(P, (0, total - n))
+            q = np.concatenate([q, np.ones(total - n)])  # epigraph variables at weight one
+        if self.basis is not None:
+            P, q, G, A = self._map_to_basis(P, q, G, A)
+        return P, q, c, G, h, A, b, labels, self.width
+
+    def _map_to_basis(self, P, q, G, A):
+        """Substitute z = B w in a lowered program whose first n coordinates
+        are z; the remaining (auxiliary) coordinates pass through."""
+        B, n = self.basis, self.n
+        aux = P.shape[0] - n
+        Pw = np.zeros((self.width + aux, self.width + aux))
+        Pw[:self.width, :self.width] = B.T @ P[:n, :n] @ B
+        qw = np.concatenate([B.T @ q[:n], q[n:]])
+        return (Pw, qw, np.hstack([G[:, :n] @ B, G[:, n:]]),
+                np.hstack([A[:, :n] @ B, A[:, n:]]))
 
     def constraint_rows(self):
         """Domain rows of every term (used by the projected subgradient path)."""
-        G_rows, h_rows, A_rows, b_rows = [], [], [], []
+        G_blocks, A_blocks = [], []
         for t in self.terms:
             dom = domain_polyhedron(t.fn)
             if dom is None:
                 continue
             if dom.a_ub.shape[0]:
-                G_rows.append(dom.a_ub @ t.mat)
-                h_rows.append(dom.b_ub)
+                G_blocks.append((t.cols, dom.a_ub, dom.b_ub))
             if dom.a_eq.shape[0]:
-                A_rows.append(dom.a_eq @ t.mat)
-                b_rows.append(dom.b_eq)
-        G = np.vstack(G_rows) if G_rows else np.zeros((0, self.width))
-        h = np.concatenate(h_rows) if h_rows else np.zeros(0)
-        A = np.vstack(A_rows) if A_rows else np.zeros((0, self.width))
-        b = np.concatenate(b_rows) if b_rows else np.zeros(0)
+                A_blocks.append((t.cols, dom.a_eq, dom.b_eq))
+        G, h = _stack_rows(G_blocks, self.n)
+        A, b = _stack_rows(A_blocks, self.n)
+        if self.basis is not None:
+            G, A = G @ self.basis, A @ self.basis
         return G, h, A, b
 
 
@@ -404,10 +422,10 @@ def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResu
 
 
 def _leaf_vectors(p: Problem, proc: StochasticProcess, what: str):
-    """Per-leaf vectors of a parameter-space process (u or y)."""
+    """Per-leaf vectors of a parameter-space process (u or y), one row each."""
     if proc.dims != p.m_dims:
         raise ValueError(f"{what} dims {proc.dims} do not match {p.m_dims}")
-    return [proc.leaf_vector(leaf) for leaf in range(p.tree.n_leaves)]
+    return proc.leaf_rows()
 
 
 def primal_objective(p: Problem, u: StochasticProcess):
@@ -418,7 +436,7 @@ def primal_objective(p: Problem, u: StochasticProcess):
     for leaf in range(p.tree.n_leaves):
         fn = p.integrand.primal_function(leaf, uvecs[leaf])
         terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
-                           layout.leaf_matrix(leaf), leaf))
+                           layout.columns[leaf], leaf))
     return layout, CompiledObjective(layout.width, terms)
 
 
@@ -442,7 +460,7 @@ def _lagrangian_objective(p: Problem, y: StochasticProcess):
         if fn is MINUS_INF:
             return layout, None
         terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
-                           layout.leaf_matrix(leaf), leaf))
+                           layout.columns[leaf], leaf))
     return layout, CompiledObjective(layout.width, terms)
 
 
@@ -471,9 +489,10 @@ def _lower_dual_value(p, y, minimizer, value):
     l(., y) is closed proper, so evaluate at the inner minimizer."""
     try:
         yv = _leaf_vectors(p, y, "dual")
+        xv = minimizer.leaf_rows()
         total = 0.0
         for leaf in range(p.tree.n_leaves):
-            lv = p.integrand.lower_lagrangian(leaf, minimizer.leaf_vector(leaf), yv[leaf])
+            lv = p.integrand.lower_lagrangian(leaf, xv[leaf], yv[leaf])
             if lv == -INF:
                 return INF
             if lv == INF:
@@ -493,13 +512,13 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     yvecs = _leaf_vectors(p, y, "dual")
     basis = _orthocomplement_basis(tree, p.n_dims)
     # coordinates of each leaf in the flat order of StochasticProcess.to_vector
-    rows, _ = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
+    rows, n = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
                                    p.n_dims)
     terms = [_Term(float(tree.probabilities[leaf]),
                    p.integrand.conjugate_function_of_v(leaf, yvecs[leaf]),
-                   basis[rows[leaf]], leaf)
+                   rows[leaf], leaf)
              for leaf in range(tree.n_leaves)]
-    res = _minimize(CompiledObjective(basis.shape[1], terms), cfg)
+    res = _minimize(CompiledObjective(n, terms, basis), cfg)
     if res.status == "infeasible":
         return OrthoBound(INF, None, "infeasible")
     if res.status == "unbounded":
@@ -560,16 +579,16 @@ def _recover_dual_candidate(p, u, primal, cfg):
     integrand = p.integrand
     tree = p.tree
     uvecs = _leaf_vectors(p, u, "parameter")
-    x = primal.optimizer
-    if x is None:
+    if primal.optimizer is None:
         return None
+    xvecs = primal.optimizer.leaf_rows()
     try:
         if isinstance(integrand, ConstrainedIntegrand):
             return _recover_constrained(p, u, primal, cfg)
         if isinstance(integrand, BolzaIntegrand):
             arrays = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
             for leaf in range(tree.n_leaves):
-                xv = x.leaf_vector(leaf)
+                xv = xvecs[leaf]
                 uv = uvecs[leaf]
                 states = integrand._states(xv)
                 for t in range(tree.stage_count):
@@ -586,7 +605,7 @@ def _recover_dual_candidate(p, u, primal, cfg):
         n_total = integrand.n_total
         for leaf in range(tree.n_leaves):
             joint = integrand.joint_function(leaf)
-            full = np.concatenate([x.leaf_vector(leaf), uvecs[leaf]])
+            full = np.concatenate([xvecs[leaf], uvecs[leaf]])
             if joint.value(full) == INF:
                 return None
             grad = joint.subgradient(full)[n_total:]
@@ -659,19 +678,18 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
     cur_y, cur_val, cur_dob = y, best_val, best_dob
     iters = min(cfg.ascent_iter, cfg.max_iter)
     stalled = rounds = 0
+    uvecs = _leaf_vectors(p, u, "parameter")
     for k in range(1, iters + 1):
-        x_star = cur_dob.minimizer
+        x_star = cur_dob.minimizer.leaf_rows()
         yvecs = _leaf_vectors(p, cur_y, "dual")
         grads = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
         ok = True
         for leaf in range(tree.n_leaves):
-            u_star = p.integrand.attaining_parameter(
-                leaf, x_star.leaf_vector(leaf), yvecs[leaf]
-            )
+            u_star = p.integrand.attaining_parameter(leaf, x_star[leaf], yvecs[leaf])
             if u_star is None:
                 ok = False
                 break
-            diff = u.leaf_vector(leaf) - u_star
+            diff = uvecs[leaf] - u_star
             at = 0
             for t, d in enumerate(p.m_dims):
                 grads[t][leaf] = diff[at:at + d]

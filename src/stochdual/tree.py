@@ -216,6 +216,13 @@ class StochasticProcess:
         """All stage components at one leaf, concatenated."""
         return np.concatenate([a[leaf] for a in self.values])
 
+    def leaf_rows(self) -> np.ndarray:
+        """Every leaf vector at once: the (n_leaves, sum(dims)) array whose
+        row l is ``leaf_vector(l)``."""
+        rows = np.hstack(self.values)
+        rows.setflags(write=False)
+        return rows
+
     @staticmethod
     def zeros(tree: ScenarioTree, dims: Sequence[int]) -> "StochasticProcess":
         return StochasticProcess(
@@ -329,7 +336,8 @@ def in_orthocomplement(v: StochasticProcess, tol: float = 1e-9) -> OrthoReport:
     stage-t block.
 
     On a finite tree this nodewise criterion characterises the annihilator
-    of the adapted processes under the pairing E(x.v).
+    of the adapted processes under the pairing E(x.v).  A NaN block residual
+    fails the test and is reported as the worst.
     """
     tree = v.tree
     worst = 0.0
@@ -339,7 +347,9 @@ def in_orthocomplement(v: StochasticProcess, tol: float = 1e-9) -> OrthoReport:
             continue
         firsts = [block[0] for block in tree.partitions[t]]
         res = np.max(np.abs(tree.conditional_mean(arr, t)[firsts]), axis=1)
-        b = int(np.argmax(res))  # the first block in partition order on ties
-        if res[b] > worst:
+        b = int(np.argmax(res))  # first block in partition order on ties, or first NaN
+        if not res[b] <= worst:
             worst, worst_stage, worst_block = float(res[b]), t, b
+            if np.isnan(worst):
+                break
     return OrthoReport(worst <= tol, worst, worst_stage, worst_block)

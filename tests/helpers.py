@@ -261,6 +261,34 @@ def random_small_tree(rng, max_leaves=8):
     return build_tree(probs, parts)
 
 
+STAGE_DIMS = (2, 0, 1, 2)  # one entry per stage of irregular_tree
+
+
+def irregular_tree(seed, n=9, stages=4):
+    """Nested partitions with unequal block sizes, blocks listed out of leaf
+    order, shuffled leaves inside each block and non-uniform probabilities."""
+    rng = np.random.default_rng(seed)
+    parts = [[[int(i) for i in rng.permutation(n)]]]
+    for _ in range(stages - 1):
+        stage = []
+        for block in parts[-1]:
+            block = rng.permutation(block)
+            n_cuts = int(rng.integers(0, min(3, len(block))))
+            cuts = np.sort(rng.choice(np.arange(1, len(block)), n_cuts, replace=False)) \
+                if n_cuts else []
+            stage += [[int(i) for i in piece] for piece in np.split(block, cuts)]
+        parts.append([stage[j] for j in rng.permutation(len(stage))])
+    probs = rng.uniform(0.2, 1.0, n)
+    return build_tree(probs / probs.sum(), parts)
+
+
+def selection_matrix(cols, width):
+    """Dense (len(cols) x width) matrix E with E w = w[cols]."""
+    mat = np.zeros((len(cols), width))
+    mat[np.arange(len(cols)), cols] = 1.0
+    return mat
+
+
 def random_process(rng, tree, dims):
     return StochasticProcess(
         tree, tuple(rng.normal(size=(tree.n_leaves, d)) for d in dims)

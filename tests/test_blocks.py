@@ -19,27 +19,10 @@ from stochdual.tree import (
     is_adapted,
 )
 
+from helpers import STAGE_DIMS, irregular_tree, selection_matrix
+
 SEEDS = range(6)
-STAGE_DIMS = (2, 0, 1, 2)  # one entry per stage of irregular_tree
 CONE_GENERATORS = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
-
-
-def irregular_tree(seed, n=9, stages=4):
-    """Nested partitions with unequal block sizes, blocks listed out of leaf
-    order, shuffled leaves inside each block and non-uniform probabilities."""
-    rng = np.random.default_rng(seed)
-    parts = [[[int(i) for i in rng.permutation(n)]]]
-    for _ in range(stages - 1):
-        stage = []
-        for block in parts[-1]:
-            block = rng.permutation(block)
-            n_cuts = int(rng.integers(0, min(3, len(block))))
-            cuts = np.sort(rng.choice(np.arange(1, len(block)), n_cuts, replace=False)) \
-                if n_cuts else []
-            stage += [[int(i) for i in piece] for piece in np.split(block, cuts)]
-        parts.append([stage[j] for j in rng.permutation(len(stage))])
-    probs = rng.uniform(0.2, 1.0, n)
-    return build_tree(probs / probs.sum(), parts)
 
 
 def brute_mean(tree, arr, t):
@@ -106,6 +89,13 @@ class TestConditionalMean:
         report = check_martingale_density(vals, s)
         assert report.max_residual == pytest.approx(worst, rel=0, abs=1e-15)
 
+    def test_nan_density_fails(self):
+        tree = build_tree([0.5, 0.5], [[[0, 1]], [[0], [1]]])
+        price = StochasticProcess(tree, (np.ones((2, 1)), np.array([[1.2], [0.9]])))
+        report = check_martingale_density(np.array([np.nan, 1.0]), price)
+        assert not report.ok
+        assert not np.isfinite(report.max_residual)
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_price_system_martingale_rows(self, seed):
         tree = irregular_tree(seed)
@@ -166,6 +156,17 @@ class TestOrthocomplementWorst:
         assert report.max_residual == 2.0
         assert (report.worst_stage, report.worst_block) == (1, 1)
 
+    def test_nan_residual_fails(self):
+        tree = build_tree([0.5, 0.5], [[[0, 1]], [[0], [1]]])
+        v = StochasticProcess(tree, (np.array([[np.nan], [1.0]]), np.zeros((2, 1))))
+        report = in_orthocomplement(v)
+        assert not report.ok
+        assert not np.isfinite(report.max_residual)
+        assert (report.worst_stage, report.worst_block) == (0, 0)
+        # a later finite residual does not hide it
+        v = StochasticProcess(tree, (np.array([[np.nan], [1.0]]), np.ones((2, 1))))
+        assert np.isnan(in_orthocomplement(v).max_residual)
+
     def test_annihilator_member_has_no_worst_block(self):
         tree = self.tie_tree()
         v = StochasticProcess(tree, (np.zeros((4, 1)), np.array([[1.0], [-1.0], [2.0], [-2.0]]),
@@ -187,16 +188,17 @@ class TestAdaptedLayout:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_leaf_matrix_selects_columns(self, seed):
+        # the leaf's selection is its row of column indices: one coordinate
+        # per leaf row, distinct, so gathers and scatters through it are exact
         tree = irregular_tree(seed)
         layout = AdaptedLayout(tree, STAGE_DIMS)
         for leaf in range(tree.n_leaves):
-            mat = layout.leaf_matrix(leaf)
-            assert mat.shape == (sum(STAGE_DIMS), layout.width)
-            for row, col in zip(mat, layout.columns[leaf]):
+            cols = layout.columns[leaf]
+            assert len(set(cols.tolist())) == cols.size == sum(STAGE_DIMS)
+            mat = selection_matrix(cols, layout.width)
+            for row, col in zip(mat, cols):
                 assert np.flatnonzero(row).tolist() == [col]
                 assert row[col] == 1.0
-            assert layout.leaf_matrix(leaf) is mat
-            assert not mat.flags.writeable
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_to_process_agrees_with_leaf_matrix(self, seed):
@@ -207,7 +209,7 @@ class TestAdaptedLayout:
         assert proc.dims == STAGE_DIMS
         assert is_adapted(proc)
         for leaf in range(tree.n_leaves):
-            np.testing.assert_array_equal(layout.leaf_matrix(leaf) @ w, proc.leaf_vector(leaf))
+            np.testing.assert_array_equal(w[layout.columns[leaf]], proc.leaf_vector(leaf))
         # blocks of one stage own distinct coordinates
         for t, d in enumerate(STAGE_DIMS):
             if d:
