@@ -10,7 +10,8 @@ Problem files are UTF-8 JSON with four sections: "tree", "model",
     stochdual report   file.json      all of the above
 
 Exit codes: 0 success/pass, 1 usage or parse error, 2 certificate failure,
-3 degenerate or inconclusive, 4 solver non-convergence.  Each command
+3 degenerate or inconclusive, 4 solver non-convergence (a finite primal
+value with an infinite duality gap included).  Each command
 solves the primal, the dual and the annihilator bound at most once and
 shares them between its sections.  Reports are emitted as deterministic
 JSON (sorted keys, no timestamps) or aligned text.
@@ -31,6 +32,7 @@ from .convex import (
     Entropy,
     Exponential,
     FiniteSum,
+    NoClosedFormError,
     PiecewiseLinear,
     Polyhedron,
     PolyhedralIndicator,
@@ -406,6 +408,15 @@ def _checker_for(family: str) -> str:
     }[family]
 
 
+def _annihilator_bound(problem, y, cfg):
+    """The annihilator bound at y, or None when a conjugate it needs has no
+    closed form (reported as annihilator_bound: null)."""
+    try:
+        return dual_via_orthocomplement(problem, y, cfg)
+    except NoClosedFormError:
+        return None
+
+
 def _run_check(problem, family, params, cfg, checker: str,
                primal=None, dual=None, bound=None):
     """Certificate for the candidate (x, y, v), filling in what the problem
@@ -430,8 +441,8 @@ def _run_check(problem, family, params, cfg, checker: str,
             return None, dual.status
     if v is None and checker in ("saddle", "kkt"):
         if bound is None or y is not dual.optimizer:
-            bound = dual_via_orthocomplement(problem, y, cfg)
-        v = bound.v
+            bound = _annihilator_bound(problem, y, cfg)
+        v = bound.v if bound is not None else None
         if v is None:
             v = StochasticProcess.zeros(problem.tree, problem.n_dims)
     tol = cfg.tol if cfg.tol > 1e-7 else 1e-6
@@ -533,13 +544,13 @@ def run(argv) -> tuple[int, dict]:
         report["gap"] = gap_rep.gap if np.isfinite(gap_rep.gap) else None
         if args.command in ("dualize", "report"):
             if dual is not None and dual.optimizer is not None:
-                try:
-                    bound = dual_via_orthocomplement(problem, dual.optimizer, cfg)
-                except Exception:
-                    bound = None  # reported as annihilator_bound: null
+                bound = _annihilator_bound(problem, dual.optimizer, cfg)
             report["dual_representation"] = _dual_representation(
                 problem, family, u, gap_rep.dual, bound)
-        if "max-iter" in (gap_rep.primal.status, gap_rep.dual.status):
+        # strong duality holds on a finite tree: a finite primal value with
+        # an infinite gap means the dual solve failed
+        if "max-iter" in (gap_rep.primal.status, gap_rep.dual.status) or (
+                np.isfinite(gap_rep.primal.value) and not np.isfinite(gap_rep.gap)):
             code = max(code, EXIT_NO_CONVERGENCE)
     if covers("check"):
         checker = args.checker or _checker_for(family)

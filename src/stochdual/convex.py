@@ -86,10 +86,12 @@ class QPForm:
         self.P = np.zeros((dim, dim)) if P is None else np.asarray(P, dtype=float)
         self.q = np.zeros(dim) if q is None else np.asarray(q, dtype=float)
         self.c = float(c)
-        self.G = np.zeros((0, dim)) if G is None else np.asarray(G, dtype=float).reshape(-1, dim)
         self.h = np.zeros(0) if h is None else np.asarray(h, dtype=float).ravel()
-        self.A = np.zeros((0, dim)) if A is None else np.asarray(A, dtype=float).reshape(-1, dim)
+        self.G = (np.zeros((0, dim)) if G is None
+                  else np.asarray(G, dtype=float).reshape(self.h.size, dim))
         self.b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
+        self.A = (np.zeros((0, dim)) if A is None
+                  else np.asarray(A, dtype=float).reshape(self.b.size, dim))
         self.labels = list(labels) if labels is not None else [None] * self.G.shape[0]
         self.epi = list(epi) if epi is not None else []
 

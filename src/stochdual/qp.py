@@ -4,9 +4,13 @@
 
 P is symmetric positive semidefinite.  Subproblems on the working set are
 solved through a null-space factorisation with least squares, so redundant
-rows and singular reduced Hessians are tolerated.  A feasible start comes
-from least squares when there are only equality rows, and from LP phase 1
-otherwise.  Unboundedness is certified by the active-set loop's descent
+rows and singular reduced Hessians are tolerated.  Phase 1 starts from the
+equality rows: x0 = lstsq(A, b) (inconsistent rows mean infeasible), and
+the inequality rows are then met by an LP feasibility solve in the
+coordinates of null(A), on G Z and h - G x0.  When A has full column rank
+x0 is the only candidate and phase 1 is the test G x0 <= h, with no LP.  A
+simplex that fails to terminate ends the solve with status ``maxiter`` and
+no point.  Unboundedness is certified by the active-set loop's descent
 ray: when the reduced Hessian on the current face is singular along the
 gradient, the loop follows a direction d with Pd = 0 and q.d < 0 inside the
 face (so Ad = 0 and the working rows stay tight), and reports the ray when
@@ -49,10 +53,10 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
     n = q.size
-    G = np.zeros((0, n)) if G is None else np.asarray(G, dtype=float).reshape(-1, n)
     h = np.zeros(0) if h is None else np.asarray(h, dtype=float).ravel()
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+    G = np.zeros((0, n)) if G is None else np.asarray(G, dtype=float).reshape(h.size, n)
     b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(b.size, n)
     m = G.shape[0]
     if max_iter is None:
         max_iter = 200 + 10 * (m + A.shape[0] + n)
@@ -68,16 +72,26 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             return QPResult("unbounded", None, -np.inf, ray=-r)
         return QPResult("optimal", x, objective(x))
 
-    if m == 0:
-        # equality rows only: least squares gives a feasible point, if any
+    # phase 1: the equality rows by least squares, then the inequality rows
+    # over x + null(A)
+    x = np.zeros(n)
+    if A.shape[0]:
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
         if np.max(np.abs(A @ x - b)) > 1e-8 * max(1.0, np.max(np.abs(b), initial=0.0)):
             return QPResult("infeasible", None, np.inf)
-    else:
-        feas = solve_lp(np.zeros(n), G, h, A, b)
-        if feas.status == "infeasible":
+    if m:
+        Z = _null_space(A) if A.shape[0] else None  # None: no equality rows
+        GZ = G if Z is None else G @ Z
+        if GZ.shape[1]:
+            try:
+                feas = solve_lp(np.zeros(GZ.shape[1]), GZ, h - G @ x)
+            except RuntimeError:  # the simplex did not terminate
+                return QPResult("maxiter", None, np.nan)
+            if feas.status == "infeasible":
+                return QPResult("infeasible", None, np.inf)
+            x = x + (feas.x if Z is None else Z @ feas.x)
+        elif np.max(G @ x - h) > 1e-8 * max(1.0, np.max(np.abs(h))):
             return QPResult("infeasible", None, np.inf)
-        x = feas.x
 
     working = [i for i in range(m) if G[i] @ x - h[i] > -1e-8]
     scale = max(1.0, np.max(np.abs(q), initial=0.0), np.max(np.abs(h), initial=0.0))

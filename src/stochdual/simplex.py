@@ -1,7 +1,8 @@
 """Dense two-phase simplex with Bland's rule.
 
 Desk-scale LP engine used for support functions and polyhedron feasibility,
-including the QP's starting point when it has inequality rows.  Determinism
+including the QP's phase 1 over its inequality rows, in the null space of
+its equality rows.  Determinism
 matters more than speed here: entering and leaving variables are chosen by
 lowest index, pivots below 1e-9 are treated as zero.
 """

@@ -21,9 +21,12 @@ Quadratic-plus-polyhedral instances route to the active-set QP path and
 solve to machine precision; everything else falls back to a projected
 subgradient method with diminishing steps c/sqrt(k).  The dual solve
 recovers its maximizer from primal optimality when the model structure
-pins it (gradients of smooth integrands, constraint multipliers), then
-verifies the value by an honest inner solve; otherwise it ascends with
-supergradients.
+pins it, then verifies the value by an honest inner solve; otherwise it
+ascends with supergradients.  Recovery reads gradients of smooth
+integrands, and it reads multipliers of the primal QP: constraint prices
+from the constraint rows, and the subgradient a kinked atom selects from
+its epigraph rows (each row tagged with its z-coefficient), so polyhedral
+models need no ascent.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import ConvexFunction, NoClosedFormError, domain_polyhedron
+from .convex import (
+    AffinePrecomposition,
+    ConvexFunction,
+    NoClosedFormError,
+    PiecewiseLinear,
+    domain_polyhedron,
+)
 from .integrand import (
     MINUS_INF,
     BolzaIntegrand,
@@ -116,7 +125,8 @@ class SolveResult:
     status: str  # optimal | unbounded | infeasible | max-iter
     method: str = ""
     # polyhedral primal: inequality multipliers of the lowered QP and the
-    # (leaf, label) of each row, from which constraint prices are read
+    # (leaf, label) of each row, from which constraint prices and kinked
+    # subgradients are read
     multipliers: np.ndarray | None = None
     labels: list | None = None
     # dual: phi*(y) at the returned y, as computed during the solve
@@ -262,15 +272,19 @@ class CompiledObjective:
         leaf.  Kinked piecewise-linear summands become epigraph variables:
         one auxiliary coordinate per atom, after the n main ones, bounded
         below by the supporting lines of the (probability-weighted) piece
-        structure.  With a basis the lowered program is then mapped to the
-        basis coefficients once; auxiliary coordinates pass through.
+        structure.  Every row is labelled (leaf, tag); an epigraph row's
+        tag is ("epigraph", coef), its coefficient on the atom's argument:
+        the weighted slope of a supporting line, +1 on the ``hi`` domain
+        row and -1 on the ``lo`` one.  With a basis the lowered program is
+        then mapped to the basis coefficients once; auxiliary coordinates
+        pass through.
         """
         n = self.n
         P = np.zeros((n, n))
         q = np.zeros(n)
         c = 0.0
         G_blocks, A_blocks, labels = [], [], []
-        atoms = []  # (cols, local row, offset, weighted pwl)
+        atoms = []  # (leaf, cols, local row, offset, weighted pwl)
         for t in self.terms:
             form = t.fn.qp_form()
             if form is None:
@@ -284,19 +298,22 @@ class CompiledObjective:
             if form.A.shape[0]:
                 A_blocks.append((t.cols, form.A, form.b))
             for row, off, pwl in form.epi:
-                atoms.append((t.cols, row, off, pwl.scaled(t.weight)))
+                atoms.append((t.leaf, t.cols, row, off, pwl.scaled(t.weight)))
         total = n + len(atoms)
-        for i, (cols, row, off, pwl) in enumerate(atoms):
-            rows, rhs = [], []
+        for i, (leaf, cols, row, off, pwl) in enumerate(atoms):
+            rows, rhs, coefs = [], [], []
             for slope, intercept in pwl.supporting_lines():
                 rows.append(np.append(slope * row, -1.0))
                 rhs.append(-(intercept + slope * off))
+                coefs.append(slope)
             if pwl.hi != INF:
                 rows.append(np.append(row, 0.0)); rhs.append(pwl.hi - off)
+                coefs.append(1.0)
             if pwl.lo != -INF:
                 rows.append(np.append(-row, 0.0)); rhs.append(off - pwl.lo)
+                coefs.append(-1.0)
             G_blocks.append((np.append(cols, n + i), np.array(rows), np.array(rhs)))
-            labels.extend([None] * len(rows))
+            labels.extend((leaf, ("epigraph", coef)) for coef in coefs)
         G, h = _stack_rows(G_blocks, total)
         A, b = _stack_rows(A_blocks, total)
         if total > n:
@@ -478,6 +495,8 @@ def dual_objective(p: Problem, y: StochasticProcess,
     if res.status == "infeasible":
         # l(., y) identically +inf: the model is primal-infeasible for all u
         return DualObjective(-INF, None, None, "infeasible")
+    if res.x is None:  # the QP engine stopped before it found a point
+        return DualObjective(res.value, None, None, res.status)
     minimizer = layout.to_process(res.x)
     value = -res.value
     lower = _lower_dual_value(p, y, minimizer, value)
@@ -523,6 +542,8 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
         return OrthoBound(INF, None, "infeasible")
     if res.status == "unbounded":
         return OrthoBound(-INF, None, "unbounded")
+    if res.x is None:  # the QP engine stopped before it found a point
+        return OrthoBound(res.value, None, res.status)
     v = StochasticProcess.from_vector(tree, p.n_dims, basis @ res.x)
     return OrthoBound(res.value, v, res.status)
 
@@ -600,15 +621,21 @@ def _recover_dual_candidate(p, u, primal, cfg):
                     arrays[t][leaf] = y_t
             y = StochasticProcess(tree, tuple(arrays))
             return adapted_projection(y)
-        # generic path: gradient of the parameter block of the joint function
+        # generic path: gradient of the parameter block of the joint
+        # function; a kinked g(Mz + m) with one row takes M's u-block times
+        # the subgradient of g that the primal QP selected
         arrays = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
         n_total = integrand.n_total
+        slopes = _epigraph_subgradients(p, primal)
         for leaf in range(tree.n_leaves):
             joint = integrand.joint_function(leaf)
             full = np.concatenate([xvecs[leaf], uvecs[leaf]])
             if joint.value(full) == INF:
                 return None
-            grad = joint.subgradient(full)[n_total:]
+            if slopes is not None and _kinked_row(joint):
+                grad = joint.matrix[0, n_total:] * slopes[leaf]
+            else:
+                grad = joint.subgradient(full)[n_total:]
             at = 0
             for t, d in enumerate(p.m_dims):
                 arrays[t][leaf] = grad[at:at + d]
@@ -616,6 +643,26 @@ def _recover_dual_candidate(p, u, primal, cfg):
         return StochasticProcess(tree, tuple(arrays))
     except (NoClosedFormError, ValueError):
         return None
+
+
+def _kinked_row(fn) -> bool:
+    """fn = g(Mz + m) with one row and g kinked piecewise-linear, so the
+    primal QP holds exactly one epigraph atom for it."""
+    return (isinstance(fn, AffinePrecomposition) and fn.matrix.shape[0] == 1
+            and isinstance(fn.inner, PiecewiseLinear) and fn.inner.slopes.size > 1)
+
+
+def _epigraph_subgradients(p, primal):
+    """Per leaf, sum of multiplier times z-coefficient over the epigraph rows
+    of the primal QP, scaled by 1/p: the subgradient the optimum selects
+    for a leaf's single kinked atom.  None off the polyhedral path."""
+    if primal.multipliers is None:
+        return None
+    s = np.zeros(p.tree.n_leaves)
+    for mu, (leaf, tag) in zip(primal.multipliers, primal.labels):
+        if isinstance(tag, tuple) and tag[0] == "epigraph":
+            s[leaf] += mu * tag[1]
+    return s / p.tree.probabilities
 
 
 def _recover_constrained(p, u, primal, cfg):
@@ -632,10 +679,7 @@ def _recover_constrained(p, u, primal, cfg):
             return None
         mult = res.ineq_multipliers
     arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
-    for row, lab in enumerate(labels):
-        if lab is None:  # epigraph row of a kinked term
-            continue
-        leaf, tag = lab
+    for row, (leaf, tag) in enumerate(labels):
         if isinstance(tag, tuple) and tag[0] == "constraint":
             j = tag[1]
             arrays[-1][leaf, j] = mult[row] / p.tree.probabilities[leaf]
@@ -673,7 +717,8 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
     best_val, best_dob = evaluate(y)
     best_y = y
     if best_val == -INF:
-        return SolveResult(None, -INF, 0, INF, "infeasible", "ascent")
+        status = "max-iter" if best_dob.inner_status == "max-iter" else "infeasible"
+        return SolveResult(None, -INF, 0, INF, status, "ascent")
     step0 = cfg.step_constant or max(1.0, abs(best_val))
     cur_y, cur_val, cur_dob = y, best_val, best_dob
     iters = min(cfg.ascent_iter, cfg.max_iter)

@@ -5,6 +5,7 @@ never call the code paths they are checking.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -296,3 +297,27 @@ def random_process(rng, tree, dims):
 
 
 CATALOG_SAMPLES = _catalog_samples()
+
+
+def hedging_file(tmp_path, horizon, liability, disutility=None):
+    """Hedging problem file on a binary tree: price x1.2 or x0.9 per step,
+    disutility z^2/2 unless a function spec is given."""
+    n = 2 ** horizon
+    leaves = np.arange(n)
+    prices = np.ones((horizon + 1, n))
+    for t in range(1, horizon + 1):
+        down = (leaves >> (horizon - t)) & 1
+        prices[t] = prices[t - 1] * np.where(down, 0.9, 1.2)
+    doc = {
+        "tree": {"probabilities": [f"1/{n}"] * n,
+                 "partitions": [[list(range(b * (n >> t), (b + 1) * (n >> t)))
+                                 for b in range(2 ** t)]
+                                for t in range(horizon + 1)]},
+        "model": {"family": "alm",
+                  "disutility": disutility or {"kind": "quadratic", "weights": [0.5]},
+                  "price": [[[float(s)] for s in stage] for stage in prices]},
+        "parameters": {"u": [0] * horizon + [[[float(x)] for x in liability]]},
+    }
+    path = tmp_path / f"hedge-H{horizon}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)

@@ -73,6 +73,7 @@ FIXTURES = [
     "bolza-quadratic-binary.json",
     "kabanov-conical.json",
     "kkt-single.json",
+    "pwl-hedging.json",
 ]
 
 

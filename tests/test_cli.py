@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stochdual import cli, solver
+from stochdual import cli, simplex, solver
 from stochdual.cli import (
     ProblemFileError,
     fixture_path,
@@ -15,6 +15,8 @@ from stochdual.cli import (
 )
 from stochdual.solver import AdaptedLayout, SolverConfig, solve_dual, solve_primal
 
+from helpers import hedging_file
+
 FIXTURES = [
     "quadratic-tracking.json",
     "binomial-alm.json",
@@ -22,6 +24,7 @@ FIXTURES = [
     "bolza-quadratic-binary.json",
     "kabanov-conical.json",
     "kkt-single.json",
+    "pwl-hedging.json",
 ]
 
 
@@ -195,28 +198,6 @@ class TestDeterminism:
         assert "threads" not in report
 
 
-def hedging_file(tmp_path, horizon, liability):
-    """Quadratic hedging on a binary tree: price x1.2 or x0.9 per step."""
-    n = 2 ** horizon
-    leaves = np.arange(n)
-    prices = np.ones((horizon + 1, n))
-    for t in range(1, horizon + 1):
-        down = (leaves >> (horizon - t)) & 1
-        prices[t] = prices[t - 1] * np.where(down, 0.9, 1.2)
-    doc = {
-        "tree": {"probabilities": [f"1/{n}"] * n,
-                 "partitions": [[list(range(b * (n >> t), (b + 1) * (n >> t)))
-                                 for b in range(2 ** t)]
-                                for t in range(horizon + 1)]},
-        "model": {"family": "alm", "disutility": {"kind": "quadratic", "weights": [0.5]},
-                  "price": [[[float(s)] for s in stage] for stage in prices]},
-        "parameters": {"u": [0] * horizon + [[[float(x)] for x in liability]]},
-    }
-    path = tmp_path / f"hedge-H{horizon}.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 class TestAnnihilatorBound:
     def test_32_leaf_hedging_bound_is_present(self, tmp_path):
         # 129 variables under 192 equality rows: found by least squares
@@ -343,3 +324,67 @@ class TestSolveOnce:
         res = solve_dual(problem, params["u"], cfg)
         assert res.method == "recovered"
         np.testing.assert_allclose(res.optimizer.to_vector(), [2.0], atol=1e-6)
+
+
+class TestHonestExitCodes:
+    def test_infinite_gap_with_finite_primal_exits_non_zero(self, monkeypatch):
+        # forced onto the ascent, which starts outside dom phi* and reports
+        # the dual infeasible: the gap is infinite although the primal is not
+        monkeypatch.setattr(solver, "_recover_dual_candidate", lambda *a: None)
+        for command in ("gap", "dualize"):
+            code, report = run([command, fixture_path("pwl-hedging.json")])
+            assert report["primal"]["value"] == pytest.approx(-0.025, abs=1e-12)
+            assert report["dual"]["status"] == "infeasible"
+            assert report["gap"] is None
+            assert code == cli.EXIT_NO_CONVERGENCE, command
+
+    def test_bound_engine_failure_is_a_status(self, monkeypatch, tmp_path):
+        # the annihilator bound's simplex is made to give up, inside the
+        # bound only
+        path, doc = abs_generic_file(tmp_path)
+        bound = solver.dual_via_orthocomplement
+        statuses = []
+
+        def starved(*args):
+            with monkeypatch.context() as m:
+                m.setattr(simplex, "MAX_PIVOTS", 0)
+                res = bound(*args)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(cli, "dual_via_orthocomplement", starved)
+        code, report = run(["report", path])
+        assert statuses and set(statuses) == {"max-iter"}
+        assert report["dual_representation"]["annihilator_bound"] is None
+        # the saddle check falls back to v = 0, which is this problem's v
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        statuses.clear()
+        doc["parameters"]["candidate"] = {"y": [0, [1.0, -1.0]]}
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, report = run(["check", path])
+        assert statuses == ["max-iter"]
+        assert report["certificate"]["verdict"] in ("pass", "fail")
+
+    def test_dual_engine_failure_is_a_status(self, monkeypatch, tmp_path):
+        problem, _, params, _, _ = parse_problem_file(abs_generic_file(tmp_path)[0])
+        primal = solve_primal(problem, params["u"])
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        dual = solve_dual(problem, params["u"], primal=primal)
+        assert (dual.status, dual.optimizer) == ("max-iter", None)
+
+
+def abs_generic_file(tmp_path):
+    """|x_0| + |u| on two leaves: the QPs of the dual objective and of the
+    annihilator bound have box or epigraph rows and a free coordinate, so
+    their phase 1 runs the simplex.  Returns the path and the document."""
+    doc = {
+        "tree": {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]},
+        "model": {"family": "generic", "x_dims": [1, 0], "u_dims": [0, 1],
+                  "functions": [{"kind": "separable",
+                                 "parts": [{"kind": "abs"}, {"kind": "abs"}]}]},
+        "parameters": {"u": [0, [1.0, -0.5]]},
+    }
+    path = tmp_path / "abs-generic.json"
+    path.write_text(json.dumps(doc))
+    return str(path), doc

@@ -20,8 +20,10 @@ from stochdual.convex import (
     domain_polyhedron,
     indicator_interval,
     indicator_point,
+    infeasible,
 )
 from stochdual.integrand import BolzaIntegrand, BolzaStage, GenericIntegrand
+from stochdual.qp import solve_qp
 from stochdual.solver import Problem, primal_objective
 
 from helpers import STAGE_DIMS, irregular_tree, random_process, selection_matrix
@@ -37,7 +39,8 @@ INF = float("inf")
 
 def dense_lowering(obj, mats):
     """qp_data the dense way: each term's form composed with its matrix and
-    added at its weight, then one epigraph variable per kinked atom."""
+    added at its weight, then one epigraph variable per kinked atom, its
+    rows labelled (leaf, ("epigraph", z-coefficient))."""
     width = mats[0].shape[1]
     P, q, c = np.zeros((width, width)), np.zeros(width), 0.0
     G, h, A, b, labels, atoms = [], [], [], [], [], []
@@ -48,19 +51,21 @@ def dense_lowering(obj, mats):
         c += t.weight * form.c
         G += list(form.G); h += list(form.h); A += list(form.A); b += list(form.b)
         labels += [(t.leaf, lab) for lab in form.labels]
-        atoms += [(row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
+        atoms += [(t.leaf, row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
     n_aux = len(atoms)
     G = [np.append(row, np.zeros(n_aux)) for row in G]
-    for i, (row, off, pwl) in enumerate(atoms):
+    for i, (leaf, row, off, pwl) in enumerate(atoms):
         aux, none = np.zeros(n_aux), np.zeros(n_aux)
         aux[i] = -1.0
         for slope, intercept in pwl.supporting_lines():
             G.append(np.append(slope * row, aux)); h.append(-(intercept + slope * off))
+            labels.append((leaf, ("epigraph", slope)))
         if pwl.hi != INF:
             G.append(np.append(row, none)); h.append(pwl.hi - off)
+            labels.append((leaf, ("epigraph", 1.0)))
         if pwl.lo != -INF:
             G.append(np.append(-row, none)); h.append(off - pwl.lo)
-        labels += [None] * (len(G) - len(labels))
+            labels.append((leaf, ("epigraph", -1.0)))
     total = width + n_aux
     Pt = np.zeros((total, total)); Pt[:width, :width] = P
     return (Pt, np.append(q, np.ones(n_aux)), c,
@@ -294,6 +299,17 @@ def test_add_stacks_rows_in_order():
     np.testing.assert_array_equal(out.b, np.concatenate([f.b for f in forms]))
     np.testing.assert_array_equal(out.P, forms[0].P + forms[1].P + forms[2].P)
     assert out.labels == ["a", "b"] * 3 and len(out.epi) == 3
+
+
+def test_zero_width_infeasible_form():
+    # the constant +inf of a fully frozen infeasible part: one row 0 <= -1
+    form = infeasible(0).qp_form()
+    assert (form.G.shape, form.h.tolist(), form.A.shape) == ((1, 0), [-1.0], (0, 0))
+    res = solve_qp(form.P, form.q, form.c, form.G, form.h, form.A, form.b)
+    assert res.status == "infeasible"
+    wide = form.embed(np.zeros(0, dtype=int), 3)
+    assert wide.G.shape == (1, 3)
+    assert solve_qp(wide.P, wide.q, wide.c, wide.G, wide.h).status == "infeasible"
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from stochdual import qp, simplex
+from stochdual.cli import run
 from stochdual.qp import project_onto_polyhedron, solve_qp
 
-from helpers import grid_minimize
+from helpers import grid_minimize, hedging_file
 
 
 class TestUnconstrained:
@@ -286,3 +288,92 @@ class TestUnboundedRays:
             res = solve_qp(case[0], case[1], 0.0, *case[2:])
             assert (res.status == "unbounded") == _recession_lp_unbounded(case), \
                 f"case {trial}: {res.status}"
+
+
+class TestEqualityRowsFirst:
+    """Phase 1 starts from lstsq(A, b) and meets the inequality rows over
+    null(A); when A has full column rank it only tests G x0 <= h."""
+
+    # three rows on two unknowns pin x = (1, 2)
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = A @ [1.0, 2.0]
+    G = np.vstack([np.eye(2), -np.eye(2)])
+
+    def test_pinned_feasible_point_is_optimal(self):
+        res = solve_qp(np.eye(2), [5.0, -1.0], G=self.G, h=[3.0, 3.0, 3.0, 3.0],
+                       A=self.A, b=self.b)
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, [1.0, 2.0], atol=1e-12)
+        assert res.value == pytest.approx(0.5 * 5.0 + 5.0 - 2.0, abs=1e-12)
+
+    def test_pinned_point_violating_the_inequalities_is_infeasible(self):
+        # x2 <= 1.5 excludes the only point of the equality rows
+        res = solve_qp(np.eye(2), np.zeros(2), G=self.G, h=[3.0, 1.5, 3.0, 3.0],
+                       A=self.A, b=self.b)
+        assert res.status == "infeasible"
+        assert res.x is None
+
+    def test_inconsistent_rows_with_inequalities_are_infeasible(self):
+        res = solve_qp(np.eye(2), np.zeros(2), G=self.G, h=np.ones(4),
+                       A=[[1.0, 1.0], [1.0, 1.0]], b=[0.0, 1.0])
+        assert res.status == "infeasible"
+
+    def test_no_lp_when_the_equalities_pin_the_point(self, monkeypatch):
+        calls = []
+        lp = qp.solve_lp
+        monkeypatch.setattr(qp, "solve_lp", lambda *a: calls.append(a) or lp(*a))
+        assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=np.full(4, 3.0),
+                        A=self.A, b=self.b).status == "optimal"
+        assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=[3.0, 1.5, 3.0, 3.0],
+                        A=self.A, b=self.b).status == "infeasible"
+        assert calls == []
+        # a free direction left by A needs the LP, over one coordinate
+        assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=np.full(4, 3.0),
+                        A=self.A[:1], b=self.b[:1]).status == "optimal"
+        assert [a[1].shape for a in calls] == [(4, 1)]
+
+    def test_rank_deficient_rows_match_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        status = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+        rng = np.random.default_rng(46)
+        seen = []
+        for trial in range(60):
+            n = int(rng.integers(3, 6))
+            k = int(rng.integers(1, n - 1))
+            A = rng.normal(size=(k, n))
+            A = np.vstack([A, rng.normal(size=(2, k)) @ A])  # two dependent rows
+            x_feas = rng.normal(size=n)
+            b = A @ x_feas
+            m = int(rng.integers(1, 2 * n))
+            G = rng.normal(size=(m, n))
+            h = G @ x_feas + rng.uniform(-0.3, 1.0, m)  # sometimes infeasible
+            c = rng.normal(size=n)
+            res = solve_qp(np.zeros((n, n)), c, 0.0, G, h, A, b)
+            ref = linprog(c, A_ub=G, b_ub=h, A_eq=A, b_eq=b,
+                          bounds=[(None, None)] * n, method="highs")
+            assert res.status == status[ref.status], f"trial {trial}"
+            if res.status == "optimal":
+                assert res.value == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+            seen.append(res.status)
+        assert set(seen) == {"optimal", "infeasible", "unbounded"}
+
+
+class TestEngineFailure:
+    def test_simplex_non_termination_is_a_status(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        res = solve_qp(np.eye(2), [1.0, 1.0], G=[[1.0, 1.0]], h=[1.0])
+        assert res.status == "maxiter"
+        assert res.x is None
+
+
+def test_32_leaf_kinked_hedging_bound(tmp_path):
+    # |z| hedging: the dual's annihilator bound has 129 unknowns pinned by
+    # 192 full-rank equality rows and 64 box rows; no LP phase 1 runs
+    liability = np.random.default_rng(7).uniform(2.5, 3.5, 32)
+    code, report = run(["report", hedging_file(tmp_path, 5, liability, {"kind": "abs"})])
+    assert code == 0
+    assert report["dual"]["method"] == "recovered"
+    rep = report["dual_representation"]
+    assert rep["annihilator_bound"] is not None
+    assert rep["annihilator_bound"] == pytest.approx(rep["conjugate_at_y"], abs=1e-9)
+    assert report["certificate"]["verdict"] == "pass"
