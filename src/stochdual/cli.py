@@ -11,7 +11,8 @@ Problem files are UTF-8 JSON with four sections: "tree", "model",
 
 Exit codes: 0 success/pass, 1 usage or parse error, 2 certificate failure,
 3 degenerate or inconclusive, 4 solver non-convergence (a finite primal
-value with an infinite duality gap included).  Each command
+value with a duality gap that is infinite or above the checker tolerance,
+relative to max(1, |primal|), included).  Each command
 solves the primal, the dual and the annihilator bound at most once and
 shares them between its sections.  Reports are emitted as deterministic
 JSON (sorted keys, no timestamps) or aligned text.
@@ -417,6 +418,12 @@ def _annihilator_bound(problem, y, cfg):
         return None
 
 
+def _checker_tol(cfg) -> float:
+    """Tolerance of the certificate and of the gap test: the solver's, but
+    no tighter than 1e-6."""
+    return cfg.tol if cfg.tol > 1e-7 else 1e-6
+
+
 def _run_check(problem, family, params, cfg, checker: str,
                primal=None, dual=None, bound=None):
     """Certificate for the candidate (x, y, v), filling in what the problem
@@ -445,7 +452,7 @@ def _run_check(problem, family, params, cfg, checker: str,
         v = bound.v if bound is not None else None
         if v is None:
             v = StochasticProcess.zeros(problem.tree, problem.n_dims)
-    tol = cfg.tol if cfg.tol > 1e-7 else 1e-6
+    tol = _checker_tol(cfg)
     if checker == "saddle":
         return check_saddle(problem, x, u, y, v, tol), None
     if checker == "kkt":
@@ -548,9 +555,11 @@ def run(argv) -> tuple[int, dict]:
             report["dual_representation"] = _dual_representation(
                 problem, family, u, gap_rep.dual, bound)
         # strong duality holds on a finite tree: a finite primal value with
-        # an infinite gap means the dual solve failed
+        # an infinite or a large gap means the dual solve failed
+        primal_value = gap_rep.primal.value
         if "max-iter" in (gap_rep.primal.status, gap_rep.dual.status) or (
-                np.isfinite(gap_rep.primal.value) and not np.isfinite(gap_rep.gap)):
+                np.isfinite(primal_value) and not abs(gap_rep.gap)
+                <= _checker_tol(cfg) * max(1.0, abs(primal_value))):
             code = max(code, EXIT_NO_CONVERGENCE)
     if covers("check"):
         checker = args.checker or _checker_for(family)

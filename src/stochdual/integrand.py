@@ -837,21 +837,6 @@ class BolzaIntegrand(ParametricIntegrand):
             pieces.append(AffinePrecomposition(self.stage_cost(leaf, t).fn, M))
         return FiniteSum(pieces)
 
-    def primal_function(self, leaf, u):
-        u = np.asarray(u, dtype=float).ravel()
-        T1 = self.tree.stage_count
-        d = self.d
-        pieces = []
-        for t in range(T1):
-            M = np.zeros((2 * d, self.n_total))
-            M[:d, self.x_slices[t]] = np.eye(d)
-            M[d:, self.x_slices[t]] = np.eye(d)
-            if t > 0:
-                M[d:, self.x_slices[t - 1]] = -np.eye(d)
-            off = np.concatenate([np.zeros(d), u[self.u_slices[t]]])
-            pieces.append(AffinePrecomposition(self.stage_cost(leaf, t).fn, M, off))
-        return FiniteSum(pieces)
-
     def hamiltonian(self, leaf, t, x_t, y_t) -> float:
         return self.stage_cost(leaf, t).hamiltonian(x_t, y_t)
 

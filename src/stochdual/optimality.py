@@ -168,8 +168,9 @@ def check_kkt(p: Problem, x: StochasticProcess, u: StochasticProcess,
 
 def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
               y: StochasticProcess, tol: float = DEFAULT_TOL) -> Certificate:
-    """Density-cone membership plus the disutility subgradient condition;
-    the annihilator element is reconstructed from the price increments."""
+    """Blockwise martingale condition on y plus the disutility subgradient
+    condition; the annihilator element is reconstructed from the price
+    increments."""
     f = p.integrand
     if not isinstance(f, AlmIntegrand):
         raise TypeError("check_alm needs a hedging-model problem")
@@ -179,8 +180,11 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
         cert.verdict = "degenerate"
         cert.reason = "zero dual: the density cone excludes it"
         return cert
+    # the blockwise means only: the sign of y is the disutility rows' to
+    # judge, as y_l in dV_l lies in dom V_l*, which is y >= 0 exactly when
+    # V_l is nondecreasing
     report = check_martingale_density(vals, f.price, tol)
-    cert.add("martingale-density", max(report.max_residual, report.negativity))
+    cert.add("martingale-density", report.max_residual)
     xs, us = x.leaf_rows(), u.leaf_rows()
     for leaf in range(p.tree.n_leaves):
         wealth = us[leaf][-1] - float(xs[leaf] @ f.gain_rows[leaf])

@@ -10,12 +10,19 @@ program:
   * upper bound:  inf over v in the annihilator of E f*(v, y)
   * dual solve:   maximize <u, y> - phi*(y)
 
-Each of the three objectives is a probability-weighted sum of per-leaf
-functions of one leaf's coordinates.  A compiled objective holds, per leaf,
+Each of the three objectives is a probability-weighted sum of terms, each
+a function of a few coordinates.  A compiled objective holds, per term,
 the index array of those coordinates: evaluation gathers through it and
-the QP lowering scatters each leaf's local form through it.  The upper
-bound's annihilator basis enters once, as a linear map applied to the
-whole lowered objective.
+the QP lowering scatters the term's local form through it.  A term is one
+leaf's function of the leaf's coordinates, or, for dynamic (Bolza and
+Kabanov) problems, a node term: the stage-t cost, Hamiltonian or stage
+conjugate is a function on a stage-t information node, compiled once for
+the leaves of a block whose stage-t slices of u (or y) agree bit for bit,
+at their summed probability.  With adapted u and y each such group is one
+tree node, so the primal QP holds one epigraph atom per node; the
+Lagrangian's coupling E sum_t <y_t - y_{t+1}, x_t> is one affine term.
+The upper bound's annihilator basis enters once, as a linear map applied
+to the whole lowered objective.
 
 Quadratic-plus-polyhedral instances route to the active-set QP path and
 solve to machine precision; everything else falls back to a projected
@@ -37,10 +44,12 @@ from functools import cached_property
 import numpy as np
 
 from .convex import (
+    Affine,
     AffinePrecomposition,
     ConvexFunction,
     NoClosedFormError,
     PiecewiseLinear,
+    SeparableSum,
     domain_polyhedron,
 )
 from .integrand import (
@@ -217,16 +226,17 @@ def _stack_rows(blocks, width: int):
 class _Term:
     weight: float
     fn: ConvexFunction
-    cols: np.ndarray  # the leaf's coordinates, distinct
-    leaf: int
+    cols: np.ndarray  # the coordinates the term reads, distinct
+    node: object  # a leaf index, (stage, leaves) for a node term, or None
 
 
 class CompiledObjective:
     """sum_k weight_k * fn_k(z[cols_k]) with z = B w, over w in R^width.
 
-    Term k reads its leaf's coordinates of z in R^n through the index array
-    cols_k.  ``basis`` is an optional (n, width) matrix B whose columns span
-    the space searched (the annihilator bound); without it z = w.
+    Term k reads its coordinates of z in R^n through the index array
+    cols_k: one leaf's, or one tree node's.  ``basis`` is an optional
+    (n, width) matrix B whose columns span the space searched (the
+    annihilator bound); without it z = w.
     """
 
     def __init__(self, n: int, terms: list[_Term], basis: np.ndarray | None = None):
@@ -269,10 +279,10 @@ class CompiledObjective:
         """Lowered quadratic program, or None off the polyhedral path.
 
         Each term's local form scatters into the rows and columns of its
-        leaf.  Kinked piecewise-linear summands become epigraph variables:
-        one auxiliary coordinate per atom, after the n main ones, bounded
-        below by the supporting lines of the (probability-weighted) piece
-        structure.  Every row is labelled (leaf, tag); an epigraph row's
+        leaf or node.  Kinked piecewise-linear summands become epigraph
+        variables: one auxiliary coordinate per atom, after the n main ones,
+        bounded below by the supporting lines of the (probability-weighted)
+        piece structure.  Every row is labelled (node, tag); an epigraph row's
         tag is ("epigraph", coef), its coefficient on the atom's argument:
         the weighted slope of a supporting line, +1 on the ``hi`` domain
         row and -1 on the ``lo`` one.  With a basis the lowered program is
@@ -284,7 +294,7 @@ class CompiledObjective:
         q = np.zeros(n)
         c = 0.0
         G_blocks, A_blocks, labels = [], [], []
-        atoms = []  # (leaf, cols, local row, offset, weighted pwl)
+        atoms = []  # (node, cols, local row, offset, weighted pwl)
         for t in self.terms:
             form = t.fn.qp_form()
             if form is None:
@@ -294,13 +304,13 @@ class CompiledObjective:
             c += t.weight * form.c
             if form.G.shape[0]:
                 G_blocks.append((t.cols, form.G, form.h))
-                labels.extend((t.leaf, lab) for lab in form.labels)
+                labels.extend((t.node, lab) for lab in form.labels)
             if form.A.shape[0]:
                 A_blocks.append((t.cols, form.A, form.b))
             for row, off, pwl in form.epi:
-                atoms.append((t.leaf, t.cols, row, off, pwl.scaled(t.weight)))
+                atoms.append((t.node, t.cols, row, off, pwl.scaled(t.weight)))
         total = n + len(atoms)
-        for i, (leaf, cols, row, off, pwl) in enumerate(atoms):
+        for i, (node, cols, row, off, pwl) in enumerate(atoms):
             rows, rhs, coefs = [], [], []
             for slope, intercept in pwl.supporting_lines():
                 rows.append(np.append(slope * row, -1.0))
@@ -313,7 +323,7 @@ class CompiledObjective:
                 rows.append(np.append(-row, 0.0)); rhs.append(off - pwl.lo)
                 coefs.append(-1.0)
             G_blocks.append((np.append(cols, n + i), np.array(rows), np.array(rhs)))
-            labels.extend((leaf, ("epigraph", coef)) for coef in coefs)
+            labels.extend((node, ("epigraph", coef)) for coef in coefs)
         G, h = _stack_rows(G_blocks, total)
         A, b = _stack_rows(A_blocks, total)
         if total > n:
@@ -445,16 +455,65 @@ def _leaf_vectors(p: Problem, proc: StochasticProcess, what: str):
     return proc.leaf_rows()
 
 
+def _stage_nodes(p: Problem, rows):
+    """Per stage t, the leaves of each stage-t block grouped by the exact
+    bytes of their stage-t slice of ``rows`` (leaf vectors of u or y), as
+    (block, leaves, summed probability) triples.  For an adapted process
+    every group is one tree node; otherwise a block splits into the groups
+    of leaves that agree bit for bit, down to single leaves."""
+    tree = p.tree
+    out = []
+    for t, sl in enumerate(p.integrand.u_slices):
+        nodes = []
+        for b, block in enumerate(tree.blocks(t)):
+            groups = {}
+            for leaf in block:
+                groups.setdefault(rows[leaf, sl].tobytes(), []).append(leaf)
+            for leaves in groups.values():
+                leaves = np.array(leaves)
+                nodes.append((b, leaves, float(tree.probabilities[leaves].sum())))
+        out.append(nodes)
+    return out
+
+
+def _next_stage(p: Problem, rows):
+    """Leaf vectors of y_{t+1} for leaf vectors of y, with y_{T+1} = 0."""
+    d = p.integrand.d
+    out = np.zeros_like(rows)
+    out[:, :-d] = rows[:, d:]
+    return out
+
+
 def primal_objective(p: Problem, u: StochasticProcess):
     """Compiled objective of the primal solve (exposed for oracles/tests)."""
     layout = p.layout
     uvecs = _leaf_vectors(p, u, "parameter")
+    if isinstance(p.integrand, BolzaIntegrand):
+        return layout, CompiledObjective(layout.width, _bolza_primal_terms(p, uvecs))
     terms = []
     for leaf in range(p.tree.n_leaves):
         fn = p.integrand.primal_function(leaf, uvecs[leaf])
         terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
                            layout.columns[leaf], leaf))
     return layout, CompiledObjective(layout.width, terms)
+
+
+def _bolza_primal_terms(p: Problem, uvecs):
+    """One term K_t(x_t, x_t - x_{t-1} + u_t) per stage-t node, over the
+    node's x_{t-1} and x_t columns."""
+    f, columns = p.integrand, p.layout.columns
+    eye, zero = np.eye(f.d), np.zeros((f.d, f.d))
+    first = np.vstack([eye, eye])                   # x_0 -> (x_0, x_0)
+    later = np.block([[zero, eye], [-eye, eye]])    # (x_{t-1}, x_t) -> (x_t, dx_t)
+    terms = []
+    for t, nodes in enumerate(_stage_nodes(p, uvecs)):
+        xs = f.x_slices[t] if t == 0 else slice(f.x_slices[t - 1].start, f.x_slices[t].stop)
+        for b, leaves, weight in nodes:
+            off = np.concatenate([np.zeros(f.d), uvecs[leaves[0], f.u_slices[t]]])
+            fn = AffinePrecomposition(f.stages[t][b].fn, later if t else first, off)
+            terms.append(_Term(weight, fn, columns[leaves[0], xs],
+                               (t, tuple(leaves.tolist()))))
+    return terms
 
 
 def solve_primal(p: Problem, u: StochasticProcess,
@@ -471,6 +530,9 @@ def solve_primal(p: Problem, u: StochasticProcess,
 def _lagrangian_objective(p: Problem, y: StochasticProcess):
     layout = p.layout
     yvecs = _leaf_vectors(p, y, "dual")
+    if isinstance(p.integrand, BolzaIntegrand):
+        terms = _bolza_lagrangian_terms(p, yvecs)
+        return layout, None if terms is None else CompiledObjective(layout.width, terms)
     terms = []
     for leaf in range(p.tree.n_leaves):
         fn = p.integrand.lagrangian_function_of_x(leaf, yvecs[leaf])
@@ -479,6 +541,26 @@ def _lagrangian_objective(p: Problem, y: StochasticProcess):
         terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
                            layout.columns[leaf], leaf))
     return layout, CompiledObjective(layout.width, terms)
+
+
+def _bolza_lagrangian_terms(p: Problem, yvecs):
+    """One Hamiltonian term H_t(x_t, y_t) per stage-t node, then the
+    coupling E sum_t <y_t - y_{t+1}, x_t> as one affine term over the
+    layout, last; None when some H_t(., y_t) is -inf."""
+    f, layout = p.integrand, p.layout
+    terms = []
+    for t, nodes in enumerate(_stage_nodes(p, yvecs)):
+        for b, leaves, weight in nodes:
+            h = f.stages[t][b].hamiltonian_function_of_x(yvecs[leaves[0], f.u_slices[t]])
+            if h is MINUS_INF:
+                return None
+            terms.append(_Term(weight, h, layout.columns[leaves[0], f.x_slices[t]],
+                               (t, tuple(leaves.tolist()))))
+    coupling = np.zeros(layout.width)
+    np.add.at(coupling, layout.columns,
+              p.tree.probabilities[:, None] * (yvecs - _next_stage(p, yvecs)))
+    terms.append(_Term(1.0, Affine(coupling, 0.0), np.arange(layout.width), None))
+    return terms
 
 
 def dual_objective(p: Problem, y: StochasticProcess,
@@ -498,28 +580,46 @@ def dual_objective(p: Problem, y: StochasticProcess,
     if res.x is None:  # the QP engine stopped before it found a point
         return DualObjective(res.value, None, None, res.status)
     minimizer = layout.to_process(res.x)
-    value = -res.value
-    lower = _lower_dual_value(p, y, minimizer, value)
-    return DualObjective(value, lower, minimizer, res.status)
+    return DualObjective(-res.value, _lower_dual_value(p, y, obj, res.x),
+                         minimizer, res.status)
 
 
-def _lower_dual_value(p, y, minimizer, value):
-    """-inf E lower-l(x, y); coincides with the Lagrangian value whenever
-    l(., y) is closed proper, so evaluate at the inner minimizer."""
+def _lower_dual_value(p, y, obj, x):
+    """-E lower-l(x, y) at the inner minimizer x; it coincides with the
+    Lagrangian value whenever l(., y) is closed proper.  None when some
+    value is +inf or has no closed form.
+
+    Off the dynamic path lower-l is l itself, so this evaluates the
+    compiled Lagrangian ``obj`` at x.  On it, each node's Hamiltonian term
+    of ``obj`` is replaced by its lsc hull in x; the coupling term stays.
+    """
+    if not isinstance(p.integrand, BolzaIntegrand):
+        value = obj.value(x)
+        return None if value == INF else -value
+    f, yvecs = p.integrand, _leaf_vectors(p, y, "dual")
+    *hamiltonians, coupling = obj.terms
+    total = 0.0
+    minus = plus = False
     try:
-        yv = _leaf_vectors(p, y, "dual")
-        xv = minimizer.leaf_rows()
-        total = 0.0
-        for leaf in range(p.tree.n_leaves):
-            lv = p.integrand.lower_lagrangian(leaf, xv[leaf], yv[leaf])
-            if lv == -INF:
-                return INF
-            if lv == INF:
-                return None
-            total += float(p.tree.probabilities[leaf]) * lv
-        return -total
+        for term in hamiltonians:
+            t, (leaf, *_) = term.node
+            hb = f.stage_cost(leaf, t).hbar_function_of_x(yvecs[leaf, f.u_slices[t]])
+            if hb is MINUS_INF:
+                minus = True
+                continue
+            v = hb.value(x[term.cols])
+            if v == INF:
+                plus = True
+                continue
+            total += term.weight * v
     except NoClosedFormError:
         return None
+    # a hull that is -inf empties the supremum of its leaves: -inf dominates
+    if minus:
+        return INF
+    if plus:
+        return None
+    return -(total + coupling.fn.value(x[coupling.cols]))
 
 
 def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
@@ -533,10 +633,13 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     # coordinates of each leaf in the flat order of StochasticProcess.to_vector
     rows, n = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
                                    p.n_dims)
-    terms = [_Term(float(tree.probabilities[leaf]),
-                   p.integrand.conjugate_function_of_v(leaf, yvecs[leaf]),
-                   rows[leaf], leaf)
-             for leaf in range(tree.n_leaves)]
+    if isinstance(p.integrand, BolzaIntegrand):
+        conjugates = _bolza_conjugates_of_v(p, yvecs)
+    else:
+        conjugates = [p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
+                      for leaf in range(tree.n_leaves)]
+    terms = [_Term(float(tree.probabilities[leaf]), fn, rows[leaf], leaf)
+             for leaf, fn in enumerate(conjugates)]
     res = _minimize(CompiledObjective(n, terms, basis), cfg)
     if res.status == "infeasible":
         return OrthoBound(INF, None, "infeasible")
@@ -546,6 +649,23 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
         return OrthoBound(res.value, None, res.status)
     v = StochasticProcess.from_vector(tree, p.n_dims, basis @ res.x)
     return OrthoBound(res.value, v, res.status)
+
+
+def _bolza_conjugates_of_v(p: Problem, yvecs):
+    """Per leaf, v -> f*(v, y) = sum_t K_t*(v_t + y_{t+1} - y_t, y_t).  The
+    stage conjugate a -> K_t*(a, y_t) is built once per node and shared by
+    its leaves; the shift stays per leaf, as v is not adapted."""
+    f = p.integrand
+    stage_fns = [[None] * f.tree.stage_count for _ in range(f.tree.n_leaves)]
+    for t, nodes in enumerate(_stage_nodes(p, yvecs)):
+        for b, leaves, _ in nodes:
+            fn_a = f.stages[t][b].conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])
+            for leaf in leaves:
+                stage_fns[leaf][t] = fn_a
+    eye, shifts = np.eye(f.d), _next_stage(p, yvecs) - yvecs
+    return [SeparableSum([AffinePrecomposition(fn_a, eye, shifts[leaf, f.u_slices[t]])
+                          for t, fn_a in enumerate(fns)])
+            for leaf, fns in enumerate(stage_fns)]
 
 
 def _orthocomplement_basis(tree, dims) -> np.ndarray:
@@ -607,20 +727,17 @@ def _recover_dual_candidate(p, u, primal, cfg):
         if isinstance(integrand, ConstrainedIntegrand):
             return _recover_constrained(p, u, primal, cfg)
         if isinstance(integrand, BolzaIntegrand):
+            # x is adapted, so the velocity is one vector per u-node
             arrays = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
-            for leaf in range(tree.n_leaves):
-                xv = xvecs[leaf]
-                uv = uvecs[leaf]
-                states = integrand._states(xv)
-                for t in range(tree.stage_count):
-                    w = integrand._velocity(states, t, uv[integrand.u_slices[t]])
-                    stage = integrand.stage_cost(leaf, t)
-                    y_t = _stage_dual_gradient(stage, states[t], w)
+            for t, nodes in enumerate(_stage_nodes(p, uvecs)):
+                for b, leaves, _ in nodes:
+                    states = integrand._states(xvecs[leaves[0]])
+                    w = integrand._velocity(states, t, uvecs[leaves[0], integrand.u_slices[t]])
+                    y_t = _stage_dual_gradient(integrand.stages[t][b], states[t], w)
                     if y_t is None:
                         return None
-                    arrays[t][leaf] = y_t
-            y = StochasticProcess(tree, tuple(arrays))
-            return adapted_projection(y)
+                    arrays[t][leaves] = y_t
+            return adapted_projection(StochasticProcess(tree, tuple(arrays)))
         # generic path: gradient of the parameter block of the joint
         # function; a kinked g(Mz + m) with one row takes M's u-block times
         # the subgradient of g that the primal QP selected
@@ -773,8 +890,9 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
         if k % 50 == 0 and np.isfinite(primal.value):
             if primal.value - best_val <= cfg.tol * max(1.0, abs(primal.value)):
                 break
-    gap = primal.value - best_val if np.isfinite(primal.value) else INF
-    status = "optimal" if gap <= 1e-5 * max(1.0, abs(primal.value)) else "max-iter"
+    finite = np.isfinite(primal.value)
+    gap = primal.value - best_val if finite else INF
+    status = "optimal" if finite and gap <= 1e-5 * max(1.0, abs(primal.value)) else "max-iter"
     return SolveResult(best_y, best_val, rounds, max(gap, 0.0), status, "ascent",
                        objective=best_dob)
 

@@ -321,3 +321,93 @@ def hedging_file(tmp_path, horizon, liability, disutility=None):
     path = tmp_path / f"hedge-H{horizon}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# ---------------------------------------------------------------------------
+# per-leaf references for the node-wise compilation of dynamic problems
+# ---------------------------------------------------------------------------
+
+
+def grouped_process(rng, tree, dims, splits=1):
+    """Random process that takes, on every stage-t block, one of ``splits``
+    values per leaf: adapted for splits=1; otherwise a block's leaves fall
+    into bit-equal groups that are not tree nodes."""
+    arrays = []
+    for t, d in enumerate(dims):
+        a = np.zeros((tree.n_leaves, d))
+        for block in tree.blocks(t):
+            vals = rng.normal(size=(splits, d))
+            a[list(block)] = vals[rng.integers(splits, size=len(block))]
+        arrays.append(a)
+    return StochasticProcess(tree, tuple(arrays))
+
+
+def per_leaf_objective(p, functions):
+    """sum_l p_l fn_l(w[columns_l]) over the adapted layout, one term per
+    leaf; None when some leaf function is the MINUS_INF sentinel."""
+    from stochdual.integrand import MINUS_INF
+    from stochdual.solver import CompiledObjective, _Term
+
+    if any(fn is MINUS_INF for fn in functions):
+        return None
+    return CompiledObjective(p.layout.width, [
+        _Term(float(p.tree.probabilities[leaf]), fn, p.layout.columns[leaf], leaf)
+        for leaf, fn in enumerate(functions)])
+
+
+def per_leaf_primal(p, u):
+    """E f(x, u), leaf by leaf: each leaf's joint function with u frozen."""
+    f, rows = p.integrand, u.leaf_rows()
+    u_idx = np.arange(f.n_total, f.n_total + f.m_total)
+    return per_leaf_objective(p, [f.joint_function(leaf).fix(u_idx, rows[leaf])
+                                  for leaf in range(p.tree.n_leaves)])
+
+
+def per_leaf_lagrangian(p, y):
+    """E l(x, y), leaf by leaf."""
+    rows = y.leaf_rows()
+    return per_leaf_objective(p, [p.integrand.lagrangian_function_of_x(leaf, rows[leaf])
+                                  for leaf in range(p.tree.n_leaves)])
+
+
+def per_leaf_lower_value(p, y, x):
+    """-E lower-l(x, y), leaf by leaf: +inf when some leaf's lower-l is
+    -inf, None when none is and some is +inf."""
+    xs, ys = x.leaf_rows(), y.leaf_rows()
+    vals = [p.integrand.lower_lagrangian(leaf, xs[leaf], ys[leaf])
+            for leaf in range(p.tree.n_leaves)]
+    if -np.inf in vals:
+        return np.inf
+    if np.inf in vals:
+        return None
+    total = 0.0
+    for leaf, v in enumerate(vals):
+        total += float(p.tree.probabilities[leaf]) * v
+    return -total
+
+
+def per_leaf_conjugates(p, y):
+    """v -> f*(v, y) for every leaf."""
+    rows = y.leaf_rows()
+    return [p.integrand.conjugate_function_of_v(leaf, rows[leaf])
+            for leaf in range(p.tree.n_leaves)]
+
+
+def per_leaf_recovered_dual(p, u, x):
+    """The dynamic dual candidate leaf by leaf: the velocity gradient of
+    every leaf's stage costs at (x_t, dx_t + u_t), then projected onto the
+    adapted processes; None when some stage does not pin it."""
+    from stochdual.solver import _stage_dual_gradient
+    from stochdual.tree import adapted_projection
+
+    f, xs, us = p.integrand, x.leaf_rows(), u.leaf_rows()
+    arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
+    for leaf in range(p.tree.n_leaves):
+        states = f._states(xs[leaf])
+        for t in range(p.tree.stage_count):
+            w = f._velocity(states, t, us[leaf][f.u_slices[t]])
+            y_t = _stage_dual_gradient(f.stage_cost(leaf, t), states[t], w)
+            if y_t is None:
+                return None
+            arrays[t][leaf] = y_t
+    return adapted_projection(StochasticProcess(p.tree, tuple(arrays)))

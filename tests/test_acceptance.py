@@ -71,6 +71,7 @@ FIXTURES = [
     "binomial-alm.json",
     "bolza-quadratic.json",
     "bolza-quadratic-binary.json",
+    "bolza-pwl.json",
     "kabanov-conical.json",
     "kkt-single.json",
     "pwl-hedging.json",

@@ -22,6 +22,7 @@ FIXTURES = [
     "binomial-alm.json",
     "bolza-quadratic.json",
     "bolza-quadratic-binary.json",
+    "bolza-pwl.json",
     "kabanov-conical.json",
     "kkt-single.json",
     "pwl-hedging.json",
@@ -337,6 +338,35 @@ class TestHonestExitCodes:
             assert report["dual"]["status"] == "infeasible"
             assert report["gap"] is None
             assert code == cli.EXIT_NO_CONVERGENCE, command
+
+    def test_large_finite_gap_exits_non_zero(self, monkeypatch):
+        # a recovery that hands back half the optimal y: the inner solve
+        # prices it honestly, and the gap it leaves is finite but large
+        recover = solver._recover_dual_candidate
+
+        def halved(*args):
+            y = recover(*args)
+            return type(y)(y.tree, tuple(0.5 * a for a in y.values))
+
+        monkeypatch.setattr(solver, "_recover_dual_candidate", halved)
+        for command in ("gap", "dualize", "report"):
+            code, report = run([command, fixture_path("binomial-alm.json")])
+            assert report["dual"]["method"] == "recovered"
+            assert report["gap"] == pytest.approx(0.1125, abs=1e-12)
+            if command == "report":
+                # the certificate rejects the halved y, and its failure
+                # code takes precedence
+                assert (code, report["certificate"]["verdict"]) == (cli.EXIT_CHECK_FAIL, "fail")
+            else:
+                assert code == cli.EXIT_NO_CONVERGENCE, command
+
+    def test_gap_within_the_checker_tolerance_exits_zero(self):
+        # the tolerance scales with max(1, |primal|); the fixtures close
+        # their gaps to roundoff
+        for name in FIXTURES:
+            code, report = run(["gap", fixture_path(name)])
+            assert code == 0, name
+            assert abs(report["gap"]) <= 1e-6 * max(1.0, abs(report["primal"]["value"]))
 
     def test_bound_engine_failure_is_a_status(self, monkeypatch, tmp_path):
         # the annihilator bound's simplex is made to give up, inside the

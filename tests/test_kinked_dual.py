@@ -7,6 +7,8 @@ and against the annihilator bound; the primal value is cross-checked by a
 HiGHS linear program built from the tree's partitions.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,54 @@ class TestTwoLeafRegression:
         assert code == 0
         assert report["dual"]["method"] == "recovered"
         assert abs(report["gap"]) <= 1e-12
+
+
+def test_ascent_on_an_infeasible_primal_is_not_optimal():
+    # V lives on [-0.1, 0.1] and u = (1, 1): no hedge keeps both wealths in
+    # its domain.  The ascent's gap is then inf, which must not read as closed
+    tree, price = binomial_price(1, 1.2, 0.9)
+    p = build_alm(tree, kinked_pwl(-0.1, 0.1), price)
+    u = liability(tree, [1.0, 1.0])
+    primal = solve_primal(p, u)
+    assert (primal.status, primal.value) == ("infeasible", INF)
+    dual = solve_dual(p, u, primal=primal)
+    assert dual.method == "ascent"
+    assert dual.status == "max-iter"
+
+
+class TestNonMonotoneDisutility:
+    """V = |.| is decreasing left of 0, so an optimal dual may be negative
+    there; the sign of y is the disutility rows' to judge."""
+
+    def test_negative_optimal_dual_passes(self):
+        tree, price = binomial_price(1, 1.2, 0.9)
+        p = build_alm(tree, absolute_value(), price)
+        u = liability(tree, [0.3, -0.2])
+        primal = solve_primal(p, u)
+        dual = solve_dual(p, u, primal=primal)
+        assert dual.method == "recovered"
+        assert abs(primal.value - dual.value) <= 1e-12
+        assert dual.optimizer.stage(1)[:, 0].min() < 0
+        cert = check_alm(p, primal.optimizer, u, dual.optimizer)
+        assert cert.verdict == "pass"
+
+    def test_report_exits_zero(self, tmp_path):
+        with open(fixture_path("pwl-hedging.json")) as fh:
+            doc = json.load(fh)
+        doc["model"]["disutility"] = {"kind": "abs"}
+        path = tmp_path / "abs-hedging.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(["report", str(path)])
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        # the report's own density block still states the sign
+        assert report["dual_representation"]["martingale_density"]["ok"] is False
+
+    def test_negative_dual_of_a_nondecreasing_v_fails_on_the_fenchel_rows(self):
+        problem, _, params, _, _ = parse_problem_file(fixture_path("pwl-hedging.json"))
+        x = solve_primal(problem, params["u"]).optimizer
+        # a martingale density up to sign: E(y ds) = (-0.2 + 0.2) / 2 = 0
+        y = StochasticProcess(problem.tree, (np.zeros((2, 0)), np.array([[-1.0], [-2.0]])))
+        cert = check_alm(problem, x, params["u"], y)
+        assert cert.verdict == "fail"
+        failed = {r["condition"] for r in cert.rows if not r["ok"]}
+        assert failed == {"disutility-subgradient"}

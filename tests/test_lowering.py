@@ -1,6 +1,6 @@
 """Index-array lowering of compiled objectives, checked against the dense
-lowering through per-leaf selection (or basis-row) matrices on irregular
-trees with stage dimensions 0, 1 and 2."""
+lowering through per-term (leaf or node) selection or basis-row matrices
+on irregular trees with stage dimensions 0, 1 and 2."""
 
 import numpy as np
 import pytest
@@ -40,7 +40,8 @@ INF = float("inf")
 def dense_lowering(obj, mats):
     """qp_data the dense way: each term's form composed with its matrix and
     added at its weight, then one epigraph variable per kinked atom, its
-    rows labelled (leaf, ("epigraph", z-coefficient))."""
+    rows labelled (node, ("epigraph", z-coefficient)), the node being the
+    term's leaf or tree node."""
     width = mats[0].shape[1]
     P, q, c = np.zeros((width, width)), np.zeros(width), 0.0
     G, h, A, b, labels, atoms = [], [], [], [], [], []
@@ -50,22 +51,22 @@ def dense_lowering(obj, mats):
         q += t.weight * form.q
         c += t.weight * form.c
         G += list(form.G); h += list(form.h); A += list(form.A); b += list(form.b)
-        labels += [(t.leaf, lab) for lab in form.labels]
-        atoms += [(t.leaf, row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
+        labels += [(t.node, lab) for lab in form.labels]
+        atoms += [(t.node, row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
     n_aux = len(atoms)
     G = [np.append(row, np.zeros(n_aux)) for row in G]
-    for i, (leaf, row, off, pwl) in enumerate(atoms):
+    for i, (node, row, off, pwl) in enumerate(atoms):
         aux, none = np.zeros(n_aux), np.zeros(n_aux)
         aux[i] = -1.0
         for slope, intercept in pwl.supporting_lines():
             G.append(np.append(slope * row, aux)); h.append(-(intercept + slope * off))
-            labels.append((leaf, ("epigraph", slope)))
+            labels.append((node, ("epigraph", slope)))
         if pwl.hi != INF:
             G.append(np.append(row, none)); h.append(pwl.hi - off)
-            labels.append((leaf, ("epigraph", 1.0)))
+            labels.append((node, ("epigraph", 1.0)))
         if pwl.lo != -INF:
             G.append(np.append(-row, none)); h.append(off - pwl.lo)
-            labels.append((leaf, ("epigraph", -1.0)))
+            labels.append((node, ("epigraph", -1.0)))
     total = width + n_aux
     Pt = np.zeros((total, total)); Pt[:width, :width] = P
     return (Pt, np.append(q, np.ones(n_aux)), c,

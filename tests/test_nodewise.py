@@ -1,0 +1,285 @@
+"""Node-wise compilation of dynamic (Bolza and Kabanov) problems.
+
+The solver compiles each stage cost once per tree node.  Every object it
+builds that way (primal, Lagrangian, lower variant, annihilator bound and
+the recovered dual) is checked here against a per-leaf reference from
+tests/helpers.py, which uses only the per-leaf integrand methods.  The
+trees are irregular, the state dimension is 1 or 2, and u and y are
+adapted, split inside blocks, or different on every leaf.
+"""
+
+import numpy as np
+import pytest
+
+from stochdual import solver
+from stochdual.cli import fixture_path, parse_problem_file
+from stochdual.convex import (
+    PiecewiseLinear,
+    Polyhedron,
+    Quadratic,
+    SeparableSum,
+    absolute_value,
+)
+from stochdual.integrand import BolzaIntegrand, BolzaStage, KabanovStage
+from stochdual.solver import (
+    CompiledObjective,
+    Problem,
+    SolverConfig,
+    _Term,
+    dual_objective,
+    dual_via_orthocomplement,
+    primal_objective,
+    solve_dual,
+    solve_primal,
+)
+from stochdual.tree import ScenarioTree, StochasticProcess
+
+from helpers import (
+    grouped_process,
+    irregular_tree,
+    per_leaf_conjugates,
+    per_leaf_lagrangian,
+    per_leaf_lower_value,
+    per_leaf_primal,
+    per_leaf_recovered_dual,
+    random_process,
+)
+
+CFG = SolverConfig()
+SHAPES = ("adapted", "split", "leafwise")
+
+
+def process(rng, tree, dims, shape, scale=1.0):
+    if shape == "leafwise":
+        proc = random_process(rng, tree, dims)
+    else:
+        proc = grouped_process(rng, tree, dims, 1 if shape == "adapted" else 2)
+    return StochasticProcess(tree, tuple(scale * a for a in proc.values))
+
+
+def scalar(rng, kinds):
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "quadratic":
+        return Quadratic([rng.uniform(0.2, 1.5)], [rng.normal()], rng.normal())
+    if kind == "abs":
+        return absolute_value().scaled(rng.uniform(0.5, 2.0))
+    return PiecewiseLinear([0.0], [-0.5, 2.0])
+
+
+def bolza_problem(seed, d):
+    """K(x, w) = kinked or quadratic state parts + quadratic or |.| velocity
+    parts, one stage cost per block."""
+    tree = irregular_tree(seed)
+    rng = np.random.default_rng(1500 + seed)
+    stages = [[BolzaStage(SeparableSum(
+        [scalar(rng, ["quadratic", "abs", "pwl"]) for _ in range(d)]
+        + [scalar(rng, ["quadratic", "abs"]) for _ in range(d)]), d)
+        for _ in tree.blocks(t)] for t in range(tree.stage_count)]
+    return Problem(tree, BolzaIntegrand(tree, stages))
+
+
+def kabanov_problem(seed):
+    """One currency: quadratic disutility, trade set z <= 0, z = 0 at the end."""
+    tree = irregular_tree(seed)
+    rng = np.random.default_rng(1600 + seed)
+    C = Polyhedron.from_cone_generators([[-1.0]])
+    stages = [[KabanovStage(Quadratic([rng.uniform(0.3, 1.2)]), C,
+                            terminal=t == tree.stage_count - 1)
+               for _ in tree.blocks(t)] for t in range(tree.stage_count)]
+    return Problem(tree, BolzaIntegrand(tree, stages))
+
+
+def cases():
+    """(name, problem, u, y); each shape meets every problem on both sides.
+    The duals are small, so the conjugates of the |.| velocity parts stay
+    finite; a Kabanov dual has no k-part, and its z-part is nonnegative
+    (the support function of z <= 0 is finite there) except when it
+    differs on every leaf."""
+    out = []
+    problems = [(f"bolza-d{d}-{seed}", bolza_problem(seed, d))
+                for seed in range(3) for d in (1, 2)]
+    problems += [(f"kabanov-{seed}", kabanov_problem(seed)) for seed in range(2)]
+    for k, (name, p) in enumerate(problems):
+        rng = np.random.default_rng(1700 + k)
+        for u_shape, y_shape in zip(SHAPES, SHAPES[1:] + SHAPES[:1]):
+            u = process(rng, p.tree, p.m_dims, u_shape)
+            y = process(rng, p.tree, p.m_dims, y_shape, 0.1)
+            if name.startswith("kabanov"):
+                sign = (lambda a: a) if y_shape == "leafwise" else np.abs
+                y = StochasticProcess(p.tree, tuple(
+                    np.column_stack([sign(a[:, 0]), np.zeros(len(a))]) for a in y.values))
+            out.append((f"{name}-u_{u_shape}-y_{y_shape}", p, u, y))
+    return out
+
+
+CASES = {name: rest for name, *rest in cases()}
+
+
+def assert_same_function(got, want, width, rng, smooth=True):
+    """Values (and, away from +inf, subgradients) agree at random points."""
+    W = rng.normal(size=(6, width))
+    vals = [got.value(w) for w in W]
+    np.testing.assert_allclose(vals, [want.value(w) for w in W], rtol=1e-12, atol=1e-12)
+    if smooth:
+        for w in W:
+            np.testing.assert_allclose(got.subgradient(w), want.subgradient(w),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def assert_same_solve(res, ref):
+    assert res.status == ref.status
+    if np.isfinite(ref.value):
+        assert res.value == pytest.approx(ref.value, rel=1e-10, abs=1e-10)
+    else:
+        assert res.value == ref.value
+
+
+def captured_objective(monkeypatch, call):
+    """The CompiledObjective a solve hands to the minimiser, and the result."""
+    seen = []
+    real = solver._minimize
+
+    def spy(obj, cfg):
+        seen.append(obj)
+        return real(obj, cfg)
+
+    monkeypatch.setattr(solver, "_minimize", spy)
+    out = call()
+    monkeypatch.setattr(solver, "_minimize", real)
+    assert len(seen) == 1
+    return seen[0], out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+class TestNodewiseMatchesPerLeaf:
+    def test_primal(self, name):
+        p, u, _ = CASES[name]
+        _, obj = primal_objective(p, u)
+        ref = per_leaf_primal(p, u)
+        assert_same_function(obj, ref, obj.width, np.random.default_rng(1),
+                             smooth=not name.startswith("kabanov"))
+        assert_same_solve(solver._minimize(obj, CFG), solver._minimize(ref, CFG))
+
+    def test_lagrangian_and_lower_variant(self, name):
+        p, _, y = CASES[name]
+        _, obj = solver._lagrangian_objective(p, y)
+        ref = per_leaf_lagrangian(p, y)
+        assert (obj is None) == (ref is None)
+        if ref is None:
+            return
+        assert_same_function(obj, ref, obj.width, np.random.default_rng(2),
+                             smooth=not name.startswith("kabanov"))
+        dob = dual_objective(p, y)
+        res = solver._minimize(ref, CFG)
+        assert dob.inner_status == res.status
+        if dob.minimizer is None:
+            return
+        assert dob.value == pytest.approx(-res.value, rel=1e-10, abs=1e-10)
+        want = per_leaf_lower_value(p, y, dob.minimizer)
+        if want is None or not np.isfinite(want):
+            assert dob.lower_value == want
+        else:
+            assert dob.lower_value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_annihilator_bound(self, name, monkeypatch):
+        p, _, y = CASES[name]
+        obj, bound = captured_objective(monkeypatch, lambda: dual_via_orthocomplement(p, y))
+        ref = CompiledObjective(obj.n, [
+            _Term(t.weight, fn, t.cols, t.node)
+            for t, fn in zip(obj.terms, per_leaf_conjugates(p, y))], obj.basis)
+        assert [t.weight for t in obj.terms] == list(p.tree.probabilities)
+        assert_same_function(obj, ref, obj.width, np.random.default_rng(3), smooth=False)
+        res = solver._minimize(ref, CFG)
+        assert bound.status == res.status
+        if np.isfinite(res.value):
+            assert bound.value == pytest.approx(res.value, rel=1e-10, abs=1e-10)
+
+    def test_recovered_dual(self, name):
+        p, u, _ = CASES[name]
+        primal = solve_primal(p, u)
+        assert primal.status == "optimal"
+        got = solver._recover_dual_candidate(p, u, primal, CFG)
+        want = per_leaf_recovered_dual(p, u, primal.optimizer)
+        assert (got is None) == (want is None)
+        if want is not None:
+            for a, b in zip(got.values, want.values):
+                np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["quadratic-tracking.json", "binomial-alm.json",
+                                  "kkt-single.json", "pwl-hedging.json"])
+def test_lower_variant_off_the_dynamic_path_is_the_per_leaf_value(name):
+    # off the dynamic path the lower variant is the compiled Lagrangian's
+    # value: the same functions summed in the same order, so bit for bit
+    problem, _, params, _, _ = parse_problem_file(fixture_path(name))
+    dual = solve_dual(problem, params["u"])
+    dob = dual.objective
+    assert np.isfinite(dob.lower_value)
+    assert dob.lower_value == per_leaf_lower_value(problem, dual.optimizer, dob.minimizer)
+
+
+def test_cases_cover_every_path():
+    # H_t(., y_t) = -inf on some node, and finite everywhere, both occur
+    found = {name.split("-")[0]: set() for name in CASES}
+    for name, (p, _, y) in CASES.items():
+        found[name.split("-")[0]].add(solver._lagrangian_objective(p, y)[1] is None)
+    assert found == {"bolza": {False}, "kabanov": {False, True}}
+    # kinked state parts give the primal epigraph atoms
+    assert any(P.shape[0] > n for P, *_, n in
+               (primal_objective(p, u)[1].qp_data() for p, u, _ in CASES.values()))
+
+
+# ---------------------------------------------------------------------------
+# grouping and structure
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adapted_groups_are_the_tree_nodes(seed):
+    p = bolza_problem(seed, 2)
+    rows = grouped_process(np.random.default_rng(seed), p.tree, p.m_dims).leaf_rows()
+    for t, nodes in enumerate(solver._stage_nodes(p, rows)):
+        assert [(b, tuple(leaves)) for b, leaves, _ in nodes] == \
+            list(enumerate(p.tree.blocks(t)))
+        for _, leaves, weight in nodes:
+            assert weight == pytest.approx(p.tree.probabilities[leaves].sum(), abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_groups_are_bit_equal_classes(seed):
+    p = bolza_problem(seed, 1)
+    rows = grouped_process(np.random.default_rng(seed), p.tree, p.m_dims, 2).leaf_rows()
+    for t, nodes in enumerate(solver._stage_nodes(p, rows)):
+        sl = p.integrand.u_slices[t]
+        assert sorted(int(l) for _, leaves, _ in nodes for l in leaves) == \
+            list(range(p.tree.n_leaves))
+        for b, leaves, _ in nodes:
+            assert set(leaves.tolist()) <= set(p.tree.blocks(t)[b])
+            assert all(rows[l, sl].tobytes() == rows[leaves[0], sl].tobytes() for l in leaves)
+        keys = [(b, rows[leaves[0], sl].tobytes()) for b, leaves, _ in nodes]
+        assert len(set(keys)) == len(keys)
+
+
+def abs_bolza(horizon, u_shape, seed=0):
+    tree = ScenarioTree.binary(horizon)
+    stage = BolzaStage(SeparableSum([absolute_value(), Quadratic([0.5])]), 1)
+    p = Problem(tree, BolzaIntegrand(
+        tree, [[stage] * len(tree.blocks(t)) for t in range(tree.stage_count)]))
+    rng = np.random.default_rng(seed)
+    return p, process(rng, tree, p.m_dims, u_shape)
+
+
+def test_one_epigraph_atom_per_node():
+    # 16 leaves, 31 nodes: one |x_t| atom and its two rows per node, and the
+    # solve the per-leaf program's
+    p, u = abs_bolza(4, "adapted")
+    _, obj = primal_objective(p, u)
+    P, q, c, G, h, A, b, labels, n_main = obj.qp_data()
+    assert (P.shape[0] - n_main, G.shape[0]) == (31, 62)
+    res, ref = solver._minimize(obj, CFG), solver._minimize(per_leaf_primal(p, u), CFG)
+    assert res.status == ref.status == "optimal"
+    assert res.value == pytest.approx(ref.value, rel=1e-10, abs=1e-10)
+    # a u that differs on every leaf splits every node down to its leaves
+    p, u = abs_bolza(4, "leafwise")
+    P, q, c, G, h, A, b, labels, n_main = primal_objective(p, u)[1].qp_data()
+    assert (P.shape[0] - n_main, G.shape[0]) == (80, 160)
