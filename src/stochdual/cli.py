@@ -329,23 +329,14 @@ def _build_model(tree, family, model) -> Problem:
 
 
 def _config(solver_sec, args) -> SolverConfig:
+    """Solver settings: the file's "solver" section, then the flags."""
     cfg = SolverConfig()
-    if "max_iter" in solver_sec:
-        cfg.max_iter = int(solver_sec["max_iter"])
-    if "tol" in solver_sec:
-        cfg.tol = float(solver_sec["tol"])
-    if "method" in solver_sec:
-        cfg.method = solver_sec["method"]
-    if "step_constant" in solver_sec:
-        cfg.step_constant = float(solver_sec["step_constant"])
-    if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "method", None) is not None:
-        cfg.method = args.method
-    if getattr(args, "step_constant", None) is not None:
-        cfg.step_constant = args.step_constant
+    for name, kind in (("max_iter", int), ("tol", float), ("method", str),
+                       ("step_constant", float)):
+        if name in solver_sec:
+            setattr(cfg, name, kind(solver_sec[name]))
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     return cfg
 
 
@@ -409,11 +400,12 @@ def _checker_for(family: str) -> str:
     }[family]
 
 
-def _annihilator_bound(problem, y, cfg):
+def _annihilator_bound(problem, y, cfg, objective=None):
     """The annihilator bound at y, or None when a conjugate it needs has no
-    closed form (reported as annihilator_bound: null)."""
+    closed form (reported as annihilator_bound: null).  ``objective`` is
+    the dual value's inner solve at y, when the dual solve made it."""
     try:
-        return dual_via_orthocomplement(problem, y, cfg)
+        return dual_via_orthocomplement(problem, y, cfg, objective)
     except NoClosedFormError:
         return None
 
@@ -448,7 +440,9 @@ def _run_check(problem, family, params, cfg, checker: str,
             return None, dual.status
     if v is None and checker in ("saddle", "kkt"):
         if bound is None or y is not dual.optimizer:
-            bound = _annihilator_bound(problem, y, cfg)
+            bound = _annihilator_bound(
+                problem, y, cfg,
+                dual.objective if dual is not None and y is dual.optimizer else None)
         v = bound.v if bound is not None else None
         if v is None:
             v = StochasticProcess.zeros(problem.tree, problem.n_dims)
@@ -551,7 +545,7 @@ def run(argv) -> tuple[int, dict]:
         report["gap"] = gap_rep.gap if np.isfinite(gap_rep.gap) else None
         if args.command in ("dualize", "report"):
             if dual is not None and dual.optimizer is not None:
-                bound = _annihilator_bound(problem, dual.optimizer, cfg)
+                bound = _annihilator_bound(problem, dual.optimizer, cfg, dual.objective)
             report["dual_representation"] = _dual_representation(
                 problem, family, u, gap_rep.dual, bound)
         # strong duality holds on a finite tree: a finite primal value with
@@ -582,33 +576,34 @@ def run(argv) -> tuple[int, dict]:
 
 def render_text(report: dict) -> str:
     lines = []
-    width = 22
+
+    def line(key, value):
+        # keys are left-aligned in 22 columns; a longer key keeps one space
+        lines.append(f"{key + ':':<21} {value}")
+
     for key in ("command", "family", "input_digest"):
         if key in report:
-            lines.append(f"{key + ':':<{width}}{report[key]}")
+            line(key, report[key])
     if "tree" in report:
         t = report["tree"]
-        lines.append(f"{'tree:':<{width}}{t['leaves']} leaves, {t['stages']} stages")
+        line("tree", f"{t['leaves']} leaves, {t['stages']} stages")
     for block in ("primal", "dual"):
         if block in report:
             b = report[block]
             val = b["value_repr"] if b["value"] is None else f"{b['value']:.12g}"
-            lines.append(
-                f"{block + ' value:':<{width}}{val}  [{b['status']}, "
-                f"{b['iterations']} iterations, {b['method']}]"
-            )
+            line(f"{block} value",
+                 f"{val}  [{b['status']}, {b['iterations']} iterations, {b['method']}]")
     if "gap" in report:
         gap = report["gap"]
-        lines.append(f"{'duality gap:':<{width}}"
-                     f"{'inf' if gap is None else f'{gap:.3e}'}")
+        line("duality gap", "inf" if gap is None else f"{gap:.3e}")
     if "dual_representation" in report:
         for k, v in sorted(report["dual_representation"].items()):
-            lines.append(f"{k + ':':<{width}}{v}")
+            line(k, v)
     if "certificate" in report:
         cert = report["certificate"]
-        lines.append(f"{'verdict:':<{width}}{cert['verdict']}")
+        line("verdict", cert["verdict"])
         if cert.get("reason"):
-            lines.append(f"{'reason:':<{width}}{cert['reason']}")
+            line("reason", cert["reason"])
         rows = cert.get("rows", [])
         if rows:
             lines.append("residuals:")
@@ -621,7 +616,7 @@ def render_text(report: dict) -> str:
                 res_s = "inf" if res is None else f"{res:.3e}"
                 mark = "ok" if row["ok"] else "FAIL"
                 lines.append(f"  {row['condition']:<28}{res_s:>12}  {mark:<4}  {where}")
-    lines.append(f"{'exit code:':<{width}}{report.get('exit_code', 0)}")
+    line("exit code", report.get("exit_code", 0))
     return "\n".join(lines)
 
 

@@ -14,8 +14,11 @@ no point.  Unboundedness is certified by the active-set loop's descent
 ray: when the reduced Hessian on the current face is singular along the
 gradient, the loop follows a direction d with Pd = 0 and q.d < 0 inside the
 face (so Ad = 0 and the working rows stay tight), and reports the ray when
-no inactive constraint blocks it (Gd <= 0).  Deterministic lowest-index
-tie-breaking throughout.
+no inactive constraint blocks it (Gd <= 0).  The ratio test runs along
+the step scaled to unit max-norm, so its tie tolerance is relative to the
+step.  A point that violates a row by more than 1e-8 times the data scale
+is never reported optimal: the solve ends with status ``maxiter`` and no
+point.  Deterministic lowest-index tie-breaking throughout.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             lam_w = lam[A.shape[0]:]
             neg = [k for k, v in enumerate(lam_w) if v < -1e-8 * scale]
             if not neg:
+                # never report a point that violates the rows
+                viol = max(np.max(G @ x - h, initial=0.0), np.max(np.abs(A @ x - b), initial=0.0))
+                if viol > 1e-8 * max(scale, np.max(np.abs(b), initial=0.0)):
+                    return QPResult("maxiter", None, np.nan, iterations=it)
                 mult = np.zeros(m)
                 for k, i in enumerate(working):
                     mult[i] = max(lam_w[k], 0.0)
@@ -134,8 +141,12 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             drop = min(working[k] for k in neg)
             working.remove(drop)
             continue
-        # ratio test against inactive constraints
-        alpha = 1.0 if not descending_ray else np.inf
+        # ratio test against inactive constraints along d scaled to unit
+        # max-norm, so that the tie tolerance is relative to the step; the
+        # step is capped at the full one (none on a ray)
+        size = np.max(np.abs(d))
+        d = d / size
+        alpha = np.inf if descending_ray else size
         blocker = -1
         for i in range(m):
             if i in working:
@@ -149,7 +160,7 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
         if descending_ray and blocker < 0:
             return QPResult("unbounded", x, -np.inf, ray=d, iterations=it)
         x = x + alpha * d
-        if blocker >= 0 and alpha < (1.0 if not descending_ray else np.inf):
+        if blocker >= 0:
             working.append(blocker)
             working.sort()
     return QPResult("maxiter", x, objective(x), iterations=max_iter)

@@ -7,7 +7,8 @@ program:
 
   * primal:       minimize  E f(x, u)      over adapted x
   * dual value:   phi*(y) = -inf_x E l(x, y)   (same machinery)
-  * upper bound:  inf over v in the annihilator of E f*(v, y)
+  * upper bound:  inf over v in the annihilator of E f*(v, y), read off
+                  the dual value's inner solve
   * dual solve:   maximize <u, y> - phi*(y)
 
 Each of the three objectives is a probability-weighted sum of terms, each
@@ -21,8 +22,6 @@ the leaves of a block whose stage-t slices of u (or y) agree bit for bit,
 at their summed probability.  With adapted u and y each such group is one
 tree node, so the primal QP holds one epigraph atom per node; the
 Lagrangian's coupling E sum_t <y_t - y_{t+1}, x_t> is one affine term.
-The upper bound's annihilator basis enters once, as a linear map applied
-to the whole lowered objective.
 
 Quadratic-plus-polyhedral instances route to the active-set QP path and
 solve to machine precision; everything else falls back to a projected
@@ -49,6 +48,8 @@ from .convex import (
     ConvexFunction,
     NoClosedFormError,
     PiecewiseLinear,
+    Polyhedron,
+    PolyhedralIndicator,
     SeparableSum,
     domain_polyhedron,
 )
@@ -64,6 +65,7 @@ from .tree import (
     ScenarioTree,
     StochasticProcess,
     adapted_projection,
+    in_orthocomplement,
     pairing,
 )
 
@@ -148,12 +150,14 @@ class SolveResult:
 
 @dataclass
 class DualObjective:
-    """phi*(y) together with the lower-Lagrangian variant and inner data."""
+    """phi*(y), its lower-Lagrangian variant, and the inner solve behind them."""
 
     value: float
     lower_value: float | None
     minimizer: StochasticProcess | None
     inner_status: str
+    lagrangian: CompiledObjective | None = None
+    inner: _MinResult | None = None
 
 
 @dataclass
@@ -200,9 +204,8 @@ class AdaptedLayout:
         self.columns, self.width = _stage_major_columns(tree.leaf_block, self.dims)
 
     def to_process(self, w) -> StochasticProcess:
-        flat = np.asarray(w, dtype=float).ravel()[self.columns]
-        return StochasticProcess(self.tree, tuple(
-            np.split(flat, np.cumsum(self.dims)[:-1], axis=1)))
+        rows = np.asarray(w, dtype=float).ravel()[self.columns]
+        return StochasticProcess.from_leaf_rows(self.tree, self.dims, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +234,18 @@ class _Term:
 
 
 class CompiledObjective:
-    """sum_k weight_k * fn_k(z[cols_k]) with z = B w, over w in R^width.
+    """sum_k weight_k * fn_k(z[cols_k]) over z in R^n.
 
-    Term k reads its coordinates of z in R^n through the index array
-    cols_k: one leaf's, or one tree node's.  ``basis`` is an optional
-    (n, width) matrix B whose columns span the space searched (the
-    annihilator bound); without it z = w.
+    Term k reads its coordinates of z through the index array cols_k: one
+    leaf's, or one tree node's.
     """
 
-    def __init__(self, n: int, terms: list[_Term], basis: np.ndarray | None = None):
+    def __init__(self, n: int, terms: list[_Term]):
         self.n = n
         self.terms = terms
-        self.basis = basis
-        self.width = n if basis is None else basis.shape[1]
 
-    def value(self, w) -> float:
-        z = np.asarray(w, dtype=float).ravel()
-        if self.basis is not None:
-            z = self.basis @ z
+    def value(self, z) -> float:
+        z = np.asarray(z, dtype=float).ravel()
         total = 0.0
         for t in self.terms:
             v = t.fn.value(z[t.cols])
@@ -257,23 +254,12 @@ class CompiledObjective:
             total += t.weight * v
         return total
 
-    def value_many(self, W) -> np.ndarray:
-        Z = np.asarray(W, dtype=float)
-        if self.basis is not None:
-            Z = Z @ self.basis.T
-        total = np.zeros(Z.shape[0])
-        for t in self.terms:
-            total = total + t.weight * t.fn.value_many(Z[:, t.cols])
-        return total
-
-    def subgradient(self, w) -> np.ndarray:
-        z = np.asarray(w, dtype=float).ravel()
-        if self.basis is not None:
-            z = self.basis @ z
+    def subgradient(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float).ravel()
         g = np.zeros(self.n)
         for t in self.terms:
             g[t.cols] += t.weight * t.fn.subgradient(z[t.cols])
-        return g if self.basis is None else self.basis.T @ g
+        return g
 
     def qp_data(self):
         """Lowered quadratic program, or None off the polyhedral path.
@@ -285,9 +271,7 @@ class CompiledObjective:
         piece structure.  Every row is labelled (node, tag); an epigraph row's
         tag is ("epigraph", coef), its coefficient on the atom's argument:
         the weighted slope of a supporting line, +1 on the ``hi`` domain
-        row and -1 on the ``lo`` one.  With a basis the lowered program is
-        then mapped to the basis coefficients once; auxiliary coordinates
-        pass through.
+        row and -1 on the ``lo`` one.
         """
         n = self.n
         P = np.zeros((n, n))
@@ -329,20 +313,30 @@ class CompiledObjective:
         if total > n:
             P = np.pad(P, (0, total - n))
             q = np.concatenate([q, np.ones(total - n)])  # epigraph variables at weight one
-        if self.basis is not None:
-            P, q, G, A = self._map_to_basis(P, q, G, A)
-        return P, q, c, G, h, A, b, labels, self.width
+        return P, q, c, G, h, A, b, labels, n
 
-    def _map_to_basis(self, P, q, G, A):
-        """Substitute z = B w in a lowered program whose first n coordinates
-        are z; the remaining (auxiliary) coordinates pass through."""
-        B, n = self.basis, self.n
-        aux = P.shape[0] - n
-        Pw = np.zeros((self.width + aux, self.width + aux))
-        Pw[:self.width, :self.width] = B.T @ P[:n, :n] @ B
-        qw = np.concatenate([B.T @ q[:n], q[n:]])
-        return (Pw, qw, np.hstack([G[:, :n] @ B, G[:, n:]]),
-                np.hstack([A[:, :n] @ B, A[:, n:]]))
+    def stationarity_shares(self, res: _MinResult) -> list[np.ndarray]:
+        """Each term's share of the stationarity of the lowered program at
+        its solution ``res``, in the term's coordinates: weight * (P_k x_k
+        + q_k) plus the multipliers of the term's own rows and of its
+        epigraph atoms' rows, in the row order of ``qp_data``.  The shares
+        scatter-add to zero; a share over the weight is a subgradient of
+        fn_k at x_k."""
+        x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
+        shares, atoms, g, a = [], [], 0, 0
+        for t in self.terms:
+            form = t.fn.qp_form()
+            ng, na = form.G.shape[0], form.A.shape[0]
+            shares.append(t.weight * (form.P @ x[t.cols] + form.q)
+                          + form.G.T @ ineq[g:g + ng] + form.A.T @ eq[a:a + na])
+            g, a = g + ng, a + na
+            atoms += [(shares[-1], row, pwl.scaled(t.weight)) for row, _, pwl in form.epi]
+        for share, row, pwl in atoms:  # rows tagged with their coefficient on row.z
+            k = len(pwl.supporting_lines()) + (pwl.hi != INF) + (pwl.lo != -INF)
+            share += row * sum(mu * tag[1] for mu, (_, tag)
+                               in zip(ineq[g:g + k], res.labels[g:g + k]))
+            g += k
+        return shares
 
     def constraint_rows(self):
         """Domain rows of every term (used by the projected subgradient path)."""
@@ -357,8 +351,6 @@ class CompiledObjective:
                 A_blocks.append((t.cols, dom.a_eq, dom.b_eq))
         G, h = _stack_rows(G_blocks, self.n)
         A, b = _stack_rows(A_blocks, self.n)
-        if self.basis is not None:
-            G, A = G @ self.basis, A @ self.basis
         return G, h, A, b
 
 
@@ -372,24 +364,21 @@ class _MinResult:
     method: str
     multipliers: np.ndarray | None = None
     labels: list | None = None
+    eq_multipliers: np.ndarray | None = None
 
 
 def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
-    if obj.width == 0:
+    if obj.n == 0:
         return _MinResult("optimal", np.zeros(0), obj.value(np.zeros(0)), 0, 0.0, "direct")
     data = obj.qp_data() if cfg.method in ("auto", "polyhedral") else None
     if data is not None:
         P, q, c, G, h, A, b, labels, n_main = data
         res = solve_qp(P, q, c, G, h, A, b)
         status = {"maxiter": "max-iter"}.get(res.status, res.status)
-        resid = 0.0
-        if res.x is not None and G.shape[0]:
-            resid = max(resid, float(np.max(G @ res.x - h, initial=0.0)))
-        if res.x is not None and A.shape[0]:
-            resid = max(resid, float(np.max(np.abs(A @ res.x - b), initial=0.0)))
+        resid = _violation(res.x, G, h, A, b) if res.x is not None else 0.0
         x = res.x[:n_main] if res.x is not None else None
         return _MinResult(status, x, res.value, res.iterations, resid,
-                          "polyhedral", res.ineq_multipliers, labels)
+                          "polyhedral", res.ineq_multipliers, labels, res.eq_multipliers)
     if cfg.method == "polyhedral":
         raise NoClosedFormError(
             "objective is not quadratic-plus-polyhedral; use method='auto'"
@@ -397,20 +386,22 @@ def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
     return _subgradient_minimize(obj, cfg)
 
 
+def _violation(w, G, h, A, b) -> float:
+    """Largest violation of the rows G w <= h and A w = b."""
+    return max(float(np.max(G @ w - h, initial=0.0)),
+               float(np.max(np.abs(A @ w - b), initial=0.0)))
+
+
 def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
     G, h, A, b = obj.constraint_rows()
-    constrained = G.shape[0] or A.shape[0]
 
     def project(w):
-        if not constrained:
-            return w
-        if float(np.max(G @ w - h, initial=0.0)) <= cfg.feas_tol and \
-           float(np.max(np.abs(A @ w - b), initial=0.0)) <= cfg.feas_tol:
+        if _violation(w, G, h, A, b) <= cfg.feas_tol:
             return w
         return project_onto_polyhedron(w, G, h, A, b)
 
     try:
-        w = project(np.zeros(obj.width))
+        w = project(np.zeros(obj.n))
     except ValueError:
         return _MinResult("infeasible", None, INF, 0, INF, "subgradient")
     f = obj.value(w)
@@ -430,14 +421,8 @@ def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResu
             return _MinResult("unbounded", best_w, -INF, k, 0.0, "subgradient")
         if k % check_every == 0:
             if window_best - best_f <= cfg.tol * max(1.0, abs(best_f)):
-                resid = 0.0
-                if constrained:
-                    resid = max(
-                        float(np.max(G @ best_w - h, initial=0.0)),
-                        float(np.max(np.abs(A @ best_w - b), initial=0.0)) if A.shape[0] else 0.0,
-                    )
-                return _MinResult("optimal", best_w, best_f, k, max(resid, 0.0),
-                                  "subgradient")
+                return _MinResult("optimal", best_w, best_f, k,
+                                  _violation(best_w, G, h, A, b), "subgradient")
             window_best = best_f
         g = obj.subgradient(w)
     return _MinResult("max-iter", best_w, best_f, cfg.max_iter, 0.0, "subgradient")
@@ -572,16 +557,13 @@ def dual_objective(p: Problem, y: StochasticProcess,
         # l = -inf on the feasible slice for some leaf: the infimum diverges
         return DualObjective(INF, INF, None, "unbounded")
     res = _minimize(obj, cfg)
-    if res.status == "unbounded":
-        return DualObjective(INF, None, None, "unbounded")
-    if res.status == "infeasible":
-        # l(., y) identically +inf: the model is primal-infeasible for all u
-        return DualObjective(-INF, None, None, "infeasible")
-    if res.x is None:  # the QP engine stopped before it found a point
-        return DualObjective(res.value, None, None, res.status)
+    # unbounded: phi* = +inf; infeasible: l(., y) identically +inf, so the
+    # model is primal-infeasible for all u; or the engine found no point
+    if res.x is None or res.status in ("unbounded", "infeasible"):
+        return DualObjective(-res.value, None, None, res.status, obj, res)
     minimizer = layout.to_process(res.x)
     return DualObjective(-res.value, _lower_dual_value(p, y, obj, res.x),
-                         minimizer, res.status)
+                         minimizer, res.status, obj, res)
 
 
 def _lower_dual_value(p, y, obj, x):
@@ -623,13 +605,22 @@ def _lower_dual_value(p, y, obj, x):
 
 
 def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
-                             cfg: SolverConfig | None = None) -> OrthoBound:
+                             cfg: SolverConfig | None = None,
+                             objective: DualObjective | None = None) -> OrthoBound:
     """Minimize E f*(v, y) over v with zero conditional means (the chain's
-    upper bound)."""
+    upper bound).
+
+    ``objective`` is ``dual_objective(p, y, cfg)`` when the caller already
+    has it; it is solved here otherwise.  Its inner solve gives v in the
+    x-subdifferential of l(x*, y) with zero conditional means, so E f*(v, y)
+    = phi*(y) = -E l(x*, y).  Weak duality brackets the infimum between
+    the last two for any mean-zero v and adapted x*, so the tests below
+    certify the bound without trusting the solve.  Without such a v the
+    infimum is solved under mean-zero equality terms.
+    """
     cfg = cfg or SolverConfig()
     tree = p.tree
     yvecs = _leaf_vectors(p, y, "dual")
-    basis = _orthocomplement_basis(tree, p.n_dims)
     # coordinates of each leaf in the flat order of StochasticProcess.to_vector
     rows, n = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
                                    p.n_dims)
@@ -640,15 +631,53 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
                       for leaf in range(tree.n_leaves)]
     terms = [_Term(float(tree.probabilities[leaf]), fn, rows[leaf], leaf)
              for leaf, fn in enumerate(conjugates)]
-    res = _minimize(CompiledObjective(n, terms, basis), cfg)
-    if res.status == "infeasible":
-        return OrthoBound(INF, None, "infeasible")
-    if res.status == "unbounded":
-        return OrthoBound(-INF, None, "unbounded")
-    if res.x is None:  # the QP engine stopped before it found a point
+    if objective is None:
+        objective = dual_objective(p, y, cfg)
+    v = _stationary_v(p, yvecs, objective)
+    if v is not None and in_orthocomplement(v):
+        # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
+        # mean-zero v; the reported phi*(y) must close the sandwich too
+        value = CompiledObjective(n, terms).value(v.to_vector())
+        lower = -objective.lagrangian.value(objective.inner.x)
+        tol = cfg.tol * max(1.0, abs(value))
+        if np.isfinite(value) and all(abs(value - w) <= tol for w in (lower, objective.value)):
+            return OrthoBound(float(value), v, "optimal")
+    res = _minimize(CompiledObjective(n, terms + _mean_zero_terms(p, rows)), cfg)
+    if res.x is None or res.status == "unbounded":  # no point, or a ray
         return OrthoBound(res.value, None, res.status)
-    v = StochasticProcess.from_vector(tree, p.n_dims, basis @ res.x)
-    return OrthoBound(res.value, v, res.status)
+    return OrthoBound(res.value, StochasticProcess.from_vector(tree, p.n_dims, res.x),
+                      res.status)
+
+
+def _stationary_v(p: Problem, yvecs, dob: DualObjective):
+    """v read off the inner solve behind ``dob``, or None without a finite
+    optimum with multipliers.  Off the dynamic path v_l is leaf l's share
+    over p_l.  On it a node's share over its weight is an x_t-gradient of
+    H_t(., y_t), and v_t adds y_t - y_{t+1} (the shift that
+    ``_bolza_conjugates_of_v`` undoes); the coupling term has no node."""
+    res, dynamic = dob.inner, isinstance(p.integrand, BolzaIntegrand)
+    if res is None or res.status != "optimal" or res.multipliers is None:
+        return None
+    V = yvecs - _next_stage(p, yvecs) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
+    for t, share in zip(dob.lagrangian.terms, dob.lagrangian.stationarity_shares(res)):
+        if t.node is not None:
+            stage, leaves = t.node if dynamic else (None, t.node)
+            V[leaves, p.integrand.x_slices[stage] if dynamic else slice(None)] += share / t.weight
+    return StochasticProcess.from_leaf_rows(p.tree, p.n_dims, V)
+
+
+def _mean_zero_terms(p: Problem, rows):
+    """One indicator per (stage, block): the block's stage-t values of v,
+    leaf l's at ``rows[l]``, have mean zero, rows (p_l / P(block)) x I_d."""
+    tree, terms, at = p.tree, [], 0
+    for t, d in enumerate(p.n_dims):
+        for block in tree.blocks(t) if d else ():
+            probs = tree.probabilities[list(block)]
+            mean = Polyhedron(a_eq=np.kron(probs / probs.sum(), np.eye(d)), b_eq=np.zeros(d))
+            terms.append(_Term(1.0, PolyhedralIndicator(mean),
+                               rows[list(block), at:at + d].ravel(), (t, tuple(block))))
+        at += d
+    return terms
 
 
 def _bolza_conjugates_of_v(p: Problem, yvecs):
@@ -666,25 +695,6 @@ def _bolza_conjugates_of_v(p: Problem, yvecs):
     return [SeparableSum([AffinePrecomposition(fn_a, eye, shifts[leaf, f.u_slices[t]])
                           for t, fn_a in enumerate(fns)])
             for leaf, fns in enumerate(stage_fns)]
-
-
-def _orthocomplement_basis(tree, dims) -> np.ndarray:
-    """Columns span {v : blockwise weighted means vanish at every stage}."""
-    total = sum(tree.n_leaves * d for d in dims)
-    stage_offsets = np.concatenate([[0], np.cumsum([tree.n_leaves * d for d in dims])]).astype(int)
-    cols = []
-    probs = tree.probabilities
-    for t, d in enumerate(dims):
-        for block in tree.blocks(t):
-            leaves = list(block)
-            last = leaves[-1]
-            for leaf in leaves[:-1]:
-                for comp in range(d):
-                    col = np.zeros(total)
-                    col[stage_offsets[t] + leaf * d + comp] = 1.0
-                    col[stage_offsets[t] + last * d + comp] = -probs[leaf] / probs[last]
-                    cols.append(col)
-    return np.column_stack(cols) if cols else np.zeros((total, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +721,7 @@ def solve_dual(p: Problem, u: StochasticProcess,
             if dob.value < INF:
                 value = pairing(u, y) - dob.value
                 gap = abs(primal.value - value) if np.isfinite(primal.value) else INF
-                return SolveResult(y, value, primal.iterations, gap, "optimal",
+                return SolveResult(y, value, dob.inner.iterations, gap, "optimal",
                                    "recovered", objective=dob)
     return _ascend_dual(p, u, cfg, primal)
 
@@ -741,7 +751,7 @@ def _recover_dual_candidate(p, u, primal, cfg):
         # generic path: gradient of the parameter block of the joint
         # function; a kinked g(Mz + m) with one row takes M's u-block times
         # the subgradient of g that the primal QP selected
-        arrays = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
+        rows = np.zeros((tree.n_leaves, sum(p.m_dims)))
         n_total = integrand.n_total
         slopes = _epigraph_subgradients(p, primal)
         for leaf in range(tree.n_leaves):
@@ -750,14 +760,10 @@ def _recover_dual_candidate(p, u, primal, cfg):
             if joint.value(full) == INF:
                 return None
             if slopes is not None and _kinked_row(joint):
-                grad = joint.matrix[0, n_total:] * slopes[leaf]
+                rows[leaf] = joint.matrix[0, n_total:] * slopes[leaf]
             else:
-                grad = joint.subgradient(full)[n_total:]
-            at = 0
-            for t, d in enumerate(p.m_dims):
-                arrays[t][leaf] = grad[at:at + d]
-                at += d
-        return StochasticProcess(tree, tuple(arrays))
+                rows[leaf] = joint.subgradient(full)[n_total:]
+        return StochasticProcess.from_leaf_rows(tree, p.m_dims, rows)
     except (NoClosedFormError, ValueError):
         return None
 
@@ -785,16 +791,11 @@ def _epigraph_subgradients(p, primal):
 def _recover_constrained(p, u, primal, cfg):
     """Constraint prices from the primal QP multipliers (scaled by 1/p)."""
     mult, labels = primal.multipliers, primal.labels
-    if mult is None:
-        # primal solved off the polyhedral path: lower and solve the QP
-        data = primal_objective(p, u)[1].qp_data()
-        if data is None:
-            return None
-        P, q, c, G, h, A, b, labels, n_main = data
-        res = solve_qp(P, q, c, G, h, A, b)
+    if mult is None:  # primal solved off the polyhedral path: solve its QP
+        res = _minimize(primal_objective(p, u)[1], SolverConfig(method="polyhedral"))
         if res.status != "optimal":
             return None
-        mult = res.ineq_multipliers
+        mult, labels = res.multipliers, res.labels
     arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
     for row, (leaf, tag) in enumerate(labels):
         if isinstance(tag, tuple) and tag[0] == "constraint":
@@ -844,38 +845,23 @@ def _ascend_dual(p, u, cfg, primal) -> SolveResult:
     for k in range(1, iters + 1):
         x_star = cur_dob.minimizer.leaf_rows()
         yvecs = _leaf_vectors(p, cur_y, "dual")
-        grads = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
-        ok = True
-        for leaf in range(tree.n_leaves):
-            u_star = p.integrand.attaining_parameter(leaf, x_star[leaf], yvecs[leaf])
-            if u_star is None:
-                ok = False
-                break
-            diff = uvecs[leaf] - u_star
-            at = 0
-            for t, d in enumerate(p.m_dims):
-                grads[t][leaf] = diff[at:at + d]
-                at += d
-        if not ok:
+        u_stars = [p.integrand.attaining_parameter(leaf, x_star[leaf], yvecs[leaf])
+                   for leaf in range(tree.n_leaves)]
+        if any(u_star is None for u_star in u_stars):
             break
         rounds = k
-        gproc = StochasticProcess(tree, tuple(grads))
+        gproc = StochasticProcess.from_leaf_rows(tree, p.m_dims, uvecs - np.array(u_stars))
         if restrict_adapted:
             gproc = adapted_projection(gproc)
         gnorm = max(np.sqrt(sum(float(np.sum(a * a)) for a in gproc.values)), 1e-12)
         step = step0 / (np.sqrt(k) * gnorm)
-        trial_vals = tuple(cur_y.stage(t) + step * gproc.stage(t)
-                           for t in range(tree.stage_count))
-        trial = StochasticProcess(tree, trial_vals)
-        val, dob = evaluate(trial)
-        shrink = 0
-        while val == -INF and shrink < 20:
-            step /= 2.0
+        for _ in range(21):  # the step, then up to 20 halvings of it
             trial = StochasticProcess(tree, tuple(
-                cur_y.stage(t) + step * gproc.stage(t) for t in range(tree.stage_count)
-            ))
+                a + step * g for a, g in zip(cur_y.values, gproc.values)))
             val, dob = evaluate(trial)
-            shrink += 1
+            if val > -INF:
+                break
+            step /= 2.0
         if val == -INF:
             # the supergradient points out of the dual domain; retrying the
             # same face rarely helps, so stop after a few stalled rounds

@@ -245,6 +245,12 @@ class StochasticProcess:
         return np.concatenate([a.ravel() for a in self.values]) if self.values else np.zeros(0)
 
     @staticmethod
+    def from_leaf_rows(tree: ScenarioTree, dims: Sequence[int], rows) -> "StochasticProcess":
+        """The process whose leaf vectors are the rows of ``rows`` (the
+        inverse of ``leaf_rows``)."""
+        return StochasticProcess(tree, tuple(np.split(rows, np.cumsum(dims)[:-1], axis=1)))
+
+    @staticmethod
     def from_vector(tree: ScenarioTree, dims: Sequence[int], vec) -> "StochasticProcess":
         vec = np.asarray(vec, dtype=float)
         arrays, at = [], 0

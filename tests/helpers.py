@@ -98,6 +98,18 @@ def grid_minimize(value_many, n_free, lo=-10.0, hi=10.0, step=0.01,
     return best, best_x
 
 
+def objective_values(obj):
+    """Vectorised values of a compiled objective, one row of W per point:
+    each term's value_many on its gathered columns, at its weight."""
+    def value_many(W):
+        W = np.asarray(W, dtype=float)
+        total = np.zeros(W.shape[0])
+        for t in obj.terms:
+            total = total + t.weight * t.fn.value_many(W[:, t.cols])
+        return total
+    return value_many
+
+
 # ---------------------------------------------------------------------------
 # random catalog functions
 # ---------------------------------------------------------------------------
@@ -411,3 +423,90 @@ def per_leaf_recovered_dual(p, u, x):
                 return None
             arrays[t][leaf] = y_t
     return adapted_projection(StochasticProcess(p.tree, tuple(arrays)))
+
+
+# ---------------------------------------------------------------------------
+# dense references for lowered programs and the annihilator bound
+# ---------------------------------------------------------------------------
+
+
+def dense_lowering(obj, mats):
+    """qp_data the dense way: each term's form composed with its matrix and
+    added at its weight, then one epigraph variable per kinked atom, its
+    rows labelled (node, ("epigraph", z-coefficient)), the node being the
+    term's leaf or tree node."""
+    width = mats[0].shape[1]
+    P, q, c = np.zeros((width, width)), np.zeros(width), 0.0
+    G, h, A, b, labels, atoms = [], [], [], [], [], []
+    for t, M in zip(obj.terms, mats):
+        form = t.fn.qp_form().compose(M, np.zeros(M.shape[0]))
+        P += t.weight * form.P
+        q += t.weight * form.q
+        c += t.weight * form.c
+        G += list(form.G); h += list(form.h); A += list(form.A); b += list(form.b)
+        labels += [(t.node, lab) for lab in form.labels]
+        atoms += [(t.node, row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
+    n_aux = len(atoms)
+    G = [np.append(row, np.zeros(n_aux)) for row in G]
+    for i, (node, row, off, pwl) in enumerate(atoms):
+        aux, none = np.zeros(n_aux), np.zeros(n_aux)
+        aux[i] = -1.0
+        for slope, intercept in pwl.supporting_lines():
+            G.append(np.append(slope * row, aux)); h.append(-(intercept + slope * off))
+            labels.append((node, ("epigraph", slope)))
+        if pwl.hi != np.inf:
+            G.append(np.append(row, none)); h.append(pwl.hi - off)
+            labels.append((node, ("epigraph", 1.0)))
+        if pwl.lo != -np.inf:
+            G.append(np.append(-row, none)); h.append(off - pwl.lo)
+            labels.append((node, ("epigraph", -1.0)))
+    total = width + n_aux
+    Pt = np.zeros((total, total)); Pt[:width, :width] = P
+    return (Pt, np.append(q, np.ones(n_aux)), c,
+            np.array(G).reshape(-1, total), np.array(h),
+            np.array([np.append(row, np.zeros(n_aux)) for row in A]).reshape(-1, total),
+            np.array(b), labels, width)
+
+
+def orthocomplement_basis(tree, dims):
+    """Columns span {v : blockwise weighted means vanish at every stage}, in
+    the flat order of StochasticProcess.to_vector: per block, each leaf but
+    the last paired with the last at -p_leaf / p_last."""
+    total = sum(tree.n_leaves * d for d in dims)
+    offsets = np.cumsum([0] + [tree.n_leaves * d for d in dims])
+    probs, cols = tree.probabilities, []
+    for t, d in enumerate(dims):
+        for block in tree.blocks(t):
+            last = block[-1]
+            for leaf in block[:-1]:
+                for comp in range(d):
+                    col = np.zeros(total)
+                    col[offsets[t] + leaf * d + comp] = 1.0
+                    col[offsets[t] + last * d + comp] = -probs[leaf] / probs[last]
+                    cols.append(col)
+    return np.column_stack(cols) if cols else np.zeros((total, 0))
+
+
+def basis_bound(p, y):
+    """The annihilator bound the basis way: inf of E f*(v, y) over v = B w
+    with w free, each leaf's conjugate (per_leaf_conjugates) lowered
+    through its rows of the basis B and the program solved by solve_qp.
+    Returns (status, value, v as a flat vector or None)."""
+    from stochdual.qp import solve_qp
+    from stochdual.solver import CompiledObjective, _Term
+
+    tree = p.tree
+    B = orthocomplement_basis(tree, p.n_dims)
+    offsets = np.cumsum([0] + [tree.n_leaves * d for d in p.n_dims])
+    leaf_cols = [np.concatenate([off + leaf * d + np.arange(d)
+                                 for off, d in zip(offsets, p.n_dims)])
+                 for leaf in range(tree.n_leaves)]
+    obj = CompiledObjective(B.shape[0], [
+        _Term(float(tree.probabilities[leaf]), fn, leaf_cols[leaf], leaf)
+        for leaf, fn in enumerate(per_leaf_conjugates(p, y))])
+    if B.shape[1] == 0:  # v = 0 is the only candidate
+        value = obj.value(np.zeros(B.shape[0]))
+        return ("optimal" if value < np.inf else "infeasible"), value, np.zeros(B.shape[0])
+    P, q, c, G, h, A, b, _, width = dense_lowering(obj, [B[t.cols] for t in obj.terms])
+    res = solve_qp(P, q, c, G, h, A, b)
+    return res.status, res.value, None if res.x is None else B @ res.x[:width]

@@ -59,6 +59,7 @@ from stochdual.tree import (
 
 from helpers import (
     CATALOG_SAMPLES,
+    objective_values,
     random_catalog_problem,
     random_small_tree,
     two_leaf_tree,
@@ -106,6 +107,7 @@ def _pinned_grid_minimum(problem, u, lo=-10.0, hi=10.0, step=0.01):
             if nz.size == 1:
                 pins[int(nz[0])] = float(rhs / row[nz[0]])
     free = [i for i in range(layout.width) if i not in pins]
+    values = objective_values(obj)
     axis = np.arange(lo, hi + step / 2, step)
     base = np.zeros(layout.width)
     for i, val in pins.items():
@@ -116,7 +118,7 @@ def _pinned_grid_minimum(problem, u, lo=-10.0, hi=10.0, step=0.01):
     if len(free) == 1:
         W = np.tile(base, (axis.size, 1))
         W[:, free[0]] = axis
-        vals = obj.value_many(W)
+        vals = values(W)
         i = int(np.argmin(vals))
         return float(vals[i]), W[i]
     rest = np.array(list(itertools.product(*([axis] * (len(free) - 1)))))
@@ -127,7 +129,7 @@ def _pinned_grid_minimum(problem, u, lo=-10.0, hi=10.0, step=0.01):
         W = np.tile(base, (n_rows, 1))
         W[:, free[0]] = np.repeat(block, rest.shape[0])
         W[:, free[1:]] = np.tile(rest, (block.size, 1))
-        vals = obj.value_many(W)
+        vals = values(W)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best, best_w = float(vals[i]), W[i]

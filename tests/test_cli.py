@@ -1,5 +1,6 @@
 """Problem files, command dispatch, exit codes and report determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -151,6 +152,29 @@ class TestCommands:
         assert code in (0, 4)
         assert report["primal"]["method"] == "subgradient"
         assert report["primal"]["value"] == pytest.approx(0.45, abs=5e-3)
+
+    def test_text_report_separates_long_keys(self):
+        # a key longer than the label column keeps one space before its value
+        _, report = run(["report", fixture_path("bolza-pwl.json")])
+        lines = render_text(report).splitlines()
+        assert max(map(len, report["dual_representation"])) >= 22
+        for key, value in report["dual_representation"].items():
+            line = next(line for line in lines if line.startswith(key + ":"))
+            assert line[len(key) + 1] == " " and line[len(key) + 1:].strip() == str(value)
+            assert line.index(str(value)) == max(22, len(key) + 2)
+
+    def test_recovered_dual_reports_its_own_iterations(self):
+        # the recovered dual counts its inner Lagrangian solve, not the primal's
+        problem, _, params, _, _ = parse_problem_file(fixture_path("bolza-pwl.json"))
+        primal = solve_primal(problem, params["u"])
+        dual = solve_dual(problem, params["u"], primal=primal)
+        assert dual.method == "recovered"
+        inner = solver._minimize(solver._lagrangian_objective(problem, dual.optimizer)[1],
+                                 SolverConfig())
+        assert dual.iterations == dual.objective.inner.iterations == inner.iterations
+        assert (dual.iterations, primal.iterations) == (1, 3)
+        _, report = run(["report", fixture_path("bolza-pwl.json")])
+        assert (report["primal"]["iterations"], report["dual"]["iterations"]) == (3, 1)
 
     def test_usage_error(self):
         code, _ = run(["frobnicate", fixture_path("binomial-alm.json")])
@@ -369,16 +393,19 @@ class TestHonestExitCodes:
             assert abs(report["gap"]) <= 1e-6 * max(1.0, abs(report["primal"]["value"]))
 
     def test_bound_engine_failure_is_a_status(self, monkeypatch, tmp_path):
-        # the annihilator bound's simplex is made to give up, inside the
-        # bound only
+        # the dual's phi*(y) handed to the annihilator bound is shifted, so
+        # the v read off its inner solve fails the certificate, and the
+        # fallback's simplex is made to give up, inside the bound only
         path, doc = abs_generic_file(tmp_path)
         bound = solver.dual_via_orthocomplement
         statuses = []
 
-        def starved(*args):
+        def starved(problem, y, cfg, objective):
+            if objective is not None:
+                objective = dataclasses.replace(objective, value=objective.value + 1.0)
             with monkeypatch.context() as m:
                 m.setattr(simplex, "MAX_PIVOTS", 0)
-                res = bound(*args)
+                res = bound(problem, y, cfg, objective)
             statuses.append(res.status)
             return res
 

@@ -1,6 +1,6 @@
 """Index-array lowering of compiled objectives, checked against the dense
-lowering through per-term (leaf or node) selection or basis-row matrices
-on irregular trees with stage dimensions 0, 1 and 2."""
+lowering through per-term (leaf or node) selection matrices on irregular
+trees with stage dimensions 0, 1 and 2."""
 
 import numpy as np
 import pytest
@@ -24,55 +24,26 @@ from stochdual.convex import (
 )
 from stochdual.integrand import BolzaIntegrand, BolzaStage, GenericIntegrand
 from stochdual.qp import solve_qp
-from stochdual.solver import Problem, primal_objective
+from stochdual.solver import DualObjective, Problem, primal_objective
+from stochdual.tree import StochasticProcess
 
-from helpers import STAGE_DIMS, irregular_tree, random_process, selection_matrix
+from helpers import (
+    STAGE_DIMS,
+    dense_lowering,
+    irregular_tree,
+    random_process,
+    selection_matrix,
+)
 
 SEEDS = range(6)
 INF = float("inf")
+# a dual value whose inner solve stopped before it found a point
+NO_INNER_SOLVE = DualObjective(np.nan, None, None, "max-iter")
 
 
 # ---------------------------------------------------------------------------
 # dense reference
 # ---------------------------------------------------------------------------
-
-
-def dense_lowering(obj, mats):
-    """qp_data the dense way: each term's form composed with its matrix and
-    added at its weight, then one epigraph variable per kinked atom, its
-    rows labelled (node, ("epigraph", z-coefficient)), the node being the
-    term's leaf or tree node."""
-    width = mats[0].shape[1]
-    P, q, c = np.zeros((width, width)), np.zeros(width), 0.0
-    G, h, A, b, labels, atoms = [], [], [], [], [], []
-    for t, M in zip(obj.terms, mats):
-        form = t.fn.qp_form().compose(M, np.zeros(M.shape[0]))
-        P += t.weight * form.P
-        q += t.weight * form.q
-        c += t.weight * form.c
-        G += list(form.G); h += list(form.h); A += list(form.A); b += list(form.b)
-        labels += [(t.node, lab) for lab in form.labels]
-        atoms += [(t.node, row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
-    n_aux = len(atoms)
-    G = [np.append(row, np.zeros(n_aux)) for row in G]
-    for i, (node, row, off, pwl) in enumerate(atoms):
-        aux, none = np.zeros(n_aux), np.zeros(n_aux)
-        aux[i] = -1.0
-        for slope, intercept in pwl.supporting_lines():
-            G.append(np.append(slope * row, aux)); h.append(-(intercept + slope * off))
-            labels.append((node, ("epigraph", slope)))
-        if pwl.hi != INF:
-            G.append(np.append(row, none)); h.append(pwl.hi - off)
-            labels.append((node, ("epigraph", 1.0)))
-        if pwl.lo != -INF:
-            G.append(np.append(-row, none)); h.append(off - pwl.lo)
-            labels.append((node, ("epigraph", -1.0)))
-    total = width + n_aux
-    Pt = np.zeros((total, total)); Pt[:width, :width] = P
-    return (Pt, np.append(q, np.ones(n_aux)), c,
-            np.array(G).reshape(-1, total), np.array(h),
-            np.array([np.append(row, np.zeros(n_aux)) for row in A]).reshape(-1, total),
-            np.array(b), labels, width)
 
 
 def assert_lowering_equal(got, want, atol=0.0):
@@ -88,7 +59,7 @@ def assert_lowering_equal(got, want, atol=0.0):
 
 
 def selection_mats(obj):
-    return [selection_matrix(t.cols, obj.width) for t in obj.terms]
+    return [selection_matrix(t.cols, obj.n) for t in obj.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +145,9 @@ def cases(seed):
     return out
 
 
-def captured_objective(monkeypatch, call):
-    """The CompiledObjective a solve hands to the minimiser."""
+def fallback_objective(monkeypatch, p, y):
+    """The CompiledObjective the annihilator bound minimises when it has no
+    inner solve to read v off."""
     seen = []
     real = solver._minimize
 
@@ -184,10 +156,17 @@ def captured_objective(monkeypatch, call):
         return real(obj, cfg)
 
     monkeypatch.setattr(solver, "_minimize", spy)
-    call()
+    solver.dual_via_orthocomplement(p, y, objective=NO_INNER_SOLVE)
     monkeypatch.setattr(solver, "_minimize", real)
     assert len(seen) == 1
     return seen[0]
+
+
+def mean_free(p, w):
+    """w, as the leaf values of v, less its blockwise conditional means."""
+    v = StochasticProcess.from_vector(p.tree, p.n_dims, w)
+    return np.concatenate([(a - p.tree.conditional_mean(a, t)).ravel()
+                           for t, a in enumerate(v.values)])
 
 
 # ---------------------------------------------------------------------------
@@ -217,30 +196,42 @@ class TestLoweringMatchesDense:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_annihilator(self, seed, monkeypatch):
+        # the bound's fallback program: the conjugate terms, then one
+        # mean-zero equality term per (stage, block), over the leaf values
+        # of v; its equality rows give the blockwise conditional means
+        rng = np.random.default_rng(1050 + seed)
         atoms = 0
         for p, _, y in cases(seed)[1:]:
-            obj = captured_objective(monkeypatch,
-                                     lambda: solver.dual_via_orthocomplement(p, y))
-            assert obj.basis is not None and obj.width < obj.n
-            mats = [obj.basis[t.cols] for t in obj.terms]
-            assert_lowering_equal(obj.qp_data(), dense_lowering(obj, mats), atol=1e-12)
-            atoms += obj.qp_data()[0].shape[0] - obj.width
-        assert atoms  # auxiliary columns pass through the basis map
+            obj = fallback_objective(monkeypatch, p, y)
+            lowered = obj.qp_data()
+            assert_lowering_equal(lowered, dense_lowering(obj, selection_mats(obj)))
+            v = random_process(rng, p.tree, p.n_dims)
+            means = [p.tree.conditional_mean(v.stage(t), t)[block[0]]
+                     for t, d in enumerate(p.n_dims) if d for block in p.tree.blocks(t)]
+            A, b = lowered[5], lowered[6]
+            k = sum(len(a) for a in means)
+            np.testing.assert_allclose(A[-k:, :obj.n] @ v.to_vector(), np.concatenate(means),
+                                       rtol=1e-13, atol=1e-15)
+            assert not A[-k:, obj.n:].any() and not b[-k:].any()
+            atoms += lowered[0].shape[0] - obj.n
+        assert atoms  # the conjugates' epigraph atoms are lowered too
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_values_and_subgradients_gather(self, seed, monkeypatch):
         rng = np.random.default_rng(1000 + seed)
         p, _, y = cases(seed)[1]
         for obj in (primal_objective(p, random_process(rng, p.tree, p.m_dims))[1],
-                    captured_objective(monkeypatch,
-                                       lambda: solver.dual_via_orthocomplement(p, y))):
-            B = np.eye(obj.n) if obj.basis is None else obj.basis
-            mats = [selection_matrix(t.cols, obj.n) @ B for t in obj.terms]
-            W = 0.1 * rng.normal(size=(4, obj.width))
+                    fallback_objective(monkeypatch, p, y)):
+            mats = [selection_matrix(t.cols, obj.n) for t in obj.terms]
+            W = 0.1 * rng.normal(size=(4, obj.n))
+            if obj.n != p.layout.width:
+                # points of the fallback's domain: leaf values of v with
+                # their blockwise conditional means removed
+                W = np.array([mean_free(p, w) for w in W])
             want = [sum(t.weight * t.fn.value(M @ w) for t, M in zip(obj.terms, mats))
                     for w in W]
+            assert np.isfinite(want).all()
             np.testing.assert_allclose([obj.value(w) for w in W], want, rtol=1e-13)
-            np.testing.assert_allclose(obj.value_many(W), want, rtol=1e-13)
             grad = sum(t.weight * M.T @ t.fn.subgradient(M @ W[0])
                        for t, M in zip(obj.terms, mats))
             np.testing.assert_allclose(obj.subgradient(W[0]), grad, rtol=1e-13, atol=1e-13)
@@ -258,6 +249,49 @@ class TestLoweringMatchesDense:
         np.testing.assert_array_equal(
             A, np.vstack([d.a_eq @ M for (_, d), M in zip(doms, mats)]))
         np.testing.assert_array_equal(b, np.concatenate([d.b_eq for _, d in doms]))
+
+
+# ---------------------------------------------------------------------------
+# the active-set engine on the lowered Lagrangians
+# ---------------------------------------------------------------------------
+
+
+def separable_lagrangian_qp(seed):
+    """The lowered Lagrangian of the separable 9-leaf case: kinked and
+    interval parts leave reduced Hessians that are singular or nearly so."""
+    p, _, y = cases(seed)[1]
+    return solver._lagrangian_objective(p, y)[1].qp_data()[:7]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lagrangian_qp_solves_to_a_kkt_point(seed):
+    # feasibility, multiplier signs, complementary slackness and
+    # stationarity certify the optimum of a convex QP
+    P, q, c, G, h, A, b = separable_lagrangian_qp(seed)
+    res = solve_qp(P, q, c, G, h, A, b)
+    assert res.status == "optimal"
+    x, lam, mu = res.x, res.ineq_multipliers, res.eq_multipliers
+    tol = 1e-9 * max(1.0, np.max(np.abs(q)), np.max(np.abs(h)))
+    assert np.max(G @ x - h) <= tol
+    np.testing.assert_allclose(A @ x, b, rtol=0, atol=tol)
+    assert np.min(lam, initial=0.0) >= 0.0
+    assert abs(lam @ (G @ x - h)) <= tol
+    np.testing.assert_allclose(P @ x + q + G.T @ lam + A.T @ mu, 0.0, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lagrangian_qp_value_matches_scipy(seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    P, q, c, G, h, A, b = separable_lagrangian_qp(seed)
+    rows = [optimize.LinearConstraint(G, -np.inf, h)]
+    if A.shape[0]:
+        rows.append(optimize.LinearConstraint(A, b, b))
+    ref = optimize.minimize(lambda x: 0.5 * x @ P @ x + q @ x + c, np.zeros(q.size),
+                            jac=lambda x: P @ x + q, constraints=rows,
+                            method="trust-constr",
+                            options={"maxiter": 5000, "gtol": 1e-10, "xtol": 1e-12})
+    assert np.max(G @ ref.x - h) <= 1e-7
+    assert solve_qp(P, q, c, G, h, A, b).value == pytest.approx(ref.fun, rel=1e-5, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

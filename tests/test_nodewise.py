@@ -23,6 +23,7 @@ from stochdual.convex import (
 from stochdual.integrand import BolzaIntegrand, BolzaStage, KabanovStage
 from stochdual.solver import (
     CompiledObjective,
+    DualObjective,
     Problem,
     SolverConfig,
     _Term,
@@ -32,9 +33,10 @@ from stochdual.solver import (
     solve_dual,
     solve_primal,
 )
-from stochdual.tree import ScenarioTree, StochasticProcess
+from stochdual.tree import ScenarioTree, StochasticProcess, in_orthocomplement
 
 from helpers import (
+    basis_bound,
     grouped_process,
     irregular_tree,
     per_leaf_conjugates,
@@ -156,7 +158,7 @@ class TestNodewiseMatchesPerLeaf:
         p, u, _ = CASES[name]
         _, obj = primal_objective(p, u)
         ref = per_leaf_primal(p, u)
-        assert_same_function(obj, ref, obj.width, np.random.default_rng(1),
+        assert_same_function(obj, ref, obj.n, np.random.default_rng(1),
                              smooth=not name.startswith("kabanov"))
         assert_same_solve(solver._minimize(obj, CFG), solver._minimize(ref, CFG))
 
@@ -167,7 +169,7 @@ class TestNodewiseMatchesPerLeaf:
         assert (obj is None) == (ref is None)
         if ref is None:
             return
-        assert_same_function(obj, ref, obj.width, np.random.default_rng(2),
+        assert_same_function(obj, ref, obj.n, np.random.default_rng(2),
                              smooth=not name.startswith("kabanov"))
         dob = dual_objective(p, y)
         res = solver._minimize(ref, CFG)
@@ -182,17 +184,37 @@ class TestNodewiseMatchesPerLeaf:
             assert dob.lower_value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_annihilator_bound(self, name, monkeypatch):
+        # the bound read off the dual value's inner solve, against the
+        # per-leaf conjugates minimised over the basis of the annihilator
         p, _, y = CASES[name]
-        obj, bound = captured_objective(monkeypatch, lambda: dual_via_orthocomplement(p, y))
+        fallbacks = []
+        real = solver._mean_zero_terms
+        monkeypatch.setattr(solver, "_mean_zero_terms",
+                            lambda *a: fallbacks.append(a) or real(*a))
+        bound = dual_via_orthocomplement(p, y)
+        status, value, _ = basis_bound(p, y)
+        assert bound.status == {"maxiter": "max-iter"}.get(status, status)
+        if np.isfinite(value):
+            assert bound.value == pytest.approx(value, rel=1e-9, abs=1e-9)
+        # certified whenever the inner solve reached its optimum
+        assert (not fallbacks) == (dual_objective(p, y).inner_status == "optimal")
+        if not fallbacks:
+            assert in_orthocomplement(bound.v)
+            rows = bound.v.leaf_rows()
+            assert bound.value == pytest.approx(sum(
+                prob * fn.value(rows[leaf]) for leaf, (prob, fn) in
+                enumerate(zip(p.tree.probabilities, per_leaf_conjugates(p, y)))),
+                rel=1e-12, abs=1e-12)
+        # the node-wise conjugate terms are the per-leaf conjugates
+        obj, _ = captured_objective(monkeypatch, lambda: dual_via_orthocomplement(
+            p, y, objective=DualObjective(np.nan, None, None, "max-iter")))
+        conjugates = [t for t in obj.terms if isinstance(t.node, (int, np.integer))]
         ref = CompiledObjective(obj.n, [
             _Term(t.weight, fn, t.cols, t.node)
-            for t, fn in zip(obj.terms, per_leaf_conjugates(p, y))], obj.basis)
-        assert [t.weight for t in obj.terms] == list(p.tree.probabilities)
-        assert_same_function(obj, ref, obj.width, np.random.default_rng(3), smooth=False)
-        res = solver._minimize(ref, CFG)
-        assert bound.status == res.status
-        if np.isfinite(res.value):
-            assert bound.value == pytest.approx(res.value, rel=1e-10, abs=1e-10)
+            for t, fn in zip(conjugates, per_leaf_conjugates(p, y))])
+        assert [t.weight for t in conjugates] == list(p.tree.probabilities)
+        assert_same_function(CompiledObjective(obj.n, conjugates), ref, obj.n,
+                             np.random.default_rng(3), smooth=False)
 
     def test_recovered_dual(self, name):
         p, u, _ = CASES[name]

@@ -1,15 +1,21 @@
 """Primal/dual solves, the dual bound chain and gap measurements."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from stochdual import solver
+from stochdual.cli import fixture_path, parse_problem_file
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
+    FiniteSum,
     PiecewiseLinear,
     Polyhedron,
     Quadratic,
     SeparableSum,
+    absolute_value,
     indicator_nonpos,
 )
 from stochdual.integrand import (
@@ -39,7 +45,13 @@ from stochdual.tree import (
     pairing,
 )
 
-from helpers import grid_minimize, two_leaf_tree
+from helpers import (
+    basis_bound,
+    grid_minimize,
+    irregular_tree,
+    objective_values,
+    two_leaf_tree,
+)
 
 INF = float("inf")
 
@@ -104,7 +116,7 @@ class TestSolvePrimal:
         p = tracking_problem()
         u = tracking_u(p.tree)
         layout, obj = primal_objective(p, u)
-        expected, _ = grid_minimize(obj.value_many, layout.width)
+        expected, _ = grid_minimize(objective_values(obj), layout.width)
         res = solve_primal(p, u)
         assert res.value == pytest.approx(expected, abs=2e-2)
 
@@ -287,6 +299,148 @@ class TestOrthocomplementBound:
         assert bound.value == pytest.approx(expected, abs=1e-10)
 
 
+def count_fallbacks(monkeypatch):
+    """Record each time the annihilator bound falls back to solving over v."""
+    calls = []
+    real = solver._mean_zero_terms
+    monkeypatch.setattr(solver, "_mean_zero_terms", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def kinked_bolza(tree, d, rng):
+    """K(x, w) = quadratic state parts + quadratic or |.| velocity parts."""
+    def part():
+        if rng.uniform() < 0.5:
+            return absolute_value().scaled(rng.uniform(0.5, 2.0))
+        return Quadratic([rng.uniform(0.2, 1.5)], [rng.normal()])
+    stages = [[BolzaStage(SeparableSum(
+        [Quadratic(rng.uniform(0.2, 1.0, d))] + [part() for _ in range(d)]), d)
+        for _ in tree.blocks(t)] for t in range(tree.stage_count)]
+    return Problem(tree, BolzaIntegrand(tree, stages))
+
+
+def small_dual(rng, p):
+    """Leafwise dual, small enough to keep the conjugates of |.| finite."""
+    return StochasticProcess(p.tree, tuple(
+        0.1 * rng.normal(size=(p.tree.n_leaves, d)) for d in p.m_dims))
+
+
+BOUND_FIXTURES = ["binomial-alm.json", "bolza-pwl.json", "bolza-quadratic-binary.json",
+                  "bolza-quadratic.json", "kabanov-conical.json", "kkt-single.json",
+                  "pwl-hedging.json", "quadratic-tracking.json"]
+
+
+class TestCertifiedBound:
+    """The bound read off the dual value's inner solve, certified by weak
+    duality, against the basis oracle of tests/helpers.py."""
+
+    @pytest.mark.parametrize("name", BOUND_FIXTURES)
+    def test_fixtures_match_basis_oracle(self, name, monkeypatch):
+        problem, _, params, _, _ = parse_problem_file(fixture_path(name))
+        fallbacks = count_fallbacks(monkeypatch)
+        dual = solve_dual(problem, params["u"])
+        bound = dual_via_orthocomplement(problem, dual.optimizer, objective=dual.objective)
+        assert (bound.status, fallbacks) == ("optimal", [])
+        assert in_orthocomplement(bound.v)
+        assert bound.value == pytest.approx(dual.objective.value, rel=1e-9, abs=1e-9)
+        status, value, _ = basis_bound(problem, dual.optimizer)
+        assert status == "optimal"
+        assert bound.value == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("leaves", [9, 16, 32, 64])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_irregular_trees_match_basis_oracle(self, leaves, d, monkeypatch):
+        rng = np.random.default_rng(100 * leaves + d)
+        p = kinked_bolza(irregular_tree(leaves, n=leaves, stages=3), d, rng)
+        fallbacks = count_fallbacks(monkeypatch)
+        for _ in range(2):
+            y = small_dual(rng, p)
+            bound = dual_via_orthocomplement(p, y)
+            status, value, _ = basis_bound(p, y)
+            assert (bound.status, status) == ("optimal", "optimal")
+            assert bound.value == pytest.approx(value, rel=1e-9, abs=1e-9)
+        assert fallbacks == []
+
+    def bolza_case(self):
+        rng = np.random.default_rng(5)
+        p = kinked_bolza(irregular_tree(5), 2, rng)
+        return p, small_dual(rng, p)
+
+    def assert_fallback_to_oracle(self, p, y, bound, fallbacks, shift=0.0):
+        # the rejected v is not reported: the fallback solves over v
+        assert len(fallbacks) == 1
+        assert bound.status == "optimal" and in_orthocomplement(bound.v)
+        assert bound.value == pytest.approx(basis_bound(p, y)[1] + shift, rel=1e-9, abs=1e-9)
+
+    def test_v_off_the_annihilator_is_rejected(self, monkeypatch):
+        p, y = self.bolza_case()
+        real = solver._stationary_v
+
+        def shifted(*args):
+            v = real(*args)
+            return StochasticProcess(v.tree, tuple(a + 0.01 for a in v.values))
+
+        monkeypatch.setattr(solver, "_stationary_v", shifted)
+        fallbacks = count_fallbacks(monkeypatch)
+        self.assert_fallback_to_oracle(p, y, dual_via_orthocomplement(p, y), fallbacks)
+
+    def test_wrong_conjugate_is_rejected(self, monkeypatch):
+        # every conjugate raised by 0.5: E f*(v, y) misses phi*(y) by 0.5,
+        # and the fallback's minimum is the oracle's plus 0.5
+        p, y = self.bolza_case()
+        real = solver._bolza_conjugates_of_v
+        monkeypatch.setattr(solver, "_bolza_conjugates_of_v", lambda *a: [
+            FiniteSum([fn, Affine(np.zeros(fn.dim), 0.5)]) for fn in real(*a)])
+        fallbacks = count_fallbacks(monkeypatch)
+        self.assert_fallback_to_oracle(p, y, dual_via_orthocomplement(p, y), fallbacks, 0.5)
+
+    def test_wrong_inner_value_is_rejected(self, monkeypatch):
+        p, y = self.bolza_case()
+        dob = dual_objective(p, y)
+        fallbacks = count_fallbacks(monkeypatch)
+        for wrong in (dob.value - 1e-3, dob.value + 1e-3):
+            bound = dual_via_orthocomplement(
+                p, y, objective=dataclasses.replace(dob, value=wrong))
+            self.assert_fallback_to_oracle(p, y, bound, fallbacks)
+            fallbacks.clear()
+        # an inner solve stopped before its optimum has no multipliers to read
+        stopped = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, status="max-iter"))
+        bound = dual_via_orthocomplement(p, y, objective=stopped)
+        self.assert_fallback_to_oracle(p, y, bound, fallbacks)
+
+    def test_inner_point_off_the_domain_is_rejected(self, monkeypatch):
+        # f(x, u) = g(x0) + u^2 / 2 with g kinked on [-1, 1]: the v read
+        # off the true solve, paired with an inner point outside the domain
+        # of l(., y), has no lower side of the sandwich, whatever phi*(y)
+        # it reports
+        tree = two_leaf_tree((0.4, 0.6))
+        g = PiecewiseLinear([0.0], [-1.0, 2.0], lo=-1.0, hi=1.0)
+        joint = SeparableSum([g, Quadratic([0.5])])
+        p = Problem(tree, GenericIntegrand(tree, [1, 0], [0, 1], [joint]))
+        y = StochasticProcess.from_stage_values(tree, [np.zeros((2, 0)), [[0.5], [-2.0]]])
+        dob = dual_objective(p, y)
+        v = solver._stationary_v(p, y.leaf_rows(), dob)
+        monkeypatch.setattr(solver, "_stationary_v", lambda *a: v)
+        fallbacks = count_fallbacks(monkeypatch)
+        assert dual_via_orthocomplement(p, y, objective=dob).value == \
+            pytest.approx(dob.value, abs=1e-12)
+        assert fallbacks == []
+        outside = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, x=dob.inner.x + 5.0))
+        self.assert_fallback_to_oracle(
+            p, y, dual_via_orthocomplement(p, y, objective=outside), fallbacks)
+
+    def test_subgradient_inner_solve_falls_back(self, monkeypatch):
+        # the subgradient method returns no multipliers
+        p = binomial_alm()
+        y = StochasticProcess.from_stage_values(
+            p.tree, [np.zeros((2, 0)), [[2.0 / 3.0], [4.0 / 3.0]]])
+        cfg = SolverConfig(method="subgradient", max_iter=4000)
+        fallbacks = count_fallbacks(monkeypatch)
+        bound = dual_via_orthocomplement(p, y, cfg)
+        assert len(fallbacks) == 1
+        assert bound.value == pytest.approx(dual_objective(p, y).value, abs=1e-4)
+
+
 class TestDualityGap:
     def test_quadratic_tracking(self):
         p = tracking_problem()
@@ -361,7 +515,7 @@ class TestGridEquivalence:
         )
         layout, obj = primal_objective(p, u)
         assert layout.width <= 3
-        expected, _ = grid_minimize(obj.value_many, layout.width)
+        expected, _ = grid_minimize(objective_values(obj), layout.width)
         res = solve_primal(p, u)
         assert res.value == pytest.approx(expected, abs=2e-2)
 
@@ -418,6 +572,6 @@ class TestSubgradientPath:
         cfg = SolverConfig(max_iter=20000)
         res = solve_primal(p, u, cfg)
         layout, obj = primal_objective(p, u)
-        expected, _ = grid_minimize(obj.value_many, layout.width, lo=-5, hi=5)
+        expected, _ = grid_minimize(objective_values(obj), layout.width, lo=-5, hi=5)
         assert res.value <= expected + 1e-3
         assert res.value >= expected - 1e-2
