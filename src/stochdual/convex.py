@@ -75,6 +75,11 @@ class QPForm:
     value pwl(row.x + offset) adds to the quadratic part; the solver
     lowers each atom to one epigraph variable with supporting-line rows.
 
+    A form may also be a stack of K forms of one shape that share their
+    labels and atom functions: ``c`` is then an array of K constants, and
+    every other array (each atom's row and offset too) gains a leading axis
+    of length K.
+
     ``embed`` places a form on a subset of the coordinates of a larger
     space by scattering through an index array; ``compose`` is for genuine
     affine maps.
@@ -83,34 +88,49 @@ class QPForm:
     def __init__(self, dim, P=None, q=None, c=0.0, G=None, h=None,
                  A=None, b=None, labels=None, epi=None):
         self.dim = dim
-        self.P = np.zeros((dim, dim)) if P is None else np.asarray(P, dtype=float)
-        self.q = np.zeros(dim) if q is None else np.asarray(q, dtype=float)
-        self.c = float(c)
-        self.h = np.zeros(0) if h is None else np.asarray(h, dtype=float).ravel()
-        self.G = (np.zeros((0, dim)) if G is None
-                  else np.asarray(G, dtype=float).reshape(self.h.size, dim))
-        self.b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
-        self.A = (np.zeros((0, dim)) if A is None
-                  else np.asarray(A, dtype=float).reshape(self.b.size, dim))
-        self.labels = list(labels) if labels is not None else [None] * self.G.shape[0]
+        lead = np.shape(c)  # () for one form, (K,) for a stack of K
+        self.c = np.asarray(c, dtype=float) if lead else float(c)
+        self.P = np.zeros(lead + (dim, dim)) if P is None else np.asarray(P, dtype=float)
+        self.q = np.zeros(lead + (dim,)) if q is None else np.asarray(q, dtype=float)
+        self.h = (np.zeros(lead + (0,)) if h is None
+                  else np.asarray(h, dtype=float).reshape(lead + (-1,)))
+        self.G = (np.zeros(self.h.shape + (dim,)) if G is None
+                  else np.asarray(G, dtype=float).reshape(self.h.shape + (dim,)))
+        self.b = (np.zeros(lead + (0,)) if b is None
+                  else np.asarray(b, dtype=float).reshape(lead + (-1,)))
+        self.A = (np.zeros(self.b.shape + (dim,)) if A is None
+                  else np.asarray(A, dtype=float).reshape(self.b.shape + (dim,)))
+        self.labels = list(labels) if labels is not None else [None] * self.G.shape[-2]
         self.epi = list(epi) if epi is not None else []
 
     def compose(self, M, m) -> "QPForm":
-        """Form of x -> self(Mx + m)."""
+        """Form of x -> self(Mx + m).
+
+        M and m may also be a stack of K maps, of shape (K, r, d), and K
+        offsets, of shape (K, r): the result is then the K composed forms,
+        stacked.  ``self`` is one form.
+        """
         M = np.asarray(M, dtype=float)
-        m = np.asarray(m, dtype=float)
-        dim = M.shape[1]
+        m = np.asarray(m, dtype=float)[..., None]  # offsets as columns
+        Mt, mt = M.swapaxes(-1, -2), m.swapaxes(-1, -2)
         return QPForm(
-            dim,
-            P=M.T @ self.P @ M,
-            q=M.T @ (self.q + self.P @ m),
-            c=self.c + float(self.q @ m) + 0.5 * float(m @ self.P @ m),
-            G=self.G @ M, h=self.h - self.G @ m,
-            A=self.A @ M, b=self.b - self.A @ m,
+            M.shape[-1],
+            P=Mt @ self.P @ M,
+            q=(Mt @ (self.q[:, None] + self.P @ m))[..., 0],
+            c=self.c + (self.q @ m)[..., 0] + 0.5 * (mt @ self.P @ m)[..., 0, 0],
+            G=self.G @ M, h=self.h - (self.G @ m)[..., 0],
+            A=self.A @ M, b=self.b - (self.A @ m)[..., 0],
             labels=self.labels,
-            epi=[(M.T @ row, off + float(row @ m), pwl)
+            epi=[((Mt @ row[:, None])[..., 0], off + (row @ m)[..., 0], pwl)
                  for row, off, pwl in self.epi],
         )
+
+    def as_stack(self) -> "QPForm":
+        """This form as a stack of one."""
+        return QPForm(self.dim, P=self.P[None], q=self.q[None], c=np.array([self.c]),
+                      G=self.G[None], h=self.h[None], A=self.A[None], b=self.b[None],
+                      labels=self.labels,
+                      epi=[(row[None], np.array([off]), pwl) for row, off, pwl in self.epi])
 
     def embed(self, cols, dim) -> "QPForm":
         """Form of w -> self(w[cols]) for w in R^dim (``cols`` distinct)."""
@@ -367,8 +387,10 @@ class PiecewiseLinear(ConvexFunction):
 
     dim = 1
 
-    def _integrate(self, x: float) -> float:
-        """Exact value at x ignoring the domain, from the anchor."""
+    def _integrate(self, x: float, scale=1.0):
+        """Exact value at x ignoring the domain, from the anchor.  With a
+        ``scale`` (a number or an array), the value of ``self.scaled(scale)``
+        there, rounded as that function rounds it."""
         a, b = (self.anchor_x, x) if self.anchor_x <= x else (x, self.anchor_x)
         sign = 1.0 if x >= self.anchor_x else -1.0
         total = 0.0
@@ -376,8 +398,8 @@ class PiecewiseLinear(ConvexFunction):
         for left, right in zip(knots[:-1], knots[1:]):
             mid = 0.5 * (left + right)
             j = int(np.searchsorted(self.breaks, mid, side="right"))
-            total += self.slopes[j] * (right - left)
-        return self.anchor_val + sign * total
+            total += (scale * self.slopes[j]) * (right - left)
+        return scale * self.anchor_val + sign * total
 
     def value(self, x):
         x = float(np.asarray(x).ravel()[0])
@@ -475,17 +497,19 @@ class PiecewiseLinear(ConvexFunction):
             h=np.array(rhs) if rhs else None,
         )
 
-    def supporting_lines(self):
+    def supporting_lines(self, scale=1.0):
         """(slope, intercept) per piece: f(z) = max_j slope_j z + intercept_j
-        on the domain (epigraph rows for the solver)."""
+        on the domain (epigraph rows for the solver).  With a ``scale`` (a
+        number or an array of positive numbers), the lines of
+        ``self.scaled(scale)``, without building that function."""
         lines = []
         for j, s in enumerate(self.slopes):
             if j == 0:
                 z0 = self.lo if self.lo != -INF else self.breaks[0]
             else:
                 z0 = self.breaks[j - 1]
-            v0 = self._integrate(z0)
-            lines.append((float(s), float(v0 - s * z0)))
+            s = scale * s
+            lines.append((s, self._integrate(z0, scale) - s * z0))
         return lines
 
 

@@ -14,7 +14,11 @@ program:
 Each of the three objectives is a probability-weighted sum of terms, each
 a function of a few coordinates.  A compiled objective holds, per term,
 the index array of those coordinates: evaluation gathers through it and
-the QP lowering scatters the term's local form through it.  A term is one
+the QP lowering scatters the term's local form through it.  The lowering
+goes one group of terms at a time: terms g(M_k z + m_k) with one shared
+g (every hedging leaf's disutility), or affine terms of one width, have
+their forms composed in one stacked pass and scattered in one, and the
+stacked forms are kept for reading the stationarity shares.  A term is one
 leaf's function of the leaf's coordinates, or, for dynamic (Bolza and
 Kabanov) problems, a node term: the stage-t cost, Hamiltonian or stage
 conjugate is a function on a stage-t information node, compiled once for
@@ -50,6 +54,7 @@ from .convex import (
     PiecewiseLinear,
     Polyhedron,
     PolyhedralIndicator,
+    QPForm,
     SeparableSum,
     domain_polyhedron,
 )
@@ -233,11 +238,64 @@ class _Term:
     node: object  # a leaf index, (stage, leaves) for a node term, or None
 
 
+@dataclass
+class _Atom:
+    """One epigraph atom of each term of a group: its rows in ``qp_data``."""
+
+    row: np.ndarray  # (K, d) the atom's argument row.z, per term
+    aux: np.ndarray  # (K,) its epigraph variable, numbered from 0
+    rows: np.ndarray  # (K, k) its inequality rows
+    coefs: np.ndarray  # (K, k) each row's coefficient on row.z
+    rhs: np.ndarray  # (K, k)
+    n_lines: int  # the first n_lines rows are supporting lines
+
+
+@dataclass
+class _Group:
+    """Terms lowered in one stacked pass, and where their rows go."""
+
+    idx: np.ndarray  # (K,) the terms, in term order
+    cols: np.ndarray  # (K, d)
+    weights: np.ndarray  # (K,)
+    nodes: list
+    form: QPForm  # the K local forms, stacked
+    rows: np.ndarray | None = None  # (K, g) inequality rows
+    eq_rows: np.ndarray | None = None  # (K, a) equality rows
+    atoms: list[_Atom] | None = None
+
+
+def _group_key(i: int, fn: ConvexFunction):
+    """Terms with equal keys lower together: affine precompositions of one
+    inner function through maps of one shape, or affine functions of one
+    width.  Any other term is a group of its own."""
+    if isinstance(fn, AffinePrecomposition):
+        return ("inner", id(fn.inner), fn.matrix.shape)
+    if isinstance(fn, Affine):
+        return ("affine", fn.dim)
+    return ("term", i)
+
+
+def _stacked_form(fns) -> QPForm | None:
+    """The local forms of one group's functions, stacked; None when they
+    have none.  A shared inner function is lowered once."""
+    fn = fns[0]
+    if isinstance(fn, AffinePrecomposition):
+        inner = fn.inner.qp_form()
+        return None if inner is None else inner.compose(
+            np.array([f.matrix for f in fns]), np.array([f.offset for f in fns]))
+    if isinstance(fn, Affine):
+        return QPForm(fn.dim, q=np.array([f.a for f in fns]), c=np.array([f.b for f in fns]))
+    form = fn.qp_form()
+    return None if form is None else form.as_stack()
+
+
 class CompiledObjective:
     """sum_k weight_k * fn_k(z[cols_k]) over z in R^n.
 
     Term k reads its coordinates of z through the index array cols_k: one
-    leaf's, or one tree node's.
+    leaf's, or one tree node's.  The QP lowering handles the terms in
+    groups that share one local form up to the affine map (see
+    ``_group_key``); a group's forms are computed once, stacked, and kept.
     """
 
     def __init__(self, n: int, terms: list[_Term]):
@@ -261,81 +319,121 @@ class CompiledObjective:
             g[t.cols] += t.weight * t.fn.subgradient(z[t.cols])
         return g
 
+    @cached_property
+    def _lowering(self):
+        """The groups of the QP lowering and its numbers of inequality
+        rows, equality rows and epigraph variables; None off the polyhedral
+        path.  Rows keep the term order: each term's inequality rows, then,
+        after all of those, one block per epigraph atom, atoms in term
+        order."""
+        keyed = {}
+        for i, t in enumerate(self.terms):
+            keyed.setdefault(_group_key(i, t.fn), []).append(i)
+        groups = []
+        counts = np.zeros((3, len(self.terms)), dtype=int)  # G rows, A rows, atoms
+        for idx in keyed.values():
+            terms = [self.terms[i] for i in idx]
+            form = _stacked_form([t.fn for t in terms])
+            if form is None:
+                return None
+            groups.append(_Group(np.array(idx), np.array([t.cols for t in terms]),
+                                 np.array([t.weight for t in terms]),
+                                 [t.node for t in terms], form))
+            counts[:, idx] = [[form.G.shape[-2]], [form.A.shape[-2]], [len(form.epi)]]
+        first = np.cumsum(counts, axis=1) - counts  # each term's first row / atom
+        n_ineq, n_eq, n_aux = counts.sum(axis=1)
+        atom_rows = np.zeros(n_aux, dtype=int)
+        for g in groups:
+            for j, (_, _, pwl) in enumerate(g.form.epi):
+                atom_rows[first[2, g.idx] + j] = (pwl.slopes.size + (pwl.hi != INF)
+                                                  + (pwl.lo != -INF))
+        atom_first = n_ineq + np.cumsum(atom_rows) - atom_rows
+        for g in groups:
+            g.rows = first[0, g.idx, None] + np.arange(g.form.G.shape[-2])
+            g.eq_rows = first[1, g.idx, None] + np.arange(g.form.A.shape[-2])
+            g.atoms = []
+            for j, (row, off, pwl) in enumerate(g.form.epi):
+                # the lines of each term's weighted pwl, then its domain rows
+                lines = pwl.supporting_lines(g.weights)
+                coefs = [s for s, _ in lines]
+                rhs = [-(intercept + s * off) for s, intercept in lines]
+                if pwl.hi != INF:
+                    coefs.append(np.ones(len(g.idx))); rhs.append(pwl.hi - off)
+                if pwl.lo != -INF:
+                    coefs.append(-np.ones(len(g.idx))); rhs.append(off - pwl.lo)
+                aux = first[2, g.idx] + j
+                g.atoms.append(_Atom(row, aux, atom_first[aux, None] + np.arange(len(coefs)),
+                                     np.column_stack(coefs), np.column_stack(rhs), len(lines)))
+        return groups, n_ineq + int(atom_rows.sum()), n_eq, n_aux
+
     def qp_data(self):
         """Lowered quadratic program, or None off the polyhedral path.
 
-        Each term's local form scatters into the rows and columns of its
-        leaf or node.  Kinked piecewise-linear summands become epigraph
-        variables: one auxiliary coordinate per atom, after the n main ones,
-        bounded below by the supporting lines of the (probability-weighted)
-        piece structure.  Every row is labelled (node, tag); an epigraph row's
-        tag is ("epigraph", coef), its coefficient on the atom's argument:
-        the weighted slope of a supporting line, +1 on the ``hi`` domain
-        row and -1 on the ``lo`` one.
+        Each group of terms scatters its stacked local forms into the rows
+        and columns of its leaves or nodes in one pass.  Kinked
+        piecewise-linear summands become epigraph variables: one auxiliary
+        coordinate per atom, after the n main ones, bounded below by the
+        supporting lines of the (probability-weighted) piece structure.
+        Every row is labelled (node, tag); an epigraph row's tag is
+        ("epigraph", coef), its coefficient on the atom's argument: the
+        weighted slope of a supporting line, +1 on the ``hi`` domain row and
+        -1 on the ``lo`` one.
         """
+        if self._lowering is None:
+            return None
+        groups, n_ineq, n_eq, n_aux = self._lowering
         n = self.n
-        P = np.zeros((n, n))
-        q = np.zeros(n)
-        c = 0.0
-        G_blocks, A_blocks, labels = [], [], []
-        atoms = []  # (node, cols, local row, offset, weighted pwl)
-        for t in self.terms:
-            form = t.fn.qp_form()
-            if form is None:
-                return None
-            P[np.ix_(t.cols, t.cols)] += t.weight * form.P
-            q[t.cols] += t.weight * form.q
-            c += t.weight * form.c
-            if form.G.shape[0]:
-                G_blocks.append((t.cols, form.G, form.h))
-                labels.extend((t.node, lab) for lab in form.labels)
-            if form.A.shape[0]:
-                A_blocks.append((t.cols, form.A, form.b))
-            for row, off, pwl in form.epi:
-                atoms.append((t.node, t.cols, row, off, pwl.scaled(t.weight)))
-        total = n + len(atoms)
-        for i, (node, cols, row, off, pwl) in enumerate(atoms):
-            rows, rhs, coefs = [], [], []
-            for slope, intercept in pwl.supporting_lines():
-                rows.append(np.append(slope * row, -1.0))
-                rhs.append(-(intercept + slope * off))
-                coefs.append(slope)
-            if pwl.hi != INF:
-                rows.append(np.append(row, 0.0)); rhs.append(pwl.hi - off)
-                coefs.append(1.0)
-            if pwl.lo != -INF:
-                rows.append(np.append(-row, 0.0)); rhs.append(off - pwl.lo)
-                coefs.append(-1.0)
-            G_blocks.append((np.append(cols, n + i), np.array(rows), np.array(rhs)))
-            labels.extend((node, ("epigraph", coef)) for coef in coefs)
-        G, h = _stack_rows(G_blocks, total)
-        A, b = _stack_rows(A_blocks, total)
-        if total > n:
-            P = np.pad(P, (0, total - n))
-            q = np.concatenate([q, np.ones(total - n)])  # epigraph variables at weight one
+        total = n + n_aux
+        P, q, c = np.zeros((total, total)), np.zeros(total), 0.0
+        q[n:] = 1.0  # epigraph variables at weight one
+        G, h = np.zeros((n_ineq, total)), np.zeros(n_ineq)
+        A, b = np.zeros((n_eq, total)), np.zeros(n_eq)
+        labels = [None] * n_ineq
+        for g in groups:
+            S, C, W = g.form, g.cols, g.weights
+            if S.P.any():
+                np.add.at(P, (C[:, :, None], C[:, None, :]), W[:, None, None] * S.P)
+            np.add.at(q, C, W[:, None] * S.q)
+            for v in (W * S.c).tolist():
+                c += v
+            G[g.rows[:, :, None], C[:, None, :]] = S.G
+            h[g.rows] = S.h
+            A[g.eq_rows[:, :, None], C[:, None, :]] = S.A
+            b[g.eq_rows] = S.b
+            for node, rows in zip(g.nodes, g.rows.tolist()):
+                for r, lab in zip(rows, S.labels):
+                    labels[r] = (node, lab)
+            for at in g.atoms:
+                G[at.rows[:, :, None], C[:, None, :]] = at.coefs[:, :, None] * at.row[:, None, :]
+                G[at.rows[:, :at.n_lines], n + at.aux[:, None]] = -1.0
+                h[at.rows] = at.rhs
+                for node, rows, coefs in zip(g.nodes, at.rows.tolist(), at.coefs.tolist()):
+                    for r, coef in zip(rows, coefs):
+                        labels[r] = (node, ("epigraph", coef))
         return P, q, c, G, h, A, b, labels, n
 
     def stationarity_shares(self, res: _MinResult) -> list[np.ndarray]:
         """Each term's share of the stationarity of the lowered program at
         its solution ``res``, in the term's coordinates: weight * (P_k x_k
-        + q_k) plus the multipliers of the term's own rows and of its
-        epigraph atoms' rows, in the row order of ``qp_data``.  The shares
+        + q_k) plus the multipliers of the term's own rows, plus, for each
+        epigraph atom, its argument's row times the sum of the atom's row
+        multipliers weighted by their coefficients.  The shares
         scatter-add to zero; a share over the weight is a subgradient of
         fn_k at x_k."""
         x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
-        shares, atoms, g, a = [], [], 0, 0
-        for t in self.terms:
-            form = t.fn.qp_form()
-            ng, na = form.G.shape[0], form.A.shape[0]
-            shares.append(t.weight * (form.P @ x[t.cols] + form.q)
-                          + form.G.T @ ineq[g:g + ng] + form.A.T @ eq[a:a + na])
-            g, a = g + ng, a + na
-            atoms += [(shares[-1], row, pwl.scaled(t.weight)) for row, _, pwl in form.epi]
-        for share, row, pwl in atoms:  # rows tagged with their coefficient on row.z
-            k = len(pwl.supporting_lines()) + (pwl.hi != INF) + (pwl.lo != -INF)
-            share += row * sum(mu * tag[1] for mu, (_, tag)
-                               in zip(ineq[g:g + k], res.labels[g:g + k]))
-            g += k
+        shares = [None] * len(self.terms)
+        for g in self._lowering[0]:
+            S, W = g.form, g.weights
+            block = (W[:, None] * ((S.P @ x[g.cols][..., None])[..., 0] + S.q)
+                     + (S.G.swapaxes(-1, -2) @ ineq[g.rows][..., None])[..., 0]
+                     + (S.A.swapaxes(-1, -2) @ eq[g.eq_rows][..., None])[..., 0])
+            for at in g.atoms:
+                mu, slope = ineq[at.rows], np.zeros(len(W))
+                for k in range(mu.shape[1]):
+                    slope = slope + mu[:, k] * at.coefs[:, k]
+                block += at.row * slope[:, None]
+            for i, share in zip(g.idx, block):
+                shares[i] = share
         return shares
 
     def constraint_rows(self):
@@ -392,15 +490,31 @@ def _violation(w, G, h, A, b) -> float:
                float(np.max(np.abs(A @ w - b), initial=0.0)))
 
 
+def _projector(G, h, A, b, tol):
+    """Euclidean projection onto {G w <= h, A w = b}, the identity on points
+    within ``tol`` of it.  Raises ValueError, here or on use, when the set
+    is empty.  Without inequality rows it is w - A^+(A w - b), with the
+    pseudo-inverse computed once; otherwise each projection is a QP."""
+    if G.shape[0]:
+        def solve(w):
+            return project_onto_polyhedron(w, G, h, A, b)
+    else:
+        pinv = np.linalg.pinv(A)
+        # the rows are consistent when their least-squares point meets them
+        # (the test solve_qp makes)
+        if np.max(np.abs(A @ (pinv @ b) - b), initial=0.0) > 1e-8 * max(
+                1.0, np.max(np.abs(b), initial=0.0)):
+            raise ValueError("inconsistent equality rows")
+
+        def solve(w):
+            return w - pinv @ (A @ w - b)
+    return lambda w: w if _violation(w, G, h, A, b) <= tol else solve(w)
+
+
 def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
     G, h, A, b = obj.constraint_rows()
-
-    def project(w):
-        if _violation(w, G, h, A, b) <= cfg.feas_tol:
-            return w
-        return project_onto_polyhedron(w, G, h, A, b)
-
     try:
+        project = _projector(G, h, A, b, cfg.feas_tol)
         w = project(np.zeros(obj.n))
     except ValueError:
         return _MinResult("infeasible", None, INF, 0, INF, "subgradient")

@@ -1,6 +1,7 @@
 """Index-array lowering of compiled objectives, checked against the dense
 lowering through per-term (leaf or node) selection matrices on irregular
-trees with stage dimensions 0, 1 and 2."""
+trees with stage dimensions 0, 1 and 2, for terms lowered alone and in
+groups that share one local form."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from stochdual import solver
 from stochdual.convex import (
     Affine,
+    AffinePrecomposition,
     FiniteSum,
     PiecewiseLinear,
     Polyhedron,
@@ -22,10 +24,10 @@ from stochdual.convex import (
     indicator_point,
     infeasible,
 )
-from stochdual.integrand import BolzaIntegrand, BolzaStage, GenericIntegrand
+from stochdual.integrand import AlmIntegrand, BolzaIntegrand, BolzaStage, GenericIntegrand
 from stochdual.qp import solve_qp
-from stochdual.solver import DualObjective, Problem, primal_objective
-from stochdual.tree import StochasticProcess
+from stochdual.solver import DualObjective, Problem, SolverConfig, primal_objective
+from stochdual.tree import StochasticProcess, adapted_projection
 
 from helpers import (
     STAGE_DIMS,
@@ -252,6 +254,137 @@ class TestLoweringMatchesDense:
 
 
 # ---------------------------------------------------------------------------
+# grouped lowering: terms that share one local form up to the affine map
+# ---------------------------------------------------------------------------
+
+# the mixed case's rows round at most this far from the dense lowering: its
+# shared group's terms interleave with groups of one, so sums into a
+# coordinate they share take another order; every other case is exact
+MIXED_ATOL = 1e-12
+
+BOUNDED_PWL = PiecewiseLinear([0.0, 1.0], [-1.0, 0.5, 2.0], lo=-3.0, hi=4.0)
+SHARED_V = {"half-square": Quadratic([0.5]), "abs": absolute_value(),
+            "bounded-pwl": BOUNDED_PWL}
+
+
+def hedging_problem(seed, V):
+    """Hedging on an irregular tree with one disutility V for every leaf: the
+    primal's terms are one group, and so are the Lagrangian's affine terms."""
+    tree = irregular_tree(seed)
+    rng = np.random.default_rng(1400 + seed)
+    price = adapted_projection(StochasticProcess(tree, tuple(
+        rng.uniform(0.5, 1.5, (tree.n_leaves, 1)) for _ in range(tree.stage_count))))
+    return Problem(tree, AlmIntegrand(tree, [V], price))
+
+
+def mixed_problem(seed):
+    """Generic leaves in interleaved order: most share one joint function
+    g(M_l x + m_l), whose g has labelled polyhedral rows, an equality row
+    and two epigraph atoms (one with hi/lo rows); the others have
+    functions of their own, lowered alone.  x = 0 is feasible."""
+    tree = irregular_tree(seed)
+    rng = np.random.default_rng(1500 + seed)
+    n, m = sum(STAGE_DIMS), tree.stage_count
+    pair = PolyhedralIndicator(Polyhedron(
+        a_ub=rng.normal(size=(2, 2)), b_ub=rng.uniform(1.0, 2.0, 2),
+        a_eq=[[1.0, -1.0]], b_eq=[0.0]), labels=["cap", "floor"])
+    g = SeparableSum([Quadratic(rng.uniform(0.2, 1.0, n)), pair, absolute_value(), BOUNDED_PWL])
+    own = separable_problem(seed).integrand
+    functions = []
+    for leaf in range(tree.n_leaves):
+        if leaf % 3 == 1:
+            functions.append(own.joint_function(leaf))
+            continue
+        M, off = np.zeros((g.dim, n + m)), 0.1 * rng.normal(size=g.dim)
+        M[:, :n], off[n:n + 2] = rng.normal(size=(g.dim, n)), 0.0
+        functions.append(AffinePrecomposition(g, M, off))
+    return Problem(tree, GenericIntegrand(tree, STAGE_DIMS, [1] * m, functions))
+
+
+def grouped_objectives(seed):
+    """(name, compiled objective, atol) per case."""
+    rng = np.random.default_rng(1600 + seed)
+    out = []
+    for name, V in SHARED_V.items():
+        p = hedging_problem(seed, V)
+        u = random_process(rng, p.tree, p.m_dims)
+        y = solver.solve_dual(p, u).optimizer  # a y with a finite inner infimum
+        out.append((f"{name} primal", primal_objective(p, u)[1], 0.0))
+        out.append((f"{name} lagrangian", solver._lagrangian_objective(p, y)[1], 0.0))
+    # one stage cost object on every node, u not adapted: stage 0's nodes
+    # and the later stages' nodes are two groups, their maps of two shapes
+    tree = irregular_tree(seed)
+    stage = BolzaStage(SeparableSum([Quadratic([0.5, 0.8]), absolute_value(),
+                                     Quadratic([1.0])]), 2)
+    p = Problem(tree, BolzaIntegrand(tree, [[stage] * len(tree.blocks(t))
+                                            for t in range(tree.stage_count)]))
+    out.append(("shared-stage bolza primal",
+                primal_objective(p, random_process(rng, tree, p.m_dims))[1], 0.0))
+    p = mixed_problem(seed)
+    u = random_process(rng, p.tree, p.m_dims)
+    out.append(("mixed primal", primal_objective(p, u)[1], MIXED_ATOL))
+    return out
+
+
+def per_term_shares(obj, res):
+    """Stationarity shares term by term: each term's own local form, its
+    rows at their offsets in qp_data's row order."""
+    x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
+    shares, atoms, g, a = [], [], 0, 0
+    for t in obj.terms:
+        form = t.fn.qp_form()
+        ng, na = form.G.shape[0], form.A.shape[0]
+        shares.append(t.weight * (form.P @ x[t.cols] + form.q)
+                      + form.G.T @ ineq[g:g + ng] + form.A.T @ eq[a:a + na])
+        g, a = g + ng, a + na
+        atoms += [(shares[-1], row, pwl.scaled(t.weight)) for row, _, pwl in form.epi]
+    for share, row, pwl in atoms:
+        k = len(pwl.supporting_lines()) + (pwl.hi != INF) + (pwl.lo != -INF)
+        share += row * sum(mu * tag[1] for mu, (_, tag) in zip(ineq[g:g + k], res.labels[g:g + k]))
+        g += k
+    return shares
+
+
+class TestGroupedLowering:
+    def test_cases_build_groups(self):
+        for seed in SEEDS:
+            for name, obj, _ in grouped_objectives(seed):
+                sizes = [len(g.idx) for g in obj._lowering[0]]
+                assert max(sizes) >= 2, name
+                if name.startswith("shared-stage"):
+                    assert len(sizes) == 2
+                if name.startswith("mixed"):
+                    shared = max(obj._lowering[0], key=lambda g: len(g.idx))
+                    assert 1 in sizes and np.any(np.diff(shared.idx) > 1)
+        kinds = [obj.qp_data() for _, obj, _ in grouped_objectives(0)]
+        assert any(any(lab is not None for lab in labels) for *_, labels, _ in kinds)
+        assert any(A.shape[0] for _, _, _, _, _, A, *_ in kinds)
+        assert any(("epigraph", -1.0) in [tag for _, tag in labels]
+                   for *_, labels, _ in kinds)  # a lo row of a bounded atom
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_dense(self, seed):
+        for name, obj, atol in grouped_objectives(seed):
+            assert_lowering_equal(obj.qp_data(), dense_lowering(obj, selection_mats(obj)),
+                                  atol=atol)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stationarity_shares_match_per_term(self, seed):
+        for name, obj, atol in grouped_objectives(seed):
+            res = solver._minimize(obj, SolverConfig())
+            assert res.status == "optimal", name
+            got, want = obj.stationarity_shares(res), per_term_shares(obj, res)
+            assert len(got) == len(want) == len(obj.terms)
+            for share, ref in zip(got, want):
+                np.testing.assert_allclose(share, ref, rtol=0, atol=atol, err_msg=name)
+            # the shares scatter-add to zero stationarity
+            total = np.zeros(obj.n)
+            for t, share in zip(obj.terms, got):
+                total[t.cols] += share
+            np.testing.assert_allclose(total, 0.0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
 # the active-set engine on the lowered Lagrangians
 # ---------------------------------------------------------------------------
 
@@ -367,3 +500,35 @@ def test_leaf_rows_equal_leaf_vectors(seed):
         assert not rows.flags.writeable
         for leaf in range(tree.n_leaves):
             np.testing.assert_array_equal(rows[leaf], proc.leaf_vector(leaf))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_compose_equals_each_compose(seed):
+    rng = np.random.default_rng(1700 + seed)
+    form = random_form(rng, 3)
+    M, m = rng.normal(size=(5, 3, 4)), rng.normal(size=(5, 3))
+    stack = form.compose(M, m)
+    assert stack.c.shape == (5,) and stack.G.shape == (5, 2, 4) and stack.dim == 4
+    for k in range(5):
+        one = form.compose(M[k], m[k])
+        for name in ("P", "q", "c", "G", "h", "A", "b"):
+            np.testing.assert_array_equal(getattr(stack, name)[k], getattr(one, name),
+                                          err_msg=name)
+        assert stack.labels == one.labels
+        for (rows, offs, f1), (row, off, f2) in zip(stack.epi, one.epi):
+            np.testing.assert_array_equal(rows[k], row)
+            assert offs[k] == off and f1 is f2
+    lifted = form.compose(M[0], m[0]).as_stack()
+    for name in ("P", "q", "c", "G", "h", "A", "b"):
+        np.testing.assert_array_equal(getattr(lifted, name)[0],
+                                      getattr(stack, name)[0], err_msg=name)
+
+
+def test_scaled_supporting_lines_equal_lines_of_scaled():
+    weights = np.array([1.0, 0.3, 1.0 / 7.0, 2.5e-3])
+    for pwl in (BOUNDED_PWL, absolute_value().scaled(0.7),
+                PiecewiseLinear([-0.3, 1.1], [-0.4, 0.1, 1.3], lo=-2.2, anchor=(0.5, 0.9))):
+        lines = pwl.supporting_lines(weights)
+        for k, w in enumerate(weights):
+            want = pwl.scaled(w).supporting_lines()
+            assert [(s[k], c[k]) for s, c in lines] == want

@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochdual import solver
+from stochdual import qp, solver
 from stochdual.cli import fixture_path, parse_problem_file
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
     FiniteSum,
     PiecewiseLinear,
+    PolyhedralIndicator,
     Polyhedron,
     Quadratic,
     SeparableSum,
@@ -48,6 +49,7 @@ from stochdual.tree import (
 from helpers import (
     basis_bound,
     grid_minimize,
+    hedging_file,
     irregular_tree,
     objective_values,
     two_leaf_tree,
@@ -575,3 +577,47 @@ class TestSubgradientPath:
         expected, _ = grid_minimize(objective_values(obj), layout.width, lo=-5, hi=5)
         assert res.value <= expected + 1e-3
         assert res.value >= expected - 1e-2
+
+    def test_equality_rows_project_without_a_qp(self, tmp_path, monkeypatch):
+        # the bound's fallback over v runs under the mean-zero equality rows
+        # and the conjugates' equality rows only: each projection is
+        # w - A^+(A w - b), the pseudo-inverse computed once per solve
+        path = hedging_file(tmp_path, 4, np.random.default_rng(5).uniform(2.5, 3.5, 16))
+        p, _, params, _, _ = parse_problem_file(path)
+        y = solve_dual(p, params["u"]).optimizer
+        cfg = SolverConfig(method="subgradient", max_iter=4000)
+        calls = []
+        real_qp = qp.solve_qp
+        monkeypatch.setattr(qp, "solve_qp", lambda *a, **k: calls.append(1) or real_qp(*a, **k))
+        got = dual_via_orthocomplement(p, y, cfg)
+        assert calls == []
+
+        def qp_projector(G, h, A, b, tol):
+            return lambda w: (w if solver._violation(w, G, h, A, b) <= tol
+                              else qp.project_onto_polyhedron(w, G, h, A, b))
+
+        monkeypatch.setattr(solver, "_projector", qp_projector)
+        want = dual_via_orthocomplement(p, y, cfg)
+        assert len(calls) > 100
+        assert (got.status, want.status) == ("optimal", "optimal")
+        assert got.value == pytest.approx(want.value, rel=0, abs=1e-9)
+        np.testing.assert_allclose(got.v.to_vector(), want.v.to_vector(), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_projector_matches_the_qp_projection(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(3, 6))
+        A = np.vstack([A, A[0] + A[1]])  # a redundant, consistent row
+        b = A @ rng.normal(size=6)
+        project = solver._projector(np.zeros((0, 6)), np.zeros(0), A, b, 1e-8)
+        for w in rng.normal(size=(4, 6)):
+            np.testing.assert_allclose(project(w), qp.project_onto_polyhedron(w, A=A, b=b),
+                                       rtol=0, atol=1e-9)
+
+    def test_inconsistent_equality_rows_are_infeasible(self):
+        # w0 = 0 and w0 = 1 at once: the subgradient method ends infeasible
+        ind = PolyhedralIndicator(Polyhedron(a_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0],
+                                             validate=False))
+        obj = solver.CompiledObjective(1, [solver._Term(1.0, ind, np.array([0]), 0)])
+        res = solver._subgradient_minimize(obj, SolverConfig(method="subgradient"))
+        assert (res.status, res.x) == ("infeasible", None)
