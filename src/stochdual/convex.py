@@ -69,16 +69,17 @@ class NoClosedFormError(ValueError):
 class QPForm:
     """Quadratic-plus-polyhedral description: 1/2 x'Px + q.x + c on a polyhedron.
 
-    ``labels`` tags the inequality rows so multipliers can be traced back to
-    the model constraint that generated them.  ``epi`` carries kinked
-    scalar piecewise-linear summands as (row, offset, pwl) atoms whose
-    value pwl(row.x + offset) adds to the quadratic part; the solver
-    lowers each atom to one epigraph variable with supporting-line rows.
+    ``epi`` carries kinked scalar piecewise-linear summands as (row, offset,
+    pwl) atoms whose value pwl(row.x + offset) adds to the quadratic part;
+    the solver lowers each atom to one epigraph variable with
+    supporting-line rows.  At a solution of the lowered program, P x + q
+    plus the rows' multipliers (and each atom's row times its selected
+    slope) is the subgradient the solution picks, so a form needs no row
+    bookkeeping beyond its arrays.
 
     A form may also be a stack of K forms of one shape that share their
-    labels and atom functions: ``c`` is then an array of K constants, and
-    every other array (each atom's row and offset too) gains a leading axis
-    of length K.
+    atom functions: ``c`` is then an array of K constants, and every other
+    array (each atom's row and offset too) gains a leading axis of length K.
 
     ``embed`` places a form on a subset of the coordinates of a larger
     space by scattering through an index array; ``compose`` is for genuine
@@ -86,7 +87,7 @@ class QPForm:
     """
 
     def __init__(self, dim, P=None, q=None, c=0.0, G=None, h=None,
-                 A=None, b=None, labels=None, epi=None):
+                 A=None, b=None, epi=None):
         self.dim = dim
         lead = np.shape(c)  # () for one form, (K,) for a stack of K
         self.c = np.asarray(c, dtype=float) if lead else float(c)
@@ -100,7 +101,6 @@ class QPForm:
                   else np.asarray(b, dtype=float).reshape(lead + (-1,)))
         self.A = (np.zeros(self.b.shape + (dim,)) if A is None
                   else np.asarray(A, dtype=float).reshape(self.b.shape + (dim,)))
-        self.labels = list(labels) if labels is not None else [None] * self.G.shape[-2]
         self.epi = list(epi) if epi is not None else []
 
     def compose(self, M, m) -> "QPForm":
@@ -120,7 +120,6 @@ class QPForm:
             c=self.c + (self.q @ m)[..., 0] + 0.5 * (mt @ self.P @ m)[..., 0, 0],
             G=self.G @ M, h=self.h - (self.G @ m)[..., 0],
             A=self.A @ M, b=self.b - (self.A @ m)[..., 0],
-            labels=self.labels,
             epi=[((Mt @ row[:, None])[..., 0], off + (row @ m)[..., 0], pwl)
                  for row, off, pwl in self.epi],
         )
@@ -129,7 +128,6 @@ class QPForm:
         """This form as a stack of one."""
         return QPForm(self.dim, P=self.P[None], q=self.q[None], c=np.array([self.c]),
                       G=self.G[None], h=self.h[None], A=self.A[None], b=self.b[None],
-                      labels=self.labels,
                       epi=[(row[None], np.array([off]), pwl) for row, off, pwl in self.epi])
 
     def embed(self, cols, dim) -> "QPForm":
@@ -148,8 +146,7 @@ class QPForm:
             full = np.zeros(dim)
             full[cols] = row
             epi.append((full, off, pwl))
-        return QPForm(dim, P=P, q=q, c=self.c, G=G, h=self.h, A=A, b=self.b,
-                      labels=self.labels, epi=epi)
+        return QPForm(dim, P=P, q=q, c=self.c, G=G, h=self.h, A=A, b=self.b, epi=epi)
 
     @staticmethod
     def add(forms: list["QPForm"], dim: int) -> "QPForm":
@@ -158,7 +155,6 @@ class QPForm:
             out.P = out.P + f.P
             out.q = out.q + f.q
             out.c += f.c
-            out.labels += f.labels
             out.epi += f.epi
         out.G = np.vstack([out.G] + [f.G for f in forms])
         out.h = np.concatenate([out.h] + [f.h for f in forms])
@@ -771,10 +767,9 @@ class Polyhedron:
 class PolyhedralIndicator(ConvexFunction):
     kind = "polyhedral-indicator"
 
-    def __init__(self, polyhedron: Polyhedron, labels=None):
+    def __init__(self, polyhedron: Polyhedron):
         self.polyhedron = polyhedron
         self.dim = polyhedron.dim
-        self.labels = labels
 
     def __repr__(self):
         return f"PolyhedralIndicator({self.polyhedron!r})"
@@ -808,15 +803,11 @@ class PolyhedralIndicator(ConvexFunction):
             a_ub=P.a_ub[:, keep], b_ub=P.b_ub - P.a_ub[:, idx] @ vals,
             a_eq=P.a_eq[:, keep], b_eq=P.b_eq - P.a_eq[:, idx] @ vals,
             validate=False,
-        ), labels=self.labels)
+        ))
 
     def qp_form(self):
         P = self.polyhedron
-        labels = self.labels if self.labels is not None else [
-            ("polyhedron", i) for i in range(P.a_ub.shape[0])
-        ]
-        return QPForm(self.dim, G=P.a_ub, h=P.b_ub, A=P.a_eq, b=P.b_eq,
-                      labels=list(labels))
+        return QPForm(self.dim, G=P.a_ub, h=P.b_ub, A=P.a_eq, b=P.b_eq)
 
 
 class SupportFunction(ConvexFunction):

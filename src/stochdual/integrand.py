@@ -216,12 +216,6 @@ class ParametricIntegrand:
             np.asarray(x, dtype=float).ravel(), np.asarray(u, dtype=float).ravel()
         ]))
 
-    def primal_function(self, leaf: int, u) -> ConvexFunction:
-        """x -> f(x, u) with the parameter frozen."""
-        u = np.asarray(u, dtype=float).ravel()
-        u_idx = np.arange(self.n_total, self.n_total + self.m_total)
-        return self.joint_function(leaf).fix(u_idx, u)
-
     def lagrangian_function_of_x(self, leaf: int, y):
         return partial_infimum(self.joint_function(leaf), self.n_total, y)
 
@@ -375,31 +369,13 @@ class ConstrainedIntegrand(ParametricIntegrand):
             rows.append(row)
             rhs.append(-fj.b)
         fns.append(PolyhedralIndicator(
-            Polyhedron(a_ub=np.array(rows), b_ub=np.array(rhs), validate=False),
-            labels=[("constraint", j) for j in range(self.n_constraints)],
-        ))
+            Polyhedron(a_ub=np.array(rows), b_ub=np.array(rhs), validate=False)))
         return FiniteSum(fns)
 
     def _lift_x(self, fn):
         M = np.zeros((self.n_total, self.n_total + self.m_total))
         M[:, :self.n_total] = np.eye(self.n_total)
         return AffinePrecomposition(fn, M)
-
-    def primal_function(self, leaf, u):
-        u = np.asarray(u, dtype=float).ravel()
-        rows, rhs = [], []
-        for j, fj in enumerate(self.constraints[leaf]):
-            if not isinstance(fj, Affine):
-                raise NoClosedFormError(
-                    "the built-in solver needs affine constraint functions"
-                )
-            rows.append(fj.a)
-            rhs.append(-fj.b - u[j])
-        ind = PolyhedralIndicator(
-            Polyhedron(a_ub=np.array(rows), b_ub=np.array(rhs), validate=False),
-            labels=[("constraint", j) for j in range(self.n_constraints)],
-        )
-        return FiniteSum([self.objectives[leaf], ind])
 
     def lagrangian_function_of_x(self, leaf, y):
         y = np.asarray(y, dtype=float).ravel()
@@ -427,12 +403,6 @@ class ConstrainedIntegrand(ParametricIntegrand):
             if y[j] > 0:
                 total += y[j] * g
         return total
-
-    def lower_lagrangian(self, leaf, x, y):
-        fn = self.lagrangian_function_of_x(leaf, y)
-        if fn is MINUS_INF:
-            return -INF
-        return fn.value(x)
 
     def conjugate_value(self, leaf, v, y):
         fn = self.lagrangian_function_of_x(leaf, y)
@@ -903,8 +873,7 @@ class BolzaIntegrand(ParametricIntegrand):
 
     def conjugate_value(self, leaf, v, y) -> float:
         v = np.asarray(v, dtype=float).ravel()
-        _, dys = self._dual_increments(y)
-        ys, _ = self._dual_increments(y)
+        ys, dys = self._dual_increments(y)
         total = 0.0
         for t in range(self.tree.stage_count):
             term = self.stage_cost(leaf, t).conjugate_value(

@@ -17,26 +17,31 @@ the index array of those coordinates: evaluation gathers through it and
 the QP lowering scatters the term's local form through it.  The lowering
 goes one group of terms at a time: terms g(M_k z + m_k) with one shared
 g (every hedging leaf's disutility), or affine terms of one width, have
-their forms composed in one stacked pass and scattered in one, and the
-stacked forms are kept for reading the stationarity shares.  A term is one
-leaf's function of the leaf's coordinates, or, for dynamic (Bolza and
-Kabanov) problems, a node term: the stage-t cost, Hamiltonian or stage
-conjugate is a function on a stage-t information node, compiled once for
-the leaves of a block whose stage-t slices of u (or y) agree bit for bit,
-at their summed probability.  With adapted u and y each such group is one
-tree node, so the primal QP holds one epigraph atom per node; the
-Lagrangian's coupling E sum_t <y_t - y_{t+1}, x_t> is one affine term.
+their forms composed in one stacked pass and scattered in one; the
+shared g's form and the stacked maps are kept for reading the QP's
+stationarity.  A term is one leaf's function of the leaf's coordinates,
+or, for dynamic (Bolza and Kabanov) problems, a node term: the stage-t
+cost, Hamiltonian or stage conjugate is a function on a stage-t
+information node, compiled once for the leaves of a block whose stage-t
+slices of u (or y) agree bit for bit, at their summed probability.  With
+adapted u and y each such group is one tree node, so the primal QP holds
+one epigraph atom per node; the Lagrangian's coupling E sum_t <y_t -
+y_{t+1}, x_t> is one affine term.
 
 Quadratic-plus-polyhedral instances route to the active-set QP path and
 solve to machine precision; everything else falls back to a projected
 subgradient method with diminishing steps c/sqrt(k).  The dual solve
-recovers its maximizer from primal optimality when the model structure
-pins it, then verifies the value by an honest inner solve; otherwise it
-ascends with supergradients.  Recovery reads gradients of smooth
-integrands, and it reads multipliers of the primal QP: constraint prices
-from the constraint rows, and the subgradient a kinked atom selects from
-its epigraph rows (each row tagged with its z-coefficient), so polyhedral
-models need no ascent.
+recovers its maximizer from primal optimality, then verifies the value by
+an honest inner solve; otherwise it ascends with supergradients.  Every
+primal term is g(M_k z + m_k + N_k u_l), where u_l is the parameter
+vector of the term's leaf (or of each leaf of its node).  At a solution
+of the lowered program, the stationarity of the QP selects a subgradient
+s_k of g at the term's argument (``CompiledObjective.subgradients``), and
+the optimal dual is y_l = sum_k N_k' s_k over the terms of leaf l: the
+parameter block of the subgradient (v, y) in the subdifferential of f at
+(x, u) that the optimum picks.  The same reader gives the annihilator
+bound's v as M_k' s_k on the Lagrangian.  Off the QP path s_k is g's
+subgradient rule at the argument.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .convex import (
     AffinePrecomposition,
     ConvexFunction,
     NoClosedFormError,
-    PiecewiseLinear,
     Polyhedron,
     PolyhedralIndicator,
     QPForm,
@@ -91,6 +95,9 @@ __all__ = [
 ]
 
 INF = float("inf")
+# the projected subgradient method treats a point this close to its rows
+# as feasible
+_PROJECTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,6 @@ class Problem:
 class SolverConfig:
     max_iter: int = 100_000
     tol: float = 1e-7
-    feas_tol: float = 1e-8
     step_constant: float | None = None
     method: str = "auto"  # auto | polyhedral | subgradient
     ascent_iter: int = 1000
@@ -140,11 +146,10 @@ class SolveResult:
     residual: float
     status: str  # optimal | unbounded | infeasible | max-iter
     method: str = ""
-    # polyhedral primal: inequality multipliers of the lowered QP and the
-    # (leaf, label) of each row, from which constraint prices and kinked
-    # subgradients are read
-    multipliers: np.ndarray | None = None
-    labels: list | None = None
+    # primal: the compiled objective and its solve, from which the dual is
+    # recovered
+    compiled: CompiledObjective | None = None
+    solution: _MinResult | None = None
     # dual: phi*(y) at the returned y, as computed during the solve
     objective: DualObjective | None = None
 
@@ -236,6 +241,9 @@ class _Term:
     fn: ConvexFunction
     cols: np.ndarray  # the coordinates the term reads, distinct
     node: object  # a leaf index, (stage, leaves) for a node term, or None
+    # primal terms: N, the map from a leaf's parameter vector into the
+    # argument of the term's g (see CompiledObjective.subgradients)
+    param: np.ndarray | None = None
 
 
 @dataclass
@@ -257,8 +265,9 @@ class _Group:
     idx: np.ndarray  # (K,) the terms, in term order
     cols: np.ndarray  # (K, d)
     weights: np.ndarray  # (K,)
-    nodes: list
     form: QPForm  # the K local forms, stacked
+    inner: QPForm  # the form of the terms' g: shared, or stacked when maps is None
+    maps: tuple | None  # (M, m) of shapes (K, r, d), (K, r); None for M = I, m = 0
     rows: np.ndarray | None = None  # (K, g) inequality rows
     eq_rows: np.ndarray | None = None  # (K, a) equality rows
     atoms: list[_Atom] | None = None
@@ -275,18 +284,20 @@ def _group_key(i: int, fn: ConvexFunction):
     return ("term", i)
 
 
-def _stacked_form(fns) -> QPForm | None:
-    """The local forms of one group's functions, stacked; None when they
-    have none.  A shared inner function is lowered once."""
+def _inner_forms(fns):
+    """The form of one group's functions g_k(M_k z + m_k) as (inner, maps):
+    a shared inner g is lowered once, with the stacked maps (M, m); other
+    functions are their own g, stacked, with maps None.  None when there is
+    no form."""
     fn = fns[0]
     if isinstance(fn, AffinePrecomposition):
         inner = fn.inner.qp_form()
-        return None if inner is None else inner.compose(
-            np.array([f.matrix for f in fns]), np.array([f.offset for f in fns]))
+        return None if inner is None else (
+            inner, (np.array([f.matrix for f in fns]), np.array([f.offset for f in fns])))
     if isinstance(fn, Affine):
-        return QPForm(fn.dim, q=np.array([f.a for f in fns]), c=np.array([f.b for f in fns]))
+        return QPForm(fn.dim, q=np.array([f.a for f in fns]), c=np.array([f.b for f in fns])), None
     form = fn.qp_form()
-    return None if form is None else form.as_stack()
+    return None if form is None else (form.as_stack(), None)
 
 
 class CompiledObjective:
@@ -333,12 +344,13 @@ class CompiledObjective:
         counts = np.zeros((3, len(self.terms)), dtype=int)  # G rows, A rows, atoms
         for idx in keyed.values():
             terms = [self.terms[i] for i in idx]
-            form = _stacked_form([t.fn for t in terms])
-            if form is None:
+            forms = _inner_forms([t.fn for t in terms])
+            if forms is None:
                 return None
+            inner, maps = forms
+            form = inner if maps is None else inner.compose(*maps)
             groups.append(_Group(np.array(idx), np.array([t.cols for t in terms]),
-                                 np.array([t.weight for t in terms]),
-                                 [t.node for t in terms], form))
+                                 np.array([t.weight for t in terms]), form, inner, maps))
             counts[:, idx] = [[form.G.shape[-2]], [form.A.shape[-2]], [len(form.epi)]]
         first = np.cumsum(counts, axis=1) - counts  # each term's first row / atom
         n_ineq, n_eq, n_aux = counts.sum(axis=1)
@@ -374,10 +386,6 @@ class CompiledObjective:
         piecewise-linear summands become epigraph variables: one auxiliary
         coordinate per atom, after the n main ones, bounded below by the
         supporting lines of the (probability-weighted) piece structure.
-        Every row is labelled (node, tag); an epigraph row's tag is
-        ("epigraph", coef), its coefficient on the atom's argument: the
-        weighted slope of a supporting line, +1 on the ``hi`` domain row and
-        -1 on the ``lo`` one.
         """
         if self._lowering is None:
             return None
@@ -388,7 +396,6 @@ class CompiledObjective:
         q[n:] = 1.0  # epigraph variables at weight one
         G, h = np.zeros((n_ineq, total)), np.zeros(n_ineq)
         A, b = np.zeros((n_eq, total)), np.zeros(n_eq)
-        labels = [None] * n_ineq
         for g in groups:
             S, C, W = g.form, g.cols, g.weights
             if S.P.any():
@@ -400,41 +407,37 @@ class CompiledObjective:
             h[g.rows] = S.h
             A[g.eq_rows[:, :, None], C[:, None, :]] = S.A
             b[g.eq_rows] = S.b
-            for node, rows in zip(g.nodes, g.rows.tolist()):
-                for r, lab in zip(rows, S.labels):
-                    labels[r] = (node, lab)
             for at in g.atoms:
                 G[at.rows[:, :, None], C[:, None, :]] = at.coefs[:, :, None] * at.row[:, None, :]
                 G[at.rows[:, :at.n_lines], n + at.aux[:, None]] = -1.0
                 h[at.rows] = at.rhs
-                for node, rows, coefs in zip(g.nodes, at.rows.tolist(), at.coefs.tolist()):
-                    for r, coef in zip(rows, coefs):
-                        labels[r] = (node, ("epigraph", coef))
-        return P, q, c, G, h, A, b, labels, n
+        return P, q, c, G, h, A, b, n
 
-    def stationarity_shares(self, res: _MinResult) -> list[np.ndarray]:
-        """Each term's share of the stationarity of the lowered program at
-        its solution ``res``, in the term's coordinates: weight * (P_k x_k
-        + q_k) plus the multipliers of the term's own rows, plus, for each
-        epigraph atom, its argument's row times the sum of the atom's row
-        multipliers weighted by their coefficients.  The shares
-        scatter-add to zero; a share over the weight is a subgradient of
-        fn_k at x_k."""
+    def subgradients(self, res: _MinResult) -> list[np.ndarray]:
+        """Per term g(M_k z + m_k), the subgradient s_k of g at r_k = M_k x_k
+        + m_k that the lowered program's solution ``res`` selects (a term
+        that is not a precomposition is its own g, M_k = I): P r_k + q plus,
+        over the weight, the multipliers of the term's rows on g's rows and
+        each epigraph atom's row of g times the sum of the atom's row
+        multipliers weighted by their coefficients.  The shares weight_k
+        M_k' s_k scatter-add to zero."""
         x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
-        shares = [None] * len(self.terms)
+        out = [None] * len(self.terms)
         for g in self._lowering[0]:
-            S, W = g.form, g.weights
-            block = (W[:, None] * ((S.P @ x[g.cols][..., None])[..., 0] + S.q)
-                     + (S.G.swapaxes(-1, -2) @ ineq[g.rows][..., None])[..., 0]
-                     + (S.A.swapaxes(-1, -2) @ eq[g.eq_rows][..., None])[..., 0])
-            for at in g.atoms:
+            S, W, r = g.inner, g.weights, x[g.cols]
+            if g.maps is not None:
+                r = (g.maps[0] @ r[..., None])[..., 0] + g.maps[1]
+            rows = ((S.G.swapaxes(-1, -2) @ ineq[g.rows][..., None])[..., 0]
+                    + (S.A.swapaxes(-1, -2) @ eq[g.eq_rows][..., None])[..., 0])
+            for at, (row, _, _) in zip(g.atoms, S.epi):
                 mu, slope = ineq[at.rows], np.zeros(len(W))
                 for k in range(mu.shape[1]):
                     slope = slope + mu[:, k] * at.coefs[:, k]
-                block += at.row * slope[:, None]
-            for i, share in zip(g.idx, block):
-                shares[i] = share
-        return shares
+                rows = rows + row * slope[:, None]
+            s = (S.P @ r[..., None])[..., 0] + S.q + rows / W[:, None]
+            for i, s_k in zip(g.idx, s):
+                out[i] = s_k
+        return out
 
     def constraint_rows(self):
         """Domain rows of every term (used by the projected subgradient path)."""
@@ -461,7 +464,6 @@ class _MinResult:
     residual: float
     method: str
     multipliers: np.ndarray | None = None
-    labels: list | None = None
     eq_multipliers: np.ndarray | None = None
 
 
@@ -470,13 +472,13 @@ def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
         return _MinResult("optimal", np.zeros(0), obj.value(np.zeros(0)), 0, 0.0, "direct")
     data = obj.qp_data() if cfg.method in ("auto", "polyhedral") else None
     if data is not None:
-        P, q, c, G, h, A, b, labels, n_main = data
+        P, q, c, G, h, A, b, n_main = data
         res = solve_qp(P, q, c, G, h, A, b)
         status = {"maxiter": "max-iter"}.get(res.status, res.status)
         resid = _violation(res.x, G, h, A, b) if res.x is not None else 0.0
         x = res.x[:n_main] if res.x is not None else None
         return _MinResult(status, x, res.value, res.iterations, resid,
-                          "polyhedral", res.ineq_multipliers, labels, res.eq_multipliers)
+                          "polyhedral", res.ineq_multipliers, res.eq_multipliers)
     if cfg.method == "polyhedral":
         raise NoClosedFormError(
             "objective is not quadratic-plus-polyhedral; use method='auto'"
@@ -514,7 +516,7 @@ def _projector(G, h, A, b, tol):
 def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
     G, h, A, b = obj.constraint_rows()
     try:
-        project = _projector(G, h, A, b, cfg.feas_tol)
+        project = _projector(G, h, A, b, _PROJECTION_TOL)
         w = project(np.zeros(obj.n))
     except ValueError:
         return _MinResult("infeasible", None, INF, 0, INF, "subgradient")
@@ -584,16 +586,28 @@ def _next_stage(p: Problem, rows):
 
 
 def primal_objective(p: Problem, u: StochasticProcess):
-    """Compiled objective of the primal solve (exposed for oracles/tests)."""
+    """Compiled objective of the primal solve (exposed for oracles/tests).
+
+    Each leaf's term is its joint function with u frozen, as g(M x + m + N
+    u): a joint g(Mx + Nu + m) keeps its g, and any other joint is g
+    itself, at (x, u)."""
     layout = p.layout
     uvecs = _leaf_vectors(p, u, "parameter")
     if isinstance(p.integrand, BolzaIntegrand):
         return layout, CompiledObjective(layout.width, _bolza_primal_terms(p, uvecs))
+    f = p.integrand
+    n, m = f.n_total, f.m_total
+    lift = np.vstack([np.eye(n), np.zeros((m, n))])  # x -> (x, 0)
+    free = np.vstack([np.zeros((n, m)), np.eye(m)])  # u -> (0, u)
     terms = []
     for leaf in range(p.tree.n_leaves):
-        fn = p.integrand.primal_function(leaf, uvecs[leaf])
+        joint = f.joint_function(leaf)
+        if isinstance(joint, AffinePrecomposition):
+            fn, N = joint.fix(np.arange(n, n + m), uvecs[leaf]), joint.matrix[:, n:]
+        else:
+            fn, N = AffinePrecomposition(joint, lift, free @ uvecs[leaf]), free
         terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
-                           layout.columns[leaf], leaf))
+                           layout.columns[leaf], leaf, N))
     return layout, CompiledObjective(layout.width, terms)
 
 
@@ -607,11 +621,13 @@ def _bolza_primal_terms(p: Problem, uvecs):
     terms = []
     for t, nodes in enumerate(_stage_nodes(p, uvecs)):
         xs = f.x_slices[t] if t == 0 else slice(f.x_slices[t - 1].start, f.x_slices[t].stop)
+        N = np.zeros((2 * f.d, f.m_total))  # u_t -> (0, u_t)
+        N[f.d:, f.u_slices[t]] = eye
         for b, leaves, weight in nodes:
             off = np.concatenate([np.zeros(f.d), uvecs[leaves[0], f.u_slices[t]]])
             fn = AffinePrecomposition(f.stages[t][b].fn, later if t else first, off)
             terms.append(_Term(weight, fn, columns[leaves[0], xs],
-                               (t, tuple(leaves.tolist()))))
+                               (t, tuple(leaves.tolist())), N))
     return terms
 
 
@@ -623,7 +639,7 @@ def solve_primal(p: Problem, u: StochasticProcess,
     res = _minimize(obj, cfg)
     opt = layout.to_process(res.x) if res.x is not None and res.status in ("optimal", "max-iter") else None
     return SolveResult(opt, res.value, res.iterations, res.residual, res.status,
-                       res.method, res.multipliers, res.labels)
+                       res.method, compiled=obj, solution=res)
 
 
 def _lagrangian_objective(p: Problem, y: StochasticProcess):
@@ -765,18 +781,21 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
 
 def _stationary_v(p: Problem, yvecs, dob: DualObjective):
     """v read off the inner solve behind ``dob``, or None without a finite
-    optimum with multipliers.  Off the dynamic path v_l is leaf l's share
-    over p_l.  On it a node's share over its weight is an x_t-gradient of
+    optimum with multipliers.  A Lagrangian term g(M x + m) contributes
+    M' s, s the subgradient of g its solution selects: off the dynamic path
+    that is v_l for the term's leaf l.  On it, it is an x_t-gradient of
     H_t(., y_t), and v_t adds y_t - y_{t+1} (the shift that
     ``_bolza_conjugates_of_v`` undoes); the coupling term has no node."""
     res, dynamic = dob.inner, isinstance(p.integrand, BolzaIntegrand)
     if res is None or res.status != "optimal" or res.multipliers is None:
         return None
     V = yvecs - _next_stage(p, yvecs) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
-    for t, share in zip(dob.lagrangian.terms, dob.lagrangian.stationarity_shares(res)):
+    for t, s in zip(dob.lagrangian.terms, dob.lagrangian.subgradients(res)):
         if t.node is not None:
             stage, leaves = t.node if dynamic else (None, t.node)
-            V[leaves, p.integrand.x_slices[stage] if dynamic else slice(None)] += share / t.weight
+            if isinstance(t.fn, AffinePrecomposition):
+                s = t.fn.matrix.T @ s
+            V[leaves, p.integrand.x_slices[stage] if dynamic else slice(None)] += s
     return StochasticProcess.from_leaf_rows(p.tree, p.n_dims, V)
 
 
@@ -822,100 +841,71 @@ def solve_dual(p: Problem, u: StochasticProcess,
     """Maximize <u, y> - phi*(y); adapted y for dynamic-structure problems.
 
     ``primal`` is the result of ``solve_primal(p, u, cfg)`` when the caller
-    already has it; it is solved here otherwise.
+    already has it; it is solved here otherwise.  A dual that needs a
+    conjugate with no closed form ends with status ``no-closed-form``.
     """
     cfg = cfg or SolverConfig()
     if primal is None:
         primal = solve_primal(p, u, cfg)
-    if primal.status == "optimal":
-        candidate = _recover_dual_candidate(p, u, primal, cfg)
-        if candidate is not None:
-            y = candidate
-            dob = dual_objective(p, y, cfg)
-            if dob.value < INF:
-                value = pairing(u, y) - dob.value
-                gap = abs(primal.value - value) if np.isfinite(primal.value) else INF
-                return SolveResult(y, value, dob.inner.iterations, gap, "optimal",
-                                   "recovered", objective=dob)
-    return _ascend_dual(p, u, cfg, primal)
+    try:
+        if primal.status == "optimal":
+            y = _recover_dual_candidate(p, u, primal, cfg)
+            if y is not None:
+                dob = dual_objective(p, y, cfg)
+                if dob.value < INF:
+                    value = pairing(u, y) - dob.value
+                    gap = abs(primal.value - value) if np.isfinite(primal.value) else INF
+                    return SolveResult(y, value, dob.inner.iterations, gap, "optimal",
+                                       "recovered", objective=dob)
+        return _ascend_dual(p, u, cfg, primal)
+    except NoClosedFormError:
+        return SolveResult(None, np.nan, 0, INF, "no-closed-form")
 
 
 def _recover_dual_candidate(p, u, primal, cfg):
-    integrand = p.integrand
-    tree = p.tree
-    uvecs = _leaf_vectors(p, u, "parameter")
-    if primal.optimizer is None:
+    """y_l = sum_k N_k' s_k over the primal terms g(M_k x + m_k + N_k u_l)
+    of leaf l, s_k the subgradient of g at the term's argument that the
+    primal QP's solution selects (one QP solve supplies it when the primal
+    ran none); dynamic candidates are projected onto the adapted processes.
+    An objective off the QP path takes g's subgradient rule at the
+    argument instead (the closed form on a stage, none for a constrained
+    model).  None when no rule applies."""
+    obj, res, f = primal.compiled, primal.solution, p.integrand
+    if obj is None or res is None or res.x is None:
         return None
-    xvecs = primal.optimizer.leaf_rows()
     try:
-        if isinstance(integrand, ConstrainedIntegrand):
-            return _recover_constrained(p, u, primal, cfg)
-        if isinstance(integrand, BolzaIntegrand):
-            # x is adapted, so the velocity is one vector per u-node
-            arrays = [np.zeros((tree.n_leaves, d)) for d in p.m_dims]
-            for t, nodes in enumerate(_stage_nodes(p, uvecs)):
-                for b, leaves, _ in nodes:
-                    states = integrand._states(xvecs[leaves[0]])
-                    w = integrand._velocity(states, t, uvecs[leaves[0], integrand.u_slices[t]])
-                    y_t = _stage_dual_gradient(integrand.stages[t][b], states[t], w)
-                    if y_t is None:
-                        return None
-                    arrays[t][leaves] = y_t
-            return adapted_projection(StochasticProcess(tree, tuple(arrays)))
-        # generic path: gradient of the parameter block of the joint
-        # function; a kinked g(Mz + m) with one row takes M's u-block times
-        # the subgradient of g that the primal QP selected
-        rows = np.zeros((tree.n_leaves, sum(p.m_dims)))
-        n_total = integrand.n_total
-        slopes = _epigraph_subgradients(p, primal)
-        for leaf in range(tree.n_leaves):
-            joint = integrand.joint_function(leaf)
-            full = np.concatenate([xvecs[leaf], uvecs[leaf]])
-            if joint.value(full) == INF:
+        if res.multipliers is None and obj._lowering is not None:
+            res = _minimize(obj, SolverConfig(method="polyhedral"))
+            if res.status != "optimal":
                 return None
-            if slopes is not None and _kinked_row(joint):
-                rows[leaf] = joint.matrix[0, n_total:] * slopes[leaf]
-            else:
-                rows[leaf] = joint.subgradient(full)[n_total:]
-        return StochasticProcess.from_leaf_rows(tree, p.m_dims, rows)
+        if res.multipliers is not None:
+            subgradients = obj.subgradients(res)
+        elif isinstance(f, ConstrainedIntegrand):
+            return None
+        else:
+            subgradients = [_subgradient_rule(p, t, res.x[t.cols]) for t in obj.terms]
+        rows = np.zeros((p.tree.n_leaves, sum(p.m_dims)))
+        for t, s in zip(obj.terms, subgradients):
+            if s is None:
+                return None
+            rows[list(t.node[1]) if isinstance(t.node, tuple) else t.node] += t.param.T @ s
     except (NoClosedFormError, ValueError):
         return None
+    y = StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
+    return adapted_projection(y) if isinstance(f, BolzaIntegrand) else y
 
 
-def _kinked_row(fn) -> bool:
-    """fn = g(Mz + m) with one row and g kinked piecewise-linear, so the
-    primal QP holds exactly one epigraph atom for it."""
-    return (isinstance(fn, AffinePrecomposition) and fn.matrix.shape[0] == 1
-            and isinstance(fn.inner, PiecewiseLinear) and fn.inner.slopes.size > 1)
-
-
-def _epigraph_subgradients(p, primal):
-    """Per leaf, sum of multiplier times z-coefficient over the epigraph rows
-    of the primal QP, scaled by 1/p: the subgradient the optimum selects
-    for a leaf's single kinked atom.  None off the polyhedral path."""
-    if primal.multipliers is None:
-        return None
-    s = np.zeros(p.tree.n_leaves)
-    for mu, (leaf, tag) in zip(primal.multipliers, primal.labels):
-        if isinstance(tag, tuple) and tag[0] == "epigraph":
-            s[leaf] += mu * tag[1]
-    return s / p.tree.probabilities
-
-
-def _recover_constrained(p, u, primal, cfg):
-    """Constraint prices from the primal QP multipliers (scaled by 1/p)."""
-    mult, labels = primal.multipliers, primal.labels
-    if mult is None:  # primal solved off the polyhedral path: solve its QP
-        res = _minimize(primal_objective(p, u)[1], SolverConfig(method="polyhedral"))
-        if res.status != "optimal":
-            return None
-        mult, labels = res.multipliers, res.labels
-    arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
-    for row, (leaf, tag) in enumerate(labels):
-        if isinstance(tag, tuple) and tag[0] == "constraint":
-            j = tag[1]
-            arrays[-1][leaf, j] = mult[row] / p.tree.probabilities[leaf]
-    return StochasticProcess(p.tree, tuple(arrays))
+def _subgradient_rule(p, term, x):
+    """A subgradient of a primal term's g at its argument r off the QP path:
+    on a stage cost, ``_stage_dual_gradient``'s velocity block (the state
+    block, which N does not read, is left 0); None where there is none."""
+    fn, f = term.fn, p.integrand
+    r = fn.matrix @ x + fn.offset
+    if isinstance(f, BolzaIntegrand):
+        t, leaves = term.node
+        w = _stage_dual_gradient(f.stage_cost(leaves[0], t), r[:f.d], r[f.d:])
+        return None if w is None else np.concatenate([np.zeros(f.d), w])
+    return None if fn.inner.value(r) == INF else fn.inner.subgradient(r)
 
 
 def _stage_dual_gradient(stage, x_t, w_t):

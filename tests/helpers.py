@@ -432,40 +432,34 @@ def per_leaf_recovered_dual(p, u, x):
 
 def dense_lowering(obj, mats):
     """qp_data the dense way: each term's form composed with its matrix and
-    added at its weight, then one epigraph variable per kinked atom, its
-    rows labelled (node, ("epigraph", z-coefficient)), the node being the
-    term's leaf or tree node."""
+    added at its weight, then one epigraph variable per kinked atom."""
     width = mats[0].shape[1]
     P, q, c = np.zeros((width, width)), np.zeros(width), 0.0
-    G, h, A, b, labels, atoms = [], [], [], [], [], []
+    G, h, A, b, atoms = [], [], [], [], []
     for t, M in zip(obj.terms, mats):
         form = t.fn.qp_form().compose(M, np.zeros(M.shape[0]))
         P += t.weight * form.P
         q += t.weight * form.q
         c += t.weight * form.c
         G += list(form.G); h += list(form.h); A += list(form.A); b += list(form.b)
-        labels += [(t.node, lab) for lab in form.labels]
-        atoms += [(t.node, row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
+        atoms += [(row, off, pwl.scaled(t.weight)) for row, off, pwl in form.epi]
     n_aux = len(atoms)
     G = [np.append(row, np.zeros(n_aux)) for row in G]
-    for i, (node, row, off, pwl) in enumerate(atoms):
+    for i, (row, off, pwl) in enumerate(atoms):
         aux, none = np.zeros(n_aux), np.zeros(n_aux)
         aux[i] = -1.0
         for slope, intercept in pwl.supporting_lines():
             G.append(np.append(slope * row, aux)); h.append(-(intercept + slope * off))
-            labels.append((node, ("epigraph", slope)))
         if pwl.hi != np.inf:
             G.append(np.append(row, none)); h.append(pwl.hi - off)
-            labels.append((node, ("epigraph", 1.0)))
         if pwl.lo != -np.inf:
             G.append(np.append(-row, none)); h.append(off - pwl.lo)
-            labels.append((node, ("epigraph", -1.0)))
     total = width + n_aux
     Pt = np.zeros((total, total)); Pt[:width, :width] = P
     return (Pt, np.append(q, np.ones(n_aux)), c,
             np.array(G).reshape(-1, total), np.array(h),
             np.array([np.append(row, np.zeros(n_aux)) for row in A]).reshape(-1, total),
-            np.array(b), labels, width)
+            np.array(b), width)
 
 
 def orthocomplement_basis(tree, dims):
@@ -507,6 +501,6 @@ def basis_bound(p, y):
     if B.shape[1] == 0:  # v = 0 is the only candidate
         value = obj.value(np.zeros(B.shape[0]))
         return ("optimal" if value < np.inf else "infeasible"), value, np.zeros(B.shape[0])
-    P, q, c, G, h, A, b, _, width = dense_lowering(obj, [B[t.cols] for t in obj.terms])
+    P, q, c, G, h, A, b, width = dense_lowering(obj, [B[t.cols] for t in obj.terms])
     res = solve_qp(P, q, c, G, h, A, b)
     return res.status, res.value, None if res.x is None else B @ res.x[:width]

@@ -99,7 +99,7 @@ def _pinned_grid_minimum(problem, u, lo=-10.0, hi=10.0, step=0.01):
     pins = {}
     data = obj.qp_data()
     if data is not None:
-        _, _, _, _, _, A, b, _, n_main = data
+        _, _, _, _, _, A, b, n_main = data
         for row, rhs in zip(A, b):
             if row.size > n_main and np.max(np.abs(row[n_main:]), initial=0.0) > 0:
                 continue
@@ -211,7 +211,7 @@ class TestCriterion3GridOracleEquivalence:
             pinned = 0
             if data is not None:
                 A = data[5]
-                n_main = data[8]
+                n_main = data[7]
                 pinned = len({
                     int(np.flatnonzero(np.abs(row[:n_main]) > 1e-12)[0])
                     for row in A

@@ -27,6 +27,7 @@ FIXTURES = [
     "kabanov-conical.json",
     "kkt-single.json",
     "pwl-hedging.json",
+    "bolza-kinked-velocity.json",
 ]
 
 
@@ -289,8 +290,10 @@ class TestSolveOnce:
         assert calls["solve_primal"] == 1
 
     def test_constraint_prices_come_from_the_primal_multipliers(self, monkeypatch):
+        # the recovery reads the primal QP's solution: no QP solve of its
+        # own when the primal ran one, and one when it did not
         inside = {"recover": False, "qp_calls": 0}
-        recover, solve_qp = solver._recover_constrained, solver.solve_qp
+        recover, solve_qp = solver._recover_dual_candidate, solver.solve_qp
 
         def traced_recover(*args):
             inside["recover"] = True
@@ -303,17 +306,21 @@ class TestSolveOnce:
             inside["qp_calls"] += inside["recover"]
             return solve_qp(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_recover_constrained", traced_recover)
+        monkeypatch.setattr(solver, "_recover_dual_candidate", traced_recover)
         monkeypatch.setattr(solver, "solve_qp", traced_qp)
         code, report = run(["report", fixture_path("kkt-single.json")])
         assert code == 0
         assert report["dual"]["method"] == "recovered"
         assert report["dual"]["value"] == pytest.approx(1.0, abs=1e-9)
         assert inside["qp_calls"] == 0
+        problem, _, params, _, _ = parse_problem_file(fixture_path("kkt-single.json"))
+        res = solve_dual(problem, params["u"], SolverConfig(method="subgradient", max_iter=4000))
+        assert res.method == "recovered"
+        assert inside["qp_calls"] == 1
 
     def test_kinked_constraint_prices(self, tmp_path):
         # min |x| s.t. 1 - x <= 0: the lowered QP mixes epigraph rows of |x|
-        # with the labelled constraint row; the price is 1
+        # with the constraint row; the price is 1
         doc = {
             "tree": {"probabilities": [1.0], "partitions": [[[0]]]},
             "model": {"family": "constrained", "x_dims": [1],
@@ -352,6 +359,36 @@ class TestSolveOnce:
 
 
 class TestHonestExitCodes:
+    def test_kinked_velocity_dual_closes_the_gap(self):
+        # 1/2 x^2 + |w| on two leaves: the dual is the velocity subgradient
+        # the primal QP selects, not the midpoint of the kink
+        code, report = run(["report", fixture_path("bolza-kinked-velocity.json")])
+        assert (code, report["dual"]["method"]) == (0, "recovered")
+        assert abs(report["gap"]) <= 1e-12
+        assert report["certificate"]["verdict"] == "pass"
+
+    def test_dual_without_a_closed_form_is_a_status(self, tmp_path):
+        # V = pwl + z^2/4 has no closed-form conjugate, which the dual needs:
+        # the dual reports it, the finite primal's gap is infinite, and the
+        # certificate is unavailable
+        with open(fixture_path("pwl-hedging.json")) as fh:
+            doc = json.load(fh)
+        doc["model"]["disutility"] = {"kind": "sum", "terms": [
+            doc["model"]["disutility"], {"kind": "quadratic", "weights": [0.25]}]}
+        path = tmp_path / "sum-hedging.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(["solve", str(path)])
+        assert (code, report["primal"]["status"]) == (0, "optimal")
+        for command in ("gap", "dualize", "check", "report"):
+            code, report = run([command, str(path)])
+            assert code == cli.EXIT_NO_CONVERGENCE, command
+            if command != "check":
+                assert report["dual"]["status"] == "no-closed-form"
+                assert report["gap"] is None
+            if command in ("check", "report"):
+                assert report["certificate"] == {"verdict": "unavailable",
+                                                 "reason": "no-closed-form"}
+
     def test_infinite_gap_with_finite_primal_exits_non_zero(self, monkeypatch):
         # forced onto the ascent, which starts outside dom phi* and reports
         # the dual infeasible: the gap is infinite although the primal is not

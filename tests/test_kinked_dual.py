@@ -199,13 +199,23 @@ class TestRecoveredKinkedDual:
 
 
 def test_domain_rows_bind():
-    # the domain cases exercise both bound rows with a positive multiplier
+    # the domain cases exercise both bound rows of V's epigraph atom with a
+    # positive multiplier; where one binds, the dual read off the primal QP
+    # leaves the slopes' range on the row's side (the normal cone of dom V)
     bound = set()
     for name in CASES:
         if name.startswith("pwl-domain-H"):
-            _, _, primal, _ = solved(name)
-            bound |= {tag[1] for mu, (_, tag) in zip(primal.multipliers, primal.labels)
-                      if tag[0] == "epigraph" and abs(tag[1]) == 1.0 and mu > 1e-9}
+            p, _, primal, dual = solved(name)
+            (group,) = primal.compiled._lowering[0]  # every leaf shares V
+            (atom,) = group.atoms
+            y = dual.optimizer.stage(p.tree.horizon)[:, 0]
+            for k in range(atom.n_lines, atom.coefs.shape[1]):
+                coef = atom.coefs[0, k]  # +1 on the hi row, -1 on the lo row
+                binds = primal.solution.multipliers[atom.rows[:, k]] > 1e-9
+                beyond = y[binds] - max(SLOPES) if coef > 0 else min(SLOPES) - y[binds]
+                assert np.all(beyond > 0), name
+                if binds.any():
+                    bound.add(coef)
     assert bound == {1.0, -1.0}
 
 

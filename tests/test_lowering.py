@@ -49,9 +49,9 @@ NO_INNER_SOLVE = DualObjective(np.nan, None, None, "max-iter")
 
 
 def assert_lowering_equal(got, want, atol=0.0):
-    *arrays, labels, n_main = got
-    *ref, ref_labels, ref_main = want
-    assert (labels, n_main) == (ref_labels, ref_main)
+    *arrays, n_main = got
+    *ref, ref_main = want
+    assert n_main == ref_main
     for name, x, y in zip("P q c G h A b".split(), arrays, ref):
         assert np.shape(x) == np.shape(y), name
         if atol:
@@ -85,10 +85,10 @@ def scalar_part(rng, kinds):
 
 
 def polyhedral_pair(rng):
-    """2-d polyhedral indicator with two labelled inequalities and one equality."""
+    """2-d polyhedral indicator with two inequalities and one equality."""
     return PolyhedralIndicator(Polyhedron(
         a_ub=rng.normal(size=(2, 2)), b_ub=rng.uniform(1.0, 2.0, 2),
-        a_eq=[[1.0, -1.0]], b_eq=[rng.normal()]), labels=["cap", "floor"])
+        a_eq=[[1.0, -1.0]], b_eq=[rng.normal()]))
 
 
 def generic_problem(seed, x_kinds):
@@ -180,7 +180,8 @@ class TestLoweringMatchesDense:
     def test_cases_cover_every_row_kind(self):
         data = [primal_objective(p, u)[1].qp_data() for s in SEEDS for p, u, _ in cases(s)]
         assert any(n_main < P.shape[0] for P, *_, n_main in data)  # epigraph atoms
-        assert any(any(lab is not None for lab in labels) for *_, labels, _ in data)
+        # inequality rows of the terms' own forms, besides the epigraph rows
+        assert any(G.shape[0] > 2 * (P.shape[0] - n_main) for P, _, _, G, *_, n_main in data)
         assert any(A.shape[0] for _, _, _, _, _, A, *_ in data)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -279,7 +280,7 @@ def hedging_problem(seed, V):
 
 def mixed_problem(seed):
     """Generic leaves in interleaved order: most share one joint function
-    g(M_l x + m_l), whose g has labelled polyhedral rows, an equality row
+    g(M_l x + m_l), whose g has polyhedral rows, an equality row
     and two epigraph atoms (one with hi/lo rows); the others have
     functions of their own, lowered alone.  x = 0 is feasible."""
     tree = irregular_tree(seed)
@@ -287,7 +288,7 @@ def mixed_problem(seed):
     n, m = sum(STAGE_DIMS), tree.stage_count
     pair = PolyhedralIndicator(Polyhedron(
         a_ub=rng.normal(size=(2, 2)), b_ub=rng.uniform(1.0, 2.0, 2),
-        a_eq=[[1.0, -1.0]], b_eq=[0.0]), labels=["cap", "floor"])
+        a_eq=[[1.0, -1.0]], b_eq=[0.0]))
     g = SeparableSum([Quadratic(rng.uniform(0.2, 1.0, n)), pair, absolute_value(), BOUNDED_PWL])
     own = separable_problem(seed).integrand
     functions = []
@@ -328,7 +329,9 @@ def grouped_objectives(seed):
 
 def per_term_shares(obj, res):
     """Stationarity shares term by term: each term's own local form, its
-    rows at their offsets in qp_data's row order."""
+    rows at their offsets in qp_data's row order, each epigraph row's
+    multiplier times its coefficient on the atom's argument (the weighted
+    slope of its supporting line, +1 on the hi row, -1 on the lo row)."""
     x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
     shares, atoms, g, a = [], [], 0, 0
     for t in obj.terms:
@@ -339,9 +342,10 @@ def per_term_shares(obj, res):
         g, a = g + ng, a + na
         atoms += [(shares[-1], row, pwl.scaled(t.weight)) for row, _, pwl in form.epi]
     for share, row, pwl in atoms:
-        k = len(pwl.supporting_lines()) + (pwl.hi != INF) + (pwl.lo != -INF)
-        share += row * sum(mu * tag[1] for mu, (_, tag) in zip(ineq[g:g + k], res.labels[g:g + k]))
-        g += k
+        coefs = [s for s, _ in pwl.supporting_lines()]
+        coefs += [1.0] * (pwl.hi != INF) + [-1.0] * (pwl.lo != -INF)
+        share += row * sum(mu * coef for mu, coef in zip(ineq[g:g + len(coefs)], coefs))
+        g += len(coefs)
     return shares
 
 
@@ -357,10 +361,11 @@ class TestGroupedLowering:
                     shared = max(obj._lowering[0], key=lambda g: len(g.idx))
                     assert 1 in sizes and np.any(np.diff(shared.idx) > 1)
         kinds = [obj.qp_data() for _, obj, _ in grouped_objectives(0)]
-        assert any(any(lab is not None for lab in labels) for *_, labels, _ in kinds)
         assert any(A.shape[0] for _, _, _, _, _, A, *_ in kinds)
-        assert any(("epigraph", -1.0) in [tag for _, tag in labels]
-                   for *_, labels, _ in kinds)  # a lo row of a bounded atom
+        # the hi and lo rows of a bounded atom, after its supporting lines
+        assert any(at.coefs.shape[1] - at.n_lines == 2 and np.all(at.coefs[:, -1] == -1.0)
+                   for _, obj, _ in grouped_objectives(0)
+                   for g in obj._lowering[0] for at in g.atoms)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_dense(self, seed):
@@ -370,13 +375,17 @@ class TestGroupedLowering:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stationarity_shares_match_per_term(self, seed):
+        # the share of term g(M x + m) is weight * M' s, s its subgradient
         for name, obj, atol in grouped_objectives(seed):
             res = solver._minimize(obj, SolverConfig())
             assert res.status == "optimal", name
-            got, want = obj.stationarity_shares(res), per_term_shares(obj, res)
-            assert len(got) == len(want) == len(obj.terms)
+            subgradients, want = obj.subgradients(res), per_term_shares(obj, res)
+            assert len(subgradients) == len(want) == len(obj.terms)
+            got = [t.weight * (t.fn.matrix.T @ s if isinstance(t.fn, AffinePrecomposition) else s)
+                   for t, s in zip(obj.terms, subgradients)]
             for share, ref in zip(got, want):
-                np.testing.assert_allclose(share, ref, rtol=0, atol=atol, err_msg=name)
+                np.testing.assert_allclose(share, ref, rtol=1e-12, atol=max(atol, 1e-12),
+                                           err_msg=name)
             # the shares scatter-add to zero stationarity
             total = np.zeros(obj.n)
             for t, share in zip(obj.terms, got):
@@ -437,7 +446,6 @@ def random_form(rng, dim):
     return QPForm(dim, P=L @ L.T, q=rng.normal(size=dim), c=rng.normal(),
                   G=rng.normal(size=(2, dim)), h=rng.normal(size=2),
                   A=rng.normal(size=(1, dim)), b=rng.normal(size=1),
-                  labels=["a", "b"],
                   epi=[(rng.normal(size=dim), rng.normal(), absolute_value())])
 
 
@@ -452,7 +460,7 @@ def test_embed_equals_compose_with_selection(seed):
         want = form.compose(selection_matrix(cols, dim), np.zeros(k))
         for name in ("P", "q", "G", "h", "A", "b"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
-        assert (got.dim, got.c, got.labels) == (want.dim, want.c, want.labels)
+        assert (got.dim, got.c) == (want.dim, want.c)
         assert len(got.epi) == len(want.epi)
         for (r1, o1, f1), (r2, o2, f2) in zip(got.epi, want.epi):
             np.testing.assert_array_equal(r1, r2)
@@ -466,7 +474,7 @@ def test_add_stacks_rows_in_order():
     np.testing.assert_array_equal(out.G, np.vstack([f.G for f in forms]))
     np.testing.assert_array_equal(out.b, np.concatenate([f.b for f in forms]))
     np.testing.assert_array_equal(out.P, forms[0].P + forms[1].P + forms[2].P)
-    assert out.labels == ["a", "b"] * 3 and len(out.epi) == 3
+    assert len(out.epi) == 3
 
 
 def test_zero_width_infeasible_form():
@@ -514,7 +522,6 @@ def test_stacked_compose_equals_each_compose(seed):
         for name in ("P", "q", "c", "G", "h", "A", "b"):
             np.testing.assert_array_equal(getattr(stack, name)[k], getattr(one, name),
                                           err_msg=name)
-        assert stack.labels == one.labels
         for (rows, offs, f1), (row, off, f2) in zip(stack.epi, one.epi):
             np.testing.assert_array_equal(rows[k], row)
             assert offs[k] == off and f1 is f2

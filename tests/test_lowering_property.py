@@ -36,12 +36,12 @@ def extra_part(rng, kind):
         return absolute_value().scaled(rng.uniform(0.5, 2.0))
     if kind == "pwl":  # kinked and bounded: an epigraph atom with hi/lo rows
         return PiecewiseLinear([0.0, 1.0], [-1.0, 0.5, 2.0], lo=-3.0, hi=4.0)
-    if kind == "interval":  # unlabelled bound rows
+    if kind == "interval":  # bound rows
         return indicator_interval(-2.0, rng.uniform(0.5, 3.0))
-    # labelled inequality rows and an equality row
+    # inequality rows and an equality row
     return PolyhedralIndicator(Polyhedron(
         a_ub=rng.normal(size=(2, 2)), b_ub=rng.uniform(1.0, 2.0, 2),
-        a_eq=[[1.0, -1.0]], b_eq=[0.0]), labels=["cap", "floor"])
+        a_eq=[[1.0, -1.0]], b_eq=[0.0]))
 
 
 def inner_function(rng, nx, kinds):
@@ -100,9 +100,9 @@ def test_grouped_lowering_equals_dense(case):
     _, obj = primal_objective(p, u)
     got = obj.qp_data()
     want = dense_lowering(obj, [selection_matrix(t.cols, obj.n) for t in obj.terms])
-    *arrays, labels, n_main = got
-    *ref, ref_labels, ref_main = want
-    assert (labels, n_main) == (ref_labels, ref_main)
+    *arrays, n_main = got
+    *ref, ref_main = want
+    assert n_main == ref_main
     for name, x, y in zip("P q c G h A b".split(), arrays, ref):
         assert np.shape(x) == np.shape(y), name
         np.testing.assert_allclose(x, y, rtol=0, atol=1e-12, err_msg=name)

@@ -33,7 +33,7 @@ from stochdual.solver import (
     solve_dual,
     solve_primal,
 )
-from stochdual.tree import ScenarioTree, StochasticProcess, in_orthocomplement
+from stochdual.tree import ScenarioTree, StochasticProcess, in_orthocomplement, pairing
 
 from helpers import (
     basis_bound,
@@ -217,15 +217,42 @@ class TestNodewiseMatchesPerLeaf:
                              np.random.default_rng(3), smooth=False)
 
     def test_recovered_dual(self, name):
+        # the dual read off the primal QP's selected subgradients: where the
+        # velocity parts are smooth it is the per-leaf velocity gradient bit
+        # for bit; on kinked ones it closes the gap for adapted u, and
+        # otherwise leaves no larger a gap than the per-leaf gradient's
         p, u, _ = CASES[name]
         primal = solve_primal(p, u)
         assert primal.status == "optimal"
         got = solver._recover_dual_candidate(p, u, primal, CFG)
         want = per_leaf_recovered_dual(p, u, primal.optimizer)
-        assert (got is None) == (want is None)
-        if want is not None:
+        assert got is not None
+        if smooth_velocity(p):
+            assert want is not None
             for a, b in zip(got.values, want.values):
                 np.testing.assert_array_equal(a, b)
+            return
+        tol = 1e-9 * max(1.0, abs(primal.value))
+        if "u_adapted" in name:
+            assert abs(gap_at(p, u, primal, got)) <= tol
+        else:
+            assert gap_at(p, u, primal, got) <= gap_at(p, u, primal, want) + tol
+
+
+def smooth_velocity(p):
+    """Every stage cost is separable with quadratic velocity parts."""
+    return all(isinstance(st.fn, SeparableSum)
+               and all(isinstance(part, Quadratic) for part in st.fn.parts[st.d:])
+               for blocks in p.integrand.stages for st in blocks)
+
+
+def gap_at(p, u, primal, y):
+    """Primal value minus the dual value <u, y> - phi*(y); inf without a y
+    or outside dom phi*."""
+    if y is None:
+        return np.inf
+    phi = dual_objective(p, y).value
+    return np.inf if phi == np.inf else primal.value - (pairing(u, y) - phi)
 
 
 @pytest.mark.parametrize("name", ["quadratic-tracking.json", "binomial-alm.json",
@@ -296,12 +323,12 @@ def test_one_epigraph_atom_per_node():
     # solve the per-leaf program's
     p, u = abs_bolza(4, "adapted")
     _, obj = primal_objective(p, u)
-    P, q, c, G, h, A, b, labels, n_main = obj.qp_data()
+    P, q, c, G, h, A, b, n_main = obj.qp_data()
     assert (P.shape[0] - n_main, G.shape[0]) == (31, 62)
     res, ref = solver._minimize(obj, CFG), solver._minimize(per_leaf_primal(p, u), CFG)
     assert res.status == ref.status == "optimal"
     assert res.value == pytest.approx(ref.value, rel=1e-10, abs=1e-10)
     # a u that differs on every leaf splits every node down to its leaves
     p, u = abs_bolza(4, "leafwise")
-    P, q, c, G, h, A, b, labels, n_main = primal_objective(p, u)[1].qp_data()
+    P, q, c, G, h, A, b, n_main = primal_objective(p, u)[1].qp_data()
     assert (P.shape[0] - n_main, G.shape[0]) == (80, 160)
