@@ -32,7 +32,6 @@ from .convex import (
     Polyhedron,
     Quadratic,
     SeparableSum,
-    SupportFunction,
     constant,
     coordinate_support,
     domain_polyhedron,
@@ -245,10 +244,6 @@ class ParametricIntegrand:
         y_idx = np.arange(self.n_total, self.n_total + self.m_total)
         return self.joint_function(leaf).conjugate().fix(y_idx, y)
 
-    def attaining_parameter(self, leaf: int, x, y):
-        """A u attaining inf_u f(x,u) - u.y, when recoverable (ascent use)."""
-        return None
-
     # -- helpers ------------------------------------------------------------
 
     def _parameter_slice_infeasible(self, leaf: int, x) -> bool:
@@ -281,25 +276,6 @@ class GenericIntegrand(ParametricIntegrand):
 
     def joint_function(self, leaf):
         return self.functions[leaf]
-
-    def attaining_parameter(self, leaf, x, y):
-        fn = self.functions[leaf]
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        if isinstance(fn, AffinePrecomposition):
-            M_x, M_u = fn.matrix[:, :self.n_total], fn.matrix[:, self.n_total:]
-            if M_u.shape[0] == M_u.shape[1]:
-                try:
-                    eta = np.linalg.solve(M_u.T, y)
-                    z_star = fn.inner.conjugate().subgradient(eta)
-                    return np.linalg.solve(M_u, z_star - M_x @ x - fn.offset)
-                except (np.linalg.LinAlgError, NoClosedFormError, ValueError):
-                    return None
-        if isinstance(fn, Quadratic):
-            w_u, t_u = fn.weights[self.n_total:], fn.tilt[self.n_total:]
-            if np.all(w_u > 0):
-                return (y - t_u) / (2.0 * w_u)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +392,6 @@ class ConstrainedIntegrand(ParametricIntegrand):
             return infeasible(self.n_total)
         return fn.conjugate()
 
-    def attaining_parameter(self, leaf, x, y):
-        x = np.asarray(x, dtype=float).ravel()
-        vals = [fj.value(x) for fj in self.constraints[leaf]]
-        if any(v == INF for v in vals):
-            return None
-        return -np.array(vals)
-
 
 # ---------------------------------------------------------------------------
 # asset-liability management: f(x, u) = V(u - sum_t x_t . ds_{t+1})
@@ -503,10 +472,6 @@ class BolzaStage:
         sliced = self.fn.fix(np.arange(self.d), np.ravel(x))
         return _is_identically_infinite(sliced)
 
-    def x_slice(self, x) -> ConvexFunction:
-        """w -> K(x, w)."""
-        return self.fn.fix(np.arange(self.d), np.ravel(x))
-
     def hamiltonian_function_of_x(self, y):
         return partial_infimum(self.fn, self.d, y)
 
@@ -525,10 +490,6 @@ class BolzaStage:
             raise NoClosedFormError("Hamiltonian is -inf at this dual point")
         return fn.conjugate()
 
-    def minus_h_function_of_y(self, x) -> ConvexFunction:
-        """y -> -H(x, y) = (K(x, .))*(y), convex in y."""
-        return self.x_slice(x).conjugate()
-
     def hbar_function_of_x(self, y):
         """lsc hull of H(., y): conjugate of a -> K*(a, y)."""
         conj_in_a = self.conjugate_function_of_a(y)
@@ -544,13 +505,6 @@ class BolzaStage:
         b = np.asarray(b, dtype=float).ravel()
         idx = np.arange(self.d, 2 * self.d)
         return self.fn.conjugate().fix(idx, b)
-
-    def velocity_attaining(self, x, y):
-        """w attaining inf_w K(x,w) - w.y, when recoverable."""
-        try:
-            return self.minus_h_function_of_y(x).subgradient(np.ravel(y))
-        except (NoClosedFormError, ValueError):
-            return None
 
 
 class KabanovStage(BolzaStage):
@@ -648,36 +602,6 @@ class KabanovStage(BolzaStage):
             pieces.append(PolyhedralIndicator(Polyhedron(
                 a_eq=rows, b_eq=np.zeros(d), validate=False)))
         return FiniteSum(pieces)
-
-    def minus_h_function_of_y(self, x):
-        z, k = self._split_state(x)
-        d = self.currency_dim
-        sel_z = np.zeros((d, 2 * d)); sel_z[:, :d] = np.eye(d)
-        shifted = Polyhedron(
-            a_ub=self.C.a_ub, b_ub=self.C.b_ub - self.C.a_ub @ k,
-            a_eq=self.C.a_eq, b_eq=self.C.b_eq - self.C.a_eq @ k,
-            validate=False)
-        pieces = [
-            AffinePrecomposition(SupportFunction(shifted), sel_z),
-            Affine(np.zeros(2 * d), -self.V.value(-k)),
-        ]
-        rows = np.zeros((d, 2 * d)); rows[:, d:] = np.eye(d)
-        pieces.append(PolyhedralIndicator(Polyhedron(
-            a_eq=rows, b_eq=np.zeros(d), validate=False)))
-        return FiniteSum(pieces)
-
-    def x_slice(self, x):
-        z, k = self._split_state(x)
-        d = self.currency_dim
-        val = self.V.value(-k)
-        if val == INF or (self.terminal and np.max(np.abs(z), initial=0.0) > FEAS_TOL):
-            return infeasible(2 * d)
-        a_ub = np.zeros((self.C.a_ub.shape[0], 2 * d)); a_ub[:, :d] = self.C.a_ub
-        a_eq = np.zeros((self.C.a_eq.shape[0], 2 * d)); a_eq[:, :d] = self.C.a_eq
-        ind = PolyhedralIndicator(Polyhedron(
-            a_ub=a_ub, b_ub=self.C.b_ub - self.C.a_ub @ k,
-            a_eq=a_eq, b_eq=self.C.b_eq - self.C.a_eq @ k, validate=False))
-        return FiniteSum([ind, Affine(np.zeros(2 * d), val)])
 
     def conjugate_value(self, a, b):
         az, ak = self._split_dual(a)
@@ -891,19 +815,6 @@ class BolzaIntegrand(ParametricIntegrand):
             fn_a = self.stage_cost(leaf, t).conjugate_function_of_a(ys[t])
             parts.append(AffinePrecomposition(fn_a, np.eye(self.d), dys[t]))
         return SeparableSum(parts)
-
-    def attaining_parameter(self, leaf, x, y):
-        states = self._states(x)
-        ys, _ = self._dual_increments(y)
-        out = np.zeros(self.m_total)
-        for t in range(self.tree.stage_count):
-            stage = self.stage_cost(leaf, t)
-            w = stage.velocity_attaining(states[t], ys[t])
-            if w is None:
-                return None
-            prev = states[t - 1] if t > 0 else np.zeros(self.d)
-            out[self.u_slices[t]] = w - (states[t] - prev)
-        return out
 
 
 def assemble_bolza(tree: ScenarioTree, stages) -> BolzaIntegrand:

@@ -31,8 +31,8 @@ y_{t+1}, x_t> is one affine term.
 Quadratic-plus-polyhedral instances route to the active-set QP path and
 solve to machine precision; everything else falls back to a projected
 subgradient method with diminishing steps c/sqrt(k).  The dual solve
-recovers its maximizer from primal optimality, then verifies the value by
-an honest inner solve; otherwise it ascends with supergradients.  Every
+recovers its maximizer from primal optimality and prices it by one inner
+solve; its status says why a dual is missing or its gap open.  Every
 primal term is g(M_k z + m_k + N_k u_l), where u_l is the parameter
 vector of the term's leaf (or of each leaf of its node).  At a solution
 of the lowered program, the stationarity of the QP selects a subgradient
@@ -135,7 +135,12 @@ class SolverConfig:
     tol: float = 1e-7
     step_constant: float | None = None
     method: str = "auto"  # auto | polyhedral | subgradient
-    ascent_iter: int = 1000
+
+    @property
+    def gap_tol(self) -> float:
+        """Relative tolerance of the duality gap and of the certificates:
+        ``tol`` when looser than its default, else 1e-6."""
+        return self.tol if self.tol > 1e-7 else 1e-6
 
 
 @dataclass
@@ -144,7 +149,9 @@ class SolveResult:
     value: float
     iterations: int
     residual: float
-    status: str  # optimal | unbounded | infeasible | max-iter
+    # optimal | unbounded | infeasible | max-iter, and for a dual also
+    # not-run | not-recovered | no-closed-form | gap-open (``solve_dual``)
+    status: str
     method: str = ""
     # primal: the compiled objective and its solve, from which the dual is
     # recovered
@@ -840,26 +847,44 @@ def solve_dual(p: Problem, u: StochasticProcess,
                primal: SolveResult | None = None) -> SolveResult:
     """Maximize <u, y> - phi*(y); adapted y for dynamic-structure problems.
 
+    y is read off the primal's solution and priced by one
+    ``dual_objective``.  The status is
+
+      * ``infeasible`` (value -inf) when the primal is unbounded: weak
+        duality leaves no finite dual value;
+      * ``not-run`` when the primal is infeasible or ended ``max-iter``;
+      * ``not-recovered`` when no y is read off the primal, or
+        phi*(y) = +inf;
+      * ``no-closed-form`` when a conjugate the dual needs has none;
+      * ``max-iter`` when the inner solve pricing y ended ``max-iter``;
+      * ``gap-open`` when |primal - dual| exceeds
+        ``cfg.gap_tol * max(1, |primal|)``; y and its objective are kept;
+      * ``optimal`` otherwise.
+
     ``primal`` is the result of ``solve_primal(p, u, cfg)`` when the caller
-    already has it; it is solved here otherwise.  A dual that needs a
-    conjugate with no closed form ends with status ``no-closed-form``.
+    already has it; it is solved here otherwise.
     """
     cfg = cfg or SolverConfig()
     if primal is None:
         primal = solve_primal(p, u, cfg)
+    if primal.status == "unbounded":
+        return SolveResult(None, -INF, 0, INF, "infeasible")
+    if primal.status != "optimal":
+        return SolveResult(None, INF, 0, INF, "not-run")
     try:
-        if primal.status == "optimal":
-            y = _recover_dual_candidate(p, u, primal, cfg)
-            if y is not None:
-                dob = dual_objective(p, y, cfg)
-                if dob.value < INF:
-                    value = pairing(u, y) - dob.value
-                    gap = abs(primal.value - value) if np.isfinite(primal.value) else INF
-                    return SolveResult(y, value, dob.inner.iterations, gap, "optimal",
-                                       "recovered", objective=dob)
-        return _ascend_dual(p, u, cfg, primal)
+        y = _recover_dual_candidate(p, u, primal, cfg)
+        dob = None if y is None else dual_objective(p, y, cfg)
     except NoClosedFormError:
         return SolveResult(None, np.nan, 0, INF, "no-closed-form")
+    if dob is None or dob.value == INF:
+        return SolveResult(None, np.nan, 0, INF, "not-recovered")
+    if dob.inner_status == "max-iter":
+        return SolveResult(None, np.nan, dob.inner.iterations, INF, "max-iter", "recovered")
+    value = pairing(u, y) - dob.value
+    gap = abs(primal.value - value)
+    status = "optimal" if gap <= cfg.gap_tol * max(1.0, abs(primal.value)) else "gap-open"
+    return SolveResult(y, value, dob.inner.iterations, gap, status, "recovered",
+                       objective=dob)
 
 
 def _recover_dual_candidate(p, u, primal, cfg):
@@ -926,67 +951,6 @@ def _stage_dual_gradient(stage, x_t, w_t):
         return None
 
 
-def _ascend_dual(p, u, cfg, primal) -> SolveResult:
-    """Projected supergradient ascent on y (generic fallback)."""
-    tree = p.tree
-    y = StochasticProcess.zeros(tree, p.m_dims)
-    restrict_adapted = isinstance(p.integrand, BolzaIntegrand)
-
-    def evaluate(yproc):
-        dob = dual_objective(p, yproc, cfg)
-        return (pairing(u, yproc) - dob.value if dob.value < INF else -INF), dob
-
-    best_val, best_dob = evaluate(y)
-    best_y = y
-    if best_val == -INF:
-        status = "max-iter" if best_dob.inner_status == "max-iter" else "infeasible"
-        return SolveResult(None, -INF, 0, INF, status, "ascent")
-    step0 = cfg.step_constant or max(1.0, abs(best_val))
-    cur_y, cur_val, cur_dob = y, best_val, best_dob
-    iters = min(cfg.ascent_iter, cfg.max_iter)
-    stalled = rounds = 0
-    uvecs = _leaf_vectors(p, u, "parameter")
-    for k in range(1, iters + 1):
-        x_star = cur_dob.minimizer.leaf_rows()
-        yvecs = _leaf_vectors(p, cur_y, "dual")
-        u_stars = [p.integrand.attaining_parameter(leaf, x_star[leaf], yvecs[leaf])
-                   for leaf in range(tree.n_leaves)]
-        if any(u_star is None for u_star in u_stars):
-            break
-        rounds = k
-        gproc = StochasticProcess.from_leaf_rows(tree, p.m_dims, uvecs - np.array(u_stars))
-        if restrict_adapted:
-            gproc = adapted_projection(gproc)
-        gnorm = max(np.sqrt(sum(float(np.sum(a * a)) for a in gproc.values)), 1e-12)
-        step = step0 / (np.sqrt(k) * gnorm)
-        for _ in range(21):  # the step, then up to 20 halvings of it
-            trial = StochasticProcess(tree, tuple(
-                a + step * g for a, g in zip(cur_y.values, gproc.values)))
-            val, dob = evaluate(trial)
-            if val > -INF:
-                break
-            step /= 2.0
-        if val == -INF:
-            # the supergradient points out of the dual domain; retrying the
-            # same face rarely helps, so stop after a few stalled rounds
-            stalled += 1
-            if stalled >= 3:
-                break
-            continue
-        stalled = 0
-        cur_y, cur_val, cur_dob = trial, val, dob
-        if val > best_val:
-            best_val, best_y, best_dob = val, trial, dob
-        if k % 50 == 0 and np.isfinite(primal.value):
-            if primal.value - best_val <= cfg.tol * max(1.0, abs(primal.value)):
-                break
-    finite = np.isfinite(primal.value)
-    gap = primal.value - best_val if finite else INF
-    status = "optimal" if finite and gap <= 1e-5 * max(1.0, abs(primal.value)) else "max-iter"
-    return SolveResult(best_y, best_val, rounds, max(gap, 0.0), status, "ascent",
-                       objective=best_dob)
-
-
 def duality_gap(p: Problem, u: StochasticProcess,
                 cfg: SolverConfig | None = None,
                 primal: SolveResult | None = None) -> GapReport:
@@ -998,9 +962,6 @@ def duality_gap(p: Problem, u: StochasticProcess,
     cfg = cfg or SolverConfig()
     if primal is None:
         primal = solve_primal(p, u, cfg)
-    if primal.status == "infeasible":
-        dual = SolveResult(None, INF, 0, INF, "not-run")
-        return GapReport(INF, primal, dual)
     dual = solve_dual(p, u, cfg, primal)
     if np.isfinite(primal.value) and np.isfinite(dual.value):
         gap = primal.value - dual.value

@@ -257,13 +257,11 @@ class TestSolveOnce:
     def test_report_solves_primal_once(self, monkeypatch, name):
         calls = {}
         count_calls(monkeypatch, solver, "solve_primal", calls, [cli])
-        count_calls(monkeypatch, solver, "_ascend_dual", calls)
         count_calls(monkeypatch, solver, "dual_objective", calls)
         count_calls(monkeypatch, solver, "dual_via_orthocomplement", calls, [cli])
         code, report = run(["report", fixture_path(name)])
         assert code == 0
         assert calls["solve_primal"] == 1
-        assert calls["_ascend_dual"] <= 1
         if report["dual"]["method"] == "recovered":
             assert calls["dual_objective"] == 1
         assert calls["dual_via_orthocomplement"] <= 1
@@ -390,13 +388,13 @@ class TestHonestExitCodes:
                                                  "reason": "no-closed-form"}
 
     def test_infinite_gap_with_finite_primal_exits_non_zero(self, monkeypatch):
-        # forced onto the ascent, which starts outside dom phi* and reports
-        # the dual infeasible: the gap is infinite although the primal is not
+        # no y is read off the primal: the dual is missing, and the gap is
+        # infinite although the primal is not
         monkeypatch.setattr(solver, "_recover_dual_candidate", lambda *a: None)
         for command in ("gap", "dualize"):
             code, report = run([command, fixture_path("pwl-hedging.json")])
             assert report["primal"]["value"] == pytest.approx(-0.025, abs=1e-12)
-            assert report["dual"]["status"] == "infeasible"
+            assert report["dual"]["status"] == "not-recovered"
             assert report["gap"] is None
             assert code == cli.EXIT_NO_CONVERGENCE, command
 

@@ -61,12 +61,6 @@ class TestAlmLagrangian:
         oracle = grid_lagrangian_oracle(f, 0, [1.0], [1.0])
         assert f.lagrangian(0, [1.0], [1.0]) == pytest.approx(oracle, abs=1e-4)
 
-    def test_attaining_parameter(self):
-        f = single_leaf_alm()
-        u_star = f.attaining_parameter(0, [1.0], [1.0])
-        val = f.value(0, [1.0], u_star) - u_star[0] * 1.0
-        assert val == pytest.approx(f.lagrangian(0, [1.0], [1.0]), abs=1e-10)
-
     def test_pointwise_conjugate_on_forced_point(self):
         f = single_leaf_alm()
         assert f.conjugate_value(0, [-1.0], [1.0]) == pytest.approx(0.5)

@@ -238,6 +238,23 @@ class TestNodewiseMatchesPerLeaf:
         else:
             assert gap_at(p, u, primal, got) <= gap_at(p, u, primal, want) + tol
 
+    def test_dual_status(self, name):
+        # adapted u: the recovered dual closes the gap.  Otherwise the
+        # projection onto the adapted processes leaves it open, and the
+        # status says so; y and its price are kept for the certificate
+        p, u, _ = CASES[name]
+        primal = solve_primal(p, u)
+        dual = solve_dual(p, u, primal=primal)
+        gap = primal.value - dual.value
+        assert dual.method == "recovered"
+        assert dual.residual == pytest.approx(abs(gap), abs=1e-15)
+        if "u_adapted" in name:
+            assert dual.status == "optimal"
+        else:
+            assert dual.status == "gap-open"
+            assert abs(gap) > 0.1
+            assert dual.value == pairing(u, dual.optimizer) - dual.objective.value
+
 
 def smooth_velocity(p):
     """Every stage cost is separable with quadratic velocity parts."""

@@ -218,6 +218,58 @@ class TestSolveDual:
         np.testing.assert_allclose(y / mean, [2.0 / 3.0, 4.0 / 3.0], atol=1e-6)
         assert res.value == pytest.approx(0.45, abs=1e-7)
 
+    @pytest.mark.parametrize("case", ["unbounded", "infeasible", "max-iter"])
+    def test_no_inner_solve_without_a_primal_optimum(self, monkeypatch, case):
+        # unbounded: f(x, u) = x; infeasible: a kinked disutility on
+        # [-0.1, 0.1] that no hedge of u = (1, 1) reaches; max-iter: the
+        # subgradient method stopped before its first progress test
+        cfg = SolverConfig()
+        if case == "unbounded":
+            tree = ScenarioTree.deterministic(1)
+            p = Problem(tree, GenericIntegrand(tree, [1], [1], [Affine([1.0, 0.0])]))
+            u = StochasticProcess.from_stage_values(tree, [[[0.0]]])
+        elif case == "infeasible":
+            tree = two_leaf_tree()
+            price = StochasticProcess.from_stage_values(tree, [[[1.0], [1.0]], [[1.2], [0.9]]])
+            V = PiecewiseLinear([0.0], [0.5, 2.0], lo=-0.1, hi=0.1)
+            p = Problem(tree, AlmIntegrand(tree, [V], price))
+            u = alm_u(tree, 1.0)
+        else:
+            p = tracking_problem()
+            u = tracking_u(p.tree)
+            cfg = SolverConfig(method="subgradient", max_iter=50)
+        primal = solve_primal(p, u, cfg)
+        assert primal.status == case
+        calls = []
+        real = solver.dual_objective
+        monkeypatch.setattr(solver, "dual_objective", lambda *a: calls.append(a) or real(*a))
+        res = solve_dual(p, u, cfg, primal)
+        assert calls == []
+        assert res.optimizer is None
+        if case == "unbounded":
+            # weak duality: the dual value is -inf
+            assert (res.status, res.value) == ("infeasible", -INF)
+        else:
+            assert res.status == "not-run"
+
+    def test_unconverged_inner_solve_is_max_iter(self):
+        # the recovered y = 0.3592 is priced by the infimum of an
+        # exponential plus an entropy, which the subgradient method does not
+        # reach within max_iter: no dual value is reported
+        from stochdual.convex import Entropy, Exponential
+
+        tree = ScenarioTree.deterministic(2)
+        p = Problem(tree, GenericIntegrand(tree, [1, 1], [0, 1], [SeparableSum([
+            Exponential(0.7068, 0.8908, 0.3056), Entropy(1.3672, 0.2401, -0.3257),
+            Affine([0.3592], 0.6926)])]))
+        u = StochasticProcess.from_stage_values(tree, [[[]], [[1.4852]]])
+        cfg = SolverConfig(max_iter=2000)
+        primal = solve_primal(p, u, cfg)
+        assert primal.status == "optimal"
+        res = solve_dual(p, u, cfg, primal)
+        assert (res.status, res.method, res.optimizer) == ("max-iter", "recovered", None)
+        assert res.residual == INF
+
 
 class TestOrthocomplementBound:
     def test_alm_density_bound_matches_dual_objective(self):
@@ -520,42 +572,6 @@ class TestGridEquivalence:
         expected, _ = grid_minimize(objective_values(obj), layout.width)
         res = solve_primal(p, u)
         assert res.value == pytest.approx(expected, abs=2e-2)
-
-
-class TestAscentFallback:
-    def test_supergradient_ascent_on_full_domain_dual(self):
-        # white-box: the dynamic quadratic dual has a full-dimensional
-        # domain, so the diminishing-step ascent must approach the optimum
-        from stochdual.solver import _ascend_dual
-
-        tree = ScenarioTree.deterministic(2)
-        p = Problem(tree, BolzaIntegrand(tree, [[quad_stage()], [quad_stage()]]))
-        u = StochasticProcess.from_stage_values(tree, [[[1.0]], [[0.0]]])
-        cfg = SolverConfig(ascent_iter=2000)
-        primal = solve_primal(p, u, cfg)
-        assert primal.value == pytest.approx(0.3, abs=1e-9)
-        res = _ascend_dual(p, u, cfg, primal)
-        assert res.value <= primal.value + 1e-9
-        assert res.value >= primal.value - 5e-2
-        dob = dual_objective(p, res.optimizer, cfg)
-        assert pairing(u, res.optimizer) - dob.value == pytest.approx(
-            res.value, abs=1e-9
-        )
-
-    def test_ascent_reports_honestly_on_subspace_domains(self):
-        # the tracking dual lives on {E y = 0}; a raw supergradient points
-        # out of it, the ascent stalls, and the status says so
-        from stochdual.solver import _ascend_dual
-
-        p = tracking_problem()
-        u = tracking_u(p.tree)
-        cfg = SolverConfig(ascent_iter=50)
-        primal = solve_primal(p, u, cfg)
-        res = _ascend_dual(p, u, cfg, primal)
-        assert res.status in ("max-iter", "optimal")
-        assert res.value <= primal.value + 1e-9
-        # it stops after a few stalled rounds and counts only those
-        assert res.iterations < cfg.ascent_iter
 
 
 class TestSubgradientPath:
