@@ -250,7 +250,8 @@ class Affine(ConvexFunction):
         return float(self.a @ np.asarray(x, dtype=float).ravel()) + self.b
 
     def value_many(self, X):
-        return np.asarray(X, dtype=float) @ self.a + self.b
+        # one dot product per row, as ``value`` takes it
+        return (np.asarray(X, dtype=float)[:, None, :] @ self.a[:, None])[:, 0, 0] + self.b
 
     def _conjugate(self):
         # sup x.y - a.x - b = -b on {y = a}, +inf elsewhere
@@ -294,8 +295,10 @@ class Quadratic(ConvexFunction):
         return float(self.weights @ (x * x) + self.tilt @ x) + self.offset
 
     def value_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return (X * X) @ self.weights + X @ self.tilt + self.offset
+        # one dot product per row, as ``value`` takes it: the same bits as
+        # ``value``, whatever the number of rows
+        X = np.asarray(X, dtype=float)[:, None, :]
+        return ((X * X) @ self.weights[:, None] + X @ self.tilt[:, None])[:, 0, 0] + self.offset
 
     def _conjugate(self):
         w, t = self.weights, self.tilt
@@ -374,8 +377,6 @@ class PiecewiseLinear(ConvexFunction):
             raise ValueError("anchor point outside the domain")
         self.anchor_x = float(min(max(ax, lo), hi))
         self.anchor_val = float(av)
-        # values at breakpoints, by integrating slopes from the anchor
-        self._break_vals = np.array([self._integrate(b) for b in self.breaks])
 
     def __repr__(self):
         return (f"PiecewiseLinear(breaks={self.breaks.tolist()}, "
@@ -405,20 +406,29 @@ class PiecewiseLinear(ConvexFunction):
         return self._integrate(x)
 
     def value_many(self, X):
+        """``value`` at every point, bit for bit: the domain test and the
+        clamp are ``value``'s, and each point's pieces are summed from its
+        lower knot up, as ``_integrate`` sums them."""
         X = np.asarray(X, dtype=float).reshape(-1)
         out = np.full(X.shape, INF)
-        ok = (X >= self.lo - FEAS_TOL) & (X <= self.hi + FEAS_TOL)
-        xs = np.clip(X[ok], self.lo, self.hi)
-        piece = np.searchsorted(self.breaks, xs, side="right")
-        vals = np.empty_like(xs)
-        for j in np.unique(piece):
-            sel = piece == j
-            if j == 0:
-                vals[sel] = np.array([self._integrate(v) for v in xs[sel]])
-            else:
-                bx, bv = self.breaks[j - 1], self._break_vals[j - 1]
-                vals[sel] = bv + self.slopes[j] * (xs[sel] - bx)
-        out[ok] = vals
+        ok = ~((X < self.lo - FEAS_TOL) | (X > self.hi + FEAS_TOL))
+        xs = X[ok]
+        xs = np.where(self.lo > xs, self.lo, xs)
+        xs = np.where(self.hi < xs, self.hi, xs)
+        up = self.anchor_x <= xs
+        left, right = np.where(up, self.anchor_x, xs), np.where(up, xs, self.anchor_x)
+        total = np.zeros(xs.shape)
+
+        def piece(lo_knot, hi_knot):
+            j = np.searchsorted(self.breaks, 0.5 * (lo_knot + hi_knot), side="right")
+            return self.slopes[j] * (hi_knot - lo_knot)
+
+        for b in self.breaks:  # the knots strictly inside, in increasing order
+            inside = (b > left) & (b < right)
+            total = np.where(inside, total + piece(left, b), total)
+            left = np.where(inside, b, left)
+        total = total + piece(left, right)
+        out[ok] = self.anchor_val + np.where(xs >= self.anchor_x, 1.0, -1.0) * total
         return out
 
     def _conjugate(self):
@@ -560,8 +570,9 @@ class Entropy(ConvexFunction):
     def value_many(self, X):
         X = np.asarray(X, dtype=float).reshape(-1)
         out = np.full(X.shape, INF)
-        ok = X >= -FEAS_TOL
-        xs = np.clip(X[ok], 0.0, None)
+        ok = ~(X < -FEAS_TOL)  # as in ``value``, NaN passes and stays NaN
+        xs = X[ok]
+        xs = np.where(0.0 > xs, 0.0, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             ent = np.where(xs > 0, xs * np.log(np.where(xs > 0, xs, 1.0)) - xs, 0.0)
         out[ok] = self.coeff * ent + self.tilt * xs + self.offset
@@ -946,8 +957,9 @@ class AffinePrecomposition(ConvexFunction):
         return self.inner.value(self.matrix @ x + self.offset)
 
     def value_many(self, X):
+        # one matrix-vector product per row, as ``value`` takes it
         X = np.asarray(X, dtype=float)
-        return self.inner.value_many(X @ self.matrix.T + self.offset)
+        return self.inner.value_many((self.matrix @ X[:, :, None])[:, :, 0] + self.offset)
 
     def _conjugate(self):
         M, m = self.matrix, self.offset

@@ -121,10 +121,10 @@ def alm_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess,
     if not report.ok:
         return -INF
     vals = _density_values(y)
-    star = sum(
-        float(p.tree.probabilities[leaf]) * f.disutilities[leaf].conjugate().value([vals[leaf]])
-        for leaf in range(p.tree.n_leaves)
-    )
+    stars = np.empty(vals.size)
+    for V, leaves in f.disutility_groups:
+        stars[leaves] = V.conjugate().value_many(vals[leaves, None])
+    star = sum(p_l * s for p_l, s in zip(p.tree.probabilities.tolist(), stars.tolist()))
     return pairing(u, y) - star
 
 
@@ -283,12 +283,11 @@ def check_domain_condition(p: Problem, y: StochasticProcess) -> DomainConditionR
     coordinates of the adapted decision space."""
     layout = p.layout
     l_ub, l_eq, d_ub, d_eq = [], [], [], []  # (leaf columns, rows, rhs) blocks
-    yvecs = y.leaf_rows()
-    for leaf in range(p.tree.n_leaves):
-        try:
-            l_fn = p.integrand.lagrangian_function_of_x(leaf, yvecs[leaf])
-        except NoClosedFormError:
-            return DomainConditionReport("inconclusive", "no closed-form Lagrangian")
+    try:
+        l_fns = p.integrand.lagrangian_functions_of_x(y.leaf_rows())
+    except NoClosedFormError:
+        return DomainConditionReport("inconclusive", "no closed-form Lagrangian")
+    for leaf, l_fn in enumerate(l_fns):
         if l_fn is MINUS_INF:
             continue  # empty effective domain contributes nothing
         dom_l = domain_polyhedron(l_fn)

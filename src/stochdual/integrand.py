@@ -82,6 +82,11 @@ def partial_infimum(fn: ConvexFunction, nx: int, y):
     Returns a catalog function of x, or the MINUS_INF sentinel when the
     infimum is -inf irrespective of x.  Raises NoClosedFormError when the
     trailing slice is not conjugable in closed form.
+
+    A precomposition g(M (x, w) + m) with a square, nonzero block M_w is
+    the one-function case of ``_precomposition_lagrangians``, the stacked
+    pass that ``GenericIntegrand.lagrangian_functions_of_x`` runs once per
+    group of leaves sharing one g.
     """
     y = np.asarray(y, dtype=float).ravel()
     m = fn.dim - nx
@@ -131,20 +136,13 @@ def partial_infimum(fn: ConvexFunction, nx: int, y):
         return _shift(out, const)
 
     if isinstance(fn, AffinePrecomposition):
-        M_x, M_u = fn.matrix[:, :nx], fn.matrix[:, nx:]
-        if np.max(np.abs(M_u), initial=0.0) == 0.0:
+        if np.max(np.abs(fn.matrix[:, nx:]), initial=0.0) == 0.0:
             if np.max(np.abs(y), initial=0.0) > FEAS_TOL:
                 return MINUS_INF
             return fn.fix(u_idx, np.zeros(m))
-        if M_u.shape[0] == M_u.shape[1]:
-            try:
-                eta = np.linalg.solve(M_u.T, y)
-            except np.linalg.LinAlgError:
-                raise NoClosedFormError("parameter map is singular")
-            star = fn.inner.conjugate().value(eta)
-            if star == INF:
-                return MINUS_INF
-            return Affine(M_x.T @ eta, float(eta @ fn.offset) - star)
+        if fn.matrix.shape[0] == m:
+            return _precomposition_lagrangians(fn.inner, fn.matrix[None], fn.offset[None],
+                                               nx, y[None])[0]
         raise NoClosedFormError("parameter slice is not conjugable")
 
     if isinstance(fn, FiniteSum):
@@ -170,6 +168,34 @@ def partial_infimum(fn: ConvexFunction, nx: int, y):
         return MINUS_INF if val == -INF else constant(val, 0)
 
     raise NoClosedFormError(f"no partial-conjugation rule for kind '{fn.kind}'")
+
+
+def _precomposition_lagrangians(inner: ConvexFunction, mats, offsets, nx: int, ys):
+    """``partial_infimum`` of K functions g(M_k (x, w) + m_k) of one inner
+    g, each with a square, nonzero block M_k,w on the trailing coordinates,
+    at the rows y_k of ``ys``, in one stacked pass.  ``mats`` and
+    ``offsets`` stack the M_k and m_k.
+
+    inf over w of g(M_k,x x + M_k,w w + m_k) - w.y_k is attained through
+    eta_k = M_k,w'^{-1} y_k: it is the affine function x -> eta_k.(M_k,x x
+    + m_k) - g*(eta_k), or MINUS_INF where g*(eta_k) = +inf.  One batched
+    solve gives every eta_k and one ``value_many`` every g*(eta_k); K = 1
+    is the per-function rule.  Each function's result does not depend on
+    the others' as long as g*'s ``value_many`` evaluates row by row, as
+    every catalog kind's does (a polyhedral indicator's up to rounding at
+    its feasibility tolerance).  Raises NoClosedFormError when some M_k,w
+    is singular or g has no closed-form conjugate.
+    """
+    try:
+        eta = np.linalg.solve(mats[:, :, nx:].swapaxes(1, 2),
+                              np.asarray(ys, dtype=float)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise NoClosedFormError("parameter map is singular")
+    star = inner.conjugate().value_many(eta)
+    slopes = (mats[:, :, :nx].swapaxes(1, 2) @ eta[:, :, None])[:, :, 0]
+    consts = (eta[:, None, :] @ offsets[:, :, None])[:, 0, 0] - star
+    return [MINUS_INF if s == INF else Affine(a, b)
+            for a, b, s in zip(slopes, consts.tolist(), star.tolist())]
 
 
 def _shift(fn: ConvexFunction, c: float) -> ConvexFunction:
@@ -217,6 +243,12 @@ class ParametricIntegrand:
 
     def lagrangian_function_of_x(self, leaf: int, y):
         return partial_infimum(self.joint_function(leaf), self.n_total, y)
+
+    def lagrangian_functions_of_x(self, ys) -> list:
+        """``lagrangian_function_of_x`` of every leaf, leaf l at row l of
+        ``ys``.  Raises NoClosedFormError when some leaf has no closed
+        form."""
+        return [self.lagrangian_function_of_x(leaf, y) for leaf, y in enumerate(ys)]
 
     def lagrangian(self, leaf: int, x, y) -> float:
         fn = self.lagrangian_function_of_x(leaf, y)
@@ -276,6 +308,36 @@ class GenericIntegrand(ParametricIntegrand):
 
     def joint_function(self, leaf):
         return self.functions[leaf]
+
+    def lagrangian_functions_of_x(self, ys) -> list:
+        """``lagrangian_function_of_x`` of every leaf, one group of leaves
+        at a time: leaves whose joints g(M (x, u) + m) share one inner g
+        and the shape of M, with a square, nonzero parameter block, go
+        through one stacked partial infimum; any other leaf keeps the
+        per-leaf rule.  Raises NoClosedFormError when some leaf has no
+        closed form."""
+        n, ys = self.n_total, np.asarray(ys, dtype=float)
+        out, groups = [None] * len(ys), {}
+        for leaf, fn in enumerate(self.functions):
+            if isinstance(fn, AffinePrecomposition) and fn.matrix.shape[0] == fn.dim - n > 0:
+                groups.setdefault((id(fn.inner), fn.matrix.shape), []).append(leaf)
+            else:
+                out[leaf] = partial_infimum(fn, n, ys[leaf])
+        for leaves in groups.values():
+            fns = [self.functions[leaf] for leaf in leaves]
+            mats = np.array([fn.matrix for fn in fns])
+            # a zero parameter block has its own rule, per leaf
+            stack = np.abs(mats[:, :, n:]).max(axis=(1, 2)) != 0.0
+            for leaf, fn, stacked in zip(leaves, fns, stack.tolist()):
+                if not stacked:
+                    out[leaf] = partial_infimum(fn, n, ys[leaf])
+            if stack.any():
+                leaves = np.array(leaves)[stack]
+                offsets = np.array([fn.offset for fn in fns])[stack]
+                for leaf, fn in zip(leaves.tolist(), _precomposition_lagrangians(
+                        fns[0].inner, mats[stack], offsets, n, ys[leaves])):
+                    out[leaf] = fn
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +488,18 @@ class AlmIntegrand(GenericIntegrand):
         n_dims = [d_s] * T + [0]
         m_dims = [0] * T + [1]
         self.disutilities = Vs
+        shared = {}
+        for leaf, V in enumerate(Vs):
+            shared.setdefault(id(V), (V, []))[1].append(leaf)
+        # (V, the leaves whose disutility is that very object), in order of
+        # first leaf: the groups a vectorised pass evaluates V or V* over
+        self.disutility_groups = [(V, np.array(leaves)) for V, leaves in shared.values()]
         self.price = price
         increments = []
         for leaf in range(tree.n_leaves):
             rows = [price.stage(t + 1)[leaf] - price.stage(t)[leaf] for t in range(T)]
             increments.append(np.concatenate(rows) if rows else np.zeros(0))
-        self.gain_rows = increments  # per leaf, stacked ds over trading stages
+        self.gain_rows = np.array(increments)  # row l: leaf l's ds, stacked over stages
         fns = []
         for leaf in range(tree.n_leaves):
             row = np.concatenate([-increments[leaf], [1.0]])

@@ -170,7 +170,14 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
               y: StochasticProcess, tol: float = DEFAULT_TOL) -> Certificate:
     """Blockwise martingale condition on y plus the disutility subgradient
     condition; the annihilator element is reconstructed from the price
-    increments."""
+    increments.
+
+    The subgradient rows are one Fenchel residual V_l(w_l) + V_l*(y_l) -
+    w_l y_l per leaf, +inf where either value is: the wealth vector w is
+    computed once, and V and V* are evaluated once per group of leaves that
+    share one V.  The annihilator element v = -y ds has blockwise means
+    that are exactly the negated means of the martingale test, so its row
+    is that test's worst residual."""
     f = p.integrand
     if not isinstance(f, AlmIntegrand):
         raise TypeError("check_alm needs a hedging-model problem")
@@ -186,11 +193,14 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     report = check_martingale_density(vals, f.price, tol)
     cert.add("martingale-density", report.max_residual)
     xs, us = x.leaf_rows(), u.leaf_rows()
-    for leaf in range(p.tree.n_leaves):
-        wealth = us[leaf][-1] - float(xs[leaf] @ f.gain_rows[leaf])
-        V = f.disutilities[leaf]
-        res = fenchel_residual(V, [wealth], [vals[leaf]])
-        cert.add("disutility-subgradient", max(res, 0.0), leaf=leaf)
+    wealth = us[:, -1] - (xs[:, None, :] @ f.gain_rows[:, :, None])[:, 0, 0]
+    res = np.empty(p.tree.n_leaves)
+    for V, leaves in f.disutility_groups:
+        w, v = wealth[leaves], vals[leaves]
+        gx, gv = V.value_many(w[:, None]), V.conjugate().value_many(v[:, None])
+        res[leaves] = np.where((gx == INF) | (gv == INF), INF, gx + gv - w * v)
+    for leaf, r in enumerate(res.tolist()):
+        cert.add("disutility-subgradient", max(r, 0.0), leaf=leaf)
     # v_t = -y ds_{t+1} must have zero conditional means
     arrays = []
     T = p.tree.horizon
@@ -198,9 +208,8 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
         ds = f.price.stage(t + 1) - f.price.stage(t)
         arrays.append(-vals[:, None] * ds)
     arrays.append(np.zeros((p.tree.n_leaves, 0)))
-    vproc = StochasticProcess(p.tree, tuple(arrays))
-    cert.v = vproc
-    cert.add("annihilator", in_orthocomplement(vproc, tol).max_residual)
+    cert.v = StochasticProcess(p.tree, tuple(arrays))
+    cert.add("annihilator", report.max_residual)
     return cert.finalize()
 
 

@@ -607,14 +607,15 @@ def primal_objective(p: Problem, u: StochasticProcess):
     lift = np.vstack([np.eye(n), np.zeros((m, n))])  # x -> (x, 0)
     free = np.vstack([np.zeros((n, m)), np.eye(m)])  # u -> (0, u)
     terms = []
-    for leaf in range(p.tree.n_leaves):
+    for leaf, (weight, cols, u_l) in enumerate(zip(p.tree.probabilities.tolist(),
+                                                   layout.columns, uvecs)):
         joint = f.joint_function(leaf)
         if isinstance(joint, AffinePrecomposition):
-            fn, N = joint.fix(np.arange(n, n + m), uvecs[leaf]), joint.matrix[:, n:]
+            N = joint.matrix[:, n:]
+            fn = AffinePrecomposition(joint.inner, joint.matrix[:, :n], joint.offset + N @ u_l)
         else:
-            fn, N = AffinePrecomposition(joint, lift, free @ uvecs[leaf]), free
-        terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
-                           layout.columns[leaf], leaf, N))
+            fn, N = AffinePrecomposition(joint, lift, free @ u_l), free
+        terms.append(_Term(weight, fn, cols, leaf, N))
     return layout, CompiledObjective(layout.width, terms)
 
 
@@ -655,14 +656,12 @@ def _lagrangian_objective(p: Problem, y: StochasticProcess):
     if isinstance(p.integrand, BolzaIntegrand):
         terms = _bolza_lagrangian_terms(p, yvecs)
         return layout, None if terms is None else CompiledObjective(layout.width, terms)
-    terms = []
-    for leaf in range(p.tree.n_leaves):
-        fn = p.integrand.lagrangian_function_of_x(leaf, yvecs[leaf])
-        if fn is MINUS_INF:
-            return layout, None
-        terms.append(_Term(float(p.tree.probabilities[leaf]), fn,
-                           layout.columns[leaf], leaf))
-    return layout, CompiledObjective(layout.width, terms)
+    fns = p.integrand.lagrangian_functions_of_x(yvecs)
+    if any(fn is MINUS_INF for fn in fns):
+        return layout, None
+    return layout, CompiledObjective(layout.width, [
+        _Term(weight, fn, cols, leaf) for leaf, (weight, fn, cols) in enumerate(
+            zip(p.tree.probabilities.tolist(), fns, layout.columns))])
 
 
 def _bolza_lagrangian_terms(p: Problem, yvecs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -129,15 +130,30 @@ class ScenarioTree:
     def block_of(self, t: int, leaf: int) -> int:
         return int(self.leaf_block[t][leaf])
 
+    @cached_property
+    def _block_weights(self):
+        """Per stage, one (leaf indices, leaf probabilities, block
+        probability) triple per block, in partition order."""
+        out = []
+        for stage in self.partitions:
+            triples = []
+            for block in stage:
+                idx = np.array(block)
+                w = self.probabilities[idx]
+                triples.append((idx, w, w.sum()))
+            out.append(tuple(triples))
+        return tuple(out)
+
     def conditional_mean(self, arr, t: int) -> np.ndarray:
         """E_t of a leaf-indexed array: the probability-weighted mean of its
-        rows over each stage-t block, repeated on the block's leaves."""
+        rows over each stage-t block, repeated on the block's leaves.  The
+        blocks' index arrays and weights are built once per tree; each
+        block's mean is one ``w @ arr[idx] / mass`` (a scatter-add over all
+        blocks at once would round differently)."""
         arr = np.asarray(arr, dtype=float)
         new = np.empty_like(arr)
-        for block in self.partitions[t]:
-            idx = list(block)
-            w = self.probabilities[idx]
-            new[idx] = w @ arr[idx] / w.sum()
+        for idx, w, mass in self._block_weights[t]:
+            new[idx] = w @ arr[idx] / mass
         return new
 
     # -- convenience constructors ----------------------------------------

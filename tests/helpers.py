@@ -26,6 +26,15 @@ from stochdual.convex import (
 from stochdual.tree import ScenarioTree, StochasticProcess, build_tree
 
 
+def same_bits(a, b) -> bool:
+    """Equal arrays of floats, bit for bit (signed zeros told apart); NaNs
+    match NaNs whatever their payload."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
 # ---------------------------------------------------------------------------
 # LP oracle: vertex enumeration (assumes a bounded feasible polytope)
 # ---------------------------------------------------------------------------
@@ -311,15 +320,46 @@ def random_process(rng, tree, dims):
 CATALOG_SAMPLES = _catalog_samples()
 
 
-def hedging_file(tmp_path, horizon, liability, disutility=None):
-    """Hedging problem file on a binary tree: price x1.2 or x0.9 per step,
-    disutility z^2/2 unless a function spec is given."""
+def binary_prices(horizon):
+    """(horizon + 1, 2**horizon) leaf prices on the binary tree: 1 at stage
+    0, then x1.2 or x0.9 per step."""
     n = 2 ** horizon
     leaves = np.arange(n)
     prices = np.ones((horizon + 1, n))
     for t in range(1, horizon + 1):
         down = (leaves >> (horizon - t)) & 1
         prices[t] = prices[t - 1] * np.where(down, 0.9, 1.2)
+    return prices
+
+
+def binary_hedging(horizon, disutility):
+    """Hedging problem on ``ScenarioTree.binary(horizon)`` with the
+    ``binary_prices`` and one disutility shared by every leaf (built
+    without the model's disutility checks)."""
+    from stochdual.integrand import AlmIntegrand
+    from stochdual.solver import Problem
+
+    tree = ScenarioTree.binary(horizon)
+    price = StochasticProcess.from_stage_values(tree, binary_prices(horizon)[:, :, None])
+    return Problem(tree, AlmIntegrand(tree, [disutility], price))
+
+
+# V(0) = 0 disutilities whose conjugates are of each kind the stacked
+# hedging passes evaluate: a quadratic, the indicator of [-1, 1], a pwl off
+# its anchor, and an entropy
+HEDGING_DISUTILITIES = {
+    "quadratic": Quadratic([0.5]),
+    "abs": absolute_value(),
+    "pwl-off-anchor": PiecewiseLinear([-0.5, 1.0], [0.25, 0.5, 2.0], anchor=(0.7, 0.35)),
+    "exponential": Exponential(1.0, 1.0, -1.0),
+}
+
+
+def hedging_file(tmp_path, horizon, liability, disutility=None):
+    """Hedging problem file on a binary tree: price x1.2 or x0.9 per step,
+    disutility z^2/2 unless a function spec is given."""
+    n = 2 ** horizon
+    prices = binary_prices(horizon)
     doc = {
         "tree": {"probabilities": [f"1/{n}"] * n,
                  "partitions": [[list(range(b * (n >> t), (b + 1) * (n >> t)))
@@ -504,3 +544,47 @@ def basis_bound(p, y):
     P, q, c, G, h, A, b, width = dense_lowering(obj, [B[t.cols] for t in obj.terms])
     res = solve_qp(P, q, c, G, h, A, b)
     return res.status, res.value, None if res.x is None else B @ res.x[:width]
+
+
+def precomposition_lagrangian_per_leaf(fn, nx, y):
+    """inf over w of g(M_x x + M_w w + m) - w.y for one g(M (x, w) + m)
+    with a square parameter block M_w: one solve and one scalar conjugate
+    value, the per-leaf rule that the stacked pass replaced."""
+    from stochdual.integrand import MINUS_INF
+
+    M_x, M_w = fn.matrix[:, :nx], fn.matrix[:, nx:]
+    eta = np.linalg.solve(M_w.T, np.asarray(y, dtype=float))
+    star = fn.inner.conjugate().value(eta)
+    if star == np.inf:
+        return MINUS_INF
+    return Affine(M_x.T @ eta, float(eta @ fn.offset) - star)
+
+
+def check_alm_per_leaf(p, x, u, y, tol=1e-6):
+    """``check_alm`` leaf by leaf: one Fenchel residual per leaf and the
+    annihilator row from a second pass over v = -y ds."""
+    from stochdual.convex import fenchel_residual
+    from stochdual.duality import check_martingale_density
+    from stochdual.optimality import Certificate
+    from stochdual.tree import in_orthocomplement
+
+    f = p.integrand
+    cert = Certificate("pending", tol, y=y)
+    vals = y.leaf_rows().ravel()
+    if np.max(np.abs(vals), initial=0.0) <= tol:
+        cert.verdict = "degenerate"
+        cert.reason = "zero dual: the density cone excludes it"
+        return cert
+    report = check_martingale_density(vals, f.price, tol)
+    cert.add("martingale-density", report.max_residual)
+    xs, us = x.leaf_rows(), u.leaf_rows()
+    for leaf in range(p.tree.n_leaves):
+        wealth = us[leaf][-1] - float(xs[leaf] @ f.gain_rows[leaf])
+        res = fenchel_residual(f.disutilities[leaf], [wealth], [vals[leaf]])
+        cert.add("disutility-subgradient", max(res, 0.0), leaf=leaf)
+    arrays = [-vals[:, None] * (f.price.stage(t + 1) - f.price.stage(t))
+              for t in range(p.tree.horizon)]
+    arrays.append(np.zeros((p.tree.n_leaves, 0)))
+    cert.v = StochasticProcess(p.tree, tuple(arrays))
+    cert.add("annihilator", in_orthocomplement(cert.v, tol).max_residual)
+    return cert.finalize()

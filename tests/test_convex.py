@@ -32,6 +32,7 @@ from helpers import (
     CATALOG_SAMPLES,
     random_composite_function,
     random_scalar_function,
+    same_bits,
 )
 
 INF = float("inf")
@@ -57,6 +58,24 @@ class TestEvaluate:
 
     def test_half_square(self):
         assert Quadratic([0.5]).value([2.0]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("fn", [Entropy(1.3, 0.2, 0.1), Exponential(0.7, 1.3, -0.2),
+                                    Quadratic([0.5], [0.3], -1.0),
+                                    Quadratic([0.5, 2.0, 0.0], [0.3, 0.0, -1.0], 0.2),
+                                    AffinePrecomposition(
+                                        Quadratic([0.5, 2.0, 1.0], [0.3, 0.0, -1.0]),
+                                        [[1.0, -2.0, 0.5], [0.3, 1.1, -0.7], [2.0, 0.1, 0.4]],
+                                        [0.2, -0.1, 0.05]),
+                                    Affine([0.3, -1.7, 2.9], 0.4)],
+                             ids=["entropy", "exponential", "quadratic", "quadratic-3d",
+                                  "precomposition", "affine"])
+    def test_value_many_is_value_bit_for_bit(self, fn):
+        # row by row, and in one call of any number of rows
+        X = np.concatenate([np.random.default_rng(0).normal(size=201) * 3,
+                            [0.0, -0.0, 1e-10, -5e-10, -2e-9, np.nan]]).reshape(-1, fn.dim)
+        want = [fn.value(x) for x in X]
+        assert same_bits(fn.value_many(X), want)
+        assert same_bits([fn.value_many(x[None])[0] for x in X], want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
@@ -256,6 +275,25 @@ class TestPiecewiseLinearFuzz:
                     assert a == b, f"trial {trial}, x={x}"
                 else:
                     assert b == pytest.approx(a, abs=1e-9), f"trial {trial}, x={x}"
+
+    def test_value_many_is_value_bit_for_bit(self):
+        # breaks on both sides of an off-centre anchor, scaled copies and
+        # bounded domains; the points hit the breaks, the anchor, the domain
+        # ends and their tolerance band, and lie outside it
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            g = self.random_pwl(rng)
+            lo, hi = max(g.lo, -4.0), min(g.hi, 4.0)
+            anchor = float(rng.uniform(lo, hi))
+            g = PiecewiseLinear(g.breaks, g.slopes, g.lo, g.hi,
+                                anchor=(anchor, float(rng.normal())))
+            if trial % 2:
+                g = g.scaled(float(rng.uniform(0.1, 3.0)))
+            X = np.concatenate([rng.uniform(-6, 6, 40), g.breaks, [anchor, np.nan],
+                                [e + d for e in (g.lo, g.hi) if abs(e) != INF
+                                 for d in (-2e-9, -5e-10, 0.0, 5e-10, 2e-9)]])
+            want = np.array([g.value([x]) for x in X])
+            assert same_bits(g.value_many(X[:, None]), want), f"trial {trial}"
 
     def test_random_conjugates_match_grid(self):
         # the grid under-estimates by up to step * |v - nearest slope|, so

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from stochdual import solver
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
+    FiniteSum,
+    NoClosedFormError,
     Polyhedron,
     Quadratic,
     SeparableSum,
@@ -21,10 +24,18 @@ from stochdual.integrand import (
     GenericIntegrand,
     KabanovStage,
     assemble_bolza,
+    partial_infimum,
 )
+from stochdual.solver import dual_objective
 from stochdual.tree import ScenarioTree, StochasticProcess
 
-from helpers import two_leaf_tree
+from helpers import (
+    HEDGING_DISUTILITIES,
+    binary_hedging,
+    precomposition_lagrangian_per_leaf,
+    same_bits,
+    two_leaf_tree,
+)
 
 INF = float("inf")
 
@@ -392,3 +403,90 @@ class TestKabanovAsBolza:
         x = np.array([1.0, 0.0, 0.0, 0.0])  # z != 0
         assert f.value(0, x, np.zeros(4)) == INF
         assert f.lagrangian(0, x, np.zeros(4)) == INF
+
+
+
+def assert_same_lagrangian(got, want):
+    if want is MINUS_INF:
+        assert got is MINUS_INF
+        return
+    assert isinstance(got, Affine) and isinstance(want, Affine)
+    assert same_bits(got.a, want.a) and same_bits(got.b, want.b)
+
+
+class TestGroupedLagrangian:
+    """lagrangian_functions_of_x stacks the leaves that share one inner g
+    and gives each the per-leaf partial infimum, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(HEDGING_DISUTILITIES))
+    def test_hedging_matches_per_leaf(self, kind):
+        p = binary_hedging(4, HEDGING_DISUTILITIES[kind])
+        f = p.integrand
+        ys = np.random.default_rng(3).uniform(0.05, 1.9, size=(16, 1))
+        grouped = f.lagrangian_functions_of_x(ys)
+        for leaf, got in enumerate(grouped):
+            joint = f.joint_function(leaf)
+            assert_same_lagrangian(got, partial_infimum(joint, f.n_total, ys[leaf]))
+            assert_same_lagrangian(
+                got, precomposition_lagrangian_per_leaf(joint, f.n_total, ys[leaf]))
+        if kind in ("abs", "pwl-off-anchor"):  # y beyond the top slope leaves dom V*
+            assert any(fn is MINUS_INF for fn in grouped)
+
+    def test_leaf_outside_the_conjugate_domain_has_no_objective(self):
+        p = binary_hedging(2, absolute_value())
+        ys = np.array([[0.5], [1.5], [-0.2], [1.0]])
+        fns = p.integrand.lagrangian_functions_of_x(ys)
+        assert [fn is MINUS_INF for fn in fns] == [False, True, False, False]
+        y = StochasticProcess.from_leaf_rows(p.tree, p.m_dims, ys)
+        assert solver._lagrangian_objective(p, y)[1] is None
+        assert dual_objective(p, y).inner_status == "unbounded"
+
+    def test_generic_mix_matches_per_leaf(self):
+        # n = 2, m = 2: two groups of shared-inner precompositions, one
+        # member (leaf 3) with a zero parameter block, and joints of other
+        # kinds, interleaved over the leaves
+        tree = ScenarioTree.binary(3)
+        rng = np.random.default_rng(4)
+        g = Quadratic([0.5, 2.0], [0.1, -0.3])
+        # g* is a precomposition plus an affine term
+        h = FiniteSum([AffinePrecomposition(Quadratic([1.0, 0.5]), [[1.0, 0.4], [-0.3, 2.0]]),
+                       Affine([0.2, -0.1], 0.3)])
+
+        def square_map():  # (M_x, M_u) with M_u near the identity
+            return np.hstack([rng.normal(size=(2, 2)), np.eye(2) + 0.3 * rng.normal(size=(2, 2))])
+
+        joints = [
+            AffinePrecomposition(g, square_map(), rng.normal(size=2)),
+            Quadratic([0.5, 0.5, 1.0, 1.0]),
+            AffinePrecomposition(g, square_map(), rng.normal(size=2)),
+            AffinePrecomposition(g, np.hstack([rng.normal(size=(2, 2)), np.zeros((2, 2))])),
+            AffinePrecomposition(g, square_map()),
+            SeparableSum([Quadratic([1.0, 1.0]), Quadratic([0.5]), absolute_value()]),
+            AffinePrecomposition(h, square_map()),  # its own group
+            AffinePrecomposition(g, square_map(), rng.normal(size=2)),
+        ]
+        f = GenericIntegrand(tree, [2, 0, 0, 0], [0, 0, 0, 2], joints)
+        ys = 0.4 * rng.normal(size=(8, 2))
+        ys[3] = 0.0  # the zero block keeps its joint only at y = 0
+        points = rng.normal(size=(6, 2))
+        for leaf, got in enumerate(f.lagrangian_functions_of_x(ys)):
+            want = partial_infimum(joints[leaf], 2, ys[leaf])
+            if isinstance(want, Affine) or want is MINUS_INF:
+                assert_same_lagrangian(got, want)
+            else:
+                assert type(got) is type(want)
+                assert same_bits(got.value_many(points), want.value_many(points))
+        ys[3] = 0.5
+        assert f.lagrangian_functions_of_x(ys)[3] is MINUS_INF
+
+    def test_singular_parameter_block_has_no_closed_form(self):
+        tree = ScenarioTree.binary(1)
+        g = Quadratic([0.5, 0.5])
+        joints = [AffinePrecomposition(g, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+                  AffinePrecomposition(g, np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 2.0]]))]
+        f = GenericIntegrand(tree, [1, 0], [0, 2], joints)
+        ys = np.array([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(NoClosedFormError):
+            partial_infimum(joints[1], 1, ys[1])
+        with pytest.raises(NoClosedFormError):
+            f.lagrangian_functions_of_x(ys)

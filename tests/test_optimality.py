@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochdual import convex, integrand, optimality
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
@@ -21,10 +22,23 @@ from stochdual.optimality import (
     check_kkt,
     check_saddle,
 )
-from stochdual.solver import Problem, solve_primal
-from stochdual.tree import ScenarioTree, StochasticProcess, adapted_projection
+from stochdual.solver import Problem, duality_gap, solve_primal
+from stochdual.tree import (
+    ScenarioTree,
+    StochasticProcess,
+    adapted_projection,
+    in_orthocomplement,
+)
 
-from helpers import grid_minimize, two_leaf_tree
+from helpers import (
+    HEDGING_DISUTILITIES,
+    binary_hedging,
+    check_alm_per_leaf,
+    grid_minimize,
+    random_process,
+    same_bits,
+    two_leaf_tree,
+)
 
 INF = float("inf")
 CONE_GENERATORS = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
@@ -164,6 +178,83 @@ class TestCheckAlm:
         assert not cert.ok
         assert any(r["condition"] == "disutility-subgradient" and not r["ok"]
                    for r in cert.rows)
+
+
+
+def hedging_candidates(p, rng, draws=4):
+    """(x, u, y) triples on a hedging problem: the solved ½z² optimum and
+    its primal, then random positions, liabilities and densities, some y
+    outside dom V* (negative, or above the top slope)."""
+    tree, n = p.tree, p.tree.n_leaves
+    u = StochasticProcess(tree, tuple(np.zeros((n, 0)) for _ in range(tree.horizon))
+                          + (rng.uniform(2.5, 3.5, size=(n, 1)),))
+    quad = binary_hedging(tree.horizon, Quadratic([0.5]))
+    gap = duality_gap(quad, u)
+    out = [(gap.primal.optimizer, u, gap.dual.optimizer)]
+    for _ in range(draws):
+        x = random_process(rng, tree, p.n_dims)
+        y = StochasticProcess.from_leaf_rows(tree, p.m_dims, rng.uniform(-0.5, 2.5, (n, 1)))
+        out.append((x, u, y))
+    return out
+
+
+class TestCheckAlmOnePass:
+    """check_alm's one pass per shared V against the per-leaf checker it
+    replaced, kept in the tests as the reference."""
+
+    @pytest.mark.parametrize("kind", sorted(HEDGING_DISUTILITIES))
+    def test_matches_per_leaf_reference(self, kind):
+        p = binary_hedging(3, HEDGING_DISUTILITIES[kind])
+        for x, u, y in hedging_candidates(p, np.random.default_rng(5)):
+            got, want = check_alm(p, x, u, y), check_alm_per_leaf(p, x, u, y)
+            assert (got.verdict, got.reason) == (want.verdict, want.reason)
+            assert len(got.rows) == len(want.rows)
+            for a, b in zip(got.rows, want.rows):
+                assert {**a, "residual": 0} == {**b, "residual": 0}
+                assert same_bits(a["residual"], b["residual"]), (a, b)
+            assert all(same_bits(a, b) for a, b in zip(got.v.values, want.v.values))
+
+    def test_annihilator_row_is_the_orthocomplement_residual(self):
+        p = binary_hedging(3, Quadratic([0.5]))
+        for x, u, y in hedging_candidates(p, np.random.default_rng(6)):
+            cert = check_alm(p, x, u, y)
+            row = [r for r in cert.rows if r["condition"] == "annihilator"]
+            assert len(row) == 1
+            assert same_bits(row[0]["residual"], in_orthocomplement(cert.v).max_residual)
+
+    def test_nan_dual_fails(self):
+        p = binary_hedging(2, Quadratic([0.5]))
+        x, u, y = hedging_candidates(p, np.random.default_rng(7), draws=0)[0]
+        rows = y.leaf_rows().copy()
+        rows[2, 0] = np.nan
+        y = StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
+        cert = check_alm(p, x, u, y)
+        assert cert.verdict == "fail"
+        assert check_alm_per_leaf(p, x, u, y).verdict == "fail"
+
+    def test_no_per_leaf_partial_infimum_or_fenchel_residual(self, monkeypatch):
+        # a 64-leaf ½z² hedging gap and certificate build the Lagrangian and
+        # the residuals one group of leaves at a time
+        calls = {"partial_infimum": 0, "fenchel_residual": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(integrand, "partial_infimum")
+        counting(convex, "fenchel_residual")
+        counting(optimality, "fenchel_residual")
+        p = binary_hedging(6, Quadratic([0.5]))
+        _, u, _ = hedging_candidates(p, np.random.default_rng(8), draws=0)[0]
+        calls.update(partial_infimum=0, fenchel_residual=0)  # the candidates' own solve
+        gap = duality_gap(p, u)
+        cert = check_alm(p, gap.primal.optimizer, u, gap.dual.optimizer)
+        assert gap.dual.status == "optimal" and cert.ok
+        assert calls == {"partial_infimum": 0, "fenchel_residual": 0}
 
 
 def quad_stage():
