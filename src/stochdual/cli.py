@@ -71,7 +71,13 @@ from .solver import (
     solve_dual,
     solve_primal,
 )
-from .tree import ScenarioTree, StochasticProcess, TreeError, build_tree
+from .tree import (
+    NotAdaptedError,
+    ScenarioTree,
+    StochasticProcess,
+    TreeError,
+    build_tree,
+)
 
 __all__ = ["ProblemFileError", "parse_problem_file", "run", "main", "fixture_path"]
 
@@ -269,22 +275,34 @@ def parse_problem_file(path: str):
 
 
 def _build_model(tree, family, model) -> Problem:
+    # equal specs (as sorted JSON) parse to one object, and a Bolza stage
+    # wraps each distinct function once: what is derived from a stage (its
+    # conjugate, its QP form) is then built once for all nodes carrying it
+    functions, polyhedra = {}, {}
+
+    def shared(parsed, parse, spec, path):
+        key = json.dumps(spec, sort_keys=True)
+        if key not in parsed:
+            parsed[key] = parse(spec, path)
+        return parsed[key]
+
+    def fn(spec, path):
+        return shared(functions, parse_function, spec, path)
+
     if family == "generic":
-        fns = [parse_function(f, f"model.functions[{i}]")
+        fns = [fn(f, f"model.functions[{i}]")
                for i, f in enumerate(_get(model, "functions", "model"))]
         return build_generic(tree, _get(model, "x_dims", "model"),
                              _get(model, "u_dims", "model"), fns)
     if family == "constrained":
         objs = model.get("objective")
         objs = objs if isinstance(objs, list) else [objs]
-        objectives = [parse_function(o, f"model.objective[{i}]")
-                      for i, o in enumerate(objs)]
+        objectives = [fn(o, f"model.objective[{i}]") for i, o in enumerate(objs)]
         raw_cons = _get(model, "constraints", "model")
         if raw_cons and isinstance(raw_cons[0], dict):
             raw_cons = [raw_cons]
         constraints = [
-            [parse_function(c, f"model.constraints[{i}][{j}]")
-             for j, c in enumerate(clist)]
+            [fn(c, f"model.constraints[{i}][{j}]") for j, c in enumerate(clist)]
             for i, clist in enumerate(raw_cons)
         ]
         return build_constrained(tree, _get(model, "x_dims", "model"),
@@ -292,7 +310,7 @@ def _build_model(tree, family, model) -> Problem:
     if family == "alm":
         dis = model.get("disutility")
         dis = dis if isinstance(dis, list) else [dis]
-        Vs = [parse_function(v, f"model.disutility[{i}]") for i, v in enumerate(dis)]
+        Vs = [fn(v, f"model.disutility[{i}]") for i, v in enumerate(dis)]
         price_spec = _get(model, "price", "model")
         d_s = np.asarray(price_spec[0], dtype=float)
         d_s = 1 if d_s.ndim <= 1 else d_s.shape[1]
@@ -301,22 +319,24 @@ def _build_model(tree, family, model) -> Problem:
         return build_alm(tree, Vs, price)
     if family == "bolza":
         d = int(_get(model, "state_dim", "model"))
-        stages = []
+        stages, wrapped = [], {}
         for t, blocks in enumerate(_get(model, "stages", "model")):
-            stages.append([
-                BolzaStage(parse_function(fn, f"model.stages[{t}][{b}]"), d)
-                for b, fn in enumerate(blocks)
-            ])
+            row = []
+            for b, spec in enumerate(blocks):
+                cost = fn(spec, f"model.stages[{t}][{b}]")
+                if id(cost) not in wrapped:
+                    wrapped[id(cost)] = BolzaStage(cost, d)
+                row.append(wrapped[id(cost)])
+            stages.append(row)
         return build_bolza(tree, stages)
     if family == "kabanov":
         sets = [
-            [parse_polyhedron(c, f"model.trade_sets[{t}][{b}]")
+            [shared(polyhedra, parse_polyhedron, c, f"model.trade_sets[{t}][{b}]")
              for b, c in enumerate(blocks)]
             for t, blocks in enumerate(_get(model, "trade_sets", "model"))
         ]
         dis = [
-            [parse_function(v, f"model.disutilities[{t}][{b}]")
-             for b, v in enumerate(blocks)]
+            [fn(v, f"model.disutilities[{t}][{b}]") for b, v in enumerate(blocks)]
             for t, blocks in enumerate(_get(model, "disutilities", "model"))
         ]
         return build_kabanov(tree, sets, dis)
@@ -412,9 +432,11 @@ def _annihilator_bound(problem, y, cfg, objective=None):
 
 def _run_check(problem, family, params, cfg, checker: str,
                primal=None, dual=None, bound=None):
-    """Certificate for the candidate (x, y, v), filling in what the problem
-    file leaves out from the primal, the dual and the dual's annihilator
-    bound already solved, or by solving them here."""
+    """(certificate, None) for the candidate (x, y, v), filling in what the
+    problem file leaves out from the primal, the dual and the dual's
+    annihilator bound already solved, or by solving them here; (None, the
+    reason) when there is no candidate, or a stage checker's processes are
+    not adapted."""
     u = params["u"]
     cand = params["candidate"] or {}
     x = cand.get("x")
@@ -440,17 +462,24 @@ def _run_check(problem, family, params, cfg, checker: str,
         v = bound.v if bound is not None else None
         if v is None:
             v = StochasticProcess.zeros(problem.tree, problem.n_dims)
-    tol = cfg.gap_tol
+    try:
+        return _certificate(problem, checker, x, u, y, v, cand, cfg.gap_tol), None
+    except NotAdaptedError as exc:
+        # the stage conditions are stated for adapted processes only
+        return None, str(exc)
+
+
+def _certificate(problem, checker, x, u, y, v, cand, tol):
     if checker == "saddle":
-        return check_saddle(problem, x, u, y, v, tol), None
+        return check_saddle(problem, x, u, y, v, tol)
     if checker == "kkt":
-        return check_kkt(problem, x, u, y, v, tol), None
+        return check_kkt(problem, x, u, y, v, tol)
     if checker == "alm":
-        return check_alm(problem, x, u, y, tol), None
+        return check_alm(problem, x, u, y, tol)
     if checker == "euler-lagrange":
-        return check_euler_lagrange(problem, x, u, y, tol), None
+        return check_euler_lagrange(problem, x, u, y, tol)
     if checker == "hamiltonian":
-        return check_hamiltonian_system(problem, x, u, y, tol), None
+        return check_hamiltonian_system(problem, x, u, y, tol)
     if checker == "cps":
         z = cand.get("z")
         k = cand.get("k")
@@ -463,7 +492,7 @@ def _run_check(problem, family, params, cfg, checker: str,
         if y.dims[0] == 2 * d:
             y = StochasticProcess(tree, tuple(
                 y.stage(t)[:, :d] for t in range(tree.stage_count)))
-        return check_consistent_price_system(problem, z, k, uz, y, tol), None
+        return check_consistent_price_system(problem, z, k, uz, y, tol)
     raise ProblemFileError(f"unknown checker '{checker}'", "--checker")
 
 
@@ -481,8 +510,7 @@ def _certificate_block(cert) -> dict:
     }
 
 
-def run(argv) -> tuple[int, dict]:
-    """Execute one command; returns (exit_code, report)."""
+def _argument_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochdual",
         description="scenario-tree convex duality: solve, dualize, certify",
@@ -500,8 +528,17 @@ def run(argv) -> tuple[int, dict]:
                         choices=["saddle", "kkt", "alm", "euler-lagrange",
                                  "hamiltonian", "cps"])
     parser.add_argument("--json", action="store_true")
+    return parser
+
+
+# built once: parse_args keeps no state between calls
+_PARSER = _argument_parser()
+
+
+def run(argv) -> tuple[int, dict]:
+    """Execute one command; returns (exit_code, report)."""
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit:
         return EXIT_USAGE, {"error": "usage"}
 

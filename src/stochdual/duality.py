@@ -23,6 +23,7 @@ from .integrand import (
 from .simplex import solve_lp
 from .solver import Problem, _stack_rows
 from .tree import (
+    NotAdaptedError,
     StochasticProcess,
     expected_dual_increments,
     is_adapted,
@@ -134,18 +135,22 @@ def bolza_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess) -> 
     if not isinstance(f, BolzaIntegrand):
         raise TypeError("bolza_dual_value needs a dynamic-structure problem")
     if not is_adapted(u) or not is_adapted(y):
-        raise ValueError("the dynamic dual takes adapted processes")
+        raise NotAdaptedError("the dynamic dual takes adapted processes")
     tree = p.tree
     expect_dy = expected_dual_increments(y)
+    # one evaluation of each shared K_t* per stage, then the sum leaf by
+    # leaf and stage by stage
+    terms = np.empty((tree.n_leaves, tree.stage_count))
+    for t, groups in enumerate(f.stage_groups):
+        for stage, _, leaves in groups:
+            terms[leaves, t] = stage.conjugate_value_many(expect_dy[t][leaves],
+                                                          y.stage(t)[leaves])
+    if np.any(terms == INF):
+        return -INF
     total = pairing(u, y)
-    for leaf in range(tree.n_leaves):
-        for t in range(tree.stage_count):
-            term = f.stage_cost(leaf, t).conjugate_value(
-                expect_dy[t][leaf], y.stage(t)[leaf]
-            )
-            if term == INF:
-                return -INF
-            total -= float(tree.probabilities[leaf]) * term
+    for weight, row in zip(tree.probabilities.tolist(), terms.tolist()):
+        for term in row:
+            total -= weight * term
     return total
 
 

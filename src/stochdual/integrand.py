@@ -19,6 +19,8 @@ the integral convention that makes E f well defined.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .convex import (
@@ -522,7 +524,11 @@ class AlmIntegrand(GenericIntegrand):
 
 
 class BolzaStage:
-    """One stage cost K on (state, velocity) pairs in R^d x R^d."""
+    """One stage cost K on (state, velocity) pairs in R^d x R^d.
+
+    A problem file's equal stage specs share one BolzaStage, so K* is
+    computed once however many nodes carry the stage; nothing that depends
+    on a dual point is kept on it."""
 
     def __init__(self, fn: ConvexFunction, d: int):
         if fn.dim != 2 * d:
@@ -535,6 +541,10 @@ class BolzaStage:
 
     def value(self, x, w) -> float:
         return self.fn.value(np.concatenate([np.ravel(x), np.ravel(w)]))
+
+    def value_many(self, X, W) -> np.ndarray:
+        """``value`` at the rows of X and W, bit for bit."""
+        return self.fn.value_many(np.hstack([X, W]))
 
     def x_infeasible(self, x) -> bool:
         sliced = self.fn.fix(np.arange(self.d), np.ravel(x))
@@ -558,16 +568,40 @@ class BolzaStage:
             raise NoClosedFormError("Hamiltonian is -inf at this dual point")
         return fn.conjugate()
 
-    def hbar_function_of_x(self, y):
-        """lsc hull of H(., y): conjugate of a -> K*(a, y)."""
-        conj_in_a = self.conjugate_function_of_a(y)
-        if _is_identically_infinite(conj_in_a):
+    def hbar_function_of_x(self, y, conj_in_a=None):
+        """lsc hull of H(., y): conjugate of a -> K*(a, y), which is
+        ``conj_in_a`` when the caller has built it."""
+        if conj_in_a is None:
+            conj_in_a = self.conjugate_function_of_a(y)
+        empty = self._slices_empty
+        if empty is None:
+            empty = _is_identically_infinite(conj_in_a)
+        if empty:
             return MINUS_INF
         return conj_in_a.conjugate()
+
+    @cached_property
+    def _slices_empty(self):
+        """Whether every slice a -> K*(a, b) is identically +inf, decided
+        once from dom K* when no row of it reads b (each slice's domain is
+        then one set whatever b is; without rows it is the whole space and
+        no LP runs).  None when some row reads b, or dom K* is not
+        polyhedral: the test is then made per slice."""
+        dom = domain_polyhedron(self.fn.conjugate())
+        if dom is None:
+            return None
+        b = slice(self.d, 2 * self.d)
+        if np.any(dom.a_ub[:, b]) or np.any(dom.a_eq[:, b]):
+            return None
+        return bool(dom.a_ub.shape[0] or dom.a_eq.shape[0]) and dom.is_empty()
 
     def conjugate_value(self, a, b) -> float:
         ab = np.concatenate([np.ravel(a), np.ravel(b)])
         return self.fn.conjugate().value(ab)
+
+    def conjugate_value_many(self, A, B) -> np.ndarray:
+        """``conjugate_value`` at the rows of A and B, bit for bit."""
+        return self.fn.conjugate().value_many(np.hstack([A, B]))
 
     def conjugate_function_of_a(self, b) -> ConvexFunction:
         b = np.asarray(b, dtype=float).ravel()
@@ -684,6 +718,11 @@ class KabanovStage(BolzaStage):
         sigma = support_function(self.C, bz)
         return star + sigma if sigma != INF else INF
 
+    def conjugate_value_many(self, A, B):
+        """``conjugate_value`` row by row (the stage function's conjugate
+        has no closed form; each row's has)."""
+        return np.array([self.conjugate_value(a, b) for a, b in zip(A, B)])
+
     def conjugate_function_of_a(self, b):
         bz, bk = self._split_dual(b)
         d = self.currency_dim
@@ -701,7 +740,7 @@ class KabanovStage(BolzaStage):
                 a_eq=rows, b_eq=np.zeros(d), validate=False)))
         return FiniteSum(pieces)
 
-    def hbar_function_of_x(self, y):
+    def hbar_function_of_x(self, y, conj_in_a=None):
         # the Hamiltonian is already closed in x for this stage structure
         return self.hamiltonian_function_of_x(y)
 
@@ -750,6 +789,21 @@ class BolzaIntegrand(ParametricIntegrand):
 
     def stage_cost(self, leaf: int, t: int) -> BolzaStage:
         return self.stages[t][self.tree.block_of(t, leaf)]
+
+    @cached_property
+    def stage_groups(self):
+        """Per stage t, one (stage, blocks, leaves) triple per distinct
+        stage-t cost, in order of first block: the stage-t blocks that carry
+        that very object and their leaves, in increasing order.  A
+        vectorised pass evaluates a shared K_t or K_t* once per group."""
+        out = []
+        for t, blocks in enumerate(self.stages):
+            shared = {}
+            for b, st in enumerate(blocks):
+                shared.setdefault(id(st), (st, []))[1].append(b)
+            out.append([(st, np.array(bs), np.flatnonzero(np.isin(self.tree.leaf_block[t], bs)))
+                        for st, bs in shared.values()])
+        return out
 
     # -- stacked-vector helpers ---------------------------------------------
 

@@ -114,6 +114,10 @@ def build_kabanov(tree: ScenarioTree, trade_sets, disutilities) -> Problem:
         raise ValueError("need one trade-set list and one disutility list per stage")
     stage_lists = []
     d = None
+    # one stage per distinct (trade set, disutility, terminal) triple, by
+    # identity: blocks that share the objects share the stage and all that
+    # is derived from it
+    shared = {}
     for t in range(T1):
         sets_t = list(trade_sets[t])
         dis_t = list(disutilities[t])
@@ -126,15 +130,18 @@ def build_kabanov(tree: ScenarioTree, trade_sets, disutilities) -> Problem:
             raise ValueError(f"stage {t} needs one entry per information block")
         blocks = []
         for C, V in zip(sets_t, dis_t):
-            if not isinstance(C, Polyhedron):
-                raise TypeError("trade sets must be polyhedra")
-            if d is None:
-                d = C.dim
-            if C.dim != d or V.dim != d:
-                raise ValueError("currency dimension varies across blocks")
-            if not C.contains(np.zeros(d)):
-                raise ValueError("every trade set must contain the origin")
-            _validate_disutility(V, "stage disutility")
-            blocks.append(KabanovStage(V, C, terminal=(t == T1 - 1)))
+            key = (id(C), id(V), t == T1 - 1)
+            if key not in shared:
+                if not isinstance(C, Polyhedron):
+                    raise TypeError("trade sets must be polyhedra")
+                if d is None:
+                    d = C.dim
+                if C.dim != d or V.dim != d:
+                    raise ValueError("currency dimension varies across blocks")
+                if not C.contains(np.zeros(d)):
+                    raise ValueError("every trade set must contain the origin")
+                _validate_disutility(V, "stage disutility")
+                shared[key] = KabanovStage(V, C, terminal=(t == T1 - 1))
+            blocks.append(shared[key])
         stage_lists.append(blocks)
     return Problem(tree, BolzaIntegrand(tree, stage_lists))

@@ -26,6 +26,7 @@ from .integrand import (
 )
 from .solver import Problem
 from .tree import (
+    NotAdaptedError,
     StochasticProcess,
     expected_dual_increments,
     in_orthocomplement,
@@ -44,6 +45,12 @@ __all__ = [
 
 INF = float("inf")
 DEFAULT_TOL = 1e-6
+
+
+def _row_dots(X, Y) -> np.ndarray:
+    """x . y for every pair of rows, one dot product per row as ``x @ y``
+    takes it."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -222,25 +229,28 @@ def check_euler_lagrange(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not isinstance(f, BolzaIntegrand):
         raise TypeError("check_euler_lagrange needs a dynamic-structure problem")
     if not is_adapted(y):
-        raise ValueError("the dual candidate must be adapted")
+        raise NotAdaptedError("the dual candidate must be adapted")
     if not is_adapted(u):
-        raise ValueError("the parameter must be adapted for the stage conditions")
+        raise NotAdaptedError("the parameter must be adapted for the stage conditions")
     cert = Certificate("pending", tol, y=y)
     e_dy = expected_dual_increments(y)
-    for t in range(p.tree.stage_count):
-        for b, block in enumerate(p.tree.blocks(t)):
-            leaf = block[0]
-            stage = f.stage_cost(leaf, t)
-            x_t = x.stage(t)[leaf]
-            x_prev = x.stage(t - 1)[leaf] if t > 0 else np.zeros(f.d)
-            w = x_t - x_prev + u.stage(t)[leaf]
-            kval = stage.value(x_t, w)
-            star = stage.conjugate_value(e_dy[t][leaf], y.stage(t)[leaf])
-            if kval == INF or star == INF:
-                res = INF
-            else:
-                res = kval + star - float(x_t @ e_dy[t][leaf]) - float(w @ y.stage(t)[leaf])
-            cert.add("stage-subgradient", max(res, 0.0), stage=t, block=b)
+    for t, groups in enumerate(f.stage_groups):
+        # each shared K_t and K_t* evaluated once over the first leaves of
+        # the blocks that carry it
+        firsts = np.array([block[0] for block in p.tree.blocks(t)])
+        x_prev = x.stage(t - 1) if t > 0 else np.zeros_like(x.stage(t))
+        res = np.empty(firsts.size)
+        for stage, blocks, _ in groups:
+            leaves = firsts[blocks]
+            x_t, a_t, y_t = x.stage(t)[leaves], e_dy[t][leaves], y.stage(t)[leaves]
+            w = x_t - x_prev[leaves] + u.stage(t)[leaves]
+            kval = stage.value_many(x_t, w)
+            star = stage.conjugate_value_many(a_t, y_t)
+            with np.errstate(invalid="ignore"):
+                gap = kval + star - _row_dots(x_t, a_t) - _row_dots(w, y_t)
+            res[blocks] = np.where((kval == INF) | (star == INF), INF, gap)
+        for b, r in enumerate(res.tolist()):
+            cert.add("stage-subgradient", max(r, 0.0), stage=t, block=b)
     return cert.finalize()
 
 
@@ -252,7 +262,7 @@ def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProc
     if not isinstance(f, BolzaIntegrand):
         raise TypeError("check_hamiltonian_system needs a dynamic-structure problem")
     if not is_adapted(y):
-        raise ValueError("the dual candidate must be adapted")
+        raise NotAdaptedError("the dual candidate must be adapted")
     cert = Certificate("pending", tol, y=y)
     e_dy = expected_dual_increments(y)
     for t in range(p.tree.stage_count):
@@ -301,7 +311,7 @@ def check_consistent_price_system(p: Problem, z: StochasticProcess,
     ):
         raise TypeError("check_consistent_price_system needs a currency-market problem")
     if not is_adapted(y):
-        raise ValueError("the price system must be adapted")
+        raise NotAdaptedError("the price system must be adapted")
     tree = p.tree
     T = tree.horizon
     cert = Certificate("pending", tol, y=y)

@@ -16,17 +16,23 @@ a function of a few coordinates.  A compiled objective holds, per term,
 the index array of those coordinates: evaluation gathers through it and
 the QP lowering scatters the term's local form through it.  The lowering
 goes one group of terms at a time: terms g(M_k z + m_k) with one shared
-g (every hedging leaf's disutility), or affine terms of one width, have
-their forms composed in one stacked pass and scattered in one; the
-shared g's form and the stacked maps are kept for reading the QP's
-stationarity.  A term is one leaf's function of the leaf's coordinates,
-or, for dynamic (Bolza and Kabanov) problems, a node term: the stage-t
-cost, Hamiltonian or stage conjugate is a function on a stage-t
-information node, compiled once for the leaves of a block whose stage-t
-slices of u (or y) agree bit for bit, at their summed probability.  With
-adapted u and y each such group is one tree node, so the primal QP holds
-one epigraph atom per node; the Lagrangian's coupling E sum_t <y_t -
-y_{t+1}, x_t> is one affine term.
+g (every hedging leaf's disutility, or every node's stage cost where the
+nodes share one stage object), or affine terms of one width, have their
+forms composed in one stacked pass and scattered in one; the shared g's
+form and the stacked maps are kept for reading the QP's stationarity.  A
+term is one leaf's function of the leaf's coordinates, or, for dynamic
+(Bolza and Kabanov) problems, a node term: the stage-t cost, Hamiltonian
+or stage conjugate is a function on a stage-t information node, compiled
+once for the leaves of a block whose stage-t slices of u (or y) agree bit
+for bit, at their summed probability.  With adapted u and y each such
+group is one tree node, so the primal QP holds one epigraph atom per
+node; the Lagrangian's coupling E sum_t <y_t - y_{t+1}, x_t> is one
+affine term.  The stage objects themselves are shared across nodes (one
+per distinct stage cost of a problem file), so K_t* is computed once per
+stage; the slice a -> K_t*(a, y_t) of each node is built once per dual
+solve, kept on the ``DualObjective`` for the lower variant and the
+annihilator bound, and the bound's E f*(v, y) evaluates each node's slice
+once over the node's leaves.
 
 Quadratic-plus-polyhedral instances route to the active-set QP path and
 solve to machine precision; everything else falls back to a projected
@@ -175,6 +181,10 @@ class DualObjective:
     inner_status: str
     lagrangian: CompiledObjective | None = None
     inner: _MinResult | None = None
+    # dynamic problems: per Hamiltonian term of ``lagrangian``, the stage
+    # conjugate a -> K_t*(a, y_t) of its node, built once for the lower
+    # variant and reused by the annihilator bound; None when not built
+    stage_conjugates: list | None = None
 
 
 @dataclass
@@ -698,30 +708,56 @@ def dual_objective(p: Problem, y: StochasticProcess,
     if res.x is None or res.status in ("unbounded", "infeasible"):
         return DualObjective(-res.value, None, None, res.status, obj, res)
     minimizer = layout.to_process(res.x)
-    return DualObjective(-res.value, _lower_dual_value(p, y, obj, res.x),
-                         minimizer, res.status, obj, res)
-
-
-def _lower_dual_value(p, y, obj, x):
-    """-E lower-l(x, y) at the inner minimizer x; it coincides with the
-    Lagrangian value whenever l(., y) is closed proper.  None when some
-    value is +inf or has no closed form.
-
-    Off the dynamic path lower-l is l itself, so this evaluates the
-    compiled Lagrangian ``obj`` at x.  On it, each node's Hamiltonian term
-    of ``obj`` is replaced by its lsc hull in x; the coupling term stays.
-    """
     if not isinstance(p.integrand, BolzaIntegrand):
-        value = obj.value(x)
-        return None if value == INF else -value
-    f, yvecs = p.integrand, _leaf_vectors(p, y, "dual")
+        # off the dynamic path lower-l is l itself
+        value = obj.value(res.x)
+        return DualObjective(-res.value, None if value == INF else -value,
+                             minimizer, res.status, obj, res)
+    yvecs, conjugates = _leaf_vectors(p, y, "dual"), None
+    # the stage conjugates give the lsc hulls; a Kabanov stage's Hamiltonian
+    # is closed already, so a currency market leaves them to the bound
+    if not all(isinstance(st, KabanovStage) for blocks in p.integrand.stages for st in blocks):
+        try:
+            conjugates = _stage_conjugates(p, yvecs, [t.node for t in obj.terms[:-1]])
+        except NoClosedFormError:
+            pass
+    return DualObjective(-res.value, _lower_dual_value(p, yvecs, obj, res.x, conjugates),
+                         minimizer, res.status, obj, res, conjugates)
+
+
+def _stage_conjugates(p: Problem, yvecs, nodes):
+    """(t, leaves, a -> K_t*(a, y_t)) for each stage-t node (t, leaves) of
+    ``nodes``: the stage conjugate is built once per node.  Raises
+    NoClosedFormError when some has no closed form."""
+    f = p.integrand
+    out = []
+    for t, leaves in nodes:
+        leaves = np.asarray(leaves)
+        stage = f.stage_cost(leaves[0], t)
+        out.append((t, leaves, stage.conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])))
+    return out
+
+
+def _lower_dual_value(p, yvecs, obj, x, conjugates):
+    """-E lower-l(x, y) at the inner minimizer x of a dynamic problem; it
+    coincides with the Lagrangian value whenever l(., y) is closed proper.
+    None when some value is +inf or has no closed form.
+
+    Each node's Hamiltonian term of the compiled Lagrangian ``obj`` is
+    replaced by its lsc hull in x, the conjugate of the node's stage
+    conjugate: the one in ``conjugates`` (``_stage_conjugates`` of the
+    terms' nodes), or, when that is None, one the stage builds.  The
+    coupling term stays.
+    """
+    f = p.integrand
     *hamiltonians, coupling = obj.terms
     total = 0.0
     minus = plus = False
     try:
-        for term in hamiltonians:
+        for i, term in enumerate(hamiltonians):
             t, (leaf, *_) = term.node
-            hb = f.stage_cost(leaf, t).hbar_function_of_x(yvecs[leaf, f.u_slices[t]])
+            hb = f.stage_cost(leaf, t).hbar_function_of_x(
+                yvecs[leaf, f.u_slices[t]], None if conjugates is None else conjugates[i][2])
             if hb is MINUS_INF:
                 minus = True
                 continue
@@ -753,6 +789,11 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     the last two for any mean-zero v and adapted x*, so the tests below
     certify the bound without trusting the solve.  Without such a v the
     infimum is solved under mean-zero equality terms.
+
+    On dynamic problems the stage conjugates come from ``objective`` when
+    it built them, and E f*(v, y) at the read-off v is evaluated node by
+    node (``_bolza_conjugate_sum``); the per-leaf terms are built only for
+    the solve.
     """
     cfg = cfg or SolverConfig()
     tree = p.tree
@@ -760,29 +801,43 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     # coordinates of each leaf in the flat order of StochasticProcess.to_vector
     rows, n = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
                                    p.n_dims)
-    if isinstance(p.integrand, BolzaIntegrand):
-        conjugates = _bolza_conjugates_of_v(p, yvecs)
-    else:
-        conjugates = [p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
-                      for leaf in range(tree.n_leaves)]
-    terms = [_Term(float(tree.probabilities[leaf]), fn, rows[leaf], leaf)
-             for leaf, fn in enumerate(conjugates)]
     if objective is None:
         objective = dual_objective(p, y, cfg)
+    dynamic = isinstance(p.integrand, BolzaIntegrand)
+    if dynamic:
+        conjugates = objective.stage_conjugates
+        if conjugates is None:
+            conjugates = _stage_conjugates(p, yvecs, [
+                (t, leaves) for t, nodes in enumerate(_stage_nodes(p, yvecs))
+                for _, leaves, _ in nodes])
+    else:
+        terms = _conjugate_terms(p, rows, [
+            p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
+            for leaf in range(tree.n_leaves)])
     v = _stationary_v(p, yvecs, objective)
     if v is not None and in_orthocomplement(v):
         # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
         # mean-zero v; the reported phi*(y) must close the sandwich too
-        value = CompiledObjective(n, terms).value(v.to_vector())
+        value = (_bolza_conjugate_sum(p, yvecs, conjugates, v.leaf_rows()) if dynamic
+                 else CompiledObjective(n, terms).value(v.to_vector()))
         lower = -objective.lagrangian.value(objective.inner.x)
         tol = cfg.tol * max(1.0, abs(value))
         if np.isfinite(value) and all(abs(value - w) <= tol for w in (lower, objective.value)):
             return OrthoBound(float(value), v, "optimal")
+    if dynamic:
+        terms = _conjugate_terms(p, rows, _bolza_conjugates_of_v(p, yvecs, conjugates))
     res = _minimize(CompiledObjective(n, terms + _mean_zero_terms(p, rows)), cfg)
     if res.x is None or res.status == "unbounded":  # no point, or a ray
         return OrthoBound(res.value, None, res.status)
     return OrthoBound(res.value, StochasticProcess.from_vector(tree, p.n_dims, res.x),
                       res.status)
+
+
+def _conjugate_terms(p: Problem, rows, conjugates):
+    """One term p_l f*(v_l, y_l) per leaf l over the leaf's coordinates
+    ``rows[l]`` of v."""
+    return [_Term(float(p.tree.probabilities[leaf]), fn, rows[leaf], leaf)
+            for leaf, fn in enumerate(conjugates)]
 
 
 def _stationary_v(p: Problem, yvecs, dob: DualObjective):
@@ -819,21 +874,41 @@ def _mean_zero_terms(p: Problem, rows):
     return terms
 
 
-def _bolza_conjugates_of_v(p: Problem, yvecs):
-    """Per leaf, v -> f*(v, y) = sum_t K_t*(v_t + y_{t+1} - y_t, y_t).  The
-    stage conjugate a -> K_t*(a, y_t) is built once per node and shared by
-    its leaves; the shift stays per leaf, as v is not adapted."""
+def _bolza_conjugates_of_v(p: Problem, yvecs, conjugates):
+    """Per leaf, v -> f*(v, y) = sum_t K_t*(v_t + y_{t+1} - y_t, y_t), from
+    the stage conjugates of the nodes (``_stage_conjugates``), each shared
+    by its node's leaves; the shift stays per leaf, as v is not adapted."""
     f = p.integrand
     stage_fns = [[None] * f.tree.stage_count for _ in range(f.tree.n_leaves)]
-    for t, nodes in enumerate(_stage_nodes(p, yvecs)):
-        for b, leaves, _ in nodes:
-            fn_a = f.stages[t][b].conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])
-            for leaf in leaves:
-                stage_fns[leaf][t] = fn_a
+    for t, leaves, fn_a in conjugates:
+        for leaf in leaves.tolist():
+            stage_fns[leaf][t] = fn_a
     eye, shifts = np.eye(f.d), _next_stage(p, yvecs) - yvecs
     return [SeparableSum([AffinePrecomposition(fn_a, eye, shifts[leaf, f.u_slices[t]])
                           for t, fn_a in enumerate(fns)])
             for leaf, fns in enumerate(stage_fns)]
+
+
+def _bolza_conjugate_sum(p: Problem, yvecs, conjugates, V) -> float:
+    """E f*(v, y) = E sum_t K_t*(v_t + y_{t+1} - y_t, y_t) at the leaf rows
+    V of v, as the terms of ``_bolza_conjugates_of_v`` sum it: each node's
+    stage conjugate is evaluated once over the node's leaves, then each
+    leaf's values are summed stage by stage and the leaves in order; +inf
+    when some value is."""
+    f = p.integrand
+    shifted = V + (_next_stage(p, yvecs) - yvecs)
+    vals = np.empty((f.tree.n_leaves, f.tree.stage_count))
+    for t, leaves, fn_a in conjugates:
+        vals[leaves, t] = fn_a.value_many(shifted[leaves, f.x_slices[t]])
+    if np.any(vals == INF):
+        return INF
+    per_leaf = np.zeros(f.tree.n_leaves)
+    for t in range(f.tree.stage_count):
+        per_leaf = per_leaf + vals[:, t]
+    total = 0.0
+    for weight, value in zip(p.tree.probabilities.tolist(), per_leaf.tolist()):
+        total += weight * value
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "TreeError",
+    "NotAdaptedError",
     "ScenarioTree",
     "StochasticProcess",
     "build_tree",
@@ -37,6 +38,11 @@ PROB_TOL = 1e-12
 
 class TreeError(ValueError):
     """Raised for invalid tree descriptions or mismatched processes."""
+
+
+class NotAdaptedError(ValueError):
+    """Raised where a process must be adapted (the dynamic dual, the stage
+    conditions) and is not."""
 
 
 def _as_probability(p) -> float:
@@ -142,6 +148,17 @@ class ScenarioTree:
                 w = self.probabilities[idx]
                 triples.append((idx, w, w.sum()))
             out.append(tuple(triples))
+        return tuple(out)
+
+    @cached_property
+    def _later_leaves(self):
+        """Per stage, the leaves that are not the first of their block and,
+        for each, the first leaf of its block."""
+        out = []
+        for stage, blocks in zip(self.partitions, self.leaf_block):
+            firsts = np.array([block[0] for block in stage])[blocks]
+            others = np.flatnonzero(firsts != np.arange(self.n_leaves))
+            out.append((others, firsts[others]))
         return tuple(out)
 
     def conditional_mean(self, arr, t: int) -> np.ndarray:
@@ -317,13 +334,12 @@ def expected_dual_increments(y: StochasticProcess) -> tuple[np.ndarray, ...]:
 
 
 def is_adapted(proc: StochasticProcess) -> bool:
-    """Exact blockwise constancy check (adapted processes are built blockwise)."""
-    for t, arr in enumerate(proc.values):
-        for block in proc.tree.partitions[t]:
-            first = arr[block[0]]
-            for leaf in block[1:]:
-                if not np.array_equal(arr[leaf], first):
-                    return False
+    """Exact blockwise constancy check (adapted processes are built
+    blockwise): each leaf's stage-t row equals the row of the first leaf of
+    its stage-t block, where a NaN equals nothing."""
+    for arr, (others, firsts) in zip(proc.values, proc.tree._later_leaves):
+        if not np.array_equal(arr[others], arr[firsts]):
+            return False
     return True
 
 

@@ -355,6 +355,78 @@ HEDGING_DISUTILITIES = {
 }
 
 
+HALF_SQUARE = {"kind": "quadratic", "weights": [0.5]}  # z -> z^2 / 2
+
+
+def binary_partitions(horizon):
+    """Stage partitions of the binary tree with 2**horizon leaves."""
+    n = 2 ** horizon
+    return [[list(range(b * (n >> t), (b + 1) * (n >> t))) for b in range(2 ** t)]
+            for t in range(horizon + 1)]
+
+
+def bolza_doc(horizon, state_cost, rng, noise=0.0):
+    """Bolza problem document on the binary tree: stage cost K(x, w) =
+    state_cost(x) + w^2/2, one spec repeated on every block, and u a drift
+    of 1 plus one N(0, 0.1^2) draw per block, so adapted.  With ``noise``,
+    an N(0, noise^2) draw is added to u on every leaf, which leaves it
+    not adapted."""
+    n = 2 ** horizon
+    stage = {"kind": "separable", "parts": [state_cost, HALF_SQUARE]}
+    u = [np.repeat(1.0 + rng.normal(0.0, 0.1, 2 ** t), n >> t) for t in range(horizon + 1)]
+    if noise:
+        u = [u_t + rng.normal(0.0, noise, n) for u_t in u]
+    return {
+        "tree": {"probabilities": [f"1/{n}"] * n, "partitions": binary_partitions(horizon)},
+        "model": {"family": "bolza", "state_dim": 1,
+                  "stages": [[stage] * (2 ** t) for t in range(horizon + 1)]},
+        "parameters": {"u": [[[float(x)] for x in u_t] for u_t in u]},
+    }
+
+
+def kabanov_doc(horizon, rng):
+    """Two-currency market on the binary tree: the blocks of each stage
+    alternate between two solvency cones, every block has the disutility
+    |c|^2 / 2, and the endowment u_z is one uniform draw per block (the
+    consumption part of u is 0)."""
+    n = 2 ** horizon
+    cones = [{"A": [[2.0, 1.0], [1.0, 2.0]], "b": [0.0, 0.0], "cone": True},
+             {"A": [[3.0, 1.0], [1.0, 1.5]], "b": [0.0, 0.0], "cone": True}]
+    u = []
+    for t in range(horizon + 1):
+        z = np.repeat(rng.uniform(-0.5, 1.0, (2 ** t, 2)), n >> t, axis=0)
+        u.append(np.hstack([z, np.zeros((n, 2))]).tolist())
+    return {
+        "tree": {"probabilities": [f"1/{n}"] * n, "partitions": binary_partitions(horizon)},
+        "model": {"family": "kabanov", "currency_dim": 2,
+                  "trade_sets": [[cones[b % 2] for b in range(2 ** t)]
+                                 for t in range(horizon + 1)],
+                  "disutilities": [[{"kind": "quadratic", "weights": [0.5, 0.5]}] * (2 ** t)
+                                   for t in range(horizon + 1)]},
+        "parameters": {"u": u},
+    }
+
+
+def dynamic_docs():
+    """The problem documents behind data/dynamic_reports.json, by name:
+    Bolza x^2/2 + w^2/2 and |x| + w^2/2 on binary trees of horizon 2 to 5,
+    and a horizon-3 Kabanov market, each drawn with seed = horizon."""
+    docs = {}
+    for horizon in range(2, 6):
+        for tag, cost in (("quadratic", HALF_SQUARE), ("abs", {"kind": "abs"})):
+            docs[f"bolza-{tag}-H{horizon}"] = bolza_doc(horizon, cost,
+                                                        np.random.default_rng(horizon))
+    docs["kabanov-H3"] = kabanov_doc(3, np.random.default_rng(3))
+    return docs
+
+
+def write_doc(directory, name, doc):
+    """Write a problem document as sorted JSON; returns the path."""
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    return str(path)
+
+
 def hedging_file(tmp_path, horizon, liability, disutility=None):
     """Hedging problem file on a binary tree: price x1.2 or x0.9 per step,
     disutility z^2/2 unless a function spec is given."""
@@ -588,3 +660,84 @@ def check_alm_per_leaf(p, x, u, y, tol=1e-6):
     cert.v = StochasticProcess(p.tree, tuple(arrays))
     cert.add("annihilator", in_orthocomplement(cert.v, tol).max_residual)
     return cert.finalize()
+
+
+# ---------------------------------------------------------------------------
+# per-node references for the stage-group passes of dynamic problems
+# ---------------------------------------------------------------------------
+
+
+def bolza_dual_value_per_node(p, u, y):
+    """``bolza_dual_value`` leaf by leaf and stage by stage: one scalar
+    K_t*(E_t dy_{t+1}, y_t) per leaf and stage."""
+    from stochdual.tree import expected_dual_increments, pairing
+
+    f, tree = p.integrand, p.tree
+    expect_dy = expected_dual_increments(y)
+    total = pairing(u, y)
+    for leaf in range(tree.n_leaves):
+        for t in range(tree.stage_count):
+            term = f.stage_cost(leaf, t).conjugate_value(expect_dy[t][leaf], y.stage(t)[leaf])
+            if term == np.inf:
+                return -np.inf
+            total -= float(tree.probabilities[leaf]) * term
+    return total
+
+
+def check_euler_lagrange_per_node(p, x, u, y, tol=1e-6):
+    """``check_euler_lagrange`` one information block at a time: scalar
+    K_t and K_t* values at the block's first leaf."""
+    from stochdual.optimality import Certificate
+    from stochdual.tree import expected_dual_increments
+
+    f = p.integrand
+    cert = Certificate("pending", tol, y=y)
+    e_dy = expected_dual_increments(y)
+    for t in range(p.tree.stage_count):
+        for b, block in enumerate(p.tree.blocks(t)):
+            leaf = block[0]
+            stage = f.stage_cost(leaf, t)
+            x_t = x.stage(t)[leaf]
+            x_prev = x.stage(t - 1)[leaf] if t > 0 else np.zeros(f.d)
+            w = x_t - x_prev + u.stage(t)[leaf]
+            kval = stage.value(x_t, w)
+            star = stage.conjugate_value(e_dy[t][leaf], y.stage(t)[leaf])
+            if kval == np.inf or star == np.inf:
+                res = np.inf
+            else:
+                res = kval + star - float(x_t @ e_dy[t][leaf]) - float(w @ y.stage(t)[leaf])
+            cert.add("stage-subgradient", max(res, 0.0), stage=t, block=b)
+    return cert.finalize()
+
+
+def bolza_conjugates_per_node(p, y):
+    """Per leaf, v -> f*(v, y) = sum_t K_t*(v_t + y_{t+1} - y_t, y_t), each
+    stage conjugate a -> K_t*(a, y_t) built in a loop over the nodes (the
+    leaves of a block with bit-equal y_t) and shared by the node's leaves."""
+    from stochdual.convex import SeparableSum
+    from stochdual.solver import _leaf_vectors, _next_stage, _stage_nodes
+
+    f, yvecs = p.integrand, _leaf_vectors(p, y, "dual")
+    stage_fns = [[None] * p.tree.stage_count for _ in range(p.tree.n_leaves)]
+    for t, nodes in enumerate(_stage_nodes(p, yvecs)):
+        for b, leaves, _ in nodes:
+            fn_a = f.stages[t][b].conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])
+            for leaf in leaves:
+                stage_fns[leaf][t] = fn_a
+    eye, shifts = np.eye(f.d), _next_stage(p, yvecs) - yvecs
+    return [SeparableSum([AffinePrecomposition(fn_a, eye, shifts[leaf, f.u_slices[t]])
+                          for t, fn_a in enumerate(fns)])
+            for leaf, fns in enumerate(stage_fns)]
+
+
+def conjugate_sum_per_leaf(p, y, v):
+    """E f*(v, y), each leaf's ``bolza_conjugates_per_node`` function
+    evaluated at the leaf's v and the leaves summed in order, as a compiled
+    objective sums its terms."""
+    total = 0.0
+    for leaf, (fn, v_l) in enumerate(zip(bolza_conjugates_per_node(p, y), v.leaf_rows())):
+        val = fn.value(v_l)
+        if val == np.inf:
+            return np.inf
+        total += float(p.tree.probabilities[leaf]) * val
+    return total

@@ -16,7 +16,7 @@ from stochdual.cli import (
 )
 from stochdual.solver import AdaptedLayout, SolverConfig, solve_dual, solve_primal
 
-from helpers import hedging_file
+from helpers import bolza_doc, hedging_file, write_doc
 
 FIXTURES = [
     "quadratic-tracking.json",
@@ -180,6 +180,15 @@ class TestCommands:
     def test_usage_error(self):
         code, _ = run(["frobnicate", fixture_path("binomial-alm.json")])
         assert code == 1
+
+    def test_parser_is_built_once(self, monkeypatch):
+        # the module's parser serves every call, usage errors included
+        monkeypatch.setattr(cli.argparse, "ArgumentParser",
+                            lambda *a, **k: pytest.fail("parser built per call"))
+        assert run(["--tol"]) == (1, {"error": "usage"})
+        assert run(["solve", fixture_path("binomial-alm.json")])[0] == 0
+        assert run(["check", fixture_path("kkt-single.json"), "--checker", "nope"]) == \
+            (1, {"error": "usage"})
 
     def test_missing_file(self):
         code, report = run(["solve", "no-such-file.json"])
@@ -457,6 +466,20 @@ class TestHonestExitCodes:
         code, report = run(["check", path])
         assert statuses == ["max-iter"]
         assert report["certificate"]["verdict"] in ("pass", "fail")
+
+    @pytest.mark.parametrize("command", ["check", "report"])
+    def test_non_adapted_parameter_is_an_unavailable_certificate(self, tmp_path, command):
+        # |x| + w^2/2 on the horizon-3 binary tree, u with N(0, 0.3^2) noise
+        # on every leaf: the stage conditions need an adapted u, so the
+        # certificate says why it is missing instead of raising
+        doc = bolza_doc(3, {"kind": "abs"}, np.random.default_rng(0), noise=0.3)
+        code, report = run([command, write_doc(tmp_path, "bolza-noisy", doc)])
+        assert code == 4
+        assert report["certificate"] == {
+            "verdict": "unavailable",
+            "reason": "the parameter must be adapted for the stage conditions"}
+        if command == "report":
+            assert report["dual_representation"]["stage_conjugate_dual_value"] is None
 
     def test_dual_engine_failure_is_a_status(self, monkeypatch, tmp_path):
         problem, _, params, _, _ = parse_problem_file(abs_generic_file(tmp_path)[0])

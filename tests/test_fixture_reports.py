@@ -6,6 +6,11 @@ booleans and nulls must match exactly; floats within 1e-12 * max(1, |x|),
 which leaves room for the last-digit differences between numpy builds
 and no more.  A change that moves a report on purpose regenerates the
 snapshot with the same command and says why.
+
+``data/dynamic_reports.json`` does the same for larger dynamic problems,
+the documents of ``helpers.dynamic_docs`` written with
+``helpers.write_doc``: Bolza trees of up to 63 nodes, whose blocks share
+one stage cost, and a multi-block Kabanov market.
 """
 
 import json
@@ -15,8 +20,12 @@ import pytest
 
 from stochdual.cli import fixture_path, run
 
-SNAPSHOT = json.loads((pathlib.Path(__file__).parent / "data" / "fixture_reports.json")
-                      .read_text())
+from helpers import dynamic_docs, write_doc
+
+DATA = pathlib.Path(__file__).parent / "data"
+SNAPSHOT = json.loads((DATA / "fixture_reports.json").read_text())
+DYNAMIC = json.loads((DATA / "dynamic_reports.json").read_text())
+DYNAMIC_DOCS = dynamic_docs()
 FIXTURE_DIR = pathlib.Path(fixture_path("binomial-alm.json")).parent
 
 
@@ -49,6 +58,16 @@ def test_report_matches_snapshot(name):
     _, report = run(["report", fixture_path(name), "--json"])
     # through the JSON the command prints, as the snapshot was taken
     assert differences(json.loads(json.dumps(report)), SNAPSHOT[name]) == []
+
+
+def test_dynamic_snapshot_covers_every_document():
+    assert sorted(DYNAMIC) == sorted(DYNAMIC_DOCS)
+
+
+@pytest.mark.parametrize("name", sorted(DYNAMIC))
+def test_dynamic_report_matches_snapshot(name, tmp_path):
+    _, report = run(["report", write_doc(tmp_path, name, DYNAMIC_DOCS[name]), "--json"])
+    assert differences(json.loads(json.dumps(report)), DYNAMIC[name]) == []
 
 
 def test_differences_sees_types_and_tolerance():

@@ -440,11 +440,15 @@ class TestCertifiedBound:
 
     def test_wrong_conjugate_is_rejected(self, monkeypatch):
         # every conjugate raised by 0.5: E f*(v, y) misses phi*(y) by 0.5,
-        # and the fallback's minimum is the oracle's plus 0.5
+        # and the fallback's minimum is the oracle's plus 0.5.  The value at
+        # the read-off v and the per-leaf terms of the fallback solve are
+        # evaluated apart, so both are raised
         p, y = self.bolza_case()
         real = solver._bolza_conjugates_of_v
         monkeypatch.setattr(solver, "_bolza_conjugates_of_v", lambda *a: [
             FiniteSum([fn, Affine(np.zeros(fn.dim), 0.5)]) for fn in real(*a)])
+        real_sum = solver._bolza_conjugate_sum
+        monkeypatch.setattr(solver, "_bolza_conjugate_sum", lambda *a: real_sum(*a) + 0.5)
         fallbacks = count_fallbacks(monkeypatch)
         self.assert_fallback_to_oracle(p, y, dual_via_orthocomplement(p, y), fallbacks, 0.5)
 

@@ -1,0 +1,262 @@
+"""Stage objects shared across a dynamic tree's nodes, and the passes that
+evaluate each shared stage cost or stage conjugate once per group.
+
+A problem file's equal stage specs parse to one BolzaStage (one
+KabanovStage per distinct trade set, disutility and terminal flag), so the
+primal lowering stacks a stage's nodes and K* is computed once per stage.
+``bolza_dual_value``, ``check_euler_lagrange`` and the annihilator bound's
+E f*(v, y) are checked bit for bit against the per-node loops of
+tests/helpers.py, on irregular trees whose blocks share a few stage
+objects.
+"""
+
+import numpy as np
+import pytest
+
+from stochdual import integrand, solver
+from stochdual.cli import parse_problem_file, run
+from stochdual.convex import (
+    Polyhedron,
+    PiecewiseLinear,
+    Quadratic,
+    SeparableSum,
+    absolute_value,
+)
+from stochdual.duality import bolza_dual_value
+from stochdual.integrand import BolzaIntegrand, BolzaStage, KabanovStage
+from stochdual.optimality import check_euler_lagrange
+from stochdual.solver import (
+    Problem,
+    _bolza_conjugate_sum,
+    _bolza_conjugates_of_v,
+    _leaf_vectors,
+    _stage_conjugates,
+    _stage_nodes,
+    primal_objective,
+    solve_dual,
+    solve_primal,
+)
+from stochdual.tree import StochasticProcess
+
+from helpers import (
+    HALF_SQUARE,
+    bolza_conjugates_per_node,
+    bolza_doc,
+    bolza_dual_value_per_node,
+    check_euler_lagrange_per_node,
+    conjugate_sum_per_leaf,
+    grouped_process,
+    irregular_tree,
+    kabanov_doc,
+    random_process,
+    same_bits,
+    write_doc,
+)
+
+
+def stage_kinds(rng, d):
+    """A few stage costs on R^d x R^d: separable kinked or quadratic parts,
+    and a non-separable quadratic whose tilt and offset the stage
+    conjugate's slices fold in."""
+    def part():
+        return [Quadratic([rng.uniform(0.2, 1.5)], [rng.normal()], rng.normal()),
+                absolute_value().scaled(rng.uniform(0.5, 2.0)),
+                PiecewiseLinear([0.0], [-0.5, 2.0])][int(rng.integers(3))]
+    return [BolzaStage(SeparableSum([part() for _ in range(2 * d)]), d),
+            BolzaStage(Quadratic(rng.uniform(0.2, 1.5, 2 * d), rng.normal(size=2 * d),
+                                 rng.normal()), d)]
+
+
+def shared_bolza(seed, d):
+    """Each block's stage cost drawn from two shared objects per stage."""
+    tree = irregular_tree(seed)
+    rng = np.random.default_rng(700 + seed)
+    stages = []
+    for t in range(tree.stage_count):
+        kinds = stage_kinds(rng, d)
+        stages.append([kinds[int(rng.integers(2))] for _ in tree.blocks(t)])
+    return Problem(tree, BolzaIntegrand(tree, stages)), rng
+
+
+def adapted(rng, tree, dims, scale=1.0):
+    return StochasticProcess(tree, tuple(
+        scale * a for a in grouped_process(rng, tree, dims).values))
+
+
+CASES = [(seed, d) for seed in range(4) for d in (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# sharing
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def bolza63(tmp_path):
+    """A parsed Bolza x^2/2 + w^2/2 problem on the 63-node binary tree of
+    horizon 5, and its file."""
+    path = write_doc(tmp_path, "bolza-H5", bolza_doc(5, HALF_SQUARE, np.random.default_rng(0)))
+    problem, _, params, _, _ = parse_problem_file(path)
+    return problem, params["u"], path
+
+
+def test_equal_specs_parse_to_one_object(tmp_path):
+    # generic leaves with equal specs, in different key order, share one
+    # function; a different spec does not
+    quad = {"kind": "precompose", "inner": HALF_SQUARE, "matrix": [[1.0, -1.0]]}
+    doc = {"tree": {"probabilities": [0.25] * 4, "partitions": [[[0, 1, 2, 3]], [[0], [1], [2], [3]]]},
+           "model": {"family": "generic", "x_dims": [1, 0], "u_dims": [0, 1],
+                     "functions": [quad, dict(reversed(list(quad.items()))),
+                                   {**quad, "matrix": [[2.0, -1.0]]}, quad]},
+           "parameters": {"u": [0, [1.0, 2.0, 3.0, 4.0]]}}
+    problem, _, _, _, _ = parse_problem_file(write_doc(tmp_path, "generic", doc))
+    fns = problem.integrand.functions
+    assert fns[0] is fns[1] is fns[3] and fns[2] is not fns[0]
+
+
+def test_a_parsed_tree_has_one_stage(bolza63):
+    problem, u, _ = bolza63
+    f = problem.integrand
+    assert len({id(st) for blocks in f.stages for st in blocks}) == 1
+    assert [len(groups) for groups in f.stage_groups] == [1] * 6
+    # one lowering group for the t = 0 map shape, one for t >= 1
+    _, obj = primal_objective(problem, u)
+    groups = obj._lowering[0]
+    assert sorted(len(g.idx) for g in groups) == [1, 62]
+
+
+def test_a_report_builds_one_stage_conjugate_per_node(bolza63, monkeypatch):
+    _, _, path = bolza63
+    calls = []
+    real = BolzaStage.conjugate_function_of_a
+    monkeypatch.setattr(BolzaStage, "conjugate_function_of_a",
+                        lambda self, b: calls.append(b) or real(self, b))
+    code, report = run(["report", path])
+    assert code == 0 and report["dual_representation"]["annihilator_bound"] is not None
+    assert len(calls) == 63
+
+
+def test_a_kabanov_report_builds_one_stage_conjugate_per_node(tmp_path, monkeypatch):
+    # the hulls do not read them, so the annihilator bound builds them
+    path = write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3)))
+    calls = []
+    real = KabanovStage.conjugate_function_of_a
+    monkeypatch.setattr(KabanovStage, "conjugate_function_of_a",
+                        lambda self, b: calls.append(b) or real(self, b))
+    code, report = run(["report", path])
+    assert code == 0 and report["dual_representation"]["annihilator_bound"] is not None
+    assert len(calls) == 1 + 2 + 4 + 8
+
+
+@pytest.mark.parametrize("state_cost, lps", [(HALF_SQUARE, 0), ({"kind": "abs"}, 1)])
+def test_hull_emptiness_is_decided_once_per_stage(tmp_path, monkeypatch, state_cost, lps):
+    # dom K* is the whole space for x^2/2 + w^2/2 (no LP), and [-1, 1] x R
+    # for |x| + w^2/2 (one LP for the stage); no slice is tested on its own
+    path = write_doc(tmp_path, "bolza", bolza_doc(4, state_cost, np.random.default_rng(1)))
+    per_slice, empties = [], []
+    monkeypatch.setattr(integrand, "_is_identically_infinite",
+                        lambda fn: per_slice.append(fn) or pytest.fail("per-slice test"))
+    real = Polyhedron.is_empty
+    monkeypatch.setattr(Polyhedron, "is_empty", lambda self: empties.append(self) or real(self))
+    assert run(["report", path])[0] == 0
+    assert (per_slice, len(empties)) == ([], lps)
+
+
+def test_hull_emptiness_stays_per_slice_where_dom_reads_b():
+    # K = x^2/2 + |w|: dom K* = R x [-1, 1], so a slice is empty off [-1, 1]
+    stage = BolzaStage(SeparableSum([Quadratic([0.5]), absolute_value()]), 1)
+    assert stage._slices_empty is None
+    assert stage.hbar_function_of_x([2.0]) is integrand.MINUS_INF
+    assert stage.hbar_function_of_x([0.5]).value([1.0]) == pytest.approx(0.5)
+    # the whole-space and the state-only domains decide it for every b
+    assert BolzaStage(SeparableSum([Quadratic([0.5]), Quadratic([0.5])]), 1)._slices_empty is False
+    assert BolzaStage(SeparableSum([absolute_value(), Quadratic([0.5])]), 1)._slices_empty is False
+
+
+def test_kabanov_shares_one_stage_per_triple(tmp_path):
+    problem, _, _, _, _ = parse_problem_file(
+        write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3))))
+    stages = {id(st): st for blocks in problem.integrand.stages for st in blocks}.values()
+    # two cones, each before and at the horizon, with one shared disutility
+    assert len(stages) == 4
+    assert len({(id(st.C), st.terminal) for st in stages}) == 4
+    assert len({id(st.C) for st in stages}) == 2 and len({id(st.V) for st in stages}) == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked passes against the per-node loops, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed, d", CASES)
+def test_bolza_dual_value_matches_per_node_loop(seed, d):
+    p, rng = shared_bolza(seed, d)
+    u = adapted(rng, p.tree, p.m_dims)
+    for scale in (0.05, 3.0):  # finite, then off some conjugate's domain
+        y = adapted(rng, p.tree, p.m_dims, scale)
+        assert same_bits(bolza_dual_value(p, u, y), bolza_dual_value_per_node(p, u, y))
+
+
+@pytest.mark.parametrize("seed, d", CASES)
+def test_euler_lagrange_matches_per_node_loop(seed, d):
+    p, rng = shared_bolza(seed, d)
+    u = adapted(rng, p.tree, p.m_dims)
+    x = adapted(rng, p.tree, p.n_dims)
+    for scale in (0.05, 3.0):
+        y = adapted(rng, p.tree, p.m_dims, scale)
+        got, want = check_euler_lagrange(p, x, u, y), check_euler_lagrange_per_node(p, x, u, y)
+        assert got.verdict == want.verdict
+        assert [{k: r[k] for k in r if k != "residual"} for r in got.rows] == \
+            [{k: r[k] for k in r if k != "residual"} for r in want.rows]
+        assert same_bits([r["residual"] for r in got.rows], [r["residual"] for r in want.rows])
+
+
+def test_euler_lagrange_on_solved_kabanov(tmp_path):
+    problem, _, params, _, _ = parse_problem_file(
+        write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3))))
+    u = params["u"]
+    primal = solve_primal(problem, u)
+    y = solve_dual(problem, u, primal=primal).optimizer
+    got = check_euler_lagrange(problem, primal.optimizer, u, y)
+    want = check_euler_lagrange_per_node(problem, primal.optimizer, u, y)
+    assert got.verdict == want.verdict == "pass"
+    assert same_bits([r["residual"] for r in got.rows], [r["residual"] for r in want.rows])
+
+
+@pytest.mark.parametrize("seed, d", CASES)
+@pytest.mark.parametrize("shape", ["adapted", "split", "leafwise"])
+def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
+    p, rng = shared_bolza(seed, d)
+    if shape == "leafwise":
+        y = StochasticProcess(p.tree, tuple(0.05 * a for a in
+                                            random_process(rng, p.tree, p.m_dims).values))
+    else:
+        y = StochasticProcess(p.tree, tuple(0.05 * a for a in grouped_process(
+            rng, p.tree, p.m_dims, 1 if shape == "adapted" else 2).values))
+    yvecs = _leaf_vectors(p, y, "dual")
+    conjugates = _stage_conjugates(p, yvecs, [
+        (t, leaves) for t, nodes in enumerate(_stage_nodes(p, yvecs)) for _, leaves, _ in nodes])
+    for scale in (0.02, 3.0):
+        v = StochasticProcess(p.tree, tuple(scale * a for a in
+                                            random_process(rng, p.tree, p.n_dims).values))
+        assert same_bits(_bolza_conjugate_sum(p, yvecs, conjugates, v.leaf_rows()),
+                         conjugate_sum_per_leaf(p, y, v))
+    # the per-leaf terms of the fallback solve are the per-node loop's
+    got = _bolza_conjugates_of_v(p, yvecs, conjugates)
+    want = bolza_conjugates_per_node(p, y)
+    points = 0.02 * rng.normal(size=(5, sum(p.n_dims)))
+    for fn, ref in zip(got, want):
+        assert same_bits(fn.value_many(points), ref.value_many(points))
+
+
+def test_bound_reuses_the_dual_objective_conjugates(bolza63, monkeypatch):
+    problem, u, _ = bolza63
+    dual = solve_dual(problem, u)
+    assert len(dual.objective.stage_conjugates) == 63
+    with monkeypatch.context() as m:
+        m.setattr(BolzaStage, "conjugate_function_of_a",
+                  lambda *a: pytest.fail("stage conjugate built twice"))
+        bound = solver.dual_via_orthocomplement(problem, dual.optimizer,
+                                                objective=dual.objective)
+    assert bound.status == "optimal"
+    assert same_bits(bound.value, conjugate_sum_per_leaf(problem, dual.optimizer, bound.v))
