@@ -77,6 +77,7 @@ from .tree import (
     StochasticProcess,
     TreeError,
     build_tree,
+    is_adapted,
 )
 
 __all__ = ["ProblemFileError", "parse_problem_file", "run", "main", "fixture_path"]
@@ -219,8 +220,14 @@ def parse_process(tree: ScenarioTree, dims, spec, path: str) -> StochasticProces
 # ---------------------------------------------------------------------------
 
 
+# the SolverConfig fields a problem file's "solver" section may set, with
+# their types
+_SOLVER_SETTINGS = {"max_iter": int, "tol": float}
+
+
 def parse_problem_file(path: str):
-    """Returns (problem, family, parameters-dict, solver-overrides)."""
+    """Returns (problem, family, parameters-dict, solver-overrides, digest);
+    the overrides are converted to the types of ``SolverConfig``."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -252,24 +259,18 @@ def parse_problem_file(path: str):
     u = parse_process(tree, problem.m_dims, params_sec.get("u"), "parameters.u")
     candidate = None
     if "candidate" in params_sec:
-        cand = params_sec["candidate"]
-        candidate = {}
-        if "x" in cand:
-            candidate["x"] = parse_process(tree, problem.n_dims, cand["x"],
-                                           "parameters.candidate.x")
-        if "y" in cand:
-            candidate["y"] = parse_process(tree, problem.m_dims, cand["y"],
-                                           "parameters.candidate.y")
-        if "v" in cand:
-            candidate["v"] = parse_process(tree, problem.n_dims, cand["v"],
-                                           "parameters.candidate.v")
-        for key in ("z", "k"):
-            if key in cand:
-                d = problem.n_dims[0] // 2
-                candidate[key] = parse_process(
-                    tree, (d,) * tree.stage_count, cand[key],
-                    f"parameters.candidate.{key}")
-    solver_sec = doc.get("solver", {})
+        cand, zk = params_sec["candidate"], (problem.n_dims[0] // 2,) * tree.stage_count
+        dims = {"x": problem.n_dims, "y": problem.m_dims, "v": problem.n_dims, "z": zk, "k": zk}
+        candidate = {key: parse_process(tree, d, cand[key], f"parameters.candidate.{key}")
+                     for key, d in dims.items() if key in cand}
+    solver_sec = {}
+    for key, value in doc.get("solver", {}).items():
+        if key not in _SOLVER_SETTINGS:
+            raise ProblemFileError("unknown solver setting", f"solver.{key}")
+        try:
+            solver_sec[key] = _SOLVER_SETTINGS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFileError(str(exc), f"solver.{key}")
     digest = hashlib.sha256(raw).hexdigest()
     return problem, family, {"u": u, "candidate": candidate}, solver_sec, digest
 
@@ -350,11 +351,8 @@ def _build_model(tree, family, model) -> Problem:
 
 def _config(solver_sec, args) -> SolverConfig:
     """Solver settings: the file's "solver" section, then the flags."""
-    cfg = SolverConfig()
-    for name, kind in (("max_iter", int), ("tol", float), ("method", str),
-                       ("step_constant", float)):
-        if name in solver_sec:
-            setattr(cfg, name, kind(solver_sec[name]))
+    cfg = SolverConfig(**solver_sec)
+    for name in _SOLVER_SETTINGS:
         if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
     return cfg
@@ -410,14 +408,20 @@ def _dual_representation(problem, family, u, dual_res, bound) -> dict:
     return out
 
 
-def _checker_for(family: str) -> str:
-    return {
-        "generic": "saddle",
-        "constrained": "kkt",
-        "alm": "alm",
-        "bolza": "euler-lagrange",
-        "kabanov": "cps",
-    }[family]
+# the checkers that apply to each family, its default first
+_CHECKERS = {"generic": ("saddle",), "constrained": ("kkt", "saddle"), "alm": ("alm", "saddle"),
+             "bolza": ("euler-lagrange", "hamiltonian", "saddle"),
+             "kabanov": ("cps", "euler-lagrange", "hamiltonian", "saddle")}
+
+
+def _checker_for(family: str, params) -> str:
+    """The family's default checker, or the saddle checker when a dynamic
+    problem's u or candidate y is not adapted: the stage conditions need
+    adapted processes."""
+    given = (params["u"], (params["candidate"] or {}).get("y"))
+    if family in ("bolza", "kabanov") and not all(w is None or is_adapted(w) for w in given):
+        return "saddle"
+    return _CHECKERS[family][0]
 
 
 def _annihilator_bound(problem, y, cfg, objective=None):
@@ -430,8 +434,7 @@ def _annihilator_bound(problem, y, cfg, objective=None):
         return None
 
 
-def _run_check(problem, family, params, cfg, checker: str,
-               primal=None, dual=None, bound=None):
+def _run_check(problem, params, cfg, checker: str, primal=None, dual=None, bound=None):
     """(certificate, None) for the candidate (x, y, v), filling in what the
     problem file leaves out from the primal, the dual and the dual's
     annihilator bound already solved, or by solving them here; (None, the
@@ -439,9 +442,7 @@ def _run_check(problem, family, params, cfg, checker: str,
     not adapted."""
     u = params["u"]
     cand = params["candidate"] or {}
-    x = cand.get("x")
-    y = cand.get("y")
-    v = cand.get("v")
+    x, y, v = (cand.get(key) for key in "xyv")
     if x is None:
         if primal is None:
             primal = solve_primal(problem, u, cfg)
@@ -493,7 +494,6 @@ def _certificate(problem, checker, x, u, y, v, cand, tol):
             y = StochasticProcess(tree, tuple(
                 y.stage(t)[:, :d] for t in range(tree.stage_count)))
         return check_consistent_price_system(problem, z, k, uz, y, tol)
-    raise ProblemFileError(f"unknown checker '{checker}'", "--checker")
 
 
 def _certificate_block(cert) -> dict:
@@ -520,10 +520,6 @@ def _argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("problem_file")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    parser.add_argument("--method", choices=["auto", "polyhedral", "subgradient"],
-                        default=None)
-    parser.add_argument("--step-constant", dest="step_constant", type=float,
-                        default=None)
     parser.add_argument("--checker", default=None,
                         choices=["saddle", "kkt", "alm", "euler-lagrange",
                                  "hamiltonian", "cps"])
@@ -546,6 +542,10 @@ def run(argv) -> tuple[int, dict]:
         problem, family, params, solver_sec, digest = parse_problem_file(args.problem_file)
     except ProblemFileError as exc:
         return EXIT_USAGE, {"error": str(exc), "field": exc.field_path}
+    if args.checker not in (None, *_CHECKERS[family]):
+        return EXIT_USAGE, {"error": f"checker '{args.checker}' does not apply to "
+                                     f"family '{family}'", "field": "--checker"}
+    checker = args.checker or _checker_for(family, params)
 
     cfg = _config(solver_sec, args)
     report = {
@@ -584,9 +584,7 @@ def run(argv) -> tuple[int, dict]:
         if np.isfinite(primal.value) and dual.status != "optimal":
             code = max(code, EXIT_NO_CONVERGENCE)
     if covers("check"):
-        checker = args.checker or _checker_for(family)
-        cert, failure = _run_check(problem, family, params, cfg, checker,
-                                   primal, dual, bound)
+        cert, failure = _run_check(problem, params, cfg, checker, primal, dual, bound)
         if cert is None:
             report["certificate"] = {"verdict": "unavailable", "reason": failure}
             code = max(code, EXIT_NO_CONVERGENCE)

@@ -34,20 +34,21 @@ solve, kept on the ``DualObjective`` for the lower variant and the
 annihilator bound, and the bound's E f*(v, y) evaluates each node's slice
 once over the node's leaves.
 
-Quadratic-plus-polyhedral instances route to the active-set QP path and
-solve to machine precision; everything else falls back to a projected
-subgradient method with diminishing steps c/sqrt(k).  The dual solve
-recovers its maximizer from primal optimality and prices it by one inner
-solve; its status says why a dual is missing or its gap open.  Every
-primal term is g(M_k z + m_k + N_k u_l), where u_l is the parameter
-vector of the term's leaf (or of each leaf of its node).  At a solution
-of the lowered program, the stationarity of the QP selects a subgradient
-s_k of g at the term's argument (``CompiledObjective.subgradients``), and
-the optimal dual is y_l = sum_k N_k' s_k over the terms of leaf l: the
-parameter block of the subgradient (v, y) in the subdifferential of f at
-(x, u) that the optimum picks.  The same reader gives the annihilator
-bound's v as M_k' s_k on the Lagrangian.  Off the QP path s_k is g's
-subgradient rule at the argument.
+The objective alone picks the engine: quadratic-plus-polyhedral instances
+route to the active-set QP path and solve to machine precision; everything
+else falls back to a projected subgradient method with diminishing steps
+c/sqrt(k).  The dual solve recovers its maximizer from primal optimality
+and prices it by one inner solve; its status says why a dual is missing or
+its gap open.  Every primal term is g(M_k z + m_k + N_k u_l), where u_l is
+the parameter vector of the term's leaf (or of each leaf of its node).  At
+a solution of the lowered program, the stationarity of the QP selects a
+subgradient s_k of g at the term's argument
+(``CompiledObjective.subgradients``), and the optimal dual is y_l = sum_k
+N_k' s_k over the terms of leaf l, with no projection: the parameter block
+of the subgradient (v, y) in the subdifferential of f at (x, u) that the
+optimum picks.  The same reader gives the annihilator bound's v as M_k' s_k
+on the Lagrangian.  Off the QP path s_k is g's subgradient rule at the
+argument.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from .qp import project_onto_polyhedron, solve_qp
 from .tree import (
     ScenarioTree,
     StochasticProcess,
-    adapted_projection,
     in_orthocomplement,
     pairing,
 )
@@ -139,8 +139,6 @@ class Problem:
 class SolverConfig:
     max_iter: int = 100_000
     tol: float = 1e-7
-    step_constant: float | None = None
-    method: str = "auto"  # auto | polyhedral | subgradient
 
     @property
     def gap_tol(self) -> float:
@@ -413,13 +411,11 @@ class CompiledObjective:
         q[n:] = 1.0  # epigraph variables at weight one
         G, h = np.zeros((n_ineq, total)), np.zeros(n_ineq)
         A, b = np.zeros((n_eq, total)), np.zeros(n_eq)
-        for g in groups:
-            S, C, W = g.form, g.cols, g.weights
-            if S.P.any():
-                np.add.at(P, (C[:, :, None], C[:, None, :]), W[:, None, None] * S.P)
-            np.add.at(q, C, W[:, None] * S.q)
-            for v in (W * S.c).tolist():
-                c += v
+        # each term's group, and its place in the group
+        owner, place = np.zeros((2, len(self.terms)), dtype=int)
+        for k, g in enumerate(groups):
+            S, C = g.form, g.cols
+            owner[g.idx], place[g.idx] = k, np.arange(len(g.idx))
             G[g.rows[:, :, None], C[:, None, :]] = S.G
             h[g.rows] = S.h
             A[g.eq_rows[:, :, None], C[:, None, :]] = S.A
@@ -428,6 +424,18 @@ class CompiledObjective:
                 G[at.rows[:, :, None], C[:, None, :]] = at.coefs[:, :, None] * at.row[:, None, :]
                 G[at.rows[:, :at.n_lines], n + at.aux[:, None]] = -1.0
                 h[at.rows] = at.rhs
+        # P, q and c add up in term order, so the program does not depend on
+        # how the terms group: one pass per run of consecutive terms of a group
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        runs = [0, *cuts, len(self.terms)] if self.terms else []
+        for i, j in zip(runs, runs[1:]):
+            g, run = groups[owner[i]], slice(place[i], place[i] + j - i)
+            S, C, W = g.form, g.cols[run], g.weights[run]
+            if S.P.any():
+                np.add.at(P, (C[:, :, None], C[:, None, :]), W[:, None, None] * S.P[run])
+            np.add.at(q, C, W[:, None] * S.q[run])
+            for v in (W * S.c[run]).tolist():
+                c += v
         return P, q, c, G, h, A, b, n
 
     def subgradients(self, res: _MinResult) -> list[np.ndarray]:
@@ -487,7 +495,7 @@ class _MinResult:
 def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
     if obj.n == 0:
         return _MinResult("optimal", np.zeros(0), obj.value(np.zeros(0)), 0, 0.0, "direct")
-    data = obj.qp_data() if cfg.method in ("auto", "polyhedral") else None
+    data = obj.qp_data()
     if data is not None:
         P, q, c, G, h, A, b, n_main = data
         res = solve_qp(P, q, c, G, h, A, b)
@@ -496,10 +504,6 @@ def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
         x = res.x[:n_main] if res.x is not None else None
         return _MinResult(status, x, res.value, res.iterations, resid,
                           "polyhedral", res.ineq_multipliers, res.eq_multipliers)
-    if cfg.method == "polyhedral":
-        raise NoClosedFormError(
-            "objective is not quadratic-plus-polyhedral; use method='auto'"
-        )
     return _subgradient_minimize(obj, cfg)
 
 
@@ -541,7 +545,7 @@ def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResu
     if f == INF:  # boundary roundoff; nudge with a tiny interior step
         return _MinResult("infeasible", None, INF, 0, INF, "subgradient")
     g = obj.subgradient(w)
-    c0 = cfg.step_constant or (1.0 + abs(f)) / (1.0 + float(np.linalg.norm(g)))
+    c0 = (1.0 + abs(f)) / (1.0 + float(np.linalg.norm(g)))
     best_w, best_f = w.copy(), f
     window_best = f
     check_every = 200
@@ -919,7 +923,7 @@ def _bolza_conjugate_sum(p: Problem, yvecs, conjugates, V) -> float:
 def solve_dual(p: Problem, u: StochasticProcess,
                cfg: SolverConfig | None = None,
                primal: SolveResult | None = None) -> SolveResult:
-    """Maximize <u, y> - phi*(y); adapted y for dynamic-structure problems.
+    """Maximize <u, y> - phi*(y).
 
     y is read off the primal's solution and priced by one
     ``dual_objective``.  The status is
@@ -946,7 +950,7 @@ def solve_dual(p: Problem, u: StochasticProcess,
     if primal.status != "optimal":
         return SolveResult(None, INF, 0, INF, "not-run")
     try:
-        y = _recover_dual_candidate(p, u, primal, cfg)
+        y = _recover_dual_candidate(p, primal)
         dob = None if y is None else dual_objective(p, y, cfg)
     except NoClosedFormError:
         return SolveResult(None, np.nan, 0, INF, "no-closed-form")
@@ -961,22 +965,18 @@ def solve_dual(p: Problem, u: StochasticProcess,
                        objective=dob)
 
 
-def _recover_dual_candidate(p, u, primal, cfg):
+def _recover_dual_candidate(p, primal):
     """y_l = sum_k N_k' s_k over the primal terms g(M_k x + m_k + N_k u_l)
     of leaf l, s_k the subgradient of g at the term's argument that the
-    primal QP's solution selects (one QP solve supplies it when the primal
-    ran none); dynamic candidates are projected onto the adapted processes.
-    An objective off the QP path takes g's subgradient rule at the
+    primal QP's solution selects; a node term's share goes to each of its
+    leaves.  y is not projected: on a dynamic problem it is adapted when u
+    is.  An objective off the QP path takes g's subgradient rule at the
     argument instead (the closed form on a stage, none for a constrained
     model).  None when no rule applies."""
     obj, res, f = primal.compiled, primal.solution, p.integrand
     if obj is None or res is None or res.x is None:
         return None
     try:
-        if res.multipliers is None and obj._lowering is not None:
-            res = _minimize(obj, SolverConfig(method="polyhedral"))
-            if res.status != "optimal":
-                return None
         if res.multipliers is not None:
             subgradients = obj.subgradients(res)
         elif isinstance(f, ConstrainedIntegrand):
@@ -990,8 +990,7 @@ def _recover_dual_candidate(p, u, primal, cfg):
             rows[list(t.node[1]) if isinstance(t.node, tuple) else t.node] += t.param.T @ s
     except (NoClosedFormError, ValueError):
         return None
-    y = StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
-    return adapted_projection(y) if isinstance(f, BolzaIntegrand) else y
+    return StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
 
 
 def _subgradient_rule(p, term, x):

@@ -519,10 +519,9 @@ def per_leaf_conjugates(p, y):
 
 def per_leaf_recovered_dual(p, u, x):
     """The dynamic dual candidate leaf by leaf: the velocity gradient of
-    every leaf's stage costs at (x_t, dx_t + u_t), then projected onto the
-    adapted processes; None when some stage does not pin it."""
+    every leaf's stage costs at (x_t, dx_t + u_t); None when some stage
+    does not pin it."""
     from stochdual.solver import _stage_dual_gradient
-    from stochdual.tree import adapted_projection
 
     f, xs, us = p.integrand, x.leaf_rows(), u.leaf_rows()
     arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
@@ -534,7 +533,7 @@ def per_leaf_recovered_dual(p, u, x):
             if y_t is None:
                 return None
             arrays[t][leaf] = y_t
-    return adapted_projection(StochasticProcess(p.tree, tuple(arrays)))
+    return StochasticProcess(p.tree, tuple(arrays))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,16 @@ FIXTURES = [
     "kkt-single.json",
     "pwl-hedging.json",
     "bolza-kinked-velocity.json",
+    "bolza-nonadapted.json",
 ]
+# the checkers that apply to each family, as `--checker` accepts them
+CHECKERS = {
+    "generic": {"saddle"},
+    "constrained": {"kkt", "saddle"},
+    "alm": {"alm", "saddle"},
+    "bolza": {"euler-lagrange", "hamiltonian", "saddle"},
+    "kabanov": {"cps", "euler-lagrange", "hamiltonian", "saddle"},
+}
 
 
 class TestParsing:
@@ -63,6 +72,22 @@ class TestParsing:
         assert cand is not None
         assert cand["x"].stage(0)[0, 0] == 1.0
         assert cand["y"].stage(0)[0, 0] == 2.0
+
+    @pytest.mark.parametrize("key, value", [("method", "auto"), ("step_constant", 0.5),
+                                            ("max_iters", 10), ("tol", "tight"),
+                                            ("max_iter", [10])])
+    def test_bad_solver_setting_is_a_usage_error(self, tmp_path, key, value):
+        # a setting the solver does not read is refused, not ignored, and so
+        # is a value that does not convert
+        with open(fixture_path("binomial-alm.json")) as fh:
+            doc = json.load(fh)
+        doc["solver"] = {"tol": 1e-8, key: value}
+        path = write_doc(tmp_path, "unknown-setting", doc)
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_file(path)
+        assert err.value.field_path == f"solver.{key}"
+        code, report = run(["solve", path])
+        assert (code, report["field"]) == (cli.EXIT_USAGE, f"solver.{key}")
 
     def test_unknown_kind_reports_path(self, tmp_path):
         doc = {
@@ -146,13 +171,26 @@ class TestCommands:
         assert code == 0
         assert report["checker"] == "hamiltonian"
 
-    def test_step_constant_flag_accepted(self):
-        code, report = run(["solve", fixture_path("binomial-alm.json"),
-                            "--method", "subgradient", "--step-constant", "0.5",
-                            "--max-iter", "4000"])
-        assert code in (0, 4)
-        assert report["primal"]["method"] == "subgradient"
-        assert report["primal"]["value"] == pytest.approx(0.45, abs=5e-3)
+    @pytest.mark.parametrize("flags", [["--method", "auto"], ["--method", "subgradient"],
+                                       ["--step-constant", "0.5"]])
+    def test_engine_flags_are_usage_errors(self, flags):
+        # the objective picks the engine: there is no flag to choose it
+        assert run(["solve", fixture_path("binomial-alm.json"), *flags]) == \
+            (cli.EXIT_USAGE, {"error": "usage"})
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("checker", sorted(set().union(*CHECKERS.values())))
+    def test_checker_outside_the_family_is_a_usage_error(self, name, checker):
+        with open(fixture_path(name)) as fh:
+            family = json.load(fh)["model"]["family"]
+        code, report = run(["check", fixture_path(name), "--checker", checker])
+        if checker in CHECKERS[family]:
+            assert report["exit_code"] == code
+            assert "error" not in report
+        else:
+            assert code == cli.EXIT_USAGE
+            assert report == {"error": f"checker '{checker}' does not apply to family "
+                                       f"'{family}'", "field": "--checker"}
 
     def test_text_report_separates_long_keys(self):
         # a key longer than the label column keeps one space before its value
@@ -297,8 +335,7 @@ class TestSolveOnce:
         assert calls["solve_primal"] == 1
 
     def test_constraint_prices_come_from_the_primal_multipliers(self, monkeypatch):
-        # the recovery reads the primal QP's solution: no QP solve of its
-        # own when the primal ran one, and one when it did not
+        # the recovery reads the primal QP's solution: no QP solve of its own
         inside = {"recover": False, "qp_calls": 0}
         recover, solve_qp = solver._recover_dual_candidate, solver.solve_qp
 
@@ -320,10 +357,6 @@ class TestSolveOnce:
         assert report["dual"]["method"] == "recovered"
         assert report["dual"]["value"] == pytest.approx(1.0, abs=1e-9)
         assert inside["qp_calls"] == 0
-        problem, _, params, _, _ = parse_problem_file(fixture_path("kkt-single.json"))
-        res = solve_dual(problem, params["u"], SolverConfig(method="subgradient", max_iter=4000))
-        assert res.method == "recovered"
-        assert inside["qp_calls"] == 1
 
     def test_kinked_constraint_prices(self, tmp_path):
         # min |x| s.t. 1 - x <= 0: the lowered QP mixes epigraph rows of |x|
@@ -354,15 +387,6 @@ class TestSolveOnce:
         np.testing.assert_array_equal(alone.optimizer.to_vector(),
                                       shared.optimizer.to_vector())
         assert alone.objective.value == shared.objective.value
-
-    def test_solve_dual_without_primal_on_a_subgradient_solve(self):
-        # a primal solved off the polyhedral path carries no multipliers;
-        # the constraint prices then come from the lowered QP
-        problem, _, params, _, _ = parse_problem_file(fixture_path("kkt-single.json"))
-        cfg = SolverConfig(method="subgradient", max_iter=4000)
-        res = solve_dual(problem, params["u"], cfg)
-        assert res.method == "recovered"
-        np.testing.assert_allclose(res.optimizer.to_vector(), [2.0], atol=1e-6)
 
 
 class TestHonestExitCodes:
@@ -468,18 +492,34 @@ class TestHonestExitCodes:
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
     @pytest.mark.parametrize("command", ["check", "report"])
-    def test_non_adapted_parameter_is_an_unavailable_certificate(self, tmp_path, command):
+    def test_non_adapted_parameter_defaults_to_the_saddle_checker(self, command):
         # |x| + w^2/2 on the horizon-3 binary tree, u with N(0, 0.3^2) noise
-        # on every leaf: the stage conditions need an adapted u, so the
+        # on every leaf: the recovered y closes the gap, and the saddle
+        # checker certifies it where the stage conditions do not apply
+        path = fixture_path("bolza-nonadapted.json")
+        code, report = run([command, path])
+        assert (code, report["checker"], report["certificate"]["verdict"]) == \
+            (0, "saddle", "pass")
+        if command == "report":
+            assert report["dual"]["status"] == "optimal"
+            assert abs(report["gap"]) <= 1e-13
+            assert report["dual_representation"]["stage_conjugate_dual_value"] is None
+        # the stage conditions need adapted processes: asked for, the
         # certificate says why it is missing instead of raising
-        doc = bolza_doc(3, {"kind": "abs"}, np.random.default_rng(0), noise=0.3)
-        code, report = run([command, write_doc(tmp_path, "bolza-noisy", doc)])
+        code, report = run([command, path, "--checker", "euler-lagrange"])
         assert code == 4
         assert report["certificate"] == {
-            "verdict": "unavailable",
-            "reason": "the parameter must be adapted for the stage conditions"}
-        if command == "report":
-            assert report["dual_representation"]["stage_conjugate_dual_value"] is None
+            "verdict": "unavailable", "reason": "the dual candidate must be adapted"}
+
+    def test_non_adapted_candidate_defaults_to_the_saddle_checker(self, tmp_path):
+        # adapted u, and a candidate y that is not: the saddle checker runs
+        # on the candidate, which is not the optimal dual
+        doc = bolza_doc(2, {"kind": "abs"}, np.random.default_rng(0))
+        doc["parameters"]["candidate"] = {"y": [[[0.5]] * 4, [[0.1], [0.2], [0.3], [0.4]],
+                                                [[0.5]] * 4]}
+        code, report = run(["check", write_doc(tmp_path, "bolza-candidate", doc)])
+        assert report["checker"] == "saddle"
+        assert (code, report["certificate"]["verdict"]) == (cli.EXIT_CHECK_FAIL, "fail")
 
     def test_dual_engine_failure_is_a_status(self, monkeypatch, tmp_path):
         problem, _, params, _, _ = parse_problem_file(abs_generic_file(tmp_path)[0])

@@ -48,16 +48,13 @@ NO_INNER_SOLVE = DualObjective(np.nan, None, None, "max-iter")
 # ---------------------------------------------------------------------------
 
 
-def assert_lowering_equal(got, want, atol=0.0):
+def assert_lowering_equal(got, want):
     *arrays, n_main = got
     *ref, ref_main = want
     assert n_main == ref_main
     for name, x, y in zip("P q c G h A b".split(), arrays, ref):
         assert np.shape(x) == np.shape(y), name
-        if atol:
-            np.testing.assert_allclose(x, y, rtol=0, atol=atol, err_msg=name)
-        else:
-            np.testing.assert_array_equal(x, y, err_msg=name)
+        np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 def selection_mats(obj):
@@ -258,11 +255,6 @@ class TestLoweringMatchesDense:
 # grouped lowering: terms that share one local form up to the affine map
 # ---------------------------------------------------------------------------
 
-# the mixed case's rows round at most this far from the dense lowering: its
-# shared group's terms interleave with groups of one, so sums into a
-# coordinate they share take another order; every other case is exact
-MIXED_ATOL = 1e-12
-
 BOUNDED_PWL = PiecewiseLinear([0.0, 1.0], [-1.0, 0.5, 2.0], lo=-3.0, hi=4.0)
 SHARED_V = {"half-square": Quadratic([0.5]), "abs": absolute_value(),
             "bounded-pwl": BOUNDED_PWL}
@@ -303,15 +295,15 @@ def mixed_problem(seed):
 
 
 def grouped_objectives(seed):
-    """(name, compiled objective, atol) per case."""
+    """(name, compiled objective) per case."""
     rng = np.random.default_rng(1600 + seed)
     out = []
     for name, V in SHARED_V.items():
         p = hedging_problem(seed, V)
         u = random_process(rng, p.tree, p.m_dims)
         y = solver.solve_dual(p, u).optimizer  # a y with a finite inner infimum
-        out.append((f"{name} primal", primal_objective(p, u)[1], 0.0))
-        out.append((f"{name} lagrangian", solver._lagrangian_objective(p, y)[1], 0.0))
+        out.append((f"{name} primal", primal_objective(p, u)[1]))
+        out.append((f"{name} lagrangian", solver._lagrangian_objective(p, y)[1]))
     # one stage cost object on every node, u not adapted: stage 0's nodes
     # and the later stages' nodes are two groups, their maps of two shapes
     tree = irregular_tree(seed)
@@ -320,10 +312,10 @@ def grouped_objectives(seed):
     p = Problem(tree, BolzaIntegrand(tree, [[stage] * len(tree.blocks(t))
                                             for t in range(tree.stage_count)]))
     out.append(("shared-stage bolza primal",
-                primal_objective(p, random_process(rng, tree, p.m_dims))[1], 0.0))
+                primal_objective(p, random_process(rng, tree, p.m_dims))[1]))
     p = mixed_problem(seed)
     u = random_process(rng, p.tree, p.m_dims)
-    out.append(("mixed primal", primal_objective(p, u)[1], MIXED_ATOL))
+    out.append(("mixed primal", primal_objective(p, u)[1]))
     return out
 
 
@@ -352,7 +344,7 @@ def per_term_shares(obj, res):
 class TestGroupedLowering:
     def test_cases_build_groups(self):
         for seed in SEEDS:
-            for name, obj, _ in grouped_objectives(seed):
+            for name, obj in grouped_objectives(seed):
                 sizes = [len(g.idx) for g in obj._lowering[0]]
                 assert max(sizes) >= 2, name
                 if name.startswith("shared-stage"):
@@ -360,23 +352,23 @@ class TestGroupedLowering:
                 if name.startswith("mixed"):
                     shared = max(obj._lowering[0], key=lambda g: len(g.idx))
                     assert 1 in sizes and np.any(np.diff(shared.idx) > 1)
-        kinds = [obj.qp_data() for _, obj, _ in grouped_objectives(0)]
+        kinds = [obj.qp_data() for _, obj in grouped_objectives(0)]
         assert any(A.shape[0] for _, _, _, _, _, A, *_ in kinds)
         # the hi and lo rows of a bounded atom, after its supporting lines
         assert any(at.coefs.shape[1] - at.n_lines == 2 and np.all(at.coefs[:, -1] == -1.0)
-                   for _, obj, _ in grouped_objectives(0)
+                   for _, obj in grouped_objectives(0)
                    for g in obj._lowering[0] for at in g.atoms)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_dense(self, seed):
-        for name, obj, atol in grouped_objectives(seed):
-            assert_lowering_equal(obj.qp_data(), dense_lowering(obj, selection_mats(obj)),
-                                  atol=atol)
+        # bit for bit, the mixed case too: P, q and c add up in term order
+        for name, obj in grouped_objectives(seed):
+            assert_lowering_equal(obj.qp_data(), dense_lowering(obj, selection_mats(obj)))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stationarity_shares_match_per_term(self, seed):
         # the share of term g(M x + m) is weight * M' s, s its subgradient
-        for name, obj, atol in grouped_objectives(seed):
+        for name, obj in grouped_objectives(seed):
             res = solver._minimize(obj, SolverConfig())
             assert res.status == "optimal", name
             subgradients, want = obj.subgradients(res), per_term_shares(obj, res)
@@ -384,13 +376,39 @@ class TestGroupedLowering:
             got = [t.weight * (t.fn.matrix.T @ s if isinstance(t.fn, AffinePrecomposition) else s)
                    for t, s in zip(obj.terms, subgradients)]
             for share, ref in zip(got, want):
-                np.testing.assert_allclose(share, ref, rtol=1e-12, atol=max(atol, 1e-12),
-                                           err_msg=name)
+                np.testing.assert_allclose(share, ref, rtol=1e-12, atol=1e-12, err_msg=name)
             # the shares scatter-add to zero stationarity
             total = np.zeros(obj.n)
             for t, share in zip(obj.terms, got):
                 total[t.cols] += share
             np.testing.assert_allclose(total, 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lowering_does_not_depend_on_the_grouping(seed):
+    # generic functions [A, B, A] on three leaves: with one A object its two
+    # leaves lower as one group, before B's; with two equal A objects every
+    # leaf is a group of its own.  P, q and c add up in term order either
+    # way, so the two programs agree bit for bit
+    rng = np.random.default_rng(1700 + seed)
+    tree = irregular_tree(seed, n=3)
+    dims = [1] * tree.stage_count
+    n = sum(dims)
+
+    def joint(weights, M, m):
+        return AffinePrecomposition(SeparableSum([Quadratic(weights), absolute_value()]), M, m)
+
+    spec_a, spec_b = ((rng.uniform(0.1, 1.0, n), rng.normal(size=(n + 1, 2 * n)),
+                       rng.normal(size=n + 1)) for _ in range(2))
+    a, b = joint(*spec_a), joint(*spec_b)
+    u = random_process(rng, tree, dims)
+    lowered = []
+    for fns in ([a, b, a], [a, b, joint(*spec_a)]):
+        obj = primal_objective(Problem(tree, GenericIntegrand(tree, dims, dims, fns)), u)[1]
+        lowered.append((obj.qp_data(), len(obj._lowering[0])))
+    (shared, n_shared), (distinct, n_distinct) = lowered
+    assert (n_shared, n_distinct) == (2, 3)
+    assert_lowering_equal(shared, distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from stochdual.cli import fixture_path, parse_problem_file
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
+    Entropy,
+    Exponential,
     FiniteSum,
     PiecewiseLinear,
     PolyhedralIndicator,
@@ -49,7 +51,6 @@ from stochdual.tree import (
 from helpers import (
     basis_bound,
     grid_minimize,
-    hedging_file,
     irregular_tree,
     objective_values,
     two_leaf_tree,
@@ -84,6 +85,25 @@ def alm_u(tree, c=1.0):
     return StochasticProcess.from_stage_values(
         tree, [np.zeros((tree.n_leaves, 0)), np.full((tree.n_leaves, 1), c)]
     )
+
+
+def exponential_alm():
+    """binomial_alm with the disutility V(c) = e^c - 1, which has no QP
+    form."""
+    tree = two_leaf_tree()
+    price = StochasticProcess.from_stage_values(tree, [[[1.0], [1.0]], [[2.0], [0.5]]])
+    return Problem(tree, AlmIntegrand(tree, [Exponential(1.0, 1.0, -1.0)], price))
+
+
+def entropy_hedging():
+    """f_l(x, u) = x1 log x1 - x1 + (u - a_l x2)^2 / 2 on two leaves, x =
+    (x1, x2) at the root and a = (1, -1/2) the price increments of
+    binomial_alm.  The Lagrangian has no QP form, and the conjugate
+    f*(v, y) = exp(v1) + y^2 / 2 on v2 = -a y has equality rows only."""
+    tree = two_leaf_tree()
+    return Problem(tree, GenericIntegrand(tree, [2, 0], [0, 1], [
+        SeparableSum([Entropy(), AffinePrecomposition(Quadratic([0.5]), [[-a, 1.0]])])
+        for a in (1.0, -0.5)]))
 
 
 def quad_stage(wx=0.5, wu=0.5):
@@ -235,9 +255,9 @@ class TestSolveDual:
             p = Problem(tree, AlmIntegrand(tree, [V], price))
             u = alm_u(tree, 1.0)
         else:
-            p = tracking_problem()
-            u = tracking_u(p.tree)
-            cfg = SolverConfig(method="subgradient", max_iter=50)
+            p = exponential_alm()
+            u = alm_u(p.tree, 0.0)
+            cfg = SolverConfig(max_iter=50)
         primal = solve_primal(p, u, cfg)
         assert primal.status == case
         calls = []
@@ -256,8 +276,6 @@ class TestSolveDual:
         # the recovered y = 0.3592 is priced by the infimum of an
         # exponential plus an entropy, which the subgradient method does not
         # reach within max_iter: no dual value is reported
-        from stochdual.convex import Entropy, Exponential
-
         tree = ScenarioTree.deterministic(2)
         p = Problem(tree, GenericIntegrand(tree, [1, 1], [0, 1], [SeparableSum([
             Exponential(0.7068, 0.8908, 0.3056), Entropy(1.3672, 0.2401, -0.3257),
@@ -488,15 +506,18 @@ class TestCertifiedBound:
             p, y, dual_via_orthocomplement(p, y, objective=outside), fallbacks)
 
     def test_subgradient_inner_solve_falls_back(self, monkeypatch):
-        # the subgradient method returns no multipliers
-        p = binomial_alm()
+        # the subgradient method returns no multipliers, so no v is read
+        # off; the fallback over v reaches phi*(y) = 1 + E y^2 / 2, where
+        # v1 = 0 and v2 = -a y
+        p = entropy_hedging()
         y = StochasticProcess.from_stage_values(
             p.tree, [np.zeros((2, 0)), [[2.0 / 3.0], [4.0 / 3.0]]])
-        cfg = SolverConfig(method="subgradient", max_iter=4000)
+        cfg = SolverConfig(max_iter=4000)
+        assert dual_objective(p, y, cfg).inner.multipliers is None
         fallbacks = count_fallbacks(monkeypatch)
         bound = dual_via_orthocomplement(p, y, cfg)
         assert len(fallbacks) == 1
-        assert bound.value == pytest.approx(dual_objective(p, y).value, abs=1e-4)
+        assert bound.value == pytest.approx(1.0 + 0.5 * (2.0 / 9.0 + 8.0 / 9.0), abs=1e-9)
 
 
 class TestDualityGap:
@@ -581,16 +602,8 @@ class TestGridEquivalence:
 class TestSubgradientPath:
     def test_exponential_alm_close_to_truth(self):
         # V(c) = e^c - 1 is outside the QP path; subgradient must still land
-        tree = two_leaf_tree()
-        price = StochasticProcess.from_stage_values(
-            tree, [[[1.0], [1.0]], [[2.0], [0.5]]]
-        )
-        from stochdual.convex import Exponential
-
-        V = Exponential(1.0, 1.0, -1.0)
-        f = AlmIntegrand(tree, [V], price)
-        p = Problem(tree, f)
-        u = alm_u(tree, 0.0)
+        p = exponential_alm()
+        u = alm_u(p.tree, 0.0)
         cfg = SolverConfig(max_iter=20000)
         res = solve_primal(p, u, cfg)
         layout, obj = primal_objective(p, u)
@@ -598,18 +611,19 @@ class TestSubgradientPath:
         assert res.value <= expected + 1e-3
         assert res.value >= expected - 1e-2
 
-    def test_equality_rows_project_without_a_qp(self, tmp_path, monkeypatch):
+    def test_equality_rows_project_without_a_qp(self, monkeypatch):
         # the bound's fallback over v runs under the mean-zero equality rows
         # and the conjugates' equality rows only: each projection is
         # w - A^+(A w - b), the pseudo-inverse computed once per solve
-        path = hedging_file(tmp_path, 4, np.random.default_rng(5).uniform(2.5, 3.5, 16))
-        p, _, params, _, _ = parse_problem_file(path)
-        y = solve_dual(p, params["u"]).optimizer
-        cfg = SolverConfig(method="subgradient", max_iter=4000)
+        p = entropy_hedging()
+        y = StochasticProcess.from_stage_values(
+            p.tree, [np.zeros((2, 0)), [[2.0 / 3.0], [4.0 / 3.0]]])
+        cfg = SolverConfig(max_iter=4000)
+        dob = dual_objective(p, y, cfg)
         calls = []
         real_qp = qp.solve_qp
         monkeypatch.setattr(qp, "solve_qp", lambda *a, **k: calls.append(1) or real_qp(*a, **k))
-        got = dual_via_orthocomplement(p, y, cfg)
+        got = dual_via_orthocomplement(p, y, cfg, dob)
         assert calls == []
 
         def qp_projector(G, h, A, b, tol):
@@ -617,7 +631,7 @@ class TestSubgradientPath:
                               else qp.project_onto_polyhedron(w, G, h, A, b))
 
         monkeypatch.setattr(solver, "_projector", qp_projector)
-        want = dual_via_orthocomplement(p, y, cfg)
+        want = dual_via_orthocomplement(p, y, cfg, dob)
         assert len(calls) > 100
         assert (got.status, want.status) == ("optimal", "optimal")
         assert got.value == pytest.approx(want.value, rel=0, abs=1e-9)
@@ -639,5 +653,5 @@ class TestSubgradientPath:
         ind = PolyhedralIndicator(Polyhedron(a_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0],
                                              validate=False))
         obj = solver.CompiledObjective(1, [solver._Term(1.0, ind, np.array([0]), 0)])
-        res = solver._subgradient_minimize(obj, SolverConfig(method="subgradient"))
+        res = solver._subgradient_minimize(obj, SolverConfig())
         assert (res.status, res.x) == ("infeasible", None)
