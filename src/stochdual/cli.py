@@ -388,8 +388,9 @@ def _dual_representation(problem, family, u, dual_res, bound) -> dict:
         dob.lower_value if dob.lower_value is not None and np.isfinite(dob.lower_value)
         else None
     )
+    # a bound whose solve did not end optimal is no bound
     out["annihilator_bound"] = (
-        bound.value if bound is not None and np.isfinite(bound.value) else None
+        bound.value if bound is not None and bound.status == "optimal" else None
     )
     if family == "alm":
         rep = check_martingale_density(y, problem.integrand.price)

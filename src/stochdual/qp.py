@@ -2,27 +2,51 @@
 
     minimize 1/2 x'Px + q.x + c   subject to  Gx <= h,  Ax = b
 
-P is symmetric positive semidefinite.  Subproblems on the working set are
-solved through a null-space factorisation with least squares, so redundant
-rows and singular reduced Hessians are tolerated.  Phase 1 starts from the
-equality rows: x0 = lstsq(A, b) (inconsistent rows mean infeasible), and
-the inequality rows are then met by an LP feasibility solve in the
-coordinates of null(A), on G Z and h - G x0.  When A has full column rank
-x0 is the only candidate and phase 1 is the test G x0 <= h, with no LP.  A
-simplex that fails to terminate ends the solve with status ``maxiter`` and
-no point.  Unboundedness is certified by the active-set loop's descent
-ray: when the reduced Hessian on the current face is singular along the
-gradient, the loop follows a direction d with Pd = 0 and q.d < 0 inside the
-face (so Ad = 0 and the working rows stay tight), and reports the ray when
-no inactive constraint blocks it (Gd <= 0).  The ratio test runs along
-the step scaled to unit max-norm, so its tie tolerance is relative to the
-step.  A point that violates a row by more than 1e-8 times the data scale
-is never reported optimal: the solve ends with status ``maxiter`` and no
-point.  Deterministic lowest-index tie-breaking throughout.
+P is symmetric positive semidefinite.
+
+Phase 1 starts from the equality rows: x0 = lstsq(A, b), and inconsistent
+rows mean infeasible.  A column *lifts* when it has no entry in A and its G
+entries are all <= 0, at least one < 0: the epigraph variables of a
+lowered piecewise-linear term are such columns.  Raising a lift column
+never breaks a row, so every row holding one is met by raising each lift
+column just enough for the rows it appears in.  Only the rows that hold
+no lift column can need an LP: when x0 violates one of them, a simplex
+feasibility solve meets them over x0 + null(A), on their G Z and h - G x0,
+before the lift.  When A has full column rank x0 is the only candidate and
+phase 1 is the test G x0 <= h, with no LP.  A simplex that fails to
+terminate ends the solve with status ``maxiter`` and no point.
+
+The equality rows and the working inequality rows C are kept as an updated
+factorisation C' = Q [R; 0] (Gill, Golub, Murray and Saunders, Math. Comp.
+28, 1974): one Householder reflection of Q's trailing columns adds a row,
+Givens rotations restore R after a row is dropped, so a change of working
+set costs O(n^2).  A row whose part outside the span of the factored rows
+is below 1e-10 max(1, |a|) is dependent and is not added; while it is
+tight the ratio test skips it, with multiplier 0, until the next drop.
+The null space
+of the working rows is Q's trailing columns Z, and the multipliers come
+from R by back substitution.  Subproblems on the face are solved by least
+squares on Z'PZ through its eigenvectors, an eigenvalue below 16 n eps
+max|P| (rounding level) counting as zero, so singular reduced Hessians are
+tolerated.  With P = 0 the step is the projected gradient alone and Z'PZ
+is never formed.
+
+Unboundedness is certified by the active-set loop's descent ray: when the
+reduced Hessian on the current face is singular along the gradient, the
+loop follows a direction d with Pd = 0 and q.d < 0 inside the face (so Ad
+= 0 and the working rows stay tight), and reports the ray when no inactive
+constraint blocks it (Gd <= 0).  The flatness cutoff is at rounding level
+so that a small but real curvature is a bent direction, not a ray.  The
+ratio test runs along the step scaled to unit max-norm, so its tie
+tolerance is relative to the step.  A point that violates a row by more
+than 1e-8 times the data scale is never reported optimal: the solve ends
+with status ``maxiter`` and no point.
+Deterministic lowest-index tie-breaking throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +67,87 @@ class QPResult:
     iterations: int = 0
 
 
-def _null_space(M: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1])
-    u, s, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > rcond * max(M.shape) * (s[0] if s.size else 1.0)))
-    return vt[rank:].T
+class _Factor:
+    """C' = Q [R; 0] for the rows of C, in the order added.
+
+    ``Qt`` holds Q' (its rows are the basis vectors, so the null space of
+    the k factored rows is ``Qt[k:]``); R is the leading k x k block of
+    ``R``.  Adding a row costs one matrix-vector product and one reflection
+    of ``Qt[k:]``; dropping the row at position p costs k - p - 1 Givens
+    rotations.
+    """
+
+    def __init__(self, n: int):
+        self.Qt = np.eye(n)
+        self.R = np.zeros((n, n))
+        self.k = 0
+        self.plain = True  # Q is still the identity
+
+    def extend(self, rows: np.ndarray) -> np.ndarray:
+        """Append ``rows`` in order, skipping the dependent ones; the mask
+        of those added.  When none is dependent this is one block QR of
+        their part outside the span of the factored rows, whose diagonal
+        is the test ``add`` makes row by row; otherwise it is ``add`` row
+        by row."""
+        k, r = self.k, rows.shape[0]
+        if 0 < r <= self.Qt.shape[0] - k:
+            Q2, R2 = np.linalg.qr(self.Qt[k:] @ rows.T, mode="complete")
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            if np.all(np.abs(np.diagonal(R2)) > 1e-10 * np.maximum(1.0, norms)):
+                self.R[:k, k:k + r] = self.Qt[:k] @ rows.T
+                self.R[k:k + r, k:k + r] = R2[:r]
+                self.Qt = Q2.T.copy() if self.plain else np.vstack([self.Qt[:k], Q2.T @ self.Qt[k:]])
+                self.k, self.plain = k + r, False
+                return np.ones(r, dtype=bool)
+        return np.array([self.add(a) for a in rows], dtype=bool)
+
+    def add(self, a: np.ndarray) -> bool:
+        """Append row ``a``; False, and no change, when it is dependent."""
+        k = self.k
+        nz = np.flatnonzero(a)  # rows of lowered programs are sparse
+        w = self.Qt[:, nz] @ a[nz]
+        tail = w[k:]
+        sigma = float(np.sqrt(tail @ tail))
+        if sigma <= 1e-10 * max(1.0, float(np.sqrt(a @ a))):
+            return False
+        # the reflection I - 2vv' maps tail to beta e_1
+        beta = -sigma if tail[0] >= 0.0 else sigma
+        v = tail.copy()
+        v[0] -= beta
+        v /= np.sqrt(v @ v)
+        block = self.Qt[k:]
+        block -= np.outer(2.0 * v, v @ block)
+        self.R[:k, k] = w[:k]
+        self.R[k, k] = beta
+        self.k, self.plain = k + 1, False
+        return True
+
+    def drop(self, p: int) -> None:
+        """Remove the row at position ``p``."""
+        k, R, Qt = self.k, self.R, self.Qt
+        R[:k, p:k - 1] = R[:k, p + 1:k]
+        R[:k, k - 1] = 0.0
+        # R is now upper Hessenberg from column p: rotate rows j, j + 1 of
+        # R and of Q' to clear R[j + 1, j]
+        for j in range(p, k - 1):
+            a, b = float(R[j, j]), float(R[j + 1, j])
+            r = math.hypot(a, b)
+            rot = np.array([[a, b], [-b, a]]) / r
+            R[j:j + 2, j + 1:k - 1] = rot @ R[j:j + 2, j + 1:k - 1]
+            R[j, j], R[j + 1, j] = r, 0.0
+            Qt[j:j + 2] = rot @ Qt[j:j + 2]
+        self.k = k - 1
+
+    def multipliers(self, rhs: np.ndarray) -> np.ndarray:
+        """The least-squares solution lam of C' lam = rhs: R lam = Q_1' rhs,
+        solved by back substitution in blocks of 64 rows."""
+        k = self.k
+        lam = self.Qt[:k] @ rhs
+        for hi in range(k, 0, -64):
+            lo = max(hi - 64, 0)
+            lam[lo:hi] = np.linalg.solve(self.R[lo:hi, lo:hi], lam[lo:hi])
+            lam[:lo] -= self.R[:lo, lo:hi] @ lam[lo:hi]
+        return lam
 
 
 def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
@@ -75,71 +174,102 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             return QPResult("unbounded", None, -np.inf, ray=-r)
         return QPResult("optimal", x, objective(x))
 
-    # phase 1: the equality rows by least squares, then the inequality rows
-    # over x + null(A)
+    # phase 1: the equality rows by least squares; the rows no column lifts
+    # by an LP over x + null(A), only when x violates one; then the lift
+    factor = _Factor(n)
+    eq_rows = np.flatnonzero(factor.extend(A))
+    k_eq = factor.k
     x = np.zeros(n)
     if A.shape[0]:
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
         if np.max(np.abs(A @ x - b)) > 1e-8 * max(1.0, np.max(np.abs(b), initial=0.0)):
             return QPResult("infeasible", None, np.inf)
     if m:
-        Z = _null_space(A) if A.shape[0] else None  # None: no equality rows
-        GZ = G if Z is None else G @ Z
-        if GZ.shape[1]:
+        # the lift columns: raising one cannot break a row
+        lift = ~A.any(axis=0) & (G <= 0.0).all(axis=0) & (G < 0.0).any(axis=0)
+        held = G[:, lift].any(axis=1)  # the rows a lift column meets
+        free = ~held
+        if np.max(G[free] @ x - h[free], initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(h))):
+            if k_eq == n:  # x is the only point of the equality rows
+                return QPResult("infeasible", None, np.inf)
+            Z = factor.Qt[k_eq:].T
             try:
-                feas = solve_lp(np.zeros(GZ.shape[1]), GZ, h - G @ x)
+                feas = solve_lp(np.zeros(n - k_eq), G[free] @ Z, h[free] - G[free] @ x)
             except RuntimeError:  # the simplex did not terminate
                 return QPResult("maxiter", None, np.nan)
             if feas.status == "infeasible":
                 return QPResult("infeasible", None, np.inf)
-            x = x + (feas.x if Z is None else Z @ feas.x)
-        elif np.max(G @ x - h) > 1e-8 * max(1.0, np.max(np.abs(h))):
-            return QPResult("infeasible", None, np.inf)
+            x = x + Z @ feas.x
+        if held.any():
+            short = np.maximum(G[held] @ x - h[held], 0.0)
+            Gl = G[held][:, lift]
+            raise_by = np.divide(short[:, None], -Gl, out=np.zeros_like(Gl), where=Gl < 0.0)
+            x[lift] += raise_by.max(axis=0)
 
-    working = [i for i in range(m) if G[i] @ x - h[i] > -1e-8]
+    # the working rows of G, in factor order after the k_eq rows of A; the
+    # ratio test skips them and the tight rows that depend on them
+    tight = np.flatnonzero(G @ x - h > -1e-8)
+    working = tight[factor.extend(G[tight])].tolist()
+    skip = np.zeros(m, dtype=bool)
+    skip[tight] = True
     scale = max(1.0, np.max(np.abs(q), initial=0.0), np.max(np.abs(h), initial=0.0))
+    curved = bool(P.any())
+    flat_tol = 16 * n * np.finfo(float).eps * np.max(np.abs(P), initial=0.0)
+    # the ratio test's products G v, through G's nonzeros (a lowered
+    # program's row holds one leaf's or node's columns)
+    nz_rows, nz_cols = np.nonzero(G)
+    nz_vals = G[nz_rows, nz_cols]
+
+    def times_G(v):
+        return np.bincount(nz_rows, nz_vals * v[nz_cols], minlength=m)
 
     for it in range(1, max_iter + 1):
-        Gw = G[working] if working else np.zeros((0, n))
-        C = np.vstack([A, Gw])
-        Z = _null_space(C)
-        grad = P @ x + q
+        Zt = factor.Qt[factor.k:]
+        grad = P @ x + q if curved else q
         d = np.zeros(n)
         descending_ray = False
-        if Z.shape[1]:
-            H = Z.T @ P @ Z
-            g = Z.T @ grad
-            xi, *_ = np.linalg.lstsq(H, -g, rcond=None)
-            resid = H @ xi + g
+        if Zt.shape[0]:
+            g = Zt @ grad
+            if curved:
+                # least squares on Z'PZ through its eigenvectors; a curvature
+                # below flat_tol is rounding
+                w, V = np.linalg.eigh(Zt @ P @ Zt.T)
+                flat = w <= flat_tol
+                bent = V[:, ~flat]
+                xi = -(bent @ ((g @ bent) / w[~flat]))
+                resid = V[:, flat] @ (g @ V[:, flat])
+            else:  # Z'PZ = 0: the least-squares step is 0
+                xi, resid = np.zeros_like(g), g
             if np.max(np.abs(resid), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(g), initial=0.0)):
                 # unbounded within the current face: ride the ray to a blocker
-                d = -Z @ resid
+                d = -(resid @ Zt)
                 descending_ray = True
             else:
-                d = Z @ xi
+                d = xi @ Zt
         step_norm = np.max(np.abs(d), initial=0.0)
         if not descending_ray and step_norm <= 1e-10 * (1.0 + np.max(np.abs(x), initial=0.0)):
             # stationary on the face; examine multipliers
-            if C.shape[0]:
-                lam, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
-            else:
-                lam = np.zeros(0)
-            lam_eq = lam[:A.shape[0]]
-            lam_w = lam[A.shape[0]:]
-            neg = [k for k, v in enumerate(lam_w) if v < -1e-8 * scale]
+            lam = factor.multipliers(-grad)
+            lam_eq = np.zeros(A.shape[0])
+            lam_eq[eq_rows] = lam[:k_eq]
+            lam_w = lam[k_eq:]
+            neg = [working[j] for j in np.flatnonzero(lam_w < -1e-8 * scale)]
             if not neg:
                 # never report a point that violates the rows
                 viol = max(np.max(G @ x - h, initial=0.0), np.max(np.abs(A @ x - b), initial=0.0))
                 if viol > 1e-8 * max(scale, np.max(np.abs(b), initial=0.0)):
                     return QPResult("maxiter", None, np.nan, iterations=it)
                 mult = np.zeros(m)
-                for k, i in enumerate(working):
-                    mult[i] = max(lam_w[k], 0.0)
+                mult[working] = np.maximum(lam_w, 0.0)
                 return QPResult("optimal", x, objective(x), mult, lam_eq,
                                 iterations=it)
             # Bland-style drop: lowest constraint index among the negatives
-            drop = min(working[k] for k in neg)
+            drop = min(neg)
+            factor.drop(k_eq + working.index(drop))
             working.remove(drop)
+            # a dependent row may not depend on the rows left
+            skip[:] = False
+            skip[working] = True
             continue
         # ratio test against inactive constraints along d scaled to unit
         # max-norm, so that the tie tolerance is relative to the step; the
@@ -148,21 +278,28 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
         d = d / size
         alpha = np.inf if descending_ray else size
         blocker = -1
-        for i in range(m):
-            if i in working:
-                continue
-            gd = G[i] @ d
-            if gd > 1e-12:
-                bound = (h[i] - G[i] @ x) / gd
-                if bound < alpha - 1e-12:
-                    alpha = max(bound, 0.0)
-                    blocker = i
+        gd = times_G(d)
+        cand = np.flatnonzero((gd > 1e-12) & ~skip)
+        if cand.size:
+            bounds = (h - times_G(x))[cand] / gd[cand]
+            # the first candidate, in index order, that undercuts the
+            # running step by more than the tolerance takes it over
+            at = 0
+            while True:
+                hits = np.flatnonzero(bounds[at:] < alpha - 1e-12)
+                if not hits.size:
+                    break
+                at += int(hits[0])
+                alpha = max(float(bounds[at]), 0.0)
+                blocker = int(cand[at])
+                at += 1
         if descending_ray and blocker < 0:
             return QPResult("unbounded", x, -np.inf, ray=d, iterations=it)
         x = x + alpha * d
         if blocker >= 0:
-            working.append(blocker)
-            working.sort()
+            skip[blocker] = True
+            if factor.add(G[blocker]):
+                working.append(blocker)
     return QPResult("maxiter", x, objective(x), iterations=max_iter)
 
 

@@ -1,10 +1,11 @@
 """Dense two-phase simplex with Bland's rule.
 
-Desk-scale LP engine used for support functions and polyhedron feasibility,
-including the QP's phase 1 over its inequality rows, in the null space of
-its equality rows.  Determinism
-matters more than speed here: entering and leaving variables are chosen by
-lowest index, pivots below 1e-9 are treated as zero.
+Desk-scale LP engine.  It serves the small LPs of ``convex`` (support
+functions, polyhedron feasibility) and ``duality``, and the QP's phase 1
+on the inequality rows that no epigraph column lifts, in the null space of
+the equality rows (the rows a lift column meets need no LP; see ``qp``).
+Determinism matters more than speed here: entering and leaving variables
+are chosen by lowest index, pivots below 1e-9 are treated as zero.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ never call the code paths they are checking.
 
 import itertools
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 
@@ -365,14 +367,14 @@ def binary_partitions(horizon):
             for t in range(horizon + 1)]
 
 
-def bolza_doc(horizon, state_cost, rng, noise=0.0):
+def bolza_doc(horizon, state_cost, rng, noise=0.0, velocity_cost=HALF_SQUARE):
     """Bolza problem document on the binary tree: stage cost K(x, w) =
-    state_cost(x) + w^2/2, one spec repeated on every block, and u a drift
-    of 1 plus one N(0, 0.1^2) draw per block, so adapted.  With ``noise``,
-    an N(0, noise^2) draw is added to u on every leaf, which leaves it
-    not adapted."""
+    state_cost(x) + velocity_cost(w), w^2/2 by default, one spec repeated
+    on every block, and u a drift of 1 plus one N(0, 0.1^2) draw per block,
+    so adapted.  With ``noise``, an N(0, noise^2) draw is added to u on
+    every leaf, which leaves it not adapted."""
     n = 2 ** horizon
-    stage = {"kind": "separable", "parts": [state_cost, HALF_SQUARE]}
+    stage = {"kind": "separable", "parts": [state_cost, velocity_cost]}
     u = [np.repeat(1.0 + rng.normal(0.0, 0.1, 2 ** t), n >> t) for t in range(horizon + 1)]
     if noise:
         u = [u_t + rng.normal(0.0, noise, n) for u_t in u]
@@ -427,24 +429,48 @@ def write_doc(directory, name, doc):
     return str(path)
 
 
-def hedging_file(tmp_path, horizon, liability, disutility=None):
-    """Hedging problem file on a binary tree: price x1.2 or x0.9 per step,
-    disutility z^2/2 unless a function spec is given."""
+def hedging_doc(horizon, liability, disutility=None):
+    """Hedging problem document on a binary tree: price x1.2 or x0.9 per
+    step, disutility z^2/2 unless a function spec is given."""
     n = 2 ** horizon
     prices = binary_prices(horizon)
-    doc = {
-        "tree": {"probabilities": [f"1/{n}"] * n,
-                 "partitions": [[list(range(b * (n >> t), (b + 1) * (n >> t)))
-                                 for b in range(2 ** t)]
-                                for t in range(horizon + 1)]},
+    return {
+        "tree": {"probabilities": [f"1/{n}"] * n, "partitions": binary_partitions(horizon)},
         "model": {"family": "alm",
                   "disutility": disutility or {"kind": "quadratic", "weights": [0.5]},
                   "price": [[[float(s)] for s in stage] for stage in prices]},
         "parameters": {"u": [0] * horizon + [[[float(x)] for x in liability]]},
     }
+
+
+def hedging_file(tmp_path, horizon, liability, disutility=None):
+    """``hedging_doc`` written to ``tmp_path``; returns the path."""
     path = tmp_path / f"hedge-H{horizon}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(hedging_doc(horizon, liability, disutility)))
     return str(path)
+
+
+def parse_doc(doc):
+    """(problem, u) of a problem document, parsed as a file."""
+    from stochdual.cli import parse_problem_file
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory) / "doc.json"
+        path.write_text(json.dumps(doc))
+        problem, _, params, _, _ = parse_problem_file(str(path))
+    return problem, params["u"]
+
+
+def kinked_doc(family, horizon, seed, cost):
+    """A kinked problem document on the binary tree of ``horizon``:
+    ``"hedging"`` with disutility ``cost`` and liability U(2.5, 3.5) per
+    leaf, or ``"bolza"`` / ``"bolza-lp"`` with state cost ``cost`` and
+    velocity cost w^2/2 / |w|."""
+    rng = np.random.default_rng(seed)
+    if family == "hedging":
+        return hedging_doc(horizon, rng.uniform(2.5, 3.5, 2 ** horizon), cost)
+    velocity = {"kind": "abs"} if family == "bolza-lp" else HALF_SQUARE
+    return bolza_doc(horizon, cost, rng, velocity_cost=velocity)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Problem files, command dispatch, exit codes and report determinism."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from stochdual import cli, simplex, solver
+from stochdual import cli, qp, simplex, solver
 from stochdual.cli import (
     ProblemFileError,
     fixture_path,
@@ -463,7 +464,8 @@ class TestHonestExitCodes:
     def test_bound_engine_failure_is_a_status(self, monkeypatch, tmp_path):
         # the dual's phi*(y) handed to the annihilator bound is shifted, so
         # the v read off its inner solve fails the certificate, and the
-        # fallback's simplex is made to give up, inside the bound only
+        # fallback's solve stops at the active-set loop's iteration cap,
+        # inside the bound only
         path, doc = abs_generic_file(tmp_path)
         bound = solver.dual_via_orthocomplement
         statuses = []
@@ -472,7 +474,7 @@ class TestHonestExitCodes:
             if objective is not None:
                 objective = dataclasses.replace(objective, value=objective.value + 1.0)
             with monkeypatch.context() as m:
-                m.setattr(simplex, "MAX_PIVOTS", 0)
+                m.setattr(solver, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
                 res = bound(problem, y, cfg, objective)
             statuses.append(res.status)
             return res
@@ -481,13 +483,43 @@ class TestHonestExitCodes:
         code, report = run(["report", path])
         assert statuses and set(statuses) == {"max-iter"}
         assert report["dual_representation"]["annihilator_bound"] is None
-        # the saddle check falls back to v = 0, which is this problem's v
+        # the saddle check takes the fallback's last point, v = 0, which is
+        # this problem's v
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
         statuses.clear()
         doc["parameters"]["candidate"] = {"y": [0, [1.0, -1.0]]}
         with open(path, "w") as fh:
             json.dump(doc, fh)
         code, report = run(["check", path])
+        assert statuses == ["max-iter"]
+        assert report["certificate"]["verdict"] in ("pass", "fail")
+
+    def test_bound_simplex_failure_is_a_status(self, monkeypatch):
+        # as above, with the fallback's simplex made to give up: its rows
+        # include the domain rows of the pwl cost's stage conjugates, which
+        # hold no epigraph column and which v = 0 violates, so its phase 1
+        # runs the simplex
+        path = fixture_path("bolza-pwl.json")
+        bound = solver.dual_via_orthocomplement
+        statuses = []
+
+        def starved(problem, y, cfg, objective):
+            objective = dataclasses.replace(objective, value=objective.value + 1.0)
+            with monkeypatch.context() as m:
+                m.setattr(simplex, "MAX_PIVOTS", 0)
+                res = bound(problem, y, cfg, objective)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(cli, "dual_via_orthocomplement", starved)
+        code, report = run(["report", path])
+        assert statuses == ["max-iter"]
+        assert report["dual_representation"]["annihilator_bound"] is None
+        # the Euler-Lagrange checker needs no v
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        statuses.clear()
+        # the saddle check falls back to v = 0
+        code, report = run(["check", path, "--checker", "saddle"])
         assert statuses == ["max-iter"]
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
@@ -524,15 +556,15 @@ class TestHonestExitCodes:
     def test_dual_engine_failure_is_a_status(self, monkeypatch, tmp_path):
         problem, _, params, _, _ = parse_problem_file(abs_generic_file(tmp_path)[0])
         primal = solve_primal(problem, params["u"])
-        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        # the inner solve pricing y stops at the active-set loop's iteration cap
+        monkeypatch.setattr(solver, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
         dual = solve_dual(problem, params["u"], primal=primal)
         assert (dual.status, dual.optimizer) == ("max-iter", None)
 
 
 def abs_generic_file(tmp_path):
-    """|x_0| + |u| on two leaves: the QPs of the dual objective and of the
-    annihilator bound have box or epigraph rows and a free coordinate, so
-    their phase 1 runs the simplex.  Returns the path and the document."""
+    """|x_0| + |u| on two leaves, whose dual objective and annihilator
+    bound are QPs with epigraph rows.  Returns the path and the document."""
     doc = {
         "tree": {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]},
         "model": {"family": "generic", "x_dims": [1, 0], "u_dims": [0, 1],

@@ -6,8 +6,9 @@ import pytest
 from stochdual import qp, simplex
 from stochdual.cli import run
 from stochdual.qp import project_onto_polyhedron, solve_qp
+from stochdual.solver import dual_objective, solve_dual, solve_primal
 
-from helpers import grid_minimize, hedging_file
+from helpers import grid_minimize, hedging_file, kinked_doc, parse_doc
 
 
 class TestUnconstrained:
@@ -273,6 +274,13 @@ class TestUnboundedRays:
         res = solve_qp(case[0], case[1], 0.0, *case[2:])
         np.testing.assert_allclose(res.x, [6.0, 5.0], atol=1e-9)
 
+    def test_small_curvature_is_not_a_ray(self):
+        # curvature 1e-11 along x2 bounds the program: the optimum is x2 = 1e11
+        res = solve_qp(np.diag([1.0, 1e-11]), [0.0, -1.0], G=[[1.0, 0.0]], h=[1.0])
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, [0.0, 1e11], rtol=1e-9)
+        assert res.value == pytest.approx(-5e10, rel=1e-9)
+
     def test_random_singular_hessians(self):
         statuses = []
         for case in _random_singular_qps():
@@ -292,7 +300,8 @@ class TestUnboundedRays:
 
 class TestEqualityRowsFirst:
     """Phase 1 starts from lstsq(A, b) and meets the inequality rows over
-    null(A); when A has full column rank it only tests G x0 <= h."""
+    null(A), by an LP only when x0 violates one; when A has full column
+    rank it only tests G x0 <= h."""
 
     # three rows on two unknowns pin x = (1, 2)
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -326,9 +335,12 @@ class TestEqualityRowsFirst:
                         A=self.A, b=self.b).status == "optimal"
         assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=[3.0, 1.5, 3.0, 3.0],
                         A=self.A, b=self.b).status == "infeasible"
-        assert calls == []
-        # a free direction left by A needs the LP, over one coordinate
+        # a free direction left by A: x0 = (1, 0) meets the rows, so no LP
         assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=np.full(4, 3.0),
+                        A=self.A[:1], b=self.b[:1]).status == "optimal"
+        assert calls == []
+        # x2 >= 1 is violated at x0: the LP runs, over one coordinate
+        assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=[3.0, 3.0, 3.0, -1.0],
                         A=self.A[:1], b=self.b[:1]).status == "optimal"
         assert [a[1].shape for a in calls] == [(4, 1)]
 
@@ -360,8 +372,10 @@ class TestEqualityRowsFirst:
 
 class TestEngineFailure:
     def test_simplex_non_termination_is_a_status(self, monkeypatch):
+        # no column lifts (each has a positive entry), and x0 = 0 violates
+        # x1 + x2 >= 1, so phase 1 runs the simplex
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
-        res = solve_qp(np.eye(2), [1.0, 1.0], G=[[1.0, 1.0]], h=[1.0])
+        res = solve_qp(np.eye(2), [1.0, 1.0], G=[[1.0, 1.0], [-1.0, -1.0]], h=[3.0, -1.0])
         assert res.status == "maxiter"
         assert res.x is None
 
@@ -377,3 +391,99 @@ def test_32_leaf_kinked_hedging_bound(tmp_path):
     assert rep["annihilator_bound"] is not None
     assert rep["annihilator_bound"] == pytest.approx(rep["conjugate_at_y"], abs=1e-9)
     assert report["certificate"]["verdict"] == "pass"
+
+
+class TestFactor:
+    @staticmethod
+    def assert_invariants(f, C):
+        k = f.k
+        assert k == len(C)
+        np.testing.assert_allclose(f.Qt @ f.Qt.T, np.eye(f.Qt.shape[0]), rtol=0, atol=1e-12)
+        if k:
+            np.testing.assert_allclose(f.Qt[:k].T @ np.triu(f.R[:k, :k]), np.array(C).T,
+                                       rtol=0, atol=1e-12)
+            assert not np.any(np.tril(f.R[:k, :k], -1))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_adds_and_drops(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        f, C = qp._Factor(n), []
+        for _ in range(60):
+            move = rng.random()
+            if C and move < 0.35:
+                p = int(rng.integers(len(C)))
+                f.drop(p)
+                del C[p]
+            elif C and move < 0.55:
+                # dependent: a combination of the factored rows, or zero
+                a = rng.normal(size=len(C)) @ np.array(C) if rng.random() < 0.8 else np.zeros(n)
+                assert not f.add(a)
+            elif len(C) < n:
+                a = rng.normal(size=n)
+                if rng.random() < 0.3:
+                    a[rng.random(n) < 0.5] = 0.0  # sparse, as lowered rows are
+                independent = np.linalg.matrix_rank(np.array(C + [a])) > len(C)
+                assert f.add(a) == independent
+                if independent:
+                    C.append(a)
+            self.assert_invariants(f, C)
+            if C:
+                rhs = np.array(C).T @ rng.normal(size=len(C))
+                lam = f.multipliers(rhs)
+                np.testing.assert_allclose(np.array(C).T @ lam, rhs, rtol=0, atol=1e-10)
+
+    def test_extend_skips_dependent_rows(self):
+        rng = np.random.default_rng(5)
+        f = qp._Factor(6)
+        base = rng.normal(size=(2, 6))
+        assert f.extend(base).tolist() == [True, True]
+        block = np.vstack([rng.normal(size=6), base[0] - 2.0 * base[1], rng.normal(size=6)])
+        assert f.extend(block).tolist() == [True, False, True]
+        self.assert_invariants(f, [base[0], base[1], block[0], block[2]])
+        # more rows than the null space holds: row by row
+        assert f.extend(rng.normal(size=(3, 6))).tolist() == [True, True, False]
+        assert f.k == 6
+
+    def test_multipliers_span_more_than_one_block(self):
+        rng = np.random.default_rng(6)
+        f = qp._Factor(150)
+        C = rng.normal(size=(140, 150))
+        assert f.extend(C).all()
+        lam = rng.normal(size=140)
+        np.testing.assert_allclose(f.multipliers(C.T @ lam), lam, rtol=0, atol=1e-9)
+
+
+def test_tight_row_dependent_on_the_working_rows_is_skipped():
+    # x <= 0 and x + 1e-11 y <= 0 are both tight at 0, and the second is
+    # dependent to the factor's test; maximising y along x = 0 must not
+    # stall on it, and stops at y <= 5
+    G = np.array([[1.0, 0.0], [1.0, 1e-11], [0.0, 1.0]])
+    res = solve_qp(np.zeros((2, 2)), [0.0, -1.0], G=G, h=[0.0, 0.0, 5.0])
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [0.0, 5.0], atol=1e-9)
+    assert res.ineq_multipliers[1] == 0.0
+
+
+class TestNoLpOnKinkedPrograms:
+    """The |z| hedging primal, and the Bolza |x| primal and Lagrangian, are
+    met by the lift alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase 1 ran the simplex")
+
+        monkeypatch.setattr(qp, "solve_lp", refuse)
+
+    def test_abs_hedging_primal(self):
+        p, u = parse_doc(kinked_doc("hedging", 4, 0, {"kind": "abs"}))
+        assert solve_primal(p, u).status == "optimal"
+
+    def test_abs_bolza_primal_and_lagrangian(self):
+        p, u = parse_doc(kinked_doc("bolza", 3, 0, {"kind": "abs"}))
+        primal = solve_primal(p, u)
+        assert primal.status == "optimal"
+        dual = solve_dual(p, u, primal=primal)
+        assert dual.status == "optimal"
+        assert dual_objective(p, dual.optimizer).inner_status == "optimal"
