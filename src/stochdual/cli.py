@@ -63,6 +63,7 @@ from .optimality import (
     check_kkt,
     check_saddle,
 )
+from .simplex import PivotLimitError
 from .solver import (
     Problem,
     SolverConfig,
@@ -404,7 +405,7 @@ def _dual_representation(problem, family, u, dual_res, bound) -> dict:
         try:
             val = bolza_dual_value(problem, u, y)
             out["stage_conjugate_dual_value"] = val if np.isfinite(val) else None
-        except ValueError:
+        except (ValueError, PivotLimitError):
             out["stage_conjugate_dual_value"] = None
     return out
 
@@ -439,8 +440,8 @@ def _run_check(problem, params, cfg, checker: str, primal=None, dual=None, bound
     """(certificate, None) for the candidate (x, y, v), filling in what the
     problem file leaves out from the primal, the dual and the dual's
     annihilator bound already solved, or by solving them here; (None, the
-    reason) when there is no candidate, or a stage checker's processes are
-    not adapted."""
+    reason) when there is no candidate, a stage checker's processes are
+    not adapted, or an LP of the checker does not terminate."""
     u = params["u"]
     cand = params["candidate"] or {}
     x, y, v = (cand.get(key) for key in "xyv")
@@ -469,6 +470,9 @@ def _run_check(problem, params, cfg, checker: str, primal=None, dual=None, bound
     except NotAdaptedError as exc:
         # the stage conditions are stated for adapted processes only
         return None, str(exc)
+    except PivotLimitError:
+        # an LP of the checker (a support function) did not terminate
+        return None, "max-iter"
 
 
 def _certificate(problem, checker, x, u, y, v, cand, tol):

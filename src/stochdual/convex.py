@@ -124,11 +124,18 @@ class QPForm:
                  for row, off, pwl in self.epi],
         )
 
-    def as_stack(self) -> "QPForm":
-        """This form as a stack of one."""
-        return QPForm(self.dim, P=self.P[None], q=self.q[None], c=np.array([self.c]),
-                      G=self.G[None], h=self.h[None], A=self.A[None], b=self.b[None],
-                      epi=[(row[None], np.array([off]), pwl) for row, off, pwl in self.epi])
+    def as_stack(self, consts=(0.0,)) -> "QPForm":
+        """This form K times, stacked, the k-th with ``consts[k]`` added to
+        its constant; a stack of one by default."""
+        k = len(consts)
+
+        def tile(a):
+            return np.repeat(np.asarray(a)[None], k, axis=0)
+
+        return QPForm(self.dim, P=tile(self.P), q=tile(self.q),
+                      c=self.c + np.asarray(consts, dtype=float),
+                      G=tile(self.G), h=tile(self.h), A=tile(self.A), b=tile(self.b),
+                      epi=[(tile(row), np.full(k, off), pwl) for row, off, pwl in self.epi])
 
     def embed(self, cols, dim) -> "QPForm":
         """Form of w -> self(w[cols]) for w in R^dim (``cols`` distinct)."""
@@ -758,6 +765,9 @@ class Polyhedron:
         return self.residual(z) <= tol
 
     def feasible_point(self):
+        """A point of the set, or None when it is empty.  Like ``is_empty``
+        and ``support``, it raises ``simplex.PivotLimitError`` when its LP
+        does not terminate."""
         res = solve_lp(np.zeros(self.dim), self.a_ub, self.b_ub, self.a_eq, self.b_eq)
         return res.x if res.status == "optimal" else None
 

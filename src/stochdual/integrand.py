@@ -172,21 +172,22 @@ def partial_infimum(fn: ConvexFunction, nx: int, y):
     raise NoClosedFormError(f"no partial-conjugation rule for kind '{fn.kind}'")
 
 
-def _precomposition_lagrangians(inner: ConvexFunction, mats, offsets, nx: int, ys):
-    """``partial_infimum`` of K functions g(M_k (x, w) + m_k) of one inner
-    g, each with a square, nonzero block M_k,w on the trailing coordinates,
-    at the rows y_k of ``ys``, in one stacked pass.  ``mats`` and
-    ``offsets`` stack the M_k and m_k.
+def _affine_slices(inner: ConvexFunction, mats, offsets, nx: int, ys):
+    """The Lagrangians x -> inf over w of g(M_k (x, w) + m_k) - w.y_k of K
+    functions of one inner g, each with a square, nonzero block M_k,w on
+    the trailing coordinates, at the rows y_k of ``ys``, in one stacked
+    pass.  ``mats`` and ``offsets`` stack the M_k and m_k.
 
-    inf over w of g(M_k,x x + M_k,w w + m_k) - w.y_k is attained through
-    eta_k = M_k,w'^{-1} y_k: it is the affine function x -> eta_k.(M_k,x x
-    + m_k) - g*(eta_k), or MINUS_INF where g*(eta_k) = +inf.  One batched
-    solve gives every eta_k and one ``value_many`` every g*(eta_k); K = 1
-    is the per-function rule.  Each function's result does not depend on
-    the others' as long as g*'s ``value_many`` evaluates row by row, as
-    every catalog kind's does (a polyhedral indicator's up to rounding at
-    its feasibility tolerance).  Raises NoClosedFormError when some M_k,w
-    is singular or g has no closed-form conjugate.
+    The infimum is attained through eta_k = M_k,w'^{-1} y_k: it is the
+    affine function x -> eta_k.(M_k,x x + m_k) - g*(eta_k).  Returns the
+    stacked slopes M_k,x' eta_k and constants eta_k.m_k - g*(eta_k), -inf
+    where g*(eta_k) = +inf.  One batched solve gives every eta_k and one
+    ``value_many`` every g*(eta_k); K = 1 is the per-function rule.  Each
+    function's result does not depend on the others' as long as g*'s
+    ``value_many`` evaluates row by row, as every catalog kind's does (a
+    polyhedral indicator's up to rounding at its feasibility tolerance).
+    Raises NoClosedFormError when some M_k,w is singular or g has no
+    closed-form conjugate.
     """
     try:
         eta = np.linalg.solve(mats[:, :, nx:].swapaxes(1, 2),
@@ -195,9 +196,25 @@ def _precomposition_lagrangians(inner: ConvexFunction, mats, offsets, nx: int, y
         raise NoClosedFormError("parameter map is singular")
     star = inner.conjugate().value_many(eta)
     slopes = (mats[:, :, :nx].swapaxes(1, 2) @ eta[:, :, None])[:, :, 0]
-    consts = (eta[:, None, :] @ offsets[:, :, None])[:, 0, 0] - star
-    return [MINUS_INF if s == INF else Affine(a, b)
-            for a, b, s in zip(slopes, consts.tolist(), star.tolist())]
+    return slopes, (eta[:, None, :] @ offsets[:, :, None])[:, 0, 0] - star
+
+
+def _precomposition_lagrangians(inner: ConvexFunction, mats, offsets, nx: int, ys):
+    """``partial_infimum`` of the K functions of ``_affine_slices``: each
+    an Affine function of x, or MINUS_INF where g*(eta_k) = +inf."""
+    slopes, consts = _affine_slices(inner, mats, offsets, nx, ys)
+    return [MINUS_INF if b == -INF else Affine(a, b) for a, b in zip(slopes, consts.tolist())]
+
+
+def _precomposition_conjugates(inner: ConvexFunction, mats, offsets, nx: int, ys, vs):
+    """f*(v_k, y_k) of the K functions f_k = g(M_k (x, w) + m_k) of
+    ``_affine_slices``, at the rows v_k of ``vs``.  f*(., y_k) is the
+    conjugate of the affine Lagrangian x -> s_k.x + c_k, s_k = M_k,x'
+    eta_k: -c_k = g*(eta_k) - eta_k.m_k where |v_k - s_k| <= FEAS_TOL, and
+    +inf elsewhere."""
+    slopes, consts = _affine_slices(inner, mats, offsets, nx, ys)
+    on = np.max(np.abs(np.asarray(vs, dtype=float) - slopes), axis=1, initial=0.0) <= FEAS_TOL
+    return np.where(on, -consts, INF)
 
 
 def _shift(fn: ConvexFunction, c: float) -> ConvexFunction:
@@ -278,6 +295,12 @@ class ParametricIntegrand:
         y_idx = np.arange(self.n_total, self.n_total + self.m_total)
         return self.joint_function(leaf).conjugate().fix(y_idx, y)
 
+    def conjugate_values(self, vs, ys) -> np.ndarray:
+        """f*(v_l, y_l) of every leaf l, at row l of ``vs`` and of ``ys``.
+        Raises NoClosedFormError when some leaf has no closed form."""
+        return np.array([self.conjugate_function_of_v(leaf, y).value(v)
+                         for leaf, (v, y) in enumerate(zip(vs, ys))], dtype=float)
+
     # -- helpers ------------------------------------------------------------
 
     def _parameter_slice_infeasible(self, leaf: int, x) -> bool:
@@ -311,34 +334,55 @@ class GenericIntegrand(ParametricIntegrand):
     def joint_function(self, leaf):
         return self.functions[leaf]
 
+    @cached_property
+    def _stacked_groups(self):
+        """The groups of leaves whose joints g(M (x, u) + m) share one
+        inner g and the shape of M, with a square, nonzero parameter block,
+        as (leaves, g, stacked M, stacked m) in order of first leaf; and
+        every other leaf, in order."""
+        n, keyed, rest = self.n_total, {}, []
+        for leaf, fn in enumerate(self.functions):
+            if (isinstance(fn, AffinePrecomposition) and fn.matrix.shape[0] == fn.dim - n > 0
+                    and np.any(fn.matrix[:, n:])):
+                keyed.setdefault((id(fn.inner), fn.matrix.shape), []).append(leaf)
+            else:
+                rest.append(leaf)
+        groups = []
+        for leaves in keyed.values():
+            fns = [self.functions[leaf] for leaf in leaves]
+            groups.append((np.array(leaves), fns[0].inner, np.array([fn.matrix for fn in fns]),
+                           np.array([fn.offset for fn in fns])))
+        return groups, rest
+
     def lagrangian_functions_of_x(self, ys) -> list:
         """``lagrangian_function_of_x`` of every leaf, one group of leaves
-        at a time: leaves whose joints g(M (x, u) + m) share one inner g
-        and the shape of M, with a square, nonzero parameter block, go
-        through one stacked partial infimum; any other leaf keeps the
-        per-leaf rule.  Raises NoClosedFormError when some leaf has no
-        closed form."""
+        at a time: each group of ``_stacked_groups`` goes through one
+        stacked partial infimum; any other leaf keeps the per-leaf rule.
+        Raises NoClosedFormError when some leaf has no closed form."""
         n, ys = self.n_total, np.asarray(ys, dtype=float)
-        out, groups = [None] * len(ys), {}
-        for leaf, fn in enumerate(self.functions):
-            if isinstance(fn, AffinePrecomposition) and fn.matrix.shape[0] == fn.dim - n > 0:
-                groups.setdefault((id(fn.inner), fn.matrix.shape), []).append(leaf)
-            else:
-                out[leaf] = partial_infimum(fn, n, ys[leaf])
-        for leaves in groups.values():
-            fns = [self.functions[leaf] for leaf in leaves]
-            mats = np.array([fn.matrix for fn in fns])
-            # a zero parameter block has its own rule, per leaf
-            stack = np.abs(mats[:, :, n:]).max(axis=(1, 2)) != 0.0
-            for leaf, fn, stacked in zip(leaves, fns, stack.tolist()):
-                if not stacked:
-                    out[leaf] = partial_infimum(fn, n, ys[leaf])
-            if stack.any():
-                leaves = np.array(leaves)[stack]
-                offsets = np.array([fn.offset for fn in fns])[stack]
-                for leaf, fn in zip(leaves.tolist(), _precomposition_lagrangians(
-                        fns[0].inner, mats[stack], offsets, n, ys[leaves])):
-                    out[leaf] = fn
+        groups, rest = self._stacked_groups
+        out = [None] * len(ys)
+        for leaf in rest:
+            out[leaf] = partial_infimum(self.functions[leaf], n, ys[leaf])
+        for leaves, inner, mats, offsets in groups:
+            for leaf, fn in zip(leaves.tolist(), _precomposition_lagrangians(
+                    inner, mats, offsets, n, ys[leaves])):
+                out[leaf] = fn
+        return out
+
+    def conjugate_values(self, vs, ys) -> np.ndarray:
+        """``conjugate_values`` one group of leaves at a time: each group of
+        ``_stacked_groups`` in one stacked pass
+        (``_precomposition_conjugates``); any other leaf keeps
+        ``conjugate_function_of_v``."""
+        n, vs, ys = self.n_total, np.asarray(vs, dtype=float), np.asarray(ys, dtype=float)
+        groups, rest = self._stacked_groups
+        out = np.empty(len(ys))
+        for leaf in rest:
+            out[leaf] = self.conjugate_function_of_v(leaf, ys[leaf]).value(vs[leaf])
+        for leaves, inner, mats, offsets in groups:
+            out[leaves] = _precomposition_conjugates(inner, mats, offsets, n, ys[leaves],
+                                                     vs[leaves])
         return out
 
 

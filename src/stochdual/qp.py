@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import solve_lp
+from .simplex import PivotLimitError, solve_lp
 
 __all__ = ["QPResult", "solve_qp", "project_onto_polyhedron"]
 
@@ -195,7 +195,7 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             Z = factor.Qt[k_eq:].T
             try:
                 feas = solve_lp(np.zeros(n - k_eq), G[free] @ Z, h[free] - G[free] @ x)
-            except RuntimeError:  # the simplex did not terminate
+            except PivotLimitError:
                 return QPResult("maxiter", None, np.nan)
             if feas.status == "infeasible":
                 return QPResult("infeasible", None, np.inf)

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LPResult", "solve_lp"]
+__all__ = ["LPResult", "PivotLimitError", "solve_lp"]
 
 PIVOT_TOL = 1e-9
 MAX_PIVOTS = 20000
+
+
+class PivotLimitError(RuntimeError):
+    """The simplex did not terminate within MAX_PIVOTS pivots."""
 
 
 @dataclass
@@ -61,14 +65,15 @@ def _bland_iterate(T, basis, cost, allowed) -> tuple[str, int]:
         cand = np.flatnonzero(ratios <= best + PIVOT_TOL * max(1.0, abs(best)))
         row = cand[np.argmin(basis[cand])]
         _pivot(T, basis, row, entering)
-    raise RuntimeError("simplex failed to terminate")
+    raise PivotLimitError("simplex failed to terminate")
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
     """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free.
 
     Free variables are split internally; the returned solution and ray are
-    in the original variable space.
+    in the original variable space.  Raises PivotLimitError when a phase
+    does not terminate within MAX_PIVOTS pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size

@@ -17,9 +17,11 @@ the index array of those coordinates: evaluation gathers through it and
 the QP lowering scatters the term's local form through it.  The lowering
 goes one group of terms at a time: terms g(M_k z + m_k) with one shared
 g (every hedging leaf's disutility, or every node's stage cost where the
-nodes share one stage object), or affine terms of one width, have their
-forms composed in one stacked pass and scattered in one; the shared g's
-form and the stacked maps are kept for reading the QP's stationarity.  A
+nodes share one stage object), terms g + c_k of one shared g (every
+node's Hamiltonian of a shared stage), or affine terms of one width,
+have their forms composed or stacked in one pass and scattered in one;
+the shared g's form and the stacked maps are kept for reading the QP's
+stationarity.  A
 term is one leaf's function of the leaf's coordinates, or, for dynamic
 (Bolza and Kabanov) problems, a node term: the stage-t cost, Hamiltonian
 or stage conjugate is a function on a stage-t information node, compiled
@@ -32,7 +34,8 @@ per distinct stage cost of a problem file), so K_t* is computed once per
 stage; the slice a -> K_t*(a, y_t) of each node is built once per dual
 solve, kept on the ``DualObjective`` for the lower variant and the
 annihilator bound, and the bound's E f*(v, y) evaluates each node's slice
-once over the node's leaves.
+once over the node's leaves.  On static problems the bound prices each
+group of leaves that share one g in one stacked pass.
 
 The objective alone picks the engine: quadratic-plus-polyhedral instances
 route to the active-set QP path and solve to machine precision; everything
@@ -62,6 +65,7 @@ from .convex import (
     Affine,
     AffinePrecomposition,
     ConvexFunction,
+    FiniteSum,
     NoClosedFormError,
     Polyhedron,
     PolyhedralIndicator,
@@ -77,6 +81,7 @@ from .integrand import (
     ParametricIntegrand,
 )
 from .qp import project_onto_polyhedron, solve_qp
+from .simplex import PivotLimitError
 from .tree import (
     ScenarioTree,
     StochasticProcess,
@@ -288,22 +293,34 @@ class _Group:
     atoms: list[_Atom] | None = None
 
 
-def _group_key(i: int, fn: ConvexFunction):
+def _shifted_core(fn: ConvexFunction):
+    """(g, c) for fn = g + c, a FiniteSum of g and a constant affine
+    summand, as ``partial_infimum`` shifts a shared g (every node's
+    Hamiltonian g_x + c_node of one stage); (fn, 0.0) for any other fn."""
+    if (isinstance(fn, FiniteSum) and len(fn.summands) == 2
+            and isinstance(fn.summands[1], Affine) and not fn.summands[1].a.any()):
+        return fn.summands[0], fn.summands[1].b
+    return fn, 0.0
+
+
+def _group_key(fn: ConvexFunction):
     """Terms with equal keys lower together: affine precompositions of one
-    inner function through maps of one shape, or affine functions of one
-    width.  Any other term is a group of its own."""
+    inner function through maps of one shape, affine functions of one
+    width, or one function shifted by each term's own constant
+    (``_shifted_core``), such as the Hamiltonians of the nodes that share
+    a stage."""
     if isinstance(fn, AffinePrecomposition):
         return ("inner", id(fn.inner), fn.matrix.shape)
     if isinstance(fn, Affine):
         return ("affine", fn.dim)
-    return ("term", i)
+    return ("shifted", id(_shifted_core(fn)[0]))
 
 
 def _inner_forms(fns):
     """The form of one group's functions g_k(M_k z + m_k) as (inner, maps):
-    a shared inner g is lowered once, with the stacked maps (M, m); other
-    functions are their own g, stacked, with maps None.  None when there is
-    no form."""
+    a shared inner g is lowered once, with the stacked maps (M, m); a
+    shared shifted g is lowered once and stacked with each function's
+    constant, with maps None.  None when there is no form."""
     fn = fns[0]
     if isinstance(fn, AffinePrecomposition):
         inner = fn.inner.qp_form()
@@ -311,8 +328,8 @@ def _inner_forms(fns):
             inner, (np.array([f.matrix for f in fns]), np.array([f.offset for f in fns])))
     if isinstance(fn, Affine):
         return QPForm(fn.dim, q=np.array([f.a for f in fns]), c=np.array([f.b for f in fns])), None
-    form = fn.qp_form()
-    return None if form is None else (form.as_stack(), None)
+    form = _shifted_core(fn)[0].qp_form()
+    return None if form is None else (form.as_stack([_shifted_core(f)[1] for f in fns]), None)
 
 
 class CompiledObjective:
@@ -354,7 +371,7 @@ class CompiledObjective:
         order."""
         keyed = {}
         for i, t in enumerate(self.terms):
-            keyed.setdefault(_group_key(i, t.fn), []).append(i)
+            keyed.setdefault(_group_key(t.fn), []).append(i)
         groups = []
         counts = np.zeros((3, len(self.terms)), dtype=int)  # G rows, A rows, atoms
         for idx in keyed.values():
@@ -723,7 +740,7 @@ def dual_objective(p: Problem, y: StochasticProcess,
     if not all(isinstance(st, KabanovStage) for blocks in p.integrand.stages for st in blocks):
         try:
             conjugates = _stage_conjugates(p, yvecs, [t.node for t in obj.terms[:-1]])
-        except NoClosedFormError:
+        except (NoClosedFormError, PivotLimitError):
             pass
     return DualObjective(-res.value, _lower_dual_value(p, yvecs, obj, res.x, conjugates),
                          minimizer, res.status, obj, res, conjugates)
@@ -745,7 +762,8 @@ def _stage_conjugates(p: Problem, yvecs, nodes):
 def _lower_dual_value(p, yvecs, obj, x, conjugates):
     """-E lower-l(x, y) at the inner minimizer x of a dynamic problem; it
     coincides with the Lagrangian value whenever l(., y) is closed proper.
-    None when some value is +inf or has no closed form.
+    None when some value is +inf or has no closed form, or when an LP that
+    a hull needs (the emptiness of a slice's domain) does not terminate.
 
     Each node's Hamiltonian term of the compiled Lagrangian ``obj`` is
     replaced by its lsc hull in x, the conjugate of the node's stage
@@ -770,7 +788,7 @@ def _lower_dual_value(p, yvecs, obj, x, conjugates):
                 plus = True
                 continue
             total += term.weight * v
-    except NoClosedFormError:
+    except (NoClosedFormError, PivotLimitError):
         return None
     # a hull that is -inf empties the supremum of its leaves: -inf dominates
     if minus:
@@ -794,17 +812,29 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     certify the bound without trusting the solve.  Without such a v the
     infimum is solved under mean-zero equality terms.
 
-    On dynamic problems the stage conjugates come from ``objective`` when
-    it built them, and E f*(v, y) at the read-off v is evaluated node by
-    node (``_bolza_conjugate_sum``); the per-leaf terms are built only for
-    the solve.
+    E f*(v, y) at the read-off v goes one group at a time, and the
+    per-leaf terms f*(., y_l) are built only for the solve.  On static
+    problems ``conjugate_values`` prices each group of leaves whose joints
+    share one inner g in one stacked pass, and any other leaf by its own
+    conjugate.  On dynamic problems the stage conjugates come from
+    ``objective`` when it built them, and each node's slice is evaluated
+    once over the node's leaves (``_bolza_conjugate_sum``).
+
+    The status is ``max-iter``, with no value and no v, when an LP it
+    needs (the support function in a stage conjugate or a Hamiltonian)
+    does not terminate.
     """
     cfg = cfg or SolverConfig()
+    try:
+        return _orthocomplement_bound(p, y, cfg, objective)
+    except PivotLimitError:
+        return OrthoBound(np.nan, None, "max-iter")
+
+
+def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
+                           objective: DualObjective | None) -> OrthoBound:
     tree = p.tree
     yvecs = _leaf_vectors(p, y, "dual")
-    # coordinates of each leaf in the flat order of StochasticProcess.to_vector
-    rows, n = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
-                                   p.n_dims)
     if objective is None:
         objective = dual_objective(p, y, cfg)
     dynamic = isinstance(p.integrand, BolzaIntegrand)
@@ -814,22 +844,22 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
             conjugates = _stage_conjugates(p, yvecs, [
                 (t, leaves) for t, nodes in enumerate(_stage_nodes(p, yvecs))
                 for _, leaves, _ in nodes])
-    else:
-        terms = _conjugate_terms(p, rows, [
-            p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
-            for leaf in range(tree.n_leaves)])
     v = _stationary_v(p, yvecs, objective)
     if v is not None and in_orthocomplement(v):
         # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
         # mean-zero v; the reported phi*(y) must close the sandwich too
         value = (_bolza_conjugate_sum(p, yvecs, conjugates, v.leaf_rows()) if dynamic
-                 else CompiledObjective(n, terms).value(v.to_vector()))
+                 else _leaf_sum(p, p.integrand.conjugate_values(v.leaf_rows(), yvecs)))
         lower = -objective.lagrangian.value(objective.inner.x)
         tol = cfg.tol * max(1.0, abs(value))
         if np.isfinite(value) and all(abs(value - w) <= tol for w in (lower, objective.value)):
             return OrthoBound(float(value), v, "optimal")
-    if dynamic:
-        terms = _conjugate_terms(p, rows, _bolza_conjugates_of_v(p, yvecs, conjugates))
+    # coordinates of each leaf in the flat order of StochasticProcess.to_vector
+    rows, n = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
+                                   p.n_dims)
+    terms = _conjugate_terms(p, rows, _bolza_conjugates_of_v(p, yvecs, conjugates) if dynamic
+                             else [p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
+                                   for leaf in range(tree.n_leaves)])
     res = _minimize(CompiledObjective(n, terms + _mean_zero_terms(p, rows)), cfg)
     if res.x is None or res.status == "unbounded":  # no point, or a ray
         return OrthoBound(res.value, None, res.status)
@@ -904,13 +934,19 @@ def _bolza_conjugate_sum(p: Problem, yvecs, conjugates, V) -> float:
     vals = np.empty((f.tree.n_leaves, f.tree.stage_count))
     for t, leaves, fn_a in conjugates:
         vals[leaves, t] = fn_a.value_many(shifted[leaves, f.x_slices[t]])
-    if np.any(vals == INF):
-        return INF
     per_leaf = np.zeros(f.tree.n_leaves)
     for t in range(f.tree.stage_count):
         per_leaf = per_leaf + vals[:, t]
+    return _leaf_sum(p, per_leaf)
+
+
+def _leaf_sum(p: Problem, vals) -> float:
+    """sum_l p_l vals_l over the leaves in order, as a compiled objective
+    sums its terms; +inf when some value is."""
+    if np.any(vals == INF):
+        return INF
     total = 0.0
-    for weight, value in zip(p.tree.probabilities.tolist(), per_leaf.tolist()):
+    for weight, value in zip(p.tree.probabilities.tolist(), np.asarray(vals).tolist()):
         total += weight * value
     return total
 
@@ -934,7 +970,8 @@ def solve_dual(p: Problem, u: StochasticProcess,
       * ``not-recovered`` when no y is read off the primal, or
         phi*(y) = +inf;
       * ``no-closed-form`` when a conjugate the dual needs has none;
-      * ``max-iter`` when the inner solve pricing y ended ``max-iter``;
+      * ``max-iter`` when the inner solve pricing y ended ``max-iter``, or
+        an LP that its Lagrangian needs did not terminate;
       * ``gap-open`` when |primal - dual| exceeds
         ``cfg.gap_tol * max(1, |primal|)``; y and its objective are kept;
       * ``optimal`` otherwise.
@@ -954,6 +991,8 @@ def solve_dual(p: Problem, u: StochasticProcess,
         dob = None if y is None else dual_objective(p, y, cfg)
     except NoClosedFormError:
         return SolveResult(None, np.nan, 0, INF, "no-closed-form")
+    except PivotLimitError:
+        return SolveResult(None, np.nan, 0, INF, "max-iter", "recovered")
     if dob is None or dob.value == INF:
         return SolveResult(None, np.nan, 0, INF, "not-recovered")
     if dob.inner_status == "max-iter":

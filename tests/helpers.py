@@ -543,6 +543,26 @@ def per_leaf_conjugates(p, y):
             for leaf in range(p.tree.n_leaves)]
 
 
+def per_leaf_conjugate_values(p, ys, vs):
+    """f*(v_l, y_l) of every leaf l at rows l of ``vs`` and ``ys``, each
+    from the leaf's own conjugate function of v."""
+    return np.array([p.integrand.conjugate_function_of_v(leaf, y).value(v)
+                     for leaf, (v, y) in enumerate(zip(vs, ys))])
+
+
+def per_leaf_conjugate_sum(p, y, v):
+    """E f*(v, y) leaf by leaf: ``per_leaf_conjugate_values`` at the leaf
+    rows of v and y, summed over the leaves in order as a compiled
+    objective sums its terms; +inf when some value is."""
+    total = 0.0
+    for weight, val in zip(p.tree.probabilities.tolist(),
+                           per_leaf_conjugate_values(p, y.leaf_rows(), v.leaf_rows()).tolist()):
+        if val == np.inf:
+            return np.inf
+        total += weight * val
+    return total
+
+
 def per_leaf_recovered_dual(p, u, x):
     """The dynamic dual candidate leaf by leaf: the velocity gradient of
     every leaf's stage costs at (x_t, dx_t + u_t); None when some stage

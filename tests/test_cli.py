@@ -523,6 +523,70 @@ class TestHonestExitCodes:
         assert statuses == ["max-iter"]
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
+    def test_simplex_failure_in_every_lp_is_a_status(self, monkeypatch):
+        # the simplex gives up on every LP of the run.  On bolza-pwl.json
+        # the primal, the dual and the bound need none, but whether a
+        # stage's slices are all empty is an LP over dom K*: the lower
+        # variant is null
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        path = fixture_path("bolza-pwl.json")
+        code, report = run(["report", path])
+        rep = report["dual_representation"]
+        assert report["dual"]["status"] == "optimal"
+        assert rep["conjugate_lower_variant"] is None
+        assert rep["annihilator_bound"] == pytest.approx(rep["conjugate_at_y"], abs=1e-12)
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        code, report = run(["check", path])
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        # a Kabanov primal's phase 1 runs the simplex: no primal, no dual
+        code, report = run(["report", fixture_path("kabanov-conical.json")])
+        assert (report["primal"]["status"], report["dual"]["status"]) == ("max-iter", "not-run")
+        assert (code, report["certificate"]) == (
+            cli.EXIT_NO_CONVERGENCE, {"verdict": "unavailable", "reason": "max-iter"})
+
+    def test_bound_conjugate_simplex_failure_is_a_status(self, monkeypatch):
+        # the simplex gives up inside the annihilator bound only: on
+        # kabanov-conical.json each stage conjugate's support function is
+        # an LP, so the bound ends max-iter before it has a value
+        statuses = []
+        bound = starved(monkeypatch, solver.dual_via_orthocomplement)
+
+        def recorded(*args):
+            res = bound(*args)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(cli, "dual_via_orthocomplement", recorded)
+        path = fixture_path("kabanov-conical.json")
+        code, report = run(["report", path])
+        assert statuses == ["max-iter"]
+        assert report["dual"]["status"] == "optimal"
+        assert report["dual_representation"]["annihilator_bound"] is None
+        # the consistent-price-system checker needs no v
+        assert (code, report["checker"], report["certificate"]["verdict"]) == (0, "cps", "pass")
+        statuses.clear()
+        # the saddle check falls back to v = 0
+        code, report = run(["check", path, "--checker", "saddle"])
+        assert statuses == ["max-iter"]
+        assert report["certificate"]["verdict"] in ("pass", "fail")
+
+    def test_dual_and_checker_simplex_failures_are_statuses(self, monkeypatch):
+        # on kabanov-conical.json the Hamiltonians' support functions are
+        # LPs: starved there, the dual's pricing ends max-iter
+        path = fixture_path("kabanov-conical.json")
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_lagrangian_objective",
+                      starved(monkeypatch, solver._lagrangian_objective))
+            code, report = run(["report", path])
+        assert (report["primal"]["status"], report["dual"]["status"]) == ("optimal", "max-iter")
+        assert code == cli.EXIT_NO_CONVERGENCE
+        # starved inside every checker, the certificate is unavailable
+        monkeypatch.setattr(cli, "_certificate", starved(monkeypatch, cli._certificate))
+        for checker in sorted(CHECKERS["kabanov"]):
+            code, report = run(["check", path, "--checker", checker])
+            assert (code, report["certificate"]) == (
+                cli.EXIT_NO_CONVERGENCE, {"verdict": "unavailable", "reason": "max-iter"})
+
     @pytest.mark.parametrize("command", ["check", "report"])
     def test_non_adapted_parameter_defaults_to_the_saddle_checker(self, command):
         # |x| + w^2/2 on the horizon-3 binary tree, u with N(0, 0.3^2) noise
@@ -560,6 +624,15 @@ class TestHonestExitCodes:
         monkeypatch.setattr(solver, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
         dual = solve_dual(problem, params["u"], primal=primal)
         assert (dual.status, dual.optimizer) == ("max-iter", None)
+
+
+def starved(monkeypatch, fn):
+    """``fn`` with the simplex made to give up on every LP it runs."""
+    def call(*args):
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "MAX_PIVOTS", 0)
+            return fn(*args)
+    return call
 
 
 def abs_generic_file(tmp_path):

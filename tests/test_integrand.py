@@ -32,6 +32,8 @@ from stochdual.tree import ScenarioTree, StochasticProcess
 from helpers import (
     HEDGING_DISUTILITIES,
     binary_hedging,
+    binary_prices,
+    per_leaf_conjugate_values,
     precomposition_lagrangian_per_leaf,
     same_bits,
     two_leaf_tree,
@@ -406,6 +408,32 @@ class TestKabanovAsBolza:
 
 
 
+def generic_mix(rng):
+    """A generic integrand on the binary tree of horizon 3, n = 2, m = 2:
+    two groups of shared-inner precompositions, one member (leaf 3) with a
+    zero parameter block, and joints of other kinds, interleaved over the
+    leaves.  Returns the integrand and its joints."""
+    g = Quadratic([0.5, 2.0], [0.1, -0.3])
+    # g* is a precomposition plus an affine term
+    h = FiniteSum([AffinePrecomposition(Quadratic([1.0, 0.5]), [[1.0, 0.4], [-0.3, 2.0]]),
+                   Affine([0.2, -0.1], 0.3)])
+
+    def square_map():  # (M_x, M_u) with M_u near the identity
+        return np.hstack([rng.normal(size=(2, 2)), np.eye(2) + 0.3 * rng.normal(size=(2, 2))])
+
+    joints = [
+        AffinePrecomposition(g, square_map(), rng.normal(size=2)),
+        Quadratic([0.5, 0.5, 1.0, 1.0]),
+        AffinePrecomposition(g, square_map(), rng.normal(size=2)),
+        AffinePrecomposition(g, np.hstack([rng.normal(size=(2, 2)), np.zeros((2, 2))])),
+        AffinePrecomposition(g, square_map()),
+        SeparableSum([Quadratic([1.0, 1.0]), Quadratic([0.5]), absolute_value()]),
+        AffinePrecomposition(h, square_map()),  # its own group
+        AffinePrecomposition(g, square_map(), rng.normal(size=2)),
+    ]
+    return GenericIntegrand(ScenarioTree.binary(3), [2, 0, 0, 0], [0, 0, 0, 2], joints), joints
+
+
 def assert_same_lagrangian(got, want):
     if want is MINUS_INF:
         assert got is MINUS_INF
@@ -442,30 +470,8 @@ class TestGroupedLagrangian:
         assert dual_objective(p, y).inner_status == "unbounded"
 
     def test_generic_mix_matches_per_leaf(self):
-        # n = 2, m = 2: two groups of shared-inner precompositions, one
-        # member (leaf 3) with a zero parameter block, and joints of other
-        # kinds, interleaved over the leaves
-        tree = ScenarioTree.binary(3)
         rng = np.random.default_rng(4)
-        g = Quadratic([0.5, 2.0], [0.1, -0.3])
-        # g* is a precomposition plus an affine term
-        h = FiniteSum([AffinePrecomposition(Quadratic([1.0, 0.5]), [[1.0, 0.4], [-0.3, 2.0]]),
-                       Affine([0.2, -0.1], 0.3)])
-
-        def square_map():  # (M_x, M_u) with M_u near the identity
-            return np.hstack([rng.normal(size=(2, 2)), np.eye(2) + 0.3 * rng.normal(size=(2, 2))])
-
-        joints = [
-            AffinePrecomposition(g, square_map(), rng.normal(size=2)),
-            Quadratic([0.5, 0.5, 1.0, 1.0]),
-            AffinePrecomposition(g, square_map(), rng.normal(size=2)),
-            AffinePrecomposition(g, np.hstack([rng.normal(size=(2, 2)), np.zeros((2, 2))])),
-            AffinePrecomposition(g, square_map()),
-            SeparableSum([Quadratic([1.0, 1.0]), Quadratic([0.5]), absolute_value()]),
-            AffinePrecomposition(h, square_map()),  # its own group
-            AffinePrecomposition(g, square_map(), rng.normal(size=2)),
-        ]
-        f = GenericIntegrand(tree, [2, 0, 0, 0], [0, 0, 0, 2], joints)
+        f, joints = generic_mix(rng)
         ys = 0.4 * rng.normal(size=(8, 2))
         ys[3] = 0.0  # the zero block keeps its joint only at y = 0
         points = rng.normal(size=(6, 2))
@@ -490,3 +496,99 @@ class TestGroupedLagrangian:
             partial_infimum(joints[1], 1, ys[1])
         with pytest.raises(NoClosedFormError):
             f.lagrangian_functions_of_x(ys)
+
+
+def on_slice(f, ys):
+    """Per leaf with a joint g(M (x, u) + m) whose parameter block M_u is
+    square, the one v where f*(., y) can be finite: M_x' eta, eta = M_u'^{-1}
+    y; NaN rows for the other leaves."""
+    n, vs = f.n_total, np.full((len(ys), f.n_total), np.nan)
+    for leaf, y in enumerate(ys):
+        M = getattr(f.joint_function(leaf), "matrix", None)
+        if M is not None and M.shape[0] == M.shape[1] - n and M[:, n:].any():
+            vs[leaf] = M[:, :n].T @ np.linalg.solve(M[:, n:].T, y)
+    return vs
+
+
+def assert_same_conjugates(got, want):
+    """Equal +inf entries, and finite values within 1e-12 relative."""
+    assert np.array_equal(got == INF, want == INF)
+    finite = want < INF
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
+
+
+class TestGroupedConjugate:
+    """conjugate_values prices the leaves that share one inner g in one
+    stacked pass, against each leaf's own conjugate function of v: finite
+    values to 1e-12 relative, and +inf on the same inputs."""
+
+    def assert_matches_per_leaf(self, p, ys, rng):
+        f = p.integrand
+        vs = on_slice(f, ys)
+        assert not np.isnan(vs).any()
+        on = f.conjugate_values(vs, ys)
+        assert_same_conjugates(on, per_leaf_conjugate_values(p, ys, vs))
+        # v 1e-6 off the slice, in a random direction: +inf on both paths
+        off = vs + 1e-6 * rng.choice([-1.0, 1.0], size=vs.shape)
+        assert (f.conjugate_values(off, ys) == INF).all()
+        assert (per_leaf_conjugate_values(p, ys, off) == INF).all()
+        return on
+
+    @pytest.mark.parametrize("kind", sorted(HEDGING_DISUTILITIES))
+    def test_shared_disutility(self, kind):
+        rng = np.random.default_rng(5)
+        p = binary_hedging(4, HEDGING_DISUTILITIES[kind])
+        assert p.integrand._stacked_groups[1] == []  # every leaf is stacked
+        ys = rng.uniform(0.05, 1.9, size=(16, 1))
+        on = self.assert_matches_per_leaf(p, ys, rng)
+        if kind in ("abs", "pwl-off-anchor"):  # y beyond the top slope leaves dom V*
+            assert (on == INF).any() and (on < INF).any()
+
+    @pytest.mark.parametrize("kind", ["quadratic", "abs"])
+    def test_distinct_disutilities(self, kind):
+        # one V object per leaf but for leaves 0 and 5, which share one:
+        # groups of one leaf, and one of two
+        rng = np.random.default_rng(6)
+        tree = ScenarioTree.binary(3)
+
+        def draw():
+            if kind == "quadratic":
+                return Quadratic([rng.uniform(0.2, 2.0)])
+            return absolute_value().scaled(rng.uniform(0.5, 2.0))
+
+        Vs = [draw() for _ in range(8)]
+        Vs[5] = Vs[0]
+        price = StochasticProcess.from_stage_values(tree, binary_prices(3)[:, :, None])
+        p = solver.Problem(tree, AlmIntegrand(tree, Vs, price))
+        groups, rest = p.integrand._stacked_groups
+        assert rest == [] and sorted(len(g[0]) for g in groups) == [1] * 6 + [2]
+        # |y| beyond every scale of |z|, at leaf 2
+        ys = rng.uniform(-1.5, 1.5, size=(8, 1))
+        ys[2] = 2.5
+        on = self.assert_matches_per_leaf(p, ys, rng)
+        if kind == "abs":
+            assert on[2] == INF
+
+    def test_generic_precompositions(self):
+        rng = np.random.default_rng(7)
+        f, joints = generic_mix(rng)
+        p = solver.Problem(f.tree, f)
+        groups, rest = f._stacked_groups
+        assert rest == [1, 3, 5] and sorted(len(g[0]) for g in groups) == [1, 4]
+        ys = 0.4 * rng.normal(size=(8, 2))
+        ys[3] = 0.0
+        vs = on_slice(f, ys)
+        # the other leaves at points where their conjugates are finite:
+        # leaf 3's joint only at M_x' eta with M_x' eta = v for some eta,
+        # leaf 5's |.| part needs |v_2| <= 1
+        vs[[1, 5]] = 0.3 * rng.normal(size=(2, 2))
+        vs[3] = joints[3].matrix[:, :2].T @ np.array([0.2, -0.1])
+        on = f.conjugate_values(vs, ys)
+        assert (on < INF).all()
+        assert_same_conjugates(on, per_leaf_conjugate_values(p, ys, vs))
+        stacked = [0, 2, 4, 6, 7]
+        off = vs.copy()
+        off[stacked] += 1e-6 * rng.choice([-1.0, 1.0], size=(5, 2))
+        got = f.conjugate_values(off, ys)
+        assert_same_conjugates(got, per_leaf_conjugate_values(p, ys, off))
+        assert (got[stacked] == INF).all() and (got[[1, 3, 5]] < INF).all()

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochdual import qp, solver
+from stochdual import cli, qp, solver
 from stochdual.cli import fixture_path, parse_problem_file
 from stochdual.convex import (
     Affine,
@@ -28,6 +28,7 @@ from stochdual.integrand import (
     ConstrainedIntegrand,
     GenericIntegrand,
     KabanovStage,
+    ParametricIntegrand,
 )
 from stochdual.solver import (
     Problem,
@@ -51,8 +52,10 @@ from stochdual.tree import (
 from helpers import (
     basis_bound,
     grid_minimize,
+    hedging_file,
     irregular_tree,
     objective_values,
+    per_leaf_conjugate_sum,
     two_leaf_tree,
 )
 
@@ -432,6 +435,32 @@ class TestCertifiedBound:
             assert (bound.status, status) == ("optimal", "optimal")
             assert bound.value == pytest.approx(value, rel=1e-9, abs=1e-9)
         assert fallbacks == []
+
+    @pytest.mark.parametrize("disutility", [None, {"kind": "abs"}])
+    def test_hedging_report_builds_no_leaf_conjugate(self, disutility, tmp_path, monkeypatch):
+        # a certified 32-leaf hedging report prices E f*(v, y) one group of
+        # leaves at a time: no leaf's own conjugate function is built, and
+        # the bound is the per-leaf sum
+        path = hedging_file(tmp_path, 5, np.random.default_rng(8).uniform(2.5, 3.5, 32),
+                            disutility)
+        calls, bounds = [], []
+        per_leaf = ParametricIntegrand.conjugate_function_of_v
+        monkeypatch.setattr(ParametricIntegrand, "conjugate_function_of_v",
+                            lambda self, leaf, y: calls.append(leaf) or per_leaf(self, leaf, y))
+
+        def recorded(*args):
+            bounds.append((args, dual_via_orthocomplement(*args)))
+            return bounds[-1][1]
+
+        monkeypatch.setattr(cli, "dual_via_orthocomplement", recorded)
+        fallbacks = count_fallbacks(monkeypatch)
+        code, report = cli.run(["report", path])
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        assert report["dual_representation"]["annihilator_bound"] is not None
+        assert (calls, fallbacks, len(bounds)) == ([], [], 1)
+        (p, y, *_), bound = bounds[0]
+        assert bound.value == pytest.approx(per_leaf_conjugate_sum(p, y, bound.v),
+                                            rel=1e-12, abs=1e-12)
 
     def bolza_case(self):
         rng = np.random.default_rng(5)

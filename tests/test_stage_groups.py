@@ -7,7 +7,8 @@ primal lowering stacks a stage's nodes and K* is computed once per stage.
 ``bolza_dual_value``, ``check_euler_lagrange`` and the annihilator bound's
 E f*(v, y) are checked bit for bit against the per-node loops of
 tests/helpers.py, on irregular trees whose blocks share a few stage
-objects.
+objects, and the Lagrangian that lowers the nodes' Hamiltonians in one
+group per shared stage against one group per node.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 from stochdual import integrand, solver
 from stochdual.cli import parse_problem_file, run
 from stochdual.convex import (
+    Affine,
+    AffinePrecomposition,
     Polyhedron,
     PiecewiseLinear,
     Quadratic,
@@ -123,6 +126,34 @@ def test_a_parsed_tree_has_one_stage(bolza63):
     _, obj = primal_objective(problem, u)
     groups = obj._lowering[0]
     assert sorted(len(g.idx) for g in groups) == [1, 62]
+
+
+@pytest.mark.parametrize("state_cost", [HALF_SQUARE, {"kind": "abs"}])
+def test_hamiltonians_lower_in_one_group_per_stage(state_cost, tmp_path, monkeypatch):
+    # every node's Hamiltonian g_x + c_node of the one stage shares g_x:
+    # one lowering group for the 63 nodes, one for the coupling, and the
+    # program of one group per term, each lowered whole, bit for bit
+    path = write_doc(tmp_path, "bolza-H5", bolza_doc(5, state_cost, np.random.default_rng(0)))
+    problem, _, params, _, _ = parse_problem_file(path)
+    y = solve_dual(problem, params["u"]).optimizer
+    _, obj = solver._lagrangian_objective(problem, y)
+    n_stage_groups = sum(len(groups) for groups in problem.integrand.stage_groups)
+    assert len(obj.terms) == 64 and len(obj._lowering[0]) <= n_stage_groups + 1
+    grouped = obj.qp_data()
+    real = solver._inner_forms
+
+    def whole(fns):
+        if isinstance(fns[0], (Affine, AffinePrecomposition)):
+            return real(fns)
+        form = fns[0].qp_form()
+        return None if form is None else (form.as_stack(), None)
+
+    monkeypatch.setattr(solver, "_group_key", lambda fn: ("term", id(fn)))
+    monkeypatch.setattr(solver, "_inner_forms", whole)
+    _, per_term = solver._lagrangian_objective(problem, y)
+    assert len(per_term._lowering[0]) == 64
+    want = per_term.qp_data()
+    assert all(same_bits(a, b) for a, b in zip(grouped, want))
 
 
 def test_a_report_builds_one_stage_conjugate_per_node(bolza63, monkeypatch):
