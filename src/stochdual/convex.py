@@ -111,18 +111,25 @@ class QPForm:
         stacked.  ``self`` is one form.
         """
         M = np.asarray(M, dtype=float)
+        Mt = M.swapaxes(-1, -2)
+        q, c, h, b, offs = self.offset_parts(M, m)
+        return QPForm(
+            M.shape[-1], P=Mt @ self.P @ M, q=q, c=c, G=self.G @ M, h=h, A=self.A @ M, b=b,
+            epi=[((Mt @ row[:, None])[..., 0], off, pwl)
+                 for (row, _, pwl), off in zip(self.epi, offs)],
+        )
+
+    def offset_parts(self, M, m):
+        """The parts of ``compose(M, m)`` that move with m: (q, c, h, b,
+        each atom's offset).  P, G, A and the atoms' rows depend on M
+        alone."""
+        M = np.asarray(M, dtype=float)
         m = np.asarray(m, dtype=float)[..., None]  # offsets as columns
         Mt, mt = M.swapaxes(-1, -2), m.swapaxes(-1, -2)
-        return QPForm(
-            M.shape[-1],
-            P=Mt @ self.P @ M,
-            q=(Mt @ (self.q[:, None] + self.P @ m))[..., 0],
-            c=self.c + (self.q @ m)[..., 0] + 0.5 * (mt @ self.P @ m)[..., 0, 0],
-            G=self.G @ M, h=self.h - (self.G @ m)[..., 0],
-            A=self.A @ M, b=self.b - (self.A @ m)[..., 0],
-            epi=[((Mt @ row[:, None])[..., 0], off + (row @ m)[..., 0], pwl)
-                 for row, off, pwl in self.epi],
-        )
+        return ((Mt @ (self.q[:, None] + self.P @ m))[..., 0],
+                self.c + (self.q @ m)[..., 0] + 0.5 * (mt @ self.P @ m)[..., 0, 0],
+                self.h - (self.G @ m)[..., 0], self.b - (self.A @ m)[..., 0],
+                [off + (row @ m)[..., 0] for row, off, _ in self.epi])
 
     def as_stack(self, consts=(0.0,)) -> "QPForm":
         """This form K times, stacked, the k-th with ``consts[k]`` added to

@@ -4,6 +4,14 @@
 
 P is symmetric positive semidefinite.
 
+A program without rows is solved through the eigenpairs of P
+(``SpectralFactor``): x = -V diag(1/w) V' q over the eigenvalues that
+least squares keeps, |w| > n eps max|w| as ``np.linalg.lstsq``'s default
+cutoff, which is lstsq's minimum-norm point.  A P with no nonzero entry
+gives x = 0 and is not decomposed.  The residual P x + q then decides:
+above 1e-8 max(1, max|q|) the program is unbounded along -(P x + q).  A
+caller that solves many programs with one P passes its factor.
+
 Phase 1 starts from the equality rows: x0 = lstsq(A, b), and inconsistent
 rows mean infeasible.  A column *lifts* when it has no entry in A and its G
 entries are all <= 0, at least one < 0: the epigraph variables of a
@@ -53,7 +61,9 @@ import numpy as np
 
 from .simplex import PivotLimitError, solve_lp
 
-__all__ = ["QPResult", "solve_qp", "project_onto_polyhedron"]
+__all__ = ["QPResult", "SpectralFactor", "solve_qp", "project_onto_polyhedron"]
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -150,8 +160,40 @@ class _Factor:
         return lam
 
 
+class SpectralFactor:
+    """The eigenpairs of a symmetric P that least squares keeps.
+
+    An eigenvalue with |w| <= n eps max|w| counts as zero, as the default
+    cutoff of ``np.linalg.lstsq`` does, so ``minimizer(q)`` is lstsq's
+    minimum-norm solution of P x = -q.  A P without a nonzero entry keeps
+    no pair and is not decomposed.  ``V`` and ``w`` are read-only, so one
+    factor serves every solve with this P.
+    """
+
+    def __init__(self, P):
+        P = np.asarray(P, dtype=float)
+        n = P.shape[0]
+        if P.any():
+            w, V = np.linalg.eigh(P)
+            size = np.abs(w)
+            keep = size > n * _EPS * size.max()
+            w, V = w[keep], V[:, keep]
+        else:
+            w, V = np.zeros(0), np.zeros((n, 0))
+        w.flags.writeable = V.flags.writeable = False
+        self.w, self.V = w, V
+
+    def minimizer(self, q) -> np.ndarray:
+        """-V diag(1/w) V' q; 0 when no pair is kept."""
+        if not self.w.size:
+            return np.zeros(self.V.shape[0])
+        return -(self.V @ ((q @ self.V) / self.w))
+
+
 def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
-             max_iter: int | None = None) -> QPResult:
+             max_iter: int | None = None, spectral: SpectralFactor | None = None) -> QPResult:
+    """Solve the program; ``spectral`` is ``SpectralFactor(P)`` when the
+    caller keeps one, and is read only when there are no rows."""
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
     n = q.size
@@ -166,9 +208,9 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
     def objective(x):
         return 0.5 * float(x @ P @ x) + float(q @ x) + c
 
-    # unconstrained: a single least-squares solve
+    # unconstrained: the least-squares point of P x = -q
     if m == 0 and A.shape[0] == 0:
-        x, *_ = np.linalg.lstsq(P, -q, rcond=None)
+        x = (SpectralFactor(P) if spectral is None else spectral).minimizer(q)
         r = P @ x + q
         if np.max(np.abs(r), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(q), initial=0.0)):
             return QPResult("unbounded", None, -np.inf, ray=-r)

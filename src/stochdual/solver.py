@@ -37,6 +37,19 @@ annihilator bound, and the bound's E f*(v, y) evaluates each node's slice
 once over the node's leaves.  On static problems the bound prices each
 group of leaves that share one g in one stacked pass.
 
+The primal is compiled once per structure.  Its terms g(M_k z + m_k + N_k
+u_l) depend on u only through their offsets, so a ``Problem`` keeps one
+template (``_PrimalTemplate``): the terms at u = 0, their lowering groups,
+each group's stacked N and base offsets, and, from the first solve on, the
+lowered P, G and A, read-only.  A solve at u then costs m = base + N u in
+one stacked pass per group and the parts of the groups' forms that move
+with m (q, c, h and b).  The cache key is what the terms depend on, never
+u's values: one key on a static problem, and the ``_stage_nodes``
+partition of u on a dynamic one.  The problem holds one template and
+builds another when the key changes.  A primal without rows keeps the
+spectral factor of its P with the template, so a sweep over u factors P
+once.
+
 The objective alone picks the engine: quadratic-plus-polyhedral instances
 route to the active-set QP path and solve to machine precision; everything
 else falls back to a projected subgradient method with diminishing steps
@@ -58,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +94,7 @@ from .integrand import (
     KabanovStage,
     ParametricIntegrand,
 )
-from .qp import project_onto_polyhedron, solve_qp
+from .qp import SpectralFactor, project_onto_polyhedron, solve_qp
 from .simplex import PivotLimitError
 from .tree import (
     ScenarioTree,
@@ -138,6 +152,12 @@ class Problem:
     def layout(self) -> AdaptedLayout:
         """Block coordinates of the adapted decisions, built once."""
         return AdaptedLayout(self.tree, self.n_dims)
+
+    @cached_property
+    def _primal_templates(self) -> dict:
+        """The compiled primal under its key: at most one entry, built at the
+        first solve (``_primal_template``)."""
+        return {}
 
 
 @dataclass
@@ -274,8 +294,22 @@ class _Atom:
     aux: np.ndarray  # (K,) its epigraph variable, numbered from 0
     rows: np.ndarray  # (K, k) its inequality rows
     coefs: np.ndarray  # (K, k) each row's coefficient on row.z
-    rhs: np.ndarray  # (K, k)
-    n_lines: int  # the first n_lines rows are supporting lines
+    intercepts: list  # one (K,) array per supporting line; its rows come first
+    pwl: object  # the atom's piecewise-linear function, for its domain rows
+
+    @property
+    def n_lines(self) -> int:
+        return len(self.intercepts)
+
+    def rhs(self, off) -> np.ndarray:
+        """(K, k) right-hand sides of the rows at the atom's offsets ``off``:
+        each weighted line's, then the domain's hi and lo rows."""
+        rhs = [-(intercept + self.coefs[:, j] * off) for j, intercept in enumerate(self.intercepts)]
+        if self.pwl.hi != INF:
+            rhs.append(self.pwl.hi - off)
+        if self.pwl.lo != -INF:
+            rhs.append(off - self.pwl.lo)
+        return np.column_stack(rhs)
 
 
 @dataclass
@@ -285,12 +319,27 @@ class _Group:
     idx: np.ndarray  # (K,) the terms, in term order
     cols: np.ndarray  # (K, d)
     weights: np.ndarray  # (K,)
-    form: QPForm  # the K local forms, stacked
-    inner: QPForm  # the form of the terms' g: shared, or stacked when maps is None
-    maps: tuple | None  # (M, m) of shapes (K, r, d), (K, r); None for M = I, m = 0
+    inner: QPForm  # the form of the terms' g: shared, or stacked when M is None
+    M: np.ndarray | None  # (K, r, d) the maps of g(M_k z + m_k); None for M = I, m = 0
     rows: np.ndarray | None = None  # (K, g) inequality rows
     eq_rows: np.ndarray | None = None  # (K, a) equality rows
     atoms: list[_Atom] | None = None
+
+
+class _Lowering(NamedTuple):
+    """What of a lowered program the terms' offsets m_k do not move: the
+    groups and where their rows go, the numbers of inequality rows,
+    equality rows and epigraph variables, P, G and A (read-only), and the
+    runs of consecutive terms of one group, as (group, slice of it)."""
+
+    groups: list
+    n_ineq: int
+    n_eq: int
+    n_aux: int
+    P: np.ndarray
+    G: np.ndarray
+    A: np.ndarray
+    runs: list
 
 
 def _shifted_core(fn: ConvexFunction):
@@ -332,6 +381,107 @@ def _inner_forms(fns):
     return None if form is None else (form.as_stack([_shifted_core(f)[1] for f in fns]), None)
 
 
+class _OffsetParts(NamedTuple):
+    """What of a group's K local forms moves with the offsets m_k
+    (``QPForm.offset_parts``): q, c, h, b and each atom's offset."""
+
+    q: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
+    b: np.ndarray
+    offs: list
+
+
+def _lower(n: int, n_terms: int, groups: list[_Group], forms) -> _Lowering:
+    """Number the rows of ``groups``, whose forms are ``forms``, and lower
+    their P, G and A.  Rows keep the term order: each term's inequality
+    rows, then, after all of those, one block per epigraph atom, atoms in
+    term order.  P adds up in term order, so the program does not depend
+    on how the terms group: one pass per run of consecutive terms of a
+    group.  The forms' shapes, P, G, A and atom rows do not depend on the
+    offsets, so any offsets give the same lowering."""
+    counts = np.zeros((3, n_terms), dtype=int)  # G rows, A rows, atoms
+    for g, form in zip(groups, forms):
+        counts[:, g.idx] = [[form.G.shape[-2]], [form.A.shape[-2]], [len(form.epi)]]
+    first = np.cumsum(counts, axis=1) - counts  # each term's first row / atom
+    n_ineq, n_eq, n_aux = (int(k) for k in counts.sum(axis=1))
+    atom_rows = np.zeros(n_aux, dtype=int)
+    for g, form in zip(groups, forms):
+        for j, (_, _, pwl) in enumerate(form.epi):
+            atom_rows[first[2, g.idx] + j] = (pwl.slopes.size + (pwl.hi != INF)
+                                              + (pwl.lo != -INF))
+    atom_first = n_ineq + np.cumsum(atom_rows) - atom_rows
+    total, n_rows = n + n_aux, n_ineq + int(atom_rows.sum())
+    P, G, A = np.zeros((total, total)), np.zeros((n_rows, total)), np.zeros((n_eq, total))
+    # each term's group, and its place in the group
+    owner, place = np.zeros((2, n_terms), dtype=int)
+    for k, (g, form) in enumerate(zip(groups, forms)):
+        C = g.cols
+        owner[g.idx], place[g.idx] = k, np.arange(len(g.idx))
+        g.rows = first[0, g.idx, None] + np.arange(form.G.shape[-2])
+        g.eq_rows = first[1, g.idx, None] + np.arange(form.A.shape[-2])
+        G[g.rows[:, :, None], C[:, None, :]] = form.G
+        A[g.eq_rows[:, :, None], C[:, None, :]] = form.A
+        g.atoms = []
+        for j, (row, _, pwl) in enumerate(form.epi):
+            # the lines of each term's weighted pwl, then its domain rows
+            lines = pwl.supporting_lines(g.weights)
+            ones = np.ones(len(g.idx))
+            coefs = [s for s, _ in lines] + [ones] * (pwl.hi != INF) + [-ones] * (pwl.lo != -INF)
+            aux = first[2, g.idx] + j
+            at = _Atom(row, aux, atom_first[aux, None] + np.arange(len(coefs)),
+                       np.column_stack(coefs), [b for _, b in lines], pwl)
+            G[at.rows[:, :, None], C[:, None, :]] = at.coefs[:, :, None] * at.row[:, None, :]
+            G[at.rows[:, :at.n_lines], n + at.aux[:, None]] = -1.0
+            g.atoms.append(at)
+    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    runs = [(int(owner[i]), slice(place[i], place[i] + j - i))
+            for i, j in zip([0, *cuts], [*cuts, n_terms])] if n_terms else []
+    for k, run in runs:
+        g, S = groups[k], forms[k]
+        if S.P.any():
+            C, W = g.cols[run], g.weights[run]
+            np.add.at(P, (C[:, :, None], C[:, None, :]), W[:, None, None] * S.P[run])
+    for a in (P, G, A):
+        a.flags.writeable = False
+    return _Lowering(groups, n_rows, n_eq, n_aux, P, G, A, runs)
+
+
+def _grouping(terms) -> list[np.ndarray]:
+    """The terms of each lowering group (equal ``_group_key``), groups in
+    order of first term."""
+    keyed = {}
+    for i, t in enumerate(terms):
+        keyed.setdefault(_group_key(t.fn), []).append(i)
+    return [np.array(idx) for idx in keyed.values()]
+
+
+def _groups(terms, grouping):
+    """(groups, offsets): the ``_Group`` of each group of ``terms`` and its
+    stacked offsets m_k (None with M = I, m = 0); None when some group has
+    no form."""
+    groups, offsets = [], []
+    for idx in grouping:
+        group = [terms[i] for i in idx]
+        found = _inner_forms([t.fn for t in group])
+        if found is None:
+            return None
+        inner, maps = found
+        M, m = (None, None) if maps is None else maps
+        groups.append(_Group(idx, np.array([t.cols for t in group]),
+                             np.array([t.weight for t in group]), inner, M))
+        offsets.append(m)
+    return groups, offsets
+
+
+def _lower_at(n: int, n_terms: int, groups, offsets):
+    """(lowering, parts): ``_lower`` of the groups' forms at ``offsets``,
+    and the ``_OffsetParts`` of those forms."""
+    forms = [g.inner if g.M is None else g.inner.compose(g.M, m) for g, m in zip(groups, offsets)]
+    return (_lower(n, n_terms, groups, forms),
+            [_OffsetParts(S.q, S.c, S.h, S.b, [off for _, off, _ in S.epi]) for S in forms])
+
+
 class CompiledObjective:
     """sum_k weight_k * fn_k(z[cols_k]) over z in R^n.
 
@@ -340,6 +490,10 @@ class CompiledObjective:
     groups that share one local form up to the affine map (see
     ``_group_key``); a group's forms are computed once, stacked, and kept.
     """
+
+    # a SpectralFactor of the lowered P that outlives this objective, or
+    # None: solve_qp then factors P itself
+    spectral = None
 
     def __init__(self, n: int, terms: list[_Term]):
         self.n = n
@@ -363,52 +517,24 @@ class CompiledObjective:
         return g
 
     @cached_property
-    def _lowering(self):
-        """The groups of the QP lowering and its numbers of inequality
-        rows, equality rows and epigraph variables; None off the polyhedral
-        path.  Rows keep the term order: each term's inequality rows, then,
-        after all of those, one block per epigraph atom, atoms in term
-        order."""
-        keyed = {}
-        for i, t in enumerate(self.terms):
-            keyed.setdefault(_group_key(t.fn), []).append(i)
-        groups = []
-        counts = np.zeros((3, len(self.terms)), dtype=int)  # G rows, A rows, atoms
-        for idx in keyed.values():
-            terms = [self.terms[i] for i in idx]
-            forms = _inner_forms([t.fn for t in terms])
-            if forms is None:
-                return None
-            inner, maps = forms
-            form = inner if maps is None else inner.compose(*maps)
-            groups.append(_Group(np.array(idx), np.array([t.cols for t in terms]),
-                                 np.array([t.weight for t in terms]), form, inner, maps))
-            counts[:, idx] = [[form.G.shape[-2]], [form.A.shape[-2]], [len(form.epi)]]
-        first = np.cumsum(counts, axis=1) - counts  # each term's first row / atom
-        n_ineq, n_eq, n_aux = counts.sum(axis=1)
-        atom_rows = np.zeros(n_aux, dtype=int)
-        for g in groups:
-            for j, (_, _, pwl) in enumerate(g.form.epi):
-                atom_rows[first[2, g.idx] + j] = (pwl.slopes.size + (pwl.hi != INF)
-                                                  + (pwl.lo != -INF))
-        atom_first = n_ineq + np.cumsum(atom_rows) - atom_rows
-        for g in groups:
-            g.rows = first[0, g.idx, None] + np.arange(g.form.G.shape[-2])
-            g.eq_rows = first[1, g.idx, None] + np.arange(g.form.A.shape[-2])
-            g.atoms = []
-            for j, (row, off, pwl) in enumerate(g.form.epi):
-                # the lines of each term's weighted pwl, then its domain rows
-                lines = pwl.supporting_lines(g.weights)
-                coefs = [s for s, _ in lines]
-                rhs = [-(intercept + s * off) for s, intercept in lines]
-                if pwl.hi != INF:
-                    coefs.append(np.ones(len(g.idx))); rhs.append(pwl.hi - off)
-                if pwl.lo != -INF:
-                    coefs.append(-np.ones(len(g.idx))); rhs.append(off - pwl.lo)
-                aux = first[2, g.idx] + j
-                g.atoms.append(_Atom(row, aux, atom_first[aux, None] + np.arange(len(coefs)),
-                                     np.column_stack(coefs), np.column_stack(rhs), len(lines)))
-        return groups, n_ineq + int(atom_rows.sum()), n_eq, n_aux
+    def _grouping(self) -> list[np.ndarray]:
+        return _grouping(self.terms)
+
+    @cached_property
+    def _lowered(self):
+        """(lowering, offsets, parts): the ``_Lowering``, and per group its
+        stacked offsets m_k (None with M = I, m = 0) and the ``_OffsetParts``
+        of its K local forms at them; None off the polyhedral path."""
+        found = _groups(self.terms, self._grouping)
+        if found is None:
+            return None
+        groups, offsets = found
+        lowering, parts = _lower_at(self.n, len(self.terms), groups, offsets)
+        return lowering, offsets, parts
+
+    @property
+    def _lowering(self) -> _Lowering | None:
+        return None if self._lowered is None else self._lowered[0]
 
     def qp_data(self):
         """Lowered quadratic program, or None off the polyhedral path.
@@ -418,42 +544,48 @@ class CompiledObjective:
         piecewise-linear summands become epigraph variables: one auxiliary
         coordinate per atom, after the n main ones, bounded below by the
         supporting lines of the (probability-weighted) piece structure.
+        P, G and A are the lowering's read-only arrays; q, c, h and b are
+        this objective's.
         """
-        if self._lowering is None:
+        if self._lowered is None:
             return None
-        groups, n_ineq, n_eq, n_aux = self._lowering
+        low, _, parts = self._lowered
         n = self.n
-        total = n + n_aux
-        P, q, c = np.zeros((total, total)), np.zeros(total), 0.0
+        q, c = np.zeros(n + low.n_aux), 0.0
         q[n:] = 1.0  # epigraph variables at weight one
-        G, h = np.zeros((n_ineq, total)), np.zeros(n_ineq)
-        A, b = np.zeros((n_eq, total)), np.zeros(n_eq)
-        # each term's group, and its place in the group
-        owner, place = np.zeros((2, len(self.terms)), dtype=int)
-        for k, g in enumerate(groups):
-            S, C = g.form, g.cols
-            owner[g.idx], place[g.idx] = k, np.arange(len(g.idx))
-            G[g.rows[:, :, None], C[:, None, :]] = S.G
+        h, b = np.zeros(low.n_ineq), np.zeros(low.n_eq)
+        for g, S in zip(low.groups, parts):
             h[g.rows] = S.h
-            A[g.eq_rows[:, :, None], C[:, None, :]] = S.A
             b[g.eq_rows] = S.b
-            for at in g.atoms:
-                G[at.rows[:, :, None], C[:, None, :]] = at.coefs[:, :, None] * at.row[:, None, :]
-                G[at.rows[:, :at.n_lines], n + at.aux[:, None]] = -1.0
-                h[at.rows] = at.rhs
-        # P, q and c add up in term order, so the program does not depend on
-        # how the terms group: one pass per run of consecutive terms of a group
-        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-        runs = [0, *cuts, len(self.terms)] if self.terms else []
-        for i, j in zip(runs, runs[1:]):
-            g, run = groups[owner[i]], slice(place[i], place[i] + j - i)
-            S, C, W = g.form, g.cols[run], g.weights[run]
-            if S.P.any():
-                np.add.at(P, (C[:, :, None], C[:, None, :]), W[:, None, None] * S.P[run])
-            np.add.at(q, C, W[:, None] * S.q[run])
+            for at, off in zip(g.atoms, S.offs):
+                h[at.rows] = at.rhs(off)
+        # q and c add up in term order, as P does
+        for k, run in low.runs:
+            g, S = low.groups[k], parts[k]
+            W = g.weights[run]
+            np.add.at(q, g.cols[run], W[:, None] * S.q[run])
             for v in (W * S.c[run]).tolist():
                 c += v
-        return P, q, c, G, h, A, b, n
+        return low.P, q, c, low.G, h, low.A, b, n
+
+    def _group_subgradients(self, res: _MinResult) -> list[np.ndarray]:
+        """Per group, the (K, r) subgradients of ``subgradients``."""
+        x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
+        low, offsets, _ = self._lowered
+        out = []
+        for g, m in zip(low.groups, offsets):
+            S, W, r = g.inner, g.weights, x[g.cols]
+            if g.M is not None:
+                r = (g.M @ r[..., None])[..., 0] + m
+            rows = ((S.G.swapaxes(-1, -2) @ ineq[g.rows][..., None])[..., 0]
+                    + (S.A.swapaxes(-1, -2) @ eq[g.eq_rows][..., None])[..., 0])
+            for at, (row, _, _) in zip(g.atoms, S.epi):
+                mu, slope = ineq[at.rows], np.zeros(len(W))
+                for k in range(mu.shape[1]):
+                    slope = slope + mu[:, k] * at.coefs[:, k]
+                rows = rows + row * slope[:, None]
+            out.append((S.P @ r[..., None])[..., 0] + S.q + rows / W[:, None])
+        return out
 
     def subgradients(self, res: _MinResult) -> list[np.ndarray]:
         """Per term g(M_k z + m_k), the subgradient s_k of g at r_k = M_k x_k
@@ -463,21 +595,9 @@ class CompiledObjective:
         each epigraph atom's row of g times the sum of the atom's row
         multipliers weighted by their coefficients.  The shares weight_k
         M_k' s_k scatter-add to zero."""
-        x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
         out = [None] * len(self.terms)
-        for g in self._lowering[0]:
-            S, W, r = g.inner, g.weights, x[g.cols]
-            if g.maps is not None:
-                r = (g.maps[0] @ r[..., None])[..., 0] + g.maps[1]
-            rows = ((S.G.swapaxes(-1, -2) @ ineq[g.rows][..., None])[..., 0]
-                    + (S.A.swapaxes(-1, -2) @ eq[g.eq_rows][..., None])[..., 0])
-            for at, (row, _, _) in zip(g.atoms, S.epi):
-                mu, slope = ineq[at.rows], np.zeros(len(W))
-                for k in range(mu.shape[1]):
-                    slope = slope + mu[:, k] * at.coefs[:, k]
-                rows = rows + row * slope[:, None]
-            s = (S.P @ r[..., None])[..., 0] + S.q + rows / W[:, None]
-            for i, s_k in zip(g.idx, s):
+        for g, s in zip(self._lowering.groups, self._group_subgradients(res)):
+            for i, s_k in zip(g.idx.tolist(), s):
                 out[i] = s_k
         return out
 
@@ -515,7 +635,8 @@ def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
     data = obj.qp_data()
     if data is not None:
         P, q, c, G, h, A, b, n_main = data
-        res = solve_qp(P, q, c, G, h, A, b)
+        rowless = not (G.shape[0] or A.shape[0])
+        res = solve_qp(P, q, c, G, h, A, b, spectral=obj.spectral if rowless else None)
         status = {"maxiter": "max-iter"}.get(res.status, res.status)
         resid = _violation(res.x, G, h, A, b) if res.x is not None else 0.0
         x = res.x[:n_main] if res.x is not None else None
@@ -623,51 +744,176 @@ def _next_stage(p: Problem, rows):
     return out
 
 
+class _ParamGroup(NamedTuple):
+    """How the parameter enters one lowering group of the primal: per term
+    g(M_k z + m_k + N_k u_l), its N_k and base offset m_k, the leaf whose
+    u_l it reads, and (leaves, owner), each leaf that the term's share N_k'
+    s_k of y goes to and the term's place in the group."""
+
+    N: np.ndarray  # (K, r, m)
+    base: np.ndarray  # (K, r)
+    reads: np.ndarray  # (K,)
+    leaves: np.ndarray
+    owner: np.ndarray
+
+
+class _PrimalTemplate:
+    """The primal of one problem with u left symbolic.
+
+    Every primal term is g(M_k z + m_k + N_k u_l), with u_l the parameter
+    vector of its leaf (of its node's first leaf on a dynamic problem), so
+    only the offsets move with u.  The template holds the terms at u = 0
+    (``terms``), their lowering groups (``groups``, None off the QP path)
+    and how u enters each group (``params``).  The first solve lowers P, G
+    and A (``lowering``); after it a solve at u costs one stacked offset
+    pass per group (``objective``) and the parts of the forms that move
+    with it, and ``spectral`` factors P once for every rowless solve."""
+
+    def __init__(self, p: Problem, nodes):
+        self.terms, reads, shares = (_static_primal_terms(p) if nodes is None
+                                     else _bolza_primal_terms(p, nodes))
+        self.n = p.layout.width
+        self.grouping = _grouping(self.terms)
+        found = _groups(self.terms, self.grouping)
+        self.groups = None if found is None else found[0]
+        self.lowering = None
+        self.params = []
+        for idx in self.grouping:
+            group = [self.terms[i] for i in idx]
+            leaves = [shares[i] for i in idx]
+            self.params.append(_ParamGroup(
+                np.array([t.param for t in group]), np.array([t.fn.offset for t in group]),
+                reads[idx], np.concatenate(leaves),
+                np.repeat(np.arange(len(idx)), [len(s) for s in leaves])))
+
+    @cached_property
+    def spectral(self) -> SpectralFactor:
+        return SpectralFactor(self.lowering.P)
+
+    def objective(self, uvecs) -> _PrimalObjective:
+        """The primal at the leaf vectors ``uvecs`` of u: m_k + N_k u_l,
+        one stacked pass per group."""
+        return _PrimalObjective(self, [g.base + (g.N @ uvecs[g.reads][..., None])[..., 0]
+                                       for g in self.params])
+
+    def lowered(self, offsets):
+        """(lowering, parts): the lowering, and the ``_OffsetParts`` of each
+        group's forms at ``offsets``; None off the QP path.  The first call
+        lowers the groups at its offsets."""
+        if self.groups is None:
+            return None
+        if self.lowering is None:
+            self.lowering, parts = _lower_at(self.n, len(self.terms), self.groups, offsets)
+            return self.lowering, parts
+        return self.lowering, [_OffsetParts(*g.inner.offset_parts(g.M, m))
+                               for g, m in zip(self.groups, offsets)]
+
+
+class _PrimalObjective(CompiledObjective):
+    """The primal at one u: the template's terms and lowering at this u's
+    offsets, one (K, r) array per group.  Its terms are built only when
+    read (off the QP path, or by a caller that walks them)."""
+
+    def __init__(self, template: _PrimalTemplate, offsets):
+        self.n = template.n
+        self.template = template
+        self.offsets = offsets
+
+    @cached_property
+    def terms(self) -> list[_Term]:
+        terms = list(self.template.terms)
+        for idx, m in zip(self._grouping, self.offsets):
+            for i, off in zip(idx.tolist(), m):
+                t = terms[i]
+                terms[i] = _Term(t.weight, AffinePrecomposition(t.fn.inner, t.fn.matrix, off),
+                                 t.cols, t.node, t.param)
+        return terms
+
+    @property
+    def _grouping(self):
+        return self.template.grouping
+
+    @cached_property
+    def _lowered(self):
+        found = self.template.lowered(self.offsets)
+        return None if found is None else (found[0], self.offsets, found[1])
+
+    @property
+    def spectral(self) -> SpectralFactor:
+        return self.template.spectral
+
+
+def _primal_template(p: Problem, uvecs) -> _PrimalTemplate:
+    """The problem's compiled primal for the leaf vectors ``uvecs`` of u.
+
+    The terms depend on u only through their offsets, except that a
+    dynamic problem has one term per group of leaves whose stage-t slices
+    of u agree (``_stage_nodes``).  That partition is the cache key, one
+    key for a static problem; the problem keeps one template and builds
+    another when the key changes."""
+    nodes = _stage_nodes(p, uvecs) if isinstance(p.integrand, BolzaIntegrand) else None
+    key = None if nodes is None else tuple(
+        np.concatenate([leaves for _, leaves, _ in stage]).tobytes()
+        + np.array([len(leaves) for _, leaves, _ in stage]).tobytes() for stage in nodes)
+    cache = p._primal_templates
+    if key not in cache:
+        cache.clear()
+        cache[key] = _PrimalTemplate(p, nodes)
+    return cache[key]
+
+
 def primal_objective(p: Problem, u: StochasticProcess):
-    """Compiled objective of the primal solve (exposed for oracles/tests).
+    """Compiled objective of the primal solve (exposed for oracles/tests),
+    from the problem's template (``_primal_template``).
 
     Each leaf's term is its joint function with u frozen, as g(M x + m + N
     u): a joint g(Mx + Nu + m) keeps its g, and any other joint is g
     itself, at (x, u)."""
-    layout = p.layout
     uvecs = _leaf_vectors(p, u, "parameter")
-    if isinstance(p.integrand, BolzaIntegrand):
-        return layout, CompiledObjective(layout.width, _bolza_primal_terms(p, uvecs))
-    f = p.integrand
+    return p.layout, _primal_template(p, uvecs).objective(uvecs)
+
+
+def _static_primal_terms(p: Problem):
+    """(terms, reads, shares): one term g(M x + m) per leaf at u = 0, with
+    its N; each reads u at its leaf, and its share of y goes to that leaf."""
+    f, layout = p.integrand, p.layout
     n, m = f.n_total, f.m_total
     lift = np.vstack([np.eye(n), np.zeros((m, n))])  # x -> (x, 0)
     free = np.vstack([np.zeros((n, m)), np.eye(m)])  # u -> (0, u)
     terms = []
-    for leaf, (weight, cols, u_l) in enumerate(zip(p.tree.probabilities.tolist(),
-                                                   layout.columns, uvecs)):
+    for leaf, (weight, cols) in enumerate(zip(p.tree.probabilities.tolist(), layout.columns)):
         joint = f.joint_function(leaf)
         if isinstance(joint, AffinePrecomposition):
             N = joint.matrix[:, n:]
-            fn = AffinePrecomposition(joint.inner, joint.matrix[:, :n], joint.offset + N @ u_l)
+            fn = AffinePrecomposition(joint.inner, joint.matrix[:, :n], joint.offset)
         else:
-            fn, N = AffinePrecomposition(joint, lift, free @ u_l), free
+            fn, N = AffinePrecomposition(joint, lift), free
         terms.append(_Term(weight, fn, cols, leaf, N))
-    return layout, CompiledObjective(layout.width, terms)
+    reads = np.arange(len(terms))
+    return terms, reads, reads[:, None]
 
 
-def _bolza_primal_terms(p: Problem, uvecs):
-    """One term K_t(x_t, x_t - x_{t-1} + u_t) per stage-t node, over the
-    node's x_{t-1} and x_t columns."""
+def _bolza_primal_terms(p: Problem, nodes):
+    """One term K_t(x_t, x_t - x_{t-1} + u_t) per stage-t node of ``nodes``
+    (``_stage_nodes``), over the node's x_{t-1} and x_t columns, at u = 0,
+    as (terms, reads, shares): each reads u at its node's first leaf, and
+    its share of y goes to each of the node's leaves."""
     f, columns = p.integrand, p.layout.columns
     eye, zero = np.eye(f.d), np.zeros((f.d, f.d))
     first = np.vstack([eye, eye])                   # x_0 -> (x_0, x_0)
     later = np.block([[zero, eye], [-eye, eye]])    # (x_{t-1}, x_t) -> (x_t, dx_t)
-    terms = []
-    for t, nodes in enumerate(_stage_nodes(p, uvecs)):
+    terms, reads, shares = [], [], []
+    for t, stage in enumerate(nodes):
         xs = f.x_slices[t] if t == 0 else slice(f.x_slices[t - 1].start, f.x_slices[t].stop)
         N = np.zeros((2 * f.d, f.m_total))  # u_t -> (0, u_t)
         N[f.d:, f.u_slices[t]] = eye
-        for b, leaves, weight in nodes:
-            off = np.concatenate([np.zeros(f.d), uvecs[leaves[0], f.u_slices[t]]])
-            fn = AffinePrecomposition(f.stages[t][b].fn, later if t else first, off)
+        for b, leaves, weight in stage:
+            fn = AffinePrecomposition(f.stages[t][b].fn, later if t else first)
             terms.append(_Term(weight, fn, columns[leaves[0], xs],
                                (t, tuple(leaves.tolist())), N))
-    return terms
+            reads.append(leaves[0])
+            shares.append(leaves)
+    return terms, np.array(reads, dtype=int), shares
 
 
 def solve_primal(p: Problem, u: StochasticProcess,
@@ -1008,25 +1254,30 @@ def _recover_dual_candidate(p, primal):
     """y_l = sum_k N_k' s_k over the primal terms g(M_k x + m_k + N_k u_l)
     of leaf l, s_k the subgradient of g at the term's argument that the
     primal QP's solution selects; a node term's share goes to each of its
-    leaves.  y is not projected: on a dynamic problem it is adapted when u
-    is.  An objective off the QP path takes g's subgradient rule at the
-    argument instead (the closed form on a stage, none for a constrained
-    model).  None when no rule applies."""
+    leaves.  The shares are read one lowering group at a time: one stacked
+    N_k' s_k product and one scatter per group.  y is not projected: on a
+    dynamic problem it is adapted when u is.  An objective off the QP path
+    takes g's subgradient rule at the argument instead (the closed form on
+    a stage, none for a constrained model).  None when no rule applies."""
     obj, res, f = primal.compiled, primal.solution, p.integrand
     if obj is None or res is None or res.x is None:
         return None
     try:
         if res.multipliers is not None:
-            subgradients = obj.subgradients(res)
+            subgradients = obj._group_subgradients(res)
         elif isinstance(f, ConstrainedIntegrand):
             return None
         else:
-            subgradients = [_subgradient_rule(p, t, res.x[t.cols]) for t in obj.terms]
+            subgradients = []
+            for idx in obj._grouping:
+                s = [_subgradient_rule(p, obj.terms[i], res.x[obj.terms[i].cols]) for i in idx]
+                if any(s_k is None for s_k in s):
+                    return None
+                subgradients.append(np.array(s))
         rows = np.zeros((p.tree.n_leaves, sum(p.m_dims)))
-        for t, s in zip(obj.terms, subgradients):
-            if s is None:
-                return None
-            rows[list(t.node[1]) if isinstance(t.node, tuple) else t.node] += t.param.T @ s
+        for g, s in zip(obj.template.params, subgradients):
+            shares = (g.N.swapaxes(-1, -2) @ s[..., None])[..., 0]
+            np.add.at(rows, g.leaves, shares[g.owner])
     except (NoClosedFormError, ValueError):
         return None
     return StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)

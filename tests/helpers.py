@@ -461,6 +461,26 @@ def parse_doc(doc):
     return problem, params["u"]
 
 
+def solve_bits(p, u):
+    """What one ``duality_gap`` and its certificate give for (p, u), as
+    exact strings: statuses, x and y, the values, the gap, and the residuals
+    of ``check_alm`` on a hedging model or else of the saddle checker at
+    the annihilator bound's v."""
+    from stochdual.optimality import check_alm, check_saddle
+    from stochdual.solver import dual_via_orthocomplement, duality_gap
+
+    gap = duality_gap(p, u)
+    x, y = gap.primal.optimizer, gap.dual.optimizer
+    if p.tag == "alm":
+        cert = check_alm(p, x, u, y)
+    else:
+        cert = check_saddle(p, x, u, y,
+                            dual_via_orthocomplement(p, y, objective=gap.dual.objective).v)
+    return [gap.primal.status, gap.dual.status, x.to_vector().tobytes(), y.to_vector().tobytes(),
+            repr(gap.primal.value), repr(gap.dual.value), repr(gap.gap), cert.verdict,
+            [repr(row["residual"]) for row in cert.rows]]
+
+
 def kinked_doc(family, horizon, seed, cost):
     """A kinked problem document on the binary tree of ``horizon``:
     ``"hedging"`` with disutility ``cost`` and liability U(2.5, 3.5) per

@@ -39,6 +39,74 @@ class TestUnconstrained:
         assert res.status == "infeasible"
 
 
+class TestSpectralSolve:
+    """Without rows, x = -P^+ q through P's eigenpairs at lstsq's cutoff."""
+
+    def test_zero_matrix(self):
+        res = solve_qp(np.zeros((3, 3)), np.zeros(3), 2.0)
+        assert res.status == "optimal" and res.value == 2.0
+        assert res.x.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(res.x).any()
+        res = solve_qp(np.zeros((3, 3)), [0.0, 1.0, 0.0])
+        assert res.status == "unbounded" and res.x is None
+        assert res.ray @ np.array([0.0, 1.0, 0.0]) < 0
+
+    def test_zero_matrix_is_not_decomposed(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigh on P = 0"))
+        factor = qp.SpectralFactor(np.zeros((4, 4)))
+        assert factor.w.size == 0 and factor.minimizer(np.zeros(4)).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_singular_consistent_is_the_minimum_norm_point(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        B = rng.normal(size=(n, min(k, n - 1)))
+        P = B @ B.T
+        q = P @ rng.normal(size=n)  # in the range of P
+        res = solve_qp(P, q)
+        want = np.linalg.lstsq(P, -q, rcond=None)[0]
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_outside_the_range_is_a_ray(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 9))
+        B = rng.normal(size=(n, n - 1))
+        P = B @ B.T
+        null = np.linalg.svd(B.T)[2][-1]  # P null = 0
+        q = P @ rng.normal(size=n) + null
+        res = solve_qp(P, q)
+        assert res.status == "unbounded" and res.x is None
+        assert q @ res.ray < 0
+        np.testing.assert_allclose(P @ res.ray, 0.0, atol=1e-8 * np.abs(res.ray).max())
+
+    def test_small_curvature_is_kept(self):
+        res = solve_qp(np.diag([1.0, 1e-11]), [1.0, -1.0])
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, [-1.0, 1e11], rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_factor_matches_a_fresh_one(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        B = rng.normal(size=(6, 4))
+        P = B @ B.T
+        factor = qp.SpectralFactor(P)
+        for q in rng.normal(size=(5, 6)):
+            q = P @ q if seed % 2 else q  # optimal, or unbounded on rank 4
+            fresh, cached = solve_qp(P, q, 0.5), solve_qp(P, q, 0.5, spectral=factor)
+            assert fresh.status == cached.status
+            assert fresh.value == cached.value or np.isnan(fresh.value) and np.isnan(cached.value)
+            for a, b in ((fresh.x, cached.x), (fresh.ray, cached.ray)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_factor_is_read_only(self):
+        factor = qp.SpectralFactor(np.diag([2.0, 1.0]))
+        for a in (factor.V, factor.w):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
 class TestKnownConstrained:
     def test_kkt_single_constraint(self):
         # min x^2 s.t. 1 - x <= 0: x* = 1, multiplier 2

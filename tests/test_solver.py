@@ -30,6 +30,7 @@ from stochdual.integrand import (
     KabanovStage,
     ParametricIntegrand,
 )
+from stochdual.optimality import check_alm
 from stochdual.solver import (
     Problem,
     SolverConfig,
@@ -50,12 +51,16 @@ from stochdual.tree import (
 )
 
 from helpers import (
+    HALF_SQUARE,
     basis_bound,
     grid_minimize,
+    hedging_doc,
     hedging_file,
     irregular_tree,
     objective_values,
+    parse_doc,
     per_leaf_conjugate_sum,
+    solve_bits,
     two_leaf_tree,
 )
 
@@ -684,3 +689,65 @@ class TestSubgradientPath:
         obj = solver.CompiledObjective(1, [solver._Term(1.0, ind, np.array([0]), 0)])
         res = solver._subgradient_minimize(obj, SolverConfig())
         assert (res.status, res.x) == ("infeasible", None)
+
+
+# ---------------------------------------------------------------------------
+# the compiled primal, once per problem
+# ---------------------------------------------------------------------------
+
+
+def liability_process(tree, m_dims, values):
+    """The hedging parameter: 0 before the last stage, ``values`` at it."""
+    return StochasticProcess(tree, tuple(np.zeros((tree.n_leaves, d)) for d in m_dims[:-1])
+                             + (np.reshape(values, (-1, 1)),))
+
+
+class TestPrimalTemplate:
+    @pytest.mark.parametrize("disutility", [HALF_SQUARE, {"kind": "abs"}])
+    def test_repeated_solves_match_fresh_problems(self, disutility):
+        # u_a, u_b, u_a on one problem, each against its own fresh parse:
+        # a warm template and a cold one agree bit for bit
+        rng = np.random.default_rng(5)
+        docs = [hedging_doc(4, rng.uniform(2.5, 3.5, 16), disutility) for _ in range(2)]
+        p, _ = parse_doc(docs[0])
+        templates = []
+        for doc in (docs[0], docs[1], docs[0]):
+            fresh, u = parse_doc(doc)
+            assert solve_bits(p, StochasticProcess(p.tree, u.values)) == solve_bits(fresh, u)
+            templates.append(p._primal_templates[None])
+        assert templates[0] is templates[1] is templates[2]
+
+    def test_a_sweep_compiles_and_factors_once(self, monkeypatch):
+        p, _ = parse_doc(hedging_doc(5, [3.0] * 32))
+        joints, factors, eighs = [], [], []
+        real_joint, real_factor, real_eigh = (
+            type(p.integrand).joint_function, solver.SpectralFactor, np.linalg.eigh)
+        monkeypatch.setattr(type(p.integrand), "joint_function",
+                            lambda self, leaf: joints.append(leaf) or real_joint(self, leaf))
+        monkeypatch.setattr(solver, "SpectralFactor", lambda P: factors.append(P) or real_factor(P))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or real_eigh(a))
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            u = liability_process(p.tree, p.m_dims, rng.uniform(2.5, 3.5, 32))
+            gap = duality_gap(p, u)
+            cert = check_alm(p, gap.primal.optimizer, u, gap.dual.optimizer)
+            assert gap.dual.status == "optimal" and cert.verdict == "pass"
+        assert sorted(joints) == list(range(32))
+        # the primal's P once; the Lagrangian's P is 0, so never decomposed
+        assert len(factors) == 1 and eighs == [(31, 31)]
+
+    @pytest.mark.parametrize("disutility", [HALF_SQUARE, {"kind": "abs"}])
+    def test_template_arrays_are_read_only(self, disutility):
+        p, u = parse_doc(hedging_doc(3, np.linspace(2.5, 3.5, 8), disutility))
+        _, obj = solver.primal_objective(p, u)
+        P, _, _, G, _, A, *_ = obj.qp_data()
+        (template,) = p._primal_templates.values()
+        low = template.lowering
+        assert P is low.P and G is low.G and A is low.A
+        arrays = [low.P, low.G, low.A]
+        if not (G.size or A.size):
+            solve_primal(p, u)
+            arrays += [template.spectral.V, template.spectral.w]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 1.0

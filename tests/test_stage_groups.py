@@ -51,8 +51,10 @@ from helpers import (
     grouped_process,
     irregular_tree,
     kabanov_doc,
+    parse_doc,
     random_process,
     same_bits,
+    solve_bits,
     write_doc,
 )
 
@@ -154,6 +156,24 @@ def test_hamiltonians_lower_in_one_group_per_stage(state_cost, tmp_path, monkeyp
     assert len(per_term._lowering[0]) == 64
     want = per_term.qp_data()
     assert all(same_bits(a, b) for a, b in zip(grouped, want))
+
+
+@pytest.mark.parametrize("state_cost", [HALF_SQUARE, {"kind": "abs"}])
+def test_the_primal_template_follows_the_partition_of_u(state_cost):
+    # u_a, u_b, u_a (adapted) share one template; a u that is not adapted
+    # splits the nodes and rebuilds it; every solve matches a fresh parse
+    # bit for bit
+    docs = [bolza_doc(3, state_cost, np.random.default_rng(seed)) for seed in (1, 2)]
+    docs += [docs[0], bolza_doc(3, state_cost, np.random.default_rng(1), noise=0.3)]
+    p, _ = parse_doc(docs[0])
+    templates = []
+    for doc in docs:
+        fresh, u = parse_doc(doc)
+        assert solve_bits(p, StochasticProcess(p.tree, u.values)) == solve_bits(fresh, u)
+        (template,) = p._primal_templates.values()
+        templates.append(template)
+    assert templates[0] is templates[1] is templates[2] is not templates[3]
+    assert len(templates[0].terms) == 15 and len(templates[3].terms) > 15
 
 
 def test_a_report_builds_one_stage_conjugate_per_node(bolza63, monkeypatch):
