@@ -774,7 +774,7 @@ class Polyhedron:
     def feasible_point(self):
         """A point of the set, or None when it is empty.  Like ``is_empty``
         and ``support``, it raises ``simplex.PivotLimitError`` when its LP
-        does not terminate."""
+        stops at the active-set engine's iteration cap."""
         res = solve_lp(np.zeros(self.dim), self.a_ub, self.b_ub, self.a_eq, self.b_eq)
         return res.x if res.status == "optimal" else None
 

@@ -17,12 +17,19 @@ rows mean infeasible.  A column *lifts* when it has no entry in A and its G
 entries are all <= 0, at least one < 0: the epigraph variables of a
 lowered piecewise-linear term are such columns.  Raising a lift column
 never breaks a row, so every row holding one is met by raising each lift
-column just enough for the rows it appears in.  Only the rows that hold
-no lift column can need an LP: when x0 violates one of them, a simplex
-feasibility solve meets them over x0 + null(A), on their G Z and h - G x0,
-before the lift.  When A has full column rank x0 is the only candidate and
-phase 1 is the test G x0 <= h, with no LP.  A simplex that fails to
-terminate ends the solve with status ``maxiter`` and no point.
+column just enough for the rows it appears in.  Only the rows G_f that
+hold no lift column can need more: when x0 violates one of them, the
+elastic LP
+
+    minimise t  subject to  G_f Z w - t <= h_f - G_f x0,  -t <= 0
+
+over the null-space basis Z of A is solved by ``solve_qp`` itself, before
+the lift.  Its column t lifts every one of its rows, so the nested solve
+needs no phase 1 of its own.  The rows are infeasible when t* > 1e-8
+max(1, max|h|); otherwise x0 + Z w* meets them.  When A has full column
+rank x0 is the only candidate and phase 1 is the test G x0 <= h, with no
+LP.  A nested solve that does not end ``optimal`` ends the solve with
+status ``maxiter`` and no point.
 
 The equality rows and the working inequality rows C are kept as an updated
 factorisation C' = Q [R; 0] (Gill, Golub, Murray and Saunders, Math. Comp.
@@ -58,8 +65,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .simplex import PivotLimitError, solve_lp
 
 __all__ = ["QPResult", "SpectralFactor", "solve_qp", "project_onto_polyhedron"]
 
@@ -216,8 +221,8 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             return QPResult("unbounded", None, -np.inf, ray=-r)
         return QPResult("optimal", x, objective(x))
 
-    # phase 1: the equality rows by least squares; the rows no column lifts
-    # by an LP over x + null(A), only when x violates one; then the lift
+    # phase 1: A by least squares; the rows no column lifts by the elastic
+    # LP over x + null(A), only when x violates one; then the lift
     factor = _Factor(n)
     eq_rows = np.flatnonzero(factor.extend(A))
     k_eq = factor.k
@@ -231,17 +236,22 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
         lift = ~A.any(axis=0) & (G <= 0.0).all(axis=0) & (G < 0.0).any(axis=0)
         held = G[:, lift].any(axis=1)  # the rows a lift column meets
         free = ~held
-        if np.max(G[free] @ x - h[free], initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(h))):
+        feas_tol = 1e-8 * max(1.0, np.max(np.abs(h)))
+        if np.max(G[free] @ x - h[free], initial=0.0) > feas_tol:
             if k_eq == n:  # x is the only point of the equality rows
                 return QPResult("infeasible", None, np.inf)
+            # the elastic LP in (w, t); its column t lifts every row
             Z = factor.Qt[k_eq:].T
-            try:
-                feas = solve_lp(np.zeros(n - k_eq), G[free] @ Z, h[free] - G[free] @ x)
-            except PivotLimitError:
+            nw = n - k_eq
+            Gf = G[free] @ Z
+            elastic = np.block([[Gf, -np.ones((len(Gf), 1))], [np.zeros((1, nw)), -1.0]])
+            feas = solve_qp(np.zeros((nw + 1, nw + 1)), np.append(np.zeros(nw), 1.0), 0.0,
+                            elastic, np.append(h[free] - G[free] @ x, 0.0))
+            if feas.status != "optimal":
                 return QPResult("maxiter", None, np.nan)
-            if feas.status == "infeasible":
+            if feas.x[nw] > feas_tol:
                 return QPResult("infeasible", None, np.inf)
-            x = x + Z @ feas.x
+            x = x + Z @ feas.x[:nw]
         if held.any():
             short = np.maximum(G[held] @ x - h[held], 0.0)
             Gl = G[held][:, lift]

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from stochdual import cli, qp, simplex, solver
+from stochdual import cli, qp, solver
 from stochdual.cli import (
     ProblemFileError,
     fixture_path,
@@ -494,11 +494,11 @@ class TestHonestExitCodes:
         assert statuses == ["max-iter"]
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
-    def test_bound_simplex_failure_is_a_status(self, monkeypatch):
-        # as above, with the fallback's simplex made to give up: its rows
+    def test_bound_phase_one_failure_is_a_status(self, monkeypatch):
+        # as above, with the fallback's phase 1 made to give up: its rows
         # include the domain rows of the pwl cost's stage conjugates, which
         # hold no epigraph column and which v = 0 violates, so its phase 1
-        # runs the simplex
+        # runs the elastic LP
         path = fixture_path("bolza-pwl.json")
         bound = solver.dual_via_orthocomplement
         statuses = []
@@ -506,7 +506,7 @@ class TestHonestExitCodes:
         def starved(problem, y, cfg, objective):
             objective = dataclasses.replace(objective, value=objective.value + 1.0)
             with monkeypatch.context() as m:
-                m.setattr(simplex, "MAX_PIVOTS", 0)
+                m.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
                 res = bound(problem, y, cfg, objective)
             statuses.append(res.status)
             return res
@@ -523,12 +523,12 @@ class TestHonestExitCodes:
         assert statuses == ["max-iter"]
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
-    def test_simplex_failure_in_every_lp_is_a_status(self, monkeypatch):
-        # the simplex gives up on every LP of the run.  On bolza-pwl.json
-        # the primal, the dual and the bound need none, but whether a
-        # stage's slices are all empty is an LP over dom K*: the lower
-        # variant is null
-        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+    def test_engine_failure_in_every_lp_is_a_status(self, monkeypatch):
+        # every LP of the run, and every phase 1, gives up.  On
+        # bolza-pwl.json the primal, the dual and the bound need none, but
+        # whether a stage's slices are all empty is an LP over dom K*: the
+        # lower variant is null
+        monkeypatch.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
         path = fixture_path("bolza-pwl.json")
         code, report = run(["report", path])
         rep = report["dual_representation"]
@@ -538,14 +538,14 @@ class TestHonestExitCodes:
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
         code, report = run(["check", path])
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
-        # a Kabanov primal's phase 1 runs the simplex: no primal, no dual
+        # a Kabanov primal's phase 1 runs the elastic LP: no primal, no dual
         code, report = run(["report", fixture_path("kabanov-conical.json")])
         assert (report["primal"]["status"], report["dual"]["status"]) == ("max-iter", "not-run")
         assert (code, report["certificate"]) == (
             cli.EXIT_NO_CONVERGENCE, {"verdict": "unavailable", "reason": "max-iter"})
 
-    def test_bound_conjugate_simplex_failure_is_a_status(self, monkeypatch):
-        # the simplex gives up inside the annihilator bound only: on
+    def test_bound_conjugate_lp_failure_is_a_status(self, monkeypatch):
+        # every LP gives up inside the annihilator bound only: on
         # kabanov-conical.json each stage conjugate's support function is
         # an LP, so the bound ends max-iter before it has a value
         statuses = []
@@ -570,7 +570,7 @@ class TestHonestExitCodes:
         assert statuses == ["max-iter"]
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
-    def test_dual_and_checker_simplex_failures_are_statuses(self, monkeypatch):
+    def test_dual_and_checker_lp_failures_are_statuses(self, monkeypatch):
         # on kabanov-conical.json the Hamiltonians' support functions are
         # LPs: starved there, the dual's pricing ends max-iter
         path = fixture_path("kabanov-conical.json")
@@ -627,10 +627,11 @@ class TestHonestExitCodes:
 
 
 def starved(monkeypatch, fn):
-    """``fn`` with the simplex made to give up on every LP it runs."""
+    """``fn`` with every LP and every phase 1 it runs made to give up: the
+    engine they look up, ``qp.solve_qp``, stops at once."""
     def call(*args):
         with monkeypatch.context() as m:
-            m.setattr(simplex, "MAX_PIVOTS", 0)
+            m.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
             return fn(*args)
     return call
 

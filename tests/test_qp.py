@@ -1,9 +1,12 @@
 """Active-set QP against grid search and hand-computed optima."""
 
+import functools
+import sys
+
 import numpy as np
 import pytest
 
-from stochdual import qp, simplex
+from stochdual import qp
 from stochdual.cli import run
 from stochdual.qp import project_onto_polyhedron, solve_qp
 from stochdual.solver import dual_objective, solve_dual, solve_primal
@@ -368,8 +371,8 @@ class TestUnboundedRays:
 
 class TestEqualityRowsFirst:
     """Phase 1 starts from lstsq(A, b) and meets the inequality rows over
-    null(A), by an LP only when x0 violates one; when A has full column
-    rank it only tests G x0 <= h."""
+    null(A), by the elastic LP only when x0 violates one; when A has full
+    column rank it only tests G x0 <= h."""
 
     # three rows on two unknowns pin x = (1, 2)
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -396,9 +399,10 @@ class TestEqualityRowsFirst:
         assert res.status == "infeasible"
 
     def test_no_lp_when_the_equalities_pin_the_point(self, monkeypatch):
+        # the elastic phase 1 is a nested solve_qp, looked up on the module
         calls = []
-        lp = qp.solve_lp
-        monkeypatch.setattr(qp, "solve_lp", lambda *a: calls.append(a) or lp(*a))
+        engine = qp.solve_qp
+        monkeypatch.setattr(qp, "solve_qp", lambda *a: calls.append(a) or engine(*a))
         assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=np.full(4, 3.0),
                         A=self.A, b=self.b).status == "optimal"
         assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=[3.0, 1.5, 3.0, 3.0],
@@ -407,10 +411,10 @@ class TestEqualityRowsFirst:
         assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=np.full(4, 3.0),
                         A=self.A[:1], b=self.b[:1]).status == "optimal"
         assert calls == []
-        # x2 >= 1 is violated at x0: the LP runs, over one coordinate
+        # x2 >= 1 is violated at x0: the LP runs, over one coordinate and t
         assert solve_qp(np.eye(2), np.zeros(2), G=self.G, h=[3.0, 3.0, 3.0, -1.0],
                         A=self.A[:1], b=self.b[:1]).status == "optimal"
-        assert [a[1].shape for a in calls] == [(4, 1)]
+        assert [a[3].shape for a in calls] == [(5, 2)]
 
     def test_rank_deficient_rows_match_highs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -438,11 +442,50 @@ class TestEqualityRowsFirst:
         assert set(seen) == {"optimal", "infeasible", "unbounded"}
 
 
+class TestElasticPhaseOne:
+    """Rows that no column lifts, violated at x0 = lstsq(A, b), are met by
+    the elastic LP min t over G_f (x0 + Z w) - t <= h_f, t >= 0."""
+
+    def test_rows_infeasible_over_the_null_space_are_infeasible(self):
+        # x3 = 1 leaves x1 + x3 <= 0 and x1 >= 0 with no common point,
+        # though the rows alone are met at 0; no column lifts
+        G = [[1.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        res = solve_qp(np.zeros((3, 3)), np.zeros(3), G=G, h=[0.0, 0.0, 1.0],
+                       A=[[0.0, 0.0, 1.0]], b=[1.0])
+        assert (res.status, res.x) == ("infeasible", None)
+        res = solve_qp(np.eye(3), np.zeros(3), G=G, h=[0.0, 0.0, 1.0])
+        assert res.status == "optimal"
+
+    def test_rows_met_away_from_x0_are_met(self, monkeypatch):
+        # P = 0 and q = 0: the point phase 1 returns is the optimum
+        calls = []
+        engine = qp.solve_qp
+        monkeypatch.setattr(qp, "solve_qp", lambda *a: calls.append(a) or engine(*a))
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            n = int(rng.integers(3, 7))
+            A = rng.normal(size=(int(rng.integers(0, n - 1)), n))
+            x_feas = rng.normal(size=n)
+            G = rng.normal(size=(2 * n, n))
+            h = G @ x_feas + rng.uniform(0.0, 0.5, 2 * n)
+            x0 = np.linalg.lstsq(A, A @ x_feas, rcond=None)[0] if A.size else np.zeros(n)
+            if np.all(G @ x0 <= h):
+                continue
+            ran = len(calls)
+            res = solve_qp(np.zeros((n, n)), np.zeros(n), G=G, h=h, A=A, b=A @ x_feas)
+            assert len(calls) == ran + 1, f"trial {trial}"
+            assert res.status == "optimal", f"trial {trial}"
+            assert np.max(G @ res.x - h) <= 1e-8, f"trial {trial}"
+            np.testing.assert_allclose(A @ res.x, A @ x_feas, rtol=0, atol=1e-8)
+        assert len(calls) >= 10
+
+
 class TestEngineFailure:
-    def test_simplex_non_termination_is_a_status(self, monkeypatch):
+    def test_phase_one_non_termination_is_a_status(self, monkeypatch):
         # no column lifts (each has a positive entry), and x0 = 0 violates
-        # x1 + x2 >= 1, so phase 1 runs the simplex
-        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        # x1 + x2 >= 1, so phase 1 runs the elastic LP; stopped at its
+        # iteration cap, it ends the solve with no point
+        monkeypatch.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
         res = solve_qp(np.eye(2), [1.0, 1.0], G=[[1.0, 1.0], [-1.0, -1.0]], h=[3.0, -1.0])
         assert res.status == "maxiter"
         assert res.x is None
@@ -539,10 +582,16 @@ class TestNoLpOnKinkedPrograms:
 
     @pytest.fixture(autouse=True)
     def no_lp(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("phase 1 ran the simplex")
+        # the LPs of convex and duality run through qp.solve_qp too; only a
+        # call made by solve_qp itself is a phase 1
+        engine = qp.solve_qp
 
-        monkeypatch.setattr(qp, "solve_lp", refuse)
+        def refuse(*args, **kwargs):
+            if sys._getframe(1).f_code is engine.__code__:
+                raise AssertionError("phase 1 ran an LP")
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "solve_qp", refuse)
 
     def test_abs_hedging_primal(self):
         p, u = parse_doc(kinked_doc("hedging", 4, 0, {"kind": "abs"}))

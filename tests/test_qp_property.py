@@ -1,7 +1,7 @@
 """Property: the active-set engine against HiGHS, on random kinked hedging
 and Bolza trees and on random epigraph programs whose domain rows no column
-lifts, so that both branches of phase 1 (the lift alone, and the simplex
-on the rows no column lifts) run.  Statuses and values agree with
+lifts, so that both branches of phase 1 (the lift alone, and the elastic
+LP on the rows no column lifts) run.  Statuses and values agree with
 ``linprog(method="highs")`` on every LP; the multipliers of every optimum
 satisfy the KKT conditions; every unbounded verdict comes with a certified
 ray."""

@@ -60,6 +60,40 @@ class TestKnownInstances:
         assert res.value == pytest.approx(-5.0, abs=1e-9)
 
 
+class TestCyclingAndRowless:
+    """The cases Bland's rule guarded in the tableau simplex."""
+
+    def test_beale_cycling_lp(self):
+        # Beale (1955), the textbook LP on which Dantzig's rule cycles
+        a_ub = np.vstack([[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                           [0.0, 0.0, 1.0, 0.0]], -np.eye(4)])
+        b_ub = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        res = solve_lp([-0.75, 20.0, -0.5, 6.0], a_ub=a_ub, b_ub=b_ub)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(-1.25, abs=1e-9)
+        assert np.all(a_ub @ res.x <= np.asarray(b_ub) + 1e-9)
+
+    def test_kuhn_cycling_lp(self):
+        # Kuhn's cycling example, degenerate at the origin
+        a_ub = np.vstack([[[-2.0, -9.0, 1.0, 9.0], [1 / 3, 1.0, -1 / 3, -2.0],
+                           [2.0, 3.0, -1.0, -12.0]], -np.eye(4)])
+        b_ub = [0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+        res = solve_lp([-2.0, -3.0, 1.0, 12.0], a_ub=a_ub, b_ub=b_ub)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(-2.0, abs=1e-9)
+        assert np.all(a_ub @ res.x <= np.asarray(b_ub) + 1e-9)
+
+    def test_rowless_lp(self):
+        res = solve_lp(np.zeros(3))
+        assert res.status == "optimal"
+        np.testing.assert_array_equal(res.x, np.zeros(3))
+        assert res.value == 0.0
+        c = np.array([1.0, -2.0, 0.0])
+        res = solve_lp(c)
+        assert res.status == "unbounded"
+        np.testing.assert_allclose(res.ray / np.linalg.norm(res.ray), -c / np.linalg.norm(c))
+
+
 class TestAgainstEnumeration:
     def test_random_bounded_polytopes(self):
         rng = np.random.default_rng(21)
