@@ -221,9 +221,23 @@ def parse_process(tree: ScenarioTree, dims, spec, path: str) -> StochasticProces
 # ---------------------------------------------------------------------------
 
 
-# the SolverConfig fields a problem file's "solver" section may set, with
-# their types
-_SOLVER_SETTINGS = {"max_iter": int, "tol": float}
+def _max_iter(value) -> int:
+    """An iteration cap: an int >= 1 (a bool is not one)."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+        return value
+    raise ValueError(f"max_iter must be an integer >= 1, not {value!r}")
+
+
+def _tol(value) -> float:
+    """A tolerance: a finite number > 0 (a bool or a string is not one)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < INF:
+        return float(value)
+    raise ValueError(f"tol must be a finite number > 0, not {value!r}")
+
+
+# the SolverConfig fields that a problem file's "solver" section and the
+# flags may set, with the check that converts each value
+_SOLVER_SETTINGS = {"max_iter": _max_iter, "tol": _tol}
 
 
 def parse_problem_file(path: str):
@@ -270,7 +284,7 @@ def parse_problem_file(path: str):
             raise ProblemFileError("unknown solver setting", f"solver.{key}")
         try:
             solver_sec[key] = _SOLVER_SETTINGS[key](value)
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ProblemFileError(str(exc), f"solver.{key}")
     digest = hashlib.sha256(raw).hexdigest()
     return problem, family, {"u": u, "candidate": candidate}, solver_sec, digest
@@ -351,11 +365,17 @@ def _build_model(tree, family, model) -> Problem:
 
 
 def _config(solver_sec, args) -> SolverConfig:
-    """Solver settings: the file's "solver" section, then the flags."""
+    """Solver settings: the file's "solver" section, then the flags.
+    Raises ProblemFileError, with the flag as its field, on a flag's value
+    out of range."""
     cfg = SolverConfig(**solver_sec)
-    for name in _SOLVER_SETTINGS:
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, getattr(args, name))
+    for name, check in _SOLVER_SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            try:
+                setattr(cfg, name, check(value))
+            except ValueError as exc:
+                raise ProblemFileError(str(exc), "--" + name.replace("_", "-"))
     return cfg
 
 
@@ -551,8 +571,10 @@ def run(argv) -> tuple[int, dict]:
         return EXIT_USAGE, {"error": f"checker '{args.checker}' does not apply to "
                                      f"family '{family}'", "field": "--checker"}
     checker = args.checker or _checker_for(family, params)
-
-    cfg = _config(solver_sec, args)
+    try:
+        cfg = _config(solver_sec, args)
+    except ProblemFileError as exc:
+        return EXIT_USAGE, {"error": str(exc), "field": exc.field_path}
     report = {
         "command": args.command,
         "input_digest": digest,

@@ -541,15 +541,12 @@ class AlmIntegrand(GenericIntegrand):
         # first leaf: the groups a vectorised pass evaluates V or V* over
         self.disutility_groups = [(V, np.array(leaves)) for V, leaves in shared.values()]
         self.price = price
-        increments = []
-        for leaf in range(tree.n_leaves):
-            rows = [price.stage(t + 1)[leaf] - price.stage(t)[leaf] for t in range(T)]
-            increments.append(np.concatenate(rows) if rows else np.zeros(0))
-        self.gain_rows = np.array(increments)  # row l: leaf l's ds, stacked over stages
-        fns = []
-        for leaf in range(tree.n_leaves):
-            row = np.concatenate([-increments[leaf], [1.0]])
-            fns.append(AffinePrecomposition(Vs[leaf], row.reshape(1, -1)))
+        # row l: leaf l's ds, stacked over stages
+        self.gain_rows = (np.hstack([price.stage(t + 1) - price.stage(t) for t in range(T)])
+                          if T else np.zeros((tree.n_leaves, 0)))
+        # row l: leaf l's joint row (-ds, 1) on (x, u)
+        joints = np.hstack([-self.gain_rows, np.ones((tree.n_leaves, 1))])
+        fns = [AffinePrecomposition(V, joints[leaf:leaf + 1]) for leaf, V in enumerate(Vs)]
         super().__init__(tree, n_dims, m_dims, fns)
         self.tag = "alm"
 

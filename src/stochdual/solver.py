@@ -37,18 +37,21 @@ annihilator bound, and the bound's E f*(v, y) evaluates each node's slice
 once over the node's leaves.  On static problems the bound prices each
 group of leaves that share one g in one stacked pass.
 
-The primal is compiled once per structure.  Its terms g(M_k z + m_k + N_k
-u_l) depend on u only through their offsets, so a ``Problem`` keeps one
-template (``_PrimalTemplate``): the terms at u = 0, their lowering groups,
-each group's stacked N and base offsets, and, from the first solve on, the
-lowered P, G and A, read-only.  A solve at u then costs m = base + N u in
-one stacked pass per group and the parts of the groups' forms that move
-with m (q, c, h and b).  The cache key is what the terms depend on, never
-u's values: one key on a static problem, and the ``_stage_nodes``
-partition of u on a dynamic one.  The problem holds one template and
-builds another when the key changes.  A primal without rows keeps the
-spectral factor of its P with the template, so a sweep over u factors P
-once.
+Every compiled objective, the primal, the Lagrangian and the annihilator
+QP alike, is one template (``_Template``) read at one list of per-group
+offsets: the template holds the terms at their own offsets, their lowering
+groups, each group's form and stacked base offsets, from the first
+lowering on P, G and A, read-only, and the spectral factor of P.  The
+primal is compiled once per structure.  Its terms g(M_k z + m_k + N_k u_l)
+depend on u only through their offsets, so a ``Problem`` keeps one
+template (``_PrimalTemplate``, the terms at u = 0 plus each group's stacked
+N), and a solve at u reads it at m = base + N u: one stacked pass per
+group and the parts of the groups' forms that move with m (q, c, h and
+b).  The cache key is what the terms depend on, never u's values: one key
+on a static problem, and the ``_stage_nodes`` partition of u on a dynamic
+one.  The problem holds one template and builds another when the key
+changes, so a sweep over u lowers the primal, and factors a rowless
+primal's P, once.
 
 The objective alone picks the engine: quadratic-plus-polyhedral instances
 route to the active-set QP path and solve to machine precision; everything
@@ -58,12 +61,12 @@ and prices it by one inner solve; its status says why a dual is missing or
 its gap open.  Every primal term is g(M_k z + m_k + N_k u_l), where u_l is
 the parameter vector of the term's leaf (or of each leaf of its node).  At
 a solution of the lowered program, the stationarity of the QP selects a
-subgradient s_k of g at the term's argument
-(``CompiledObjective.subgradients``), and the optimal dual is y_l = sum_k
-N_k' s_k over the terms of leaf l, with no projection: the parameter block
-of the subgradient (v, y) in the subdifferential of f at (x, u) that the
-optimum picks.  The same reader gives the annihilator bound's v as M_k' s_k
-on the Lagrangian.  Off the QP path s_k is g's subgradient rule at the
+subgradient s_k of g at the term's argument, one group of terms at a time
+(``CompiledObjective._group_subgradients``), and the optimal dual is y_l =
+sum_k N_k' s_k over the terms of leaf l, with no projection: the parameter
+block of the subgradient (v, y) in the subdifferential of f at (x, u) that
+the optimum picks.  The same reader gives the annihilator bound's v as
+M_k' s_k on the Lagrangian.  Off the QP path s_k is g's subgradient rule at the
 argument.
 """
 
@@ -282,7 +285,7 @@ class _Term:
     cols: np.ndarray  # the coordinates the term reads, distinct
     node: object  # a leaf index, (stage, leaves) for a node term, or None
     # primal terms: N, the map from a leaf's parameter vector into the
-    # argument of the term's g (see CompiledObjective.subgradients)
+    # argument of the term's g (see CompiledObjective._group_subgradients)
     param: np.ndarray | None = None
 
 
@@ -366,15 +369,15 @@ def _group_key(fn: ConvexFunction):
 
 
 def _inner_forms(fns):
-    """The form of one group's functions g_k(M_k z + m_k) as (inner, maps):
-    a shared inner g is lowered once, with the stacked maps (M, m); a
-    shared shifted g is lowered once and stacked with each function's
-    constant, with maps None.  None when there is no form."""
+    """The form of one group's functions g_k(M_k z + m_k) as (inner, M): a
+    shared inner g is lowered once, with the stacked maps M (the offsets m
+    are the template's ``base``); a shared shifted g is lowered once and
+    stacked with each function's constant, with M None.  None when there
+    is no form."""
     fn = fns[0]
     if isinstance(fn, AffinePrecomposition):
         inner = fn.inner.qp_form()
-        return None if inner is None else (
-            inner, (np.array([f.matrix for f in fns]), np.array([f.offset for f in fns])))
+        return None if inner is None else (inner, np.array([f.matrix for f in fns]))
     if isinstance(fn, Affine):
         return QPForm(fn.dim, q=np.array([f.a for f in fns]), c=np.array([f.b for f in fns])), None
     form = _shifted_core(fn)[0].qp_form()
@@ -447,39 +450,64 @@ def _lower(n: int, n_terms: int, groups: list[_Group], forms) -> _Lowering:
     return _Lowering(groups, n_rows, n_eq, n_aux, P, G, A, runs)
 
 
-def _grouping(terms) -> list[np.ndarray]:
-    """The terms of each lowering group (equal ``_group_key``), groups in
-    order of first term."""
-    keyed = {}
-    for i, t in enumerate(terms):
-        keyed.setdefault(_group_key(t.fn), []).append(i)
-    return [np.array(idx) for idx in keyed.values()]
+class _Template:
+    """What a compiled objective shares whatever its terms' offsets.
 
+    The terms at their own offsets (``terms``), their lowering groups
+    (``grouping``: equal ``_group_key``, groups in order of first term),
+    per group the stacked offsets m_k of its terms g(M_k z + m_k)
+    (``base``; None for a group of other terms), the groups' forms
+    (``groups``, None off the QP path), from the first lowering on P, G and
+    A, read-only (``lowering``), and the spectral factor of P
+    (``spectral``).  A ``CompiledObjective`` reads it at one list of
+    per-group offsets."""
 
-def _groups(terms, grouping):
-    """(groups, offsets): the ``_Group`` of each group of ``terms`` and its
-    stacked offsets m_k (None with M = I, m = 0); None when some group has
-    no form."""
-    groups, offsets = [], []
-    for idx in grouping:
-        group = [terms[i] for i in idx]
-        found = _inner_forms([t.fn for t in group])
-        if found is None:
+    def __init__(self, n: int, terms: list[_Term]):
+        self.n, self.terms = n, terms
+        keyed = {}
+        for i, t in enumerate(terms):
+            keyed.setdefault(_group_key(t.fn), []).append(i)
+        self.grouping = [np.array(idx) for idx in keyed.values()]
+        self.base = [np.array([terms[i].fn.offset for i in idx])
+                     if isinstance(terms[idx[0]].fn, AffinePrecomposition) else None
+                     for idx in self.grouping]
+        self.lowering = None
+
+    @cached_property
+    def groups(self) -> list[_Group] | None:
+        """The ``_Group`` of each group of terms; None when some group has
+        no form."""
+        groups = []
+        for idx in self.grouping:
+            group = [self.terms[i] for i in idx]
+            found = _inner_forms([t.fn for t in group])
+            if found is None:
+                return None
+            groups.append(_Group(idx, np.array([t.cols for t in group]),
+                                 np.array([t.weight for t in group]), *found))
+        return groups
+
+    @cached_property
+    def spectral(self) -> SpectralFactor:
+        return SpectralFactor(self.lowering.P)
+
+    def lowered(self, offsets):
+        """(lowering, parts): the lowering, and the ``_OffsetParts`` of each
+        group's forms at ``offsets``; None off the QP path.  The first call
+        lowers the groups' forms composed at its offsets; the forms' shapes,
+        P, G, A and atom rows do not depend on the offsets, so a later call
+        (on a kept template, whose groups are all precompositions) computes
+        only the parts that move with them."""
+        if self.groups is None:
             return None
-        inner, maps = found
-        M, m = (None, None) if maps is None else maps
-        groups.append(_Group(idx, np.array([t.cols for t in group]),
-                             np.array([t.weight for t in group]), inner, M))
-        offsets.append(m)
-    return groups, offsets
-
-
-def _lower_at(n: int, n_terms: int, groups, offsets):
-    """(lowering, parts): ``_lower`` of the groups' forms at ``offsets``,
-    and the ``_OffsetParts`` of those forms."""
-    forms = [g.inner if g.M is None else g.inner.compose(g.M, m) for g, m in zip(groups, offsets)]
-    return (_lower(n, n_terms, groups, forms),
-            [_OffsetParts(S.q, S.c, S.h, S.b, [off for _, off, _ in S.epi]) for S in forms])
+        if self.lowering is not None:
+            return self.lowering, [_OffsetParts(*g.inner.offset_parts(g.M, m))
+                                   for g, m in zip(self.groups, offsets)]
+        forms = [g.inner if g.M is None else g.inner.compose(g.M, m)
+                 for g, m in zip(self.groups, offsets)]
+        self.lowering = _lower(self.n, len(self.terms), self.groups, forms)
+        return self.lowering, [_OffsetParts(S.q, S.c, S.h, S.b, [off for _, off, _ in S.epi])
+                               for S in forms]
 
 
 class CompiledObjective:
@@ -489,15 +517,34 @@ class CompiledObjective:
     leaf's, or one tree node's.  The QP lowering handles the terms in
     groups that share one local form up to the affine map (see
     ``_group_key``); a group's forms are computed once, stacked, and kept.
+
+    The objective is the ``_Template`` of (n, terms) read at ``offsets``,
+    one (K, r) array per group, the terms' own (the template's ``base``) by
+    default.  ``template`` is that template when one is kept
+    (``_PrimalTemplate``, whose groups are all precompositions); it is
+    built here otherwise.
     """
 
-    # a SpectralFactor of the lowered P that outlives this objective, or
-    # None: solve_qp then factors P itself
-    spectral = None
-
-    def __init__(self, n: int, terms: list[_Term]):
+    def __init__(self, n: int, terms: list[_Term], offsets=None,
+                 template: _Template | None = None):
         self.n = n
-        self.terms = terms
+        self.template = _Template(n, terms) if template is None else template
+        self.offsets = self.template.base if offsets is None else offsets
+
+    @cached_property
+    def terms(self) -> list[_Term]:
+        """The template's terms at this objective's offsets, built only when
+        read (off the QP path, or by a caller that walks them)."""
+        tpl = self.template
+        if self.offsets is tpl.base:
+            return tpl.terms
+        terms = list(tpl.terms)
+        for idx, m in zip(tpl.grouping, self.offsets):
+            for i, off in zip(idx.tolist(), m):
+                t = terms[i]
+                terms[i] = _Term(t.weight, AffinePrecomposition(t.fn.inner, t.fn.matrix, off),
+                                 t.cols, t.node, t.param)
+        return terms
 
     def value(self, z) -> float:
         z = np.asarray(z, dtype=float).ravel()
@@ -517,20 +564,11 @@ class CompiledObjective:
         return g
 
     @cached_property
-    def _grouping(self) -> list[np.ndarray]:
-        return _grouping(self.terms)
-
-    @cached_property
     def _lowered(self):
-        """(lowering, offsets, parts): the ``_Lowering``, and per group its
-        stacked offsets m_k (None with M = I, m = 0) and the ``_OffsetParts``
-        of its K local forms at them; None off the polyhedral path."""
-        found = _groups(self.terms, self._grouping)
-        if found is None:
-            return None
-        groups, offsets = found
-        lowering, parts = _lower_at(self.n, len(self.terms), groups, offsets)
-        return lowering, offsets, parts
+        """(lowering, parts): the template's ``_Lowering``, and per group
+        the ``_OffsetParts`` of its K local forms at this objective's
+        offsets; None off the polyhedral path."""
+        return self.template.lowered(self.offsets)
 
     @property
     def _lowering(self) -> _Lowering | None:
@@ -544,12 +582,12 @@ class CompiledObjective:
         piecewise-linear summands become epigraph variables: one auxiliary
         coordinate per atom, after the n main ones, bounded below by the
         supporting lines of the (probability-weighted) piece structure.
-        P, G and A are the lowering's read-only arrays; q, c, h and b are
+        P, G and A are the template's read-only arrays; q, c, h and b are
         this objective's.
         """
         if self._lowered is None:
             return None
-        low, _, parts = self._lowered
+        low, parts = self._lowered
         n = self.n
         q, c = np.zeros(n + low.n_aux), 0.0
         q[n:] = 1.0  # epigraph variables at weight one
@@ -569,11 +607,16 @@ class CompiledObjective:
         return low.P, q, c, low.G, h, low.A, b, n
 
     def _group_subgradients(self, res: _MinResult) -> list[np.ndarray]:
-        """Per group, the (K, r) subgradients of ``subgradients``."""
+        """Per group, the (K, r) subgradients s_k of g at r_k = M_k x_k +
+        m_k that the lowered program's solution ``res`` selects, one per
+        term g(M_k z + m_k) (a term that is not a precomposition is its own
+        g, M_k = I): P r_k + q plus, over the weight, the multipliers of the
+        term's rows on g's rows and each epigraph atom's row of g times the
+        sum of the atom's row multipliers weighted by their coefficients.
+        The shares weight_k M_k' s_k scatter-add to zero."""
         x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
-        low, offsets, _ = self._lowered
         out = []
-        for g, m in zip(low.groups, offsets):
+        for g, m in zip(self._lowering.groups, self.offsets):
             S, W, r = g.inner, g.weights, x[g.cols]
             if g.M is not None:
                 r = (g.M @ r[..., None])[..., 0] + m
@@ -585,20 +628,6 @@ class CompiledObjective:
                     slope = slope + mu[:, k] * at.coefs[:, k]
                 rows = rows + row * slope[:, None]
             out.append((S.P @ r[..., None])[..., 0] + S.q + rows / W[:, None])
-        return out
-
-    def subgradients(self, res: _MinResult) -> list[np.ndarray]:
-        """Per term g(M_k z + m_k), the subgradient s_k of g at r_k = M_k x_k
-        + m_k that the lowered program's solution ``res`` selects (a term
-        that is not a precomposition is its own g, M_k = I): P r_k + q plus,
-        over the weight, the multipliers of the term's rows on g's rows and
-        each epigraph atom's row of g times the sum of the atom's row
-        multipliers weighted by their coefficients.  The shares weight_k
-        M_k' s_k scatter-add to zero."""
-        out = [None] * len(self.terms)
-        for g, s in zip(self._lowering.groups, self._group_subgradients(res)):
-            for i, s_k in zip(g.idx.tolist(), s):
-                out[i] = s_k
         return out
 
     def constraint_rows(self):
@@ -636,7 +665,7 @@ def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
     if data is not None:
         P, q, c, G, h, A, b, n_main = data
         rowless = not (G.shape[0] or A.shape[0])
-        res = solve_qp(P, q, c, G, h, A, b, spectral=obj.spectral if rowless else None)
+        res = solve_qp(P, q, c, G, h, A, b, spectral=obj.template.spectral if rowless else None)
         status = {"maxiter": "max-iter"}.get(res.status, res.status)
         resid = _violation(res.x, G, h, A, b) if res.x is not None else 0.0
         x = res.x[:n_main] if res.x is not None else None
@@ -746,101 +775,43 @@ def _next_stage(p: Problem, rows):
 
 class _ParamGroup(NamedTuple):
     """How the parameter enters one lowering group of the primal: per term
-    g(M_k z + m_k + N_k u_l), its N_k and base offset m_k, the leaf whose
-    u_l it reads, and (leaves, owner), each leaf that the term's share N_k'
-    s_k of y goes to and the term's place in the group."""
+    g(M_k z + m_k + N_k u_l), its N_k, the leaf whose u_l it reads, and
+    (leaves, owner), each leaf that the term's share N_k' s_k of y goes to
+    and the term's place in the group."""
 
     N: np.ndarray  # (K, r, m)
-    base: np.ndarray  # (K, r)
     reads: np.ndarray  # (K,)
     leaves: np.ndarray
     owner: np.ndarray
 
 
-class _PrimalTemplate:
+class _PrimalTemplate(_Template):
     """The primal of one problem with u left symbolic.
 
     Every primal term is g(M_k z + m_k + N_k u_l), with u_l the parameter
     vector of its leaf (of its node's first leaf on a dynamic problem), so
     only the offsets move with u.  The template holds the terms at u = 0
-    (``terms``), their lowering groups (``groups``, None off the QP path)
-    and how u enters each group (``params``).  The first solve lowers P, G
-    and A (``lowering``); after it a solve at u costs one stacked offset
-    pass per group (``objective``) and the parts of the forms that move
-    with it, and ``spectral`` factors P once for every rowless solve."""
+    and how u enters each group (``params``); a solve at u reads it at
+    base + N u (``objective``), so P, G and A are lowered, and P factored,
+    once for every u."""
 
     def __init__(self, p: Problem, nodes):
-        self.terms, reads, shares = (_static_primal_terms(p) if nodes is None
-                                     else _bolza_primal_terms(p, nodes))
-        self.n = p.layout.width
-        self.grouping = _grouping(self.terms)
-        found = _groups(self.terms, self.grouping)
-        self.groups = None if found is None else found[0]
-        self.lowering = None
+        terms, reads, shares = (_static_primal_terms(p) if nodes is None
+                                else _bolza_primal_terms(p, nodes))
+        super().__init__(p.layout.width, terms)
         self.params = []
         for idx in self.grouping:
-            group = [self.terms[i] for i in idx]
             leaves = [shares[i] for i in idx]
             self.params.append(_ParamGroup(
-                np.array([t.param for t in group]), np.array([t.fn.offset for t in group]),
-                reads[idx], np.concatenate(leaves),
+                np.array([terms[i].param for i in idx]), reads[idx], np.concatenate(leaves),
                 np.repeat(np.arange(len(idx)), [len(s) for s in leaves])))
 
-    @cached_property
-    def spectral(self) -> SpectralFactor:
-        return SpectralFactor(self.lowering.P)
-
-    def objective(self, uvecs) -> _PrimalObjective:
+    def objective(self, uvecs) -> CompiledObjective:
         """The primal at the leaf vectors ``uvecs`` of u: m_k + N_k u_l,
         one stacked pass per group."""
-        return _PrimalObjective(self, [g.base + (g.N @ uvecs[g.reads][..., None])[..., 0]
-                                       for g in self.params])
-
-    def lowered(self, offsets):
-        """(lowering, parts): the lowering, and the ``_OffsetParts`` of each
-        group's forms at ``offsets``; None off the QP path.  The first call
-        lowers the groups at its offsets."""
-        if self.groups is None:
-            return None
-        if self.lowering is None:
-            self.lowering, parts = _lower_at(self.n, len(self.terms), self.groups, offsets)
-            return self.lowering, parts
-        return self.lowering, [_OffsetParts(*g.inner.offset_parts(g.M, m))
-                               for g, m in zip(self.groups, offsets)]
-
-
-class _PrimalObjective(CompiledObjective):
-    """The primal at one u: the template's terms and lowering at this u's
-    offsets, one (K, r) array per group.  Its terms are built only when
-    read (off the QP path, or by a caller that walks them)."""
-
-    def __init__(self, template: _PrimalTemplate, offsets):
-        self.n = template.n
-        self.template = template
-        self.offsets = offsets
-
-    @cached_property
-    def terms(self) -> list[_Term]:
-        terms = list(self.template.terms)
-        for idx, m in zip(self._grouping, self.offsets):
-            for i, off in zip(idx.tolist(), m):
-                t = terms[i]
-                terms[i] = _Term(t.weight, AffinePrecomposition(t.fn.inner, t.fn.matrix, off),
-                                 t.cols, t.node, t.param)
-        return terms
-
-    @property
-    def _grouping(self):
-        return self.template.grouping
-
-    @cached_property
-    def _lowered(self):
-        found = self.template.lowered(self.offsets)
-        return None if found is None else (found[0], self.offsets, found[1])
-
-    @property
-    def spectral(self) -> SpectralFactor:
-        return self.template.spectral
+        return CompiledObjective(self.n, self.terms, [
+            m + (g.N @ uvecs[g.reads][..., None])[..., 0] for m, g in zip(self.base, self.params)],
+            self)
 
 
 def _primal_template(p: Problem, uvecs) -> _PrimalTemplate:
@@ -1131,8 +1102,12 @@ def _stationary_v(p: Problem, yvecs, dob: DualObjective):
     if res is None or res.status != "optimal" or res.multipliers is None:
         return None
     V = yvecs - _next_stage(p, yvecs) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
-    for t, s in zip(dob.lagrangian.terms, dob.lagrangian.subgradients(res)):
-        if t.node is not None:
+    obj = dob.lagrangian
+    for idx, group in zip(obj.template.grouping, obj._group_subgradients(res)):
+        for i, s in zip(idx.tolist(), group):
+            t = obj.terms[i]
+            if t.node is None:
+                continue
             stage, leaves = t.node if dynamic else (None, t.node)
             if isinstance(t.fn, AffinePrecomposition):
                 s = t.fn.matrix.T @ s
@@ -1269,7 +1244,7 @@ def _recover_dual_candidate(p, primal):
             return None
         else:
             subgradients = []
-            for idx in obj._grouping:
+            for idx in obj.template.grouping:
                 s = [_subgradient_rule(p, obj.terms[i], res.x[obj.terms[i].cols]) for i in idx]
                 if any(s_k is None for s_k in s):
                     return None

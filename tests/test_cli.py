@@ -76,10 +76,14 @@ class TestParsing:
 
     @pytest.mark.parametrize("key, value", [("method", "auto"), ("step_constant", 0.5),
                                             ("max_iters", 10), ("tol", "tight"),
-                                            ("max_iter", [10])])
+                                            ("max_iter", [10]), ("max_iter", True),
+                                            ("max_iter", 2.9), ("max_iter", "7"),
+                                            ("max_iter", 0), ("tol", "1e-3"), ("tol", -1),
+                                            ("tol", 0), ("tol", float("inf")), ("tol", float("nan"))])
     def test_bad_solver_setting_is_a_usage_error(self, tmp_path, key, value):
         # a setting the solver does not read is refused, not ignored, and so
-        # is a value that does not convert
+        # is a value of the wrong type or out of range: max_iter is an int
+        # >= 1, tol a finite number > 0
         with open(fixture_path("binomial-alm.json")) as fh:
             doc = json.load(fh)
         doc["solver"] = {"tol": 1e-8, key: value}
@@ -89,6 +93,14 @@ class TestParsing:
         assert err.value.field_path == f"solver.{key}"
         code, report = run(["solve", path])
         assert (code, report["field"]) == (cli.EXIT_USAGE, f"solver.{key}")
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
+                                             ("--tol", "0"), ("--max-iter", "-3"),
+                                             ("--max-iter", "0")])
+    def test_bad_solver_flag_is_a_usage_error(self, flag, value):
+        # the flags take the file's ranges; a bad one is named as --checker is
+        code, report = run(["report", fixture_path("binomial-alm.json"), flag, value])
+        assert (code, report["field"]) == (cli.EXIT_USAGE, flag)
 
     def test_unknown_kind_reports_path(self, tmp_path):
         doc = {

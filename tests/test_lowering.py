@@ -371,8 +371,13 @@ class TestGroupedLowering:
         for name, obj in grouped_objectives(seed):
             res = solver._minimize(obj, SolverConfig())
             assert res.status == "optimal", name
-            subgradients, want = obj.subgradients(res), per_term_shares(obj, res)
-            assert len(subgradients) == len(want) == len(obj.terms)
+            # the per-term subgradients, read off each group through its idx
+            subgradients = [None] * len(obj.terms)
+            for g, s in zip(obj._lowering.groups, obj._group_subgradients(res)):
+                for i, s_k in zip(g.idx.tolist(), s):
+                    subgradients[i] = s_k
+            want = per_term_shares(obj, res)
+            assert len(want) == len(obj.terms) and all(s is not None for s in subgradients)
             got = [t.weight * (t.fn.matrix.T @ s if isinstance(t.fn, AffinePrecomposition) else s)
                    for t, s in zip(obj.terms, subgradients)]
             for share, ref in zip(got, want):

@@ -53,6 +53,7 @@ from stochdual.tree import (
 from helpers import (
     HALF_SQUARE,
     basis_bound,
+    bolza_doc,
     grid_minimize,
     hedging_doc,
     hedging_file,
@@ -60,6 +61,7 @@ from helpers import (
     objective_values,
     parse_doc,
     per_leaf_conjugate_sum,
+    same_bits,
     solve_bits,
     two_leaf_tree,
 )
@@ -734,7 +736,26 @@ class TestPrimalTemplate:
             assert gap.dual.status == "optimal" and cert.verdict == "pass"
         assert sorted(joints) == list(range(32))
         # the primal's P once; the Lagrangian's P is 0, so never decomposed
-        assert len(factors) == 1 and eighs == [(31, 31)]
+        assert [P.shape for P in factors if P.any()] == [(31, 31)] and eighs == [(31, 31)]
+
+    @pytest.mark.parametrize("make_doc", [
+        lambda rng: hedging_doc(3, rng.uniform(2.5, 3.5, 8)),
+        lambda rng: hedging_doc(3, rng.uniform(2.5, 3.5, 8), {"kind": "abs"}),
+        lambda rng: bolza_doc(3, {"kind": "abs"}, rng),
+    ], ids=["half-square", "abs", "bolza-abs"])
+    def test_a_kept_template_lowers_as_its_terms_do(self, make_doc):
+        # lowered at u_a, the template read at u_b gives the program that
+        # its terms at u_b give when compiled from scratch, bit for bit
+        rng = np.random.default_rng(7)
+        p, u_a = parse_doc(make_doc(rng))
+        _, u_b = parse_doc(make_doc(rng))
+        solve_primal(p, u_a)
+        (template,) = p._primal_templates.values()
+        assert template.lowering is not None
+        _, obj = primal_objective(p, StochasticProcess(p.tree, u_b.values))
+        assert obj.template is template
+        got, want = obj.qp_data(), solver.CompiledObjective(obj.n, obj.terms).qp_data()
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("disutility", [HALF_SQUARE, {"kind": "abs"}])
     def test_template_arrays_are_read_only(self, disutility):
