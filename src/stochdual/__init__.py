@@ -7,6 +7,8 @@ densities, Euler-Lagrange / Hamiltonian systems, consistent price systems)
 with numerical residuals.
 """
 
+import importlib
+
 from .tree import (
     ScenarioTree,
     StochasticProcess,
@@ -89,6 +91,14 @@ from .optimality import (
     check_kkt,
     check_saddle,
 )
-from .cli import fixture_path
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the command line loads on first use: ``python -m stochdual.cli`` must
+    # find it unimported, to run it once, as __main__
+    if name not in ("cli", "fixture_path"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cli = importlib.import_module(".cli", __name__)
+    return cli if name == "cli" else cli.fixture_path

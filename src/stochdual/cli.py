@@ -221,23 +221,11 @@ def parse_process(tree: ScenarioTree, dims, spec, path: str) -> StochasticProces
 # ---------------------------------------------------------------------------
 
 
-def _max_iter(value) -> int:
-    """An iteration cap: an int >= 1 (a bool is not one)."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
-        return value
-    raise ValueError(f"max_iter must be an integer >= 1, not {value!r}")
-
-
 def _tol(value) -> float:
     """A tolerance: a finite number > 0 (a bool or a string is not one)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < INF:
         return float(value)
     raise ValueError(f"tol must be a finite number > 0, not {value!r}")
-
-
-# the SolverConfig fields that a problem file's "solver" section and the
-# flags may set, with the check that converts each value
-_SOLVER_SETTINGS = {"max_iter": _max_iter, "tol": _tol}
 
 
 def parse_problem_file(path: str):
@@ -280,10 +268,10 @@ def parse_problem_file(path: str):
                      for key, d in dims.items() if key in cand}
     solver_sec = {}
     for key, value in doc.get("solver", {}).items():
-        if key not in _SOLVER_SETTINGS:
+        if key != "tol":  # the one SolverConfig field
             raise ProblemFileError("unknown solver setting", f"solver.{key}")
         try:
-            solver_sec[key] = _SOLVER_SETTINGS[key](value)
+            solver_sec[key] = _tol(value)
         except (ValueError, OverflowError) as exc:
             raise ProblemFileError(str(exc), f"solver.{key}")
     digest = hashlib.sha256(raw).hexdigest()
@@ -365,17 +353,15 @@ def _build_model(tree, family, model) -> Problem:
 
 
 def _config(solver_sec, args) -> SolverConfig:
-    """Solver settings: the file's "solver" section, then the flags.
-    Raises ProblemFileError, with the flag as its field, on a flag's value
-    out of range."""
+    """Solver settings: the file's "solver" section, then ``--tol``; a bad
+    flag value raises ProblemFileError with the flag as its field."""
     cfg = SolverConfig(**solver_sec)
-    for name, check in _SOLVER_SETTINGS.items():
-        value = getattr(args, name, None)
-        if value is not None:
-            try:
-                setattr(cfg, name, check(value))
-            except ValueError as exc:
-                raise ProblemFileError(str(exc), "--" + name.replace("_", "-"))
+    tol = getattr(args, "tol", None)
+    if tol is not None:
+        try:
+            cfg.tol = _tol(tol)
+        except ValueError as exc:
+            raise ProblemFileError(str(exc), "--tol")
     return cfg
 
 
@@ -467,7 +453,7 @@ def _run_check(problem, params, cfg, checker: str, primal=None, dual=None, bound
     x, y, v = (cand.get(key) for key in "xyv")
     if x is None:
         if primal is None:
-            primal = solve_primal(problem, u, cfg)
+            primal = solve_primal(problem, u)
         if primal.status != "optimal":
             return None, primal.status
         x = primal.optimizer
@@ -544,7 +530,6 @@ def _argument_parser() -> argparse.ArgumentParser:
                         choices=["solve", "dualize", "gap", "check", "report"])
     parser.add_argument("problem_file")
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     parser.add_argument("--checker", default=None,
                         choices=["saddle", "kkt", "alm", "euler-lagrange",
                                  "hamiltonian", "cps"])
@@ -591,9 +576,9 @@ def run(argv) -> tuple[int, dict]:
     # each object of the verdict is solved once and shared by the sections
     primal = dual = bound = None
     if args.command != "check":
-        primal = solve_primal(problem, u, cfg)
+        primal = solve_primal(problem, u)
         report["primal"] = _solve_block(primal)
-        if primal.status == "max-iter":
+        if primal.status in ("max-iter", "no-closed-form"):
             code = max(code, EXIT_NO_CONVERGENCE)
     if covers("dualize") or covers("gap"):
         gap_rep = duality_gap(problem, u, cfg, primal)

@@ -10,7 +10,9 @@ the domain) and most can be conjugated in closed form:
 
 Sums, separable sums and affine pre-compositions conjugate by rule where a
 rule exists; a general finite sum raises ``NoClosedFormError`` and callers
-fall back to the grid oracle (tests only).  Subdifferentials are never
+fall back to the grid oracle (tests only).  ``quadratic_model(z)`` agrees
+with a function to second order at z and has a QP form: exponential and
+entropy give Taylor quadratics, a support function has none.  Subdifferentials are never
 materialised: membership v in dg(x) is tested through the Fenchel residual
 g(x) + g*(v) - x.v, which is nonnegative and vanishes exactly on the graph
 of the subdifferential.
@@ -219,6 +221,13 @@ class ConvexFunction:
 
     def qp_form(self) -> QPForm | None:
         return None
+
+    def quadratic_model(self, z) -> "ConvexFunction":
+        """A function with a QP form that agrees with this one to second
+        order at z, itself if it has a QP form; else NoClosedFormError."""
+        if self.qp_form() is None:
+            raise NoClosedFormError(f"no quadratic model for kind '{self.kind}'")
+        return self
 
 
 def _split_fix(idx, vals, dim):
@@ -579,7 +588,7 @@ class Entropy(ConvexFunction):
             return INF
         x = max(x, 0.0)
         ent = 0.0 if x == 0.0 else x * np.log(x) - x
-        return self.coeff * ent + self.tilt * x + self.offset
+        return float(self.coeff * ent + self.tilt * x + self.offset)
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float).reshape(-1)
@@ -603,6 +612,12 @@ class Entropy(ConvexFunction):
 
     def scaled(self, alpha):
         return Entropy(alpha * self.coeff, alpha * self.tilt, alpha * self.offset)
+
+    def quadratic_model(self, z):
+        """The Taylor quadratic at z0 = max(z, 1e-8), on x >= 0."""
+        z0, c = max(float(np.asarray(z).ravel()[0]), 1e-8), self.coeff
+        return FiniteSum([Quadratic([0.5 * c / z0], [c * np.log(z0) + self.tilt - c],
+                                    self.offset - 0.5 * c * z0), indicator_nonneg()])
 
     def fix(self, idx, vals):
         idx, vals, keep = _split_fix(idx, vals, 1)
@@ -629,7 +644,8 @@ class Exponential(ConvexFunction):
 
     def value(self, x):
         x = float(np.asarray(x).ravel()[0])
-        return self.coeff * np.exp(self.rate * x) + self.offset
+        with np.errstate(over="ignore"):  # an overflow reads as +inf
+            return float(self.coeff * np.exp(self.rate * x) + self.offset)
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float).reshape(-1)
@@ -645,6 +661,13 @@ class Exponential(ConvexFunction):
 
     def scaled(self, alpha):
         return Exponential(alpha * self.coeff, self.rate, alpha * self.offset)
+
+    def quadratic_model(self, z):
+        """The Taylor quadratic at z."""
+        rz = self.rate * float(np.asarray(z).ravel()[0])
+        e = self.coeff * np.exp(rz)
+        return Quadratic([0.5 * self.rate ** 2 * e], [self.rate * e * (1.0 - rz)],
+                         self.offset + e * (1.0 - rz + 0.5 * rz * rz))
 
     def fix(self, idx, vals):
         idx, vals, keep = _split_fix(idx, vals, 1)
@@ -951,6 +974,9 @@ class SeparableSum(ConvexFunction):
             forms.append(f.embed(np.arange(self.offsets[i], self.offsets[i + 1]), self.dim))
         return QPForm.add(forms, self.dim)
 
+    def quadratic_model(self, z):
+        return SeparableSum([p.quadratic_model(zb) for p, zb in zip(self.parts, self._blocks(z))])
+
 
 class AffinePrecomposition(ConvexFunction):
     """f(x) = g(Mx + m)."""
@@ -1018,6 +1044,10 @@ class AffinePrecomposition(ConvexFunction):
     def qp_form(self):
         f = self.inner.qp_form()
         return None if f is None else f.compose(self.matrix, self.offset)
+
+    def quadratic_model(self, z):
+        r = self.matrix @ np.asarray(z, dtype=float).ravel() + self.offset
+        return AffinePrecomposition(self.inner.quadratic_model(r), self.matrix, self.offset)
 
 
 class FiniteSum(ConvexFunction):
@@ -1109,6 +1139,9 @@ class FiniteSum(ConvexFunction):
                 return None
             forms.append(f)
         return QPForm.add(forms, self.dim)
+
+    def quadratic_model(self, z):
+        return FiniteSum([s.quadratic_model(z) for s in self.summands])
 
 
 def _plus_const(fn: ConvexFunction, c: float) -> ConvexFunction:

@@ -2,7 +2,7 @@
 
     minimize 1/2 x'Px + q.x + c   subject to  Gx <= h,  Ax = b
 
-P is symmetric positive semidefinite.
+P is symmetric positive semidefinite.  It solves every LP, QP and Newton step.
 
 A program without rows is solved through the eigenpairs of P
 (``SpectralFactor``): x = -V diag(1/w) V' q over the eigenvalues that
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QPResult", "SpectralFactor", "solve_qp", "project_onto_polyhedron"]
+__all__ = ["QPResult", "SpectralFactor", "solve_qp"]
 
 _EPS = np.finfo(float).eps
 
@@ -354,12 +354,3 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
                 working.append(blocker)
     return QPResult("maxiter", x, objective(x), iterations=max_iter)
 
-
-def project_onto_polyhedron(x0, G=None, h=None, A=None, b=None) -> np.ndarray:
-    """Euclidean projection onto {Gx <= h, Ax = b}; raises if empty."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    res = solve_qp(np.eye(n), -x0, 0.5 * float(x0 @ x0), G, h, A, b)
-    if res.status != "optimal":
-        raise ValueError(f"projection failed: {res.status}")
-    return res.x

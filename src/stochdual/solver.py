@@ -55,18 +55,19 @@ primal's P, once.
 
 The objective alone picks the engine: quadratic-plus-polyhedral instances
 route to the active-set QP path and solve to machine precision; everything
-else falls back to a projected subgradient method with diminishing steps
-c/sqrt(k).  The dual solve recovers its maximizer from primal optimality
-and prices it by one inner solve; its status says why a dual is missing or
-its gap open.  Every primal term is g(M_k z + m_k + N_k u_l), where u_l is
-the parameter vector of the term's leaf (or of each leaf of its node).  At
-a solution of the lowered program, the stationarity of the QP selects a
-subgradient s_k of g at the term's argument, one group of terms at a time
+else takes damped Newton steps, each the QP of the terms' quadratic models
+at the current point (``_newton_minimize``).  The dual solve recovers its
+maximizer from primal optimality and prices it by one inner solve; its
+status says why a dual is missing or its gap open.  Every primal term is
+g(M_k z + m_k + N_k u_l), where u_l is the parameter vector of the term's
+leaf (or of each leaf of its node).  At a solution of the lowered program,
+the stationarity of the QP selects a subgradient s_k of g at the term's
+argument, one group of terms at a time
 (``CompiledObjective._group_subgradients``), and the optimal dual is y_l =
 sum_k N_k' s_k over the terms of leaf l, with no projection: the parameter
 block of the subgradient (v, y) in the subdifferential of f at (x, u) that
-the optimum picks.  The same reader gives the annihilator bound's v as
-M_k' s_k on the Lagrangian.  Off the QP path s_k is g's subgradient rule at the
+the optimum picks.  The same reader gives the annihilator bound's v as M_k'
+s_k on the Lagrangian.  Off the QP path s_k is g's subgradient rule at the
 argument.
 """
 
@@ -88,7 +89,6 @@ from .convex import (
     PolyhedralIndicator,
     QPForm,
     SeparableSum,
-    domain_polyhedron,
 )
 from .integrand import (
     MINUS_INF,
@@ -97,7 +97,7 @@ from .integrand import (
     KabanovStage,
     ParametricIntegrand,
 )
-from .qp import SpectralFactor, project_onto_polyhedron, solve_qp
+from .qp import SpectralFactor, solve_qp
 from .simplex import PivotLimitError
 from .tree import (
     ScenarioTree,
@@ -123,9 +123,8 @@ __all__ = [
 ]
 
 INF = float("inf")
-# the projected subgradient method treats a point this close to its rows
-# as feasible
-_PROJECTION_TOL = 1e-8
+# ``_newton_minimize``'s step cap; the smooth models tested take 6 to 14
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ class Problem:
 
 @dataclass
 class SolverConfig:
-    max_iter: int = 100_000
     tol: float = 1e-7
 
     @property
@@ -181,8 +179,8 @@ class SolveResult:
     value: float
     iterations: int
     residual: float
-    # optimal | unbounded | infeasible | max-iter, and for a dual also
-    # not-run | not-recovered | no-closed-form | gap-open (``solve_dual``)
+    # optimal | unbounded | infeasible | max-iter | no-closed-form, and for
+    # a dual also not-run | not-recovered | gap-open (``solve_dual``)
     status: str
     method: str = ""
     # primal: the compiled objective and its solve, from which the dual is
@@ -630,21 +628,6 @@ class CompiledObjective:
             out.append((S.P @ r[..., None])[..., 0] + S.q + rows / W[:, None])
         return out
 
-    def constraint_rows(self):
-        """Domain rows of every term (used by the projected subgradient path)."""
-        G_blocks, A_blocks = [], []
-        for t in self.terms:
-            dom = domain_polyhedron(t.fn)
-            if dom is None:
-                continue
-            if dom.a_ub.shape[0]:
-                G_blocks.append((t.cols, dom.a_ub, dom.b_ub))
-            if dom.a_eq.shape[0]:
-                A_blocks.append((t.cols, dom.a_eq, dom.b_eq))
-        G, h = _stack_rows(G_blocks, self.n)
-        A, b = _stack_rows(A_blocks, self.n)
-        return G, h, A, b
-
 
 @dataclass
 class _MinResult:
@@ -658,7 +641,7 @@ class _MinResult:
     eq_multipliers: np.ndarray | None = None
 
 
-def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
+def _minimize(obj: CompiledObjective) -> _MinResult:
     if obj.n == 0:
         return _MinResult("optimal", np.zeros(0), obj.value(np.zeros(0)), 0, 0.0, "direct")
     data = obj.qp_data()
@@ -671,7 +654,7 @@ def _minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
         x = res.x[:n_main] if res.x is not None else None
         return _MinResult(status, x, res.value, res.iterations, resid,
                           "polyhedral", res.ineq_multipliers, res.eq_multipliers)
-    return _subgradient_minimize(obj, cfg)
+    return _newton_minimize(obj)
 
 
 def _violation(w, G, h, A, b) -> float:
@@ -680,56 +663,40 @@ def _violation(w, G, h, A, b) -> float:
                float(np.max(np.abs(A @ w - b), initial=0.0)))
 
 
-def _projector(G, h, A, b, tol):
-    """Euclidean projection onto {G w <= h, A w = b}, the identity on points
-    within ``tol`` of it.  Raises ValueError, here or on use, when the set
-    is empty.  Without inequality rows it is w - A^+(A w - b), with the
-    pseudo-inverse computed once; otherwise each projection is a QP."""
-    if G.shape[0]:
-        def solve(w):
-            return project_onto_polyhedron(w, G, h, A, b)
-    else:
-        pinv = np.linalg.pinv(A)
-        # the rows are consistent when their least-squares point meets them
-        # (the test solve_qp makes)
-        if np.max(np.abs(A @ (pinv @ b) - b), initial=0.0) > 1e-8 * max(
-                1.0, np.max(np.abs(b), initial=0.0)):
-            raise ValueError("inconsistent equality rows")
+def _newton_minimize(obj: CompiledObjective) -> _MinResult:
+    """Damped Newton steps from 0: each solves, on the QP path, the objective
+    with every term replaced by its ``quadratic_model`` at x, written in the
+    step d, so a direction the QP finds flat keeps x's coordinate.  The step
+    is halved until the value does not rise, while the model's predicted
+    decrease is above 1e-14 max(1, |f|); below it, one more full step
+    polishes the gradient that the dual reads.  No multipliers."""
+    x = np.zeros(obj.n)
+    f = obj.value(x)
+    for it in range(1, _NEWTON_STEPS + 1):
+        step = _minimize(CompiledObjective(obj.n, [
+            _Term(t.weight, _in_step(t.fn.quadratic_model(x[t.cols]), x[t.cols]), t.cols, t.node)
+            for t in obj.terms]))
+        if step.status != "optimal":
+            return _MinResult(step.status, None, step.value, it, INF, "newton")
+        floor = 1e-14 * max(1.0, abs(f)) if f < INF else 0.0
+        pred, t = f - step.value, 1.0
+        while t * pred > floor:
+            trial = obj.value(x + t * step.x)
+            if trial <= f:
+                break
+            t *= 0.5
+        else:  # converged: the polishing step
+            x = x + step.x
+            return _MinResult("optimal", x, obj.value(x), it, step.residual, "newton")
+        x, f = x + t * step.x, trial
+    return _MinResult("max-iter", x, f, _NEWTON_STEPS, 0.0, "newton")
 
-        def solve(w):
-            return w - pinv @ (A @ w - b)
-    return lambda w: w if _violation(w, G, h, A, b) <= tol else solve(w)
 
-
-def _subgradient_minimize(obj: CompiledObjective, cfg: SolverConfig) -> _MinResult:
-    G, h, A, b = obj.constraint_rows()
-    try:
-        project = _projector(G, h, A, b, _PROJECTION_TOL)
-        w = project(np.zeros(obj.n))
-    except ValueError:
-        return _MinResult("infeasible", None, INF, 0, INF, "subgradient")
-    f = obj.value(w)
-    if f == INF:  # boundary roundoff; nudge with a tiny interior step
-        return _MinResult("infeasible", None, INF, 0, INF, "subgradient")
-    g = obj.subgradient(w)
-    c0 = (1.0 + abs(f)) / (1.0 + float(np.linalg.norm(g)))
-    best_w, best_f = w.copy(), f
-    window_best = f
-    check_every = 200
-    for k in range(1, cfg.max_iter + 1):
-        w = project(w - (c0 / np.sqrt(k)) * g)
-        f = obj.value(w)
-        if f < best_f:
-            best_f, best_w = f, w.copy()
-        if best_f < -1e12:
-            return _MinResult("unbounded", best_w, -INF, k, 0.0, "subgradient")
-        if k % check_every == 0:
-            if window_best - best_f <= cfg.tol * max(1.0, abs(best_f)):
-                return _MinResult("optimal", best_w, best_f, k,
-                                  _violation(best_w, G, h, A, b), "subgradient")
-            window_best = best_f
-        g = obj.subgradient(w)
-    return _MinResult("max-iter", best_w, best_f, cfg.max_iter, 0.0, "subgradient")
+def _in_step(fn: ConvexFunction, z) -> AffinePrecomposition:
+    """d -> fn(z + d)."""
+    if isinstance(fn, AffinePrecomposition):
+        return AffinePrecomposition(fn.inner, fn.matrix, fn.matrix @ z + fn.offset)
+    return AffinePrecomposition(fn, np.eye(fn.dim), z)
 
 
 # ---------------------------------------------------------------------------
@@ -887,12 +854,14 @@ def _bolza_primal_terms(p: Problem, nodes):
     return terms, np.array(reads, dtype=int), shares
 
 
-def solve_primal(p: Problem, u: StochasticProcess,
-                 cfg: SolverConfig | None = None) -> SolveResult:
-    """Minimize E f(x, u) over adapted x."""
-    cfg = cfg or SolverConfig()
+def solve_primal(p: Problem, u: StochasticProcess) -> SolveResult:
+    """Minimize E f(x, u) over adapted x; ``no-closed-form`` when Newton's
+    method meets a term without a ``quadratic_model`` (a support function)."""
     layout, obj = primal_objective(p, u)
-    res = _minimize(obj, cfg)
+    try:
+        res = _minimize(obj)
+    except NoClosedFormError:
+        return SolveResult(None, np.nan, 0, INF, "no-closed-form", "newton", compiled=obj)
     opt = layout.to_process(res.x) if res.x is not None and res.status in ("optimal", "max-iter") else None
     return SolveResult(opt, res.value, res.iterations, res.residual, res.status,
                        res.method, compiled=obj, solution=res)
@@ -932,15 +901,13 @@ def _bolza_lagrangian_terms(p: Problem, yvecs):
     return terms
 
 
-def dual_objective(p: Problem, y: StochasticProcess,
-                   cfg: SolverConfig | None = None) -> DualObjective:
+def dual_objective(p: Problem, y: StochasticProcess) -> DualObjective:
     """phi*(y) = -inf over adapted x of E l(x, y), plus the lower variant."""
-    cfg = cfg or SolverConfig()
     layout, obj = _lagrangian_objective(p, y)
     if obj is None:
         # l = -inf on the feasible slice for some leaf: the infimum diverges
         return DualObjective(INF, INF, None, "unbounded")
-    res = _minimize(obj, cfg)
+    res = _minimize(obj)
     # unbounded: phi* = +inf; infeasible: l(., y) identically +inf, so the
     # model is primal-infeasible for all u; or the engine found no point
     if res.x is None or res.status in ("unbounded", "infeasible"):
@@ -1021,7 +988,7 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     """Minimize E f*(v, y) over v with zero conditional means (the chain's
     upper bound).
 
-    ``objective`` is ``dual_objective(p, y, cfg)`` when the caller already
+    ``objective`` is ``dual_objective(p, y)`` when the caller already
     has it; it is solved here otherwise.  Its inner solve gives v in the
     x-subdifferential of l(x*, y) with zero conditional means, so E f*(v, y)
     = phi*(y) = -E l(x*, y).  Weak duality brackets the infimum between
@@ -1053,7 +1020,7 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
     tree = p.tree
     yvecs = _leaf_vectors(p, y, "dual")
     if objective is None:
-        objective = dual_objective(p, y, cfg)
+        objective = dual_objective(p, y)
     dynamic = isinstance(p.integrand, BolzaIntegrand)
     if dynamic:
         conjugates = objective.stage_conjugates
@@ -1077,7 +1044,7 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
     terms = _conjugate_terms(p, rows, _bolza_conjugates_of_v(p, yvecs, conjugates) if dynamic
                              else [p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
                                    for leaf in range(tree.n_leaves)])
-    res = _minimize(CompiledObjective(n, terms + _mean_zero_terms(p, rows)), cfg)
+    res = _minimize(CompiledObjective(n, terms + _mean_zero_terms(p, rows)))
     if res.x is None or res.status == "unbounded":  # no point, or a ray
         return OrthoBound(res.value, None, res.status)
     return OrthoBound(res.value, StochasticProcess.from_vector(tree, p.n_dims, res.x),
@@ -1187,7 +1154,8 @@ def solve_dual(p: Problem, u: StochasticProcess,
 
       * ``infeasible`` (value -inf) when the primal is unbounded: weak
         duality leaves no finite dual value;
-      * ``not-run`` when the primal is infeasible or ended ``max-iter``;
+      * ``not-run`` when the primal is infeasible, ended ``max-iter`` or
+        has no closed form;
       * ``not-recovered`` when no y is read off the primal, or
         phi*(y) = +inf;
       * ``no-closed-form`` when a conjugate the dual needs has none;
@@ -1197,19 +1165,19 @@ def solve_dual(p: Problem, u: StochasticProcess,
         ``cfg.gap_tol * max(1, |primal|)``; y and its objective are kept;
       * ``optimal`` otherwise.
 
-    ``primal`` is the result of ``solve_primal(p, u, cfg)`` when the caller
+    ``primal`` is the result of ``solve_primal(p, u)`` when the caller
     already has it; it is solved here otherwise.
     """
     cfg = cfg or SolverConfig()
     if primal is None:
-        primal = solve_primal(p, u, cfg)
+        primal = solve_primal(p, u)
     if primal.status == "unbounded":
         return SolveResult(None, -INF, 0, INF, "infeasible")
     if primal.status != "optimal":
         return SolveResult(None, INF, 0, INF, "not-run")
     try:
         y = _recover_dual_candidate(p, primal)
-        dob = None if y is None else dual_objective(p, y, cfg)
+        dob = None if y is None else dual_objective(p, y)
     except NoClosedFormError:
         return SolveResult(None, np.nan, 0, INF, "no-closed-form")
     except PivotLimitError:
@@ -1294,12 +1262,12 @@ def duality_gap(p: Problem, u: StochasticProcess,
                 primal: SolveResult | None = None) -> GapReport:
     """Primal optimal value minus dual optimal value (with both statuses).
 
-    ``primal`` is the result of ``solve_primal(p, u, cfg)`` when the caller
+    ``primal`` is the result of ``solve_primal(p, u)`` when the caller
     already has it; it is solved here otherwise.
     """
     cfg = cfg or SolverConfig()
     if primal is None:
-        primal = solve_primal(p, u, cfg)
+        primal = solve_primal(p, u)
     dual = solve_dual(p, u, cfg, primal)
     if np.isfinite(primal.value) and np.isfinite(dual.value):
         gap = primal.value - dual.value

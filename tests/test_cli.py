@@ -3,6 +3,10 @@
 import dataclasses
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from stochdual.cli import (
     render_text,
     run,
 )
-from stochdual.solver import AdaptedLayout, SolverConfig, solve_dual, solve_primal
+from stochdual.solver import AdaptedLayout, solve_dual, solve_primal
 
 from helpers import bolza_doc, hedging_file, write_doc
 
@@ -78,12 +82,14 @@ class TestParsing:
                                             ("max_iters", 10), ("tol", "tight"),
                                             ("max_iter", [10]), ("max_iter", True),
                                             ("max_iter", 2.9), ("max_iter", "7"),
-                                            ("max_iter", 0), ("tol", "1e-3"), ("tol", -1),
+                                            ("max_iter", 0), ("max_iter", 100),
+                                            ("tol", "1e-3"), ("tol", -1),
                                             ("tol", 0), ("tol", float("inf")), ("tol", float("nan"))])
     def test_bad_solver_setting_is_a_usage_error(self, tmp_path, key, value):
         # a setting the solver does not read is refused, not ignored, and so
-        # is a value of the wrong type or out of range: max_iter is an int
-        # >= 1, tol a finite number > 0
+        # is a value of the wrong type or out of range: tol is a finite
+        # number > 0.  No engine reads max_iter, so every value of it, valid
+        # or not in older files, is refused
         with open(fixture_path("binomial-alm.json")) as fh:
             doc = json.load(fh)
         doc["solver"] = {"tol": 1e-8, key: value}
@@ -95,8 +101,7 @@ class TestParsing:
         assert (code, report["field"]) == (cli.EXIT_USAGE, f"solver.{key}")
 
     @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
-                                             ("--tol", "0"), ("--max-iter", "-3"),
-                                             ("--max-iter", "0")])
+                                             ("--tol", "0")])
     def test_bad_solver_flag_is_a_usage_error(self, flag, value):
         # the flags take the file's ranges; a bad one is named as --checker is
         code, report = run(["report", fixture_path("binomial-alm.json"), flag, value])
@@ -185,11 +190,22 @@ class TestCommands:
         assert report["checker"] == "hamiltonian"
 
     @pytest.mark.parametrize("flags", [["--method", "auto"], ["--method", "subgradient"],
-                                       ["--step-constant", "0.5"]])
+                                       ["--step-constant", "0.5"], ["--max-iter", "100"]])
     def test_engine_flags_are_usage_errors(self, flags):
-        # the objective picks the engine: there is no flag to choose it
+        # the objective picks the engine: there is no flag to choose or to
+        # tune it
         assert run(["solve", fixture_path("binomial-alm.json"), *flags]) == \
             (cli.EXIT_USAGE, {"error": "usage"})
+
+    def test_module_entry_point_runs_without_a_warning(self):
+        # python -m stochdual.cli, RuntimeWarnings as errors: importing the
+        # package leaves the command line for runpy to run once
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "stochdual.cli", "report",
+             fixture_path("kkt-single.json"), "--json"], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["exit_code"] == 0
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("checker", sorted(set().union(*CHECKERS.values())))
@@ -221,8 +237,7 @@ class TestCommands:
         primal = solve_primal(problem, params["u"])
         dual = solve_dual(problem, params["u"], primal=primal)
         assert dual.method == "recovered"
-        inner = solver._minimize(solver._lagrangian_objective(problem, dual.optimizer)[1],
-                                 SolverConfig())
+        inner = solver._minimize(solver._lagrangian_objective(problem, dual.optimizer)[1])
         assert dual.iterations == dual.objective.inner.iterations == inner.iterations
         assert (dual.iterations, primal.iterations) == (1, 3)
         _, report = run(["report", fixture_path("bolza-pwl.json")])
@@ -394,12 +409,16 @@ class TestSolveOnce:
         cfg = cli._config(solver_sec, None)
         u = params["u"]
         alone = solve_dual(problem, u, cfg)
-        shared = solve_dual(problem, u, cfg, solve_primal(problem, u, cfg))
+        shared = solve_dual(problem, u, cfg, solve_primal(problem, u))
         assert (alone.status, alone.method, alone.value, alone.iterations) == \
                (shared.status, shared.method, shared.value, shared.iterations)
         np.testing.assert_array_equal(alone.optimizer.to_vector(),
                                       shared.optimizer.to_vector())
         assert alone.objective.value == shared.objective.value
+
+
+# |z| as the support function of [-1, 1]
+SUPPORT_ABS = {"kind": "support", "A": [[1.0], [-1.0]], "b": [1.0, 1.0]}
 
 
 class TestHonestExitCodes:
@@ -432,6 +451,23 @@ class TestHonestExitCodes:
             if command in ("check", "report"):
                 assert report["certificate"] == {"verdict": "unavailable",
                                                  "reason": "no-closed-form"}
+
+    @pytest.mark.parametrize("fn", [
+        SUPPORT_ABS, {"kind": "sum", "terms": [SUPPORT_ABS, {"kind": "quadratic", "weights": [0.5]}]}],
+        ids=["support", "sum"])
+    def test_term_without_a_model_is_a_status(self, tmp_path, fn):
+        # |x_0 - u| as a support function on two leaves: Newton's method
+        # needs a quadratic model of each term, and a support term has none
+        doc = {"tree": {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]},
+               "model": {"family": "generic", "x_dims": [1, 0], "u_dims": [0, 1],
+                         "functions": [{"kind": "precompose", "inner": fn,
+                                        "matrix": [[1.0, -1.0]]}]},
+               "parameters": {"u": [0, [1.0, -0.5]]}}
+        code, report = run(["report", write_doc(tmp_path, "support", doc)])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert (report["primal"]["status"], report["primal"]["value"]) == ("no-closed-form", None)
+        assert report["dual"]["status"] == "not-run"
+        assert report["certificate"] == {"verdict": "unavailable", "reason": "no-closed-form"}
 
     def test_infinite_gap_with_finite_primal_exits_non_zero(self, monkeypatch):
         # no y is read off the primal: the dual is missing, and the gap is

@@ -415,3 +415,75 @@ class TestQPForms:
             x = np.random.default_rng(1).uniform(-2, 2, 2)
             val = 0.5 * x @ f.P @ x + f.q @ x + f.c
             assert val == pytest.approx(g.value(x), abs=1e-12)
+
+
+def _derivatives(fn, z, h=1e-4):
+    """Value, central-difference gradient and Hessian of fn at z."""
+    z = np.asarray(z, dtype=float)
+    n, e = z.size, np.eye(z.size) * h
+    grad = np.array([(fn.value(z + e[i]) - fn.value(z - e[i])) / (2 * h) for i in range(n)])
+    hess = np.array([[(fn.value(z + e[i] + e[j]) - fn.value(z + e[i] - e[j])
+                       - fn.value(z - e[i] + e[j]) + fn.value(z - e[i] - e[j])) / (4 * h * h)
+                      for j in range(n)] for i in range(n)])
+    return fn.value(z), grad, hess
+
+
+class TestQuadraticModel:
+    SMOOTH = {
+        "exponential": (Exponential(2.0, 0.5, 1.0), [-1.5, 0.0, 2.0]),
+        "entropy": (Entropy(1.5, -0.3, 0.2), [0.05, 1.0, 3.0]),
+    }
+    COMPOSITE = {
+        "separable": (SeparableSum([Exponential(1.0, 2.0), Quadratic([0.5], [1.0])]),
+                      [0.3, -1.0]),
+        "precomposition": (AffinePrecomposition(Exponential(0.5, 1.0),
+                                                np.array([[1.0, -2.0]]), [0.25]),
+                           [0.4, 0.1]),
+        "sum": (FiniteSum([Exponential(1.0, 1.0), Entropy(2.0, 0.5)]), [0.7]),
+    }
+
+    @pytest.mark.parametrize("kind, i", [(k, i) for k in SMOOTH for i in range(3)])
+    def test_smooth_kind_agrees_to_second_order(self, kind, i):
+        fn, points = self.SMOOTH[kind]
+        z = [points[i]]
+        model = fn.quadratic_model(z)
+        assert model.qp_form() is not None
+        assert model.value(z) == pytest.approx(fn.value(z), rel=1e-12, abs=1e-12)
+        _, gm, hm = _derivatives(model, z)
+        _, gf, hf = _derivatives(fn, z)
+        np.testing.assert_allclose(gm, gf, rtol=1e-6)
+        np.testing.assert_allclose(hm, hf, rtol=1e-3)
+
+    @pytest.mark.parametrize("kind", sorted(COMPOSITE))
+    def test_combinators_pass_the_model_to_their_parts(self, kind):
+        fn, z = self.COMPOSITE[kind]
+        model = fn.quadratic_model(z)
+        assert model.qp_form() is not None
+        vm, gm, hm = _derivatives(model, z)
+        vf, gf, hf = _derivatives(fn, z)
+        assert vm == pytest.approx(vf, rel=1e-12)
+        np.testing.assert_allclose(gm, gf, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(hm, hf, rtol=1e-3, atol=1e-5)
+
+    def test_entropy_model_keeps_the_domain_and_floors_z(self):
+        # at z = 0 the curvature c/z is infinite: the model is taken at 1e-8
+        fn = Entropy(1.0)
+        model = fn.quadratic_model([0.0])
+        assert model.value([-1e-3]) == INF
+        assert model.value([1e-8]) == pytest.approx(fn.value([1e-8]), abs=1e-15)
+        _, _, hess = _derivatives(model, [1e-8], h=1e-10)
+        assert hess[0, 0] == pytest.approx(1e8, rel=1e-3)
+
+    @pytest.mark.parametrize("fn", [Quadratic([0.5, 2.0], [1.0, -1.0]), absolute_value(),
+                                    indicator_interval(-1.0, 2.0), Affine([1.0, -3.0], 0.5),
+                                    PolyhedralIndicator(Polyhedron(a_ub=[[1.0, 1.0]],
+                                                                   b_ub=[1.0]))],
+                             ids=["quadratic", "abs", "interval", "affine", "polyhedral"])
+    def test_qp_kind_is_its_own_model(self, fn):
+        assert fn.quadratic_model(np.zeros(fn.dim)) is fn
+
+    def test_support_function_has_no_model(self):
+        box = Polyhedron(a_ub=[[1.0], [-1.0]], b_ub=[1.0, 1.0])
+        fn = SeparableSum([Exponential(), SupportFunction(box)])
+        with pytest.raises(NoClosedFormError, match="no quadratic model"):
+            fn.quadratic_model([0.0, 0.0])

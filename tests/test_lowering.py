@@ -19,14 +19,13 @@ from stochdual.convex import (
     SeparableSum,
     _split_fix,
     absolute_value,
-    domain_polyhedron,
     indicator_interval,
     indicator_point,
     infeasible,
 )
 from stochdual.integrand import AlmIntegrand, BolzaIntegrand, BolzaStage, GenericIntegrand
 from stochdual.qp import solve_qp
-from stochdual.solver import DualObjective, Problem, SolverConfig, primal_objective
+from stochdual.solver import DualObjective, Problem, primal_objective
 from stochdual.tree import StochasticProcess, adapted_projection
 
 from helpers import (
@@ -150,9 +149,9 @@ def fallback_objective(monkeypatch, p, y):
     seen = []
     real = solver._minimize
 
-    def spy(obj, cfg):
+    def spy(obj):
         seen.append(obj)
-        return real(obj, cfg)
+        return real(obj)
 
     monkeypatch.setattr(solver, "_minimize", spy)
     solver.dual_via_orthocomplement(p, y, objective=NO_INNER_SOLVE)
@@ -235,20 +234,6 @@ class TestLoweringMatchesDense:
             grad = sum(t.weight * M.T @ t.fn.subgradient(M @ W[0])
                        for t, M in zip(obj.terms, mats))
             np.testing.assert_allclose(obj.subgradient(W[0]), grad, rtol=1e-13, atol=1e-13)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_constraint_rows(self, seed):
-        p, u, _ = cases(seed)[0]
-        _, obj = primal_objective(p, u)
-        G, h, A, b = obj.constraint_rows()
-        doms = [(t, domain_polyhedron(t.fn)) for t in obj.terms]
-        mats = selection_mats(obj)
-        np.testing.assert_array_equal(
-            G, np.vstack([d.a_ub @ M for (_, d), M in zip(doms, mats)]))
-        np.testing.assert_array_equal(h, np.concatenate([d.b_ub for _, d in doms]))
-        np.testing.assert_array_equal(
-            A, np.vstack([d.a_eq @ M for (_, d), M in zip(doms, mats)]))
-        np.testing.assert_array_equal(b, np.concatenate([d.b_eq for _, d in doms]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +354,7 @@ class TestGroupedLowering:
     def test_stationarity_shares_match_per_term(self, seed):
         # the share of term g(M x + m) is weight * M' s, s its subgradient
         for name, obj in grouped_objectives(seed):
-            res = solver._minimize(obj, SolverConfig())
+            res = solver._minimize(obj)
             assert res.status == "optimal", name
             # the per-term subgradients, read off each group through its idx
             subgradients = [None] * len(obj.terms)

@@ -25,7 +25,6 @@ from stochdual.solver import (
     CompiledObjective,
     DualObjective,
     Problem,
-    SolverConfig,
     _Term,
     dual_objective,
     dual_via_orthocomplement,
@@ -47,7 +46,6 @@ from helpers import (
     random_process,
 )
 
-CFG = SolverConfig()
 SHAPES = ("adapted", "split", "leafwise")
 
 
@@ -141,9 +139,9 @@ def captured_objective(monkeypatch, call):
     seen = []
     real = solver._minimize
 
-    def spy(obj, cfg):
+    def spy(obj):
         seen.append(obj)
-        return real(obj, cfg)
+        return real(obj)
 
     monkeypatch.setattr(solver, "_minimize", spy)
     out = call()
@@ -160,7 +158,7 @@ class TestNodewiseMatchesPerLeaf:
         ref = per_leaf_primal(p, u)
         assert_same_function(obj, ref, obj.n, np.random.default_rng(1),
                              smooth=not name.startswith("kabanov"))
-        assert_same_solve(solver._minimize(obj, CFG), solver._minimize(ref, CFG))
+        assert_same_solve(solver._minimize(obj), solver._minimize(ref))
 
     def test_lagrangian_and_lower_variant(self, name):
         p, _, y = CASES[name]
@@ -172,7 +170,7 @@ class TestNodewiseMatchesPerLeaf:
         assert_same_function(obj, ref, obj.n, np.random.default_rng(2),
                              smooth=not name.startswith("kabanov"))
         dob = dual_objective(p, y)
-        res = solver._minimize(ref, CFG)
+        res = solver._minimize(ref)
         assert dob.inner_status == res.status
         if dob.minimizer is None:
             return
@@ -335,7 +333,7 @@ def test_one_epigraph_atom_per_node():
     _, obj = primal_objective(p, u)
     P, q, c, G, h, A, b, n_main = obj.qp_data()
     assert (P.shape[0] - n_main, G.shape[0]) == (31, 62)
-    res, ref = solver._minimize(obj, CFG), solver._minimize(per_leaf_primal(p, u), CFG)
+    res, ref = solver._minimize(obj), solver._minimize(per_leaf_primal(p, u))
     assert res.status == ref.status == "optimal"
     assert res.value == pytest.approx(ref.value, rel=1e-10, abs=1e-10)
     # a u that differs on every leaf splits every node down to its leaves

@@ -8,7 +8,7 @@ import pytest
 
 from stochdual import qp
 from stochdual.cli import run
-from stochdual.qp import project_onto_polyhedron, solve_qp
+from stochdual.qp import solve_qp
 from stochdual.solver import dual_objective, solve_dual, solve_primal
 
 from helpers import grid_minimize, hedging_file, kinked_doc, parse_doc
@@ -119,9 +119,12 @@ class TestKnownConstrained:
         assert res.ineq_multipliers[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_projection_onto_halfplane(self):
-        x = project_onto_polyhedron([1.0, 0.0], G=[[2.0, 1.0], [1.0, 2.0]],
-                                    h=[0.0, 0.0])
-        np.testing.assert_allclose(x, [0.2, -0.4], atol=1e-8)
+        # the projection of (1, 0) onto {2x + y <= 0, x + 2y <= 0}: min
+        # 1/2|x - p|^2 lands on the first face, with multiplier 0.4
+        res = solve_qp(np.eye(2), [-1.0, 0.0], G=[[2.0, 1.0], [1.0, 2.0]], h=[0.0, 0.0])
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, [0.2, -0.4], atol=1e-8)
+        np.testing.assert_allclose(res.ineq_multipliers, [0.4, 0.0], atol=1e-8)
 
     def test_equality_constrained(self):
         # min 1/2|x|^2 s.t. x1 + x2 = 1 -> (0.5, 0.5)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochdual import cli, qp, solver
+from stochdual import cli, solver
 from stochdual.cli import fixture_path, parse_problem_file
 from stochdual.convex import (
     Affine,
@@ -33,7 +33,6 @@ from stochdual.integrand import (
 from stochdual.optimality import check_alm
 from stochdual.solver import (
     Problem,
-    SolverConfig,
     dual_objective,
     dual_via_orthocomplement,
     duality_gap,
@@ -53,6 +52,7 @@ from stochdual.tree import (
 from helpers import (
     HALF_SQUARE,
     basis_bound,
+    binary_hedging,
     bolza_doc,
     grid_minimize,
     hedging_doc,
@@ -252,8 +252,7 @@ class TestSolveDual:
     def test_no_inner_solve_without_a_primal_optimum(self, monkeypatch, case):
         # unbounded: f(x, u) = x; infeasible: a kinked disutility on
         # [-0.1, 0.1] that no hedge of u = (1, 1) reaches; max-iter: the
-        # subgradient method stopped before its first progress test
-        cfg = SolverConfig()
+        # Newton method capped at two steps, short of the optimum
         if case == "unbounded":
             tree = ScenarioTree.deterministic(1)
             p = Problem(tree, GenericIntegrand(tree, [1], [1], [Affine([1.0, 0.0])]))
@@ -267,13 +266,13 @@ class TestSolveDual:
         else:
             p = exponential_alm()
             u = alm_u(p.tree, 0.0)
-            cfg = SolverConfig(max_iter=50)
-        primal = solve_primal(p, u, cfg)
+            monkeypatch.setattr(solver, "_NEWTON_STEPS", 2)
+        primal = solve_primal(p, u)
         assert primal.status == case
         calls = []
         real = solver.dual_objective
         monkeypatch.setattr(solver, "dual_objective", lambda *a: calls.append(a) or real(*a))
-        res = solve_dual(p, u, cfg, primal)
+        res = solve_dual(p, u, primal=primal)
         assert calls == []
         assert res.optimizer is None
         if case == "unbounded":
@@ -282,19 +281,34 @@ class TestSolveDual:
         else:
             assert res.status == "not-run"
 
-    def test_unconverged_inner_solve_is_max_iter(self):
-        # the recovered y = 0.3592 is priced by the infimum of an
-        # exponential plus an entropy, which the subgradient method does not
-        # reach within max_iter: no dual value is reported
+    @staticmethod
+    def smooth_generic():
+        """exp + entropy + affine on one leaf: no QP form on either side."""
         tree = ScenarioTree.deterministic(2)
         p = Problem(tree, GenericIntegrand(tree, [1, 1], [0, 1], [SeparableSum([
             Exponential(0.7068, 0.8908, 0.3056), Entropy(1.3672, 0.2401, -0.3257),
             Affine([0.3592], 0.6926)])]))
-        u = StochasticProcess.from_stage_values(tree, [[[]], [[1.4852]]])
-        cfg = SolverConfig(max_iter=2000)
-        primal = solve_primal(p, u, cfg)
+        return p, StochasticProcess.from_stage_values(tree, [[[]], [[1.4852]]])
+
+    def test_smooth_inner_solve_closes_the_gap(self):
+        # the recovered y = 0.3592 is priced by the infimum of an
+        # exponential plus an entropy, which Newton's method reaches
+        p, u = self.smooth_generic()
+        primal = solve_primal(p, u)
+        res = solve_dual(p, u, primal=primal)
+        assert (primal.status, primal.method) == ("optimal", "newton")
+        assert (res.status, res.method) == ("optimal", "recovered")
+        assert res.optimizer.stage(1)[0, 0] == pytest.approx(0.3592, abs=1e-12)
+        assert abs(primal.value - res.value) <= 1e-12 * max(1.0, abs(primal.value))
+
+    def test_unconverged_inner_solve_is_max_iter(self, monkeypatch):
+        # the inner solve that prices y, capped at one Newton step, stops
+        # short of the infimum: no dual value is reported
+        p, u = self.smooth_generic()
+        primal = solve_primal(p, u)
         assert primal.status == "optimal"
-        res = solve_dual(p, u, cfg, primal)
+        monkeypatch.setattr(solver, "_NEWTON_STEPS", 1)
+        res = solve_dual(p, u, primal=primal)
         assert (res.status, res.method, res.optimizer) == ("max-iter", "recovered", None)
         assert res.residual == INF
 
@@ -541,17 +555,16 @@ class TestCertifiedBound:
         self.assert_fallback_to_oracle(
             p, y, dual_via_orthocomplement(p, y, objective=outside), fallbacks)
 
-    def test_subgradient_inner_solve_falls_back(self, monkeypatch):
-        # the subgradient method returns no multipliers, so no v is read
-        # off; the fallback over v reaches phi*(y) = 1 + E y^2 / 2, where
-        # v1 = 0 and v2 = -a y
+    def test_newton_inner_solve_falls_back(self, monkeypatch):
+        # Newton's method returns no multipliers, so no v is read off; the
+        # fallback over v reaches phi*(y) = 1 + E y^2 / 2, where v1 = 0 and
+        # v2 = -a y
         p = entropy_hedging()
         y = StochasticProcess.from_stage_values(
             p.tree, [np.zeros((2, 0)), [[2.0 / 3.0], [4.0 / 3.0]]])
-        cfg = SolverConfig(max_iter=4000)
-        assert dual_objective(p, y, cfg).inner.multipliers is None
+        assert dual_objective(p, y).inner.multipliers is None
         fallbacks = count_fallbacks(monkeypatch)
-        bound = dual_via_orthocomplement(p, y, cfg)
+        bound = dual_via_orthocomplement(p, y)
         assert len(fallbacks) == 1
         assert bound.value == pytest.approx(1.0 + 0.5 * (2.0 / 9.0 + 8.0 / 9.0), abs=1e-9)
 
@@ -635,62 +648,59 @@ class TestGridEquivalence:
         assert res.value == pytest.approx(expected, abs=2e-2)
 
 
-class TestSubgradientPath:
+def exponential_hedging_value(horizon, liability):
+    """exp(E_Q[u] - H(Q|P)) - 1, the exponential hedging primal on the
+    binary tree of ``binary_hedging``: each step is x1.2 with Q-probability
+    1/3 or x0.9 with 2/3 (P: 1/2 each), so Q_l = 3^-H 2^k for the k down
+    steps to leaf l, the bits of l."""
+    n = 2 ** horizon
+    downs = np.array([bin(leaf).count("1") for leaf in range(n)])
+    Q = 2.0 ** downs / 3.0 ** horizon
+    return np.exp(Q @ liability - Q @ np.log(Q * n)) - 1.0
+
+
+class TestNewtonPath:
     def test_exponential_alm_close_to_truth(self):
-        # V(c) = e^c - 1 is outside the QP path; subgradient must still land
+        # V(c) = e^c - 1 is outside the QP path; Newton's method lands on
+        # the grid minimum
         p = exponential_alm()
         u = alm_u(p.tree, 0.0)
-        cfg = SolverConfig(max_iter=20000)
-        res = solve_primal(p, u, cfg)
+        res = solve_primal(p, u)
         layout, obj = primal_objective(p, u)
         expected, _ = grid_minimize(objective_values(obj), layout.width, lo=-5, hi=5)
         assert res.value <= expected + 1e-3
         assert res.value >= expected - 1e-2
 
-    def test_equality_rows_project_without_a_qp(self, monkeypatch):
-        # the bound's fallback over v runs under the mean-zero equality rows
-        # and the conjugates' equality rows only: each projection is
-        # w - A^+(A w - b), the pseudo-inverse computed once per solve
+    @pytest.mark.parametrize("horizon", [2, 4, 6, 8])
+    def test_exponential_hedging_matches_the_closed_form(self, horizon):
+        rng = np.random.default_rng(horizon)
+        p = binary_hedging(horizon, Exponential(1.0, 1.0, -1.0))
+        liability = rng.uniform(-0.5, 0.5, 2 ** horizon)
+        rep = duality_gap(p, liability_process(p.tree, p.m_dims, liability))
+        want = exponential_hedging_value(horizon, liability)
+        assert (rep.primal.method, rep.dual.status) == ("newton", "optimal")
+        assert rep.primal.iterations <= 15
+        assert rep.primal.value == pytest.approx(want, rel=1e-12, abs=0)
+        assert abs(rep.gap) <= 1e-12 * max(1.0, abs(want))
+
+    def test_entropy_hedging_dual_objective(self):
+        # phi*(y) = inf over mean-zero v of E exp(v1) + y^2 / 2 = 1 + 5/9
         p = entropy_hedging()
         y = StochasticProcess.from_stage_values(
             p.tree, [np.zeros((2, 0)), [[2.0 / 3.0], [4.0 / 3.0]]])
-        cfg = SolverConfig(max_iter=4000)
-        dob = dual_objective(p, y, cfg)
-        calls = []
-        real_qp = qp.solve_qp
-        monkeypatch.setattr(qp, "solve_qp", lambda *a, **k: calls.append(1) or real_qp(*a, **k))
-        got = dual_via_orthocomplement(p, y, cfg, dob)
-        assert calls == []
-
-        def qp_projector(G, h, A, b, tol):
-            return lambda w: (w if solver._violation(w, G, h, A, b) <= tol
-                              else qp.project_onto_polyhedron(w, G, h, A, b))
-
-        monkeypatch.setattr(solver, "_projector", qp_projector)
-        want = dual_via_orthocomplement(p, y, cfg, dob)
-        assert len(calls) > 100
-        assert (got.status, want.status) == ("optimal", "optimal")
-        assert got.value == pytest.approx(want.value, rel=0, abs=1e-9)
-        np.testing.assert_allclose(got.v.to_vector(), want.v.to_vector(), rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_projector_matches_the_qp_projection(self, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(3, 6))
-        A = np.vstack([A, A[0] + A[1]])  # a redundant, consistent row
-        b = A @ rng.normal(size=6)
-        project = solver._projector(np.zeros((0, 6)), np.zeros(0), A, b, 1e-8)
-        for w in rng.normal(size=(4, 6)):
-            np.testing.assert_allclose(project(w), qp.project_onto_polyhedron(w, A=A, b=b),
-                                       rtol=0, atol=1e-9)
+        dob = dual_objective(p, y)
+        assert (dob.inner_status, dob.inner.method) == ("optimal", "newton")
+        assert dob.value == pytest.approx(14.0 / 9.0, rel=1e-12)
 
     def test_inconsistent_equality_rows_are_infeasible(self):
-        # w0 = 0 and w0 = 1 at once: the subgradient method ends infeasible
+        # e^w0 under w0 = 0 and w0 = 1 at once: the first Newton step's QP
+        # is infeasible
         ind = PolyhedralIndicator(Polyhedron(a_eq=[[1.0], [1.0]], b_eq=[0.0, 1.0],
                                              validate=False))
-        obj = solver.CompiledObjective(1, [solver._Term(1.0, ind, np.array([0]), 0)])
-        res = solver._subgradient_minimize(obj, SolverConfig())
-        assert (res.status, res.x) == ("infeasible", None)
+        obj = solver.CompiledObjective(1, [solver._Term(1.0, Exponential(), np.array([0]), 0),
+                                           solver._Term(1.0, ind, np.array([0]), 0)])
+        res = solver._minimize(obj)
+        assert (res.status, res.x, res.method) == ("infeasible", None, "newton")
 
 
 # ---------------------------------------------------------------------------
