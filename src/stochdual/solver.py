@@ -67,8 +67,8 @@ argument, one group of terms at a time
 sum_k N_k' s_k over the terms of leaf l, with no projection: the parameter
 block of the subgradient (v, y) in the subdifferential of f at (x, u) that
 the optimum picks.  The same reader gives the annihilator bound's v as M_k'
-s_k on the Lagrangian.  Off the QP path s_k is g's subgradient rule at the
-argument.
+s_k on the Lagrangian.  Off the QP path the QP is Newton's last step, whose
+model of each g the reader reads in place of g.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ from .convex import (
 from .integrand import (
     MINUS_INF,
     BolzaIntegrand,
-    ConstrainedIntegrand,
     KabanovStage,
     ParametricIntegrand,
 )
@@ -169,8 +168,8 @@ class SolverConfig:
     @property
     def gap_tol(self) -> float:
         """Relative tolerance of the duality gap and of the certificates:
-        ``tol`` when looser than its default, else 1e-6."""
-        return self.tol if self.tol > 1e-7 else 1e-6
+        ``tol``, but never below 1e-6."""
+        return max(self.tol, 1e-6)
 
 
 @dataclass
@@ -611,7 +610,19 @@ class CompiledObjective:
         g, M_k = I): P r_k + q plus, over the weight, the multipliers of the
         term's rows on g's rows and each epigraph atom's row of g times the
         sum of the atom's row multipliers weighted by their coefficients.
-        The shares weight_k M_k' s_k scatter-add to zero."""
+        The shares weight_k M_k' s_k scatter-add to zero.
+
+        A Newton solve's are those its last step's QP selects: that QP has
+        this objective's terms in order, each g replaced by its model, so it
+        reads them through its own groups (one per model term, except QP
+        kinds, which are their own model), and they are regrouped here by
+        term index."""
+        if res.step is not None:
+            step_obj, step = res.step
+            by_term = {}
+            for idx, s in zip(step_obj.template.grouping, step_obj._group_subgradients(step)):
+                by_term.update(zip(idx.tolist(), s))
+            return [np.array([by_term[i] for i in idx.tolist()]) for idx in self.template.grouping]
         x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
         out = []
         for g, m in zip(self._lowering.groups, self.offsets):
@@ -639,11 +650,12 @@ class _MinResult:
     method: str
     multipliers: np.ndarray | None = None
     eq_multipliers: np.ndarray | None = None
+    # Newton's method: its last step's objective and QP solve, whose
+    # multipliers these are
+    step: tuple[CompiledObjective, _MinResult] | None = None
 
 
 def _minimize(obj: CompiledObjective) -> _MinResult:
-    if obj.n == 0:
-        return _MinResult("optimal", np.zeros(0), obj.value(np.zeros(0)), 0, 0.0, "direct")
     data = obj.qp_data()
     if data is not None:
         P, q, c, G, h, A, b, n_main = data
@@ -669,13 +681,16 @@ def _newton_minimize(obj: CompiledObjective) -> _MinResult:
     step d, so a direction the QP finds flat keeps x's coordinate.  The step
     is halved until the value does not rise, while the model's predicted
     decrease is above 1e-14 max(1, |f|); below it, one more full step
-    polishes the gradient that the dual reads.  No multipliers."""
+    polishes the gradient that the dual reads.  An optimum carries that
+    last step's multipliers, with its objective and solve, so the dual and
+    the annihilator bound read it as they read any QP's."""
     x = np.zeros(obj.n)
     f = obj.value(x)
     for it in range(1, _NEWTON_STEPS + 1):
-        step = _minimize(CompiledObjective(obj.n, [
+        model = CompiledObjective(obj.n, [
             _Term(t.weight, _in_step(t.fn.quadratic_model(x[t.cols]), x[t.cols]), t.cols, t.node)
-            for t in obj.terms]))
+            for t in obj.terms])
+        step = _minimize(model)
         if step.status != "optimal":
             return _MinResult(step.status, None, step.value, it, INF, "newton")
         floor = 1e-14 * max(1.0, abs(f)) if f < INF else 0.0
@@ -687,7 +702,8 @@ def _newton_minimize(obj: CompiledObjective) -> _MinResult:
             t *= 0.5
         else:  # converged: the polishing step
             x = x + step.x
-            return _MinResult("optimal", x, obj.value(x), it, step.residual, "newton")
+            return _MinResult("optimal", x, obj.value(x), it, step.residual, "newton",
+                              step.multipliers, step.eq_multipliers, (model, step))
         x, f = x + t * step.x, trial
     return _MinResult("max-iter", x, f, _NEWTON_STEPS, 0.0, "newton")
 
@@ -1060,13 +1076,13 @@ def _conjugate_terms(p: Problem, rows, conjugates):
 
 def _stationary_v(p: Problem, yvecs, dob: DualObjective):
     """v read off the inner solve behind ``dob``, or None without a finite
-    optimum with multipliers.  A Lagrangian term g(M x + m) contributes
-    M' s, s the subgradient of g its solution selects: off the dynamic path
-    that is v_l for the term's leaf l.  On it, it is an x_t-gradient of
+    optimum.  A Lagrangian term g(M x + m) contributes M' s, s the
+    subgradient of g its solution selects: off the dynamic path that is v_l
+    for the term's leaf l.  On it, it is an x_t-gradient of
     H_t(., y_t), and v_t adds y_t - y_{t+1} (the shift that
     ``_bolza_conjugates_of_v`` undoes); the coupling term has no node."""
     res, dynamic = dob.inner, isinstance(p.integrand, BolzaIntegrand)
-    if res is None or res.status != "optimal" or res.multipliers is None:
+    if res is None or res.status != "optimal":
         return None
     V = yvecs - _next_stage(p, yvecs) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
     obj = dob.lagrangian
@@ -1156,8 +1172,8 @@ def solve_dual(p: Problem, u: StochasticProcess,
         duality leaves no finite dual value;
       * ``not-run`` when the primal is infeasible, ended ``max-iter`` or
         has no closed form;
-      * ``not-recovered`` when no y is read off the primal, or
-        phi*(y) = +inf;
+      * ``not-recovered`` when phi*(y) = +inf at the y read off the primal
+        (or when a recovery hands back no y);
       * ``no-closed-form`` when a conjugate the dual needs has none;
       * ``max-iter`` when the inner solve pricing y ended ``max-iter``, or
         an LP that its Lagrangian needs did not terminate;
@@ -1196,65 +1212,17 @@ def solve_dual(p: Problem, u: StochasticProcess,
 def _recover_dual_candidate(p, primal):
     """y_l = sum_k N_k' s_k over the primal terms g(M_k x + m_k + N_k u_l)
     of leaf l, s_k the subgradient of g at the term's argument that the
-    primal QP's solution selects; a node term's share goes to each of its
-    leaves.  The shares are read one lowering group at a time: one stacked
-    N_k' s_k product and one scatter per group.  y is not projected: on a
-    dynamic problem it is adapted when u is.  An objective off the QP path
-    takes g's subgradient rule at the argument instead (the closed form on
-    a stage, none for a constrained model).  None when no rule applies."""
-    obj, res, f = primal.compiled, primal.solution, p.integrand
-    if obj is None or res is None or res.x is None:
-        return None
-    try:
-        if res.multipliers is not None:
-            subgradients = obj._group_subgradients(res)
-        elif isinstance(f, ConstrainedIntegrand):
-            return None
-        else:
-            subgradients = []
-            for idx in obj.template.grouping:
-                s = [_subgradient_rule(p, obj.terms[i], res.x[obj.terms[i].cols]) for i in idx]
-                if any(s_k is None for s_k in s):
-                    return None
-                subgradients.append(np.array(s))
-        rows = np.zeros((p.tree.n_leaves, sum(p.m_dims)))
-        for g, s in zip(obj.template.params, subgradients):
-            shares = (g.N.swapaxes(-1, -2) @ s[..., None])[..., 0]
-            np.add.at(rows, g.leaves, shares[g.owner])
-    except (NoClosedFormError, ValueError):
-        return None
+    primal's QP selects (on Newton's method, its last step's); a node
+    term's share goes to each of its leaves.  The shares are read one
+    lowering group at a time: one stacked N_k' s_k product and one scatter
+    per group.  y is not projected: on a dynamic problem it is adapted
+    when u is."""
+    obj = primal.compiled
+    rows = np.zeros((p.tree.n_leaves, sum(p.m_dims)))
+    for g, s in zip(obj.template.params, obj._group_subgradients(primal.solution)):
+        shares = (g.N.swapaxes(-1, -2) @ s[..., None])[..., 0]
+        np.add.at(rows, g.leaves, shares[g.owner])
     return StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
-
-
-def _subgradient_rule(p, term, x):
-    """A subgradient of a primal term's g at its argument r off the QP path:
-    on a stage cost, ``_stage_dual_gradient``'s velocity block (the state
-    block, which N does not read, is left 0); None where there is none."""
-    fn, f = term.fn, p.integrand
-    r = fn.matrix @ x + fn.offset
-    if isinstance(f, BolzaIntegrand):
-        t, leaves = term.node
-        w = _stage_dual_gradient(f.stage_cost(leaves[0], t), r[:f.d], r[f.d:])
-        return None if w is None else np.concatenate([np.zeros(f.d), w])
-    return None if fn.inner.value(r) == INF else fn.inner.subgradient(r)
-
-
-def _stage_dual_gradient(stage, x_t, w_t):
-    """Velocity-block gradient of the stage cost, when it pins the dual."""
-    if isinstance(stage, KabanovStage):
-        _, k = stage._split_state(np.ravel(x_t))
-        try:
-            yz = stage.V.subgradient(-k)
-        except NoClosedFormError:
-            return None
-        return np.concatenate([yz, np.zeros(stage.currency_dim)])
-    try:
-        full = np.concatenate([np.ravel(x_t), np.ravel(w_t)])
-        if stage.fn.value(full) == INF:
-            return None
-        return stage.fn.subgradient(full)[stage.d:]
-    except (NoClosedFormError, ValueError):
-        return None
 
 
 def duality_gap(p: Problem, u: StochasticProcess,

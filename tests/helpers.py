@@ -583,12 +583,31 @@ def per_leaf_conjugate_sum(p, y, v):
     return total
 
 
+def _stage_dual_gradient(stage, x_t, w_t):
+    """Velocity-block gradient of the stage cost, when it pins the dual."""
+    from stochdual.convex import NoClosedFormError
+    from stochdual.integrand import KabanovStage
+
+    if isinstance(stage, KabanovStage):
+        _, k = stage._split_state(np.ravel(x_t))
+        try:
+            yz = stage.V.subgradient(-k)
+        except NoClosedFormError:
+            return None
+        return np.concatenate([yz, np.zeros(stage.currency_dim)])
+    try:
+        full = np.concatenate([np.ravel(x_t), np.ravel(w_t)])
+        if stage.fn.value(full) == np.inf:
+            return None
+        return stage.fn.subgradient(full)[stage.d:]
+    except (NoClosedFormError, ValueError):
+        return None
+
+
 def per_leaf_recovered_dual(p, u, x):
     """The dynamic dual candidate leaf by leaf: the velocity gradient of
     every leaf's stage costs at (x_t, dx_t + u_t); None when some stage
     does not pin it."""
-    from stochdual.solver import _stage_dual_gradient
-
     f, xs, us = p.integrand, x.leaf_rows(), u.leaf_rows()
     arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
     for leaf in range(p.tree.n_leaves):

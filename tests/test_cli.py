@@ -469,6 +469,22 @@ class TestHonestExitCodes:
         assert report["dual"]["status"] == "not-run"
         assert report["certificate"] == {"verdict": "unavailable", "reason": "no-closed-form"}
 
+    @pytest.mark.parametrize("fn, method", [({"kind": "quadratic", "weights": [1]}, "polyhedral"),
+                                            ({"kind": "exponential"}, "newton")],
+                             ids=["quadratic", "exponential"])
+    def test_problem_without_decisions_is_solved(self, tmp_path, fn, method):
+        # no decisions (x_dims [0, 0]): the primal is E g(u), solved like any
+        # other problem on its engine's path, and y is read off that solve
+        doc = {"tree": {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]},
+               "model": {"family": "generic", "x_dims": [0, 0], "u_dims": [0, 1],
+                         "functions": [fn]},
+               "parameters": {"u": [0, [1.0, -0.5]]}}
+        code, report = run(["report", write_doc(tmp_path, "no-decisions", doc)])
+        assert (report["primal"]["status"], report["dual"]["status"]) == ("optimal", "optimal")
+        assert report["primal"]["method"] == method
+        assert report["gap"] == 0.0
+        assert (report["certificate"]["verdict"], code) == ("pass", 0)
+
     def test_infinite_gap_with_finite_primal_exits_non_zero(self, monkeypatch):
         # no y is read off the primal: the dual is missing, and the gap is
         # infinite although the primal is not

@@ -556,17 +556,46 @@ class TestCertifiedBound:
             p, y, dual_via_orthocomplement(p, y, objective=outside), fallbacks)
 
     def test_newton_inner_solve_falls_back(self, monkeypatch):
-        # Newton's method returns no multipliers, so no v is read off; the
-        # fallback over v reaches phi*(y) = 1 + E y^2 / 2, where v1 = 0 and
-        # v2 = -a y
+        # Newton's inner solve carries its last step's multipliers, so v is
+        # read off it with no fallback: v1 = 0 and v2 = -a y reach phi*(y) =
+        # 1 + E y^2 / 2.  Its point moved off the minimizer leaves no lower
+        # side of the sandwich, and the fallback over v reaches the same value
         p = entropy_hedging()
         y = StochasticProcess.from_stage_values(
             p.tree, [np.zeros((2, 0)), [[2.0 / 3.0], [4.0 / 3.0]]])
-        assert dual_objective(p, y).inner.multipliers is None
+        dob = dual_objective(p, y)
+        assert dob.inner.method == "newton" and dob.inner.multipliers is not None
         fallbacks = count_fallbacks(monkeypatch)
-        bound = dual_via_orthocomplement(p, y)
+        want = 1.0 + 0.5 * (2.0 / 9.0 + 8.0 / 9.0)
+        bound = dual_via_orthocomplement(p, y, objective=dob)
+        assert (bound.status, fallbacks) == ("optimal", [])
+        assert in_orthocomplement(bound.v)
+        assert bound.value == pytest.approx(want, abs=1e-9)
+        outside = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, x=dob.inner.x + 5.0))
+        bound = dual_via_orthocomplement(p, y, objective=outside)
         assert len(fallbacks) == 1
-        assert bound.value == pytest.approx(1.0 + 0.5 * (2.0 / 9.0 + 8.0 / 9.0), abs=1e-9)
+        assert bound.value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("state_cost", [{"kind": "exponential", "offset": -1},
+                                            {"kind": "entropy"}], ids=["exponential", "entropy"])
+    def test_newton_bolza_bound_is_read_off(self, state_cost, monkeypatch):
+        # a 16-leaf Bolza problem whose state cost has no QP form: the bound
+        # is read off the Newton inner solve, and the solve over v, forced by
+        # a stopped inner solve, reaches the same value
+        p, u = parse_doc(bolza_doc(4, state_cost, np.random.default_rng(4)))
+        dual = solve_dual(p, u)
+        dob = dual.objective
+        assert (dual.status, dob.inner.method) == ("optimal", "newton")
+        assert dob.inner.multipliers is not None
+        fallbacks = count_fallbacks(monkeypatch)
+        bound = dual_via_orthocomplement(p, dual.optimizer, objective=dob)
+        assert (bound.status, fallbacks) == ("optimal", [])
+        assert in_orthocomplement(bound.v)
+        assert bound.value == pytest.approx(dob.value, rel=1e-9, abs=1e-9)
+        stopped = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, status="max-iter"))
+        solved = dual_via_orthocomplement(p, dual.optimizer, objective=stopped)
+        assert (solved.status, len(fallbacks)) == ("optimal", 1)
+        assert solved.value == pytest.approx(bound.value, rel=1e-9, abs=1e-9)
 
 
 class TestDualityGap:
@@ -579,6 +608,13 @@ class TestDualityGap:
         p = binomial_alm()
         rep = duality_gap(p, alm_u(p.tree, 1.0))
         assert abs(rep.gap) <= 1e-5
+
+    def test_gap_tolerance_is_monotone_in_tol(self):
+        # a looser tol never tightens the gap test: gap_tol is at least 1e-6
+        # and does not fall as tol grows
+        tols = [solver.SolverConfig(tol).gap_tol for tol in (1e-9, 1e-7, 2e-7, 5e-7, 1e-6, 1e-5)]
+        assert all(t >= 1e-6 for t in tols)
+        assert tols == sorted(tols)
 
     def test_infeasible_gap_is_infinite(self):
         tree = ScenarioTree.deterministic(1)
