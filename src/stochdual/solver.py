@@ -37,11 +37,11 @@ annihilator bound, and the bound's E f*(v, y) evaluates each node's slice
 once over the node's leaves.  On static problems the bound prices each
 group of leaves that share one g in one stacked pass.
 
-Every compiled objective, the primal, the Lagrangian and the annihilator
-QP alike, is one template (``_Template``) read at one list of per-group
-offsets: the template holds the terms at their own offsets, their lowering
-groups, each group's form and stacked base offsets, from the first
-lowering on P, G and A, read-only, and the spectral factor of P.  The
+Every compiled objective, the primal and the Lagrangian alike, is one
+template (``_Template``) read at one list of per-group offsets: the
+template holds the terms at their own offsets, their lowering groups,
+each group's form and stacked base offsets, from the first lowering on
+P, G and A, read-only, and the spectral factor of P.  The
 primal is compiled once per structure.  Its terms g(M_k z + m_k + N_k u_l)
 depend on u only through their offsets, so a ``Problem`` keeps one
 template (``_PrimalTemplate``, the terms at u = 0 plus each group's stacked
@@ -85,10 +85,7 @@ from .convex import (
     ConvexFunction,
     FiniteSum,
     NoClosedFormError,
-    Polyhedron,
-    PolyhedralIndicator,
     QPForm,
-    SeparableSum,
 )
 from .integrand import (
     MINUS_INF,
@@ -214,6 +211,9 @@ class DualObjective:
 class OrthoBound:
     value: float
     v: StochasticProcess | None
+    # optimal | gap-open (v read off but not certified) | infeasible (value
+    # +inf) | the inner solve's max-iter or infeasible
+    # (``dual_via_orthocomplement``)
     status: str
 
 
@@ -1001,28 +1001,34 @@ def _lower_dual_value(p, yvecs, obj, x, conjugates):
 def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
                              cfg: SolverConfig | None = None,
                              objective: DualObjective | None = None) -> OrthoBound:
-    """Minimize E f*(v, y) over v with zero conditional means (the chain's
-    upper bound).
+    """E f*(v, y) at the v read off the inner solve of phi*(y) (the
+    chain's upper bound, inf over v with zero conditional means).
 
     ``objective`` is ``dual_objective(p, y)`` when the caller already
     has it; it is solved here otherwise.  Its inner solve gives v in the
     x-subdifferential of l(x*, y) with zero conditional means, so E f*(v, y)
-    = phi*(y) = -E l(x*, y).  Weak duality brackets the infimum between
-    the last two for any mean-zero v and adapted x*, so the tests below
-    certify the bound without trusting the solve.  Without such a v the
-    infimum is solved under mean-zero equality terms.
+    = phi*(y) = -E l(x*, y), and v attains the infimum.  Weak duality
+    brackets the infimum between the last two for any mean-zero v and
+    adapted x*, so the tests below certify the bound without trusting the
+    solve; nothing is solved over v.  The status is
 
-    E f*(v, y) at the read-off v goes one group at a time, and the
-    per-leaf terms f*(., y_l) are built only for the solve.  On static
-    problems ``conjugate_values`` prices each group of leaves whose joints
-    share one inner g in one stacked pass, and any other leaf by its own
+      * ``optimal`` when v has zero conditional means (to 1e-9 relative
+        to max |v|, as rounding on a large v scales with it) and E f*(v, y)
+        closes the sandwich to ``cfg.tol``;
+      * ``gap-open``, with no value and no v, when it does not;
+      * ``infeasible`` (value +inf) when the inner solve is unbounded:
+        phi*(y) = +inf, and so is the infimum;
+      * the inner solve's status (``max-iter``, ``infeasible``), with no
+        value and no v, when it ended otherwise short of its optimum, or
+        ``max-iter`` when an LP the bound needs (the support function in
+        a stage conjugate or a Hamiltonian) does not terminate.
+
+    E f*(v, y) goes one group at a time.  On static problems
+    ``conjugate_values`` prices each group of leaves whose joints share
+    one inner g in one stacked pass, and any other leaf by its own
     conjugate.  On dynamic problems the stage conjugates come from
     ``objective`` when it built them, and each node's slice is evaluated
     once over the node's leaves (``_bolza_conjugate_sum``).
-
-    The status is ``max-iter``, with no value and no v, when an LP it
-    needs (the support function in a stage conjugate or a Hamiltonian)
-    does not terminate.
     """
     cfg = cfg or SolverConfig()
     try:
@@ -1033,57 +1039,43 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
 
 def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
                            objective: DualObjective | None) -> OrthoBound:
-    tree = p.tree
     yvecs = _leaf_vectors(p, y, "dual")
     if objective is None:
         objective = dual_objective(p, y)
-    dynamic = isinstance(p.integrand, BolzaIntegrand)
-    if dynamic:
+    if objective.inner_status == "unbounded":
+        return OrthoBound(INF, None, "infeasible")
+    if objective.inner_status != "optimal":
+        return OrthoBound(np.nan, None, objective.inner_status)
+    v = _stationary_v(p, yvecs, objective)
+    V = v.leaf_rows()
+    if not in_orthocomplement(v, 1e-9 * max(1.0, float(np.max(np.abs(V), initial=0.0)))):
+        return OrthoBound(np.nan, None, "gap-open")
+    if isinstance(p.integrand, BolzaIntegrand):
         conjugates = objective.stage_conjugates
         if conjugates is None:
             conjugates = _stage_conjugates(p, yvecs, [
                 (t, leaves) for t, nodes in enumerate(_stage_nodes(p, yvecs))
                 for _, leaves, _ in nodes])
-    v = _stationary_v(p, yvecs, objective)
-    if v is not None and in_orthocomplement(v):
-        # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
-        # mean-zero v; the reported phi*(y) must close the sandwich too
-        value = (_bolza_conjugate_sum(p, yvecs, conjugates, v.leaf_rows()) if dynamic
-                 else _leaf_sum(p, p.integrand.conjugate_values(v.leaf_rows(), yvecs)))
-        lower = -objective.lagrangian.value(objective.inner.x)
-        tol = cfg.tol * max(1.0, abs(value))
-        if np.isfinite(value) and all(abs(value - w) <= tol for w in (lower, objective.value)):
-            return OrthoBound(float(value), v, "optimal")
-    # coordinates of each leaf in the flat order of StochasticProcess.to_vector
-    rows, n = _stage_major_columns([np.arange(tree.n_leaves)] * tree.stage_count,
-                                   p.n_dims)
-    terms = _conjugate_terms(p, rows, _bolza_conjugates_of_v(p, yvecs, conjugates) if dynamic
-                             else [p.integrand.conjugate_function_of_v(leaf, yvecs[leaf])
-                                   for leaf in range(tree.n_leaves)])
-    res = _minimize(CompiledObjective(n, terms + _mean_zero_terms(p, rows)))
-    if res.x is None or res.status == "unbounded":  # no point, or a ray
-        return OrthoBound(res.value, None, res.status)
-    return OrthoBound(res.value, StochasticProcess.from_vector(tree, p.n_dims, res.x),
-                      res.status)
-
-
-def _conjugate_terms(p: Problem, rows, conjugates):
-    """One term p_l f*(v_l, y_l) per leaf l over the leaf's coordinates
-    ``rows[l]`` of v."""
-    return [_Term(float(p.tree.probabilities[leaf]), fn, rows[leaf], leaf)
-            for leaf, fn in enumerate(conjugates)]
+        value = _bolza_conjugate_sum(p, yvecs, conjugates, V)
+    else:
+        value = _leaf_sum(p, p.integrand.conjugate_values(V, yvecs))
+    # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
+    # mean-zero v; the reported phi*(y) must close the sandwich too
+    lower = -objective.lagrangian.value(objective.inner.x)
+    tol = cfg.tol * max(1.0, abs(value))
+    if np.isfinite(value) and all(abs(value - w) <= tol for w in (lower, objective.value)):
+        return OrthoBound(float(value), v, "optimal")
+    return OrthoBound(np.nan, None, "gap-open")
 
 
 def _stationary_v(p: Problem, yvecs, dob: DualObjective):
-    """v read off the inner solve behind ``dob``, or None without a finite
-    optimum.  A Lagrangian term g(M x + m) contributes M' s, s the
-    subgradient of g its solution selects: off the dynamic path that is v_l
-    for the term's leaf l.  On it, it is an x_t-gradient of
-    H_t(., y_t), and v_t adds y_t - y_{t+1} (the shift that
-    ``_bolza_conjugates_of_v`` undoes); the coupling term has no node."""
+    """v read off the optimal inner solve behind ``dob``.  A Lagrangian
+    term g(M x + m) contributes M' s, s the subgradient of g its solution
+    selects: off the dynamic path that is v_l for the term's leaf l.  On
+    it, it is an x_t-gradient of H_t(., y_t), and v_t adds y_t - y_{t+1}
+    (the shift that ``_bolza_conjugate_sum`` undoes); the coupling term
+    has no node."""
     res, dynamic = dob.inner, isinstance(p.integrand, BolzaIntegrand)
-    if res is None or res.status != "optimal":
-        return None
     V = yvecs - _next_stage(p, yvecs) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
     obj = dob.lagrangian
     for idx, group in zip(obj.template.grouping, obj._group_subgradients(res)):
@@ -1098,41 +1090,12 @@ def _stationary_v(p: Problem, yvecs, dob: DualObjective):
     return StochasticProcess.from_leaf_rows(p.tree, p.n_dims, V)
 
 
-def _mean_zero_terms(p: Problem, rows):
-    """One indicator per (stage, block): the block's stage-t values of v,
-    leaf l's at ``rows[l]``, have mean zero, rows (p_l / P(block)) x I_d."""
-    tree, terms, at = p.tree, [], 0
-    for t, d in enumerate(p.n_dims):
-        for block in tree.blocks(t) if d else ():
-            probs = tree.probabilities[list(block)]
-            mean = Polyhedron(a_eq=np.kron(probs / probs.sum(), np.eye(d)), b_eq=np.zeros(d))
-            terms.append(_Term(1.0, PolyhedralIndicator(mean),
-                               rows[list(block), at:at + d].ravel(), (t, tuple(block))))
-        at += d
-    return terms
-
-
-def _bolza_conjugates_of_v(p: Problem, yvecs, conjugates):
-    """Per leaf, v -> f*(v, y) = sum_t K_t*(v_t + y_{t+1} - y_t, y_t), from
-    the stage conjugates of the nodes (``_stage_conjugates``), each shared
-    by its node's leaves; the shift stays per leaf, as v is not adapted."""
-    f = p.integrand
-    stage_fns = [[None] * f.tree.stage_count for _ in range(f.tree.n_leaves)]
-    for t, leaves, fn_a in conjugates:
-        for leaf in leaves.tolist():
-            stage_fns[leaf][t] = fn_a
-    eye, shifts = np.eye(f.d), _next_stage(p, yvecs) - yvecs
-    return [SeparableSum([AffinePrecomposition(fn_a, eye, shifts[leaf, f.u_slices[t]])
-                          for t, fn_a in enumerate(fns)])
-            for leaf, fns in enumerate(stage_fns)]
-
-
 def _bolza_conjugate_sum(p: Problem, yvecs, conjugates, V) -> float:
     """E f*(v, y) = E sum_t K_t*(v_t + y_{t+1} - y_t, y_t) at the leaf rows
-    V of v, as the terms of ``_bolza_conjugates_of_v`` sum it: each node's
-    stage conjugate is evaluated once over the node's leaves, then each
-    leaf's values are summed stage by stage and the leaves in order; +inf
-    when some value is."""
+    V of v, from the stage conjugates of the nodes (``_stage_conjugates``):
+    each node's stage conjugate is evaluated once over the node's leaves,
+    then each leaf's values are summed stage by stage and the leaves in
+    order; +inf when some value is."""
     f = p.integrand
     shifted = V + (_next_stage(p, yvecs) - yvecs)
     vals = np.empty((f.tree.n_leaves, f.tree.stage_count))
@@ -1172,8 +1135,7 @@ def solve_dual(p: Problem, u: StochasticProcess,
         duality leaves no finite dual value;
       * ``not-run`` when the primal is infeasible, ended ``max-iter`` or
         has no closed form;
-      * ``not-recovered`` when phi*(y) = +inf at the y read off the primal
-        (or when a recovery hands back no y);
+      * ``not-recovered`` when phi*(y) = +inf at the y read off the primal;
       * ``no-closed-form`` when a conjugate the dual needs has none;
       * ``max-iter`` when the inner solve pricing y ended ``max-iter``, or
         an LP that its Lagrangian needs did not terminate;
@@ -1193,12 +1155,12 @@ def solve_dual(p: Problem, u: StochasticProcess,
         return SolveResult(None, INF, 0, INF, "not-run")
     try:
         y = _recover_dual_candidate(p, primal)
-        dob = None if y is None else dual_objective(p, y)
+        dob = dual_objective(p, y)
     except NoClosedFormError:
         return SolveResult(None, np.nan, 0, INF, "no-closed-form")
     except PivotLimitError:
         return SolveResult(None, np.nan, 0, INF, "max-iter", "recovered")
-    if dob is None or dob.value == INF:
+    if dob.value == INF:
         return SolveResult(None, np.nan, 0, INF, "not-recovered")
     if dob.inner_status == "max-iter":
         return SolveResult(None, np.nan, dob.inner.iterations, INF, "max-iter", "recovered")

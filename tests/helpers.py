@@ -461,6 +461,32 @@ def parse_doc(doc):
     return problem, params["u"]
 
 
+def bound_solves(monkeypatch):
+    """Record each engine solve (``solver._minimize``) made inside an
+    annihilator bound (``dual_via_orthocomplement``).  A bound handed its
+    dual value reads v off that value's inner solve, so it makes none."""
+    from stochdual import solver
+
+    calls, inside = [], []
+    minimize, bound = solver._minimize, solver._orthocomplement_bound
+
+    def spy(obj):
+        if inside:
+            calls.append(obj)
+        return minimize(obj)
+
+    def within(*args):
+        inside.append(True)
+        try:
+            return bound(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver, "_minimize", spy)
+    monkeypatch.setattr(solver, "_orthocomplement_bound", within)
+    return calls
+
+
 def solve_bits(p, u):
     """What one ``duality_gap`` and its certificate give for (p, u), as
     exact strings: statuses, x and y, the values, the gap, and the residuals

@@ -21,7 +21,7 @@ from stochdual.cli import (
 )
 from stochdual.solver import AdaptedLayout, solve_dual, solve_primal
 
-from helpers import bolza_doc, hedging_file, write_doc
+from helpers import bolza_doc, bound_solves, hedging_file, write_doc
 
 FIXTURES = [
     "quadratic-tracking.json",
@@ -486,10 +486,17 @@ class TestHonestExitCodes:
         assert (report["certificate"]["verdict"], code) == ("pass", 0)
 
     def test_infinite_gap_with_finite_primal_exits_non_zero(self, monkeypatch):
-        # no y is read off the primal: the dual is missing, and the gap is
-        # infinite although the primal is not
-        monkeypatch.setattr(solver, "_recover_dual_candidate", lambda *a: None)
-        for command in ("gap", "dualize"):
+        # a recovery that hands back 100 times the optimal y: phi*(y) = +inf
+        # there, so the dual is missing, and the gap is infinite although
+        # the primal is not
+        recover = solver._recover_dual_candidate
+
+        def scaled(*args):
+            y = recover(*args)
+            return type(y)(y.tree, tuple(100.0 * a for a in y.values))
+
+        monkeypatch.setattr(solver, "_recover_dual_candidate", scaled)
+        for command in ("gap", "dualize", "report"):
             code, report = run([command, fixture_path("pwl-hedging.json")])
             assert report["primal"]["value"] == pytest.approx(-0.025, abs=1e-12)
             assert report["dual"]["status"] == "not-recovered"
@@ -527,9 +534,9 @@ class TestHonestExitCodes:
 
     def test_bound_engine_failure_is_a_status(self, monkeypatch, tmp_path):
         # the dual's phi*(y) handed to the annihilator bound is shifted, so
-        # the v read off its inner solve fails the certificate, and the
-        # fallback's solve stops at the active-set loop's iteration cap,
-        # inside the bound only
+        # the v read off its inner solve fails the certificate and no bound
+        # is reported; a bound that prices y by its own inner solve, stopped
+        # at the active-set loop's iteration cap, reports that status
         path, doc = abs_generic_file(tmp_path)
         bound = solver.dual_via_orthocomplement
         statuses = []
@@ -545,9 +552,9 @@ class TestHonestExitCodes:
 
         monkeypatch.setattr(cli, "dual_via_orthocomplement", starved)
         code, report = run(["report", path])
-        assert statuses and set(statuses) == {"max-iter"}
+        assert statuses == ["gap-open"]
         assert report["dual_representation"]["annihilator_bound"] is None
-        # the saddle check takes the fallback's last point, v = 0, which is
+        # the saddle check takes v = 0 in place of the missing v, which is
         # this problem's v
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
         statuses.clear()
@@ -558,33 +565,30 @@ class TestHonestExitCodes:
         assert statuses == ["max-iter"]
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
-    def test_bound_phase_one_failure_is_a_status(self, monkeypatch):
-        # as above, with the fallback's phase 1 made to give up: its rows
-        # include the domain rows of the pwl cost's stage conjugates, which
-        # hold no epigraph column and which v = 0 violates, so its phase 1
-        # runs the elastic LP
+    def test_rejected_bound_is_a_status(self, monkeypatch):
+        # as above on a dynamic problem: the rejected read-off leaves no
+        # bound, and nothing is solved in its place
         path = fixture_path("bolza-pwl.json")
         bound = solver.dual_via_orthocomplement
         statuses = []
 
-        def starved(problem, y, cfg, objective):
+        def shifted(problem, y, cfg, objective):
             objective = dataclasses.replace(objective, value=objective.value + 1.0)
-            with monkeypatch.context() as m:
-                m.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
-                res = bound(problem, y, cfg, objective)
+            res = bound(problem, y, cfg, objective)
             statuses.append(res.status)
             return res
 
-        monkeypatch.setattr(cli, "dual_via_orthocomplement", starved)
+        monkeypatch.setattr(cli, "dual_via_orthocomplement", shifted)
+        solves = bound_solves(monkeypatch)
         code, report = run(["report", path])
-        assert statuses == ["max-iter"]
+        assert (statuses, solves) == (["gap-open"], [])
         assert report["dual_representation"]["annihilator_bound"] is None
         # the Euler-Lagrange checker needs no v
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
         statuses.clear()
         # the saddle check falls back to v = 0
         code, report = run(["check", path, "--checker", "saddle"])
-        assert statuses == ["max-iter"]
+        assert (statuses, solves) == (["gap-open"], [])
         assert report["certificate"]["verdict"] in ("pass", "fail")
 
     def test_engine_failure_in_every_lp_is_a_status(self, monkeypatch):

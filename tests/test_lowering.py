@@ -25,7 +25,7 @@ from stochdual.convex import (
 )
 from stochdual.integrand import AlmIntegrand, BolzaIntegrand, BolzaStage, GenericIntegrand
 from stochdual.qp import solve_qp
-from stochdual.solver import DualObjective, Problem, primal_objective
+from stochdual.solver import Problem, primal_objective
 from stochdual.tree import StochasticProcess, adapted_projection
 
 from helpers import (
@@ -38,8 +38,6 @@ from helpers import (
 
 SEEDS = range(6)
 INF = float("inf")
-# a dual value whose inner solve stopped before it found a point
-NO_INNER_SOLVE = DualObjective(np.nan, None, None, "max-iter")
 
 
 # ---------------------------------------------------------------------------
@@ -143,30 +141,6 @@ def cases(seed):
     return out
 
 
-def fallback_objective(monkeypatch, p, y):
-    """The CompiledObjective the annihilator bound minimises when it has no
-    inner solve to read v off."""
-    seen = []
-    real = solver._minimize
-
-    def spy(obj):
-        seen.append(obj)
-        return real(obj)
-
-    monkeypatch.setattr(solver, "_minimize", spy)
-    solver.dual_via_orthocomplement(p, y, objective=NO_INNER_SOLVE)
-    monkeypatch.setattr(solver, "_minimize", real)
-    assert len(seen) == 1
-    return seen[0]
-
-
-def mean_free(p, w):
-    """w, as the leaf values of v, less its blockwise conditional means."""
-    v = StochasticProcess.from_vector(p.tree, p.n_dims, w)
-    return np.concatenate([(a - p.tree.conditional_mean(a, t)).ravel()
-                           for t, a in enumerate(v.values)])
-
-
 # ---------------------------------------------------------------------------
 # compiled lowerings
 # ---------------------------------------------------------------------------
@@ -194,46 +168,17 @@ class TestLoweringMatchesDense:
             assert_lowering_equal(obj.qp_data(), dense_lowering(obj, selection_mats(obj)))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_annihilator(self, seed, monkeypatch):
-        # the bound's fallback program: the conjugate terms, then one
-        # mean-zero equality term per (stage, block), over the leaf values
-        # of v; its equality rows give the blockwise conditional means
-        rng = np.random.default_rng(1050 + seed)
-        atoms = 0
-        for p, _, y in cases(seed)[1:]:
-            obj = fallback_objective(monkeypatch, p, y)
-            lowered = obj.qp_data()
-            assert_lowering_equal(lowered, dense_lowering(obj, selection_mats(obj)))
-            v = random_process(rng, p.tree, p.n_dims)
-            means = [p.tree.conditional_mean(v.stage(t), t)[block[0]]
-                     for t, d in enumerate(p.n_dims) if d for block in p.tree.blocks(t)]
-            A, b = lowered[5], lowered[6]
-            k = sum(len(a) for a in means)
-            np.testing.assert_allclose(A[-k:, :obj.n] @ v.to_vector(), np.concatenate(means),
-                                       rtol=1e-13, atol=1e-15)
-            assert not A[-k:, obj.n:].any() and not b[-k:].any()
-            atoms += lowered[0].shape[0] - obj.n
-        assert atoms  # the conjugates' epigraph atoms are lowered too
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_values_and_subgradients_gather(self, seed, monkeypatch):
+    def test_values_and_subgradients_gather(self, seed):
         rng = np.random.default_rng(1000 + seed)
-        p, _, y = cases(seed)[1]
-        for obj in (primal_objective(p, random_process(rng, p.tree, p.m_dims))[1],
-                    fallback_objective(monkeypatch, p, y)):
-            mats = [selection_matrix(t.cols, obj.n) for t in obj.terms]
-            W = 0.1 * rng.normal(size=(4, obj.n))
-            if obj.n != p.layout.width:
-                # points of the fallback's domain: leaf values of v with
-                # their blockwise conditional means removed
-                W = np.array([mean_free(p, w) for w in W])
-            want = [sum(t.weight * t.fn.value(M @ w) for t, M in zip(obj.terms, mats))
-                    for w in W]
-            assert np.isfinite(want).all()
-            np.testing.assert_allclose([obj.value(w) for w in W], want, rtol=1e-13)
-            grad = sum(t.weight * M.T @ t.fn.subgradient(M @ W[0])
-                       for t, M in zip(obj.terms, mats))
-            np.testing.assert_allclose(obj.subgradient(W[0]), grad, rtol=1e-13, atol=1e-13)
+        p, _, _ = cases(seed)[1]
+        obj = primal_objective(p, random_process(rng, p.tree, p.m_dims))[1]
+        mats = [selection_matrix(t.cols, obj.n) for t in obj.terms]
+        W = 0.1 * rng.normal(size=(4, obj.n))
+        want = [sum(t.weight * t.fn.value(M @ w) for t, M in zip(obj.terms, mats)) for w in W]
+        assert np.isfinite(want).all()
+        np.testing.assert_allclose([obj.value(w) for w in W], want, rtol=1e-13)
+        grad = sum(t.weight * M.T @ t.fn.subgradient(M @ W[0]) for t, M in zip(obj.terms, mats))
+        np.testing.assert_allclose(obj.subgradient(W[0]), grad, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Primal/dual solves, the dual bound chain and gap measurements."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from stochdual.convex import (
     AffinePrecomposition,
     Entropy,
     Exponential,
-    FiniteSum,
     PiecewiseLinear,
     PolyhedralIndicator,
     Polyhedron,
@@ -20,6 +20,7 @@ from stochdual.convex import (
     SeparableSum,
     absolute_value,
     indicator_nonpos,
+    indicator_point,
 )
 from stochdual.integrand import (
     AlmIntegrand,
@@ -53,6 +54,7 @@ from helpers import (
     HALF_SQUARE,
     basis_bound,
     binary_hedging,
+    bound_solves,
     bolza_doc,
     grid_minimize,
     hedging_doc,
@@ -395,12 +397,10 @@ class TestOrthocomplementBound:
         assert bound.value == pytest.approx(expected, abs=1e-10)
 
 
-def count_fallbacks(monkeypatch):
-    """Record each time the annihilator bound falls back to solving over v."""
-    calls = []
-    real = solver._mean_zero_terms
-    monkeypatch.setattr(solver, "_mean_zero_terms", lambda *a: calls.append(a) or real(*a))
-    return calls
+def stopped(dob):
+    """``dob`` with its inner solve ended ``max-iter``."""
+    return dataclasses.replace(dob, inner_status="max-iter",
+                               inner=dataclasses.replace(dob.inner, status="max-iter"))
 
 
 def kinked_bolza(tree, d, rng):
@@ -421,6 +421,8 @@ def small_dual(rng, p):
         0.1 * rng.normal(size=(p.tree.n_leaves, d)) for d in p.m_dims))
 
 
+ALL_FIXTURES = sorted(
+    path.name for path in pathlib.Path(fixture_path("binomial-alm.json")).parent.glob("*.json"))
 BOUND_FIXTURES = ["binomial-alm.json", "bolza-pwl.json", "bolza-quadratic-binary.json",
                   "bolza-quadratic.json", "kabanov-conical.json", "kkt-single.json",
                   "pwl-hedging.json", "quadratic-tracking.json"]
@@ -428,34 +430,42 @@ BOUND_FIXTURES = ["binomial-alm.json", "bolza-pwl.json", "bolza-quadratic-binary
 
 class TestCertifiedBound:
     """The bound read off the dual value's inner solve, certified by weak
-    duality, against the basis oracle of tests/helpers.py."""
+    duality, against the basis oracle of tests/helpers.py.  Nothing is
+    solved inside the bound (``bound_solves``)."""
 
     @pytest.mark.parametrize("name", BOUND_FIXTURES)
     def test_fixtures_match_basis_oracle(self, name, monkeypatch):
         problem, _, params, _, _ = parse_problem_file(fixture_path(name))
-        fallbacks = count_fallbacks(monkeypatch)
+        solves = bound_solves(monkeypatch)
         dual = solve_dual(problem, params["u"])
         bound = dual_via_orthocomplement(problem, dual.optimizer, objective=dual.objective)
-        assert (bound.status, fallbacks) == ("optimal", [])
+        assert (bound.status, solves) == ("optimal", [])
         assert in_orthocomplement(bound.v)
         assert bound.value == pytest.approx(dual.objective.value, rel=1e-9, abs=1e-9)
         status, value, _ = basis_bound(problem, dual.optimizer)
         assert status == "optimal"
         assert bound.value == pytest.approx(value, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_every_fixture_report_bound_is_read_off(self, name, monkeypatch):
+        solves = bound_solves(monkeypatch)
+        code, report = cli.run(["report", fixture_path(name)])
+        assert report["dual_representation"]["annihilator_bound"] is not None
+        assert (code, solves) == (0, [])
+
     @pytest.mark.parametrize("leaves", [9, 16, 32, 64])
     @pytest.mark.parametrize("d", [1, 2])
     def test_irregular_trees_match_basis_oracle(self, leaves, d, monkeypatch):
         rng = np.random.default_rng(100 * leaves + d)
         p = kinked_bolza(irregular_tree(leaves, n=leaves, stages=3), d, rng)
-        fallbacks = count_fallbacks(monkeypatch)
+        solves = bound_solves(monkeypatch)
         for _ in range(2):
             y = small_dual(rng, p)
-            bound = dual_via_orthocomplement(p, y)
+            bound = dual_via_orthocomplement(p, y, objective=dual_objective(p, y))
             status, value, _ = basis_bound(p, y)
             assert (bound.status, status) == ("optimal", "optimal")
             assert bound.value == pytest.approx(value, rel=1e-9, abs=1e-9)
-        assert fallbacks == []
+        assert solves == []
 
     @pytest.mark.parametrize("disutility", [None, {"kind": "abs"}])
     def test_hedging_report_builds_no_leaf_conjugate(self, disutility, tmp_path, monkeypatch):
@@ -474,25 +484,57 @@ class TestCertifiedBound:
             return bounds[-1][1]
 
         monkeypatch.setattr(cli, "dual_via_orthocomplement", recorded)
-        fallbacks = count_fallbacks(monkeypatch)
+        solves = bound_solves(monkeypatch)
         code, report = cli.run(["report", path])
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
         assert report["dual_representation"]["annihilator_bound"] is not None
-        assert (calls, fallbacks, len(bounds)) == ([], [], 1)
+        assert (calls, solves, len(bounds)) == ([], [], 1)
         (p, y, *_), bound = bounds[0]
         assert bound.value == pytest.approx(per_leaf_conjugate_sum(p, y, bound.v),
                                             rel=1e-12, abs=1e-12)
+
+    def test_large_liabilities_are_read_off(self, tmp_path, monkeypatch):
+        # liabilities near 3e7: the read-off v's conditional means are
+        # rounding on a v of that size, so the annihilator test is relative
+        # to max |v|; the bound is the one a solve over v reaches
+        path = hedging_file(tmp_path, 2, 1e7 * np.random.default_rng(0).uniform(2.5, 3.5, 4))
+        problem, _, params, _, _ = parse_problem_file(path)
+        dual = solve_dual(problem, params["u"])
+        solves = bound_solves(monkeypatch)
+        bound = dual_via_orthocomplement(problem, dual.optimizer, objective=dual.objective)
+        assert (bound.status, solves) == ("optimal", [])
+        assert bound.value == pytest.approx(283805608775655.25, rel=1e-12)
+
+    def test_unbounded_inner_solve_is_infeasible(self, monkeypatch):
+        # f(x, u) = indicator of x0 = u: l(x, y) = -y x0, unbounded below
+        # over x0 unless E y = 0, so phi*(y) = +inf and so is the bound.  A
+        # leaf with l = -inf (y outside dom V* on |z| hedging) leaves no
+        # inner solve, with the same answer
+        tree = two_leaf_tree((0.4, 0.6))
+        joint = AffinePrecomposition(indicator_point(0.0), np.array([[1.0, -1.0]]))
+        linear = Problem(tree, GenericIntegrand(tree, [1, 0], [0, 1], [joint]))
+        hedging = binary_hedging(2, absolute_value())
+        cases = [(linear, StochasticProcess.from_stage_values(
+                      tree, [np.zeros((2, 0)), [[1.0], [2.0]]]), True),
+                 (hedging, StochasticProcess.from_leaf_rows(
+                      hedging.tree, hedging.m_dims, np.array([[0.5], [1.5], [-0.2], [1.0]])),
+                  False)]
+        solves = bound_solves(monkeypatch)
+        for p, y, solved in cases:
+            dob = dual_objective(p, y)
+            assert (dob.inner_status, dob.inner is not None) == ("unbounded", solved)
+            bound = dual_via_orthocomplement(p, y, objective=dob)
+            assert (bound.value, bound.v, bound.status, solves) == (INF, None, "infeasible", [])
 
     def bolza_case(self):
         rng = np.random.default_rng(5)
         p = kinked_bolza(irregular_tree(5), 2, rng)
         return p, small_dual(rng, p)
 
-    def assert_fallback_to_oracle(self, p, y, bound, fallbacks, shift=0.0):
-        # the rejected v is not reported: the fallback solves over v
-        assert len(fallbacks) == 1
-        assert bound.status == "optimal" and in_orthocomplement(bound.v)
-        assert bound.value == pytest.approx(basis_bound(p, y)[1] + shift, rel=1e-9, abs=1e-9)
+    def assert_rejected(self, bound, solves, status="gap-open"):
+        # the rejected v is not reported, and nothing is solved over v
+        assert (bound.status, bound.v, solves) == (status, None, [])
+        assert np.isnan(bound.value)
 
     def test_v_off_the_annihilator_is_rejected(self, monkeypatch):
         p, y = self.bolza_case()
@@ -503,36 +545,31 @@ class TestCertifiedBound:
             return StochasticProcess(v.tree, tuple(a + 0.01 for a in v.values))
 
         monkeypatch.setattr(solver, "_stationary_v", shifted)
-        fallbacks = count_fallbacks(monkeypatch)
-        self.assert_fallback_to_oracle(p, y, dual_via_orthocomplement(p, y), fallbacks)
+        dob = dual_objective(p, y)
+        solves = bound_solves(monkeypatch)
+        self.assert_rejected(dual_via_orthocomplement(p, y, objective=dob), solves)
 
     def test_wrong_conjugate_is_rejected(self, monkeypatch):
-        # every conjugate raised by 0.5: E f*(v, y) misses phi*(y) by 0.5,
-        # and the fallback's minimum is the oracle's plus 0.5.  The value at
-        # the read-off v and the per-leaf terms of the fallback solve are
-        # evaluated apart, so both are raised
+        # every conjugate raised by 0.5: E f*(v, y) misses phi*(y) by 0.5
         p, y = self.bolza_case()
-        real = solver._bolza_conjugates_of_v
-        monkeypatch.setattr(solver, "_bolza_conjugates_of_v", lambda *a: [
-            FiniteSum([fn, Affine(np.zeros(fn.dim), 0.5)]) for fn in real(*a)])
         real_sum = solver._bolza_conjugate_sum
         monkeypatch.setattr(solver, "_bolza_conjugate_sum", lambda *a: real_sum(*a) + 0.5)
-        fallbacks = count_fallbacks(monkeypatch)
-        self.assert_fallback_to_oracle(p, y, dual_via_orthocomplement(p, y), fallbacks, 0.5)
+        dob = dual_objective(p, y)
+        solves = bound_solves(monkeypatch)
+        self.assert_rejected(dual_via_orthocomplement(p, y, objective=dob), solves)
 
     def test_wrong_inner_value_is_rejected(self, monkeypatch):
         p, y = self.bolza_case()
         dob = dual_objective(p, y)
-        fallbacks = count_fallbacks(monkeypatch)
+        solves = bound_solves(monkeypatch)
         for wrong in (dob.value - 1e-3, dob.value + 1e-3):
             bound = dual_via_orthocomplement(
                 p, y, objective=dataclasses.replace(dob, value=wrong))
-            self.assert_fallback_to_oracle(p, y, bound, fallbacks)
-            fallbacks.clear()
-        # an inner solve stopped before its optimum has no multipliers to read
-        stopped = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, status="max-iter"))
-        bound = dual_via_orthocomplement(p, y, objective=stopped)
-        self.assert_fallback_to_oracle(p, y, bound, fallbacks)
+            self.assert_rejected(bound, solves)
+        # an inner solve stopped before its optimum has no multipliers to
+        # read: its status is the bound's
+        self.assert_rejected(dual_via_orthocomplement(p, y, objective=stopped(dob)), solves,
+                             "max-iter")
 
     def test_inner_point_off_the_domain_is_rejected(self, monkeypatch):
         # f(x, u) = g(x0) + u^2 / 2 with g kinked on [-1, 1]: the v read
@@ -547,55 +584,49 @@ class TestCertifiedBound:
         dob = dual_objective(p, y)
         v = solver._stationary_v(p, y.leaf_rows(), dob)
         monkeypatch.setattr(solver, "_stationary_v", lambda *a: v)
-        fallbacks = count_fallbacks(monkeypatch)
+        solves = bound_solves(monkeypatch)
         assert dual_via_orthocomplement(p, y, objective=dob).value == \
             pytest.approx(dob.value, abs=1e-12)
-        assert fallbacks == []
+        assert solves == []
         outside = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, x=dob.inner.x + 5.0))
-        self.assert_fallback_to_oracle(
-            p, y, dual_via_orthocomplement(p, y, objective=outside), fallbacks)
+        self.assert_rejected(dual_via_orthocomplement(p, y, objective=outside), solves)
 
-    def test_newton_inner_solve_falls_back(self, monkeypatch):
+    def test_moved_newton_point_is_rejected(self, monkeypatch):
         # Newton's inner solve carries its last step's multipliers, so v is
-        # read off it with no fallback: v1 = 0 and v2 = -a y reach phi*(y) =
-        # 1 + E y^2 / 2.  Its point moved off the minimizer leaves no lower
-        # side of the sandwich, and the fallback over v reaches the same value
+        # read off it: v1 = 0 and v2 = -a y reach phi*(y) = 1 + E y^2 / 2.
+        # Its point moved off the minimizer leaves no lower side of the
+        # sandwich
         p = entropy_hedging()
         y = StochasticProcess.from_stage_values(
             p.tree, [np.zeros((2, 0)), [[2.0 / 3.0], [4.0 / 3.0]]])
         dob = dual_objective(p, y)
         assert dob.inner.method == "newton" and dob.inner.multipliers is not None
-        fallbacks = count_fallbacks(monkeypatch)
-        want = 1.0 + 0.5 * (2.0 / 9.0 + 8.0 / 9.0)
+        solves = bound_solves(monkeypatch)
         bound = dual_via_orthocomplement(p, y, objective=dob)
-        assert (bound.status, fallbacks) == ("optimal", [])
+        assert (bound.status, solves) == ("optimal", [])
         assert in_orthocomplement(bound.v)
-        assert bound.value == pytest.approx(want, abs=1e-9)
+        assert bound.value == pytest.approx(1.0 + 0.5 * (2.0 / 9.0 + 8.0 / 9.0), abs=1e-9)
         outside = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, x=dob.inner.x + 5.0))
-        bound = dual_via_orthocomplement(p, y, objective=outside)
-        assert len(fallbacks) == 1
-        assert bound.value == pytest.approx(want, abs=1e-9)
+        self.assert_rejected(dual_via_orthocomplement(p, y, objective=outside), solves)
 
     @pytest.mark.parametrize("state_cost", [{"kind": "exponential", "offset": -1},
                                             {"kind": "entropy"}], ids=["exponential", "entropy"])
     def test_newton_bolza_bound_is_read_off(self, state_cost, monkeypatch):
         # a 16-leaf Bolza problem whose state cost has no QP form: the bound
-        # is read off the Newton inner solve, and the solve over v, forced by
-        # a stopped inner solve, reaches the same value
+        # is read off the Newton inner solve; a stopped inner solve leaves
+        # no bound, and nothing is solved in its place
         p, u = parse_doc(bolza_doc(4, state_cost, np.random.default_rng(4)))
         dual = solve_dual(p, u)
         dob = dual.objective
         assert (dual.status, dob.inner.method) == ("optimal", "newton")
         assert dob.inner.multipliers is not None
-        fallbacks = count_fallbacks(monkeypatch)
+        solves = bound_solves(monkeypatch)
         bound = dual_via_orthocomplement(p, dual.optimizer, objective=dob)
-        assert (bound.status, fallbacks) == ("optimal", [])
+        assert (bound.status, solves) == ("optimal", [])
         assert in_orthocomplement(bound.v)
         assert bound.value == pytest.approx(dob.value, rel=1e-9, abs=1e-9)
-        stopped = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, status="max-iter"))
-        solved = dual_via_orthocomplement(p, dual.optimizer, objective=stopped)
-        assert (solved.status, len(fallbacks)) == ("optimal", 1)
-        assert solved.value == pytest.approx(bound.value, rel=1e-9, abs=1e-9)
+        self.assert_rejected(dual_via_orthocomplement(p, dual.optimizer, objective=stopped(dob)),
+                             solves, "max-iter")
 
 
 class TestDualityGap:

@@ -31,7 +31,6 @@ from stochdual.optimality import check_euler_lagrange
 from stochdual.solver import (
     Problem,
     _bolza_conjugate_sum,
-    _bolza_conjugates_of_v,
     _leaf_vectors,
     _stage_conjugates,
     _stage_nodes,
@@ -43,7 +42,6 @@ from stochdual.tree import StochasticProcess
 
 from helpers import (
     HALF_SQUARE,
-    bolza_conjugates_per_node,
     bolza_doc,
     bolza_dual_value_per_node,
     check_euler_lagrange_per_node,
@@ -292,12 +290,6 @@ def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
                                             random_process(rng, p.tree, p.n_dims).values))
         assert same_bits(_bolza_conjugate_sum(p, yvecs, conjugates, v.leaf_rows()),
                          conjugate_sum_per_leaf(p, y, v))
-    # the per-leaf terms of the fallback solve are the per-node loop's
-    got = _bolza_conjugates_of_v(p, yvecs, conjugates)
-    want = bolza_conjugates_per_node(p, y)
-    points = 0.02 * rng.normal(size=(5, sum(p.n_dims)))
-    for fn, ref in zip(got, want):
-        assert same_bits(fn.value_many(points), ref.value_many(points))
 
 
 def test_bound_reuses_the_dual_objective_conjugates(bolza63, monkeypatch):
