@@ -432,22 +432,13 @@ def _checker_for(family: str, params) -> str:
     return _CHECKERS[family][0]
 
 
-def _annihilator_bound(problem, y, cfg, objective=None):
-    """The annihilator bound at y, or None when a conjugate it needs has no
-    closed form (reported as annihilator_bound: null).  ``objective`` is
-    the dual value's inner solve at y, when the dual solve made it."""
-    try:
-        return dual_via_orthocomplement(problem, y, cfg, objective)
-    except NoClosedFormError:
-        return None
-
-
 def _run_check(problem, params, cfg, checker: str, primal=None, dual=None, bound=None):
     """(certificate, None) for the candidate (x, y, v), filling in what the
     problem file leaves out from the primal, the dual and the dual's
     annihilator bound already solved, or by solving them here; (None, the
     reason) when there is no candidate, a stage checker's processes are
-    not adapted, or an LP of the checker does not terminate."""
+    not adapted, a conjugate the checker needs has no closed form, or an
+    LP of the checker does not terminate."""
     u = params["u"]
     cand = params["candidate"] or {}
     x, y, v = (cand.get(key) for key in "xyv")
@@ -465,10 +456,10 @@ def _run_check(problem, params, cfg, checker: str, primal=None, dual=None, bound
             return None, dual.status
     if v is None and checker in ("saddle", "kkt"):
         if bound is None or y is not dual.optimizer:
-            bound = _annihilator_bound(
+            bound = dual_via_orthocomplement(
                 problem, y, cfg,
                 dual.objective if dual is not None and y is dual.optimizer else None)
-        v = bound.v if bound is not None else None
+        v = bound.v
         if v is None:
             v = StochasticProcess.zeros(problem.tree, problem.n_dims)
     try:
@@ -476,6 +467,8 @@ def _run_check(problem, params, cfg, checker: str, primal=None, dual=None, bound
     except NotAdaptedError as exc:
         # the stage conditions are stated for adapted processes only
         return None, str(exc)
+    except NoClosedFormError:
+        return None, "no-closed-form"
     except PivotLimitError:
         # an LP of the checker (a support function) did not terminate
         return None, "max-iter"
@@ -587,7 +580,7 @@ def run(argv) -> tuple[int, dict]:
         report["gap"] = gap_rep.gap if np.isfinite(gap_rep.gap) else None
         if args.command in ("dualize", "report"):
             if dual.optimizer is not None:
-                bound = _annihilator_bound(problem, dual.optimizer, cfg, dual.objective)
+                bound = dual_via_orthocomplement(problem, dual.optimizer, cfg, dual.objective)
             report["dual_representation"] = _dual_representation(
                 problem, family, u, dual, bound)
         # strong duality holds on a finite tree: a finite primal value with

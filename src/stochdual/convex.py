@@ -12,10 +12,13 @@ Sums, separable sums and affine pre-compositions conjugate by rule where a
 rule exists; a general finite sum raises ``NoClosedFormError`` and callers
 fall back to the grid oracle (tests only).  ``quadratic_model(z)`` agrees
 with a function to second order at z and has a QP form: exponential and
-entropy give Taylor quadratics, a support function has none.  Subdifferentials are never
-materialised: membership v in dg(x) is tested through the Fenchel residual
-g(x) + g*(v) - x.v, which is nonnegative and vanishes exactly on the graph
-of the subdifferential.
+entropy give Taylor quadratics, a support function has none.  The domain
+of a function is read off the same form (``domain_polyhedron``).
+
+No kind carries a subgradient rule.  The solver reads each subgradient it
+needs off a QP's multipliers, and membership v in dg(x) is tested through
+the Fenchel residual g(x) + g*(v) - x.v, which is nonnegative and vanishes
+exactly on the graph of the subdifferential.
 
 Indicator-type evaluations use a fixed absolute feasibility tolerance of
 1e-9 so that points produced by the finite-precision solvers land inside
@@ -205,9 +208,6 @@ class ConvexFunction:
     def _conjugate(self) -> "ConvexFunction":
         raise NoClosedFormError(f"no closed form conjugate for kind '{self.kind}'")
 
-    def subgradient(self, x) -> np.ndarray:
-        raise NoClosedFormError(f"no subgradient rule for kind '{self.kind}'")
-
     def scaled(self, alpha: float) -> "ConvexFunction":
         raise NoClosedFormError(f"no scaling rule for kind '{self.kind}'")
 
@@ -281,9 +281,6 @@ class Affine(ConvexFunction):
         point = Polyhedron(a_eq=np.eye(self.dim), b_eq=self.a)
         return _plus_const(PolyhedralIndicator(point), -self.b)
 
-    def subgradient(self, x):
-        return self.a.copy()
-
     def scaled(self, alpha):
         return Affine(alpha * self.a, alpha * self.b)
 
@@ -341,10 +338,6 @@ class Quadratic(ConvexFunction):
             else:
                 parts.append(indicator_point(t[i]))
         return _plus_const(SeparableSum(parts), -self.offset)
-
-    def subgradient(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return 2.0 * self.weights * x + self.tilt
 
     def scaled(self, alpha):
         return Quadratic(alpha * self.weights, alpha * self.tilt, alpha * self.offset)
@@ -487,15 +480,6 @@ class PiecewiseLinear(ConvexFunction):
         v0 = float(np.max(knots * y0 - fvals))
         return PiecewiseLinear(g_breaks, g_slopes, lo=g_lo, hi=g_hi, anchor=(y0, v0))
 
-    def subgradient(self, x):
-        x = float(np.asarray(x).ravel()[0])
-        if self.lo == self.hi:
-            return np.zeros(1)
-        j = int(np.searchsorted(self.breaks, x, side="right"))
-        if j > 0 and x == self.breaks[j - 1]:
-            return np.array([0.5 * (self.slopes[j - 1] + self.slopes[j])])
-        return np.array([self.slopes[min(j, self.slopes.size - 1)]])
-
     def scaled(self, alpha):
         return PiecewiseLinear(
             self.breaks, alpha * self.slopes, self.lo, self.hi,
@@ -606,10 +590,6 @@ class Entropy(ConvexFunction):
         return Exponential(coeff=c * np.exp(-self.tilt / c), rate=1.0 / c,
                            offset=-self.offset)
 
-    def subgradient(self, x):
-        x = max(float(np.asarray(x).ravel()[0]), 1e-300)
-        return np.array([self.coeff * np.log(x) + self.tilt])
-
     def scaled(self, alpha):
         return Entropy(alpha * self.coeff, alpha * self.tilt, alpha * self.offset)
 
@@ -654,10 +634,6 @@ class Exponential(ConvexFunction):
     def _conjugate(self):
         a, r = self.coeff, self.rate
         return Entropy(coeff=1.0 / r, tilt=-np.log(a * r) / r, offset=-self.offset)
-
-    def subgradient(self, x):
-        x = float(np.asarray(x).ravel()[0])
-        return np.array([self.coeff * self.rate * np.exp(self.rate * x)])
 
     def scaled(self, alpha):
         return Exponential(alpha * self.coeff, self.rate, alpha * self.offset)
@@ -802,6 +778,10 @@ class Polyhedron:
         return res.x if res.status == "optimal" else None
 
     def is_empty(self) -> bool:
+        """Whether the set is empty; a set with no rows is the whole space,
+        and no LP runs."""
+        if not (self.a_ub.shape[0] or self.a_eq.shape[0]):
+            return False
         return self.feasible_point() is None
 
     def support(self, y):
@@ -841,9 +821,6 @@ class PolyhedralIndicator(ConvexFunction):
     def _conjugate(self):
         return SupportFunction(self.polyhedron)
 
-    def subgradient(self, x):
-        return np.zeros(self.dim)  # valid on the interior; faces are handled upstream
-
     def scaled(self, alpha):
         return self
 
@@ -877,12 +854,6 @@ class SupportFunction(ConvexFunction):
 
     def _conjugate(self):
         return PolyhedralIndicator(self.polyhedron)
-
-    def subgradient(self, x):
-        val, point, status = self.polyhedron.support(x)
-        if status != "attained":
-            raise ValueError("support function has no subgradient here")
-        return point
 
     def scaled(self, alpha):
         # alpha * sigma_C = sigma_{alpha C}
@@ -936,10 +907,6 @@ class SeparableSum(ConvexFunction):
 
     def _conjugate(self):
         return SeparableSum([p.conjugate() for p in self.parts])
-
-    def subgradient(self, x):
-        return np.concatenate([p.subgradient(xb) for p, xb in zip(self.parts, self._blocks(x))]) \
-            if self.parts else np.zeros(0)
 
     def scaled(self, alpha):
         return SeparableSum([p.scaled(alpha) for p in self.parts])
@@ -1027,10 +994,6 @@ class AffinePrecomposition(ConvexFunction):
         raise NoClosedFormError(
             "conjugate of an affine precomposition needs a full-row-rank matrix"
         )
-
-    def subgradient(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return self.matrix.T @ self.inner.subgradient(self.matrix @ x + self.offset)
 
     def scaled(self, alpha):
         return AffinePrecomposition(self.inner.scaled(alpha), self.matrix, self.offset)
@@ -1121,9 +1084,6 @@ class FiniteSum(ConvexFunction):
         if np.max(np.abs(a)) > 0:
             shifted = AffinePrecomposition(shifted, np.eye(self.dim), -a)
         return _plus_const(shifted, -b)
-
-    def subgradient(self, x):
-        return np.sum([s.subgradient(x) for s in self.summands], axis=0)
 
     def scaled(self, alpha):
         return FiniteSum([s.scaled(alpha) for s in self.summands])
@@ -1298,61 +1258,24 @@ def coordinate_support(fn: ConvexFunction) -> np.ndarray:
 
 
 def domain_polyhedron(fn: ConvexFunction) -> Polyhedron | None:
-    """Polyhedral outer description of dom(fn), or None when unknown.
+    """dom(fn), read off the QP form of its quadratic model at 0 (fn's own
+    form when it has one): the form's inequality and equality rows, and
+    each epigraph atom's [lo, hi] on the atom's row.
 
-    Exact for the catalog kinds whose domains are polyhedral; support
-    functions return None.
+    The model of an exponential or an entropy has its domain.  Only the
+    rows are read, so the model's numbers may overflow.  None when fn has
+    no model (a support function).
     """
-    if isinstance(fn, (Affine, Quadratic, Exponential)):
-        return Polyhedron(a_ub=np.zeros((0, fn.dim)), b_ub=np.zeros(0), validate=False)
-    if isinstance(fn, PiecewiseLinear):
-        rows, rhs = [], []
-        if fn.hi != INF:
-            rows.append([1.0]); rhs.append(fn.hi)
-        if fn.lo != -INF:
-            rows.append([-1.0]); rhs.append(-fn.lo)
-        return Polyhedron(a_ub=np.array(rows) if rows else np.zeros((0, 1)),
-                          b_ub=np.array(rhs) if rhs else np.zeros(0), validate=False)
-    if isinstance(fn, Entropy):
-        return Polyhedron(a_ub=[[-1.0]], b_ub=[0.0], validate=False)
-    if isinstance(fn, PolyhedralIndicator):
-        return fn.polyhedron
-    if isinstance(fn, SeparableSum):
-        rows, rhs, eqs, eqr = [], [], [], []
-        for i, part in enumerate(fn.parts):
-            sub = domain_polyhedron(part)
-            if sub is None:
-                return None
-            for a, b in zip(sub.a_ub, sub.b_ub):
-                row = np.zeros(fn.dim)
-                row[fn.offsets[i]:fn.offsets[i + 1]] = a
-                rows.append(row); rhs.append(b)
-            for a, b in zip(sub.a_eq, sub.b_eq):
-                row = np.zeros(fn.dim)
-                row[fn.offsets[i]:fn.offsets[i + 1]] = a
-                eqs.append(row); eqr.append(b)
-        return Polyhedron(
-            a_ub=np.array(rows) if rows else np.zeros((0, fn.dim)),
-            b_ub=np.array(rhs) if rhs else np.zeros(0),
-            a_eq=np.array(eqs) if eqs else None,
-            b_eq=np.array(eqr) if eqs else None,
-            validate=False)
-    if isinstance(fn, AffinePrecomposition):
-        sub = domain_polyhedron(fn.inner)
-        if sub is None:
-            return None
-        return Polyhedron(
-            a_ub=sub.a_ub @ fn.matrix, b_ub=sub.b_ub - sub.a_ub @ fn.offset,
-            a_eq=sub.a_eq @ fn.matrix, b_eq=sub.b_eq - sub.a_eq @ fn.offset,
-            validate=False)
-    if isinstance(fn, FiniteSum):
-        rows = np.zeros((0, fn.dim)); rhs = np.zeros(0)
-        eqs = np.zeros((0, fn.dim)); eqr = np.zeros(0)
-        for s in fn.summands:
-            sub = domain_polyhedron(s)
-            if sub is None:
-                return None
-            rows = np.vstack([rows, sub.a_ub]); rhs = np.concatenate([rhs, sub.b_ub])
-            eqs = np.vstack([eqs, sub.a_eq]); eqr = np.concatenate([eqr, sub.b_eq])
-        return Polyhedron(a_ub=rows, b_ub=rhs, a_eq=eqs, b_eq=eqr, validate=False)
-    return None
+    try:
+        with np.errstate(all="ignore"):
+            form = fn.quadratic_model(np.zeros(fn.dim)).qp_form()
+    except NoClosedFormError:
+        return None
+    G, h = [form.G], [form.h]
+    for row, off, pwl in form.epi:
+        if pwl.hi != INF:
+            G.append(row[None]); h.append([pwl.hi - off])
+        if pwl.lo != -INF:
+            G.append(-row[None]); h.append([off - pwl.lo])
+    return Polyhedron(a_ub=np.vstack(G), b_ub=np.concatenate(h),
+                      a_eq=form.A, b_eq=form.b, validate=False)

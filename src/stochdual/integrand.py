@@ -73,6 +73,19 @@ def _is_identically_infinite(fn: ConvexFunction) -> bool:
     return dom is not None and dom.is_empty()
 
 
+def _slices_empty_once(fn: ConvexFunction, cols) -> bool | None:
+    """Whether every slice of fn that fixes the coordinates ``cols`` is
+    identically +inf, decided once from dom fn when no row of it reads
+    them: each slice's domain is then one set, whatever values are fixed
+    (with no rows, the whole space, and no LP runs).  None when some row
+    reads them, or dom fn is not polyhedral: the test is then made per
+    slice."""
+    dom = domain_polyhedron(fn)
+    if dom is None or np.any(dom.a_ub[:, cols]) or np.any(dom.a_eq[:, cols]):
+        return None
+    return dom.is_empty()
+
+
 # ---------------------------------------------------------------------------
 # structural partial conjugation: inf over the trailing block
 # ---------------------------------------------------------------------------
@@ -588,8 +601,16 @@ class BolzaStage:
         return self.fn.value_many(np.hstack([X, W]))
 
     def x_infeasible(self, x) -> bool:
-        sliced = self.fn.fix(np.arange(self.d), np.ravel(x))
-        return _is_identically_infinite(sliced)
+        """Whether K(x, .) is identically +inf; decided once per stage
+        when no row of dom K reads x."""
+        empty = self._x_slices_empty
+        if empty is None:
+            empty = _is_identically_infinite(self.fn.fix(np.arange(self.d), np.ravel(x)))
+        return empty
+
+    @cached_property
+    def _x_slices_empty(self):
+        return _slices_empty_once(self.fn, slice(0, self.d))
 
     def hamiltonian_function_of_x(self, y):
         return partial_infimum(self.fn, self.d, y)
@@ -623,18 +644,9 @@ class BolzaStage:
 
     @cached_property
     def _slices_empty(self):
-        """Whether every slice a -> K*(a, b) is identically +inf, decided
-        once from dom K* when no row of it reads b (each slice's domain is
-        then one set whatever b is; without rows it is the whole space and
-        no LP runs).  None when some row reads b, or dom K* is not
-        polyhedral: the test is then made per slice."""
-        dom = domain_polyhedron(self.fn.conjugate())
-        if dom is None:
-            return None
-        b = slice(self.d, 2 * self.d)
-        if np.any(dom.a_ub[:, b]) or np.any(dom.a_eq[:, b]):
-            return None
-        return bool(dom.a_ub.shape[0] or dom.a_eq.shape[0]) and dom.is_empty()
+        """Whether every slice a -> K*(a, b) is identically +inf
+        (``_slices_empty_once`` in b)."""
+        return _slices_empty_once(self.fn.conjugate(), slice(self.d, 2 * self.d))
 
     def conjugate_value(self, a, b) -> float:
         ab = np.concatenate([np.ravel(a), np.ravel(b)])
@@ -727,37 +739,11 @@ class KabanovStage(BolzaStage):
         return FiniteSum(pieces)
 
     def hamiltonian_x_conjugate(self, y):
-        yz, yk = self._split_dual(y)
-        if np.max(np.abs(yk), initial=0.0) > FEAS_TOL:
-            raise NoClosedFormError("Hamiltonian is -inf at this dual point")
-        sigma = support_function(self.C, yz)
-        if sigma == INF:
-            raise NoClosedFormError("Hamiltonian is -inf at this dual point")
-        d = self.currency_dim
-        # sup_{z,k} z.az + k.ak - H((z,k), y):
-        #   z-part: ind(az = 0) unless terminal (then z is pinned and az free)
-        #   k-part: V*(yz - ak), plus the sigma constant back
-        map_k = np.zeros((d, 2 * d)); map_k[:, d:] = -np.eye(d)
-        pieces = [AffinePrecomposition(self.V.conjugate(), map_k, yz),
-                  Affine(np.zeros(2 * d), sigma)]
-        if not self.terminal:
-            rows = np.zeros((d, 2 * d)); rows[:, :d] = np.eye(d)
-            pieces.append(PolyhedralIndicator(Polyhedron(
-                a_eq=rows, b_eq=np.zeros(d), validate=False)))
-        return FiniteSum(pieces)
+        # H(., y)* = K*(., y), an infeasible indicator where H(., y) = -inf
+        return self.conjugate_function_of_a(y)
 
     def conjugate_value(self, a, b):
-        az, ak = self._split_dual(a)
-        bz, bk = self._split_dual(b)
-        if np.max(np.abs(bk), initial=0.0) > FEAS_TOL:
-            return INF
-        if not self.terminal and np.max(np.abs(az), initial=0.0) > FEAS_TOL:
-            return INF
-        star = self.V.conjugate().value(bz - ak)
-        if star == INF:
-            return INF
-        sigma = support_function(self.C, bz)
-        return star + sigma if sigma != INF else INF
+        return self.conjugate_function_of_a(b).value(a)
 
     def conjugate_value_many(self, A, B):
         """``conjugate_value`` row by row (the stage function's conjugate
@@ -765,6 +751,9 @@ class KabanovStage(BolzaStage):
         return np.array([self.conjugate_value(a, b) for a, b in zip(A, B)])
 
     def conjugate_function_of_a(self, b):
+        """K*(., b) in closed form: a -> V*(b_z - a_k) + sigma_C(b_z), plus
+        the indicator of a_z = 0 before the horizon; +inf everywhere when
+        b_k != 0 or sigma_C(b_z) = +inf."""
         bz, bk = self._split_dual(b)
         d = self.currency_dim
         if np.max(np.abs(bk), initial=0.0) > FEAS_TOL:

@@ -3,7 +3,9 @@
 Every subdifferential inclusion is tested through a Fenchel residual,
 g(x) + g*(v) - x.v >= 0, which vanishes exactly on the graph of the
 subdifferential, so a certificate is a table of nonnegative residuals and
-a verdict at a fixed absolute tolerance (problem data are desk scale).
+a verdict.  The saddle checker's per-leaf rows are judged relative to the
+size of the terms each is summed from, since their rounding grows with
+the data; every other row is judged at the absolute tolerance.
 Zero duals in the density-cone models are reported as "degenerate" rather
 than pass/fail: the cone of positive density multiples excludes zero, yet
 zero duals do arise at trivial optima.
@@ -98,9 +100,11 @@ class Certificate:
 def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
                  y: StochasticProcess, v: StochasticProcess,
                  tol: float = DEFAULT_TOL) -> Certificate:
-    """Joint subgradient test: per leaf f(x,u) + f*(v,y) - x.v - u.y <= tol,
-    with v in the annihilator; the Lagrangian split of the same residual is
-    reported alongside when available."""
+    """Joint subgradient test: per leaf f(x,u) + f*(v,y) - x.v - u.y <=
+    tol * max(1, |f| + |f*| + |x.v| + |u.y|) (f* left out where it is
+    +inf), with v in the annihilator; the Lagrangian split of the same
+    residual is reported alongside when available, and judged at the same
+    scale."""
     cert = Certificate("pending", tol, y=y, v=v)
     if not is_adapted(x):
         cert.verdict = "fail"
@@ -115,17 +119,17 @@ def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
             cert.add("feasibility", INF, leaf=leaf)
             continue
         star = p.integrand.conjugate_value(leaf, vs[leaf], ys[leaf])
-        res = INF if star == INF else \
-            fval + star - float(xs[leaf] @ vs[leaf]) - float(us[leaf] @ ys[leaf])
-        cert.add("joint-subgradient", max(res, 0.0), leaf=leaf)
+        xv, uy = float(xs[leaf] @ vs[leaf]), float(us[leaf] @ ys[leaf])
+        row_tol = tol * max(1.0, abs(fval) + (abs(star) if star < INF else 0.0)
+                            + abs(xv) + abs(uy))
+        res = INF if star == INF else fval + star - xv - uy
+        cert.add("joint-subgradient", max(res, 0.0), row_tol, leaf=leaf)
         # Lagrangian split: x-part l + f* - x.v, y-part f - u.y - l
         lval = p.integrand.lagrangian(leaf, xs[leaf], ys[leaf])
         if np.isfinite(lval):
             if star < INF:
-                cert.add("lagrangian-x", max(lval + star - float(xs[leaf] @ vs[leaf]), 0.0),
-                         leaf=leaf)
-            cert.add("lagrangian-y", max(fval - float(us[leaf] @ ys[leaf]) - lval, 0.0),
-                     leaf=leaf)
+                cert.add("lagrangian-x", max(lval + star - xv, 0.0), row_tol, leaf=leaf)
+            cert.add("lagrangian-y", max(fval - uy - lval, 0.0), row_tol, leaf=leaf)
     if not feasible:
         cert.verdict = "fail"
         cert.reason = "infeasible candidate: E f(x, u) = +inf"

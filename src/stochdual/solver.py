@@ -212,8 +212,8 @@ class OrthoBound:
     value: float
     v: StochasticProcess | None
     # optimal | gap-open (v read off but not certified) | infeasible (value
-    # +inf) | the inner solve's max-iter or infeasible
-    # (``dual_via_orthocomplement``)
+    # +inf) | the inner solve's max-iter or infeasible | no-closed-form (a
+    # conjugate the bound needs has none) (``dual_via_orthocomplement``)
     status: str
 
 
@@ -552,13 +552,6 @@ class CompiledObjective:
                 return INF
             total += t.weight * v
         return total
-
-    def subgradient(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        g = np.zeros(self.n)
-        for t in self.terms:
-            g[t.cols] += t.weight * t.fn.subgradient(z[t.cols])
-        return g
 
     @cached_property
     def _lowered(self):
@@ -1021,7 +1014,9 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
       * the inner solve's status (``max-iter``, ``infeasible``), with no
         value and no v, when it ended otherwise short of its optimum, or
         ``max-iter`` when an LP the bound needs (the support function in
-        a stage conjugate or a Hamiltonian) does not terminate.
+        a stage conjugate or a Hamiltonian) does not terminate;
+      * ``no-closed-form``, with no value and no v, when a Lagrangian or
+        a conjugate the bound needs has no closed form.
 
     E f*(v, y) goes one group at a time.  On static problems
     ``conjugate_values`` prices each group of leaves whose joints share
@@ -1035,6 +1030,8 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
         return _orthocomplement_bound(p, y, cfg, objective)
     except PivotLimitError:
         return OrthoBound(np.nan, None, "max-iter")
+    except NoClosedFormError:
+        return OrthoBound(np.nan, None, "no-closed-form")
 
 
 def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,

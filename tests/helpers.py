@@ -174,6 +174,61 @@ def random_composite_function(rng, dim=2):
 
 
 # ---------------------------------------------------------------------------
+# subgradient oracle
+# ---------------------------------------------------------------------------
+
+
+def subgradient(fn, x):
+    """One subgradient of a catalog function, or of a compiled objective,
+    at x, by the textbook rule of its kind: the gradient where it is
+    differentiable, the mean of the two slopes at a kink of a scalar
+    piecewise-linear function, 0 for a polyhedral indicator (valid on the
+    interior) and a maximiser for a support function.  Sums, separable
+    sums, precompositions and compiled objectives combine their parts'
+    rules.  Raises NoClosedFormError for any other kind."""
+    from stochdual.convex import NoClosedFormError, PolyhedralIndicator, SupportFunction
+    from stochdual.solver import CompiledObjective
+
+    x = np.asarray(x, dtype=float).ravel()
+    if isinstance(fn, CompiledObjective):
+        g = np.zeros(fn.n)
+        for t in fn.terms:
+            g[t.cols] += t.weight * subgradient(t.fn, x[t.cols])
+        return g
+    if isinstance(fn, Affine):
+        return fn.a.copy()
+    if isinstance(fn, Quadratic):
+        return 2.0 * fn.weights * x + fn.tilt
+    if isinstance(fn, PiecewiseLinear):
+        if fn.lo == fn.hi:
+            return np.zeros(1)
+        j = int(np.searchsorted(fn.breaks, x[0], side="right"))
+        if j > 0 and x[0] == fn.breaks[j - 1]:
+            return np.array([0.5 * (fn.slopes[j - 1] + fn.slopes[j])])
+        return np.array([fn.slopes[min(j, fn.slopes.size - 1)]])
+    if isinstance(fn, Entropy):
+        return np.array([fn.coeff * np.log(max(x[0], 1e-300)) + fn.tilt])
+    if isinstance(fn, Exponential):
+        return np.array([fn.coeff * fn.rate * np.exp(fn.rate * x[0])])
+    if isinstance(fn, PolyhedralIndicator):
+        return np.zeros(fn.dim)
+    if isinstance(fn, SupportFunction):
+        _, point, status = fn.polyhedron.support(x)
+        if status != "attained":
+            raise ValueError("support function has no subgradient here")
+        return point
+    if isinstance(fn, SeparableSum):
+        return np.concatenate([np.zeros(0)] + [
+            subgradient(part, x[lo:hi])
+            for part, lo, hi in zip(fn.parts, fn.offsets[:-1], fn.offsets[1:])])
+    if isinstance(fn, AffinePrecomposition):
+        return fn.matrix.T @ subgradient(fn.inner, fn.matrix @ x + fn.offset)
+    if isinstance(fn, FiniteSum):
+        return np.sum([subgradient(s, x) for s in fn.summands], axis=0)
+    raise NoClosedFormError(f"no subgradient rule for kind '{fn.kind}'")
+
+
+# ---------------------------------------------------------------------------
 # shared trees
 # ---------------------------------------------------------------------------
 
@@ -617,7 +672,7 @@ def _stage_dual_gradient(stage, x_t, w_t):
     if isinstance(stage, KabanovStage):
         _, k = stage._split_state(np.ravel(x_t))
         try:
-            yz = stage.V.subgradient(-k)
+            yz = subgradient(stage.V, -k)
         except NoClosedFormError:
             return None
         return np.concatenate([yz, np.zeros(stage.currency_dim)])
@@ -625,7 +680,7 @@ def _stage_dual_gradient(stage, x_t, w_t):
         full = np.concatenate([np.ravel(x_t), np.ravel(w_t)])
         if stage.fn.value(full) == np.inf:
             return None
-        return stage.fn.subgradient(full)[stage.d:]
+        return subgradient(stage.fn, full)[stage.d:]
     except (NoClosedFormError, ValueError):
         return None
 

@@ -452,6 +452,44 @@ class TestHonestExitCodes:
                 assert report["certificate"] == {"verdict": "unavailable",
                                                  "reason": "no-closed-form"}
 
+    def test_stage_conjugate_without_a_closed_form_is_a_status(self, tmp_path):
+        # K(x, w) = |x| + w^2/2 written as a general sum of two
+        # precompositions: the primal and the dual need no conjugate, but K*
+        # has no closed form, so the saddle and Euler-Lagrange certificates
+        # and the annihilator bound end as statuses
+        K = {"kind": "sum", "terms": [
+            {"kind": "precompose", "inner": {"kind": "abs"}, "matrix": [[1, 0]]},
+            {"kind": "precompose", "inner": {"kind": "quadratic", "weights": [0.5]},
+             "matrix": [[0, 1]]}]}
+        doc = {"tree": {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]},
+               "model": {"family": "bolza", "state_dim": 1, "stages": [[K], [K, K]]},
+               "parameters": {"u": [[[1.0], [1.0]], [[1.5], [0.5]]]}}
+        path = write_doc(tmp_path, "sum-stage", doc)
+        for argv in (["report", path], ["check", path, "--checker", "saddle"]):
+            code, report = run(argv)
+            assert code == cli.EXIT_NO_CONVERGENCE, argv
+            assert report["certificate"] == {"verdict": "unavailable",
+                                             "reason": "no-closed-form"}
+        code, report = run(["report", path])
+        assert (report["primal"]["status"], report["dual"]["status"]) == ("optimal", "optimal")
+        assert report["gap"] == 0.0
+        assert report["dual_representation"]["annihilator_bound"] is None
+        problem, _, params, _, _ = cli.parse_problem_file(path)
+        dual = solve_dual(problem, params["u"])
+        bound = solver.dual_via_orthocomplement(problem, dual.optimizer)
+        assert (bound.status, bound.v) == ("no-closed-form", None) and np.isnan(bound.value)
+
+    def test_saddle_rows_are_judged_at_the_scale_of_their_terms(self, tmp_path):
+        # liabilities near 3e6: f, f*, x.v and u.y are near 1e12, and the
+        # joint residual's rounding (~1e-3) passes at that scale
+        liability = 1e6 * np.random.default_rng(0).uniform(2.5, 3.5, 16)
+        path = hedging_file(tmp_path, 4, liability)
+        code, report = run(["check", path, "--checker", "saddle"])
+        rows = report["certificate"]["rows"]
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        assert all(r["ok"] for r in rows)
+        assert max(r["residual"] for r in rows) > 1e-6  # above the absolute tolerance
+
     @pytest.mark.parametrize("fn", [
         SUPPORT_ABS, {"kind": "sum", "terms": [SUPPORT_ABS, {"kind": "quadratic", "weights": [0.5]}]}],
         ids=["support", "sum"])

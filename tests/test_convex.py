@@ -18,6 +18,7 @@ from stochdual.convex import (
     SupportFunction,
     absolute_value,
     argmax_support,
+    domain_polyhedron,
     fenchel_residual,
     grid_conjugate_oracle,
     indicator_interval,
@@ -33,6 +34,7 @@ from helpers import (
     random_composite_function,
     random_scalar_function,
     same_bits,
+    subgradient,
 )
 
 INF = float("inf")
@@ -146,7 +148,7 @@ class TestFenchelResidual:
             x1, x2 = np.sort(rng.uniform(-2, 2, 2))
             if x2 - x1 < 1e-6 or not np.isfinite(g.value([x1]) + g.value([x2])):
                 continue
-            v1, v2 = g.subgradient([x1]), g.subgradient([x2])
+            v1, v2 = subgradient(g, [x1]), subgradient(g, [x2])
             # only keep residual-certified subgradients
             if fenchel_residual(g, [x1], v1) > 1e-9 or fenchel_residual(g, [x2], v2) > 1e-9:
                 continue
@@ -487,3 +489,67 @@ class TestQuadraticModel:
         fn = SeparableSum([Exponential(), SupportFunction(box)])
         with pytest.raises(NoClosedFormError, match="no quadratic model"):
             fn.quadratic_model([0.0, 0.0])
+
+
+class TestDomains:
+    """dom f read off the QP form (or the quadratic model's form)."""
+
+    @staticmethod
+    def random_function(rng, dim=2):
+        def scalar():
+            if rng.random() < 0.7:
+                return random_scalar_function(rng)
+            return CATALOG_SAMPLES[int(rng.integers(len(CATALOG_SAMPLES)))]
+
+        def precomposed():
+            return AffinePrecomposition(scalar(), rng.normal(size=(1, dim)), rng.normal(size=1))
+
+        roll = rng.integers(0, 4)
+        if roll == 0:
+            return SeparableSum([scalar() for _ in range(dim)])
+        if roll == 1:
+            return precomposed()
+        if roll == 2:
+            return FiniteSum([precomposed(), precomposed()])
+        return random_composite_function(rng, dim)
+
+    def test_domain_agrees_with_finiteness(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            fn = self.random_function(rng)
+            dom = domain_polyhedron(fn)
+            assert dom is not None and dom.dim == fn.dim
+            X = 3.0 * rng.normal(size=(40, fn.dim))
+            assert [dom.contains(x) for x in X] == [fn.value(x) < INF for x in X]
+
+    def test_scalar_domains_at_their_ends(self):
+        for fn in CATALOG_SAMPLES:
+            dom = domain_polyhedron(fn)
+            lo, hi = (fn.lo, fn.hi) if isinstance(fn, PiecewiseLinear) else (-INF, INF)
+            if isinstance(fn, Entropy):
+                lo = 0.0
+            for x in (lo, hi, lo - 1e-3, hi + 1e-3, 0.0):
+                if np.isfinite(x):
+                    assert dom.contains([x]) == (fn.value([x]) < INF)
+
+    def test_overflowing_model_is_read_for_its_rows_only(self):
+        # the model of e^(x + 800) has infinite numbers, and composing it
+        # with a matrix that has zeros gives inf * 0; only the rows count
+        fn = FiniteSum([AffinePrecomposition(Exponential(), [[1.0, 0.0]], [800.0]),
+                        AffinePrecomposition(indicator_nonpos(), [[0.0, 1.0]], [-1.0])])
+        dom = domain_polyhedron(fn)
+        assert dom.a_eq.shape[0] == 0 and same_bits(dom.a_ub, [[0.0, 1.0]])
+        assert same_bits(dom.b_ub, [1.0])
+
+    @pytest.mark.parametrize("fn", [
+        SeparableSum([Quadratic([1.0]), SupportFunction(Polyhedron(a_ub=[[1.0]], b_ub=[1.0]))]),
+        FiniteSum([Entropy(), AffinePrecomposition(
+            SupportFunction(Polyhedron(a_ub=[[1.0], [-1.0]], b_ub=[1.0, 1.0])), [[2.0]])]),
+    ], ids=["separable", "sum"])
+    def test_support_function_part_has_no_domain(self, fn):
+        assert domain_polyhedron(fn) is None
+
+    def test_rowless_set_is_not_empty_without_an_lp(self, monkeypatch):
+        monkeypatch.setattr(Polyhedron, "feasible_point", lambda self: pytest.fail("LP"))
+        assert not domain_polyhedron(SeparableSum([Quadratic([1.0]), Exponential()])).is_empty()
+        assert not Polyhedron(a_ub=np.zeros((0, 3)), b_ub=np.zeros(0)).is_empty()

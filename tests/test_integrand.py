@@ -406,6 +406,36 @@ class TestKabanovAsBolza:
         assert f.value(0, x, np.zeros(4)) == INF
         assert f.lagrangian(0, x, np.zeros(4)) == INF
 
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_one_closed_form_for_the_stage_conjugate(self, terminal):
+        # H(., b)* = K*(., b): the Hamiltonian's conjugate, K*'s value and
+        # K*'s slice are one closed form, V*(b_z - a_k) + sigma_C(b_z) with
+        # a_z = 0 before the horizon, bit for bit; b off the polar cone
+        # (sigma_C = +inf) or with b_k != 0 gives +inf everywhere
+        rng = np.random.default_rng(57)
+        gens = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
+        C = Polyhedron.from_cone_generators(gens)
+        st = KabanovStage(Quadratic(rng.uniform(0.2, 2.0, 2), rng.normal(size=2)), C, terminal)
+        polar = np.abs(rng.normal(size=(8, 2))) @ np.array([[2.0, 1.0], [1.0, 2.0]])  # its rays
+        finite = 0
+        for bz in np.vstack([polar, rng.normal(size=(8, 2))]):
+            for bk in (np.zeros(2), rng.normal(size=2)):
+                b = np.concatenate([bz, bk])
+                fns = (st.hamiltonian_x_conjugate(b), st.conjugate_function_of_a(b))
+                for _ in range(3):
+                    a = rng.normal(size=4)
+                    if rng.random() < 0.5:
+                        a[:2] = 0.0
+                    if np.any(bk) or support_function(C, bz) == INF or (
+                            not terminal and np.any(a[:2])):
+                        want = INF
+                    else:
+                        want = st.V.conjugate().value(bz - a[2:]) + support_function(C, bz)
+                        finite += 1
+                    got = [fn.value(a) for fn in fns] + [st.conjugate_value(a, b)]
+                    assert same_bits(got, [want] * 3)
+        assert finite > 0
+
 
 
 def generic_mix(rng):

@@ -14,16 +14,16 @@ group per shared stage against one group per node.
 import numpy as np
 import pytest
 
-from stochdual import integrand, solver
+from stochdual import integrand, qp, solver
 from stochdual.cli import parse_problem_file, run
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
-    Polyhedron,
     PiecewiseLinear,
     Quadratic,
     SeparableSum,
     absolute_value,
+    indicator_interval,
 )
 from stochdual.duality import bolza_dual_value
 from stochdual.integrand import BolzaIntegrand, BolzaStage, KabanovStage
@@ -200,15 +200,28 @@ def test_a_kabanov_report_builds_one_stage_conjugate_per_node(tmp_path, monkeypa
 @pytest.mark.parametrize("state_cost, lps", [(HALF_SQUARE, 0), ({"kind": "abs"}, 1)])
 def test_hull_emptiness_is_decided_once_per_stage(tmp_path, monkeypatch, state_cost, lps):
     # dom K* is the whole space for x^2/2 + w^2/2 (no LP), and [-1, 1] x R
-    # for |x| + w^2/2 (one LP for the stage); no slice is tested on its own
+    # for |x| + w^2/2 (one LP for the stage); dom K reads no x in either,
+    # so no slice, in y or in x, is tested on its own by the report or by
+    # the saddle check
     path = write_doc(tmp_path, "bolza", bolza_doc(4, state_cost, np.random.default_rng(1)))
-    per_slice, empties = [], []
+    per_slice, lp_calls = [], []
     monkeypatch.setattr(integrand, "_is_identically_infinite",
                         lambda fn: per_slice.append(fn) or pytest.fail("per-slice test"))
-    real = Polyhedron.is_empty
-    monkeypatch.setattr(Polyhedron, "is_empty", lambda self: empties.append(self) or real(self))
-    assert run(["report", path])[0] == 0
-    assert (per_slice, len(empties)) == ([], lps)
+    real = qp.solve_qp
+    monkeypatch.setattr(qp, "solve_qp", lambda *a, **k: lp_calls.append(a) or real(*a, **k))
+    for command in (["report"], ["check", "--checker", "saddle"]):
+        lp_calls.clear()
+        assert run(command + [path])[0] == 0
+        assert (per_slice, len(lp_calls)) == ([], lps), command
+
+
+def test_x_slices_stay_per_point_where_dom_reads_x():
+    # K = |w| + indicator of x <= 1: dom K reads x, so K(x, .) is tested
+    # at each x
+    stage = BolzaStage(SeparableSum([indicator_interval(-np.inf, 1.0), absolute_value()]), 1)
+    assert stage._x_slices_empty is None
+    assert stage.x_infeasible([2.0]) and not stage.x_infeasible([0.5])
+    assert BolzaStage(SeparableSum([Quadratic([0.5]), absolute_value()]), 1)._x_slices_empty is False
 
 
 def test_hull_emptiness_stays_per_slice_where_dom_reads_b():
