@@ -383,6 +383,18 @@ class GenericIntegrand(ParametricIntegrand):
                 out[leaf] = fn
         return out
 
+    def affine_lagrangians(self, ys):
+        """(slopes, constants) of every leaf's Lagrangian x -> s_l.x + c_l,
+        leaf l at row l of ``ys``, one stacked pass per group of
+        ``_stacked_groups`` (``_affine_slices``), c_l = -inf where the
+        Lagrangian is MINUS_INF.  Every leaf must lie in a group.  Raises
+        NoClosedFormError when some leaf has no closed form."""
+        n, ys = self.n_total, np.asarray(ys, dtype=float)
+        slopes, consts = np.empty((len(ys), n)), np.empty(len(ys))
+        for leaves, inner, mats, offsets in self._stacked_groups[0]:
+            slopes[leaves], consts[leaves] = _affine_slices(inner, mats, offsets, n, ys[leaves])
+        return slopes, consts
+
     def conjugate_values(self, vs, ys) -> np.ndarray:
         """``conjugate_values`` one group of leaves at a time: each group of
         ``_stacked_groups`` in one stacked pass

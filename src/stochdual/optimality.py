@@ -13,6 +13,7 @@ zero duals do arise at trivial optima.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +76,16 @@ class Certificate:
 
     @property
     def max_residual(self) -> float:
-        finite = [r["residual"] for r in self.rows if np.isfinite(r["residual"])]
-        if any(not np.isfinite(r["residual"]) for r in self.rows):
-            return INF
-        return max(finite, default=0.0)
+        """The largest residual, in one pass; +inf when some row is inf or
+        NaN, and 0 with no rows."""
+        worst = -INF
+        for r in self.rows:
+            res = r["residual"]
+            if not math.isfinite(res):
+                return INF
+            if res > worst:
+                worst = res
+        return worst if self.rows else 0.0
 
     def add(self, condition: str, residual: float, tol: float | None = None,
             **where):

@@ -196,9 +196,12 @@ class SpectralFactor:
 
 
 def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
-             max_iter: int | None = None, spectral: SpectralFactor | None = None) -> QPResult:
+             max_iter: int | None = None, spectral: SpectralFactor | None = None,
+             q_scale: float = 0.0) -> QPResult:
     """Solve the program; ``spectral`` is ``SpectralFactor(P)`` when the
-    caller keeps one, and is read only when there are no rows."""
+    caller keeps one, and ``q_scale`` the size of the summands that q was
+    added up from (a lowered program's max |w_k q_k|), which its rounding
+    grows with; both are read only when there are no rows."""
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
     n = q.size
@@ -213,11 +216,13 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
     def objective(x):
         return 0.5 * float(x @ P @ x) + float(q @ x) + c
 
-    # unconstrained: the least-squares point of P x = -q
+    # unconstrained: the least-squares point of P x = -q; the residual is
+    # judged at the size of q and of the summands it cancels from
     if m == 0 and A.shape[0] == 0:
         x = (SpectralFactor(P) if spectral is None else spectral).minimizer(q)
         r = P @ x + q
-        if np.max(np.abs(r), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(q), initial=0.0)):
+        if np.max(np.abs(r), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(q), initial=0.0),
+                                                       q_scale):
             return QPResult("unbounded", None, -np.inf, ray=-r)
         return QPResult("optimal", x, objective(x))
 

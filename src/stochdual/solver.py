@@ -51,7 +51,11 @@ b).  The cache key is what the terms depend on, never u's values: one key
 on a static problem, and the ``_stage_nodes`` partition of u on a dynamic
 one.  The problem holds one template and builds another when the key
 changes, so a sweep over u lowers the primal, and factors a rowless
-primal's P, once.
+primal's P, once.  The Lagrangian of a static problem whose every leaf's
+l(., y) is affine in x, x -> s_l.x + c_l (``_LagrangianTemplate``), is
+kept the same way: one affine group whose slopes and constants are read
+at each y, one stacked pass per group of leaves that share one g.  Any
+other problem builds its Lagrangian at each y.
 
 The objective alone picks the engine: quadratic-plus-polyhedral instances
 route to the active-set QP path and solve to machine precision; everything
@@ -90,6 +94,7 @@ from .convex import (
 from .integrand import (
     MINUS_INF,
     BolzaIntegrand,
+    GenericIntegrand,
     KabanovStage,
     ParametricIntegrand,
 )
@@ -156,6 +161,17 @@ class Problem:
         """The compiled primal under its key: at most one entry, built at the
         first solve (``_primal_template``)."""
         return {}
+
+    @cached_property
+    def _lagrangian_template(self) -> _LagrangianTemplate | None:
+        """The compiled Lagrangian with y left symbolic, built at the first
+        dual solve, when every leaf lies in a group of
+        ``GenericIntegrand._stacked_groups``; None on any other problem,
+        whose Lagrangian is built at each y."""
+        f = self.integrand
+        if isinstance(f, GenericIntegrand) and not f._stacked_groups[1]:
+            return _LagrangianTemplate(self)
+        return None
 
 
 @dataclass
@@ -325,6 +341,17 @@ class _Group:
     eq_rows: np.ndarray | None = None  # (K, a) equality rows
     atoms: list[_Atom] | None = None
 
+    def parts(self, m) -> _OffsetParts:
+        """What of the K local forms moves with the offsets ``m``: through
+        M on a group of precompositions (``QPForm.offset_parts``); on any
+        other group, the form's own parts, with the slopes and constants
+        of m = (q, c) when m is given (an affine group read at y)."""
+        S = self.inner
+        if self.M is not None:
+            return _OffsetParts(*S.offset_parts(self.M, m))
+        q, c = (S.q, S.c) if m is None else m
+        return _OffsetParts(q, c, S.h, S.b, [off for _, off, _ in S.epi])
+
 
 class _Lowering(NamedTuple):
     """What of a lowered program the terms' offsets m_k do not move: the
@@ -488,23 +515,29 @@ class _Template:
     def spectral(self) -> SpectralFactor:
         return SpectralFactor(self.lowering.P)
 
+    def term_values(self, obj: CompiledObjective, z):
+        """The value of each term of ``obj`` (read at its offsets) at z, in
+        term order, taken one at a time as they are read."""
+        return (t.fn.value(z[t.cols]) for t in obj.terms)
+
     def lowered(self, offsets):
         """(lowering, parts): the lowering, and the ``_OffsetParts`` of each
-        group's forms at ``offsets``; None off the QP path.  The first call
-        lowers the groups' forms composed at its offsets; the forms' shapes,
-        P, G, A and atom rows do not depend on the offsets, so a later call
-        (on a kept template, whose groups are all precompositions) computes
-        only the parts that move with them."""
+        group's forms at ``offsets`` (``_Group.parts``); None off the QP
+        path.  The first call lowers the groups' forms composed at its
+        offsets, and reads a precomposition group's parts off its composed
+        form; the forms' shapes, P, G, A and atom rows do not depend on the
+        offsets, so a later call (on a kept template) computes only the
+        parts that move with them."""
         if self.groups is None:
             return None
         if self.lowering is not None:
-            return self.lowering, [_OffsetParts(*g.inner.offset_parts(g.M, m))
-                                   for g, m in zip(self.groups, offsets)]
+            return self.lowering, [g.parts(m) for g, m in zip(self.groups, offsets)]
         forms = [g.inner if g.M is None else g.inner.compose(g.M, m)
                  for g, m in zip(self.groups, offsets)]
         self.lowering = _lower(self.n, len(self.terms), self.groups, forms)
-        return self.lowering, [_OffsetParts(S.q, S.c, S.h, S.b, [off for _, off, _ in S.epi])
-                               for S in forms]
+        return self.lowering, [
+            g.parts(m) if g.M is None else _OffsetParts(S.q, S.c, S.h, S.b, [o for _, o, _ in S.epi])
+            for g, m, S in zip(self.groups, offsets, forms)]
 
 
 class CompiledObjective:
@@ -516,10 +549,13 @@ class CompiledObjective:
     ``_group_key``); a group's forms are computed once, stacked, and kept.
 
     The objective is the ``_Template`` of (n, terms) read at ``offsets``,
-    one (K, r) array per group, the terms' own (the template's ``base``) by
-    default.  ``template`` is that template when one is kept
-    (``_PrimalTemplate``, whose groups are all precompositions); it is
-    built here otherwise.
+    one per group, the terms' own (the template's ``base``) by default: a
+    (K, r) array of offsets m_k for a group of precompositions, a (K, d)
+    array of slopes and a (K,) array of constants for a group of affine
+    terms.  ``template`` is that template when one is kept
+    (``_PrimalTemplate``, whose groups are all precompositions, or
+    ``_LagrangianTemplate``, one affine group); it is built here
+    otherwise.
     """
 
     def __init__(self, n: int, terms: list[_Term], offsets=None,
@@ -537,17 +573,23 @@ class CompiledObjective:
             return tpl.terms
         terms = list(tpl.terms)
         for idx, m in zip(tpl.grouping, self.offsets):
-            for i, off in zip(idx.tolist(), m):
+            idx = idx.tolist()
+            if isinstance(m, tuple):  # an affine group's slopes and constants
+                fns = [Affine(a, b) for a, b in zip(m[0], m[1].tolist())]
+            else:
+                fns = [AffinePrecomposition(terms[i].fn.inner, terms[i].fn.matrix, off)
+                       for i, off in zip(idx, m)]
+            for i, fn in zip(idx, fns):
                 t = terms[i]
-                terms[i] = _Term(t.weight, AffinePrecomposition(t.fn.inner, t.fn.matrix, off),
-                                 t.cols, t.node, t.param)
+                terms[i] = _Term(t.weight, fn, t.cols, t.node, t.param)
         return terms
 
     def value(self, z) -> float:
+        """The terms' values (``_Template.term_values``) summed in term
+        order; +inf when some value is."""
         z = np.asarray(z, dtype=float).ravel()
         total = 0.0
-        for t in self.terms:
-            v = t.fn.value(z[t.cols])
+        for t, v in zip(self.template.terms, self.template.term_values(self, z)):
             if v == INF:
                 return INF
             total += t.weight * v
@@ -596,6 +638,14 @@ class CompiledObjective:
                 c += v
         return low.P, q, c, low.G, h, low.A, b, n
 
+    @property
+    def q_scale(self) -> float:
+        """max |w_k q_k| over the lowered terms: the size of the summands
+        that ``qp_data``'s q adds up from, and so of its rounding."""
+        low, parts = self._lowered
+        return max([float(np.abs(g.weights[:, None] * S.q).max(initial=0.0))
+                    for g, S in zip(low.groups, parts)], default=0.0)
+
     def _group_subgradients(self, res: _MinResult) -> list[np.ndarray]:
         """Per group, the (K, r) subgradients s_k of g at r_k = M_k x_k +
         m_k that the lowered program's solution ``res`` selects, one per
@@ -617,11 +667,14 @@ class CompiledObjective:
                 by_term.update(zip(idx.tolist(), s))
             return [np.array([by_term[i] for i in idx.tolist()]) for idx in self.template.grouping]
         x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
+        low, parts = self._lowered
         out = []
-        for g, m in zip(self._lowering.groups, self.offsets):
-            S, W, r = g.inner, g.weights, x[g.cols]
+        for g, m, part in zip(low.groups, self.offsets, parts):
+            # g's q: the shared inner g's, or, with no map, this objective's
+            # (on a kept affine group, the slopes at this y)
+            S, W, r, q = g.inner, g.weights, x[g.cols], part.q
             if g.M is not None:
-                r = (g.M @ r[..., None])[..., 0] + m
+                r, q = (g.M @ r[..., None])[..., 0] + m, S.q
             rows = ((S.G.swapaxes(-1, -2) @ ineq[g.rows][..., None])[..., 0]
                     + (S.A.swapaxes(-1, -2) @ eq[g.eq_rows][..., None])[..., 0])
             for at, (row, _, _) in zip(g.atoms, S.epi):
@@ -629,7 +682,7 @@ class CompiledObjective:
                 for k in range(mu.shape[1]):
                     slope = slope + mu[:, k] * at.coefs[:, k]
                 rows = rows + row * slope[:, None]
-            out.append((S.P @ r[..., None])[..., 0] + S.q + rows / W[:, None])
+            out.append((S.P @ r[..., None])[..., 0] + q + rows / W[:, None])
         return out
 
 
@@ -653,7 +706,8 @@ def _minimize(obj: CompiledObjective) -> _MinResult:
     if data is not None:
         P, q, c, G, h, A, b, n_main = data
         rowless = not (G.shape[0] or A.shape[0])
-        res = solve_qp(P, q, c, G, h, A, b, spectral=obj.template.spectral if rowless else None)
+        res = solve_qp(P, q, c, G, h, A, b, spectral=obj.template.spectral if rowless else None,
+                       q_scale=obj.q_scale if rowless else 0.0)
         status = {"maxiter": "max-iter"}.get(res.status, res.status)
         resid = _violation(res.x, G, h, A, b) if res.x is not None else 0.0
         x = res.x[:n_main] if res.x is not None else None
@@ -876,12 +930,50 @@ def solve_primal(p: Problem, u: StochasticProcess) -> SolveResult:
                        res.method, compiled=obj, solution=res)
 
 
+class _LagrangianTemplate(_Template):
+    """The Lagrangian of a static problem with y left symbolic.
+
+    When every leaf lies in a group of ``GenericIntegrand._stacked_groups``,
+    leaf l's Lagrangian is the affine x -> s_l.x + c_l, and only s_l and c_l
+    move with y.  The template holds one affine term per leaf, its slope
+    and constant zero, in one lowering group; a solve at y reads it at the
+    stacked (s, c) (``objective``), so the Lagrangian is grouped and
+    lowered once for every y."""
+
+    def __init__(self, p: Problem):
+        layout, zero = p.layout, Affine(np.zeros(p.integrand.n_total), 0.0)
+        super().__init__(layout.width, [
+            _Term(weight, zero, cols, leaf) for leaf, (weight, cols) in enumerate(
+                zip(p.tree.probabilities.tolist(), layout.columns))])
+        self.integrand, self.cols = p.integrand, layout.columns
+
+    def objective(self, yvecs) -> CompiledObjective | None:
+        """The Lagrangian at the leaf vectors ``yvecs`` of y
+        (``GenericIntegrand.affine_lagrangians``); None when some leaf's
+        is -inf."""
+        slopes, consts = self.integrand.affine_lagrangians(yvecs)
+        if np.any(consts == -INF):
+            return None
+        return CompiledObjective(self.n, self.terms, [(slopes, consts)], self)
+
+    def term_values(self, obj: CompiledObjective, z):
+        """s_l.z_l + c_l of every leaf in one stacked pass, one dot product
+        per row as ``Affine.value`` takes it."""
+        (slopes, consts), = obj.offsets
+        return ((slopes[:, None, :] @ z[self.cols][:, :, None])[:, 0, 0] + consts).tolist()
+
+
 def _lagrangian_objective(p: Problem, y: StochasticProcess):
+    """(layout, the compiled Lagrangian l(., y)), None in place of the
+    objective when some term is -inf: read off the problem's kept template
+    when it has one (``_LagrangianTemplate``), built at y otherwise."""
     layout = p.layout
     yvecs = _leaf_vectors(p, y, "dual")
     if isinstance(p.integrand, BolzaIntegrand):
         terms = _bolza_lagrangian_terms(p, yvecs)
         return layout, None if terms is None else CompiledObjective(layout.width, terms)
+    if p._lagrangian_template is not None:
+        return layout, p._lagrangian_template.objective(yvecs)
     fns = p.integrand.lagrangian_functions_of_x(yvecs)
     if any(fn is MINUS_INF for fn in fns):
         return layout, None
@@ -1075,9 +1167,10 @@ def _stationary_v(p: Problem, yvecs, dob: DualObjective):
     res, dynamic = dob.inner, isinstance(p.integrand, BolzaIntegrand)
     V = yvecs - _next_stage(p, yvecs) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
     obj = dob.lagrangian
-    for idx, group in zip(obj.template.grouping, obj._group_subgradients(res)):
+    tpl = obj.template
+    for idx, group in zip(tpl.grouping, obj._group_subgradients(res)):
         for i, s in zip(idx.tolist(), group):
-            t = obj.terms[i]
+            t = tpl.terms[i]  # its node, and its map when a precomposition
             if t.node is None:
                 continue
             stage, leaves = t.node if dynamic else (None, t.node)

@@ -138,15 +138,20 @@ class ScenarioTree:
 
     @cached_property
     def _block_weights(self):
-        """Per stage, one (leaf indices, leaf probabilities, block
-        probability) triple per block, in partition order."""
+        """Per stage, its blocks stacked by size: one (leaf indices (K, s),
+        leaf probabilities (K, 1, s), block probabilities (K, 1, 1)) triple
+        per block size s, sizes in order of first block.  Each block's
+        probability is its own sum of its leaves' probabilities."""
         out = []
         for stage in self.partitions:
-            triples = []
+            sizes = {}
             for block in stage:
-                idx = np.array(block)
+                sizes.setdefault(len(block), []).append(block)
+            triples = []
+            for blocks in sizes.values():
+                idx = np.array(blocks)
                 w = self.probabilities[idx]
-                triples.append((idx, w, w.sum()))
+                triples.append((idx, w[:, None, :], np.array([row.sum() for row in w])[:, None, None]))
             out.append(tuple(triples))
         return tuple(out)
 
@@ -164,14 +169,18 @@ class ScenarioTree:
     def conditional_mean(self, arr, t: int) -> np.ndarray:
         """E_t of a leaf-indexed array: the probability-weighted mean of its
         rows over each stage-t block, repeated on the block's leaves.  The
-        blocks' index arrays and weights are built once per tree; each
-        block's mean is one ``w @ arr[idx] / mass`` (a scatter-add over all
-        blocks at once would round differently)."""
+        blocks' index arrays and weights are built once per tree, stacked
+        by block size; the blocks of one size take their means in one
+        batched ``w @ arr[idx] / mass``, (K, 1, s) @ (K, s, d), whose
+        product for each block is the one ``w @ arr[idx]`` takes for it
+        alone, so each mean has the bits of a loop over the blocks (a
+        scatter-add over all blocks at once would round differently)."""
         arr = np.asarray(arr, dtype=float)
-        new = np.empty_like(arr)
+        rows = arr.reshape(len(arr), -1)
+        new = np.empty_like(rows)
         for idx, w, mass in self._block_weights[t]:
-            new[idx] = w @ arr[idx] / mass
-        return new
+            new[idx] = w @ rows[idx] / mass
+        return new.reshape(arr.shape)
 
     # -- convenience constructors ----------------------------------------
 

@@ -490,6 +490,22 @@ class TestHonestExitCodes:
         assert all(r["ok"] for r in rows)
         assert max(r["residual"] for r in rows) > 1e-6  # above the absolute tolerance
 
+    def test_rowless_inner_solve_is_judged_at_the_scale_of_its_summands(self, tmp_path):
+        # liabilities near 3e8: at the recovered y the Lagrangian's inner
+        # program has no rows, P = 0, and a q that is the rounding (~1e-8)
+        # of summands w_k q_k near 1e7; judged at their size, not at its
+        # own, the inner solve is optimal and the gap closes
+        liability = 1e8 * np.random.default_rng(0).uniform(2.5, 3.5, 8)
+        path = hedging_file(tmp_path, 3, liability)
+        code, report = run(["report", path])
+        assert (code, report["primal"]["status"], report["dual"]["status"]) == (0, "optimal", "optimal")
+        assert report["certificate"]["verdict"] == "pass"
+        assert report["dual_representation"]["annihilator_bound"] is not None
+        problem, _, params, _, _ = cli.parse_problem_file(path)
+        lagrangian = solve_dual(problem, params["u"]).objective.lagrangian
+        q = lagrangian.qp_data()[1]
+        assert np.max(np.abs(q)) > 1e-8 and lagrangian.q_scale > 1e6
+
     @pytest.mark.parametrize("fn", [
         SUPPORT_ABS, {"kind": "sum", "terms": [SUPPORT_ABS, {"kind": "quadratic", "weights": [0.5]}]}],
         ids=["support", "sum"])

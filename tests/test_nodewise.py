@@ -1,11 +1,15 @@
-"""Node-wise compilation of dynamic (Bolza and Kabanov) problems.
+"""Node-wise compilation of dynamic (Bolza and Kabanov) problems, and the
+kept Lagrangian of static ones.
 
 The solver compiles each stage cost once per tree node.  Every object it
 builds that way (primal, Lagrangian, lower variant, annihilator bound and
 the recovered dual) is checked here against a per-leaf reference from
 tests/helpers.py, which uses only the per-leaf integrand methods.  The
 trees are irregular, the state dimension is 1 or 2, and u and y are
-adapted, split inside blocks, or different on every leaf.
+adapted, split inside blocks, or different on every leaf.  A static
+problem whose every leaf's Lagrangian is affine in x keeps one compiled
+Lagrangian and reads it at each y; it is checked against the Lagrangian
+built afresh at that y.
 """
 
 import numpy as np
@@ -14,13 +18,14 @@ import pytest
 from stochdual import solver
 from stochdual.cli import fixture_path, parse_problem_file
 from stochdual.convex import (
+    AffinePrecomposition,
     PiecewiseLinear,
     Polyhedron,
     Quadratic,
     SeparableSum,
     absolute_value,
 )
-from stochdual.integrand import BolzaIntegrand, BolzaStage, KabanovStage
+from stochdual.integrand import BolzaIntegrand, BolzaStage, GenericIntegrand, KabanovStage
 from stochdual.solver import (
     Problem,
     dual_objective,
@@ -33,6 +38,7 @@ from stochdual.tree import ScenarioTree, StochasticProcess, in_orthocomplement, 
 
 from helpers import (
     basis_bound,
+    binary_hedging,
     bound_solves,
     grouped_process,
     irregular_tree,
@@ -42,6 +48,7 @@ from helpers import (
     per_leaf_primal,
     per_leaf_recovered_dual,
     random_process,
+    same_bits,
     subgradient,
 )
 
@@ -244,6 +251,118 @@ def test_lower_variant_off_the_dynamic_path_is_the_per_leaf_value(name):
     dob = dual.objective
     assert np.isfinite(dob.lower_value)
     assert dob.lower_value == per_leaf_lower_value(problem, dual.optimizer, dob.minimizer)
+
+
+# ---------------------------------------------------------------------------
+# static problems: one kept Lagrangian template, read at each y
+# ---------------------------------------------------------------------------
+
+
+def hedging_densities(horizon, scales):
+    """Leaf rows c Q/P of the risk-neutral density on ``binary_hedging``'s
+    tree (up x1.2 with Q-probability 1/3, down x0.9), one per scale c."""
+    leaves = np.arange(2 ** horizon)
+    downs = sum((leaves >> (horizon - t)) & 1 for t in range(1, horizon + 1))
+    ratio = 2 ** horizon * (1 / 3) ** (horizon - downs) * (2 / 3) ** downs
+    return [c * ratio[:, None] for c in scales]
+
+
+def stacked_generic(rng):
+    """A generic integrand on the binary tree of horizon 3, n = 2 at stage
+    0, m = 2 at the end: every leaf g(M (x, u) + m) of one shared g, its
+    parameter block near the identity, so one stacked group.  Returns the
+    problem and leaf rows of y: two whose Lagrangians' slopes M_x' eta have
+    probability-weighted mean zero (the inner infimum is finite), and one
+    random (it is -inf)."""
+    tree = ScenarioTree.binary(3)
+    g = Quadratic([0.5, 2.0], [0.1, -0.3])
+    mats = [np.hstack([rng.normal(size=(2, 2)), np.eye(2) + 0.3 * rng.normal(size=(2, 2))])
+            for _ in range(8)]
+    joints = [AffinePrecomposition(g, M, rng.normal(size=2)) for M in mats]
+    p = Problem(tree, GenericIntegrand(tree, [2, 0, 0, 0], [0, 0, 0, 2], joints))
+    ys = []
+    for _ in range(2):
+        slopes = rng.normal(size=(8, 2))
+        slopes -= tree.probabilities @ slopes
+        ys.append(np.array([M[:, 2:].T @ np.linalg.solve(M[:, :2].T, s)
+                            for M, s in zip(mats, slopes)]))
+    return p, [ys[0], rng.normal(size=(8, 2)), ys[1]]
+
+
+def static_cases():
+    """name -> (a function building the problem and the leaf rows of y in
+    the order read, the statuses of their inner solves): on each, one y off
+    the density cone (its inner solve is unbounded), read between ys on
+    it."""
+    densities = hedging_densities(3, (1.0, 2.5, 0.7, 0.4, 0.25))
+    off = np.random.default_rng(0).uniform(0.2, 0.9, size=(8, 1))
+    # |z|: y outside [-1, 1] on a leaf leaves that leaf's Lagrangian -inf
+    beyond = densities[3].copy()
+    beyond[0] = 1.5
+    return {
+        "half-square-hedging": (
+            lambda: (binary_hedging(3, Quadratic([0.5])),
+                     [densities[0], off, densities[1], densities[2]]),
+            ["optimal", "unbounded", "optimal", "optimal"]),
+        "abs-hedging": (
+            lambda: (binary_hedging(3, absolute_value()),
+                     [densities[3], off, densities[4], beyond, 0.9 * densities[3]]),
+            ["optimal", "unbounded", "optimal", "unbounded", "optimal"]),
+        "stacked-generic": (
+            lambda: stacked_generic(np.random.default_rng(7)),
+            ["optimal", "unbounded", "optimal"]),
+    }
+
+
+STATIC_CASES = static_cases()
+
+
+def per_y_build(p):
+    """The same problem, with no kept Lagrangian: each y builds its own."""
+    fresh = Problem(p.tree, p.integrand)
+    fresh.__dict__["_lagrangian_template"] = None
+    return fresh
+
+
+@pytest.mark.parametrize("name", sorted(STATIC_CASES))
+class TestKeptLagrangianTemplate:
+    def test_lagrangian_and_lower_variant(self, name):
+        # the kept template, read at y after y, against a Lagrangian built
+        # afresh at each: value, lower value, inner status, minimizer and
+        # the v read off the inner solve, bit for bit (v reads this y's
+        # slopes, never those the template was first read at)
+        make, statuses = STATIC_CASES[name]
+        p, ys = make()
+        assert "_lagrangian_template" not in p.__dict__  # built at the first dual solve
+        template = p._lagrangian_template
+        assert template is not None
+        got_statuses = []
+        for rows in ys:
+            y = StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
+            got, want = dual_objective(p, y), dual_objective(per_y_build(p), y)
+            got_statuses.append(got.inner_status)
+            assert got.inner_status == want.inner_status
+            assert same_bits(got.value, want.value)
+            assert (got.lower_value is None) == (want.lower_value is None)
+            if want.lower_value is not None:
+                assert same_bits(got.lower_value, want.lower_value)
+            assert (got.minimizer is None) == (want.minimizer is None)
+            if want.minimizer is None:
+                continue
+            assert got.lagrangian.template is template
+            assert same_bits(got.minimizer.leaf_rows(), want.minimizer.leaf_rows())
+            v = solver._stationary_v(p, rows, got).leaf_rows()
+            assert same_bits(v, solver._stationary_v(p, rows, want).leaf_rows())
+            assert np.any(v)
+        assert got_statuses == statuses
+
+    def test_kept_only_when_every_leaf_is_affine(self, name):
+        # a leaf outside the stacked groups leaves each y its own build
+        p, _ = STATIC_CASES[name][0]()
+        f = p.integrand
+        mixed = GenericIntegrand(p.tree, f.n_dims, f.m_dims,
+                                 f.functions[:-1] + [Quadratic([1.0] * f.functions[0].dim)])
+        assert Problem(p.tree, mixed)._lagrangian_template is None
 
 
 def test_cases_cover_every_path():

@@ -54,6 +54,17 @@ def proc(tree, stage_vals):
     return StochasticProcess.from_stage_values(tree, stage_vals)
 
 
+@pytest.mark.parametrize("residuals, want", [
+    ([], 0.0), ([0.5, 2.0, 1.0], 2.0), ([-1.0, -3.0], -1.0),
+    ([0.5, INF, 1.0], INF), ([0.5, np.nan, 1.0], INF), ([np.nan, -INF], INF)])
+def test_max_residual_is_the_largest_row_or_inf(residuals, want):
+    # inf as soon as some row is inf or NaN, and 0 with no rows
+    cert = optimality.Certificate("pending", 1e-6)
+    for r in residuals:
+        cert.add("row", r)
+    assert cert.max_residual == want
+
+
 class TestCheckSaddle:
     def make_certificate_inputs(self):
         p = tracking_problem()

@@ -130,6 +130,31 @@ class TestConditionalExpectation:
                     for a, b in zip(lhs.values, rhs.values):
                         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_stacked_blocks_match_a_block_loop_bit_for_bit(self):
+        # stage 1 has blocks of 5, 2, 4, 1 and 2 leaves (5 and 4 interleaved
+        # with the others), stage 2 pairs and singletons: the blocks of one
+        # size take their means in one batched product, each the product
+        # ``w @ arr[block]`` takes for that block alone
+        parts = [[list(range(14))],
+                 [[0, 1, 2, 3, 4], [5, 6], [7, 8, 9, 10], [11], [12, 13]],
+                 [[0, 1], [2], [3, 4], [5], [6], [7, 8], [9, 10], [11], [12], [13]],
+                 [[leaf] for leaf in range(14)]]
+        rng = np.random.default_rng(9)
+        probs = rng.uniform(0.1, 1.0, 14)
+        t = build_tree(probs / probs.sum(), parts)
+        for scale in (1e-6, 1.0, 1e8):
+            for shape in ((14,), (14, 1), (14, 3), (14, 7), (14, 0)):
+                arr = scale * rng.normal(size=shape)
+                for s in range(t.stage_count):
+                    want = np.empty_like(arr)
+                    for block in t.blocks(s):
+                        idx = np.array(block)
+                        w = t.probabilities[idx]
+                        want[idx] = w @ arr[idx] / w.sum()
+                    got = t.conditional_mean(arr, s)
+                    assert got.shape == arr.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_self_adjointness(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
