@@ -10,10 +10,12 @@ the domain) and most can be conjugated in closed form:
 
 Sums, separable sums and affine pre-compositions conjugate by rule where a
 rule exists; a general finite sum raises ``NoClosedFormError`` and callers
-fall back to the grid oracle (tests only).  ``quadratic_model(z)`` agrees
-with a function to second order at z and has a QP form: exponential and
-entropy give Taylor quadratics, a support function has none.  The domain
-of a function is read off the same form (``domain_polyhedron``).
+fall back to the grid oracle (tests only).  Every kind but the support
+function has a QP form (``QPForm``): a quadratic part on a polyhedron plus
+scalar atoms, kinked piecewise-linear or smooth (exponential, entropy,
+which ``taylor`` reads to second order), and so has every combination of
+them.  The domain of a function is read off its form
+(``domain_polyhedron``).
 
 No kind carries a subgradient rule.  The solver reads each subgradient it
 needs off a QP's multipliers, and membership v in dg(x) is tested through
@@ -74,13 +76,16 @@ class NoClosedFormError(ValueError):
 class QPForm:
     """Quadratic-plus-polyhedral description: 1/2 x'Px + q.x + c on a polyhedron.
 
-    ``epi`` carries kinked scalar piecewise-linear summands as (row, offset,
-    pwl) atoms whose value pwl(row.x + offset) adds to the quadratic part;
-    the solver lowers each atom to one epigraph variable with
-    supporting-line rows.  At a solution of the lowered program, P x + q
-    plus the rows' multipliers (and each atom's row times its selected
-    slope) is the subgradient the solution picks, so a form needs no row
-    bookkeeping beyond its arrays.
+    ``epi`` carries scalar summands as (row, offset, g) atoms whose value
+    g(row.x + offset) adds to the quadratic part, each g on its domain
+    [g.lo, g.hi].  A kinked g (piecewise-linear) is lowered by the solver
+    to one epigraph variable with supporting-line rows; a smooth g
+    (exponential, entropy) to its domain rows only, while each Newton step
+    adds g's Taylor reading at the atom's argument (``taylor``).  At a
+    solution of the lowered program, P x + q plus the rows' multipliers
+    and each atom's row times its slope (selected by the multipliers, or
+    the smooth model's) is the subgradient the solution picks, so a form
+    needs no row bookkeeping beyond its arrays.
 
     A form may also be a stack of K forms of one shape that share their
     atom functions: ``c`` is then an array of K constants, and every other
@@ -120,8 +125,8 @@ class QPForm:
         q, c, h, b, offs = self.offset_parts(M, m)
         return QPForm(
             M.shape[-1], P=Mt @ self.P @ M, q=q, c=c, G=self.G @ M, h=h, A=self.A @ M, b=b,
-            epi=[((Mt @ row[:, None])[..., 0], off, pwl)
-                 for (row, _, pwl), off in zip(self.epi, offs)],
+            epi=[((Mt @ row[:, None])[..., 0], off, g)
+                 for (row, _, g), off in zip(self.epi, offs)],
         )
 
     def offset_parts(self, M, m):
@@ -147,7 +152,7 @@ class QPForm:
         return QPForm(self.dim, P=tile(self.P), q=tile(self.q),
                       c=self.c + np.asarray(consts, dtype=float),
                       G=tile(self.G), h=tile(self.h), A=tile(self.A), b=tile(self.b),
-                      epi=[(tile(row), np.full(k, off), pwl) for row, off, pwl in self.epi])
+                      epi=[(tile(row), np.full(k, off), g) for row, off, g in self.epi])
 
     def embed(self, cols, dim) -> "QPForm":
         """Form of w -> self(w[cols]) for w in R^dim (``cols`` distinct)."""
@@ -161,10 +166,10 @@ class QPForm:
         A = np.zeros((self.A.shape[0], dim))
         A[:, cols] = self.A
         epi = []
-        for row, off, pwl in self.epi:
+        for row, off, g in self.epi:
             full = np.zeros(dim)
             full[cols] = row
-            epi.append((full, off, pwl))
+            epi.append((full, off, g))
         return QPForm(dim, P=P, q=q, c=self.c, G=G, h=self.h, A=A, b=self.b, epi=epi)
 
     @staticmethod
@@ -221,13 +226,6 @@ class ConvexFunction:
 
     def qp_form(self) -> QPForm | None:
         return None
-
-    def quadratic_model(self, z) -> "ConvexFunction":
-        """A function with a QP form that agrees with this one to second
-        order at z, itself if it has a QP form; else NoClosedFormError."""
-        if self.qp_form() is None:
-            raise NoClosedFormError(f"no quadratic model for kind '{self.kind}'")
-        return self
 
 
 def _split_fix(idx, vals, dim):
@@ -351,7 +349,23 @@ class Quadratic(ConvexFunction):
         return QPForm(self.dim, P=np.diag(2.0 * self.weights), q=self.tilt, c=self.offset)
 
 
-class PiecewiseLinear(ConvexFunction):
+class _Scalar(ConvexFunction):
+    """A scalar kind on its domain [lo, hi], whose QP form is one atom
+    unless the kind has a closed one."""
+
+    dim = 1
+
+    def qp_form(self):
+        return QPForm(1, epi=[(np.array([1.0]), 0.0, self)])
+
+    def fix(self, idx, vals):
+        idx, vals, keep = _split_fix(idx, vals, 1)
+        if keep.size:
+            return self
+        return constant(self.value(vals), 0)
+
+
+class PiecewiseLinear(_Scalar):
     """Scalar convex piecewise-linear function on a closed interval.
 
     ``slopes`` (nondecreasing) apply on the pieces cut by ``breaks``; the
@@ -397,8 +411,6 @@ class PiecewiseLinear(ConvexFunction):
     def __repr__(self):
         return (f"PiecewiseLinear(breaks={self.breaks.tolist()}, "
                 f"slopes={self.slopes.tolist()}, dom=[{self.lo}, {self.hi}])")
-
-    dim = 1
 
     def _integrate(self, x: float, scale=1.0):
         """Exact value at x ignoring the domain, from the anchor.  With a
@@ -486,16 +498,9 @@ class PiecewiseLinear(ConvexFunction):
             anchor=(self.anchor_x, alpha * self.anchor_val),
         )
 
-    def fix(self, idx, vals):
-        idx, vals, keep = _split_fix(idx, vals, 1)
-        if keep.size:
-            return self
-        return constant(self.value(vals), 0)
-
     def qp_form(self):
-        if self.slopes.size > 1:
-            # kinked: ship as an epigraph atom, lowered by the solver
-            return QPForm(1, epi=[(np.array([1.0]), 0.0, self)])
+        if self.slopes.size > 1:  # kinked: an atom, lowered by the solver
+            return super().qp_form()
         if self.lo == self.hi:
             return QPForm(1, c=self.anchor_val, A=np.array([[1.0]]), b=np.array([self.lo]))
         s = float(self.slopes[0])
@@ -550,11 +555,11 @@ def indicator_point(c: float, value: float = 0.0) -> PiecewiseLinear:
     return PiecewiseLinear([], [], lo=c, hi=c, anchor=(c, value))
 
 
-class Entropy(ConvexFunction):
+class Entropy(_Scalar):
     """c (x log x - x) + t x + o on x >= 0, with 0 log 0 = 0."""
 
     kind = "entropy"
-    dim = 1
+    lo, hi = 0.0, INF
 
     def __init__(self, coeff=1.0, tilt=0.0, offset=0.0):
         if coeff <= 0:
@@ -593,24 +598,23 @@ class Entropy(ConvexFunction):
     def scaled(self, alpha):
         return Entropy(alpha * self.coeff, alpha * self.tilt, alpha * self.offset)
 
-    def quadratic_model(self, z):
-        """The Taylor quadratic at z0 = max(z, 1e-8), on x >= 0."""
-        z0, c = max(float(np.asarray(z).ravel()[0]), 1e-8), self.coeff
-        return FiniteSum([Quadratic([0.5 * c / z0], [c * np.log(z0) + self.tilt - c],
-                                    self.offset - 0.5 * c * z0), indicator_nonneg()])
+    def taylor(self, a):
+        """(value, slope, curvature) at each argument a of the Taylor
+        quadratic taken at max(a, 1e-8): at 0 the curvature c / a is
+        infinite."""
+        a = np.asarray(a, dtype=float)
+        a0, c = np.maximum(a, 1e-8), self.coeff
+        d, curv = a - a0, c / a0
+        slope = c * np.log(a0) + self.tilt
+        value = c * (a0 * np.log(a0) - a0) + self.tilt * a0 + self.offset
+        return value + d * (slope + 0.5 * curv * d), slope + curv * d, curv
 
-    def fix(self, idx, vals):
-        idx, vals, keep = _split_fix(idx, vals, 1)
-        if keep.size:
-            return self
-        return constant(self.value(vals), 0)
 
-
-class Exponential(ConvexFunction):
+class Exponential(_Scalar):
     """a exp(r x) + o with a, r > 0."""
 
     kind = "exponential"
-    dim = 1
+    lo, hi = -INF, INF
 
     def __init__(self, coeff=1.0, rate=1.0, offset=0.0):
         if coeff <= 0 or rate <= 0:
@@ -638,18 +642,10 @@ class Exponential(ConvexFunction):
     def scaled(self, alpha):
         return Exponential(alpha * self.coeff, self.rate, alpha * self.offset)
 
-    def quadratic_model(self, z):
-        """The Taylor quadratic at z."""
-        rz = self.rate * float(np.asarray(z).ravel()[0])
-        e = self.coeff * np.exp(rz)
-        return Quadratic([0.5 * self.rate ** 2 * e], [self.rate * e * (1.0 - rz)],
-                         self.offset + e * (1.0 - rz + 0.5 * rz * rz))
-
-    def fix(self, idx, vals):
-        idx, vals, keep = _split_fix(idx, vals, 1)
-        if keep.size:
-            return self
-        return constant(self.value(vals), 0)
+    def taylor(self, a):
+        """(value, slope, curvature) at each argument a."""
+        e = self.coeff * np.exp(self.rate * np.asarray(a, dtype=float))
+        return e + self.offset, self.rate * e, self.rate ** 2 * e
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +937,6 @@ class SeparableSum(ConvexFunction):
             forms.append(f.embed(np.arange(self.offsets[i], self.offsets[i + 1]), self.dim))
         return QPForm.add(forms, self.dim)
 
-    def quadratic_model(self, z):
-        return SeparableSum([p.quadratic_model(zb) for p, zb in zip(self.parts, self._blocks(z))])
-
 
 class AffinePrecomposition(ConvexFunction):
     """f(x) = g(Mx + m)."""
@@ -1007,10 +1000,6 @@ class AffinePrecomposition(ConvexFunction):
     def qp_form(self):
         f = self.inner.qp_form()
         return None if f is None else f.compose(self.matrix, self.offset)
-
-    def quadratic_model(self, z):
-        r = self.matrix @ np.asarray(z, dtype=float).ravel() + self.offset
-        return AffinePrecomposition(self.inner.quadratic_model(r), self.matrix, self.offset)
 
 
 class FiniteSum(ConvexFunction):
@@ -1099,9 +1088,6 @@ class FiniteSum(ConvexFunction):
                 return None
             forms.append(f)
         return QPForm.add(forms, self.dim)
-
-    def quadratic_model(self, z):
-        return FiniteSum([s.quadratic_model(z) for s in self.summands])
 
 
 def _plus_const(fn: ConvexFunction, c: float) -> ConvexFunction:
@@ -1258,24 +1244,17 @@ def coordinate_support(fn: ConvexFunction) -> np.ndarray:
 
 
 def domain_polyhedron(fn: ConvexFunction) -> Polyhedron | None:
-    """dom(fn), read off the QP form of its quadratic model at 0 (fn's own
-    form when it has one): the form's inequality and equality rows, and
-    each epigraph atom's [lo, hi] on the atom's row.
-
-    The model of an exponential or an entropy has its domain.  Only the
-    rows are read, so the model's numbers may overflow.  None when fn has
-    no model (a support function).
-    """
-    try:
-        with np.errstate(all="ignore"):
-            form = fn.quadratic_model(np.zeros(fn.dim)).qp_form()
-    except NoClosedFormError:
+    """dom(fn), read off its QP form: the form's inequality and equality
+    rows, and each atom's [lo, hi] on the atom's row.  None when fn has no
+    form (a support function)."""
+    form = fn.qp_form()
+    if form is None:
         return None
     G, h = [form.G], [form.h]
-    for row, off, pwl in form.epi:
-        if pwl.hi != INF:
-            G.append(row[None]); h.append([pwl.hi - off])
-        if pwl.lo != -INF:
-            G.append(-row[None]); h.append([off - pwl.lo])
+    for row, off, g in form.epi:
+        if g.hi != INF:
+            G.append(row[None]); h.append([g.hi - off])
+        if g.lo != -INF:
+            G.append(-row[None]); h.append([off - g.lo])
     return Polyhedron(a_ub=np.vstack(G), b_ub=np.concatenate(h),
                       a_eq=form.A, b_eq=form.b, validate=False)

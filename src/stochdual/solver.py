@@ -11,68 +11,45 @@ program:
                   the dual value's inner solve
   * dual solve:   maximize <u, y> - phi*(y)
 
-Each of the three objectives is a probability-weighted sum of terms, each
-a function of a few coordinates.  A compiled objective holds, per term,
-the index array of those coordinates: evaluation gathers through it and
-the QP lowering scatters the term's local form through it.  The lowering
-goes one group of terms at a time: terms g(M_k z + m_k) with one shared
-g (every hedging leaf's disutility, or every node's stage cost where the
-nodes share one stage object), terms g + c_k of one shared g (every
-node's Hamiltonian of a shared stage), or affine terms of one width,
-have their forms composed or stacked in one pass and scattered in one;
-the shared g's form and the stacked maps are kept for reading the QP's
-stationarity.  A
-term is one leaf's function of the leaf's coordinates, or, for dynamic
-(Bolza and Kabanov) problems, a node term: the stage-t cost, Hamiltonian
-or stage conjugate is a function on a stage-t information node, compiled
-once for the leaves of a block whose stage-t slices of u (or y) agree bit
-for bit, at their summed probability.  With adapted u and y each such
-group is one tree node, so the primal QP holds one epigraph atom per
-node; the Lagrangian's coupling E sum_t <y_t - y_{t+1}, x_t> is one
-affine term.  The stage objects themselves are shared across nodes (one
-per distinct stage cost of a problem file), so K_t* is computed once per
-stage; the slice a -> K_t*(a, y_t) of each node is built once per dual
-solve, kept on the ``DualObjective`` for the lower variant and the
-annihilator bound, and the bound's E f*(v, y) evaluates each node's slice
-once over the node's leaves.  On static problems the bound prices each
-group of leaves that share one g in one stacked pass.
+Each objective is a probability-weighted sum of terms, each a function of
+a few coordinates, read through the term's index array.  A term is one
+leaf's function or, on dynamic (Bolza and Kabanov) problems, a node term:
+the stage-t cost, Hamiltonian or stage conjugate on a stage-t information
+node, compiled once for the leaves of a block whose stage-t slices of u
+(or y) agree bit for bit, at their summed probability; the Lagrangian's
+coupling E sum_t <y_t - y_{t+1}, x_t> is one affine term.  The stage
+objects are shared across nodes, so K_t* is computed once per stage, and
+each node's slice a -> K_t*(a, y_t) once per dual solve, kept on the
+``DualObjective`` for the lower variant and the annihilator bound.
 
-Every compiled objective, the primal and the Lagrangian alike, is one
-template (``_Template``) read at one list of per-group offsets: the
-template holds the terms at their own offsets, their lowering groups,
-each group's form and stacked base offsets, from the first lowering on
-P, G and A, read-only, and the spectral factor of P.  The
-primal is compiled once per structure.  Its terms g(M_k z + m_k + N_k u_l)
-depend on u only through their offsets, so a ``Problem`` keeps one
-template (``_PrimalTemplate``, the terms at u = 0 plus each group's stacked
-N), and a solve at u reads it at m = base + N u: one stacked pass per
-group and the parts of the groups' forms that move with m (q, c, h and
-b).  The cache key is what the terms depend on, never u's values: one key
-on a static problem, and the ``_stage_nodes`` partition of u on a dynamic
-one.  The problem holds one template and builds another when the key
-changes, so a sweep over u lowers the primal, and factors a rowless
-primal's P, once.  The Lagrangian of a static problem whose every leaf's
-l(., y) is affine in x, x -> s_l.x + c_l (``_LagrangianTemplate``), is
-kept the same way: one affine group whose slopes and constants are read
-at each y, one stacked pass per group of leaves that share one g.  Any
-other problem builds its Lagrangian at each y.
+The QP lowering goes one group of terms at a time: terms g(M_k z + m_k) of
+one shared g, terms g + c_k of one shared g (a stage's Hamiltonians), or
+affine terms of one width have their forms composed or stacked in one pass
+and scattered in one.  Every compiled objective is one template
+(``_Template``: the terms, their groups and forms, and from the first
+lowering on P, G and A, read-only) read at per-group offsets.  A
+``Problem`` keeps its primal with u left symbolic (``_PrimalTemplate``):
+its terms g(M_k z + m_k + N_k u_l) move with u only through their offsets,
+so a solve at u reads the template at m = base + N u.  The cache key is
+what the terms depend on, never u's values (on a dynamic problem the
+``_stage_nodes`` partition of u), so a sweep over u lowers the primal, and
+factors a rowless primal's P, once.  The Lagrangian of a static problem
+whose every leaf's l(., y) is affine in x (``_LagrangianTemplate``) is kept
+the same way; any other is built at each y.
 
-The objective alone picks the engine: quadratic-plus-polyhedral instances
-route to the active-set QP path and solve to machine precision; everything
-else takes damped Newton steps, each the QP of the terms' quadratic models
-at the current point (``_newton_minimize``).  The dual solve recovers its
-maximizer from primal optimality and prices it by one inner solve; its
-status says why a dual is missing or its gap open.  Every primal term is
-g(M_k z + m_k + N_k u_l), where u_l is the parameter vector of the term's
-leaf (or of each leaf of its node).  At a solution of the lowered program,
-the stationarity of the QP selects a subgradient s_k of g at the term's
-argument, one group of terms at a time
-(``CompiledObjective._group_subgradients``), and the optimal dual is y_l =
-sum_k N_k' s_k over the terms of leaf l, with no projection: the parameter
-block of the subgradient (v, y) in the subdifferential of f at (x, u) that
-the optimum picks.  The same reader gives the annihilator bound's v as M_k'
-s_k on the Lagrangian.  Off the QP path the QP is Newton's last step, whose
-model of each g the reader reads in place of g.
+The objective alone picks the engine.  Its lowering is solved once by the
+active-set QP, to machine precision, unless it holds a smooth atom
+(exponential, entropy); then damped Newton steps each solve that lowering
+with every smooth atom's Taylor reading at the current point added
+(``_newton_minimize``).  At a solution, the stationarity of the QP selects
+a subgradient s_k of g at each term's argument, one group at a time
+(``CompiledObjective._group_subgradients``), a smooth atom's slope being
+that of Newton's last model.  The dual solve reads y_l = sum_k N_k' s_k
+over the primal terms of leaf l, with no projection (the parameter block of
+the subgradient (v, y) in the subdifferential of f at (x, u) that the
+optimum picks), and prices it by one inner solve; its status says why a
+dual is missing or its gap open.  The same reader gives the annihilator
+bound's v as M_k' s_k on the Lagrangian.
 """
 
 from __future__ import annotations
@@ -89,6 +66,7 @@ from .convex import (
     ConvexFunction,
     FiniteSum,
     NoClosedFormError,
+    PiecewiseLinear,
     QPForm,
 )
 from .integrand import (
@@ -304,28 +282,35 @@ class _Term:
 
 @dataclass
 class _Atom:
-    """One epigraph atom of each term of a group: its rows in ``qp_data``."""
+    """One atom g(row.z + off) of each term of a group: its rows in
+    ``qp_data``.  A kinked atom has an epigraph variable and the rows of
+    its supporting lines; a smooth one only its domain rows."""
 
     row: np.ndarray  # (K, d) the atom's argument row.z, per term
-    aux: np.ndarray  # (K,) its epigraph variable, numbered from 0
+    aux: np.ndarray | None  # (K,) its epigraph variable, numbered from 0; None if smooth
     rows: np.ndarray  # (K, k) its inequality rows
     coefs: np.ndarray  # (K, k) each row's coefficient on row.z
     intercepts: list  # one (K,) array per supporting line; its rows come first
-    pwl: object  # the atom's piecewise-linear function, for its domain rows
+    fn: ConvexFunction  # the atom's g, for its domain rows and its Taylor reading
 
     @property
     def n_lines(self) -> int:
         return len(self.intercepts)
 
+    def args(self, z, off) -> np.ndarray:
+        """(K,) the atom's arguments row.z_k + off_k, z_k the terms'
+        coordinates of z."""
+        return (self.row[:, None, :] @ z[:, :, None])[:, 0, 0] + off
+
     def rhs(self, off) -> np.ndarray:
         """(K, k) right-hand sides of the rows at the atom's offsets ``off``:
         each weighted line's, then the domain's hi and lo rows."""
         rhs = [-(intercept + self.coefs[:, j] * off) for j, intercept in enumerate(self.intercepts)]
-        if self.pwl.hi != INF:
-            rhs.append(self.pwl.hi - off)
-        if self.pwl.lo != -INF:
-            rhs.append(off - self.pwl.lo)
-        return np.column_stack(rhs)
+        if self.fn.hi != INF:
+            rhs.append(self.fn.hi - off)
+        if self.fn.lo != -INF:
+            rhs.append(off - self.fn.lo)
+        return np.column_stack(rhs) if rhs else np.zeros((len(off), 0))
 
 
 @dataclass
@@ -356,8 +341,9 @@ class _Group:
 class _Lowering(NamedTuple):
     """What of a lowered program the terms' offsets m_k do not move: the
     groups and where their rows go, the numbers of inequality rows,
-    equality rows and epigraph variables, P, G and A (read-only), and the
-    runs of consecutive terms of one group, as (group, slice of it)."""
+    equality rows and epigraph variables, P, G and A (read-only), the
+    runs of consecutive terms of one group, as (group, slice of it), and
+    whether some atom is smooth (the program is then Newton's)."""
 
     groups: list
     n_ineq: int
@@ -367,6 +353,7 @@ class _Lowering(NamedTuple):
     G: np.ndarray
     A: np.ndarray
     runs: list
+    smooth: bool
 
 
 def _shifted_core(fn: ConvexFunction):
@@ -422,21 +409,24 @@ class _OffsetParts(NamedTuple):
 def _lower(n: int, n_terms: int, groups: list[_Group], forms) -> _Lowering:
     """Number the rows of ``groups``, whose forms are ``forms``, and lower
     their P, G and A.  Rows keep the term order: each term's inequality
-    rows, then, after all of those, one block per epigraph atom, atoms in
-    term order.  P adds up in term order, so the program does not depend
-    on how the terms group: one pass per run of consecutive terms of a
-    group.  The forms' shapes, P, G, A and atom rows do not depend on the
-    offsets, so any offsets give the same lowering."""
-    counts = np.zeros((3, n_terms), dtype=int)  # G rows, A rows, atoms
+    rows, then, after all of those, one block per atom, atoms in term
+    order: a kinked atom's supporting lines, on its epigraph variable, and
+    its domain rows; a smooth atom's domain rows.  P adds up in term order,
+    so the program does not depend on how the terms group: one pass per
+    run of consecutive terms of a group.  The forms' shapes, P, G, A and
+    atom rows do not depend on the offsets, so any offsets give the same
+    lowering."""
+    counts = np.zeros((4, n_terms), dtype=int)  # G rows, A rows, atoms, epigraph variables
     for g, form in zip(groups, forms):
-        counts[:, g.idx] = [[form.G.shape[-2]], [form.A.shape[-2]], [len(form.epi)]]
-    first = np.cumsum(counts, axis=1) - counts  # each term's first row / atom
-    n_ineq, n_eq, n_aux = (int(k) for k in counts.sum(axis=1))
-    atom_rows = np.zeros(n_aux, dtype=int)
+        counts[:, g.idx] = [[form.G.shape[-2]], [form.A.shape[-2]], [len(form.epi)],
+                            [sum(isinstance(fn, PiecewiseLinear) for _, _, fn in form.epi)]]
+    first = np.cumsum(counts, axis=1) - counts  # each term's first row / atom / variable
+    n_ineq, n_eq, n_atoms, n_aux = (int(k) for k in counts.sum(axis=1))
+    atom_rows = np.zeros(n_atoms, dtype=int)
     for g, form in zip(groups, forms):
-        for j, (_, _, pwl) in enumerate(form.epi):
-            atom_rows[first[2, g.idx] + j] = (pwl.slopes.size + (pwl.hi != INF)
-                                              + (pwl.lo != -INF))
+        for j, (_, _, fn) in enumerate(form.epi):
+            lines = fn.slopes.size if isinstance(fn, PiecewiseLinear) else 0
+            atom_rows[first[2, g.idx] + j] = lines + (fn.hi != INF) + (fn.lo != -INF)
     atom_first = n_ineq + np.cumsum(atom_rows) - atom_rows
     total, n_rows = n + n_aux, n_ineq + int(atom_rows.sum())
     P, G, A = np.zeros((total, total)), np.zeros((n_rows, total)), np.zeros((n_eq, total))
@@ -449,17 +439,22 @@ def _lower(n: int, n_terms: int, groups: list[_Group], forms) -> _Lowering:
         g.eq_rows = first[1, g.idx, None] + np.arange(form.A.shape[-2])
         G[g.rows[:, :, None], C[:, None, :]] = form.G
         A[g.eq_rows[:, :, None], C[:, None, :]] = form.A
-        g.atoms = []
-        for j, (row, _, pwl) in enumerate(form.epi):
-            # the lines of each term's weighted pwl, then its domain rows
-            lines = pwl.supporting_lines(g.weights)
+        g.atoms, aux = [], first[3, g.idx]
+        for j, (row, _, fn) in enumerate(form.epi):
+            # a kinked atom's lines of each term's weighted g, then its
+            # domain rows
+            kinked = isinstance(fn, PiecewiseLinear)
+            lines = fn.supporting_lines(g.weights) if kinked else []
             ones = np.ones(len(g.idx))
-            coefs = [s for s, _ in lines] + [ones] * (pwl.hi != INF) + [-ones] * (pwl.lo != -INF)
-            aux = first[2, g.idx] + j
-            at = _Atom(row, aux, atom_first[aux, None] + np.arange(len(coefs)),
-                       np.column_stack(coefs), [b for _, b in lines], pwl)
+            coefs = [s for s, _ in lines] + [ones] * (fn.hi != INF) + [-ones] * (fn.lo != -INF)
+            at = _Atom(row, aux if kinked else None,
+                       atom_first[first[2, g.idx] + j, None] + np.arange(len(coefs)),
+                       np.column_stack(coefs) if coefs else np.zeros((len(ones), 0)),
+                       [b for _, b in lines], fn)
             G[at.rows[:, :, None], C[:, None, :]] = at.coefs[:, :, None] * at.row[:, None, :]
-            G[at.rows[:, :at.n_lines], n + at.aux[:, None]] = -1.0
+            if kinked:
+                G[at.rows[:, :at.n_lines], n + aux[:, None]] = -1.0
+                aux = aux + 1
             g.atoms.append(at)
     cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
     runs = [(int(owner[i]), slice(place[i], place[i] + j - i))
@@ -471,7 +466,7 @@ def _lower(n: int, n_terms: int, groups: list[_Group], forms) -> _Lowering:
             np.add.at(P, (C[:, :, None], C[:, None, :]), W[:, None, None] * S.P[run])
     for a in (P, G, A):
         a.flags.writeable = False
-    return _Lowering(groups, n_rows, n_eq, n_aux, P, G, A, runs)
+    return _Lowering(groups, n_rows, n_eq, n_aux, P, G, A, runs, n_atoms > n_aux)
 
 
 class _Template:
@@ -481,7 +476,7 @@ class _Template:
     (``grouping``: equal ``_group_key``, groups in order of first term),
     per group the stacked offsets m_k of its terms g(M_k z + m_k)
     (``base``; None for a group of other terms), the groups' forms
-    (``groups``, None off the QP path), from the first lowering on P, G and
+    (``groups``, None with a support function), from the first lowering on P, G and
     A, read-only (``lowering``), and the spectral factor of P
     (``spectral``).  A ``CompiledObjective`` reads it at one list of
     per-group offsets."""
@@ -522,8 +517,8 @@ class _Template:
 
     def lowered(self, offsets):
         """(lowering, parts): the lowering, and the ``_OffsetParts`` of each
-        group's forms at ``offsets`` (``_Group.parts``); None off the QP
-        path.  The first call lowers the groups' forms composed at its
+        group's forms at ``offsets`` (``_Group.parts``); None with a
+        support function.  The first call lowers the groups' forms composed at its
         offsets, and reads a precomposition group's parts off its composed
         form; the forms' shapes, P, G, A and atom rows do not depend on the
         offsets, so a later call (on a kept template) computes only the
@@ -567,7 +562,7 @@ class CompiledObjective:
     @cached_property
     def terms(self) -> list[_Term]:
         """The template's terms at this objective's offsets, built only when
-        read (off the QP path, or by a caller that walks them)."""
+        read (by a caller that walks them)."""
         tpl = self.template
         if self.offsets is tpl.base:
             return tpl.terms
@@ -599,7 +594,7 @@ class CompiledObjective:
     def _lowered(self):
         """(lowering, parts): the template's ``_Lowering``, and per group
         the ``_OffsetParts`` of its K local forms at this objective's
-        offsets; None off the polyhedral path."""
+        offsets; None with a support function."""
         return self.template.lowered(self.offsets)
 
     @property
@@ -607,15 +602,15 @@ class CompiledObjective:
         return None if self._lowered is None else self._lowered[0]
 
     def qp_data(self):
-        """Lowered quadratic program, or None off the polyhedral path.
+        """Lowered quadratic program, or None with a support function.
 
         Each group of terms scatters its stacked local forms into the rows
-        and columns of its leaves or nodes in one pass.  Kinked
-        piecewise-linear summands become epigraph variables: one auxiliary
-        coordinate per atom, after the n main ones, bounded below by the
-        supporting lines of the (probability-weighted) piece structure.
-        P, G and A are the template's read-only arrays; q, c, h and b are
-        this objective's.
+        and columns of its leaves or nodes in one pass.  A kinked atom
+        becomes one epigraph variable, after the n main ones, bounded below
+        by the supporting lines of the (probability-weighted) piece
+        structure; a smooth atom keeps only its domain rows, and Newton's
+        steps add its model (``_newton_step``).  P, G and A are the
+        template's read-only arrays; q, c, h and b are this objective's.
         """
         if self._lowered is None:
             return None
@@ -651,21 +646,12 @@ class CompiledObjective:
         m_k that the lowered program's solution ``res`` selects, one per
         term g(M_k z + m_k) (a term that is not a precomposition is its own
         g, M_k = I): P r_k + q plus, over the weight, the multipliers of the
-        term's rows on g's rows and each epigraph atom's row of g times the
-        sum of the atom's row multipliers weighted by their coefficients.
-        The shares weight_k M_k' s_k scatter-add to zero.
-
-        A Newton solve's are those its last step's QP selects: that QP has
-        this objective's terms in order, each g replaced by its model, so it
-        reads them through its own groups (one per model term, except QP
-        kinds, which are their own model), and they are regrouped here by
-        term index."""
-        if res.step is not None:
-            step_obj, step = res.step
-            by_term = {}
-            for idx, s in zip(step_obj.template.grouping, step_obj._group_subgradients(step)):
-                by_term.update(zip(idx.tolist(), s))
-            return [np.array([by_term[i] for i in idx.tolist()]) for idx in self.template.grouping]
+        term's rows on g's rows and each atom's row of g times its slope.
+        A kinked atom's slope is the sum of its rows' multipliers weighted
+        by their coefficients; a smooth atom's is the weighted slope of the
+        model that Newton's last step expanded at ``res.expansion``, read at
+        the solution, plus its domain rows' multipliers.  The shares
+        weight_k M_k' s_k scatter-add to zero."""
         x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
         low, parts = self._lowered
         out = []
@@ -677,8 +663,12 @@ class CompiledObjective:
                 r, q = (g.M @ r[..., None])[..., 0] + m, S.q
             rows = ((S.G.swapaxes(-1, -2) @ ineq[g.rows][..., None])[..., 0]
                     + (S.A.swapaxes(-1, -2) @ eq[g.eq_rows][..., None])[..., 0])
-            for at, (row, _, _) in zip(g.atoms, S.epi):
+            for at, (row, _, _), off in zip(g.atoms, S.epi, part.offs):
                 mu, slope = ineq[at.rows], np.zeros(len(W))
+                if at.aux is None:
+                    a = at.args(res.expansion[g.cols], off)
+                    _, s1, s2 = at.fn.taylor(a)
+                    slope = W * (s1 + s2 * (at.args(x[g.cols], off) - a))
                 for k in range(mu.shape[1]):
                     slope = slope + mu[:, k] * at.coefs[:, k]
                 rows = rows + row * slope[:, None]
@@ -696,48 +686,56 @@ class _MinResult:
     method: str
     multipliers: np.ndarray | None = None
     eq_multipliers: np.ndarray | None = None
-    # Newton's method: its last step's objective and QP solve, whose
-    # multipliers these are
-    step: tuple[CompiledObjective, _MinResult] | None = None
+    # Newton's method: the point at which its last step, whose multipliers
+    # these are, expanded the smooth atoms
+    expansion: np.ndarray | None = None
+
+
+def _solve(data, method: str, **kw) -> _MinResult:
+    """``solve_qp`` on a lowered program ``data`` (``qp_data``'s tuple),
+    with x cut to the main coordinates."""
+    P, q, c, G, h, A, b, n_main = data
+    res = solve_qp(P, q, c, G, h, A, b, **kw)
+    status = {"maxiter": "max-iter"}.get(res.status, res.status)
+    if res.x is None:
+        return _MinResult(status, None, res.value, res.iterations, 0.0, method)
+    # the largest violation of the rows G w <= h and A w = b
+    resid = max(float(np.max(G @ res.x - h, initial=0.0)),
+                float(np.max(np.abs(A @ res.x - b), initial=0.0)))
+    return _MinResult(status, res.x[:n_main], res.value, res.iterations, resid, method,
+                      res.ineq_multipliers, res.eq_multipliers)
 
 
 def _minimize(obj: CompiledObjective) -> _MinResult:
+    """The lowered program solved once, or, when it holds a smooth atom, by
+    Newton's method; NoClosedFormError when a term has no QP form (a
+    support function)."""
     data = obj.qp_data()
-    if data is not None:
-        P, q, c, G, h, A, b, n_main = data
-        rowless = not (G.shape[0] or A.shape[0])
-        res = solve_qp(P, q, c, G, h, A, b, spectral=obj.template.spectral if rowless else None,
-                       q_scale=obj.q_scale if rowless else 0.0)
-        status = {"maxiter": "max-iter"}.get(res.status, res.status)
-        resid = _violation(res.x, G, h, A, b) if res.x is not None else 0.0
-        x = res.x[:n_main] if res.x is not None else None
-        return _MinResult(status, x, res.value, res.iterations, resid,
-                          "polyhedral", res.ineq_multipliers, res.eq_multipliers)
-    return _newton_minimize(obj)
+    if data is None:
+        raise NoClosedFormError("no QP form for a support function")
+    if obj._lowering.smooth:
+        return _newton_minimize(obj, data)
+    _, _, _, G, _, A, _, _ = data
+    rowless = not (G.shape[0] or A.shape[0])
+    return _solve(data, "polyhedral", spectral=obj.template.spectral if rowless else None,
+                  q_scale=obj.q_scale if rowless else 0.0)
 
 
-def _violation(w, G, h, A, b) -> float:
-    """Largest violation of the rows G w <= h and A w = b."""
-    return max(float(np.max(G @ w - h, initial=0.0)),
-               float(np.max(np.abs(A @ w - b), initial=0.0)))
-
-
-def _newton_minimize(obj: CompiledObjective) -> _MinResult:
-    """Damped Newton steps from 0: each solves, on the QP path, the objective
-    with every term replaced by its ``quadratic_model`` at x, written in the
-    step d, so a direction the QP finds flat keeps x's coordinate.  The step
-    is halved until the value does not rise, while the model's predicted
-    decrease is above 1e-14 max(1, |f|); below it, one more full step
-    polishes the gradient that the dual reads.  An optimum carries that
-    last step's multipliers, with its objective and solve, so the dual and
-    the annihilator bound read it as they read any QP's."""
+def _newton_minimize(obj: CompiledObjective, data) -> _MinResult:
+    """Damped Newton steps from 0 on the lowered program ``data``.  Each
+    step is that program with each smooth atom's Taylor reading at x added
+    (``_newton_step``), written in the step d, so a direction the QP finds
+    flat keeps x's coordinate.  The step is halved until the value does not
+    rise, while the model's predicted decrease is above 1e-14 max(1, |f|);
+    below it, one more full step polishes the gradient that the dual
+    reads.  An optimum carries that last step's multipliers and the point
+    it expanded at, so the dual and the annihilator bound read it as they
+    read any QP's."""
     x = np.zeros(obj.n)
     f = obj.value(x)
     for it in range(1, _NEWTON_STEPS + 1):
-        model = CompiledObjective(obj.n, [
-            _Term(t.weight, _in_step(t.fn.quadratic_model(x[t.cols]), x[t.cols]), t.cols, t.node)
-            for t in obj.terms])
-        step = _minimize(model)
+        step_data, q_scale = _newton_step(obj, data, x)
+        step = _solve(step_data, "newton", q_scale=q_scale)
         if step.status != "optimal":
             return _MinResult(step.status, None, step.value, it, INF, "newton")
         floor = 1e-14 * max(1.0, abs(f)) if f < INF else 0.0
@@ -748,18 +746,38 @@ def _newton_minimize(obj: CompiledObjective) -> _MinResult:
                 break
             t *= 0.5
         else:  # converged: the polishing step
-            x = x + step.x
-            return _MinResult("optimal", x, obj.value(x), it, step.residual, "newton",
-                              step.multipliers, step.eq_multipliers, (model, step))
+            return _MinResult("optimal", x + step.x, obj.value(x + step.x), it, step.residual,
+                              "newton", step.multipliers, step.eq_multipliers, x)
         x, f = x + t * step.x, trial
     return _MinResult("max-iter", x, f, _NEWTON_STEPS, 0.0, "newton")
 
 
-def _in_step(fn: ConvexFunction, z) -> AffinePrecomposition:
-    """d -> fn(z + d)."""
-    if isinstance(fn, AffinePrecomposition):
-        return AffinePrecomposition(fn.inner, fn.matrix, fn.matrix @ z + fn.offset)
-    return AffinePrecomposition(fn, np.eye(fn.dim), z)
+def _newton_step(obj: CompiledObjective, data, x):
+    """(the program of Newton's step at x, the size of the summands its q
+    adds up from).  The lowered program ``data`` is shifted to the step d
+    on the main coordinates (q <- P x + q, h <- h - G x, b <- b - A x),
+    and each smooth atom g(row.z + off) adds W g''(a) row row' to P, W
+    g'(a) row to q and W g(a) to c, g's Taylor reading at its arguments a
+    at x, one stacked pass per atom of a group."""
+    P, q, c, G, h, A, b, n = data
+    Px = P[:n, :n] @ x
+    P, q = P.copy(), q.copy()
+    c = c + float(q[:n] @ x) + 0.5 * float(x @ Px)
+    q[:n] += Px
+    scale = max(obj.q_scale, float(np.abs(Px).max(initial=0.0)))
+    low, parts = obj._lowered
+    for g, part in zip(low.groups, parts):
+        C, W, z = g.cols, g.weights, x[g.cols]
+        for at, off in zip(g.atoms, part.offs):
+            if at.aux is None:
+                value, slope, curv = at.fn.taylor(at.args(z, off))
+                np.add.at(P, (C[:, :, None], C[:, None, :]),
+                          (W * curv)[:, None, None] * at.row[:, :, None] * at.row[:, None, :])
+                share = (W * slope)[:, None] * at.row
+                np.add.at(q, C, share)
+                scale = max(scale, float(np.abs(share).max(initial=0.0)))
+                c += float(W @ value)
+    return (P, q, c, G, h - G[:, :n] @ x, A, b - A[:, :n] @ x, n), scale
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +936,8 @@ def _bolza_primal_terms(p: Problem, nodes):
 
 
 def solve_primal(p: Problem, u: StochasticProcess) -> SolveResult:
-    """Minimize E f(x, u) over adapted x; ``no-closed-form`` when Newton's
-    method meets a term without a ``quadratic_model`` (a support function)."""
+    """Minimize E f(x, u) over adapted x; ``no-closed-form`` when some term
+    has no QP form (a support function)."""
     layout, obj = primal_objective(p, u)
     try:
         res = _minimize(obj)

@@ -441,12 +441,13 @@ def bolza_doc(horizon, state_cost, rng, noise=0.0, velocity_cost=HALF_SQUARE):
     }
 
 
-def kabanov_doc(horizon, rng):
+def kabanov_doc(horizon, rng, disutility=None):
     """Two-currency market on the binary tree: the blocks of each stage
     alternate between two solvency cones, every block has the disutility
-    |c|^2 / 2, and the endowment u_z is one uniform draw per block (the
-    consumption part of u is 0)."""
+    |c|^2 / 2 unless a function spec is given, and the endowment u_z is one
+    uniform draw per block (the consumption part of u is 0)."""
     n = 2 ** horizon
+    disutility = disutility or {"kind": "quadratic", "weights": [0.5, 0.5]}
     cones = [{"A": [[2.0, 1.0], [1.0, 2.0]], "b": [0.0, 0.0], "cone": True},
              {"A": [[3.0, 1.0], [1.0, 1.5]], "b": [0.0, 0.0], "cone": True}]
     u = []
@@ -458,8 +459,7 @@ def kabanov_doc(horizon, rng):
         "model": {"family": "kabanov", "currency_dim": 2,
                   "trade_sets": [[cones[b % 2] for b in range(2 ** t)]
                                  for t in range(horizon + 1)],
-                  "disutilities": [[{"kind": "quadratic", "weights": [0.5, 0.5]}] * (2 ** t)
-                                   for t in range(horizon + 1)]},
+                  "disutilities": [[disutility] * (2 ** t) for t in range(horizon + 1)]},
         "parameters": {"u": u},
     }
 

@@ -28,6 +28,7 @@ from stochdual.convex import (
     support_attains,
     support_function,
 )
+from stochdual.solver import CompiledObjective, _minimize, _newton_step, _Term
 
 from helpers import (
     CATALOG_SAMPLES,
@@ -431,6 +432,9 @@ def _derivatives(fn, z, h=1e-4):
 
 
 class TestQuadraticModel:
+    """The model a Newton step takes of a function: each smooth atom's
+    Taylor reading, lowered with the rest of the function's form."""
+
     SMOOTH = {
         "exponential": (Exponential(2.0, 0.5, 1.0), [-1.5, 0.0, 2.0]),
         "entropy": (Entropy(1.5, -0.3, 0.2), [0.05, 1.0, 3.0]),
@@ -444,37 +448,51 @@ class TestQuadraticModel:
         "sum": (FiniteSum([Exponential(1.0, 1.0), Entropy(2.0, 0.5)]), [0.7]),
     }
 
+    @staticmethod
+    def step(fn, z):
+        """The compiled objective of fn alone, and the (P, q, c, G, h) of
+        its Newton step at z, in the step d."""
+        obj = CompiledObjective(fn.dim, [_Term(1.0, fn, np.arange(fn.dim), 0)])
+        (P, q, c, G, h, *_), _ = _newton_step(obj, obj.qp_data(), np.asarray(z, dtype=float))
+        return obj, P, q, c, G, h
+
     @pytest.mark.parametrize("kind, i", [(k, i) for k in SMOOTH for i in range(3)])
     def test_smooth_kind_agrees_to_second_order(self, kind, i):
         fn, points = self.SMOOTH[kind]
         z = [points[i]]
-        model = fn.quadratic_model(z)
-        assert model.qp_form() is not None
-        assert model.value(z) == pytest.approx(fn.value(z), rel=1e-12, abs=1e-12)
-        _, gm, hm = _derivatives(model, z)
-        _, gf, hf = _derivatives(fn, z)
-        np.testing.assert_allclose(gm, gf, rtol=1e-6)
-        np.testing.assert_allclose(hm, hf, rtol=1e-3)
+        (row, off, atom), = fn.qp_form().epi
+        assert atom is fn and same_bits(row, [1.0]) and off == 0.0
+        value, slope, curv = fn.taylor(np.array(z))
+        vf, gf, hf = _derivatives(fn, z)
+        assert value[0] == pytest.approx(vf, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(slope, gf, rtol=1e-6)
+        np.testing.assert_allclose(curv, hf[0], rtol=1e-3)
 
     @pytest.mark.parametrize("kind", sorted(COMPOSITE))
     def test_combinators_pass_the_model_to_their_parts(self, kind):
         fn, z = self.COMPOSITE[kind]
-        model = fn.quadratic_model(z)
-        assert model.qp_form() is not None
-        vm, gm, hm = _derivatives(model, z)
-        vf, gf, hf = _derivatives(fn, z)
-        assert vm == pytest.approx(vf, rel=1e-12)
-        np.testing.assert_allclose(gm, gf, rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(hm, hf, rtol=1e-3, atol=1e-5)
+        obj, P, q, c, _, _ = self.step(fn, z)
+        assert obj._lowering.smooth
+        vf, gf, hf = _derivatives(obj, z)
+        n = fn.dim
+        assert c == pytest.approx(vf, rel=1e-12)
+        np.testing.assert_allclose(q[:n], gf, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(P[:n, :n], hf, rtol=1e-3, atol=1e-5)
 
     def test_entropy_model_keeps_the_domain_and_floors_z(self):
         # at z = 0 the curvature c/z is infinite: the model is taken at 1e-8
+        # and read at 0; the step keeps x + d >= 0
         fn = Entropy(1.0)
-        model = fn.quadratic_model([0.0])
-        assert model.value([-1e-3]) == INF
-        assert model.value([1e-8]) == pytest.approx(fn.value([1e-8]), abs=1e-15)
-        _, _, hess = _derivatives(model, [1e-8], h=1e-10)
-        assert hess[0, 0] == pytest.approx(1e8, rel=1e-3)
+        value, slope, curv = fn.taylor(np.array([0.0, 1e-8]))
+        assert curv[0] == curv[1] == pytest.approx(1e8, rel=1e-12)
+        assert value[1] == pytest.approx(fn.value([1e-8]), abs=1e-15)
+        assert slope[0] == pytest.approx(slope[1] - 1.0, rel=1e-12)
+        assert value[0] == pytest.approx(value[1] - 1e-8 * slope[1] + 0.5e-8, abs=1e-15)
+        _, P, q, c, G, h = self.step(fn, [0.0])
+        assert (P[0, 0], q[0], c) == (curv[0], slope[0], value[0])
+        assert same_bits(G, [[-1.0]]) and same_bits(h, [0.0])
+        dom = domain_polyhedron(fn)
+        assert not dom.contains([-1e-3]) and dom.contains([0.0])
 
     @pytest.mark.parametrize("fn", [Quadratic([0.5, 2.0], [1.0, -1.0]), absolute_value(),
                                     indicator_interval(-1.0, 2.0), Affine([1.0, -3.0], 0.5),
@@ -482,17 +500,30 @@ class TestQuadraticModel:
                                                                    b_ub=[1.0]))],
                              ids=["quadratic", "abs", "interval", "affine", "polyhedral"])
     def test_qp_kind_is_its_own_model(self, fn):
-        assert fn.quadratic_model(np.zeros(fn.dim)) is fn
+        # no smooth atom: the lowering is solved as it is, and a step would
+        # only shift it to d
+        z = np.linspace(0.25, -0.5, fn.dim)
+        obj, P, q, c, G, h = self.step(fn, z)
+        P0, q0, c0, G0, h0, *_ = obj.qp_data()
+        n = fn.dim
+        assert not obj._lowering.smooth
+        assert same_bits(P, P0) and same_bits(G, G0)
+        assert same_bits(q[:n], P0[:n, :n] @ z + q0[:n]) and same_bits(q[n:], q0[n:])
+        assert c == c0 + q0[:n] @ z + 0.5 * z @ P0[:n, :n] @ z
+        assert same_bits(h, h0 - G0[:, :n] @ z)
 
     def test_support_function_has_no_model(self):
         box = Polyhedron(a_ub=[[1.0], [-1.0]], b_ub=[1.0, 1.0])
         fn = SeparableSum([Exponential(), SupportFunction(box)])
-        with pytest.raises(NoClosedFormError, match="no quadratic model"):
-            fn.quadratic_model([0.0, 0.0])
+        assert fn.qp_form() is None and domain_polyhedron(fn) is None
+        obj = CompiledObjective(2, [_Term(1.0, fn, np.arange(2), 0)])
+        assert obj.qp_data() is None
+        with pytest.raises(NoClosedFormError, match="no QP form"):
+            _minimize(obj)
 
 
 class TestDomains:
-    """dom f read off the QP form (or the quadratic model's form)."""
+    """dom f read off the QP form."""
 
     @staticmethod
     def random_function(rng, dim=2):
@@ -533,8 +564,8 @@ class TestDomains:
                     assert dom.contains([x]) == (fn.value([x]) < INF)
 
     def test_overflowing_model_is_read_for_its_rows_only(self):
-        # the model of e^(x + 800) has infinite numbers, and composing it
-        # with a matrix that has zeros gives inf * 0; only the rows count
+        # e^(x + 800) overflows near 0, but its form is one atom with no
+        # domain rows: only the indicator's row counts
         fn = FiniteSum([AffinePrecomposition(Exponential(), [[1.0, 0.0]], [800.0]),
                         AffinePrecomposition(indicator_nonpos(), [[0.0, 1.0]], [-1.0])])
         dom = domain_polyhedron(fn)

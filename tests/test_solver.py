@@ -759,6 +759,27 @@ class TestNewtonPath:
         assert (dob.inner_status, dob.inner.method) == ("optimal", "newton")
         assert dob.value == pytest.approx(14.0 / 9.0, rel=1e-12)
 
+    def test_newton_steps_read_one_lowering(self, monkeypatch):
+        # every step reads its objective's one kept lowering, and a solve
+        # at another u reads the problem's kept primal template; the fixed
+        # P of a Newton template is never decomposed
+        calls = []
+        real = solver._lower
+        monkeypatch.setattr(solver, "_lower", lambda *a: calls.append(a) or real(*a))
+        exp = {"kind": "exponential", "offset": -1}
+        p, u = parse_doc(bolza_doc(4, exp, np.random.default_rng(4)))
+        res = solve_primal(p, u)
+        assert (res.status, res.method) == ("optimal", "newton") and res.iterations > 1
+        assert len(calls) == 1
+        calls.clear()
+        rng = np.random.default_rng(5)
+        p, _ = parse_doc(hedging_doc(4, np.zeros(16), exp))
+        for _ in range(2):
+            res = solve_primal(p, liability_process(p.tree, p.m_dims, rng.uniform(-0.5, 0.5, 16)))
+            assert (res.status, res.method) == ("optimal", "newton") and res.iterations > 1
+        (template,) = p._primal_templates.values()
+        assert len(calls) == 1 and "spectral" not in vars(template)
+
     def test_inconsistent_equality_rows_are_infeasible(self):
         # e^w0 under w0 = 0 and w0 = 1 at once: the first Newton step's QP
         # is infeasible
