@@ -105,8 +105,14 @@ class ProblemFileError(ValueError):
         self.field_path = path
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise ProblemFileError("expected a JSON object", path)
+    return value
+
+
 def _get(section, key, path, required=True, default=None):
-    if key not in section:
+    if key not in _object(section, path):
         if required:
             raise ProblemFileError("missing field", f"{path}.{key}")
         return default
@@ -201,7 +207,10 @@ def parse_process(tree: ScenarioTree, dims, spec, path: str) -> StochasticProces
         if d == 0:
             arrays.append(np.zeros((tree.n_leaves, 0)))
             continue
-        arr = np.asarray(entry, dtype=float)
+        try:
+            arr = np.asarray(entry, dtype=float)
+        except (TypeError, ValueError):
+            raise ProblemFileError(f"stage {t} values must be numbers", f"{path}[{t}]")
         if arr.ndim == 0:
             arr = np.full((tree.n_leaves, d), float(arr))
         elif arr.ndim == 1:
@@ -235,9 +244,9 @@ def parse_problem_file(path: str):
         with open(path, "rb") as fh:
             raw = fh.read()
         doc = json.loads(raw.decode("utf-8"))
-    except FileNotFoundError:
-        raise ProblemFileError("file not found", path)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ProblemFileError(f"cannot read the file: {exc.strerror}", path)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProblemFileError(f"invalid JSON: {exc}", path)
 
     tree_sec = _get(doc, "tree", "$")
@@ -246,8 +255,7 @@ def parse_problem_file(path: str):
                           _get(tree_sec, "partitions", "tree"))
     except TreeError as exc:
         raise ProblemFileError(str(exc), "tree.probabilities"
-                               if "sum" in str(exc) or "positive" in str(exc)
-                               else "tree.partitions")
+                               if "probabilit" in str(exc) else "tree.partitions")
 
     model = _get(doc, "model", "$")
     family = _get(model, "family", "model")
@@ -258,16 +266,17 @@ def parse_problem_file(path: str):
     except Exception as exc:
         raise ProblemFileError(str(exc), "model")
 
-    params_sec = doc.get("parameters", {})
+    params_sec = _object(doc.get("parameters", {}), "parameters")
     u = parse_process(tree, problem.m_dims, params_sec.get("u"), "parameters.u")
     candidate = None
     if "candidate" in params_sec:
-        cand, zk = params_sec["candidate"], (problem.n_dims[0] // 2,) * tree.stage_count
+        cand = _object(params_sec["candidate"], "parameters.candidate")
+        zk = (problem.n_dims[0] // 2,) * tree.stage_count
         dims = {"x": problem.n_dims, "y": problem.m_dims, "v": problem.n_dims, "z": zk, "k": zk}
         candidate = {key: parse_process(tree, d, cand[key], f"parameters.candidate.{key}")
                      for key, d in dims.items() if key in cand}
     solver_sec = {}
-    for key, value in doc.get("solver", {}).items():
+    for key, value in _object(doc.get("solver", {}), "solver").items():
         if key != "tol":  # the one SolverConfig field
             raise ProblemFileError("unknown solver setting", f"solver.{key}")
         try:

@@ -123,7 +123,7 @@ def alm_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess,
         return -INF
     vals = _density_values(y)
     stars = np.empty(vals.size)
-    for V, leaves in f.disutility_groups:
+    for leaves, V, _, _ in f.leaf_groups[0]:
         stars[leaves] = V.conjugate().value_many(vals[leaves, None])
     star = sum(p_l * s for p_l, s in zip(p.tree.probabilities.tolist(), stars.tolist()))
     return pairing(u, y) - star

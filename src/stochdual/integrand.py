@@ -99,9 +99,9 @@ def partial_infimum(fn: ConvexFunction, nx: int, y):
     trailing slice is not conjugable in closed form.
 
     A precomposition g(M (x, w) + m) with a square, nonzero block M_w is
-    the one-function case of ``_precomposition_lagrangians``, the stacked
-    pass that ``GenericIntegrand.lagrangian_functions_of_x`` runs once per
-    group of leaves sharing one g.
+    the K = 1 case of ``_affine_slices``, the stacked rule that
+    ``GenericIntegrand.affine_lagrangians`` runs once per group of
+    ``GenericIntegrand.leaf_groups``.
     """
     y = np.asarray(y, dtype=float).ravel()
     m = fn.dim - nx
@@ -156,8 +156,8 @@ def partial_infimum(fn: ConvexFunction, nx: int, y):
                 return MINUS_INF
             return fn.fix(u_idx, np.zeros(m))
         if fn.matrix.shape[0] == m:
-            return _precomposition_lagrangians(fn.inner, fn.matrix[None], fn.offset[None],
-                                               nx, y[None])[0]
+            (a,), (b,) = _affine_slices(fn.inner, fn.matrix[None], fn.offset[None], nx, y[None])
+            return MINUS_INF if b == -INF else Affine(a, float(b))
         raise NoClosedFormError("parameter slice is not conjugable")
 
     if isinstance(fn, FiniteSum):
@@ -210,24 +210,6 @@ def _affine_slices(inner: ConvexFunction, mats, offsets, nx: int, ys):
     star = inner.conjugate().value_many(eta)
     slopes = (mats[:, :, :nx].swapaxes(1, 2) @ eta[:, :, None])[:, :, 0]
     return slopes, (eta[:, None, :] @ offsets[:, :, None])[:, 0, 0] - star
-
-
-def _precomposition_lagrangians(inner: ConvexFunction, mats, offsets, nx: int, ys):
-    """``partial_infimum`` of the K functions of ``_affine_slices``: each
-    an Affine function of x, or MINUS_INF where g*(eta_k) = +inf."""
-    slopes, consts = _affine_slices(inner, mats, offsets, nx, ys)
-    return [MINUS_INF if b == -INF else Affine(a, b) for a, b in zip(slopes, consts.tolist())]
-
-
-def _precomposition_conjugates(inner: ConvexFunction, mats, offsets, nx: int, ys, vs):
-    """f*(v_k, y_k) of the K functions f_k = g(M_k (x, w) + m_k) of
-    ``_affine_slices``, at the rows v_k of ``vs``.  f*(., y_k) is the
-    conjugate of the affine Lagrangian x -> s_k.x + c_k, s_k = M_k,x'
-    eta_k: -c_k = g*(eta_k) - eta_k.m_k where |v_k - s_k| <= FEAS_TOL, and
-    +inf elsewhere."""
-    slopes, consts = _affine_slices(inner, mats, offsets, nx, ys)
-    on = np.max(np.abs(np.asarray(vs, dtype=float) - slopes), axis=1, initial=0.0) <= FEAS_TOL
-    return np.where(on, -consts, INF)
 
 
 def _shift(fn: ConvexFunction, c: float) -> ConvexFunction:
@@ -327,7 +309,8 @@ class ParametricIntegrand:
 
 
 class GenericIntegrand(ParametricIntegrand):
-    """Integrand given directly as one catalog function per leaf."""
+    """Integrand given directly as one catalog function per leaf, the
+    leaves grouped by shared inner g (``leaf_groups``)."""
 
     tag = "generic"
 
@@ -348,11 +331,13 @@ class GenericIntegrand(ParametricIntegrand):
         return self.functions[leaf]
 
     @cached_property
-    def _stacked_groups(self):
-        """The groups of leaves whose joints g(M (x, u) + m) share one
-        inner g and the shape of M, with a square, nonzero parameter block,
-        as (leaves, g, stacked M, stacked m) in order of first leaf; and
-        every other leaf, in order."""
+    def leaf_groups(self):
+        """(groups, rest): the groups of leaves whose joints g(M (x, u) + m)
+        share one inner g and the shape of M, with a square, nonzero
+        parameter block, as (leaves, g, stacked M, stacked m) in order of
+        first leaf, each priced by one ``_affine_slices`` pass; and every
+        other leaf, in order.  A hedging model has one group per shared
+        disutility V and no other leaf."""
         n, keyed, rest = self.n_total, {}, []
         for leaf, fn in enumerate(self.functions):
             if (isinstance(fn, AffinePrecomposition) and fn.matrix.shape[0] == fn.dim - n > 0
@@ -367,47 +352,32 @@ class GenericIntegrand(ParametricIntegrand):
                            np.array([fn.offset for fn in fns])))
         return groups, rest
 
-    def lagrangian_functions_of_x(self, ys) -> list:
-        """``lagrangian_function_of_x`` of every leaf, one group of leaves
-        at a time: each group of ``_stacked_groups`` goes through one
-        stacked partial infimum; any other leaf keeps the per-leaf rule.
-        Raises NoClosedFormError when some leaf has no closed form."""
-        n, ys = self.n_total, np.asarray(ys, dtype=float)
-        groups, rest = self._stacked_groups
-        out = [None] * len(ys)
-        for leaf in rest:
-            out[leaf] = partial_infimum(self.functions[leaf], n, ys[leaf])
-        for leaves, inner, mats, offsets in groups:
-            for leaf, fn in zip(leaves.tolist(), _precomposition_lagrangians(
-                    inner, mats, offsets, n, ys[leaves])):
-                out[leaf] = fn
-        return out
-
     def affine_lagrangians(self, ys):
         """(slopes, constants) of every leaf's Lagrangian x -> s_l.x + c_l,
         leaf l at row l of ``ys``, one stacked pass per group of
-        ``_stacked_groups`` (``_affine_slices``), c_l = -inf where the
+        ``leaf_groups`` (``_affine_slices``), c_l = -inf where the
         Lagrangian is MINUS_INF.  Every leaf must lie in a group.  Raises
         NoClosedFormError when some leaf has no closed form."""
         n, ys = self.n_total, np.asarray(ys, dtype=float)
         slopes, consts = np.empty((len(ys), n)), np.empty(len(ys))
-        for leaves, inner, mats, offsets in self._stacked_groups[0]:
+        for leaves, inner, mats, offsets in self.leaf_groups[0]:
             slopes[leaves], consts[leaves] = _affine_slices(inner, mats, offsets, n, ys[leaves])
         return slopes, consts
 
     def conjugate_values(self, vs, ys) -> np.ndarray:
-        """``conjugate_values`` one group of leaves at a time: each group of
-        ``_stacked_groups`` in one stacked pass
-        (``_precomposition_conjugates``); any other leaf keeps
+        """``conjugate_values``, a group of ``leaf_groups`` at a time: f*(.,
+        y_l) conjugates the Lagrangian x -> s_l.x + c_l, so it is -c_l where
+        |v_l - s_l| <= FEAS_TOL and +inf elsewhere; any other leaf keeps
         ``conjugate_function_of_v``."""
         n, vs, ys = self.n_total, np.asarray(vs, dtype=float), np.asarray(ys, dtype=float)
-        groups, rest = self._stacked_groups
+        groups, rest = self.leaf_groups
         out = np.empty(len(ys))
         for leaf in rest:
             out[leaf] = self.conjugate_function_of_v(leaf, ys[leaf]).value(vs[leaf])
         for leaves, inner, mats, offsets in groups:
-            out[leaves] = _precomposition_conjugates(inner, mats, offsets, n, ys[leaves],
-                                                     vs[leaves])
+            slopes, consts = _affine_slices(inner, mats, offsets, n, ys[leaves])
+            on = np.max(np.abs(vs[leaves] - slopes), axis=1, initial=0.0) <= FEAS_TOL
+            out[leaves] = np.where(on, -consts, INF)
         return out
 
 
@@ -537,7 +507,8 @@ class AlmIntegrand(GenericIntegrand):
     The decision x_t holds positions over (t, t+1]; the scalar parameter u
     enters at the final stage as the liability.  The joint function is the
     disutility V composed with the affine gains map, so all derived objects
-    come from the generic machinery and match the model's closed forms.
+    come from the generic machinery and match the model's closed forms;
+    its leaves form one group of ``leaf_groups`` per shared V.
     """
 
     tag = "alm"
@@ -559,12 +530,6 @@ class AlmIntegrand(GenericIntegrand):
         n_dims = [d_s] * T + [0]
         m_dims = [0] * T + [1]
         self.disutilities = Vs
-        shared = {}
-        for leaf, V in enumerate(Vs):
-            shared.setdefault(id(V), (V, []))[1].append(leaf)
-        # (V, the leaves whose disutility is that very object), in order of
-        # first leaf: the groups a vectorised pass evaluates V or V* over
-        self.disutility_groups = [(V, np.array(leaves)) for V, leaves in shared.values()]
         self.price = price
         # row l: leaf l's ds, stacked over stages
         self.gain_rows = (np.hstack([price.stage(t + 1) - price.stage(t) for t in range(T)])

@@ -213,7 +213,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     xs, us = x.leaf_rows(), u.leaf_rows()
     wealth = us[:, -1] - (xs[:, None, :] @ f.gain_rows[:, :, None])[:, 0, 0]
     res = np.empty(p.tree.n_leaves)
-    for V, leaves in f.disutility_groups:
+    for leaves, V, _, _ in f.leaf_groups[0]:
         w, v = wealth[leaves], vals[leaves]
         gx, gv = V.value_many(w[:, None]), V.conjugate().value_many(v[:, None])
         res[leaves] = np.where((gx == INF) | (gv == INF), INF, gx + gv - w * v)

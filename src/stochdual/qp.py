@@ -29,7 +29,7 @@ needs no phase 1 of its own.  The rows are infeasible when t* > 1e-8
 max(1, max|h|); otherwise x0 + Z w* meets them.  When A has full column
 rank x0 is the only candidate and phase 1 is the test G x0 <= h, with no
 LP.  A nested solve that does not end ``optimal`` ends the solve with
-status ``maxiter`` and no point.
+status ``max-iter`` and no point.
 
 The equality rows and the working inequality rows C are kept as an updated
 factorisation C' = Q [R; 0] (Gill, Golub, Murray and Saunders, Math. Comp.
@@ -55,7 +55,7 @@ so that a small but real curvature is a bent direction, not a ray.  The
 ratio test runs along the step scaled to unit max-norm, so its tie
 tolerance is relative to the step.  A point that violates a row by more
 than 1e-8 times the data scale is never reported optimal: the solve ends
-with status ``maxiter`` and no point.
+with status ``max-iter`` and no point.
 Deterministic lowest-index tie-breaking throughout.
 """
 
@@ -73,7 +73,7 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class QPResult:
-    status: str  # optimal | unbounded | infeasible | maxiter
+    status: str  # optimal | unbounded | infeasible | max-iter
     x: np.ndarray | None
     value: float
     ineq_multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -253,7 +253,7 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             feas = solve_qp(np.zeros((nw + 1, nw + 1)), np.append(np.zeros(nw), 1.0), 0.0,
                             elastic, np.append(h[free] - G[free] @ x, 0.0))
             if feas.status != "optimal":
-                return QPResult("maxiter", None, np.nan)
+                return QPResult("max-iter", None, np.nan)
             if feas.x[nw] > feas_tol:
                 return QPResult("infeasible", None, np.inf)
             x = x + Z @ feas.x[:nw]
@@ -315,7 +315,7 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
                 # never report a point that violates the rows
                 viol = max(np.max(G @ x - h, initial=0.0), np.max(np.abs(A @ x - b), initial=0.0))
                 if viol > 1e-8 * max(scale, np.max(np.abs(b), initial=0.0)):
-                    return QPResult("maxiter", None, np.nan, iterations=it)
+                    return QPResult("max-iter", None, np.nan, iterations=it)
                 mult = np.zeros(m)
                 mult[working] = np.maximum(lam_w, 0.0)
                 return QPResult("optimal", x, objective(x), mult, lam_eq,
@@ -357,5 +357,5 @@ def solve_qp(P, q, c=0.0, G=None, h=None, A=None, b=None,
             skip[blocker] = True
             if factor.add(G[blocker]):
                 working.append(blocker)
-    return QPResult("maxiter", x, objective(x), iterations=max_iter)
+    return QPResult("max-iter", x, objective(x), iterations=max_iter)
 

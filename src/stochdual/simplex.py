@@ -3,7 +3,7 @@
 On an LP (P = 0) a primal active-set method is a simplex method (Gill,
 Murray and Wright, *Practical Optimization*, 1981, section 5.3), so
 ``solve_lp`` is ``qp.solve_qp`` with P = 0 and its statuses carried over
-one to one; ``maxiter`` raises ``PivotLimitError``.  It serves the small
+one to one; ``max-iter`` raises ``PivotLimitError``.  It serves the small
 LPs of ``convex`` (support functions, polyhedron feasibility) and
 ``duality``.  The module keeps its name because the per-layer benchmark
 traces ``simplex`` as a layer of its own.
@@ -42,6 +42,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
     """
     c = np.asarray(c, dtype=float).ravel()
     res = qp.solve_qp(np.zeros((c.size, c.size)), c, 0.0, a_ub, b_ub, a_eq, b_eq)
-    if res.status == "maxiter":
+    if res.status == "max-iter":
         raise PivotLimitError("the active-set solve did not terminate")
     return LPResult(res.status, res.x, res.value, res.ray)

@@ -34,8 +34,9 @@ so a solve at u reads the template at m = base + N u.  The cache key is
 what the terms depend on, never u's values (on a dynamic problem the
 ``_stage_nodes`` partition of u), so a sweep over u lowers the primal, and
 factors a rowless primal's P, once.  The Lagrangian of a static problem
-whose every leaf's l(., y) is affine in x (``_LagrangianTemplate``) is kept
-the same way; any other is built at each y.
+whose every leaf lies in a group of ``GenericIntegrand.leaf_groups`` is
+kept the same way (``_LagrangianTemplate``); any other is built at each y,
+leaf by leaf.
 
 The objective alone picks the engine.  Its lowering is solved once by the
 active-set QP, to machine precision, unless it holds a smooth atom
@@ -144,10 +145,10 @@ class Problem:
     def _lagrangian_template(self) -> _LagrangianTemplate | None:
         """The compiled Lagrangian with y left symbolic, built at the first
         dual solve, when every leaf lies in a group of
-        ``GenericIntegrand._stacked_groups``; None on any other problem,
-        whose Lagrangian is built at each y."""
+        ``GenericIntegrand.leaf_groups``; None on any other problem, whose
+        Lagrangian is built at each y, leaf by leaf."""
         f = self.integrand
-        if isinstance(f, GenericIntegrand) and not f._stacked_groups[1]:
+        if isinstance(f, GenericIntegrand) and not f.leaf_groups[1]:
             return _LagrangianTemplate(self)
         return None
 
@@ -696,13 +697,12 @@ def _solve(data, method: str, **kw) -> _MinResult:
     with x cut to the main coordinates."""
     P, q, c, G, h, A, b, n_main = data
     res = solve_qp(P, q, c, G, h, A, b, **kw)
-    status = {"maxiter": "max-iter"}.get(res.status, res.status)
     if res.x is None:
-        return _MinResult(status, None, res.value, res.iterations, 0.0, method)
+        return _MinResult(res.status, None, res.value, res.iterations, 0.0, method)
     # the largest violation of the rows G w <= h and A w = b
     resid = max(float(np.max(G @ res.x - h, initial=0.0)),
                 float(np.max(np.abs(A @ res.x - b), initial=0.0)))
-    return _MinResult(status, res.x[:n_main], res.value, res.iterations, resid, method,
+    return _MinResult(res.status, res.x[:n_main], res.value, res.iterations, resid, method,
                       res.ineq_multipliers, res.eq_multipliers)
 
 
@@ -951,7 +951,7 @@ def solve_primal(p: Problem, u: StochasticProcess) -> SolveResult:
 class _LagrangianTemplate(_Template):
     """The Lagrangian of a static problem with y left symbolic.
 
-    When every leaf lies in a group of ``GenericIntegrand._stacked_groups``,
+    When every leaf lies in a group of ``GenericIntegrand.leaf_groups``,
     leaf l's Lagrangian is the affine x -> s_l.x + c_l, and only s_l and c_l
     move with y.  The template holds one affine term per leaf, its slope
     and constant zero, in one lowering group; a solve at y reads it at the

@@ -80,10 +80,11 @@ class ScenarioTree:
         if not self.partitions:
             raise TreeError("tree needs at least one stage")
 
-        parts = tuple(
-            tuple(tuple(int(i) for i in block) for block in stage)
-            for stage in self.partitions
-        )
+        try:
+            parts = tuple(tuple(tuple(int(i) for i in block) for block in stage)
+                          for stage in self.partitions)
+        except (TypeError, ValueError) as exc:
+            raise TreeError(f"partitions must list blocks of leaf indices: {exc}")
         object.__setattr__(self, "partitions", parts)
 
         leaf_block = []
@@ -211,9 +212,11 @@ def build_tree(probabilities: Sequence, partitions: Sequence) -> ScenarioTree:
     ``partitions`` is a stage-indexed list of blocks, each block a list of
     leaf indices.
     """
-    probs = np.array([_as_probability(p) for p in probabilities], dtype=float)
-    parts = tuple(tuple(tuple(block) for block in stage) for stage in partitions)
-    return ScenarioTree(probs, parts)
+    try:
+        probs = np.array([_as_probability(p) for p in probabilities], dtype=float)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise TreeError(f"probabilities must be numbers or 'p/q' strings: {exc}")
+    return ScenarioTree(probs, partitions)
 
 
 @dataclass(frozen=True)
@@ -291,18 +294,6 @@ class StochasticProcess:
         """The process whose leaf vectors are the rows of ``rows`` (the
         inverse of ``leaf_rows``)."""
         return StochasticProcess(tree, tuple(np.split(rows, np.cumsum(dims)[:-1], axis=1)))
-
-    @staticmethod
-    def from_vector(tree: ScenarioTree, dims: Sequence[int], vec) -> "StochasticProcess":
-        vec = np.asarray(vec, dtype=float)
-        arrays, at = [], 0
-        for d in dims:
-            size = tree.n_leaves * d
-            arrays.append(vec[at:at + size].reshape(tree.n_leaves, d))
-            at += size
-        if at != vec.size:
-            raise TreeError("vector length does not match the stage dimensions")
-        return StochasticProcess(tree, tuple(arrays))
 
 
 def _check_same_tree(a: StochasticProcess, b: StochasticProcess):

@@ -44,6 +44,19 @@ CHECKERS = {
     "kabanov": {"cps", "euler-lagrange", "hamiltonian", "saddle"},
 }
 
+# the field a parse error names -> the edit of a valid document that breaks it
+MALFORMED = {
+    "$": lambda doc: 5,
+    "tree": lambda doc: {**doc, "tree": 5},
+    "model": lambda doc: {**doc, "model": 7},
+    "tree.partitions": lambda doc: {**doc, "tree": {**doc["tree"], "partitions": 3}},
+    "tree.probabilities": lambda doc: {**doc, "tree": {**doc["tree"], "probabilities": ["a/b"]}},
+    "parameters": lambda doc: {**doc, "parameters": 3},
+    "parameters.candidate": lambda doc: {**doc, "parameters": {"candidate": 5}},
+    "parameters.u[0]": lambda doc: {**doc, "parameters": {"u": [["a"]]}},
+    "solver": lambda doc: {**doc, "solver": [1]},
+}
+
 
 class TestParsing:
     def test_bundled_alm_fixture(self):
@@ -106,6 +119,41 @@ class TestParsing:
         # the flags take the file's ranges; a bad one is named as --checker is
         code, report = run(["report", fixture_path("binomial-alm.json"), flag, value])
         assert (code, report["field"]) == (cli.EXIT_USAGE, flag)
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_malformed_section_is_a_parse_error(self, tmp_path, field):
+        # a section of the wrong JSON type is named, not raised as a
+        # TypeError or AttributeError
+        with open(fixture_path("kkt-single.json")) as fh:
+            path = write_doc(tmp_path, "malformed", MALFORMED[field](json.load(fh)))
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_file(path)
+        assert err.value.field_path == field
+        code, report = run(["report", path])
+        assert (code, report["field"]) == (cli.EXIT_USAGE, field)
+
+    @pytest.mark.parametrize("case, message", [
+        ("latin-1", "invalid JSON: 'utf-8' codec can't decode"),
+        ("directory", "cannot read the file: Is a directory"),
+        ("missing", "cannot read the file: No such file or directory")])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, case, message):
+        path = tmp_path / f"{case}.json"
+        if case == "latin-1":
+            path.write_bytes('{"tree": "é"}'.encode("latin-1"))
+        elif case == "directory":
+            path.mkdir()
+        code, report = run(["report", str(path)])
+        assert (code, report["field"]) == (cli.EXIT_USAGE, str(path))
+        assert message in report["error"]
+
+    def test_malformed_file_exits_1_without_a_traceback(self, tmp_path):
+        path = tmp_path / "number.json"
+        path.write_text("5")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "stochdual.cli", "report", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+        assert proc.stderr == "error: $: expected a JSON object\n"
 
     def test_unknown_kind_reports_path(self, tmp_path):
         doc = {

@@ -24,6 +24,7 @@ from stochdual.integrand import (
     GenericIntegrand,
     KabanovStage,
     assemble_bolza,
+    _affine_slices,
     partial_infimum,
 )
 from stochdual.solver import dual_objective
@@ -473,22 +474,25 @@ def assert_same_lagrangian(got, want):
 
 
 class TestGroupedLagrangian:
-    """lagrangian_functions_of_x stacks the leaves that share one inner g
-    and gives each the per-leaf partial infimum, bit for bit."""
+    """affine_lagrangians prices each group of ``leaf_groups`` in one
+    stacked pass and gives each leaf the per-leaf partial infimum of
+    lagrangian_functions_of_x (the pass's K = 1 case), bit for bit."""
 
     @pytest.mark.parametrize("kind", sorted(HEDGING_DISUTILITIES))
     def test_hedging_matches_per_leaf(self, kind):
         p = binary_hedging(4, HEDGING_DISUTILITIES[kind])
         f = p.integrand
         ys = np.random.default_rng(3).uniform(0.05, 1.9, size=(16, 1))
-        grouped = f.lagrangian_functions_of_x(ys)
-        for leaf, got in enumerate(grouped):
+        per_leaf = f.lagrangian_functions_of_x(ys)
+        slopes, consts = f.affine_lagrangians(ys)
+        for leaf, want in enumerate(per_leaf):
             joint = f.joint_function(leaf)
-            assert_same_lagrangian(got, partial_infimum(joint, f.n_total, ys[leaf]))
+            got = MINUS_INF if consts[leaf] == -INF else Affine(slopes[leaf], consts[leaf])
+            assert_same_lagrangian(got, want)
             assert_same_lagrangian(
                 got, precomposition_lagrangian_per_leaf(joint, f.n_total, ys[leaf]))
         if kind in ("abs", "pwl-off-anchor"):  # y beyond the top slope leaves dom V*
-            assert any(fn is MINUS_INF for fn in grouped)
+            assert any(fn is MINUS_INF for fn in per_leaf)
 
     def test_leaf_outside_the_conjugate_domain_has_no_objective(self):
         p = binary_hedging(2, absolute_value())
@@ -512,6 +516,12 @@ class TestGroupedLagrangian:
             else:
                 assert type(got) is type(want)
                 assert same_bits(got.value_many(points), want.value_many(points))
+        # each group of leaf_groups in one stacked pass
+        per_leaf = f.lagrangian_functions_of_x(ys)
+        for leaves, g, mats, offsets in f.leaf_groups[0]:
+            slopes, consts = _affine_slices(g, mats, offsets, 2, ys[leaves])
+            for leaf, a, b in zip(leaves.tolist(), slopes, consts):
+                assert_same_lagrangian(Affine(a, b), per_leaf[leaf])
         ys[3] = 0.5
         assert f.lagrangian_functions_of_x(ys)[3] is MINUS_INF
 
@@ -568,7 +578,7 @@ class TestGroupedConjugate:
     def test_shared_disutility(self, kind):
         rng = np.random.default_rng(5)
         p = binary_hedging(4, HEDGING_DISUTILITIES[kind])
-        assert p.integrand._stacked_groups[1] == []  # every leaf is stacked
+        assert p.integrand.leaf_groups[1] == []  # every leaf is stacked
         ys = rng.uniform(0.05, 1.9, size=(16, 1))
         on = self.assert_matches_per_leaf(p, ys, rng)
         if kind in ("abs", "pwl-off-anchor"):  # y beyond the top slope leaves dom V*
@@ -590,7 +600,7 @@ class TestGroupedConjugate:
         Vs[5] = Vs[0]
         price = StochasticProcess.from_stage_values(tree, binary_prices(3)[:, :, None])
         p = solver.Problem(tree, AlmIntegrand(tree, Vs, price))
-        groups, rest = p.integrand._stacked_groups
+        groups, rest = p.integrand.leaf_groups
         assert rest == [] and sorted(len(g[0]) for g in groups) == [1] * 6 + [2]
         # |y| beyond every scale of |z|, at leaf 2
         ys = rng.uniform(-1.5, 1.5, size=(8, 1))
@@ -603,7 +613,7 @@ class TestGroupedConjugate:
         rng = np.random.default_rng(7)
         f, joints = generic_mix(rng)
         p = solver.Problem(f.tree, f)
-        groups, rest = f._stacked_groups
+        groups, rest = f.leaf_groups
         assert rest == [1, 3, 5] and sorted(len(g[0]) for g in groups) == [1, 4]
         ys = 0.4 * rng.normal(size=(8, 2))
         ys[3] = 0.0

@@ -180,7 +180,7 @@ class TestNodewiseMatchesPerLeaf:
         solves = bound_solves(monkeypatch)
         bound = dual_via_orthocomplement(p, y, objective=dob)
         status, value, _ = basis_bound(p, y)
-        assert (bound.status, solves) == ({"maxiter": "max-iter"}.get(status, status), [])
+        assert (bound.status, solves) == (status, [])
         assert bound.value == pytest.approx(value, rel=1e-9, abs=1e-9)
         # certified whenever the inner solve reached its optimum
         assert (bound.v is not None) == (dob.inner_status == "optimal")

@@ -490,7 +490,7 @@ class TestEngineFailure:
         # iteration cap, it ends the solve with no point
         monkeypatch.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
         res = solve_qp(np.eye(2), [1.0, 1.0], G=[[1.0, 1.0], [-1.0, -1.0]], h=[3.0, -1.0])
-        assert res.status == "maxiter"
+        assert res.status == "max-iter"
         assert res.x is None
 
 
