@@ -221,6 +221,8 @@ def parse_process(tree: ScenarioTree, dims, spec, path: str) -> StochasticProces
         if arr.shape != (tree.n_leaves, d):
             raise ProblemFileError(
                 f"stage {t} needs shape ({tree.n_leaves}, {d})", f"{path}[{t}]")
+        if not np.isfinite(arr).all():
+            raise ProblemFileError(f"stage {t} values must be finite", f"{path}[{t}]")
         arrays.append(arr)
     return StochasticProcess(tree, tuple(arrays))
 
@@ -385,14 +387,6 @@ def _solve_block(res) -> dict:
     }
 
 
-def _split_zk(problem, x):
-    d = problem.n_dims[0] // 2
-    tree = problem.tree
-    z_vals = tuple(x.stage(t)[:, :d] for t in range(tree.stage_count))
-    k_vals = tuple(x.stage(t)[:, d:] for t in range(tree.stage_count))
-    return (StochasticProcess(tree, z_vals), StochasticProcess(tree, k_vals))
-
-
 def _dual_representation(problem, family, u, dual_res, bound) -> dict:
     out = {}
     y = dual_res.optimizer
@@ -495,18 +489,12 @@ def _certificate(problem, checker, x, u, y, v, cand, tol):
     if checker == "hamiltonian":
         return check_hamiltonian_system(problem, x, u, y, tol)
     if checker == "cps":
-        z = cand.get("z")
-        k = cand.get("k")
+        z, k, d = cand.get("z"), cand.get("k"), problem.n_dims[0] // 2
         if z is None or k is None:
-            z, k = _split_zk(problem, x)
-        d = problem.n_dims[0] // 2
-        tree = problem.tree
-        uz = StochasticProcess(tree, tuple(
-            u.stage(t)[:, :d] for t in range(tree.stage_count)))
+            z, k = x.components(0, d), x.components(d, 2 * d)
         if y.dims[0] == 2 * d:
-            y = StochasticProcess(tree, tuple(
-                y.stage(t)[:, :d] for t in range(tree.stage_count)))
-        return check_consistent_price_system(problem, z, k, uz, y, tol)
+            y = y.components(0, d)
+        return check_consistent_price_system(problem, z, k, u.components(0, d), y, tol)
 
 
 def _certificate_block(cert) -> dict:

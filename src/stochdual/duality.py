@@ -289,7 +289,7 @@ def check_domain_condition(p: Problem, y: StochasticProcess) -> DomainConditionR
     layout = p.layout
     l_ub, l_eq, d_ub, d_eq = [], [], [], []  # (leaf columns, rows, rhs) blocks
     try:
-        l_fns = p.integrand.lagrangian_functions_of_x(y.leaf_rows())
+        l_fns = p.integrand.lagrangian_functions_of_x(y.rows)
     except NoClosedFormError:
         return DomainConditionReport("inconclusive", "no closed-form Lagrangian")
     for leaf, l_fn in enumerate(l_fns):

@@ -117,7 +117,7 @@ def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
         cert.verdict = "fail"
         cert.reason = "candidate decision is not adapted"
         return cert
-    xs, us, ys, vs = (q.leaf_rows() for q in (x, u, y, v))
+    xs, us, ys, vs = (q.rows for q in (x, u, y, v))
     feasible = True
     for leaf in range(p.tree.n_leaves):
         fval = p.integrand.value(leaf, xs[leaf], us[leaf])
@@ -162,7 +162,7 @@ def check_kkt(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not isinstance(f, ConstrainedIntegrand):
         raise TypeError("check_kkt needs an inequality-constrained problem")
     cert = Certificate("pending", tol, y=y, v=v)
-    xs, us, ys, vs = (q.leaf_rows() for q in (x, u, y, v))
+    xs, us, ys, vs = (q.rows for q in (x, u, y, v))
     for leaf in range(p.tree.n_leaves):
         xv, uv, yv = xs[leaf], us[leaf], ys[leaf]
         for j, fj in enumerate(f.constraints[leaf]):
@@ -200,7 +200,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not isinstance(f, AlmIntegrand):
         raise TypeError("check_alm needs a hedging-model problem")
     cert = Certificate("pending", tol, y=y)
-    vals = y.leaf_rows().ravel()
+    vals = y.rows.ravel()
     if np.max(np.abs(vals), initial=0.0) <= tol:
         cert.verdict = "degenerate"
         cert.reason = "zero dual: the density cone excludes it"
@@ -210,7 +210,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     # V_l is nondecreasing
     report = check_martingale_density(vals, f.price, tol)
     cert.add("martingale-density", report.max_residual)
-    xs, us = x.leaf_rows(), u.leaf_rows()
+    xs, us = x.rows, u.rows
     wealth = us[:, -1] - (xs[:, None, :] @ f.gain_rows[:, :, None])[:, 0, 0]
     res = np.empty(p.tree.n_leaves)
     for leaves, V, _, _ in f.leaf_groups[0]:
@@ -220,13 +220,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     for leaf, r in enumerate(res.tolist()):
         cert.add("disutility-subgradient", max(r, 0.0), leaf=leaf)
     # v_t = -y ds_{t+1} must have zero conditional means
-    arrays = []
-    T = p.tree.horizon
-    for t in range(T):
-        ds = f.price.stage(t + 1) - f.price.stage(t)
-        arrays.append(-vals[:, None] * ds)
-    arrays.append(np.zeros((p.tree.n_leaves, 0)))
-    cert.v = StochasticProcess(p.tree, tuple(arrays))
+    cert.v = StochasticProcess.from_leaf_rows(p.tree, p.n_dims, -vals[:, None] * f.gain_rows)
     cert.add("annihilator", report.max_residual)
     return cert.finalize()
 

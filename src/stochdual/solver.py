@@ -789,7 +789,7 @@ def _leaf_vectors(p: Problem, proc: StochasticProcess, what: str):
     """Per-leaf vectors of a parameter-space process (u or y), one row each."""
     if proc.dims != p.m_dims:
         raise ValueError(f"{what} dims {proc.dims} do not match {p.m_dims}")
-    return proc.leaf_rows()
+    return proc.rows
 
 
 def _stage_nodes(p: Problem, rows):
@@ -1154,7 +1154,7 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
     if objective.inner_status != "optimal":
         return OrthoBound(np.nan, None, objective.inner_status)
     v = _stationary_v(p, yvecs, objective)
-    V = v.leaf_rows()
+    V = v.rows
     if not in_orthocomplement(v, 1e-9 * max(1.0, float(np.max(np.abs(V), initial=0.0)))):
         return OrthoBound(np.nan, None, "gap-open")
     if isinstance(p.integrand, BolzaIntegrand):

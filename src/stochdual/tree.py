@@ -2,11 +2,12 @@
 
 A scenario tree fixes a finite set of leaves (elementary outcomes), strictly
 positive leaf probabilities, and for every stage a partition of the leaves
-into information blocks.  Later partitions refine earlier ones.  Processes
-are leaf-indexed vectors per stage; a process is adapted when its stage-t
-component is constant on every stage-t block.  Conditional expectations,
-the expectation pairing E(u.y) and the zero-conditional-mean test used for
-dual variables are all block operations on these arrays.
+into information blocks.  Later partitions refine earlier ones.  A process
+is one array of leaf rows whose stage-t columns are its stage-t component;
+it is adapted when that component is constant on every stage-t block.
+Conditional expectations, the expectation pairing E(u.y) and the
+zero-conditional-mean test used for dual variables are all block
+operations on these columns.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -45,13 +47,22 @@ class NotAdaptedError(ValueError):
     conditions) and is not."""
 
 
+def _leaf_index(i) -> int:
+    """A leaf index: a number with an integral value, not a bool or a string."""
+    if type(i) is int:  # the common case, and no bool is of type int
+        return i
+    if isinstance(i, (bool, np.bool_, str)) or not float(i).is_integer():
+        raise ValueError(f"{i!r} is not an integer")
+    return int(i)
+
+
 def _as_probability(p) -> float:
     if isinstance(p, str):
         return float(Fraction(p))
     return float(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioTree:
     """Leaf probabilities plus one partition of the leaves per stage.
 
@@ -63,7 +74,7 @@ class ScenarioTree:
 
     probabilities: np.ndarray
     partitions: tuple[tuple[tuple[int, ...], ...], ...]
-    leaf_block: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    leaf_block: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
@@ -81,7 +92,7 @@ class ScenarioTree:
             raise TreeError("tree needs at least one stage")
 
         try:
-            parts = tuple(tuple(tuple(int(i) for i in block) for block in stage)
+            parts = tuple(tuple(tuple(_leaf_index(i) for i in block) for block in stage)
                           for stage in self.partitions)
         except (TypeError, ValueError) as exc:
             raise TreeError(f"partitions must list blocks of leaf indices: {exc}")
@@ -219,16 +230,22 @@ def build_tree(probabilities: Sequence, partitions: Sequence) -> ScenarioTree:
     return ScenarioTree(probs, partitions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticProcess:
     """Stage-indexed, leaf-indexed real vectors on a scenario tree.
 
-    ``values[t]`` has shape (n_leaves, dim_t); dimensions may differ per
-    stage and may be zero.  Processes are immutable after construction.
+    Stored once, as ``rows``: the read-only (n_leaves, sum(dims)) array
+    whose row l holds leaf l's stage components, stage after stage;
+    ``values[t]`` (``stage(t)``) is its (n_leaves, dims[t]) column view.
+    Dimensions may differ per stage and may be zero.  The constructor
+    validates its stage arrays and copies them into ``rows``;
+    ``from_leaf_rows`` takes ownership of its array, uncopied.
     """
 
     tree: ScenarioTree
     values: tuple[np.ndarray, ...]
+    rows: np.ndarray = field(init=False, repr=False)
+    dims: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.tree.stage_count:
@@ -245,34 +262,23 @@ class StochasticProcess:
                 raise TreeError(
                     f"stage {t} values must have shape (n_leaves, dim)"
                 )
-            a = a.copy()
-            a.setflags(write=False)
             arrays.append(a)
-        object.__setattr__(self, "values", tuple(arrays))
+        self._own(np.concatenate(arrays, axis=1), tuple(a.shape[1] for a in arrays))
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(a.shape[1] for a in self.values)
+    def _own(self, rows: np.ndarray, dims: tuple[int, ...]):
+        """Keep ``rows`` read-only, with one column view per stage."""
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dims", dims)
+        ends = accumulate(dims)
+        object.__setattr__(self, "values", tuple(rows[:, e - d:e] for d, e in zip(dims, ends)))
 
     def stage(self, t: int) -> np.ndarray:
         return self.values[t]
 
-    def leaf_vector(self, leaf: int) -> np.ndarray:
-        """All stage components at one leaf, concatenated."""
-        return np.concatenate([a[leaf] for a in self.values])
-
-    def leaf_rows(self) -> np.ndarray:
-        """Every leaf vector at once: the (n_leaves, sum(dims)) array whose
-        row l is ``leaf_vector(l)``."""
-        rows = np.hstack(self.values)
-        rows.setflags(write=False)
-        return rows
-
     @staticmethod
     def zeros(tree: ScenarioTree, dims: Sequence[int]) -> "StochasticProcess":
-        return StochasticProcess(
-            tree, tuple(np.zeros((tree.n_leaves, d)) for d in dims)
-        )
+        return StochasticProcess.from_leaf_rows(tree, dims, np.zeros((tree.n_leaves, sum(dims))))
 
     @staticmethod
     def from_stage_values(tree: ScenarioTree, stage_values) -> "StochasticProcess":
@@ -285,15 +291,25 @@ class StochasticProcess:
             arrays.append(a)
         return StochasticProcess(tree, tuple(arrays))
 
-    def to_vector(self) -> np.ndarray:
-        """Concatenate all stages leaf-major into one flat vector."""
-        return np.concatenate([a.ravel() for a in self.values]) if self.values else np.zeros(0)
-
     @staticmethod
     def from_leaf_rows(tree: ScenarioTree, dims: Sequence[int], rows) -> "StochasticProcess":
-        """The process whose leaf vectors are the rows of ``rows`` (the
-        inverse of ``leaf_rows``)."""
-        return StochasticProcess(tree, tuple(np.split(rows, np.cumsum(dims)[:-1], axis=1)))
+        """The process whose leaf l has the components ``rows[l]``, stage
+        after stage, with ``dims[t]`` of them at stage t.  A float array is
+        kept as it is, not copied: the process owns it from here on."""
+        dims = tuple(int(d) for d in dims)
+        rows = np.asarray(rows, dtype=float)
+        if len(dims) != tree.stage_count or rows.shape != (tree.n_leaves, sum(dims)):
+            raise TreeError(f"leaf rows of shape {rows.shape} do not fit dims {dims}")
+        proc = object.__new__(StochasticProcess)
+        object.__setattr__(proc, "tree", tree)
+        proc._own(rows, dims)
+        return proc
+
+    def components(self, start: int, stop: int) -> "StochasticProcess":
+        """The process whose stage t is ``stage(t)[:, start:stop]``."""
+        spans = [range(e - d, e)[start:stop] for d, e in zip(self.dims, accumulate(self.dims))]
+        return StochasticProcess.from_leaf_rows(self.tree, [len(r) for r in spans],
+                                                self.rows[:, [c for r in spans for c in r]])
 
 
 def _check_same_tree(a: StochasticProcess, b: StochasticProcess):
@@ -313,15 +329,15 @@ def conditional_expectation(proc: StochasticProcess, t: int) -> StochasticProces
     tree = proc.tree
     if t < 0 or t >= tree.stage_count:
         raise TreeError(f"stage {t} out of range 0..{tree.stage_count - 1}")
-    return StochasticProcess(tree, tuple(tree.conditional_mean(arr, t) for arr in proc.values))
+    return StochasticProcess.from_leaf_rows(tree, proc.dims, np.concatenate(
+        [tree.conditional_mean(arr, t) for arr in proc.values], axis=1))
 
 
 def adapted_projection(proc: StochasticProcess) -> StochasticProcess:
     """Replace each stage-t component by its stage-t conditional expectation."""
     tree = proc.tree
-    return StochasticProcess(tree, tuple(
-        tree.conditional_mean(arr, t) for t, arr in enumerate(proc.values)
-    ))
+    return StochasticProcess.from_leaf_rows(tree, proc.dims, np.concatenate(
+        [tree.conditional_mean(arr, t) for t, arr in enumerate(proc.values)], axis=1))
 
 
 def expected_dual_increments(y: StochasticProcess) -> tuple[np.ndarray, ...]:

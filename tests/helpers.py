@@ -557,7 +557,7 @@ def solve_bits(p, u):
     else:
         cert = check_saddle(p, x, u, y,
                             dual_via_orthocomplement(p, y, objective=gap.dual.objective).v)
-    return [gap.primal.status, gap.dual.status, x.to_vector().tobytes(), y.to_vector().tobytes(),
+    return [gap.primal.status, gap.dual.status, x.rows.tobytes(), y.rows.tobytes(),
             repr(gap.primal.value), repr(gap.dual.value), repr(gap.gap), cert.verdict,
             [repr(row["residual"]) for row in cert.rows]]
 
@@ -608,7 +608,7 @@ def per_leaf_objective(p, functions):
 
 def per_leaf_primal(p, u):
     """E f(x, u), leaf by leaf: each leaf's joint function with u frozen."""
-    f, rows = p.integrand, u.leaf_rows()
+    f, rows = p.integrand, u.rows
     u_idx = np.arange(f.n_total, f.n_total + f.m_total)
     return per_leaf_objective(p, [f.joint_function(leaf).fix(u_idx, rows[leaf])
                                   for leaf in range(p.tree.n_leaves)])
@@ -616,7 +616,7 @@ def per_leaf_primal(p, u):
 
 def per_leaf_lagrangian(p, y):
     """E l(x, y), leaf by leaf."""
-    rows = y.leaf_rows()
+    rows = y.rows
     return per_leaf_objective(p, [p.integrand.lagrangian_function_of_x(leaf, rows[leaf])
                                   for leaf in range(p.tree.n_leaves)])
 
@@ -624,7 +624,7 @@ def per_leaf_lagrangian(p, y):
 def per_leaf_lower_value(p, y, x):
     """-E lower-l(x, y), leaf by leaf: +inf when some leaf's lower-l is
     -inf, None when none is and some is +inf."""
-    xs, ys = x.leaf_rows(), y.leaf_rows()
+    xs, ys = x.rows, y.rows
     vals = [p.integrand.lower_lagrangian(leaf, xs[leaf], ys[leaf])
             for leaf in range(p.tree.n_leaves)]
     if -np.inf in vals:
@@ -639,7 +639,7 @@ def per_leaf_lower_value(p, y, x):
 
 def per_leaf_conjugates(p, y):
     """v -> f*(v, y) for every leaf."""
-    rows = y.leaf_rows()
+    rows = y.rows
     return [p.integrand.conjugate_function_of_v(leaf, rows[leaf])
             for leaf in range(p.tree.n_leaves)]
 
@@ -657,7 +657,7 @@ def per_leaf_conjugate_sum(p, y, v):
     objective sums its terms; +inf when some value is."""
     total = 0.0
     for weight, val in zip(p.tree.probabilities.tolist(),
-                           per_leaf_conjugate_values(p, y.leaf_rows(), v.leaf_rows()).tolist()):
+                           per_leaf_conjugate_values(p, y.rows, v.rows).tolist()):
         if val == np.inf:
             return np.inf
         total += weight * val
@@ -689,7 +689,7 @@ def per_leaf_recovered_dual(p, u, x):
     """The dynamic dual candidate leaf by leaf: the velocity gradient of
     every leaf's stage costs at (x_t, dx_t + u_t); None when some stage
     does not pin it."""
-    f, xs, us = p.integrand, x.leaf_rows(), u.leaf_rows()
+    f, xs, us = p.integrand, x.rows, u.rows
     arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
     for leaf in range(p.tree.n_leaves):
         states = f._states(xs[leaf])
@@ -741,8 +741,8 @@ def dense_lowering(obj, mats):
 
 def orthocomplement_basis(tree, dims):
     """Columns span {v : blockwise weighted means vanish at every stage}, in
-    the flat order of StochasticProcess.to_vector: per block, each leaf but
-    the last paired with the last at -p_leaf / p_last."""
+    the flat stage-major order (stage by stage, each stage leaf-major): per
+    block, each leaf but the last paired with the last at -p_leaf / p_last."""
     total = sum(tree.n_leaves * d for d in dims)
     offsets = np.cumsum([0] + [tree.n_leaves * d for d in dims])
     probs, cols = tree.probabilities, []
@@ -807,14 +807,14 @@ def check_alm_per_leaf(p, x, u, y, tol=1e-6):
 
     f = p.integrand
     cert = Certificate("pending", tol, y=y)
-    vals = y.leaf_rows().ravel()
+    vals = y.rows.ravel()
     if np.max(np.abs(vals), initial=0.0) <= tol:
         cert.verdict = "degenerate"
         cert.reason = "zero dual: the density cone excludes it"
         return cert
     report = check_martingale_density(vals, f.price, tol)
     cert.add("martingale-density", report.max_residual)
-    xs, us = x.leaf_rows(), u.leaf_rows()
+    xs, us = x.rows, u.rows
     for leaf in range(p.tree.n_leaves):
         wealth = us[leaf][-1] - float(xs[leaf] @ f.gain_rows[leaf])
         res = fenchel_residual(f.disutilities[leaf], [wealth], [vals[leaf]])
@@ -900,7 +900,7 @@ def conjugate_sum_per_leaf(p, y, v):
     evaluated at the leaf's v and the leaves summed in order, as a compiled
     objective sums its terms."""
     total = 0.0
-    for leaf, (fn, v_l) in enumerate(zip(bolza_conjugates_per_node(p, y), v.leaf_rows())):
+    for leaf, (fn, v_l) in enumerate(zip(bolza_conjugates_per_node(p, y), v.rows)):
         val = fn.value(v_l)
         if val == np.inf:
             return np.inf

@@ -308,9 +308,9 @@ class TestCriterion6CertificateSoundness:
         total_f, total_star = 0.0, 0.0
         for leaf in range(p.tree.n_leaves):
             total_f += p.tree.probabilities[leaf] * p.integrand.value(
-                leaf, x.leaf_vector(leaf), u.leaf_vector(leaf))
+                leaf, x.rows[leaf], u.rows[leaf])
             star = p.integrand.conjugate_value(
-                leaf, v.leaf_vector(leaf), y.leaf_vector(leaf))
+                leaf, v.rows[leaf], y.rows[leaf])
             if star == INF:
                 return INF
             total_star += p.tree.probabilities[leaf] * star

@@ -209,7 +209,7 @@ class TestAdaptedLayout:
         assert proc.dims == STAGE_DIMS
         assert is_adapted(proc)
         for leaf in range(tree.n_leaves):
-            np.testing.assert_array_equal(w[layout.columns[leaf]], proc.leaf_vector(leaf))
+            np.testing.assert_array_equal(w[layout.columns[leaf]], proc.rows[leaf])
         # blocks of one stage own distinct coordinates
         for t, d in enumerate(STAGE_DIMS):
             if d:

@@ -132,6 +132,37 @@ class TestParsing:
         code, report = run(["report", path])
         assert (code, report["field"]) == (cli.EXIT_USAGE, field)
 
+    @pytest.mark.parametrize("fixture, field, edit", [
+        ("binomial-alm.json", "parameters.u[1]",
+         lambda doc: doc["parameters"].update(u=[0, float("nan")])),
+        ("binomial-alm.json", "model.price[1]",
+         lambda doc: doc["model"]["price"][1][0].__setitem__(0, float("inf"))),
+        ("kkt-single.json", "parameters.candidate.y[0]",
+         lambda doc: doc["parameters"]["candidate"]["y"][0][0].__setitem__(0, float("-inf")))])
+    def test_non_finite_process_entry_is_a_parse_error(self, tmp_path, fixture, field, edit):
+        # JSON as Python reads it admits NaN and Infinity; a process entry
+        # that is not finite is refused where it enters, not solved to nan
+        with open(fixture_path(fixture)) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = write_doc(tmp_path, "non-finite", doc)
+        with pytest.raises(ProblemFileError, match="must be finite") as err:
+            parse_problem_file(path)
+        assert err.value.field_path == field
+        code, report = run(["report", path])
+        assert (code, report["field"]) == (cli.EXIT_USAGE, field)
+
+    @pytest.mark.parametrize("partitions", [[[[0, 1.9]], [[0], [1]]],
+                                            [[[0, 1]], [[False], [True]]]])
+    def test_non_integral_leaf_index_is_a_parse_error(self, tmp_path, partitions):
+        # a leaf index 1.9 is not read as 1, nor a bool as 0 or 1
+        with open(fixture_path("binomial-alm.json")) as fh:
+            doc = json.load(fh)
+        doc["tree"]["partitions"] = partitions
+        code, report = run(["report", write_doc(tmp_path, "leaf-index", doc)])
+        assert (code, report["field"]) == (cli.EXIT_USAGE, "tree.partitions")
+        assert "is not an integer" in report["error"]
+
     @pytest.mark.parametrize("case, message", [
         ("latin-1", "invalid JSON: 'utf-8' codec can't decode"),
         ("directory", "cannot read the file: Is a directory"),
@@ -460,8 +491,8 @@ class TestSolveOnce:
         shared = solve_dual(problem, u, cfg, solve_primal(problem, u))
         assert (alone.status, alone.method, alone.value, alone.iterations) == \
                (shared.status, shared.method, shared.value, shared.iterations)
-        np.testing.assert_array_equal(alone.optimizer.to_vector(),
-                                      shared.optimizer.to_vector())
+        np.testing.assert_array_equal(alone.optimizer.rows,
+                                      shared.optimizer.rows)
         assert alone.objective.value == shared.objective.value
 
 

@@ -454,15 +454,47 @@ def test_split_fix_mask_equals_setdiff(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_leaf_rows_equal_leaf_vectors(seed):
+def test_stage_values_are_views_of_rows(seed):
+    """A process stores one read-only leaf-row array: its stage arrays are
+    views of it at the stages' column offsets, the constructor copies its
+    input, ``from_leaf_rows`` keeps its own, and ``components`` slices
+    every stage."""
     tree = irregular_tree(seed)
     for dims in (STAGE_DIMS, (0,) * len(STAGE_DIMS)):
-        proc = random_process(np.random.default_rng(1300 + seed), tree, dims)
-        rows = proc.leaf_rows()
+        rng = np.random.default_rng(1300 + seed)
+        stages = [rng.normal(size=(tree.n_leaves, d)) for d in dims]
+        proc = StochasticProcess(tree, tuple(stages))
+        before = np.hstack(stages)
+        rows = proc.rows
         assert rows.shape == (tree.n_leaves, sum(dims))
+        assert proc.dims == dims
         assert not rows.flags.writeable
-        for leaf in range(tree.n_leaves):
-            np.testing.assert_array_equal(rows[leaf], proc.leaf_vector(leaf))
+        at = 0
+        for t, d in enumerate(dims):
+            view = proc.stage(t)
+            assert view is proc.values[t] and view.base is rows
+            assert not view.flags.writeable
+            np.testing.assert_array_equal(view, rows[:, at:at + d])
+            np.testing.assert_array_equal(view, stages[t])
+            if d:
+                assert np.shares_memory(view, rows[:, at:at + d])
+            at += d
+            stages[t] += 1.0  # the caller's array, not the process's
+        np.testing.assert_array_equal(rows, before)
+
+        for start, stop in ((0, 1), (1, 2), (0, 5), (2, 2)):
+            part = proc.components(start, stop)
+            for t in range(len(dims)):
+                np.testing.assert_array_equal(part.stage(t), proc.stage(t)[:, start:stop])
+
+        owned = rng.normal(size=(tree.n_leaves, sum(dims)))
+        wrapped = StochasticProcess.from_leaf_rows(tree, dims, owned)
+        assert wrapped.rows is owned and not owned.flags.writeable
+        for t, d in enumerate(dims):
+            assert wrapped.stage(t).base is owned
+            assert d == 0 or np.shares_memory(wrapped.stage(t), owned)
+        with pytest.raises(ValueError, match="do not fit"):
+            StochasticProcess.from_leaf_rows(tree, dims, np.zeros((tree.n_leaves, sum(dims) + 1)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -186,7 +186,7 @@ class TestNodewiseMatchesPerLeaf:
         assert (bound.v is not None) == (dob.inner_status == "optimal")
         if bound.v is not None:
             assert in_orthocomplement(bound.v)
-            rows = bound.v.leaf_rows()
+            rows = bound.v.rows
             assert bound.value == pytest.approx(sum(
                 prob * fn.value(rows[leaf]) for leaf, (prob, fn) in
                 enumerate(zip(p.tree.probabilities, per_leaf_conjugates(p, y)))),
@@ -350,9 +350,9 @@ class TestKeptLagrangianTemplate:
             if want.minimizer is None:
                 continue
             assert got.lagrangian.template is template
-            assert same_bits(got.minimizer.leaf_rows(), want.minimizer.leaf_rows())
-            v = solver._stationary_v(p, rows, got).leaf_rows()
-            assert same_bits(v, solver._stationary_v(p, rows, want).leaf_rows())
+            assert same_bits(got.minimizer.rows, want.minimizer.rows)
+            v = solver._stationary_v(p, rows, got).rows
+            assert same_bits(v, solver._stationary_v(p, rows, want).rows)
             assert np.any(v)
         assert got_statuses == statuses
 
@@ -384,7 +384,7 @@ def test_cases_cover_every_path():
 @pytest.mark.parametrize("seed", range(4))
 def test_adapted_groups_are_the_tree_nodes(seed):
     p = bolza_problem(seed, 2)
-    rows = grouped_process(np.random.default_rng(seed), p.tree, p.m_dims).leaf_rows()
+    rows = grouped_process(np.random.default_rng(seed), p.tree, p.m_dims).rows
     for t, nodes in enumerate(solver._stage_nodes(p, rows)):
         assert [(b, tuple(leaves)) for b, leaves, _ in nodes] == \
             list(enumerate(p.tree.blocks(t)))
@@ -395,7 +395,7 @@ def test_adapted_groups_are_the_tree_nodes(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_split_groups_are_bit_equal_classes(seed):
     p = bolza_problem(seed, 1)
-    rows = grouped_process(np.random.default_rng(seed), p.tree, p.m_dims, 2).leaf_rows()
+    rows = grouped_process(np.random.default_rng(seed), p.tree, p.m_dims, 2).rows
     for t, nodes in enumerate(solver._stage_nodes(p, rows)):
         sl = p.integrand.u_slices[t]
         assert sorted(int(l) for _, leaves, _ in nodes for l in leaves) == \

@@ -236,7 +236,7 @@ class TestCheckAlmOnePass:
     def test_nan_dual_fails(self):
         p = binary_hedging(2, Quadratic([0.5]))
         x, u, y = hedging_candidates(p, np.random.default_rng(7), draws=0)[0]
-        rows = y.leaf_rows().copy()
+        rows = y.rows.copy()
         rows[2, 0] = np.nan
         y = StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
         cert = check_alm(p, x, u, y)

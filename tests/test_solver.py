@@ -160,7 +160,7 @@ class TestSolvePrimal:
         res = solve_primal(p, u)
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.0, abs=1e-10)
-        assert np.max(np.abs(res.optimizer.to_vector())) < 1e-8
+        assert np.max(np.abs(res.optimizer.rows)) < 1e-8
 
     def test_infeasible_constrained(self):
         tree = ScenarioTree.deterministic(1)
@@ -231,14 +231,14 @@ class TestSolveDual:
         res = solve_dual(p, u)
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.0, abs=1e-8)
-        assert np.max(np.abs(res.optimizer.to_vector())) < 1e-7
+        assert np.max(np.abs(res.optimizer.rows)) < 1e-7
 
     def test_alm_zero_liability(self):
         p = binomial_alm()
         u = alm_u(p.tree, 0.0)
         res = solve_dual(p, u)
         assert res.value == pytest.approx(0.0, abs=1e-8)
-        assert np.max(np.abs(res.optimizer.to_vector())) < 1e-7
+        assert np.max(np.abs(res.optimizer.rows)) < 1e-7
 
     def test_alm_recovers_risk_neutral_direction(self):
         p = binomial_alm()
@@ -380,7 +380,7 @@ class TestOrthocomplementBound:
         # basis of the subspace: stage-0 component (1, -p0/p1), stage 1 zero
         base = np.array([1.0, -0.4 / 0.6])
         best = np.inf
-        yv = [y.leaf_vector(leaf) for leaf in range(2)]
+        yv = [y.rows[leaf] for leaf in range(2)]
         for z in np.arange(-10, 10.0001, 0.001):
             total = 0.0
             for leaf, prob in enumerate((0.4, 0.6)):
@@ -393,7 +393,7 @@ class TestOrthocomplementBound:
         p = bolza_problem_deterministic()
         y = StochasticProcess.from_stage_values(p.tree, [[[0.3]], [[-0.2]]])
         bound = dual_via_orthocomplement(p, y)
-        expected = p.integrand.conjugate_value(0, np.zeros(2), y.leaf_vector(0))
+        expected = p.integrand.conjugate_value(0, np.zeros(2), y.rows[0])
         assert bound.value == pytest.approx(expected, abs=1e-10)
 
 
@@ -582,7 +582,7 @@ class TestCertifiedBound:
         p = Problem(tree, GenericIntegrand(tree, [1, 0], [0, 1], [joint]))
         y = StochasticProcess.from_stage_values(tree, [np.zeros((2, 0)), [[0.5], [-2.0]]])
         dob = dual_objective(p, y)
-        v = solver._stationary_v(p, y.leaf_rows(), dob)
+        v = solver._stationary_v(p, y.rows, dob)
         monkeypatch.setattr(solver, "_stationary_v", lambda *a: v)
         solves = bound_solves(monkeypatch)
         assert dual_via_orthocomplement(p, y, objective=dob).value == \

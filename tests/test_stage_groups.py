@@ -301,7 +301,7 @@ def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
     for scale in (0.02, 3.0):
         v = StochasticProcess(p.tree, tuple(scale * a for a in
                                             random_process(rng, p.tree, p.n_dims).values))
-        assert same_bits(_bolza_conjugate_sum(p, yvecs, conjugates, v.leaf_rows()),
+        assert same_bits(_bolza_conjugate_sum(p, yvecs, conjugates, v.rows),
                          conjugate_sum_per_leaf(p, y, v))
 
 

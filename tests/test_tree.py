@@ -88,6 +88,22 @@ class TestBuildTree:
         with pytest.raises(TreeError, match="strictly positive"):
             build_tree([1.0, 0.0], [[[0, 1]], [[0], [1]]])
 
+    @pytest.mark.parametrize("index", [1.9, True, np.True_, float("nan"), "1", None])
+    def test_non_integral_leaf_index_rejected(self, index):
+        with pytest.raises(TreeError, match="leaf indices") as err:
+            build_tree(["1/2", "1/2"], [[[0, index]], [[0], [1]]])
+        assert "probabilit" not in str(err.value)
+
+    def test_integral_leaf_indices_accepted(self):
+        t = build_tree(["1/2", "1/2"], [[[0, 1.0]], [[np.int64(0)], [1]]])
+        assert t.partitions == (((0, 1),), ((0,), (1,)))
+
+    def test_trees_and_processes_compare_by_identity(self):
+        t = two_leaf()
+        p = StochasticProcess.zeros(t, (1, 1))
+        assert t == t and t != two_leaf() and p == p and p != StochasticProcess.zeros(t, (1, 1))
+        assert len({t, two_leaf(), p}) == 3
+
 
 class TestConditionalExpectation:
     def test_mean_at_root(self):
