@@ -53,7 +53,6 @@ from .integrand import (
     GenericIntegrand,
     KabanovStage,
     ParametricIntegrand,
-    assemble_bolza,
 )
 from .solver import (
     DualObjective,
@@ -76,10 +75,8 @@ from .models import (
     build_kabanov,
 )
 from .duality import (
-    MartingaleDensityCone,
     alm_dual_value,
     bolza_dual_value,
-    check_domain_condition,
     check_martingale_density,
 )
 from .optimality import (

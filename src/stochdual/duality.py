@@ -1,10 +1,7 @@
-"""Model-specific dual representations and the domain-condition checker.
+"""Model-specific dual representations.
 
 The hedging dual runs over positive multiples of martingale densities; the
-dynamic dual runs over adapted processes through stage conjugates; the
-domain checker replaces an algebraic-closure hypothesis by a polyhedral
-containment plus strict-interior surrogate with an explicit inconclusive
-verdict (the exact condition is not computable for general convex sets).
+dynamic dual runs over adapted processes through stage conjugates.
 """
 
 from __future__ import annotations
@@ -13,15 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import NoClosedFormError, Polyhedron, domain_polyhedron
-from .integrand import (
-    AlmIntegrand,
-    BolzaIntegrand,
-    ConstrainedIntegrand,
-    MINUS_INF,
-)
-from .simplex import solve_lp
-from .solver import Problem, _stack_rows
+from .integrand import AlmIntegrand, BolzaIntegrand
+from .solver import Problem
 from .tree import (
     NotAdaptedError,
     StochasticProcess,
@@ -32,13 +22,9 @@ from .tree import (
 
 __all__ = [
     "MartingaleReport",
-    "MartingaleDensityCone",
     "check_martingale_density",
     "alm_dual_value",
     "bolza_dual_value",
-    "DomainConditionReport",
-    "check_domain_condition",
-    "polyhedral_domain_verdict",
 ]
 
 INF = float("inf")
@@ -55,6 +41,7 @@ class MartingaleReport:
     max_residual: float
     negativity: float
     is_zero: bool
+    tol: float  # what max_residual was judged against
 
     def __bool__(self):
         return self.ok
@@ -76,8 +63,10 @@ def check_martingale_density(y, s: StochasticProcess, tol: float = 1e-8) -> Mart
     """Is y a positive multiple of a martingale density for the price s?
 
     Requires y >= -tol, y not identically zero, and blockwise
-    E_t(y ds_{t+1}) = 0 within tol for every t < T.  NaN values propagate
-    into the residuals, so they fail.
+    E_t(y ds_{t+1}) = 0 for every t < T.  The means are sums of the
+    products y ds, so they are judged at the products' size: within tol *
+    max(1, max |y ds|), the report's ``tol``.  NaN values propagate into
+    the residuals, so they fail.
     """
     vals = _density_values(y)
     tree = s.tree
@@ -85,31 +74,17 @@ def check_martingale_density(y, s: StochasticProcess, tol: float = 1e-8) -> Mart
         raise ValueError("density values must be leaf-indexed")
     negativity = float(np.max(-vals, initial=0.0))
     is_zero = float(np.max(np.abs(vals), initial=0.0)) <= tol
+    # column block t: y ds_{t+1}, the price's stages all d wide
+    d, width = s.dims[0], s.rows.shape[1]
+    terms = vals[:, None] * (s.rows[:, d:] - s.rows[:, :width - d])
     worst = 0.0
     for t in range(tree.horizon):
-        mean = tree.conditional_mean(vals[:, None] * (s.stage(t + 1) - s.stage(t)), t)
+        mean = tree.conditional_mean(terms[:, t * d:(t + 1) * d], t)
         worst = float(np.max(np.abs(mean), initial=worst))
-    ok = (negativity <= tol) and (worst <= tol) and not is_zero
-    return MartingaleReport(ok, worst, negativity, is_zero)
-
-
-@dataclass(frozen=True)
-class MartingaleDensityCone:
-    """Positive multiples of martingale densities for a fixed price process.
-
-    Membership is positively homogeneous: y in the cone implies lam * y in
-    the cone for every lam > 0 (blockwise means scale linearly and the
-    sign and nonzero tests are scale-free above the tolerance).
-    """
-
-    price: StochasticProcess
-    tol: float = 1e-8
-
-    def contains(self, y) -> MartingaleReport:
-        return check_martingale_density(y, self.price, self.tol)
-
-    def __contains__(self, y) -> bool:
-        return self.contains(y).ok
+    size = float(np.abs(terms).max(initial=0.0))
+    mean_tol = tol * max(1.0, size) if np.isfinite(size) else tol
+    ok = (negativity <= tol) and (worst <= mean_tol) and not is_zero
+    return MartingaleReport(ok, worst, negativity, is_zero, mean_tol)
 
 
 def alm_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess,
@@ -153,159 +128,3 @@ def bolza_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess) -> 
             total -= weight * term
     return total
 
-
-# ---------------------------------------------------------------------------
-# domain-condition checker
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DomainConditionReport:
-    verdict: str  # verified | violated | inconclusive
-    detail: str = ""
-    # the surrogate never resolves whether algebraic closure could be
-    # replaced by topological closure in general; it only certifies the
-    # polyhedral instances it can see
-    rows_checked: int = 0
-
-    def __bool__(self):
-        return self.verdict == "verified"
-
-
-def _polyhedron_contains(outer: Polyhedron, inner: Polyhedron, tol=1e-7):
-    """Does inner sit inside outer?  Checked row by row via support LPs."""
-    rows = 0
-    for a, b in zip(outer.a_ub, outer.b_ub):
-        rows += 1
-        res = solve_lp(-a, inner.a_ub, inner.b_ub, inner.a_eq, inner.b_eq)
-        if res.status == "infeasible":
-            return True, rows  # empty inner set is contained in anything
-        if res.status == "unbounded" or -res.value > b + tol:
-            return False, rows
-    for a, b in zip(outer.a_eq, outer.b_eq):
-        for sign in (1.0, -1.0):
-            rows += 1
-            res = solve_lp(-sign * a, inner.a_ub, inner.b_ub, inner.a_eq, inner.b_eq)
-            if res.status == "infeasible":
-                return True, rows
-            if res.status == "unbounded" or -res.value > sign * b + tol:
-                return False, rows
-    return True, rows
-
-
-def _has_slack_point(P: Polyhedron, eps=1e-9) -> bool:
-    """Relative-interior surrogate: a point with uniform slack on the
-    inequality rows (equalities held exactly)."""
-    if P.a_ub.shape[0] == 0 and P.a_eq.shape[0] == 0:
-        return True
-    n = P.dim
-    # maximize t subject to Az + t*1 <= b, t <= 1, equalities exact
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    top = np.hstack([P.a_ub, np.ones((P.a_ub.shape[0], 1))])
-    cap = np.hstack([np.zeros((1, n)), [[1.0]]])
-    a_ub = np.vstack([top, cap])
-    b_ub = np.concatenate([P.b_ub, [1.0]])
-    a_eq = np.hstack([P.a_eq, np.zeros((P.a_eq.shape[0], 1))]) if P.a_eq.shape[0] else None
-    b_eq = P.b_eq if P.a_eq.shape[0] else None
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    return res.status == "optimal" and -res.value > eps
-
-
-def polyhedral_domain_verdict(dom_l: Polyhedron | None,
-                              dom1: Polyhedron | None) -> DomainConditionReport:
-    """Surrogate for 'dom of the Lagrangian sits in the closure of the
-    effective primal domain': polyhedral containment + slack point."""
-    if dom_l is None or dom1 is None:
-        return DomainConditionReport("inconclusive", "non-polyhedral domain")
-    contained, rows = _polyhedron_contains(dom1, dom_l)
-    if not contained:
-        return DomainConditionReport(
-            "violated", "Lagrangian domain escapes the primal domain", rows)
-    if not _has_slack_point(dom1):
-        return DomainConditionReport(
-            "inconclusive", "no uniform-slack point in the primal domain", rows)
-    return DomainConditionReport("verified", "", rows)
-
-
-def _x_domain_rows(p: Problem, leaf: int) -> Polyhedron | None:
-    """Outer rows of {x : f(x, u) finite for some u}, exact when the
-    parameter block can absorb every coupled row."""
-    f = p.integrand
-    if isinstance(f, AlmIntegrand):
-        return Polyhedron(a_ub=np.zeros((0, f.n_total)), b_ub=np.zeros(0), validate=False)
-    if isinstance(f, ConstrainedIntegrand):
-        dom = domain_polyhedron(f.objectives[leaf])
-        if dom is None:
-            return None
-        rows = [dom]
-        for fj in f.constraints[leaf]:
-            sub = domain_polyhedron(fj)
-            if sub is None:
-                return None
-            rows.append(sub)
-        a = np.vstack([r.a_ub for r in rows])
-        b = np.concatenate([r.b_ub for r in rows])
-        ae = np.vstack([r.a_eq for r in rows])
-        be = np.concatenate([r.b_eq for r in rows])
-        return Polyhedron(a_ub=a, b_ub=b, a_eq=ae, b_eq=be, validate=False)
-    try:
-        joint = f.joint_function(leaf)
-    except NoClosedFormError:
-        return None
-    dom = domain_polyhedron(joint)
-    if dom is None:
-        return None
-    n = f.n_total
-    return _project_rows(dom, n)
-
-
-def _project_rows(dom: Polyhedron, n: int) -> Polyhedron | None:
-    """Project {(x,u) : rows} onto x by dropping u-coupled rows; exact only
-    when the coupled block admits a strict recession direction in u."""
-
-    def split(mat, rhs):
-        if mat.shape[0] == 0:
-            return mat[:, :n], rhs, np.zeros((0, mat.shape[1] - n))
-        coupled = np.any(np.abs(mat[:, n:]) > 0, axis=1)
-        return mat[~coupled, :n], rhs[~coupled], mat[coupled, n:]
-
-    ax, bx, coupled_u = split(dom.a_ub, dom.b_ub)
-    aex, bex, coupled_eq = split(dom.a_eq, dom.b_eq)
-    if coupled_eq.shape[0]:
-        return None  # equality coupling cannot be absorbed in general
-    if coupled_u.shape[0]:
-        m = coupled_u.shape[1]
-        res = solve_lp(np.zeros(m), a_ub=np.vstack([coupled_u]),
-                       b_ub=-np.ones(coupled_u.shape[0]))
-        if res.status != "optimal":
-            return None
-    return Polyhedron(a_ub=ax, b_ub=bx, a_eq=aex, b_eq=bex, validate=False)
-
-
-def check_domain_condition(p: Problem, y: StochasticProcess) -> DomainConditionReport:
-    """Best-effort domain check for the dual representation, in the block
-    coordinates of the adapted decision space."""
-    layout = p.layout
-    l_ub, l_eq, d_ub, d_eq = [], [], [], []  # (leaf columns, rows, rhs) blocks
-    try:
-        l_fns = p.integrand.lagrangian_functions_of_x(y.rows)
-    except NoClosedFormError:
-        return DomainConditionReport("inconclusive", "no closed-form Lagrangian")
-    for leaf, l_fn in enumerate(l_fns):
-        if l_fn is MINUS_INF:
-            continue  # empty effective domain contributes nothing
-        dom_l = domain_polyhedron(l_fn)
-        dom_1 = _x_domain_rows(p, leaf)
-        if dom_l is None or dom_1 is None:
-            return DomainConditionReport("inconclusive", "non-polyhedral domain")
-        cols = layout.columns[leaf]
-        l_ub.append((cols, dom_l.a_ub, dom_l.b_ub))
-        l_eq.append((cols, dom_l.a_eq, dom_l.b_eq))
-        d_ub.append((cols, dom_1.a_ub, dom_1.b_ub))
-        d_eq.append((cols, dom_1.a_eq, dom_1.b_eq))
-
-    w = layout.width
-    dl = Polyhedron(*_stack_rows(l_ub, w), *_stack_rows(l_eq, w), validate=False)
-    d1 = Polyhedron(*_stack_rows(d_ub, w), *_stack_rows(d_eq, w), validate=False)
-    return polyhedral_domain_verdict(dl, d1)

@@ -6,10 +6,16 @@ derive, in closed form per leaf:
 
   * the Lagrangian  l(x, y) = inf_u { f(x, u) - u.y }  (partial conjugate
     in the parameter),
-  * its lower closed variant  sup_v { x.v - f*(v, y) },
   * the pointwise conjugate  f*(v, y),
   * for dynamic (Bolza) structure, stage Hamiltonians
-    H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t }.
+    H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t }, their lower closed
+    hulls and the stage conjugates K_t*, from which the solver builds a
+    dynamic problem's objects node by node.
+
+The lower closed variant of the Lagrangian, sup_v { x.v - f*(v, y) }, is
+built by the solver (stage by stage on dynamic problems); its per-leaf
+form, and a dynamic integrand's per-leaf joint function, Lagrangian and
+conjugate, are reference implementations in the tests' helpers.
 
 Values live on the extended real line.  When the infimum defining l runs
 to -inf for every u-slackening, a sentinel is returned; if additionally
@@ -51,7 +57,6 @@ __all__ = [
     "BolzaIntegrand",
     "BolzaStage",
     "KabanovStage",
-    "assemble_bolza",
     "partial_infimum",
 ]
 
@@ -268,14 +273,6 @@ class ParametricIntegrand:
         fn = self.lagrangian_function_of_x(leaf, y)
         if fn is MINUS_INF:
             return INF if self._parameter_slice_infeasible(leaf, x) else -INF
-        return fn.value(x)
-
-    def lower_lagrangian(self, leaf: int, x, y) -> float:
-        """Biconjugate of l(., y) at x: equals l when l(., y) is closed
-        proper, and -inf when f*(., y) is identically +inf."""
-        fn = self.lagrangian_function_of_x(leaf, y)
-        if fn is MINUS_INF:
-            return -INF
         return fn.value(x)
 
     def conjugate_value(self, leaf: int, v, y) -> float:
@@ -755,9 +752,11 @@ class KabanovStage(BolzaStage):
 class BolzaIntegrand(ParametricIntegrand):
     """f(x, u) = sum_t K_t(x_t, dx_t + u_t), dx_t = x_t - x_{t-1}, x_{-1} = 0.
 
-    Stage costs are given per stage-t information block (measurability);
-    the dual convention y_{T+1} = 0 aligns the two summation-by-parts forms
-    of the Lagrangian.
+    Stage costs are given one per stage-t information block, so each is
+    measurable by construction; the dual convention y_{T+1} = 0 aligns the
+    two summation-by-parts forms of the Lagrangian.  The solver compiles
+    the integrand node by node from its stage costs, so it has no per-leaf
+    joint function.
     """
 
     tag = "bolza"
@@ -776,23 +775,6 @@ class BolzaIntegrand(ParametricIntegrand):
         super().__init__(tree, [d] * tree.stage_count, [d] * tree.stage_count)
         self.stages = stages
         self.d = d
-
-    @staticmethod
-    def from_leaf_functions(tree, per_leaf):
-        """Build from per-leaf stage lists, enforcing blockwise constancy."""
-        stage_lists = []
-        for t in range(tree.stage_count):
-            blocks = []
-            for block in tree.blocks(t):
-                first = per_leaf[t][block[0]]
-                for leaf in block[1:]:
-                    if per_leaf[t][leaf] is not first:
-                        raise ValueError(
-                            f"stage-{t} cost varies inside an information block"
-                        )
-                blocks.append(first)
-            stage_lists.append(blocks)
-        return BolzaIntegrand(tree, stage_lists)
 
     def stage_cost(self, leaf: int, t: int) -> BolzaStage:
         return self.stages[t][self.tree.block_of(t, leaf)]
@@ -844,25 +826,6 @@ class BolzaIntegrand(ParametricIntegrand):
             total += v
         return total
 
-    def joint_function(self, leaf):
-        T1 = self.tree.stage_count
-        d = self.d
-        width = self.n_total + self.m_total
-        pieces = []
-        for t in range(T1):
-            M = np.zeros((2 * d, width))
-            M[:d, self.x_slices[t]] = np.eye(d)
-            M[d:, self.x_slices[t]] = np.eye(d)
-            if t > 0:
-                M[d:, self.x_slices[t - 1]] = -np.eye(d)
-            M[d:, self.n_total + self.u_slices[t].start:
-              self.n_total + self.u_slices[t].stop] = np.eye(d)
-            pieces.append(AffinePrecomposition(self.stage_cost(leaf, t).fn, M))
-        return FiniteSum(pieces)
-
-    def hamiltonian(self, leaf, t, x_t, y_t) -> float:
-        return self.stage_cost(leaf, t).hamiltonian(x_t, y_t)
-
     def lagrangian(self, leaf, x, y) -> float:
         states = self._states(x)
         ys, _ = self._dual_increments(y)
@@ -882,48 +845,6 @@ class BolzaIntegrand(ParametricIntegrand):
             total += h + float((states[t] - prev) @ ys[t])
         return -INF if minus else total
 
-    def lagrangian_function_of_x(self, leaf, y):
-        ys, _ = self._dual_increments(y)
-        T1 = self.tree.stage_count
-        pieces = []
-        coeff = np.zeros(self.n_total)
-        for t in range(T1):
-            stage = self.stage_cost(leaf, t)
-            h_fn = stage.hamiltonian_function_of_x(ys[t])
-            if h_fn is MINUS_INF:
-                return MINUS_INF
-            M = np.zeros((h_fn.dim, self.n_total))
-            M[:, self.x_slices[t]] = np.eye(self.d)
-            pieces.append(AffinePrecomposition(h_fn, M))
-            nxt = ys[t + 1] if t + 1 < T1 else np.zeros(self.d)
-            coeff[self.x_slices[t]] += ys[t] - nxt
-        pieces.append(Affine(coeff, 0.0))
-        return FiniteSum(pieces)
-
-    def lower_lagrangian(self, leaf, x, y) -> float:
-        # a stage whose shifted conjugate is identically +inf empties the
-        # supremum for the whole leaf, so -inf dominates here
-        states = self._states(x)
-        ys, dys = self._dual_increments(y)
-        total = 0.0
-        minus = plus = False
-        for t in range(self.tree.stage_count):
-            stage = self.stage_cost(leaf, t)
-            hb = stage.hbar_function_of_x(ys[t])
-            if hb is MINUS_INF:
-                minus = True
-                continue
-            v = hb.value(states[t])
-            if v == INF:
-                plus = True
-                continue
-            total += v - float(states[t] @ dys[t])
-        if minus:
-            return -INF
-        if plus:
-            return INF
-        return total
-
     def conjugate_value(self, leaf, v, y) -> float:
         v = np.asarray(v, dtype=float).ravel()
         ys, dys = self._dual_increments(y)
@@ -936,16 +857,3 @@ class BolzaIntegrand(ParametricIntegrand):
                 return INF
             total += term
         return total
-
-    def conjugate_function_of_v(self, leaf, y):
-        ys, dys = self._dual_increments(y)
-        parts = []
-        for t in range(self.tree.stage_count):
-            fn_a = self.stage_cost(leaf, t).conjugate_function_of_a(ys[t])
-            parts.append(AffinePrecomposition(fn_a, np.eye(self.d), dys[t]))
-        return SeparableSum(parts)
-
-
-def assemble_bolza(tree: ScenarioTree, stages) -> BolzaIntegrand:
-    """Build the dynamic integrand from per-stage, per-block stage costs."""
-    return BolzaIntegrand(tree, stages)

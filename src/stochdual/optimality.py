@@ -195,7 +195,8 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     computed once, and V and V* are evaluated once per group of leaves that
     share one V.  The annihilator element v = -y ds has blockwise means
     that are exactly the negated means of the martingale test, so its row
-    is that test's worst residual."""
+    is that test's worst residual.  Both rows are judged at that test's
+    tolerance, tol times the size of the products y ds."""
     f = p.integrand
     if not isinstance(f, AlmIntegrand):
         raise TypeError("check_alm needs a hedging-model problem")
@@ -209,7 +210,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     # judge, as y_l in dV_l lies in dom V_l*, which is y >= 0 exactly when
     # V_l is nondecreasing
     report = check_martingale_density(vals, f.price, tol)
-    cert.add("martingale-density", report.max_residual)
+    cert.add("martingale-density", report.max_residual, report.tol)
     xs, us = x.rows, u.rows
     wealth = us[:, -1] - (xs[:, None, :] @ f.gain_rows[:, :, None])[:, 0, 0]
     res = np.empty(p.tree.n_leaves)
@@ -221,7 +222,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
         cert.add("disutility-subgradient", max(r, 0.0), leaf=leaf)
     # v_t = -y ds_{t+1} must have zero conditional means
     cert.v = StochasticProcess.from_leaf_rows(p.tree, p.n_dims, -vals[:, None] * f.gain_rows)
-    cert.add("annihilator", report.max_residual)
+    cert.add("annihilator", report.max_residual, report.tol)
     return cert.finalize()
 
 

@@ -258,18 +258,6 @@ class AdaptedLayout:
 # ---------------------------------------------------------------------------
 
 
-def _stack_rows(blocks, width: int):
-    """Stack (cols, rows, rhs) blocks into one (matrix, rhs) pair of width
-    ``width``, scattering each block's columns to ``cols``."""
-    mat = np.zeros((sum(rows.shape[0] for _, rows, _ in blocks), width))
-    at = 0
-    for cols, rows, _ in blocks:
-        mat[at:at + rows.shape[0], cols] = rows
-        at += rows.shape[0]
-    rhs = np.concatenate([r for _, _, r in blocks]) if blocks else np.zeros(0)
-    return mat, rhs
-
-
 @dataclass
 class _Term:
     weight: float

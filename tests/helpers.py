@@ -25,6 +25,7 @@ from stochdual.convex import (
     indicator_nonneg,
     indicator_nonpos,
 )
+from stochdual.integrand import MINUS_INF, BolzaIntegrand
 from stochdual.tree import ScenarioTree, StochasticProcess, build_tree
 
 
@@ -261,7 +262,7 @@ def two_leaf_tree(p=(0.5, 0.5)):
 def random_catalog_problem(rng):
     """Random solvable instance from the quadratic families: tracking-type,
     hedging with a random adapted price, or dynamic quadratic stage costs."""
-    from stochdual.integrand import AlmIntegrand, BolzaIntegrand, BolzaStage
+    from stochdual.integrand import AlmIntegrand, BolzaStage
     from stochdual.solver import Problem
     from stochdual.tree import adapted_projection
 
@@ -279,8 +280,6 @@ def random_catalog_problem(rng):
              for _ in tree.blocks(t)]
             for t in range(tree.stage_count)
         ]
-        from stochdual.integrand import BolzaIntegrand
-        from stochdual.solver import Problem
         return Problem(tree, BolzaIntegrand(tree, stages))
     if roll == 0:
         n_dims = [0] * tree.stage_count
@@ -593,10 +592,95 @@ def grouped_process(rng, tree, dims, splits=1):
     return StochasticProcess(tree, tuple(arrays))
 
 
+def joint_function(f, leaf):
+    """(x, u) -> f(x, u) at ``leaf`` as one catalog function.  For a Bolza
+    integrand, sum_t K_t(x_t, x_t - x_{t-1} + u_t) built from the leaf's
+    stage costs; any other integrand gives its own."""
+    if not isinstance(f, BolzaIntegrand):
+        return f.joint_function(leaf)
+    d, width = f.d, f.n_total + f.m_total
+    pieces = []
+    for t in range(f.tree.stage_count):
+        M = np.zeros((2 * d, width))
+        M[:d, f.x_slices[t]] = np.eye(d)
+        M[d:, f.x_slices[t]] = np.eye(d)
+        if t > 0:
+            M[d:, f.x_slices[t - 1]] = -np.eye(d)
+        M[d:, f.n_total + f.u_slices[t].start:f.n_total + f.u_slices[t].stop] = np.eye(d)
+        pieces.append(AffinePrecomposition(f.stage_cost(leaf, t).fn, M))
+    return FiniteSum(pieces)
+
+
+def lagrangian_function_of_x(f, leaf, y):
+    """x -> l(x, y) at ``leaf``, or the MINUS_INF sentinel.  For a Bolza
+    integrand, sum_t H_t(x_t, y_t) + (y_t - y_{t+1}).x_t with y_{T+1} = 0,
+    MINUS_INF when some H_t(., y_t) is; any other integrand gives its
+    own."""
+    if not isinstance(f, BolzaIntegrand):
+        return f.lagrangian_function_of_x(leaf, y)
+    ys, _ = f._dual_increments(y)
+    T1 = f.tree.stage_count
+    pieces, coeff = [], np.zeros(f.n_total)
+    for t in range(T1):
+        h_fn = f.stage_cost(leaf, t).hamiltonian_function_of_x(ys[t])
+        if h_fn is MINUS_INF:
+            return MINUS_INF
+        M = np.zeros((h_fn.dim, f.n_total))
+        M[:, f.x_slices[t]] = np.eye(f.d)
+        pieces.append(AffinePrecomposition(h_fn, M))
+        nxt = ys[t + 1] if t + 1 < T1 else np.zeros(f.d)
+        coeff[f.x_slices[t]] += ys[t] - nxt
+    pieces.append(Affine(coeff, 0.0))
+    return FiniteSum(pieces)
+
+
+def lower_lagrangian(f, leaf, x, y):
+    """The lower variant sup_v { x.v - f*(v, y) } at ``leaf``: l(x, y) where
+    l(., y) is closed proper, -inf where f*(., y) is identically +inf.  For
+    a Bolza integrand, stage by stage through the lsc hulls of the
+    Hamiltonians, minus sum_t x_t.dy_{t+1}; a stage whose shifted conjugate
+    is identically +inf empties the supremum for the whole leaf, so -inf
+    dominates a +inf from another stage."""
+    if not isinstance(f, BolzaIntegrand):
+        fn = lagrangian_function_of_x(f, leaf, y)
+        return -np.inf if fn is MINUS_INF else fn.value(x)
+    states = f._states(x)
+    ys, dys = f._dual_increments(y)
+    total = 0.0
+    minus = plus = False
+    for t in range(f.tree.stage_count):
+        hb = f.stage_cost(leaf, t).hbar_function_of_x(ys[t])
+        if hb is MINUS_INF:
+            minus = True
+            continue
+        v = hb.value(states[t])
+        if v == np.inf:
+            plus = True
+            continue
+        total += v - float(states[t] @ dys[t])
+    if minus:
+        return -np.inf
+    if plus:
+        return np.inf
+    return total
+
+
+def conjugate_function_of_v(f, leaf, y):
+    """v -> f*(v, y) at ``leaf``.  For a Bolza integrand, the separable sum
+    over t of K_t*(v_t + dy_{t+1}, y_t); any other integrand gives its
+    own."""
+    if not isinstance(f, BolzaIntegrand):
+        return f.conjugate_function_of_v(leaf, y)
+    ys, dys = f._dual_increments(y)
+    return SeparableSum([
+        AffinePrecomposition(f.stage_cost(leaf, t).conjugate_function_of_a(ys[t]),
+                             np.eye(f.d), dys[t])
+        for t in range(f.tree.stage_count)])
+
+
 def per_leaf_objective(p, functions):
     """sum_l p_l fn_l(w[columns_l]) over the adapted layout, one term per
     leaf; None when some leaf function is the MINUS_INF sentinel."""
-    from stochdual.integrand import MINUS_INF
     from stochdual.solver import CompiledObjective, _Term
 
     if any(fn is MINUS_INF for fn in functions):
@@ -610,14 +694,14 @@ def per_leaf_primal(p, u):
     """E f(x, u), leaf by leaf: each leaf's joint function with u frozen."""
     f, rows = p.integrand, u.rows
     u_idx = np.arange(f.n_total, f.n_total + f.m_total)
-    return per_leaf_objective(p, [f.joint_function(leaf).fix(u_idx, rows[leaf])
+    return per_leaf_objective(p, [joint_function(f, leaf).fix(u_idx, rows[leaf])
                                   for leaf in range(p.tree.n_leaves)])
 
 
 def per_leaf_lagrangian(p, y):
     """E l(x, y), leaf by leaf."""
     rows = y.rows
-    return per_leaf_objective(p, [p.integrand.lagrangian_function_of_x(leaf, rows[leaf])
+    return per_leaf_objective(p, [lagrangian_function_of_x(p.integrand, leaf, rows[leaf])
                                   for leaf in range(p.tree.n_leaves)])
 
 
@@ -625,7 +709,7 @@ def per_leaf_lower_value(p, y, x):
     """-E lower-l(x, y), leaf by leaf: +inf when some leaf's lower-l is
     -inf, None when none is and some is +inf."""
     xs, ys = x.rows, y.rows
-    vals = [p.integrand.lower_lagrangian(leaf, xs[leaf], ys[leaf])
+    vals = [lower_lagrangian(p.integrand, leaf, xs[leaf], ys[leaf])
             for leaf in range(p.tree.n_leaves)]
     if -np.inf in vals:
         return np.inf
@@ -640,14 +724,14 @@ def per_leaf_lower_value(p, y, x):
 def per_leaf_conjugates(p, y):
     """v -> f*(v, y) for every leaf."""
     rows = y.rows
-    return [p.integrand.conjugate_function_of_v(leaf, rows[leaf])
+    return [conjugate_function_of_v(p.integrand, leaf, rows[leaf])
             for leaf in range(p.tree.n_leaves)]
 
 
 def per_leaf_conjugate_values(p, ys, vs):
     """f*(v_l, y_l) of every leaf l at rows l of ``vs`` and ``ys``, each
     from the leaf's own conjugate function of v."""
-    return np.array([p.integrand.conjugate_function_of_v(leaf, y).value(v)
+    return np.array([conjugate_function_of_v(p.integrand, leaf, y).value(v)
                      for leaf, (v, y) in enumerate(zip(vs, ys))])
 
 
@@ -787,8 +871,6 @@ def precomposition_lagrangian_per_leaf(fn, nx, y):
     """inf over w of g(M_x x + M_w w + m) - w.y for one g(M (x, w) + m)
     with a square parameter block M_w: one solve and one scalar conjugate
     value, the per-leaf rule that the stacked pass replaced."""
-    from stochdual.integrand import MINUS_INF
-
     M_x, M_w = fn.matrix[:, :nx], fn.matrix[:, nx:]
     eta = np.linalg.solve(M_w.T, np.asarray(y, dtype=float))
     star = fn.inner.conjugate().value(eta)
@@ -813,7 +895,7 @@ def check_alm_per_leaf(p, x, u, y, tol=1e-6):
         cert.reason = "zero dual: the density cone excludes it"
         return cert
     report = check_martingale_density(vals, f.price, tol)
-    cert.add("martingale-density", report.max_residual)
+    cert.add("martingale-density", report.max_residual, report.tol)
     xs, us = x.rows, u.rows
     for leaf in range(p.tree.n_leaves):
         wealth = us[leaf][-1] - float(xs[leaf] @ f.gain_rows[leaf])
@@ -823,7 +905,7 @@ def check_alm_per_leaf(p, x, u, y, tol=1e-6):
               for t in range(p.tree.horizon)]
     arrays.append(np.zeros((p.tree.n_leaves, 0)))
     cert.v = StochasticProcess(p.tree, tuple(arrays))
-    cert.add("annihilator", in_orthocomplement(cert.v, tol).max_residual)
+    cert.add("annihilator", in_orthocomplement(cert.v, tol).max_residual, report.tol)
     return cert.finalize()
 
 

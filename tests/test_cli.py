@@ -584,6 +584,26 @@ class TestHonestExitCodes:
         lagrangian = solve_dual(problem, params["u"]).objective.lagrangian
         q = lagrangian.qp_data()[1]
         assert np.max(np.abs(q)) > 1e-8 and lagrangian.q_scale > 1e6
+        # the martingale test's block means are rounding of products y ds
+        # near 1e7, judged at that size: y is a density, and it has a value
+        dual = report["dual_representation"]
+        assert dual["martingale_density"]["ok"]
+        assert dual["density_dual_value"] is not None
+
+    def test_martingale_rows_are_judged_at_the_scale_of_y_ds(self, tmp_path):
+        # 64 leaves, liabilities near 3e9: y ds reaches about 1e9, and its
+        # block means are rounding near 1.6e-6, above the absolute
+        # tolerance 1e-6; judged at the size of y ds, the martingale and
+        # annihilator rows of check_alm pass, and so does the report
+        liability = 1e9 * np.random.default_rng(0).uniform(2.5, 3.5, 64)
+        code, report = run(["report", hedging_file(tmp_path, 6, liability)])
+        assert (code, report["dual"]["status"], report["certificate"]["verdict"]) == (0, "optimal", "pass")
+        dual = report["dual_representation"]
+        assert dual["martingale_density"]["ok"] and dual["density_dual_value"] is not None
+        rows = [r for r in report["certificate"]["rows"]
+                if r["condition"] in ("martingale-density", "annihilator")]
+        assert len(rows) == 2 and all(r["ok"] for r in rows)
+        assert dual["martingale_density"]["residual"] > report["certificate"]["tolerance"]
 
     @pytest.mark.parametrize("fn", [
         SUPPORT_ABS, {"kind": "sum", "terms": [SUPPORT_ABS, {"kind": "quadratic", "weights": [0.5]}]}],

@@ -23,7 +23,6 @@ from stochdual.integrand import (
     ConstrainedIntegrand,
     GenericIntegrand,
     KabanovStage,
-    assemble_bolza,
     _affine_slices,
     partial_infimum,
 )
@@ -34,10 +33,11 @@ from helpers import (
     HEDGING_DISUTILITIES,
     binary_hedging,
     binary_prices,
+    joint_function,
+    lower_lagrangian,
     per_leaf_conjugate_values,
     precomposition_lagrangian_per_leaf,
     same_bits,
-    two_leaf_tree,
 )
 
 INF = float("inf")
@@ -162,11 +162,11 @@ class TestInfinityPrecedence:
         f = BolzaIntegrand(tree, [[stage_quad], [stage_affine]])
         x = np.array([0.3, -0.2])
         # y_1 != 1 empties stage 1's conjugate in its first argument slice
-        val = f.lower_lagrangian(0, x, np.array([0.0, 0.3]))
+        val = lower_lagrangian(f, 0, x, np.array([0.0, 0.3]))
         assert val == -INF
         # on the dual domain the two variants coincide
         y_ok = np.array([0.2, 1.0])
-        assert f.lower_lagrangian(0, x, y_ok) == pytest.approx(
+        assert lower_lagrangian(f, 0, x, y_ok) == pytest.approx(
             f.lagrangian(0, x, y_ok), abs=1e-9)
 
 
@@ -177,13 +177,13 @@ class TestLowerLagrangian:
         for _ in range(100):
             x = rng.uniform(-3, 3, 1)
             y = rng.uniform(-3, 3, 1)
-            assert f.lower_lagrangian(0, x, y) == pytest.approx(
+            assert lower_lagrangian(f, 0, x, y) == pytest.approx(
                 f.lagrangian(0, x, y), abs=1e-8
             )
 
     def test_alm_value(self):
         f = single_leaf_alm()
-        assert f.lower_lagrangian(0, [1.0], [1.0]) == pytest.approx(-1.5)
+        assert lower_lagrangian(f, 0, [1.0], [1.0]) == pytest.approx(-1.5)
 
     def test_empty_dual_domain_gives_minus_inf(self):
         # f(x, u) = x^2 + |u|: conjugate in u is an interval indicator, so
@@ -191,7 +191,7 @@ class TestLowerLagrangian:
         tree = build_single(1)
         joint = SeparableSum([Quadratic([1.0]), absolute_value()])
         f = GenericIntegrand(tree, [1], [1], [joint])
-        assert f.lower_lagrangian(0, [0.5], [2.0]) == -INF
+        assert lower_lagrangian(f, 0, [0.5], [2.0]) == -INF
         assert f.lagrangian(0, [0.5], [2.0]) == -INF
 
     def test_dual_grid_supremum_oracle(self):
@@ -203,7 +203,7 @@ class TestLowerLagrangian:
             fv = f.conjugate_value(0, [v], y)
             if fv < INF:
                 best = max(best, v * x[0] - fv)
-        assert f.lower_lagrangian(0, x, y) == pytest.approx(best, abs=1e-3)
+        assert lower_lagrangian(f, 0, x, y) == pytest.approx(best, abs=1e-3)
 
 
 class TestConcavityInY:
@@ -285,7 +285,7 @@ class TestBolzaAssembly:
 
     def test_two_summation_forms_agree(self):
         tree = build_single(2)
-        f = assemble_bolza(tree, [[self.quad_stage()], [self.quad_stage()]])
+        f = BolzaIntegrand(tree, [[self.quad_stage()], [self.quad_stage()]])
         x = np.array([1.0, 1.0])
         y = np.array([1.0, 1.0])
         # direct form: sum_t [H_t + dx_t . y_t]
@@ -311,7 +311,7 @@ class TestBolzaAssembly:
                 ]), 1)]
                 for _ in range(2)
             ]
-            f = assemble_bolza(tree, stages)
+            f = BolzaIntegrand(tree, stages)
             x = rng.normal(size=2)
             y = rng.normal(size=2)
             direct = f.lagrangian(0, x, y)
@@ -327,23 +327,14 @@ class TestBolzaAssembly:
 
     def test_single_stage_identity(self):
         tree = build_single(1)
-        f = assemble_bolza(tree, [[self.quad_stage()]])
+        f = BolzaIntegrand(tree, [[self.quad_stage()]])
         x0, y0 = 0.7, -0.4
         h = f.stage_cost(0, 0).hamiltonian([x0], [y0])
         assert f.lagrangian(0, [x0], [y0]) == pytest.approx(h + x0 * y0, abs=1e-12)
 
-    def test_blockwise_measurability_enforced(self):
-        tree = two_leaf_tree()
-        a = self.quad_stage()
-        b = self.quad_stage()
-        with pytest.raises(ValueError, match="information block"):
-            BolzaIntegrand.from_leaf_functions(tree, [[a, b], [a, b]])
-        # identical object per block is fine
-        BolzaIntegrand.from_leaf_functions(tree, [[a, a], [a, b]])
-
     def test_value_assembles_stage_costs(self):
         tree = build_single(2)
-        f = assemble_bolza(tree, [[self.quad_stage()], [self.quad_stage()]])
+        f = BolzaIntegrand(tree, [[self.quad_stage()], [self.quad_stage()]])
         x = np.array([1.0, 3.0])
         u = np.array([0.5, -0.5])
         # stage 0: x=1, w=1+0.5; stage 1: x=3, w=(3-1)-0.5
@@ -352,7 +343,7 @@ class TestBolzaAssembly:
 
     def test_conjugate_value_against_grid(self):
         tree = build_single(1)
-        f = assemble_bolza(tree, [[self.quad_stage()]])
+        f = BolzaIntegrand(tree, [[self.quad_stage()]])
         # f(x, u) on R^2: K(x, x + u); f*(v, y) by 2-d grid
         xs = np.arange(-10, 10.001, 0.01)
         for (v, y) in [(0.5, 0.5), (-1.0, 0.3)]:
@@ -366,8 +357,8 @@ class TestBolzaAssembly:
     def test_joint_function_matches_value(self):
         rng = np.random.default_rng(55)
         tree = build_single(2)
-        f = assemble_bolza(tree, [[self.quad_stage()], [self.quad_stage()]])
-        joint = f.joint_function(0)
+        f = BolzaIntegrand(tree, [[self.quad_stage()], [self.quad_stage()]])
+        joint = joint_function(f, 0)
         for _ in range(20):
             x = rng.normal(size=2)
             u = rng.normal(size=2)
@@ -382,7 +373,7 @@ class TestKabanovAsBolza:
         C = Polyhedron.from_cone_generators(gens)
         V = Quadratic([0.5, 0.5])
         tree = build_single(1)
-        return assemble_bolza(tree, [[KabanovStage(V, C, terminal=True)]])
+        return BolzaIntegrand(tree, [[KabanovStage(V, C, terminal=True)]])
 
     def test_lagrangian_matches_hamiltonian_display(self):
         rng = np.random.default_rng(56)

@@ -1,4 +1,4 @@
-"""Builders, martingale densities, model dual values, domain checker."""
+"""Builders, martingale densities and model dual values."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from stochdual.convex import (
 from stochdual.duality import (
     alm_dual_value,
     bolza_dual_value,
-    check_domain_condition,
     check_martingale_density,
-    polyhedral_domain_verdict,
 )
 from stochdual.integrand import BolzaStage
 from stochdual.models import (
@@ -61,18 +59,30 @@ class TestMartingaleDensity:
         assert rep.max_residual == pytest.approx(0.25)
 
     def test_cone_property(self):
-        from stochdual.duality import MartingaleDensityCone
-
         tree = two_leaf_tree()
         price = binomial_price(tree)
         base = density_oracle(tree, price)
-        cone = MartingaleDensityCone(price)
         rng = np.random.default_rng(71)
         for _ in range(20):
             lam = rng.uniform(0.01, 10)
             assert check_martingale_density(lam * base, price).ok
-            assert (lam * base) in cone
-            assert (lam * np.array([1.0, 1.0])) not in cone
+            assert not check_martingale_density(lam * np.array([1.0, 1.0]), price).ok
+
+    def test_means_are_judged_at_the_size_of_y_ds(self):
+        # the block means are sums of the products y ds, so their tolerance
+        # is tol * max(1, max |y ds|): a density passes at any scale, a
+        # non-density fails at any scale, and an infinite y fails
+        tree = two_leaf_tree()
+        price = binomial_price(tree)
+        base = density_oracle(tree, price)
+        ds = (price.stage(1) - price.stage(0)).ravel()
+        for lam in (1e-3, 1.0, 1e9, 1e12):
+            rep = check_martingale_density(lam * base, price)
+            assert rep.ok
+            assert rep.tol == 1e-8 * max(1.0, float(np.max(np.abs(lam * base * ds))))
+            assert not check_martingale_density(lam * np.array([1.0, 1.0]), price).ok
+        rep = check_martingale_density([INF, 1.0], price)
+        assert not rep.ok and rep.tol == 1e-8
 
     def test_zero_density_rejected(self):
         tree = two_leaf_tree()
@@ -266,37 +276,3 @@ class TestBuilders:
         uk = StochasticProcess.zeros(tree, pk.m_dims)
         resk = solve_primal(pk, uk)
         assert resk.value <= 1e-9
-
-
-class TestDomainCondition:
-    def test_alm_everywhere_finite_is_verified(self):
-        tree = two_leaf_tree()
-        p = build_alm(tree, Quadratic([0.5]), binomial_price(tree))
-        y = StochasticProcess.from_stage_values(
-            tree, [np.zeros((2, 0)), [[1.0], [1.0]]]
-        )
-        assert check_domain_condition(p, y).verdict == "verified"
-
-    def test_constrained_finite_is_verified(self):
-        tree = ScenarioTree.deterministic(1)
-        p = build_constrained(tree, [1], [Quadratic([1.0])], [[Affine([-1.0], 1.0)]])
-        y = StochasticProcess.from_stage_values(tree, [[[1.0]]])
-        assert check_domain_condition(p, y).verdict == "verified"
-
-    def test_kabanov_with_full_disutility_domain_is_verified(self):
-        tree = ScenarioTree.deterministic(1)
-        C = Polyhedron.from_cone_generators(CONE_GENERATORS)
-        p = build_kabanov(tree, [[C]], [[Quadratic([0.5, 0.5])]])
-        y = StochasticProcess.from_stage_values(
-            tree, [[[0.5, 0.25, 0.0, 0.0]]]  # price inside the polar, zero k-block
-        )
-        assert check_domain_condition(p, y).verdict == "verified"
-
-    def test_point_domain_versus_full_space_is_violated(self):
-        # the surrogate itself: dom l = R, dom_1 f = {0}
-        full = Polyhedron(a_ub=np.zeros((0, 1)), b_ub=np.zeros(0), validate=False)
-        point = Polyhedron(a_eq=np.eye(1), b_eq=np.zeros(1), validate=False)
-        rep = polyhedral_domain_verdict(full, point)
-        assert rep.verdict == "violated"
-        # and the containment holds the other way around
-        assert polyhedral_domain_verdict(point, full).verdict == "verified"

@@ -4,7 +4,8 @@ kept Lagrangian of static ones.
 The solver compiles each stage cost once per tree node.  Every object it
 builds that way (primal, Lagrangian, lower variant, annihilator bound and
 the recovered dual) is checked here against a per-leaf reference from
-tests/helpers.py, which uses only the per-leaf integrand methods.  The
+tests/helpers.py, which builds each leaf's joint function, Lagrangian,
+lower variant and conjugate from the leaf's own stage costs.  The
 trees are irregular, the state dimension is 1 or 2, and u and y are
 adapted, split inside blocks, or different on every leaf.  A static
 problem whose every leaf's Lagrangian is affine in x keeps one compiled
