@@ -14,8 +14,10 @@ Exit codes: 0 success/pass, 1 usage or parse error, 2 certificate failure,
 value with a duality gap that is infinite or above the checker tolerance,
 relative to max(1, |primal|), included).  Each command
 solves the primal, the dual and the annihilator bound at most once and
-shares them between its sections.  Reports are emitted as deterministic
-JSON (sorted keys, no timestamps) or aligned text.
+shares them between its sections.  Reports are emitted as JSON (sorted
+keys, no timestamps) or aligned text, deterministic at a fixed BLAS
+thread count: a threaded BLAS may round large products differently under
+another count (ROADMAP item 7).
 """
 
 from __future__ import annotations

@@ -8,14 +8,17 @@ derive, in closed form per leaf:
     in the parameter),
   * the pointwise conjugate  f*(v, y),
   * for dynamic (Bolza) structure, stage Hamiltonians
-    H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t }, their lower closed
-    hulls and the stage conjugates K_t*, from which the solver builds a
-    dynamic problem's objects node by node.
+    H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t } and the stage
+    conjugates K_t*, from which the solver builds a dynamic problem's
+    objects node by node.
 
-The lower closed variant of the Lagrangian, sup_v { x.v - f*(v, y) }, is
-built by the solver (stage by stage on dynamic problems); its per-leaf
-form, and a dynamic integrand's per-leaf joint function, Lagrangian and
-conjugate, are reference implementations in the tests' helpers.
+Each of these Lagrangians is closed in x: a partial infimum of a catalog
+function is a finite sum of closed catalog functions, or the MINUS_INF
+sentinel.  So the lower closed variant sup_v { x.v - f*(v, y) } is l
+itself, and the solver reads it off l.  Its per-leaf form (through the
+lsc hulls of the stage Hamiltonians), and a dynamic integrand's per-leaf
+joint function, Lagrangian and conjugate, are reference implementations
+in the tests' helpers.
 
 Values live on the extended real line.  When the infimum defining l runs
 to -inf for every u-slackening, a sentinel is returned; if additionally
@@ -76,19 +79,6 @@ MINUS_INF = _MinusInf()
 def _is_identically_infinite(fn: ConvexFunction) -> bool:
     dom = domain_polyhedron(fn)
     return dom is not None and dom.is_empty()
-
-
-def _slices_empty_once(fn: ConvexFunction, cols) -> bool | None:
-    """Whether every slice of fn that fixes the coordinates ``cols`` is
-    identically +inf, decided once from dom fn when no row of it reads
-    them: each slice's domain is then one set, whatever values are fixed
-    (with no rows, the whole space, and no LP runs).  None when some row
-    reads them, or dom fn is not polyhedral: the test is then made per
-    slice."""
-    dom = domain_polyhedron(fn)
-    if dom is None or np.any(dom.a_ub[:, cols]) or np.any(dom.a_eq[:, cols]):
-        return None
-    return dom.is_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +574,15 @@ class BolzaStage:
 
     @cached_property
     def _x_slices_empty(self):
-        return _slices_empty_once(self.fn, slice(0, self.d))
+        """Whether every slice K(x, .) is identically +inf, decided once
+        from dom K when no row of it reads x: each slice's domain is then
+        one set, whatever x is (with no rows, the whole space, and no LP
+        runs).  None when some row reads x, or dom K is not polyhedral:
+        the test is then made per x."""
+        dom = domain_polyhedron(self.fn)
+        if dom is None or np.any(dom.a_ub[:, :self.d]) or np.any(dom.a_eq[:, :self.d]):
+            return None
+        return dom.is_empty()
 
     def hamiltonian_function_of_x(self, y):
         return partial_infimum(self.fn, self.d, y)
@@ -603,24 +601,6 @@ class BolzaStage:
         if fn is MINUS_INF:
             raise NoClosedFormError("Hamiltonian is -inf at this dual point")
         return fn.conjugate()
-
-    def hbar_function_of_x(self, y, conj_in_a=None):
-        """lsc hull of H(., y): conjugate of a -> K*(a, y), which is
-        ``conj_in_a`` when the caller has built it."""
-        if conj_in_a is None:
-            conj_in_a = self.conjugate_function_of_a(y)
-        empty = self._slices_empty
-        if empty is None:
-            empty = _is_identically_infinite(conj_in_a)
-        if empty:
-            return MINUS_INF
-        return conj_in_a.conjugate()
-
-    @cached_property
-    def _slices_empty(self):
-        """Whether every slice a -> K*(a, b) is identically +inf
-        (``_slices_empty_once`` in b)."""
-        return _slices_empty_once(self.fn.conjugate(), slice(self.d, 2 * self.d))
 
     def conjugate_value(self, a, b) -> float:
         ab = np.concatenate([np.ravel(a), np.ravel(b)])
@@ -743,10 +723,6 @@ class KabanovStage(BolzaStage):
             pieces.append(PolyhedralIndicator(Polyhedron(
                 a_eq=rows, b_eq=np.zeros(d), validate=False)))
         return FiniteSum(pieces)
-
-    def hbar_function_of_x(self, y, conj_in_a=None):
-        # the Hamiltonian is already closed in x for this stage structure
-        return self.hamiltonian_function_of_x(y)
 
 
 class BolzaIntegrand(ParametricIntegrand):

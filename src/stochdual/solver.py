@@ -19,8 +19,10 @@ node, compiled once for the leaves of a block whose stage-t slices of u
 (or y) agree bit for bit, at their summed probability; the Lagrangian's
 coupling E sum_t <y_t - y_{t+1}, x_t> is one affine term.  The stage
 objects are shared across nodes, so K_t* is computed once per stage, and
-each node's slice a -> K_t*(a, y_t) once per dual solve, kept on the
-``DualObjective`` for the lower variant and the annihilator bound.
+each node's Hamiltonian once per dual solve and its slice
+a -> K_t*(a, y_t) once per annihilator bound.  Every catalog Lagrangian
+is closed, so the lower variant of phi*(y) is the Lagrangian's own value
+at the inner minimizer, on every family.
 
 The QP lowering goes one group of terms at a time: terms g(M_k z + m_k) of
 one shared g, terms g + c_k of one shared g (a stage's Hamiltonians), or
@@ -74,7 +76,6 @@ from .integrand import (
     MINUS_INF,
     BolzaIntegrand,
     GenericIntegrand,
-    KabanovStage,
     ParametricIntegrand,
 )
 from .qp import SpectralFactor, solve_qp
@@ -196,10 +197,6 @@ class DualObjective:
     inner_status: str
     lagrangian: CompiledObjective | None = None
     inner: _MinResult | None = None
-    # dynamic problems: per Hamiltonian term of ``lagrangian``, the stage
-    # conjugate a -> K_t*(a, y_t) of its node, built once for the lower
-    # variant and reused by the annihilator bound; None when not built
-    stage_conjugates: list | None = None
 
 
 @dataclass
@@ -1009,7 +1006,11 @@ def _bolza_lagrangian_terms(p: Problem, yvecs):
 
 
 def dual_objective(p: Problem, y: StochasticProcess) -> DualObjective:
-    """phi*(y) = -inf over adapted x of E l(x, y), plus the lower variant."""
+    """phi*(y) = -inf over adapted x of E l(x, y), plus the lower variant
+    -E l(x*, y) at the inner minimizer x*: every catalog Lagrangian is
+    closed in x (a finite sum of closed catalog functions, or MINUS_INF),
+    so its lower closure sup_v { x.v - f*(v, y) } is l itself.  The lower
+    variant is None when l(x*, y) = +inf."""
     layout, obj = _lagrangian_objective(p, y)
     if obj is None:
         # l = -inf on the feasible slice for some leaf: the infimum diverges
@@ -1019,74 +1020,9 @@ def dual_objective(p: Problem, y: StochasticProcess) -> DualObjective:
     # model is primal-infeasible for all u; or the engine found no point
     if res.x is None or res.status in ("unbounded", "infeasible"):
         return DualObjective(-res.value, None, None, res.status, obj, res)
-    minimizer = layout.to_process(res.x)
-    if not isinstance(p.integrand, BolzaIntegrand):
-        # off the dynamic path lower-l is l itself
-        value = obj.value(res.x)
-        return DualObjective(-res.value, None if value == INF else -value,
-                             minimizer, res.status, obj, res)
-    yvecs, conjugates = _leaf_vectors(p, y, "dual"), None
-    # the stage conjugates give the lsc hulls; a Kabanov stage's Hamiltonian
-    # is closed already, so a currency market leaves them to the bound
-    if not all(isinstance(st, KabanovStage) for blocks in p.integrand.stages for st in blocks):
-        try:
-            conjugates = _stage_conjugates(p, yvecs, [t.node for t in obj.terms[:-1]])
-        except (NoClosedFormError, PivotLimitError):
-            pass
-    return DualObjective(-res.value, _lower_dual_value(p, yvecs, obj, res.x, conjugates),
-                         minimizer, res.status, obj, res, conjugates)
-
-
-def _stage_conjugates(p: Problem, yvecs, nodes):
-    """(t, leaves, a -> K_t*(a, y_t)) for each stage-t node (t, leaves) of
-    ``nodes``: the stage conjugate is built once per node.  Raises
-    NoClosedFormError when some has no closed form."""
-    f = p.integrand
-    out = []
-    for t, leaves in nodes:
-        leaves = np.asarray(leaves)
-        stage = f.stage_cost(leaves[0], t)
-        out.append((t, leaves, stage.conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])))
-    return out
-
-
-def _lower_dual_value(p, yvecs, obj, x, conjugates):
-    """-E lower-l(x, y) at the inner minimizer x of a dynamic problem; it
-    coincides with the Lagrangian value whenever l(., y) is closed proper.
-    None when some value is +inf or has no closed form, or when an LP that
-    a hull needs (the emptiness of a slice's domain) does not terminate.
-
-    Each node's Hamiltonian term of the compiled Lagrangian ``obj`` is
-    replaced by its lsc hull in x, the conjugate of the node's stage
-    conjugate: the one in ``conjugates`` (``_stage_conjugates`` of the
-    terms' nodes), or, when that is None, one the stage builds.  The
-    coupling term stays.
-    """
-    f = p.integrand
-    *hamiltonians, coupling = obj.terms
-    total = 0.0
-    minus = plus = False
-    try:
-        for i, term in enumerate(hamiltonians):
-            t, (leaf, *_) = term.node
-            hb = f.stage_cost(leaf, t).hbar_function_of_x(
-                yvecs[leaf, f.u_slices[t]], None if conjugates is None else conjugates[i][2])
-            if hb is MINUS_INF:
-                minus = True
-                continue
-            v = hb.value(x[term.cols])
-            if v == INF:
-                plus = True
-                continue
-            total += term.weight * v
-    except (NoClosedFormError, PivotLimitError):
-        return None
-    # a hull that is -inf empties the supremum of its leaves: -inf dominates
-    if minus:
-        return INF
-    if plus:
-        return None
-    return -(total + coupling.fn.value(x[coupling.cols]))
+    value = obj.value(res.x)
+    return DualObjective(-res.value, None if value == INF else -value,
+                         layout.to_process(res.x), res.status, obj, res)
 
 
 def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
@@ -1119,9 +1055,9 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     E f*(v, y) goes one group at a time.  On static problems
     ``conjugate_values`` prices each group of leaves whose joints share
     one inner g in one stacked pass, and any other leaf by its own
-    conjugate.  On dynamic problems the stage conjugates come from
-    ``objective`` when it built them, and each node's slice is evaluated
-    once over the node's leaves (``_bolza_conjugate_sum``).
+    conjugate.  On dynamic problems each node's slice of its stage
+    conjugate is built here, once, and evaluated once over the node's
+    leaves (``_bolza_conjugate_sum``).
     """
     cfg = cfg or SolverConfig()
     try:
@@ -1146,12 +1082,7 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
     if not in_orthocomplement(v, 1e-9 * max(1.0, float(np.max(np.abs(V), initial=0.0)))):
         return OrthoBound(np.nan, None, "gap-open")
     if isinstance(p.integrand, BolzaIntegrand):
-        conjugates = objective.stage_conjugates
-        if conjugates is None:
-            conjugates = _stage_conjugates(p, yvecs, [
-                (t, leaves) for t, nodes in enumerate(_stage_nodes(p, yvecs))
-                for _, leaves, _ in nodes])
-        value = _bolza_conjugate_sum(p, yvecs, conjugates, V)
+        value = _bolza_conjugate_sum(p, yvecs, V)
     else:
         value = _leaf_sum(p, p.integrand.conjugate_values(V, yvecs))
     # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
@@ -1186,17 +1117,19 @@ def _stationary_v(p: Problem, yvecs, dob: DualObjective):
     return StochasticProcess.from_leaf_rows(p.tree, p.n_dims, V)
 
 
-def _bolza_conjugate_sum(p: Problem, yvecs, conjugates, V) -> float:
+def _bolza_conjugate_sum(p: Problem, yvecs, V) -> float:
     """E f*(v, y) = E sum_t K_t*(v_t + y_{t+1} - y_t, y_t) at the leaf rows
-    V of v, from the stage conjugates of the nodes (``_stage_conjugates``):
-    each node's stage conjugate is evaluated once over the node's leaves,
-    then each leaf's values are summed stage by stage and the leaves in
-    order; +inf when some value is."""
+    V of v: each stage-t node's slice a -> K_t*(a, y_t) is built once and
+    evaluated once over the node's leaves, then each leaf's values are
+    summed stage by stage and the leaves in order; +inf when some value
+    is.  Raises NoClosedFormError when some slice has no closed form."""
     f = p.integrand
     shifted = V + (_next_stage(p, yvecs) - yvecs)
     vals = np.empty((f.tree.n_leaves, f.tree.stage_count))
-    for t, leaves, fn_a in conjugates:
-        vals[leaves, t] = fn_a.value_many(shifted[leaves, f.x_slices[t]])
+    for t, nodes in enumerate(_stage_nodes(p, yvecs)):
+        for b, leaves, _ in nodes:
+            fn_a = f.stages[t][b].conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])
+            vals[leaves, t] = fn_a.value_many(shifted[leaves, f.x_slices[t]])
     per_leaf = np.zeros(f.tree.n_leaves)
     for t in range(f.tree.stage_count):
         per_leaf = per_leaf + vals[:, t]

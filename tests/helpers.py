@@ -21,11 +21,12 @@ from stochdual.convex import (
     Quadratic,
     SeparableSum,
     absolute_value,
+    domain_polyhedron,
     indicator_interval,
     indicator_nonneg,
     indicator_nonpos,
 )
-from stochdual.integrand import MINUS_INF, BolzaIntegrand
+from stochdual.integrand import MINUS_INF, BolzaIntegrand, KabanovStage
 from stochdual.tree import ScenarioTree, StochasticProcess, build_tree
 
 
@@ -634,6 +635,20 @@ def lagrangian_function_of_x(f, leaf, y):
     return FiniteSum(pieces)
 
 
+def hbar_function_of_x(stage, y):
+    """The lsc hull of a stage's Hamiltonian H(., y): the conjugate of
+    a -> K*(a, y), MINUS_INF where that slice is identically +inf (its
+    supremum is then empty).  A Kabanov stage's Hamiltonian is closed in x
+    already, and its slice's conjugate has no closed form."""
+    if isinstance(stage, KabanovStage):
+        return stage.hamiltonian_function_of_x(y)
+    conj = stage.conjugate_function_of_a(y)
+    dom = domain_polyhedron(conj)
+    if dom is not None and dom.is_empty():
+        return MINUS_INF
+    return conj.conjugate()
+
+
 def lower_lagrangian(f, leaf, x, y):
     """The lower variant sup_v { x.v - f*(v, y) } at ``leaf``: l(x, y) where
     l(., y) is closed proper, -inf where f*(., y) is identically +inf.  For
@@ -649,7 +664,7 @@ def lower_lagrangian(f, leaf, x, y):
     total = 0.0
     minus = plus = False
     for t in range(f.tree.stage_count):
-        hb = f.stage_cost(leaf, t).hbar_function_of_x(ys[t])
+        hb = hbar_function_of_x(f.stage_cost(leaf, t), ys[t])
         if hb is MINUS_INF:
             minus = True
             continue

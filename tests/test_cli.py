@@ -21,7 +21,7 @@ from stochdual.cli import (
 )
 from stochdual.solver import AdaptedLayout, solve_dual, solve_primal
 
-from helpers import bolza_doc, bound_solves, hedging_file, write_doc
+from helpers import bolza_doc, bound_solves, hedging_file, same_bits, write_doc
 
 FIXTURES = [
     "quadratic-tracking.json",
@@ -746,15 +746,16 @@ class TestHonestExitCodes:
 
     def test_engine_failure_in_every_lp_is_a_status(self, monkeypatch):
         # every LP of the run, and every phase 1, gives up.  On
-        # bolza-pwl.json the primal, the dual and the bound need none, but
-        # whether a stage's slices are all empty is an LP over dom K*: the
-        # lower variant is null
-        monkeypatch.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
+        # bolza-pwl.json the primal, the dual, the lower variant and the
+        # bound need none: the lower variant is the uncapped report's
         path = fixture_path("bolza-pwl.json")
+        uncapped = run(["report", path])[1]["dual_representation"]["conjugate_lower_variant"]
+        monkeypatch.setattr(qp, "solve_qp", functools.partial(qp.solve_qp, max_iter=0))
         code, report = run(["report", path])
         rep = report["dual_representation"]
         assert report["dual"]["status"] == "optimal"
-        assert rep["conjugate_lower_variant"] is None
+        assert rep["conjugate_lower_variant"] is not None
+        assert same_bits(rep["conjugate_lower_variant"], uncapped)
         assert rep["annihilator_bound"] == pytest.approx(rep["conjugate_at_y"], abs=1e-12)
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
         code, report = run(["check", path])

@@ -7,12 +7,17 @@ from stochdual import solver
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
+    Entropy,
+    Exponential,
     FiniteSum,
     NoClosedFormError,
+    PiecewiseLinear,
     Polyhedron,
     Quadratic,
     SeparableSum,
     absolute_value,
+    indicator_interval,
+    indicator_nonneg,
     support_function,
 )
 from stochdual.integrand import (
@@ -33,6 +38,7 @@ from helpers import (
     HEDGING_DISUTILITIES,
     binary_hedging,
     binary_prices,
+    hbar_function_of_x,
     joint_function,
     lower_lagrangian,
     per_leaf_conjugate_values,
@@ -277,6 +283,40 @@ class TestHamiltonian:
         feas = np.all((W + k) @ C.a_ub.T <= 1e-12, axis=1)
         vals = st.V.value(-k) - W[feas] @ y[:2]
         assert st.hamiltonian(x, y) == pytest.approx(vals.min(), abs=1e-2)
+
+
+HULL_STATE_COSTS = [
+    Quadratic([0.3], [0.7], 0.2), absolute_value(),
+    PiecewiseLinear([-1.0, 0.5], [-1.0, 0.2, 1.5]), Exponential(1.0, 1.0, -1.0),
+    Entropy(), indicator_nonneg(), indicator_interval(-1.0, 2.0), Quadratic([0.0]),
+]
+HULL_VELOCITY_COSTS = [
+    Quadratic([1.7]), absolute_value().scaled(0.7), PiecewiseLinear([0.3], [-0.4, 1.1]),
+    Exponential(0.5, 2.0), indicator_interval(-1.0, 1.0), Affine([0.6], 0.1),
+]
+
+
+@pytest.mark.parametrize("w", range(len(HULL_VELOCITY_COSTS)))
+@pytest.mark.parametrize("s", range(len(HULL_STATE_COSTS)))
+def test_hamiltonian_is_its_own_lsc_hull(s, w):
+    # the identity behind the solver's lower variant: every catalog
+    # Hamiltonian is closed in x, so it equals the conjugate of its stage
+    # conjugate's slice, and is MINUS_INF exactly where that slice is
+    # identically +inf; y = 0.6 is the one dual point where the affine
+    # velocity cost leaves H finite
+    stage = BolzaStage(SeparableSum([HULL_STATE_COSTS[s], HULL_VELOCITY_COSTS[w]]), 1)
+    rng = np.random.default_rng(100 * s + w)
+    for y in [0.6, *rng.normal(0.0, 1.5, 4)]:
+        h, hb = stage.hamiltonian_function_of_x([y]), hbar_function_of_x(stage, [y])
+        assert (h is MINUS_INF) == (hb is MINUS_INF), y
+        if h is MINUS_INF:
+            continue
+        for x in [-0.5, 1.0, *rng.normal(0.0, 2.0, 3)]:
+            got, want = hb.value([x]), h.value([x])
+            if not np.isfinite(want):
+                assert got == want, (y, x)
+            else:
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (y, x)
 
 
 class TestBolzaAssembly:

@@ -32,8 +32,6 @@ from stochdual.solver import (
     Problem,
     _bolza_conjugate_sum,
     _leaf_vectors,
-    _stage_conjugates,
-    _stage_nodes,
     primal_objective,
     solve_dual,
     solve_primal,
@@ -47,6 +45,7 @@ from helpers import (
     check_euler_lagrange_per_node,
     conjugate_sum_per_leaf,
     grouped_process,
+    hbar_function_of_x,
     irregular_tree,
     kabanov_doc,
     parse_doc,
@@ -186,7 +185,8 @@ def test_a_report_builds_one_stage_conjugate_per_node(bolza63, monkeypatch):
 
 
 def test_a_kabanov_report_builds_one_stage_conjugate_per_node(tmp_path, monkeypatch):
-    # the hulls do not read them, so the annihilator bound builds them
+    # the dual solve reads none of them, so the annihilator bound builds
+    # them, one per node
     path = write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3)))
     calls = []
     real = KabanovStage.conjugate_function_of_a
@@ -197,12 +197,26 @@ def test_a_kabanov_report_builds_one_stage_conjugate_per_node(tmp_path, monkeypa
     assert len(calls) == 1 + 2 + 4 + 8
 
 
-@pytest.mark.parametrize("state_cost, lps", [(HALF_SQUARE, 0), ({"kind": "abs"}, 1)])
+@pytest.mark.parametrize("command", ["report", "gap", "dualize"])
+def test_a_kabanov_dual_solve_builds_each_hamiltonian_once(tmp_path, monkeypatch, command):
+    # one Hamiltonian per node of the 15-node market, for the Lagrangian;
+    # the lower variant reads that Lagrangian and builds none of its own
+    path = write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3)))
+    calls = []
+    real = KabanovStage.hamiltonian_function_of_x
+    monkeypatch.setattr(KabanovStage, "hamiltonian_function_of_x",
+                        lambda self, y: calls.append(y) or real(self, y))
+    assert run([command, path])[0] == 0
+    assert len(calls) == 1 + 2 + 4 + 8
+
+
+@pytest.mark.parametrize("state_cost, lps", [(HALF_SQUARE, 0), ({"kind": "abs"}, 0)])
 def test_hull_emptiness_is_decided_once_per_stage(tmp_path, monkeypatch, state_cost, lps):
-    # dom K* is the whole space for x^2/2 + w^2/2 (no LP), and [-1, 1] x R
-    # for |x| + w^2/2 (one LP for the stage); dom K reads no x in either,
-    # so no slice, in y or in x, is tested on its own by the report or by
-    # the saddle check
+    # the lower variant is the Lagrangian's value, so no command builds a
+    # hull or tests a slice of K* for emptiness: no LP for x^2/2 + w^2/2,
+    # nor for |x| + w^2/2 though dom K* = [-1, 1] x R there; dom K reads
+    # no x in either, so no slice in x is tested on its own by the report
+    # or by the saddle check
     path = write_doc(tmp_path, "bolza", bolza_doc(4, state_cost, np.random.default_rng(1)))
     per_slice, lp_calls = [], []
     monkeypatch.setattr(integrand, "_is_identically_infinite",
@@ -225,14 +239,17 @@ def test_x_slices_stay_per_point_where_dom_reads_x():
 
 
 def test_hull_emptiness_stays_per_slice_where_dom_reads_b():
-    # K = x^2/2 + |w|: dom K* = R x [-1, 1], so a slice is empty off [-1, 1]
+    # K = x^2/2 + |w|: dom K* = R x [-1, 1], so a slice of K* is empty off
+    # [-1, 1], where the reference hull and the Hamiltonian are MINUS_INF
     stage = BolzaStage(SeparableSum([Quadratic([0.5]), absolute_value()]), 1)
-    assert stage._slices_empty is None
-    assert stage.hbar_function_of_x([2.0]) is integrand.MINUS_INF
-    assert stage.hbar_function_of_x([0.5]).value([1.0]) == pytest.approx(0.5)
-    # the whole-space and the state-only domains decide it for every b
-    assert BolzaStage(SeparableSum([Quadratic([0.5]), Quadratic([0.5])]), 1)._slices_empty is False
-    assert BolzaStage(SeparableSum([absolute_value(), Quadratic([0.5])]), 1)._slices_empty is False
+    assert hbar_function_of_x(stage, [2.0]) is integrand.MINUS_INF
+    assert stage.hamiltonian_function_of_x([2.0]) is integrand.MINUS_INF
+    assert hbar_function_of_x(stage, [0.5]).value([1.0]) == pytest.approx(0.5)
+    # the whole-space and the state-only domains are nonempty for every b
+    for fn in (SeparableSum([Quadratic([0.5]), Quadratic([0.5])]),
+               SeparableSum([absolute_value(), Quadratic([0.5])])):
+        for b in (-3.0, 0.5, 2.0):
+            assert hbar_function_of_x(BolzaStage(fn, 1), [b]) is not integrand.MINUS_INF
 
 
 def test_kabanov_shares_one_stage_per_triple(tmp_path):
@@ -296,23 +313,24 @@ def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
         y = StochasticProcess(p.tree, tuple(0.05 * a for a in grouped_process(
             rng, p.tree, p.m_dims, 1 if shape == "adapted" else 2).values))
     yvecs = _leaf_vectors(p, y, "dual")
-    conjugates = _stage_conjugates(p, yvecs, [
-        (t, leaves) for t, nodes in enumerate(_stage_nodes(p, yvecs)) for _, leaves, _ in nodes])
     for scale in (0.02, 3.0):
         v = StochasticProcess(p.tree, tuple(scale * a for a in
                                             random_process(rng, p.tree, p.n_dims).values))
-        assert same_bits(_bolza_conjugate_sum(p, yvecs, conjugates, v.rows),
+        assert same_bits(_bolza_conjugate_sum(p, yvecs, v.rows),
                          conjugate_sum_per_leaf(p, y, v))
 
 
 def test_bound_reuses_the_dual_objective_conjugates(bolza63, monkeypatch):
+    # the dual solve builds no stage conjugate; the bound, given the dual
+    # solve's objective, builds one per node and solves nothing
     problem, u, _ = bolza63
+    calls = []
+    real = BolzaStage.conjugate_function_of_a
+    monkeypatch.setattr(BolzaStage, "conjugate_function_of_a",
+                        lambda self, b: calls.append(b) or real(self, b))
     dual = solve_dual(problem, u)
-    assert len(dual.objective.stage_conjugates) == 63
-    with monkeypatch.context() as m:
-        m.setattr(BolzaStage, "conjugate_function_of_a",
-                  lambda *a: pytest.fail("stage conjugate built twice"))
-        bound = solver.dual_via_orthocomplement(problem, dual.optimizer,
-                                                objective=dual.objective)
+    assert calls == []
+    bound = solver.dual_via_orthocomplement(problem, dual.optimizer, objective=dual.objective)
+    assert len(calls) == 63
     assert bound.status == "optimal"
     assert same_bits(bound.value, conjugate_sum_per_leaf(problem, dual.optimizer, bound.v))
