@@ -1,7 +1,11 @@
 """Exact calculus for a catalog of closed proper convex functions.
 
 Every catalog item can be evaluated exactly (with +inf for points outside
-the domain) and most can be conjugated in closed form:
+the domain) and most can be conjugated in closed form.  Each kind has one
+evaluator, ``value_many``, which reads a stack of points row by row, so a
+row's bits do not depend on the rows beside it; ``value`` reads it at one
+row.  The support function is the exception: one LP per point is its rule,
+and its ``value_many`` loops it.  Conjugates:
 
     quadratic <-> quadratic          |x| <-> indicator of [-1, 1]
     piecewise-linear <-> piecewise-linear
@@ -24,7 +28,9 @@ exactly on the graph of the subdifferential.
 
 Indicator-type evaluations use a fixed absolute feasibility tolerance of
 1e-9 so that points produced by the finite-precision solvers land inside
-their own feasible sets.
+their own feasible sets: a polyhedral indicator reads each row as
+a.x <= b + 1e-9 (|a.x - b| <= 1e-9 for an equality), so a NaN point lies
+outside it.
 """
 
 from __future__ import annotations
@@ -194,14 +200,14 @@ class ConvexFunction:
     kind: str = "abstract"
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def __call__(self, x) -> float:
         return self.value(x)
 
     def value_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.array([self.value(row) for row in X])
+        """The value at each row of X, each row evaluated on its own."""
+        raise NotImplementedError
 
     def conjugate(self) -> "ConvexFunction":
         cached = getattr(self, "_conjugate_cache", None)
@@ -267,11 +273,8 @@ class Affine(ConvexFunction):
     def __repr__(self):
         return f"Affine(a={self.a.tolist()}, b={self.b})"
 
-    def value(self, x):
-        return float(self.a @ np.asarray(x, dtype=float).ravel()) + self.b
-
     def value_many(self, X):
-        # one dot product per row, as ``value`` takes it
+        # one dot product per row
         return (np.asarray(X, dtype=float)[:, None, :] @ self.a[:, None])[:, 0, 0] + self.b
 
     def _conjugate(self):
@@ -308,13 +311,9 @@ class Quadratic(ConvexFunction):
     def __repr__(self):
         return f"Quadratic(weights={self.weights.tolist()})"
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return float(self.weights @ (x * x) + self.tilt @ x) + self.offset
-
     def value_many(self, X):
-        # one dot product per row, as ``value`` takes it: the same bits as
-        # ``value``, whatever the number of rows
+        # one dot product per row: a row's bits do not depend on the
+        # number of rows
         X = np.asarray(X, dtype=float)[:, None, :]
         return ((X * X) @ self.weights[:, None] + X @ self.tilt[:, None])[:, 0, 0] + self.offset
 
@@ -412,35 +411,18 @@ class PiecewiseLinear(_Scalar):
         return (f"PiecewiseLinear(breaks={self.breaks.tolist()}, "
                 f"slopes={self.slopes.tolist()}, dom=[{self.lo}, {self.hi}])")
 
-    def _integrate(self, x: float, scale=1.0):
-        """Exact value at x ignoring the domain, from the anchor.  With a
-        ``scale`` (a number or an array), the value of ``self.scaled(scale)``
-        there, rounded as that function rounds it."""
-        a, b = (self.anchor_x, x) if self.anchor_x <= x else (x, self.anchor_x)
-        sign = 1.0 if x >= self.anchor_x else -1.0
-        total = 0.0
-        knots = np.concatenate([[a], self.breaks[(self.breaks > a) & (self.breaks < b)], [b]])
-        for left, right in zip(knots[:-1], knots[1:]):
-            mid = 0.5 * (left + right)
-            j = int(np.searchsorted(self.breaks, mid, side="right"))
-            total += (scale * self.slopes[j]) * (right - left)
-        return scale * self.anchor_val + sign * total
-
-    def value(self, x):
-        x = float(np.asarray(x).ravel()[0])
-        if x < self.lo - FEAS_TOL or x > self.hi + FEAS_TOL:
-            return INF
-        x = min(max(x, self.lo), self.hi)
-        return self._integrate(x)
-
-    def value_many(self, X):
-        """``value`` at every point, bit for bit: the domain test and the
-        clamp are ``value``'s, and each point's pieces are summed from its
-        lower knot up, as ``_integrate`` sums them."""
+    def value_many(self, X, scale=1.0):
+        """The value at every point: +inf beyond the domain's tolerance
+        band, else at the point clamped to the domain, its pieces between
+        the anchor and the point summed from the lower knot up.  With a
+        ``scale`` (a number, or an array of K positive numbers), the values
+        of ``self.scaled(scale)``, rounded as that function rounds them,
+        one column per scale."""
         X = np.asarray(X, dtype=float).reshape(-1)
-        out = np.full(X.shape, INF)
+        scale = np.asarray(scale, dtype=float)
+        out = np.full(X.shape + scale.shape, INF)
         ok = ~((X < self.lo - FEAS_TOL) | (X > self.hi + FEAS_TOL))
-        xs = X[ok]
+        xs = X[ok].reshape((-1,) + (1,) * scale.ndim)  # a column per point with K scales
         xs = np.where(self.lo > xs, self.lo, xs)
         xs = np.where(self.hi < xs, self.hi, xs)
         up = self.anchor_x <= xs
@@ -449,14 +431,14 @@ class PiecewiseLinear(_Scalar):
 
         def piece(lo_knot, hi_knot):
             j = np.searchsorted(self.breaks, 0.5 * (lo_knot + hi_knot), side="right")
-            return self.slopes[j] * (hi_knot - lo_knot)
+            return (scale * self.slopes[j]) * (hi_knot - lo_knot)
 
         for b in self.breaks:  # the knots strictly inside, in increasing order
             inside = (b > left) & (b < right)
             total = np.where(inside, total + piece(left, b), total)
             left = np.where(inside, b, left)
         total = total + piece(left, right)
-        out[ok] = self.anchor_val + np.where(xs >= self.anchor_x, 1.0, -1.0) * total
+        out[ok] = scale * self.anchor_val + np.where(xs >= self.anchor_x, 1.0, -1.0) * total
         return out
 
     def _conjugate(self):
@@ -487,7 +469,7 @@ class PiecewiseLinear(_Scalar):
         if self.hi != INF:
             knots.append(self.hi)
         knots = np.array(knots)
-        fvals = np.array([self._integrate(k) for k in knots])
+        fvals = self.value_many(knots)
         y0 = g_breaks[0] if g_breaks.size else (g_lo if g_lo != -INF else g_hi)
         v0 = float(np.max(knots * y0 - fvals))
         return PiecewiseLinear(g_breaks, g_slopes, lo=g_lo, hi=g_hi, anchor=(y0, v0))
@@ -519,16 +501,11 @@ class PiecewiseLinear(_Scalar):
         """(slope, intercept) per piece: f(z) = max_j slope_j z + intercept_j
         on the domain (epigraph rows for the solver).  With a ``scale`` (a
         number or an array of positive numbers), the lines of
-        ``self.scaled(scale)``, without building that function."""
-        lines = []
-        for j, s in enumerate(self.slopes):
-            if j == 0:
-                z0 = self.lo if self.lo != -INF else self.breaks[0]
-            else:
-                z0 = self.breaks[j - 1]
-            s = scale * s
-            lines.append((s, self._integrate(z0, scale) - s * z0))
-        return lines
+        ``self.scaled(scale)``, without building that function.  Piece j
+        is read at its left end."""
+        ends = np.concatenate([[self.lo if self.lo != -INF else self.breaks[0]], self.breaks])
+        return [(scale * s, v - (scale * s) * z0)
+                for s, v, z0 in zip(self.slopes, self.value_many(ends, scale), ends)]
 
 
 def absolute_value() -> PiecewiseLinear:
@@ -571,18 +548,10 @@ class Entropy(_Scalar):
     def __repr__(self):
         return f"Entropy(coeff={self.coeff}, tilt={self.tilt})"
 
-    def value(self, x):
-        x = float(np.asarray(x).ravel()[0])
-        if x < -FEAS_TOL:
-            return INF
-        x = max(x, 0.0)
-        ent = 0.0 if x == 0.0 else x * np.log(x) - x
-        return float(self.coeff * ent + self.tilt * x + self.offset)
-
     def value_many(self, X):
         X = np.asarray(X, dtype=float).reshape(-1)
         out = np.full(X.shape, INF)
-        ok = ~(X < -FEAS_TOL)  # as in ``value``, NaN passes and stays NaN
+        ok = ~(X < -FEAS_TOL)  # NaN passes and stays NaN
         xs = X[ok]
         xs = np.where(0.0 > xs, 0.0, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -626,14 +595,10 @@ class Exponential(_Scalar):
     def __repr__(self):
         return f"Exponential(coeff={self.coeff}, rate={self.rate})"
 
-    def value(self, x):
-        x = float(np.asarray(x).ravel()[0])
-        with np.errstate(over="ignore"):  # an overflow reads as +inf
-            return float(self.coeff * np.exp(self.rate * x) + self.offset)
-
     def value_many(self, X):
         X = np.asarray(X, dtype=float).reshape(-1)
-        return self.coeff * np.exp(self.rate * X) + self.offset
+        with np.errstate(over="ignore"):  # an overflow reads as +inf
+            return self.coeff * np.exp(self.rate * X) + self.offset
 
     def _conjugate(self):
         a, r = self.coeff, self.rate
@@ -801,10 +766,9 @@ class PolyhedralIndicator(ConvexFunction):
     def __repr__(self):
         return f"PolyhedralIndicator({self.polyhedron!r})"
 
-    def value(self, x):
-        return 0.0 if self.polyhedron.contains(x) else INF
-
     def value_many(self, X):
+        # row by row: each inequality as a.x <= b + FEAS_TOL, each equality
+        # as |a.x - b| <= FEAS_TOL
         X = np.asarray(X, dtype=float)
         P = self.polyhedron
         ok = np.ones(X.shape[0], dtype=bool)
@@ -845,8 +809,10 @@ class SupportFunction(ConvexFunction):
         return f"SupportFunction({self.polyhedron!r})"
 
     def value(self, x):
-        val, _, status = self.polyhedron.support(x)
-        return val
+        return self.polyhedron.support(x)[0]  # one LP
+
+    def value_many(self, X):
+        return np.array([self.value(x) for x in np.asarray(X, dtype=float)])
 
     def _conjugate(self):
         return PolyhedralIndicator(self.polyhedron)
@@ -881,25 +847,10 @@ class SeparableSum(ConvexFunction):
     def __repr__(self):
         return f"SeparableSum({self.parts!r})"
 
-    def _blocks(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return [x[self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.parts))]
-
-    def value(self, x):
-        total = 0.0
-        for part, xb in zip(self.parts, self._blocks(x)):
-            v = part.value(xb)
-            if v == INF:
-                return INF
-            total += v
-        return total
-
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
-        total = np.zeros(X.shape[0])
-        for i, part in enumerate(self.parts):
-            total = total + part.value_many(X[:, self.offsets[i]:self.offsets[i + 1]])
-        return total
+        return _sum_rows([part.value_many(X[:, self.offsets[i]:self.offsets[i + 1]])
+                          for i, part in enumerate(self.parts)], X.shape[0])
 
     def _conjugate(self):
         return SeparableSum([p.conjugate() for p in self.parts])
@@ -955,12 +906,8 @@ class AffinePrecomposition(ConvexFunction):
     def __repr__(self):
         return f"AffinePrecomposition({self.inner!r}, matrix shape {self.matrix.shape})"
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return self.inner.value(self.matrix @ x + self.offset)
-
     def value_many(self, X):
-        # one matrix-vector product per row, as ``value`` takes it
+        # one matrix-vector product per row
         X = np.asarray(X, dtype=float)
         return self.inner.value_many((self.matrix @ X[:, :, None])[:, :, 0] + self.offset)
 
@@ -1024,21 +971,9 @@ class FiniteSum(ConvexFunction):
     def __repr__(self):
         return f"FiniteSum({self.summands!r})"
 
-    def value(self, x):
-        total = 0.0
-        for s in self.summands:
-            v = s.value(x)
-            if v == INF:
-                return INF
-            total += v
-        return total
-
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
-        total = np.zeros(X.shape[0])
-        for s in self.summands:
-            total = total + s.value_many(X)
-        return total
+        return _sum_rows([s.value_many(X) for s in self.summands], X.shape[0])
 
     def _merge(self):
         """Fold affine summands and collapse quadratics; return (core, a, b)."""
@@ -1088,6 +1023,18 @@ class FiniteSum(ConvexFunction):
                 return None
             forms.append(f)
         return QPForm.add(forms, self.dim)
+
+
+def _sum_rows(values, n: int) -> np.ndarray:
+    """The n-row arrays ``values`` summed in order, +inf on each row where
+    one of them is: a part off its domain makes the sum +inf, whatever
+    another part reads there.  Only a NaN sum can hide a +inf part."""
+    total = np.zeros(n)
+    for v in values:
+        total = total + v
+    if np.isnan(total).any():
+        total[np.any(np.array(values) == INF, axis=0)] = INF
+    return total
 
 
 def _plus_const(fn: ConvexFunction, c: float) -> ConvexFunction:

@@ -191,11 +191,9 @@ def _affine_slices(inner: ConvexFunction, mats, offsets, nx: int, ys):
     stacked slopes M_k,x' eta_k and constants eta_k.m_k - g*(eta_k), -inf
     where g*(eta_k) = +inf.  One batched solve gives every eta_k and one
     ``value_many`` every g*(eta_k); K = 1 is the per-function rule.  Each
-    function's result does not depend on the others' as long as g*'s
-    ``value_many`` evaluates row by row, as every catalog kind's does (a
-    polyhedral indicator's up to rounding at its feasibility tolerance).
-    Raises NoClosedFormError when some M_k,w is singular or g has no
-    closed-form conjugate.
+    function's result does not depend on the others', as every catalog
+    kind's ``value_many`` evaluates row by row.  Raises NoClosedFormError
+    when some M_k,w is singular or g has no closed-form conjugate.
     """
     try:
         eta = np.linalg.solve(mats[:, :, nx:].swapaxes(1, 2),

@@ -38,24 +38,24 @@ def _require_convex(fn, what: str):
 def _validate_disutility(V: ConvexFunction, what: str, grid_hi: float = 2.0):
     """V(0) = 0 and componentwise nondecreasing, sampled on the nonnegative
     orthant (the canonical quadratic disutility is not monotone on the
-    negative side, so the sample grid stays where the model needs growth)."""
+    negative side, so the sample grid stays where the model needs growth).
+    The grid is read in d + 1 calls, the origin being its first point; a
+    failure names the first grid point that fails along some axis."""
     _require_convex(V, what)
     d = V.dim
-    zero = np.zeros(d)
-    v0 = V.value(zero)
-    if abs(v0) > 1e-9:
-        raise ValueError(f"{what} must vanish at the origin, got {v0:.3g}")
     axis = np.linspace(0.0, grid_hi, 5)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-    step = axis[1] - axis[0]
-    for c in pts:
-        base = V.value(c)
-        for i in range(d):
-            up = c.copy()
-            up[i] += step
-            if V.value(up) < base - 1e-9:
-                raise ValueError(f"{what} must be nondecreasing (fails near {c})")
+    base = V.value_many(pts)
+    if abs(base[0]) > 1e-9:
+        raise ValueError(f"{what} must vanish at the origin, got {base[0]:.3g}")
+    fails = np.zeros(len(pts), dtype=bool)
+    for i in range(d):
+        up = pts.copy()
+        up[:, i] += axis[1] - axis[0]
+        fails |= V.value_many(up) < base - 1e-9
+    if fails.any():
+        raise ValueError(f"{what} must be nondecreasing (fails near {pts[np.argmax(fails)]})")
 
 
 def build_generic(tree: ScenarioTree, n_dims, m_dims, functions) -> Problem:

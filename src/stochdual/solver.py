@@ -27,9 +27,10 @@ at the inner minimizer, on every family.
 The QP lowering goes one group of terms at a time: terms g(M_k z + m_k) of
 one shared g, terms g + c_k of one shared g (a stage's Hamiltonians), or
 affine terms of one width have their forms composed or stacked in one pass
-and scattered in one.  Every compiled objective is one template
-(``_Template``: the terms, their groups and forms, and from the first
-lowering on P, G and A, read-only) read at per-group offsets.  A
+and scattered in one; a compiled objective's value reads each group's
+shared g in one ``value_many`` pass.  Every compiled objective is one
+template (``_Template``: the terms, their groups and forms, and from the
+first lowering on P, G and A, read-only) read at per-group offsets.  A
 ``Problem`` keeps its primal with u left symbolic (``_PrimalTemplate``):
 its terms g(M_k z + m_k + N_k u_l) move with u only through their offsets,
 so a solve at u reads the template at m = base + N u.  The cache key is
@@ -316,11 +317,11 @@ class _Group:
         """What of the K local forms moves with the offsets ``m``: through
         M on a group of precompositions (``QPForm.offset_parts``); on any
         other group, the form's own parts, with the slopes and constants
-        of m = (q, c) when m is given (an affine group read at y)."""
+        m = (q, c) of an affine group (read at y on a kept one)."""
         S = self.inner
         if self.M is not None:
             return _OffsetParts(*S.offset_parts(self.M, m))
-        q, c = (S.q, S.c) if m is None else m
+        q, c = m if isinstance(m, tuple) else (S.q, S.c)
         return _OffsetParts(q, c, S.h, S.b, [off for _, off, _ in S.epi])
 
 
@@ -365,20 +366,21 @@ def _group_key(fn: ConvexFunction):
     return ("shifted", id(_shifted_core(fn)[0]))
 
 
-def _inner_forms(fns):
-    """The form of one group's functions g_k(M_k z + m_k) as (inner, M): a
-    shared inner g is lowered once, with the stacked maps M (the offsets m
-    are the template's ``base``); a shared shifted g is lowered once and
-    stacked with each function's constant, with M None.  None when there
-    is no form."""
+def _inner_forms(fns, M, m):
+    """The form of one group's functions g_k(M_k z + m_k) as (inner, M),
+    given the template's stacked maps M and own offsets m (``_Template``):
+    a shared inner g is lowered once, with the maps M; affine functions
+    stack their slopes and constants m = (q, c), with M None; a shared
+    shifted g is lowered once and stacked with each function's constant
+    m_k, with M None.  None when there is no form."""
     fn = fns[0]
-    if isinstance(fn, AffinePrecomposition):
+    if M is not None:
         inner = fn.inner.qp_form()
-        return None if inner is None else (inner, np.array([f.matrix for f in fns]))
-    if isinstance(fn, Affine):
-        return QPForm(fn.dim, q=np.array([f.a for f in fns]), c=np.array([f.b for f in fns])), None
+        return None if inner is None else (inner, M)
+    if isinstance(m, tuple):
+        return QPForm(fn.dim, q=m[0], c=m[1]), None
     form = _shifted_core(fn)[0].qp_form()
-    return None if form is None else (form.as_stack([_shifted_core(f)[1] for f in fns]), None)
+    return None if form is None else (form.as_stack(m), None)
 
 
 class _OffsetParts(NamedTuple):
@@ -458,24 +460,37 @@ def _lower(n: int, n_terms: int, groups: list[_Group], forms) -> _Lowering:
 class _Template:
     """What a compiled objective shares whatever its terms' offsets.
 
-    The terms at their own offsets (``terms``), their lowering groups
-    (``grouping``: equal ``_group_key``, groups in order of first term),
-    per group the stacked offsets m_k of its terms g(M_k z + m_k)
-    (``base``; None for a group of other terms), the groups' forms
-    (``groups``, None with a support function), from the first lowering on P, G and
-    A, read-only (``lowering``), and the spectral factor of P
-    (``spectral``).  A ``CompiledObjective`` reads it at one list of
-    per-group offsets."""
+    The terms at their own offsets (``terms``) and their weights
+    (``weights``), their lowering groups (``grouping``: equal
+    ``_group_key``, groups in order of first term), per group the stacked
+    columns of its terms (``cols``), the stacked maps M_k of a group of
+    terms g(M_k z + m_k) (``maps``; None for a group of other terms), the
+    terms' own offsets (``base``: the stacked m_k of such a group, the
+    stacked slopes and constants of a group of affine terms as a pair, the
+    constants c_k of a group g + c_k), the groups' forms (``groups``, None
+    with a support function), from the first lowering on P, G and A,
+    read-only (``lowering``), and the spectral factor of P (``spectral``).
+    A ``CompiledObjective`` reads it at one list of per-group offsets."""
 
     def __init__(self, n: int, terms: list[_Term]):
         self.n, self.terms = n, terms
+        self.weights = np.array([t.weight for t in terms])
         keyed = {}
         for i, t in enumerate(terms):
             keyed.setdefault(_group_key(t.fn), []).append(i)
         self.grouping = [np.array(idx) for idx in keyed.values()]
-        self.base = [np.array([terms[i].fn.offset for i in idx])
-                     if isinstance(terms[idx[0]].fn, AffinePrecomposition) else None
-                     for idx in self.grouping]
+        self.cols, self.maps, self.base = [], [], []
+        for idx in self.grouping:
+            fns = [terms[i].fn for i in idx]
+            self.cols.append(np.array([terms[i].cols for i in idx]))
+            if isinstance(fns[0], AffinePrecomposition):
+                self.maps.append(np.array([f.matrix for f in fns]))
+                self.base.append(np.array([f.offset for f in fns]))
+                continue
+            self.maps.append(None)
+            self.base.append((np.array([f.a for f in fns]), np.array([f.b for f in fns]))
+                             if isinstance(fns[0], Affine)
+                             else np.array([_shifted_core(f)[1] for f in fns]))
         self.lowering = None
 
     @cached_property
@@ -483,23 +498,16 @@ class _Template:
         """The ``_Group`` of each group of terms; None when some group has
         no form."""
         groups = []
-        for idx in self.grouping:
-            group = [self.terms[i] for i in idx]
-            found = _inner_forms([t.fn for t in group])
+        for idx, cols, M, m in zip(self.grouping, self.cols, self.maps, self.base):
+            found = _inner_forms([self.terms[i].fn for i in idx], M, m)
             if found is None:
                 return None
-            groups.append(_Group(idx, np.array([t.cols for t in group]),
-                                 np.array([t.weight for t in group]), *found))
+            groups.append(_Group(idx, cols, self.weights[idx], *found))
         return groups
 
     @cached_property
     def spectral(self) -> SpectralFactor:
         return SpectralFactor(self.lowering.P)
-
-    def term_values(self, obj: CompiledObjective, z):
-        """The value of each term of ``obj`` (read at its offsets) at z, in
-        term order, taken one at a time as they are read."""
-        return (t.fn.value(z[t.cols]) for t in obj.terms)
 
     def lowered(self, offsets):
         """(lowering, parts): the lowering, and the ``_OffsetParts`` of each
@@ -533,6 +541,8 @@ class CompiledObjective:
     one per group, the terms' own (the template's ``base``) by default: a
     (K, r) array of offsets m_k for a group of precompositions, a (K, d)
     array of slopes and a (K,) array of constants for a group of affine
+    terms, a (K,) array of constants c_k for a group g + c_k.  Its value,
+    like its lowering, goes one group at a time, and no caller walks its
     terms.  ``template`` is that template when one is kept
     (``_PrimalTemplate``, whose groups are all precompositions, or
     ``_LagrangianTemplate``, one affine group); it is built here
@@ -545,35 +555,28 @@ class CompiledObjective:
         self.template = _Template(n, terms) if template is None else template
         self.offsets = self.template.base if offsets is None else offsets
 
-    @cached_property
-    def terms(self) -> list[_Term]:
-        """The template's terms at this objective's offsets, built only when
-        read (by a caller that walks them)."""
-        tpl = self.template
-        if self.offsets is tpl.base:
-            return tpl.terms
-        terms = list(tpl.terms)
-        for idx, m in zip(tpl.grouping, self.offsets):
-            idx = idx.tolist()
-            if isinstance(m, tuple):  # an affine group's slopes and constants
-                fns = [Affine(a, b) for a, b in zip(m[0], m[1].tolist())]
-            else:
-                fns = [AffinePrecomposition(terms[i].fn.inner, terms[i].fn.matrix, off)
-                       for i, off in zip(idx, m)]
-            for i, fn in zip(idx, fns):
-                t = terms[i]
-                terms[i] = _Term(t.weight, fn, t.cols, t.node, t.param)
-        return terms
-
     def value(self, z) -> float:
-        """The terms' values (``_Template.term_values``) summed in term
-        order; +inf when some value is."""
-        z = np.asarray(z, dtype=float).ravel()
+        """The terms' values at z summed at their weights in term order;
+        +inf when some value is.  The values take one ``value_many`` pass
+        per group, a row per term: a group of terms g(M_k z + m_k) reads g
+        at the stacked M_k z_k + m_k, an affine group takes one dot product
+        per term, and a group g + c_k adds each c_k to g's value (up to the
+        sign of a zero value, which the sum does not read)."""
+        tpl, z = self.template, np.asarray(z, dtype=float).ravel()
+        vals = np.empty(len(tpl.terms))
+        for idx, cols, M, m in zip(tpl.grouping, tpl.cols, tpl.maps, self.offsets):
+            fn, Z = tpl.terms[idx[0]].fn, z[cols]
+            if M is not None:
+                vals[idx] = fn.inner.value_many((M @ Z[..., None])[..., 0] + m)
+            elif isinstance(m, tuple):  # an affine group's slopes and constants
+                vals[idx] = (m[0][:, None, :] @ Z[..., None])[:, 0, 0] + m[1]
+            else:  # one g, shifted by each term's constant
+                vals[idx] = _shifted_core(fn)[0].value_many(Z) + m
+        if (vals == INF).any():
+            return INF
         total = 0.0
-        for t, v in zip(self.template.terms, self.template.term_values(self, z)):
-            if v == INF:
-                return INF
-            total += t.weight * v
+        for v in (tpl.weights * vals).tolist():
+            total += v
         return total
 
     @cached_property
@@ -948,7 +951,7 @@ class _LagrangianTemplate(_Template):
         super().__init__(layout.width, [
             _Term(weight, zero, cols, leaf) for leaf, (weight, cols) in enumerate(
                 zip(p.tree.probabilities.tolist(), layout.columns))])
-        self.integrand, self.cols = p.integrand, layout.columns
+        self.integrand = p.integrand
 
     def objective(self, yvecs) -> CompiledObjective | None:
         """The Lagrangian at the leaf vectors ``yvecs`` of y
@@ -958,12 +961,6 @@ class _LagrangianTemplate(_Template):
         if np.any(consts == -INF):
             return None
         return CompiledObjective(self.n, self.terms, [(slopes, consts)], self)
-
-    def term_values(self, obj: CompiledObjective, z):
-        """s_l.z_l + c_l of every leaf in one stacked pass, one dot product
-        per row as ``Affine.value`` takes it."""
-        (slopes, consts), = obj.offsets
-        return ((slopes[:, None, :] @ z[self.cols][:, :, None])[:, 0, 0] + consts).tolist()
 
 
 def _lagrangian_objective(p: Problem, y: StochasticProcess):

@@ -111,13 +111,36 @@ def grid_minimize(value_many, n_free, lo=-10.0, hi=10.0, step=0.01,
     return best, best_x
 
 
+def terms(obj):
+    """The terms of a compiled objective: its template's terms read at the
+    objective's offsets, those of a group read at other offsets than its
+    own rebuilt as ``Affine`` or ``AffinePrecomposition``."""
+    from stochdual.solver import _Term
+
+    tpl = obj.template
+    out = list(tpl.terms)
+    for idx, m, own in zip(tpl.grouping, obj.offsets, tpl.base):
+        if m is own:
+            continue
+        idx = idx.tolist()
+        if isinstance(m, tuple):  # an affine group's slopes and constants
+            fns = [Affine(a, b) for a, b in zip(m[0], m[1].tolist())]
+        else:
+            fns = [AffinePrecomposition(out[i].fn.inner, out[i].fn.matrix, off)
+                   for i, off in zip(idx, m)]
+        for i, fn in zip(idx, fns):
+            t = out[i]
+            out[i] = _Term(t.weight, fn, t.cols, t.node, t.param)
+    return out
+
+
 def objective_values(obj):
     """Vectorised values of a compiled objective, one row of W per point:
     each term's value_many on its gathered columns, at its weight."""
     def value_many(W):
         W = np.asarray(W, dtype=float)
         total = np.zeros(W.shape[0])
-        for t in obj.terms:
+        for t in terms(obj):
             total = total + t.weight * t.fn.value_many(W[:, t.cols])
         return total
     return value_many
@@ -194,7 +217,7 @@ def subgradient(fn, x):
     x = np.asarray(x, dtype=float).ravel()
     if isinstance(fn, CompiledObjective):
         g = np.zeros(fn.n)
-        for t in fn.terms:
+        for t in terms(fn):
             g[t.cols] += t.weight * subgradient(t.fn, x[t.cols])
         return g
     if isinstance(fn, Affine):
@@ -233,6 +256,64 @@ def subgradient(fn, x):
 # ---------------------------------------------------------------------------
 # shared trees
 # ---------------------------------------------------------------------------
+
+
+def reference_value(fn, x) -> float:
+    """fn(x), one point at a time, by the scalar rule of its kind: a sum
+    (separable or not) returns +inf at its first part that is +inf, and a
+    piecewise-linear function integrates its pieces from the anchor.  The
+    reference for each kind's ``value_many``; a support function is its own
+    rule."""
+    from stochdual.convex import FEAS_TOL, PolyhedralIndicator, SupportFunction
+
+    inf = float("inf")
+    x = np.asarray(x, dtype=float).ravel()
+    if isinstance(fn, SupportFunction):
+        return fn.value(x)
+    if isinstance(fn, Affine):
+        return float(fn.a @ x) + fn.b
+    if isinstance(fn, Quadratic):
+        return float(fn.weights @ (x * x) + fn.tilt @ x) + fn.offset
+    if isinstance(fn, PiecewiseLinear):
+        x = float(x[0])
+        if x < fn.lo - FEAS_TOL or x > fn.hi + FEAS_TOL:
+            return inf
+        x = min(max(x, fn.lo), fn.hi)
+        a, b = (fn.anchor_x, x) if fn.anchor_x <= x else (x, fn.anchor_x)
+        total = 0.0
+        knots = np.concatenate([[a], fn.breaks[(fn.breaks > a) & (fn.breaks < b)], [b]])
+        for left, right in zip(knots[:-1], knots[1:]):
+            j = int(np.searchsorted(fn.breaks, 0.5 * (left + right), side="right"))
+            total += fn.slopes[j] * (right - left)
+        return fn.anchor_val + (1.0 if x >= fn.anchor_x else -1.0) * total
+    if isinstance(fn, Entropy):
+        x = float(x[0])
+        if x < -FEAS_TOL:
+            return inf
+        x = max(x, 0.0)
+        ent = 0.0 if x == 0.0 else x * np.log(x) - x
+        return float(fn.coeff * ent + fn.tilt * x + fn.offset)
+    if isinstance(fn, Exponential):
+        with np.errstate(over="ignore"):  # an overflow reads as +inf
+            return float(fn.coeff * np.exp(fn.rate * float(x[0])) + fn.offset)
+    if isinstance(fn, PolyhedralIndicator):
+        P = fn.polyhedron
+        inside = (np.all(P.a_ub @ x <= P.b_ub + FEAS_TOL)
+                  and np.all(np.abs(P.a_eq @ x - P.b_eq) <= FEAS_TOL))
+        return 0.0 if inside else inf
+    if isinstance(fn, AffinePrecomposition):
+        return reference_value(fn.inner, fn.matrix @ x + fn.offset)
+    if isinstance(fn, (SeparableSum, FiniteSum)):
+        total = 0.0
+        for part, lo, hi in (zip(fn.parts, fn.offsets[:-1], fn.offsets[1:])
+                             if isinstance(fn, SeparableSum)
+                             else ((s, 0, fn.dim) for s in fn.summands)):
+            v = reference_value(part, x[lo:hi])
+            if v == inf:
+                return inf
+            total += v
+        return total
+    raise TypeError(f"no reference rule for kind '{fn.kind}'")
 
 
 def _catalog_samples():
@@ -462,6 +543,20 @@ def kabanov_doc(horizon, rng, disutility=None):
                   "disutilities": [[disutility] * (2 ** t) for t in range(horizon + 1)]},
         "parameters": {"u": u},
     }
+
+
+# A one-leaf generic problem, f(x, u) = e^x - 1000 x + u at u = 0: Newton's
+# first step from x = 0 lands near x = 999, where e^x overflows, so its line
+# search reads +inf there.  `report --json` exits 0 with the primal value
+# -5907.755278982137.
+NEWTON_OVERFLOW_DOC = {
+    "tree": {"probabilities": ["1"], "partitions": [[[0]]]},
+    "model": {"family": "generic", "x_dims": [1], "u_dims": [1], "functions": [
+        {"kind": "sum", "terms": [
+            {"kind": "precompose", "inner": {"kind": "exponential"}, "matrix": [[1, 0]]},
+            {"kind": "affine", "a": [-1000, 1]}]}]},
+    "parameters": {"u": [[0]]},
+}
 
 
 def dynamic_docs():
@@ -812,7 +907,7 @@ def dense_lowering(obj, mats):
     width = mats[0].shape[1]
     P, q, c = np.zeros((width, width)), np.zeros(width), 0.0
     G, h, A, b, atoms = [], [], [], [], []
-    for t, M in zip(obj.terms, mats):
+    for t, M in zip(terms(obj), mats):
         form = t.fn.qp_form().compose(M, np.zeros(M.shape[0]))
         P += t.weight * form.P
         q += t.weight * form.q
@@ -877,7 +972,7 @@ def basis_bound(p, y):
     if B.shape[1] == 0:  # v = 0 is the only candidate
         value = obj.value(np.zeros(B.shape[0]))
         return ("optimal" if value < np.inf else "infeasible"), value, np.zeros(B.shape[0])
-    P, q, c, G, h, A, b, width = dense_lowering(obj, [B[t.cols] for t in obj.terms])
+    P, q, c, G, h, A, b, width = dense_lowering(obj, [B[t.cols] for t in terms(obj)])
     res = solve_qp(P, q, c, G, h, A, b)
     return res.status, res.value, None if res.x is None else B @ res.x[:width]
 

@@ -25,6 +25,7 @@ from stochdual.convex import (
     indicator_nonneg,
     indicator_nonpos,
     indicator_point,
+    infeasible,
     support_attains,
     support_function,
 )
@@ -34,6 +35,7 @@ from helpers import (
     CATALOG_SAMPLES,
     random_composite_function,
     random_scalar_function,
+    reference_value,
     same_bits,
     subgradient,
 )
@@ -69,16 +71,67 @@ class TestEvaluate:
                                         Quadratic([0.5, 2.0, 1.0], [0.3, 0.0, -1.0]),
                                         [[1.0, -2.0, 0.5], [0.3, 1.1, -0.7], [2.0, 0.1, 0.4]],
                                         [0.2, -0.1, 0.05]),
-                                    Affine([0.3, -1.7, 2.9], 0.4)],
+                                    Affine([0.3, -1.7, 2.9], 0.4),
+                                    PiecewiseLinear([-1.0, 2.0], [-2.0, 0.5, 3.0], lo=-3.0,
+                                                    anchor=(0.5, 1.0)),
+                                    PolyhedralIndicator(Polyhedron(
+                                        a_ub=[[1.0, 2.0]], b_ub=[1.0], a_eq=[[1.0, -1.0]],
+                                        b_eq=[0.5])),
+                                    SeparableSum([Entropy(), absolute_value(), Quadratic([0.5])]),
+                                    FiniteSum([indicator_nonneg(), Exponential(),
+                                               Affine([0.0], 0.3)]),
+                                    AffinePrecomposition(
+                                        SeparableSum([indicator_interval(-1.0, 1.0),
+                                                      Quadratic([1.0])]),
+                                        [[1.0, 2.0], [0.5, -1.0]], [0.1, 0.0]),
+                                    Affine(np.zeros(0), 0.4), infeasible(0),
+                                    SeparableSum([Quadratic([0.5]), absolute_value()]).fix(
+                                        [0, 1], [1.5, -2.0])],
                              ids=["entropy", "exponential", "quadratic", "quadratic-3d",
-                                  "precomposition", "affine"])
+                                  "precomposition", "affine", "pwl", "polyhedral",
+                                  "separable", "finite-sum", "precomposed-separable",
+                                  "affine-0d", "infeasible-0d", "fixed-0d"])
     def test_value_many_is_value_bit_for_bit(self, fn):
-        # row by row, and in one call of any number of rows
-        X = np.concatenate([np.random.default_rng(0).normal(size=201) * 3,
-                            [0.0, -0.0, 1e-10, -5e-10, -2e-9, np.nan]]).reshape(-1, fn.dim)
-        want = [fn.value(x) for x in X]
-        assert same_bits(fn.value_many(X), want)
-        assert same_bits([fn.value_many(x[None])[0] for x in X], want)
+        # value_many against the scalar rule of each kind (the reference),
+        # in one call of any number of rows, row by row and through
+        # ``value``: points inside and off the domain, on its ends and in
+        # its tolerance band, NaN, and +-inf, which may make inf - inf
+        rng = np.random.default_rng(0)
+        special = [0.0, -0.0, 1e-10, -5e-10, -2e-9, 1.000000001, 1000.0, np.nan]
+
+        def points(values):
+            d = fn.dim
+            if d == 0:
+                return np.zeros((3, 0))
+            return np.vstack([np.repeat(np.array(values)[:, None], d, axis=1),
+                              rng.choice(values, size=(20, d))])
+
+        for X, invalid in ((np.vstack([rng.normal(size=(60, fn.dim)) * 3, points(special)]),
+                            "raise"),
+                           (points([np.inf, -np.inf, 1.0, np.nan]), "ignore")):
+            with np.errstate(invalid="ignore"):
+                want = [reference_value(fn, x) for x in X]
+            with np.errstate(invalid=invalid):
+                assert same_bits(fn.value_many(X), want)
+                assert same_bits([fn.value_many(x[None])[0] for x in X], want)
+                assert same_bits([fn.value(x) for x in X], want)
+
+    def test_exponential_overflow_reads_inf(self):
+        # without a RuntimeWarning, which the suite turns into an error
+        assert same_bits(Exponential().value_many([[1000.0], [0.0]]), [INF, 1.0])
+        assert Exponential().value([1000.0]) == INF
+
+    def test_polyhedral_indicator_reads_each_row_within_the_tolerance(self):
+        # a.x <= b + FEAS_TOL row by row: x = 1.000000001 lies in {x <= 1},
+        # though its residual x - 1 = 1.00000008e-09 exceeds FEAS_TOL; a NaN
+        # point lies outside
+        g = PolyhedralIndicator(Polyhedron(a_ub=[[1.0]], b_ub=[1.0]))
+        assert g.polyhedron.residual([1.000000001]) > 1e-9
+        assert same_bits(g.value_many([[1.000000001], [1.000000002], [np.nan]]), [0.0, INF, INF])
+        assert g.value([1.000000001]) == 0.0
+        point = PolyhedralIndicator(Polyhedron(a_eq=[[1.0, -1.0]], b_eq=[0.5]))
+        assert same_bits(point.value_many([[1.5, 1.0], [1.5, 1.0 - 1e-8], [np.nan, 1.0]]),
+                         [0.0, INF, INF])
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
@@ -292,11 +345,13 @@ class TestPiecewiseLinearFuzz:
                                 anchor=(anchor, float(rng.normal())))
             if trial % 2:
                 g = g.scaled(float(rng.uniform(0.1, 3.0)))
-            X = np.concatenate([rng.uniform(-6, 6, 40), g.breaks, [anchor, np.nan],
+            X = np.concatenate([rng.uniform(-6, 6, 40), g.breaks, [anchor, np.nan, INF, -INF],
                                 [e + d for e in (g.lo, g.hi) if abs(e) != INF
                                  for d in (-2e-9, -5e-10, 0.0, 5e-10, 2e-9)]])
-            want = np.array([g.value([x]) for x in X])
-            assert same_bits(g.value_many(X[:, None]), want), f"trial {trial}"
+            with np.errstate(invalid="ignore"):  # a zero slope times an infinite piece
+                want = np.array([reference_value(g, [x]) for x in X])
+                assert same_bits(g.value_many(X[:, None]), want), f"trial {trial}"
+                assert same_bits([g.value([x]) for x in X], want), f"trial {trial}"
 
     def test_random_conjugates_match_grid(self):
         # the grid under-estimates by up to step * |v - nearest slope|, so

@@ -35,6 +35,7 @@ from helpers import (
     random_process,
     selection_matrix,
     subgradient,
+    terms,
 )
 
 SEEDS = range(6)
@@ -56,7 +57,7 @@ def assert_lowering_equal(got, want):
 
 
 def selection_mats(obj):
-    return [selection_matrix(t.cols, obj.n) for t in obj.terms]
+    return [selection_matrix(t.cols, obj.n) for t in terms(obj)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +174,14 @@ class TestLoweringMatchesDense:
         rng = np.random.default_rng(1000 + seed)
         p, _, _ = cases(seed)[1]
         obj = primal_objective(p, random_process(rng, p.tree, p.m_dims))[1]
-        mats = [selection_matrix(t.cols, obj.n) for t in obj.terms]
+        ts = terms(obj)
+        mats = [selection_matrix(t.cols, obj.n) for t in ts]
         W = 0.1 * rng.normal(size=(4, obj.n))
-        want = [sum(t.weight * t.fn.value(M @ w) for t, M in zip(obj.terms, mats)) for w in W]
+        want = [sum(t.weight * t.fn.value(M @ w) for t, M in zip(ts, mats)) for w in W]
         assert np.isfinite(want).all()
         np.testing.assert_allclose([obj.value(w) for w in W], want, rtol=1e-13)
         # the oracle scatters each term's rule through its columns
-        grad = sum(t.weight * M.T @ subgradient(t.fn, M @ W[0]) for t, M in zip(obj.terms, mats))
+        grad = sum(t.weight * M.T @ subgradient(t.fn, M @ W[0]) for t, M in zip(ts, mats))
         np.testing.assert_allclose(subgradient(obj, W[0]), grad, rtol=1e-13, atol=1e-13)
 
 
@@ -258,7 +260,7 @@ def per_term_shares(obj, res):
     slope of its supporting line, +1 on the hi row, -1 on the lo row)."""
     x, ineq, eq = res.x, res.multipliers, res.eq_multipliers
     shares, atoms, g, a = [], [], 0, 0
-    for t in obj.terms:
+    for t in terms(obj):
         form = t.fn.qp_form()
         ng, na = form.G.shape[0], form.A.shape[0]
         shares.append(t.weight * (form.P @ x[t.cols] + form.q)
@@ -304,19 +306,20 @@ class TestGroupedLowering:
             res = solver._minimize(obj)
             assert res.status == "optimal", name
             # the per-term subgradients, read off each group through its idx
-            subgradients = [None] * len(obj.terms)
+            ts = terms(obj)
+            subgradients = [None] * len(ts)
             for g, s in zip(obj._lowering.groups, obj._group_subgradients(res)):
                 for i, s_k in zip(g.idx.tolist(), s):
                     subgradients[i] = s_k
             want = per_term_shares(obj, res)
-            assert len(want) == len(obj.terms) and all(s is not None for s in subgradients)
+            assert len(want) == len(ts) and all(s is not None for s in subgradients)
             got = [t.weight * (t.fn.matrix.T @ s if isinstance(t.fn, AffinePrecomposition) else s)
-                   for t, s in zip(obj.terms, subgradients)]
+                   for t, s in zip(ts, subgradients)]
             for share, ref in zip(got, want):
                 np.testing.assert_allclose(share, ref, rtol=1e-12, atol=1e-12, err_msg=name)
             # the shares scatter-add to zero stationarity
             total = np.zeros(obj.n)
-            for t, share in zip(obj.terms, got):
+            for t, share in zip(ts, got):
                 total[t.cols] += share
             np.testing.assert_allclose(total, 0.0, atol=1e-8)
 

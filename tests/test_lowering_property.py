@@ -25,7 +25,8 @@ from stochdual.integrand import GenericIntegrand  # noqa: E402
 from stochdual.qp import solve_qp  # noqa: E402
 from stochdual.solver import Problem, primal_objective  # noqa: E402
 
-from helpers import dense_lowering, irregular_tree, random_process, selection_matrix  # noqa: E402
+from helpers import (  # noqa: E402
+    dense_lowering, irregular_tree, random_process, selection_matrix, terms)
 
 KINDS = ("abs", "pwl", "interval", "pair")
 
@@ -99,7 +100,7 @@ def test_grouped_lowering_equals_dense(case):
     p, u = case
     _, obj = primal_objective(p, u)
     got = obj.qp_data()
-    want = dense_lowering(obj, [selection_matrix(t.cols, obj.n) for t in obj.terms])
+    want = dense_lowering(obj, [selection_matrix(t.cols, obj.n) for t in terms(obj)])
     *arrays, n_main = got
     *ref, ref_main = want
     assert n_main == ref_main

@@ -62,3 +62,36 @@ def test_no_unused_import(module):
     tree = parse(module)
     used = used_names(tree)
     assert [(name, line) for name, line in imported_names(tree) if name not in used] == []
+
+
+def catalog_kinds(tree):
+    """{name: (methods, concrete)} for ``ConvexFunction`` and each class of
+    the module that derives from it (through the module's own classes): the
+    names of the methods its body defines, and whether it sets its own
+    ``kind``."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def derives(name):
+        return name == "ConvexFunction" or any(
+            isinstance(base, ast.Name) and base.id in classes and derives(base.id)
+            for base in classes[name].bases)
+
+    def sets_kind(node):
+        return any(isinstance(stmt, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "kind" for t in stmt.targets)
+                   for stmt in node.body)
+
+    return {name: ({f.name for f in node.body if isinstance(f, ast.FunctionDef)},
+                   name != "ConvexFunction" and sets_kind(node))
+            for name, node in classes.items() if derives(name)}
+
+
+def test_value_many_is_each_catalog_kinds_one_evaluator():
+    # ``value`` reads ``value_many`` at one row; only a support function,
+    # one LP per point, keeps a rule of its own
+    kinds = catalog_kinds(parse("convex"))
+    assert sorted(name for name, (methods, _) in kinds.items()
+                  if "value" in methods) == ["ConvexFunction", "SupportFunction"]
+    concrete = [name for name, (_, is_kind) in kinds.items() if is_kind]
+    assert len(concrete) == 10
+    assert [name for name in concrete if "value_many" not in kinds[name][0]] == []

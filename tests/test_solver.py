@@ -19,6 +19,7 @@ from stochdual.convex import (
     Quadratic,
     SeparableSum,
     absolute_value,
+    domain_polyhedron,
     indicator_nonpos,
     indicator_point,
 )
@@ -52,10 +53,12 @@ from stochdual.tree import (
 
 from helpers import (
     HALF_SQUARE,
+    NEWTON_OVERFLOW_DOC,
     basis_bound,
     binary_hedging,
     bound_solves,
     bolza_doc,
+    dynamic_docs,
     grid_minimize,
     hedging_doc,
     hedging_file,
@@ -65,7 +68,9 @@ from helpers import (
     per_leaf_conjugate_sum,
     same_bits,
     solve_bits,
+    terms,
     two_leaf_tree,
+    write_doc,
 )
 
 INF = float("inf")
@@ -791,6 +796,16 @@ class TestNewtonPath:
         assert (res.status, res.x, res.method) == ("infeasible", None, "newton")
 
 
+    def test_an_overflowing_line_search_reads_inf(self, tmp_path):
+        # the first step lands near x = 999: e^x overflows in the line
+        # search, which reads +inf there without a RuntimeWarning (an error
+        # in this suite) and halves the step
+        code, rep = cli.run(["report", write_doc(tmp_path, "overflow", NEWTON_OVERFLOW_DOC),
+                             "--json"])
+        assert (code, rep["primal"]["status"], rep["primal"]["method"]) == (0, "optimal", "newton")
+        assert rep["primal"]["value_repr"] == "-5907.755278982137"
+
+
 # ---------------------------------------------------------------------------
 # the compiled primal, once per problem
 # ---------------------------------------------------------------------------
@@ -852,7 +867,7 @@ class TestPrimalTemplate:
         assert template.lowering is not None
         _, obj = primal_objective(p, StochasticProcess(p.tree, u_b.values))
         assert obj.template is template
-        got, want = obj.qp_data(), solver.CompiledObjective(obj.n, obj.terms).qp_data()
+        got, want = obj.qp_data(), solver.CompiledObjective(obj.n, terms(obj)).qp_data()
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("disutility", [HALF_SQUARE, {"kind": "abs"}])
@@ -870,3 +885,77 @@ class TestPrimalTemplate:
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# a compiled objective's value, one group per pass
+# ---------------------------------------------------------------------------
+
+
+def summed_terms(obj, z):
+    """The value of ``obj`` at z term by term: each term's ``value`` on its
+    columns at its weight, summed in term order; +inf at the first term
+    that is +inf."""
+    total = 0.0
+    for t in terms(obj):
+        v = t.fn.value(z[t.cols])
+        if v == INF:
+            return INF
+        total += t.weight * v
+    return total
+
+
+def off_domain_point(obj, z):
+    """z with one term's columns moved 1 past a row of that term's domain,
+    along the row; None when no term's domain has a row."""
+    for t in terms(obj):
+        dom = domain_polyhedron(t.fn)
+        for a, b in [] if dom is None else [*zip(dom.a_ub, dom.b_ub), *zip(dom.a_eq, dom.b_eq)]:
+            if a.any():
+                w, out = z[t.cols], z.copy()
+                out[t.cols] = w + ((b + 1.0 - a @ w) / (a @ a)) * a
+                return out
+    return None
+
+
+def compiled_value_docs():
+    """(name, problem, u) of the bundled fixtures, ``dynamic_docs`` and
+    ``newton_docs``."""
+    from test_newton_reports import newton_docs
+
+    fixtures = sorted(pathlib.Path(fixture_path("binomial-alm.json")).parent.glob("*.json"))
+    for path in fixtures:
+        problem, _, params, _, _ = parse_problem_file(str(path))
+        yield path.name, problem, params["u"]
+    for name, doc in {**dynamic_docs(), **newton_docs()}.items():
+        yield (name, *parse_doc(doc))
+
+
+class TestCompiledValue:
+    def test_value_is_the_sum_of_its_terms_bit_for_bit(self):
+        # the primal and the Lagrangian of every document at its optimum,
+        # and off its domain (where the value is +inf) when some term's
+        # domain has a row: one value_many pass per group against one value
+        # call per term
+        off = 0
+        for name, p, u in compiled_value_docs():
+            primal = solve_primal(p, u)
+            assert primal.status == "optimal", name
+            dob = solve_dual(p, u, primal=primal).objective
+            assert dob is not None, name
+            for obj, z in ((primal.compiled, primal.solution.x), (dob.lagrangian, dob.inner.x)):
+                assert same_bits(obj.value(z), summed_terms(obj, z)), name
+                moved = off_domain_point(obj, z)
+                if moved is not None:
+                    off += 1
+                    assert obj.value(moved) == INF == summed_terms(obj, moved), name
+        assert off >= 10
+
+    def test_an_infinite_term_wins_over_nan(self):
+        # a term off its domain makes the value +inf, whatever another term
+        # reads, as the sum term by term returns at its first +inf
+        obj = solver.CompiledObjective(2, [
+            solver._Term(0.5, Quadratic([1.0]), np.array([1]), 0),
+            solver._Term(0.5, indicator_nonpos(), np.array([0]), 1)])
+        z = np.array([1.0, np.nan])
+        assert summed_terms(obj, z) == obj.value(z) == INF

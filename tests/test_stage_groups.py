@@ -137,13 +137,13 @@ def test_hamiltonians_lower_in_one_group_per_stage(state_cost, tmp_path, monkeyp
     y = solve_dual(problem, params["u"]).optimizer
     _, obj = solver._lagrangian_objective(problem, y)
     n_stage_groups = sum(len(groups) for groups in problem.integrand.stage_groups)
-    assert len(obj.terms) == 64 and len(obj._lowering[0]) <= n_stage_groups + 1
+    assert len(obj.template.terms) == 64 and len(obj._lowering[0]) <= n_stage_groups + 1
     grouped = obj.qp_data()
     real = solver._inner_forms
 
-    def whole(fns):
+    def whole(fns, M, m):
         if isinstance(fns[0], (Affine, AffinePrecomposition)):
-            return real(fns)
+            return real(fns, M, m)
         form = fns[0].qp_form()
         return None if form is None else (form.as_stack(), None)
 
