@@ -9,8 +9,8 @@ derive, in closed form per leaf:
   * the pointwise conjugate  f*(v, y),
   * for dynamic (Bolza) structure, stage Hamiltonians
     H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t } and the stage
-    conjugates K_t*, from which the solver builds a dynamic problem's
-    objects node by node.
+    conjugates K_t*, which the solver reads for all the nodes that share a
+    stage object in one stacked pass over their dual rows.
 
 Each of these Lagrangians is closed in x: a partial infimum of a catalog
 function is a finite sum of closed catalog functions, or the MINUS_INF
@@ -87,72 +87,70 @@ def _is_identically_infinite(fn: ConvexFunction) -> bool:
 
 
 def partial_infimum(fn: ConvexFunction, nx: int, y):
-    """inf over w of fn(x, w) - w.y as a function of x (the leading block).
+    """inf over w of fn(x, w) - w.y as a function of x (the leading block):
+    ``partial_infima`` at the one row y."""
+    return partial_infima(fn, nx, np.asarray(y, dtype=float).reshape(1, -1))[0]
 
-    Returns a catalog function of x, or the MINUS_INF sentinel when the
-    infimum is -inf irrespective of x.  Raises NoClosedFormError when the
-    trailing slice is not conjugable in closed form.
 
-    A precomposition g(M (x, w) + m) with a square, nonzero block M_w is
-    the K = 1 case of ``_affine_slices``, the stacked rule that
-    ``GenericIntegrand.affine_lagrangians`` runs once per group of
-    ``GenericIntegrand.leaf_groups``.
+def partial_infima(fn: ConvexFunction, nx: int, ys) -> list:
+    """inf over w of fn(x, w) - w.y_k as functions of x (the leading
+    block), one per row y_k of ``ys``, in one stacked pass.
+
+    Each entry is a catalog function of x, or the MINUS_INF sentinel when
+    the infimum is -inf irrespective of x.  What does not move with y is
+    one object shared by the rows: a separable sum's x-part g (each row's
+    function is then g + c_k), or a finite sum's summands free of w.
+    Raises NoClosedFormError when the trailing slice is not conjugable in
+    closed form.
+
+    Each row's function does not depend on the other rows, as every
+    catalog kind's ``value_many`` evaluates row by row, and a row stops
+    at its first -inf part, so ``partial_infimum`` is the one-row reading
+    of this one rule.  A precomposition g(M (x, w) + m) with a square,
+    nonzero block M_w is ``_affine_slices`` over the rows, the stacked
+    rule that ``GenericIntegrand.affine_lagrangians`` runs once per group
+    of ``GenericIntegrand.leaf_groups``.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float)
     m = fn.dim - nx
-    if y.size != m:
+    if ys.ndim != 2 or ys.shape[1] != m:
         raise ValueError("dual vector does not match the parameter block")
+    K = ys.shape[0]
     if m == 0:
-        return fn
+        return [fn] * K
     u_idx = np.arange(nx, fn.dim)
 
     if isinstance(fn, Affine):
-        a_x, a_u = fn.a[:nx], fn.a[nx:]
-        if np.max(np.abs(a_u - y), initial=0.0) > FEAS_TOL:
-            return MINUS_INF
-        return Affine(a_x, fn.b)
+        off = np.max(np.abs(fn.a[nx:] - ys), axis=1, initial=0.0) > FEAS_TOL
+        return _minus_inf_where(off, lambda: Affine(fn.a[:nx], fn.b))
 
     if isinstance(fn, Quadratic):
         w_u, t_u = fn.weights[nx:], fn.tilt[nx:]
-        drop = 0.0
-        for wi, ti, yi in zip(w_u, t_u, y):
-            if wi > 0:
-                drop += (yi - ti) ** 2 / (4.0 * wi)
-            elif abs(yi - ti) > FEAS_TOL:
-                return MINUS_INF
-        return Quadratic(fn.weights[:nx], fn.tilt[:nx], fn.offset - drop)
+        out = []
+        for y in ys:
+            drop = 0.0
+            for wi, ti, yi in zip(w_u, t_u, y):
+                if wi > 0:
+                    drop += (yi - ti) ** 2 / (4.0 * wi)
+                elif abs(yi - ti) > FEAS_TOL:
+                    drop = None
+                    break
+            out.append(MINUS_INF if drop is None else
+                       Quadratic(fn.weights[:nx], fn.tilt[:nx], fn.offset - drop))
+        return out
 
     if isinstance(fn, SeparableSum):
-        parts, const = [], 0.0
-        for i, part in enumerate(fn.parts):
-            lo, hi = fn.offsets[i], fn.offsets[i + 1]
-            if hi <= nx:
-                parts.append(part)
-            elif lo >= nx:
-                val = part.conjugate().value(y[lo - nx:hi - nx])
-                if val == INF:
-                    return MINUS_INF
-                const -= val
-            else:
-                sub = partial_infimum(part, nx - lo, y[:hi - nx])
-                if sub is MINUS_INF:
-                    return MINUS_INF
-                parts.append(sub)
-        if not parts:
-            return constant(const, nx)
-        out = SeparableSum(parts) if len(parts) > 1 or parts[0].dim != nx else parts[0]
-        if out.dim != nx:  # fully-frozen pieces reduced the width
-            raise NoClosedFormError("separable slice lost coordinates")
-        return _shift(out, const)
+        return _separable_infima(fn, nx, ys)
 
     if isinstance(fn, AffinePrecomposition):
         if np.max(np.abs(fn.matrix[:, nx:]), initial=0.0) == 0.0:
-            if np.max(np.abs(y), initial=0.0) > FEAS_TOL:
-                return MINUS_INF
-            return fn.fix(u_idx, np.zeros(m))
+            off = np.max(np.abs(ys), axis=1, initial=0.0) > FEAS_TOL
+            return _minus_inf_where(off, lambda: fn.fix(u_idx, np.zeros(m)))
         if fn.matrix.shape[0] == m:
-            (a,), (b,) = _affine_slices(fn.inner, fn.matrix[None], fn.offset[None], nx, y[None])
-            return MINUS_INF if b == -INF else Affine(a, float(b))
+            slopes, consts = _affine_slices(fn.inner, np.repeat(fn.matrix[None], K, axis=0),
+                                            np.repeat(fn.offset[None], K, axis=0), nx, ys)
+            return [MINUS_INF if b == -INF else Affine(a, float(b))
+                    for a, b in zip(slopes, consts.tolist())]
         raise NoClosedFormError("parameter slice is not conjugable")
 
     if isinstance(fn, FiniteSum):
@@ -163,21 +161,77 @@ def partial_infimum(fn: ConvexFunction, nx: int, y):
             else:
                 independent.append(s.fix(u_idx, np.zeros(m)))
         if len(dependent) == 0:
-            if np.max(np.abs(y), initial=0.0) > FEAS_TOL:
-                return MINUS_INF
-            return FiniteSum(independent) if independent else constant(0.0, nx)
+            off = np.max(np.abs(ys), axis=1, initial=0.0) > FEAS_TOL
+            return _minus_inf_where(off, lambda: FiniteSum(independent) if independent
+                           else constant(0.0, nx))
         if len(dependent) > 1:
             raise NoClosedFormError("parameter couples several non-affine terms")
-        core = partial_infimum(dependent[0], nx, y)
-        if core is MINUS_INF:
-            return MINUS_INF
-        return FiniteSum(independent + [core]) if independent else core
+        return [core if core is MINUS_INF or not independent else FiniteSum(independent + [core])
+                for core in partial_infima(dependent[0], nx, ys)]
 
     if nx == 0:
-        val = -fn.conjugate().value(y)
-        return MINUS_INF if val == -INF else constant(val, 0)
+        vals = (-fn.conjugate().value_many(ys)).tolist()
+        return [MINUS_INF if val == -INF else constant(val, 0) for val in vals]
 
     raise NoClosedFormError(f"no partial-conjugation rule for kind '{fn.kind}'")
+
+
+def _minus_inf_where(off, make) -> list:
+    """MINUS_INF on the rows where ``off`` holds, and on the others one
+    shared function, built once by ``make`` when some row needs it."""
+    fn = None if off.all() else make()
+    return [MINUS_INF if o else fn for o in off.tolist()]
+
+
+def _separable_infima(fn: SeparableSum, nx: int, ys) -> list:
+    """``partial_infima`` of a separable sum, part by part over the rows
+    still finite: a part on x alone is kept, shared by the rows; a part on
+    w alone adds -g_i*(y_k) to row k's constant, every row's in one
+    ``value_many``; a part across the split is partially conjugated over
+    the rows.  Row k is MINUS_INF from its first -inf part on."""
+    K = ys.shape[0]
+    alive, const = np.ones(K, dtype=bool), np.zeros(K)
+    parts = []  # a shared part, or one function per row (None on dead rows)
+    for i, part in enumerate(fn.parts):
+        if not alive.any():
+            break
+        lo, hi = fn.offsets[i], fn.offsets[i + 1]
+        if hi <= nx:
+            parts.append(part)
+            continue
+        rows = np.flatnonzero(alive)
+        if lo >= nx:
+            vals = part.conjugate().value_many(ys[rows, lo - nx:hi - nx])
+            alive[rows[vals == INF]] = False
+            const[rows] -= vals
+        else:
+            subs = [None] * K
+            for k, sub in zip(rows.tolist(), partial_infima(part, nx - lo, ys[rows, :hi - nx])):
+                subs[k] = sub
+                alive[k] = sub is not MINUS_INF
+            parts.append(subs)
+    if not alive.any():
+        return [MINUS_INF] * K
+    if not parts:
+        return [constant(c, nx) if a else MINUS_INF for a, c in zip(alive, const.tolist())]
+    shared = _x_part(parts, nx) if not any(isinstance(q, list) for q in parts) else None
+    out = []
+    for k, c in enumerate(const.tolist()):
+        if not alive[k]:
+            out.append(MINUS_INF)
+            continue
+        g = shared if shared is not None else _x_part(
+            [q[k] if isinstance(q, list) else q for q in parts], nx)
+        out.append(_shift(g, c))
+    return out
+
+
+def _x_part(parts, nx: int) -> ConvexFunction:
+    """The separable sum of ``parts`` on x, or its one part."""
+    out = SeparableSum(parts) if len(parts) > 1 or parts[0].dim != nx else parts[0]
+    if out.dim != nx:  # fully-frozen pieces reduced the width
+        raise NoClosedFormError("separable slice lost coordinates")
+    return out
 
 
 def _affine_slices(inner: ConvexFunction, mats, offsets, nx: int, ys):
@@ -585,6 +639,12 @@ class BolzaStage:
     def hamiltonian_function_of_x(self, y):
         return partial_infimum(self.fn, self.d, y)
 
+    def hamiltonian_functions_of_x(self, ys) -> list:
+        """H(., y_k) at each row y_k of ``ys``, in one stacked pass
+        (``partial_infima``); the one-row reading is
+        ``hamiltonian_function_of_x``."""
+        return partial_infima(self.fn, self.d, ys)
+
     def hamiltonian(self, x, y) -> float:
         if self.x_infeasible(x):
             return INF
@@ -608,10 +668,15 @@ class BolzaStage:
         """``conjugate_value`` at the rows of A and B, bit for bit."""
         return self.fn.conjugate().value_many(np.hstack([A, B]))
 
-    def conjugate_function_of_a(self, b) -> ConvexFunction:
-        b = np.asarray(b, dtype=float).ravel()
-        idx = np.arange(self.d, 2 * self.d)
-        return self.fn.conjugate().fix(idx, b)
+
+def _distinct_rows(ys):
+    """(y, rows) per distinct row y of ``ys``, by its bytes, in order of
+    first appearance: ``rows`` lists the indices of its copies."""
+    ys = np.asarray(ys, dtype=float)
+    groups = {}
+    for k, y in enumerate(ys):
+        groups.setdefault(y.tobytes(), []).append(k)
+    return [(ys[rows[0]], rows) for rows in groups.values()]
 
 
 class KabanovStage(BolzaStage):
@@ -690,6 +755,16 @@ class KabanovStage(BolzaStage):
                 a_eq=rows, b_eq=np.zeros(d), validate=False)))
         return FiniteSum(pieces)
 
+    def hamiltonian_functions_of_x(self, ys):
+        """``hamiltonian_function_of_x`` once per distinct row of ``ys``
+        (one support LP each), shared by the rows that agree bit for bit."""
+        out = [None] * len(ys)
+        for y, rows in _distinct_rows(ys):
+            h = self.hamiltonian_function_of_x(y)
+            for k in rows:
+                out[k] = h
+        return out
+
     def hamiltonian_x_conjugate(self, y):
         # H(., y)* = K*(., y), an infeasible indicator where H(., y) = -inf
         return self.conjugate_function_of_a(y)
@@ -698,9 +773,14 @@ class KabanovStage(BolzaStage):
         return self.conjugate_function_of_a(b).value(a)
 
     def conjugate_value_many(self, A, B):
-        """``conjugate_value`` row by row (the stage function's conjugate
-        has no closed form; each row's has)."""
-        return np.array([self.conjugate_value(a, b) for a, b in zip(A, B)])
+        """``conjugate_value`` at the rows of A and B, bit for bit (the
+        stage function's conjugate has no closed form; each slice's has):
+        each distinct row b of B, by its bytes, builds its slice once (one
+        support LP) and reads its rows of A in one ``value_many``."""
+        A, out = np.asarray(A, dtype=float), np.empty(len(A))
+        for b, rows in _distinct_rows(B):
+            out[rows] = self.conjugate_function_of_a(b).value_many(A[rows])
+        return out
 
     def conjugate_function_of_a(self, b):
         """K*(., b) in closed form: a -> V*(b_z - a_k) + sigma_C(b_z), plus

@@ -43,6 +43,8 @@ def _validate_disutility(V: ConvexFunction, what: str, grid_hi: float = 2.0):
     failure names the first grid point that fails along some axis."""
     _require_convex(V, what)
     d = V.dim
+    if d == 0:  # the grid has one axis per coordinate, and none here
+        raise ValueError(f"{what} has no coordinates (dimension 0)")
     axis = np.linspace(0.0, grid_hi, 5)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
@@ -87,7 +89,7 @@ def build_alm(tree: ScenarioTree, disutility, price: StochasticProcess) -> Probl
     for V in Vs:
         _validate_disutility(V, "disutility")
         if V.dim != 1:
-            raise ValueError("the hedging disutility is scalar")
+            raise ValueError(f"the hedging disutility is scalar, not of dimension {V.dim}")
     return Problem(tree, AlmIntegrand(tree, list(Vs), price))
 
 

@@ -18,11 +18,12 @@ the stage-t cost, Hamiltonian or stage conjugate on a stage-t information
 node, compiled once for the leaves of a block whose stage-t slices of u
 (or y) agree bit for bit, at their summed probability; the Lagrangian's
 coupling E sum_t <y_t - y_{t+1}, x_t> is one affine term.  The stage
-objects are shared across nodes, so K_t* is computed once per stage, and
-each node's Hamiltonian once per dual solve and its slice
-a -> K_t*(a, y_t) once per annihilator bound.  Every catalog Lagrangian
-is closed, so the lower variant of phi*(y) is the Lagrangian's own value
-at the inner minimizer, on every family.
+objects are shared across nodes, so K_t* is computed once per stage; the
+Hamiltonians of the stage-t nodes that share a stage object are built in
+one stacked call per dual solve, and the annihilator bound reads each
+shared K_t* once over the stacked (a, y_t) rows of its leaves.  Every
+catalog Lagrangian is closed, so the lower variant of phi*(y) is the
+Lagrangian's own value at the inner minimizer, on every family.
 
 The QP lowering goes one group of terms at a time: terms g(M_k z + m_k) of
 one shared g, terms g + c_k of one shared g (a stage's Hamiltonians), or
@@ -985,14 +986,25 @@ def _lagrangian_objective(p: Problem, y: StochasticProcess):
 def _bolza_lagrangian_terms(p: Problem, yvecs):
     """One Hamiltonian term H_t(x_t, y_t) per stage-t node, then the
     coupling E sum_t <y_t - y_{t+1}, x_t> as one affine term over the
-    layout, last; None when some H_t(., y_t) is -inf."""
+    layout, last; None when some H_t(., y_t) is -inf.  The Hamiltonians of
+    the stage-t nodes that share one stage object (a group of
+    ``BolzaIntegrand.stage_groups``) are built in one call over the nodes'
+    y_t rows (``BolzaStage.hamiltonian_functions_of_x``), one group at a
+    time."""
     f, layout = p.integrand, p.layout
     terms = []
     for t, nodes in enumerate(_stage_nodes(p, yvecs)):
-        for b, leaves, weight in nodes:
-            h = f.stages[t][b].hamiltonian_function_of_x(yvecs[leaves[0], f.u_slices[t]])
-            if h is MINUS_INF:
+        node_blocks = np.array([b for b, _, _ in nodes])
+        hams = [None] * len(nodes)
+        for stage, blocks, _ in f.stage_groups[t]:
+            idx = np.flatnonzero(np.isin(node_blocks, blocks)).tolist()
+            fns = stage.hamiltonian_functions_of_x(yvecs[[nodes[i][1][0] for i in idx],
+                                                         f.u_slices[t]])
+            if any(h is MINUS_INF for h in fns):
                 return None
+            for i, h in zip(idx, fns):
+                hams[i] = h
+        for (_, leaves, weight), h in zip(nodes, hams):
             terms.append(_Term(weight, h, layout.columns[leaves[0], f.x_slices[t]],
                                (t, tuple(leaves.tolist()))))
     coupling = np.zeros(layout.width)
@@ -1052,9 +1064,10 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
     E f*(v, y) goes one group at a time.  On static problems
     ``conjugate_values`` prices each group of leaves whose joints share
     one inner g in one stacked pass, and any other leaf by its own
-    conjugate.  On dynamic problems each node's slice of its stage
-    conjugate is built here, once, and evaluated once over the node's
-    leaves (``_bolza_conjugate_sum``).
+    conjugate.  On dynamic problems each stage t prices the leaves that
+    share a stage object in one pass of that stage's conjugate over their
+    stacked (a, y_t) rows, with no slice per node
+    (``_bolza_conjugate_sum``).
     """
     cfg = cfg or SolverConfig()
     try:
@@ -1116,17 +1129,20 @@ def _stationary_v(p: Problem, yvecs, dob: DualObjective):
 
 def _bolza_conjugate_sum(p: Problem, yvecs, V) -> float:
     """E f*(v, y) = E sum_t K_t*(v_t + y_{t+1} - y_t, y_t) at the leaf rows
-    V of v: each stage-t node's slice a -> K_t*(a, y_t) is built once and
-    evaluated once over the node's leaves, then each leaf's values are
-    summed stage by stage and the leaves in order; +inf when some value
-    is.  Raises NoClosedFormError when some slice has no closed form."""
+    V of v: each shared stage conjugate K_t* is read once per stage over
+    the stacked rows of the leaves that carry it
+    (``BolzaStage.conjugate_value_many``), then each leaf's values are
+    summed stage by stage and the leaves in order, bit for bit the sum of
+    p_l ``BolzaIntegrand.conjugate_value``; +inf when some value is.
+    Raises NoClosedFormError when some stage conjugate has no closed
+    form."""
     f = p.integrand
     shifted = V + (_next_stage(p, yvecs) - yvecs)
     vals = np.empty((f.tree.n_leaves, f.tree.stage_count))
-    for t, nodes in enumerate(_stage_nodes(p, yvecs)):
-        for b, leaves, _ in nodes:
-            fn_a = f.stages[t][b].conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])
-            vals[leaves, t] = fn_a.value_many(shifted[leaves, f.x_slices[t]])
+    for t, groups in enumerate(f.stage_groups):
+        for stage, _, leaves in groups:
+            vals[leaves, t] = stage.conjugate_value_many(shifted[leaves, f.x_slices[t]],
+                                                         yvecs[leaves, f.u_slices[t]])
     per_leaf = np.zeros(f.tree.n_leaves)
     for t in range(f.tree.stage_count):
         per_leaf = per_leaf + vals[:, t]

@@ -730,6 +730,17 @@ def lagrangian_function_of_x(f, leaf, y):
     return FiniteSum(pieces)
 
 
+def conjugate_function_of_a(stage, b):
+    """The slice a -> K*(a, b) of a stage's conjugate, built per node: the
+    reference of ``BolzaStage.conjugate_value_many``, which reads K* at
+    the stacked rows (a, b).  K*'s trailing block fixed at b, or a Kabanov
+    stage's own closed form."""
+    if isinstance(stage, KabanovStage):
+        return stage.conjugate_function_of_a(b)
+    b = np.asarray(b, dtype=float).ravel()
+    return stage.fn.conjugate().fix(np.arange(stage.d, 2 * stage.d), b)
+
+
 def hbar_function_of_x(stage, y):
     """The lsc hull of a stage's Hamiltonian H(., y): the conjugate of
     a -> K*(a, y), MINUS_INF where that slice is identically +inf (its
@@ -737,7 +748,7 @@ def hbar_function_of_x(stage, y):
     already, and its slice's conjugate has no closed form."""
     if isinstance(stage, KabanovStage):
         return stage.hamiltonian_function_of_x(y)
-    conj = stage.conjugate_function_of_a(y)
+    conj = conjugate_function_of_a(stage, y)
     dom = domain_polyhedron(conj)
     if dom is not None and dom.is_empty():
         return MINUS_INF
@@ -783,7 +794,7 @@ def conjugate_function_of_v(f, leaf, y):
         return f.conjugate_function_of_v(leaf, y)
     ys, dys = f._dual_increments(y)
     return SeparableSum([
-        AffinePrecomposition(f.stage_cost(leaf, t).conjugate_function_of_a(ys[t]),
+        AffinePrecomposition(conjugate_function_of_a(f.stage_cost(leaf, t), ys[t]),
                              np.eye(f.d), dys[t])
         for t in range(f.tree.stage_count)])
 
@@ -1078,13 +1089,27 @@ def bolza_conjugates_per_node(p, y):
     stage_fns = [[None] * p.tree.stage_count for _ in range(p.tree.n_leaves)]
     for t, nodes in enumerate(_stage_nodes(p, yvecs)):
         for b, leaves, _ in nodes:
-            fn_a = f.stages[t][b].conjugate_function_of_a(yvecs[leaves[0], f.u_slices[t]])
+            fn_a = conjugate_function_of_a(f.stages[t][b], yvecs[leaves[0], f.u_slices[t]])
             for leaf in leaves:
                 stage_fns[leaf][t] = fn_a
     eye, shifts = np.eye(f.d), _next_stage(p, yvecs) - yvecs
     return [SeparableSum([AffinePrecomposition(fn_a, eye, shifts[leaf, f.u_slices[t]])
                           for t, fn_a in enumerate(fns)])
             for leaf, fns in enumerate(stage_fns)]
+
+
+def joint_conjugate_sum(p, y, v):
+    """E f*(v, y) through a Bolza integrand's own joint rule
+    ``BolzaIntegrand.conjugate_value``, leaf by leaf, the leaves summed in
+    order as a compiled objective sums its terms; +inf when some value
+    is."""
+    total = 0.0
+    for leaf, (weight, v_l, y_l) in enumerate(zip(p.tree.probabilities.tolist(), v.rows, y.rows)):
+        val = p.integrand.conjugate_value(leaf, v_l, y_l)
+        if val == np.inf:
+            return np.inf
+        total += weight * val
+    return total
 
 
 def conjugate_sum_per_leaf(p, y, v):

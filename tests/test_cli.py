@@ -21,7 +21,7 @@ from stochdual.cli import (
 )
 from stochdual.solver import AdaptedLayout, solve_dual, solve_primal
 
-from helpers import bolza_doc, bound_solves, hedging_file, same_bits, write_doc
+from helpers import HALF_SQUARE, bolza_doc, bound_solves, hedging_file, same_bits, write_doc
 
 FIXTURES = [
     "quadratic-tracking.json",
@@ -185,6 +185,19 @@ class TestParsing:
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
         assert proc.stderr == "error: $: expected a JSON object\n"
+
+    @pytest.mark.parametrize("parts, error", [
+        ([], "disutility has no coordinates (dimension 0)"),
+        ([HALF_SQUARE, HALF_SQUARE], "the hedging disutility is scalar, not of dimension 2"),
+    ])
+    def test_a_hedging_disutility_that_is_not_scalar_is_named(self, tmp_path, parts, error):
+        # dimension 0 is refused before the monotonicity grid, which has no
+        # axis there
+        with open(fixture_path("binomial-alm.json")) as fh:
+            doc = json.load(fh)
+        doc["model"]["disutility"] = {"kind": "separable", "parts": parts}
+        code, report = run(["report", write_doc(tmp_path, "alm-dim", doc)])
+        assert (code, report) == (cli.EXIT_USAGE, {"error": f"model: {error}", "field": "model"})
 
     def test_unknown_kind_reports_path(self, tmp_path):
         doc = {

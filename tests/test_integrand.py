@@ -38,6 +38,7 @@ from helpers import (
     HEDGING_DISUTILITIES,
     binary_hedging,
     binary_prices,
+    conjugate_function_of_a,
     hbar_function_of_x,
     joint_function,
     lower_lagrangian,
@@ -453,7 +454,7 @@ class TestKabanovAsBolza:
         for bz in np.vstack([polar, rng.normal(size=(8, 2))]):
             for bk in (np.zeros(2), rng.normal(size=2)):
                 b = np.concatenate([bz, bk])
-                fns = (st.hamiltonian_x_conjugate(b), st.conjugate_function_of_a(b))
+                fns = (st.hamiltonian_x_conjugate(b), conjugate_function_of_a(st, b))
                 for _ in range(3):
                     a = rng.normal(size=4)
                     if rng.random() < 0.5:

@@ -4,11 +4,13 @@ evaluate each shared stage cost or stage conjugate once per group.
 A problem file's equal stage specs parse to one BolzaStage (one
 KabanovStage per distinct trade set, disutility and terminal flag), so the
 primal lowering stacks a stage's nodes and K* is computed once per stage.
-``bolza_dual_value``, ``check_euler_lagrange`` and the annihilator bound's
-E f*(v, y) are checked bit for bit against the per-node loops of
-tests/helpers.py, on irregular trees whose blocks share a few stage
-objects, and the Lagrangian that lowers the nodes' Hamiltonians in one
-group per shared stage against one group per node.
+``bolza_dual_value`` and ``check_euler_lagrange`` are checked bit for bit
+against the per-node loops of tests/helpers.py, and the annihilator
+bound's E f*(v, y) against the integrand's joint rule leaf by leaf, on
+irregular trees whose blocks share a few stage objects; the stacked
+Hamiltonians and Kabanov stage conjugates against their one-row rules;
+and the Lagrangian that lowers the nodes' Hamiltonians in one group per
+shared stage against one group per node.
 """
 
 import numpy as np
@@ -19,7 +21,9 @@ from stochdual.cli import parse_problem_file, run
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
+    FiniteSum,
     PiecewiseLinear,
+    Polyhedron,
     Quadratic,
     SeparableSum,
     absolute_value,
@@ -47,6 +51,7 @@ from helpers import (
     grouped_process,
     hbar_function_of_x,
     irregular_tree,
+    joint_conjugate_sum,
     kabanov_doc,
     parse_doc,
     random_process,
@@ -173,41 +178,53 @@ def test_the_primal_template_follows_the_partition_of_u(state_cost):
     assert len(templates[0].terms) == 15 and len(templates[3].terms) > 15
 
 
-def test_a_report_builds_one_stage_conjugate_per_node(bolza63, monkeypatch):
-    _, _, path = bolza63
+def test_the_bound_builds_no_slice_on_a_bolza_stage(bolza63, monkeypatch):
+    # the dual solve reads no stage conjugate; the bound, given its
+    # objective, solves nothing and reads the one shared K* once per stage
+    # over the stacked leaf rows, fixing no slice a -> K*(a, y_t); its
+    # value is the integrand's joint rule, leaf by leaf, bit for bit
+    problem, u, _ = bolza63
+    monkeypatch.setattr(problem.integrand.stages[0][0].fn.conjugate(), "fix",
+                        lambda idx, vals: pytest.fail("a slice of K*"))
     calls = []
-    real = BolzaStage.conjugate_function_of_a
-    monkeypatch.setattr(BolzaStage, "conjugate_function_of_a",
-                        lambda self, b: calls.append(b) or real(self, b))
-    code, report = run(["report", path])
-    assert code == 0 and report["dual_representation"]["annihilator_bound"] is not None
-    assert len(calls) == 63
+    real = BolzaStage.conjugate_value_many
+    monkeypatch.setattr(BolzaStage, "conjugate_value_many",
+                        lambda self, A, B: calls.append(len(A)) or real(self, A, B))
+    dual = solve_dual(problem, u)
+    assert calls == []
+    bound = solver.dual_via_orthocomplement(problem, dual.optimizer, objective=dual.objective)
+    assert calls == [32] * 6
+    assert bound.status == "optimal"
+    assert same_bits(bound.value, joint_conjugate_sum(problem, dual.optimizer, bound.v))
 
 
-def test_a_kabanov_report_builds_one_stage_conjugate_per_node(tmp_path, monkeypatch):
-    # the dual solve reads none of them, so the annihilator bound builds
-    # them, one per node
+def test_a_kabanov_report_builds_one_slice_per_distinct_row(tmp_path, monkeypatch):
+    # the dual solve reads none of them; the annihilator bound builds one
+    # per distinct (stage object, y_t row): 14 of the 15 nodes, as two share
+    # a row
     path = write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3)))
     calls = []
     real = KabanovStage.conjugate_function_of_a
     monkeypatch.setattr(KabanovStage, "conjugate_function_of_a",
-                        lambda self, b: calls.append(b) or real(self, b))
+                        lambda self, b: calls.append((id(self), b.tobytes())) or real(self, b))
     code, report = run(["report", path])
     assert code == 0 and report["dual_representation"]["annihilator_bound"] is not None
-    assert len(calls) == 1 + 2 + 4 + 8
+    assert len(calls) == len(set(calls)) == 14
 
 
 @pytest.mark.parametrize("command", ["report", "gap", "dualize"])
 def test_a_kabanov_dual_solve_builds_each_hamiltonian_once(tmp_path, monkeypatch, command):
-    # one Hamiltonian per node of the 15-node market, for the Lagrangian;
-    # the lower variant reads that Lagrangian and builds none of its own
+    # one Hamiltonian per distinct (stage object, y_t row) of the 15-node
+    # market, for the Lagrangian: nodes whose rows agree bit for bit share
+    # one; the lower variant reads that Lagrangian and builds none of its
+    # own
     path = write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3)))
     calls = []
     real = KabanovStage.hamiltonian_function_of_x
     monkeypatch.setattr(KabanovStage, "hamiltonian_function_of_x",
-                        lambda self, y: calls.append(y) or real(self, y))
+                        lambda self, y: calls.append((id(self), y.tobytes())) or real(self, y))
     assert run([command, path])[0] == 0
-    assert len(calls) == 1 + 2 + 4 + 8
+    assert len(calls) == len(set(calls)) == 14
 
 
 @pytest.mark.parametrize("state_cost, lps", [(HALF_SQUARE, 0), ({"kind": "abs"}, 0)])
@@ -316,21 +333,113 @@ def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
     for scale in (0.02, 3.0):
         v = StochasticProcess(p.tree, tuple(scale * a for a in
                                             random_process(rng, p.tree, p.n_dims).values))
-        assert same_bits(_bolza_conjugate_sum(p, yvecs, v.rows),
-                         conjugate_sum_per_leaf(p, y, v))
+        got = _bolza_conjugate_sum(p, yvecs, v.rows)
+        assert same_bits(got, joint_conjugate_sum(p, y, v))
+        # the per-node slices of K* agree to rounding: fixing b in K*
+        # folds it into the slice's constants, in another order
+        assert got == pytest.approx(conjugate_sum_per_leaf(p, y, v), rel=1e-13, abs=1e-13)
 
 
-def test_bound_reuses_the_dual_objective_conjugates(bolza63, monkeypatch):
-    # the dual solve builds no stage conjugate; the bound, given the dual
-    # solve's objective, builds one per node and solves nothing
-    problem, u, _ = bolza63
+@pytest.mark.parametrize("terminal", [False, True])
+def test_kabanov_stacked_conjugate_matches_row_by_row(tmp_path, monkeypatch, terminal):
+    # a shared market stage prices each distinct row b once (one slice, one
+    # support LP) and reads its rows of a in one pass: bit for bit
+    # ``conjugate_value`` row by row, on rows repeated across the blocks
+    # that share the stage, rows off the polar cone and rows with b_k != 0
+    problem, _, _, _, _ = parse_problem_file(
+        write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3))))
+    f = problem.integrand
+    stage, blocks, _ = f.stage_groups[f.tree.horizon if terminal else 2][0]
+    assert stage.terminal == terminal and len(blocks) > 1
+    rng = np.random.default_rng(31)
+    polar = np.abs(rng.normal(size=(3, 2))) @ stage.C.a_ub  # sigma_C = 0 on its rays
+    bz = np.vstack([polar, rng.normal(size=(2, 2)), polar[:2]])
+    bk = np.vstack([np.zeros((5, 2)), rng.normal(size=(2, 2))])
+    distinct = np.hstack([bz, bk])
+    B = np.vstack([distinct[rng.permutation(7)] for _ in blocks])
+    A = rng.normal(size=(len(B), 4))
+    A[::2, :2] = 0.0  # a_z = 0: finite before the horizon too
     calls = []
-    real = BolzaStage.conjugate_function_of_a
-    monkeypatch.setattr(BolzaStage, "conjugate_function_of_a",
-                        lambda self, b: calls.append(b) or real(self, b))
-    dual = solve_dual(problem, u)
-    assert calls == []
-    bound = solver.dual_via_orthocomplement(problem, dual.optimizer, objective=dual.objective)
-    assert len(calls) == 63
-    assert bound.status == "optimal"
-    assert same_bits(bound.value, conjugate_sum_per_leaf(problem, dual.optimizer, bound.v))
+    real = KabanovStage.conjugate_function_of_a
+    monkeypatch.setattr(KabanovStage, "conjugate_function_of_a",
+                        lambda self, b: calls.append(b.tobytes()) or real(self, b))
+    got = stage.conjugate_value_many(A, B)
+    assert len(calls) == len(set(calls)) == 7
+    want = [stage.conjugate_value(a, b) for a, b in zip(A, B)]
+    assert same_bits(got, want)
+    assert np.isfinite(got).any() and np.isinf(got).any()
+
+
+def hamiltonian_stages(rng, d):
+    """Stage costs on R^d x R^d across the branches of
+    ``integrand.partial_infima``: those of ``stage_kinds``, a quadratic
+    with no velocity weight (-inf off its tilt), a precomposition through a
+    square velocity block, one that reads no velocity (-inf off y = 0), and
+    a finite sum of an x-only summand and a separable one."""
+    x_only = np.hstack([np.eye(d), np.zeros((d, d))])
+    kinked = SeparableSum([absolute_value().scaled(rng.uniform(0.5, 2.0)) for _ in range(d)])
+    return stage_kinds(rng, d) + [
+        BolzaStage(Quadratic(np.r_[rng.uniform(0.2, 1.5, d), np.zeros(d)],
+                             rng.normal(size=2 * d)), d),
+        BolzaStage(AffinePrecomposition(kinked, rng.normal(size=(d, 2 * d)), rng.normal(size=d)), d),
+        BolzaStage(AffinePrecomposition(Quadratic(rng.uniform(0.2, 1.5, d)), x_only), d),
+        BolzaStage(FiniteSum([AffinePrecomposition(kinked, x_only), stage_kinds(rng, d)[0].fn]), d),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_hamiltonians_match_the_one_row_rule(d):
+    # H(., y_k) over the stacked rows, bit for bit the one-row rule at each
+    # row, MINUS_INF rows included; a separable stage's rows share one
+    # x-part g, each row's function being g + c_k
+    rng = np.random.default_rng(41 + d)
+    X = rng.normal(size=(6, d))
+    minus = finite = 0
+    for stage in hamiltonian_stages(rng, d):
+        tilt = stage.fn.tilt[d:] if isinstance(stage.fn, Quadratic) else rng.normal(size=d)
+        Y = np.vstack([0.3 * rng.normal(size=(4, d)), 3.0 * rng.normal(size=(3, d)),
+                       np.zeros((1, d)), tilt])
+        Y = np.vstack([Y, Y[[0, 5, 7]]])
+        stacked = stage.hamiltonian_functions_of_x(Y)
+        assert len(stacked) == len(Y)
+        for h, y in zip(stacked, Y):
+            one = stage.hamiltonian_function_of_x(y)
+            assert (h is integrand.MINUS_INF) == (one is integrand.MINUS_INF)
+            if h is integrand.MINUS_INF:
+                minus += 1
+            else:
+                finite += 1
+                assert same_bits(h.value_many(X), one.value_many(X))
+        if isinstance(stage.fn, SeparableSum):
+            assert len({id(solver._shifted_core(h)[0]) for h in stacked
+                        if h is not integrand.MINUS_INF}) == 1
+    assert minus > 0 and finite > 0
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+def test_kabanov_stacked_hamiltonians_match_the_one_row_rule(monkeypatch, terminal):
+    # one support LP per distinct row, the rows that agree sharing it; the
+    # rows with y_k != 0 or off the polar cone are MINUS_INF
+    rng = np.random.default_rng(47)
+    C = Polyhedron.from_cone_generators(np.array([[1.0, -2.0], [-1.0, 0.5]]))
+    stage = KabanovStage(Quadratic([0.5, 0.5]), C, terminal)
+    polar = np.abs(rng.normal(size=(3, 2))) @ C.a_ub
+    distinct = np.hstack([np.vstack([polar, rng.normal(size=(3, 2))]),
+                          np.vstack([np.zeros((5, 2)), rng.normal(size=(1, 2))])])
+    Y = distinct[np.r_[np.arange(6), rng.integers(0, 6, 6)]]
+    calls = []
+    real = KabanovStage.hamiltonian_function_of_x
+    monkeypatch.setattr(KabanovStage, "hamiltonian_function_of_x",
+                        lambda self, y: calls.append(y.tobytes()) or real(self, y))
+    stacked = stage.hamiltonian_functions_of_x(Y)
+    assert len(calls) == len(set(calls)) == 6
+    X = rng.normal(size=(5, 4))
+    X[::2, :2] = 0.0
+    kinds = set()
+    for h, y in zip(stacked, Y):
+        one = real(stage, y)
+        kinds.add(h is integrand.MINUS_INF)
+        assert (h is integrand.MINUS_INF) == (one is integrand.MINUS_INF)
+        if h is not integrand.MINUS_INF:
+            assert same_bits(h.value_many(X), one.value_many(X))
+    assert kinds == {True, False}
