@@ -115,11 +115,8 @@ def bolza_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess) -> 
     expect_dy = expected_dual_increments(y)
     # one evaluation of each shared K_t* per stage, then the sum leaf by
     # leaf and stage by stage
-    terms = np.empty((tree.n_leaves, tree.stage_count))
-    for t, groups in enumerate(f.stage_groups):
-        for stage, _, leaves in groups:
-            terms[leaves, t] = stage.conjugate_value_many(expect_dy[t][leaves],
-                                                          y.stage(t)[leaves])
+    terms = f._stage_pass(lambda t, stage, leaves: stage.conjugate_value_many(
+        expect_dy[t][leaves], y.stage(t)[leaves]))
     if np.any(terms == INF):
         return -INF
     total = pairing(u, y)

@@ -1,16 +1,20 @@
 """Per-scenario convex integrands f(x, u) and their derived objects.
 
 An integrand assigns each leaf a jointly convex function of the decision
-vector x (all stages stacked) and the parameter vector u.  From it we
-derive, in closed form per leaf:
+vector x (all stages stacked) and the parameter vector u.  It reads each
+of its functions by one stacked rule over the leaf rows:
 
+  * f itself (``values``),
   * the Lagrangian  l(x, y) = inf_u { f(x, u) - u.y }  (partial conjugate
-    in the parameter),
-  * the pointwise conjugate  f*(v, y),
-  * for dynamic (Bolza) structure, stage Hamiltonians
-    H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t } and the stage
-    conjugates K_t*, which the solver reads for all the nodes that share a
-    stage object in one stacked pass over their dual rows.
+    in the parameter; ``lagrangians``, and ``lagrangian_functions_of_x``
+    for the functions of x the solver compiles),
+  * the pointwise conjugate  f*(v, y)  (``conjugate_values``).
+
+For dynamic (Bolza) structure each rule goes one stage group at a time,
+through the stage costs K_t, the stage Hamiltonians
+H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t } and the stage conjugates
+K_t*, each read once for all the nodes that share a stage object, in one
+stacked pass over their rows.
 
 Each of these Lagrangians is closed in x: a partial infimum of a catalog
 function is a finite sum of closed catalog functions, or the MINUS_INF
@@ -49,7 +53,7 @@ from .convex import (
     infeasible,
     support_function,
 )
-from .tree import ScenarioTree
+from .tree import ScenarioTree, is_adapted
 
 __all__ = [
     "MINUS_INF",
@@ -277,8 +281,6 @@ class ParametricIntegrand:
     parameter vectors; per-leaf vectors are stage-major concatenations.
     """
 
-    tag = "generic"
-
     def __init__(self, tree: ScenarioTree, n_dims, m_dims):
         self.tree = tree
         self.n_dims = tuple(int(d) for d in n_dims)
@@ -292,35 +294,38 @@ class ParametricIntegrand:
         self.x_slices = [slice(noff[t], noff[t + 1]) for t in range(tree.stage_count)]
         self.u_slices = [slice(moff[t], moff[t + 1]) for t in range(tree.stage_count)]
 
-    # -- required per-leaf surface -----------------------------------------
+    # -- the integrand's functions, one stacked rule each -------------------
 
     def joint_function(self, leaf: int) -> ConvexFunction:
         raise NotImplementedError
 
-    def value(self, leaf: int, x, u) -> float:
-        return self.joint_function(leaf).value(np.concatenate([
-            np.asarray(x, dtype=float).ravel(), np.asarray(u, dtype=float).ravel()
-        ]))
-
-    def lagrangian_function_of_x(self, leaf: int, y):
-        return partial_infimum(self.joint_function(leaf), self.n_total, y)
+    def values(self, X, U) -> np.ndarray:
+        """f(x_l, u_l) of every leaf l, at row l of ``X`` and of ``U``."""
+        return np.array([self.joint_function(leaf).value(np.concatenate([x, u]))
+                         for leaf, (x, u) in enumerate(zip(np.asarray(X, dtype=float),
+                                                           np.asarray(U, dtype=float)))],
+                        dtype=float)
 
     def lagrangian_functions_of_x(self, ys) -> list:
-        """``lagrangian_function_of_x`` of every leaf, leaf l at row l of
-        ``ys``.  Raises NoClosedFormError when some leaf has no closed
-        form."""
-        return [self.lagrangian_function_of_x(leaf, y) for leaf, y in enumerate(ys)]
+        """x -> l(x, y_l) of every leaf l, at row l of ``ys``, or the
+        MINUS_INF sentinel.  Raises NoClosedFormError when some leaf has no
+        closed form."""
+        return [partial_infimum(self.joint_function(leaf), self.n_total, y)
+                for leaf, y in enumerate(np.asarray(ys, dtype=float))]
 
-    def lagrangian(self, leaf: int, x, y) -> float:
-        fn = self.lagrangian_function_of_x(leaf, y)
-        if fn is MINUS_INF:
-            return INF if self._parameter_slice_infeasible(leaf, x) else -INF
-        return fn.value(x)
-
-    def conjugate_value(self, leaf: int, v, y) -> float:
-        vy = np.concatenate([np.asarray(v, dtype=float).ravel(),
-                             np.asarray(y, dtype=float).ravel()])
-        return self.joint_function(leaf).conjugate().value(vy)
+    def lagrangians(self, X, Y) -> np.ndarray:
+        """l(x_l, y_l) of every leaf l, at row l of ``X`` and of ``Y``, read
+        off ``lagrangian_functions_of_x``: where a leaf's is MINUS_INF, +inf
+        when f(x_l, .) is identically +inf ("+inf wins") and -inf
+        otherwise."""
+        X = np.asarray(X, dtype=float)
+        out = np.empty(len(X))
+        for leaf, (fn, x) in enumerate(zip(self.lagrangian_functions_of_x(Y), X)):
+            if fn is MINUS_INF:
+                out[leaf] = INF if self._parameter_slice_infeasible(leaf, x) else -INF
+            else:
+                out[leaf] = fn.value(x)
+        return out
 
     def conjugate_function_of_v(self, leaf: int, y) -> ConvexFunction:
         """v -> f*(v, y); identically-+inf slices come back as an
@@ -350,8 +355,6 @@ class ParametricIntegrand:
 class GenericIntegrand(ParametricIntegrand):
     """Integrand given directly as one catalog function per leaf, the
     leaves grouped by shared inner g (``leaf_groups``)."""
-
-    tag = "generic"
 
     def __init__(self, tree, n_dims, m_dims, functions):
         super().__init__(tree, n_dims, m_dims)
@@ -433,8 +436,6 @@ class ConstrainedIntegrand(ParametricIntegrand):
     that is what the built-in solver supports.
     """
 
-    tag = "constrained"
-
     def __init__(self, tree, n_dims, objectives, constraints):
         objs = list(objectives)
         if len(objs) == 1:
@@ -461,17 +462,18 @@ class ConstrainedIntegrand(ParametricIntegrand):
         self.constraints = cons
         self.n_constraints = m
 
-    def value(self, leaf, x, u):
-        x = np.asarray(x, dtype=float).ravel()
-        u = np.asarray(u, dtype=float).ravel()
-        base = self.objectives[leaf].value(x)
-        if base == INF:
-            return INF
-        for j, fj in enumerate(self.constraints[leaf]):
-            g = fj.value(x)
-            if g == INF or g + u[j] > FEAS_TOL:
-                return INF
-        return base
+    def values(self, X, U):
+        out = np.empty(len(X))
+        for leaf, (x, u) in enumerate(zip(np.asarray(X, dtype=float),
+                                          np.asarray(U, dtype=float))):
+            base = self.objectives[leaf].value(x)
+            for j, fj in enumerate(self.constraints[leaf]):
+                g = fj.value(x)
+                if g == INF or g + u[j] > FEAS_TOL:
+                    base = INF
+                    break
+            out[leaf] = base
+        return out
 
     def joint_function(self, leaf):
         fns = [self._lift_x(self.objectives[leaf])]
@@ -495,8 +497,9 @@ class ConstrainedIntegrand(ParametricIntegrand):
         M[:, :self.n_total] = np.eye(self.n_total)
         return AffinePrecomposition(fn, M)
 
-    def lagrangian_function_of_x(self, leaf, y):
-        y = np.asarray(y, dtype=float).ravel()
+    def _weighted_objective(self, leaf, y):
+        """x -> f0(x) + sum_j y_j f_j(x) at one leaf, MINUS_INF when some
+        y_j < 0."""
         if np.any(y < -FEAS_TOL):
             return MINUS_INF
         terms = [self.objectives[leaf]]
@@ -505,31 +508,32 @@ class ConstrainedIntegrand(ParametricIntegrand):
                 terms.append(fj.scaled(float(y[j])))
         return FiniteSum(terms) if len(terms) > 1 else terms[0]
 
-    def lagrangian(self, leaf, x, y):
-        x = np.asarray(x, dtype=float).ravel()
-        base = self.objectives[leaf].value(x)
-        vals = [fj.value(x) for fj in self.constraints[leaf]]
-        if base == INF or any(v == INF for v in vals):
-            # no parameter can slacken an infinite constraint value, so the
-            # inner infimum runs over an empty domain: +inf wins
-            return INF
-        y = np.asarray(y, dtype=float).ravel()
-        if np.any(y < -FEAS_TOL):
-            return -INF
-        total = base
-        for j, g in enumerate(vals):
-            if y[j] > 0:
-                total += y[j] * g
-        return total
+    def lagrangian_functions_of_x(self, ys):
+        return [self._weighted_objective(leaf, y)
+                for leaf, y in enumerate(np.asarray(ys, dtype=float))]
 
-    def conjugate_value(self, leaf, v, y):
-        fn = self.lagrangian_function_of_x(leaf, y)
-        if fn is MINUS_INF:
-            return INF
-        return fn.conjugate().value(v)
+    def lagrangians(self, X, Y):
+        out = np.empty(len(X))
+        for leaf, (x, y) in enumerate(zip(np.asarray(X, dtype=float),
+                                          np.asarray(Y, dtype=float))):
+            base = self.objectives[leaf].value(x)
+            vals = [fj.value(x) for fj in self.constraints[leaf]]
+            if base == INF or any(v == INF for v in vals):
+                # no parameter can slacken an infinite constraint value, so
+                # the inner infimum runs over an empty domain: +inf wins
+                out[leaf] = INF
+                continue
+            if np.any(y < -FEAS_TOL):
+                out[leaf] = -INF
+                continue
+            for j, g in enumerate(vals):
+                if y[j] > 0:
+                    base += y[j] * g
+            out[leaf] = base
+        return out
 
     def conjugate_function_of_v(self, leaf, y):
-        fn = self.lagrangian_function_of_x(leaf, y)
+        fn = self._weighted_objective(leaf, np.asarray(y, dtype=float).ravel())
         if fn is MINUS_INF:
             return infeasible(self.n_total)
         return fn.conjugate()
@@ -550,11 +554,7 @@ class AlmIntegrand(GenericIntegrand):
     its leaves form one group of ``leaf_groups`` per shared V.
     """
 
-    tag = "alm"
-
     def __init__(self, tree, disutilities, price):
-        from .tree import is_adapted  # local import to avoid cycles
-
         if not is_adapted(price):
             raise ValueError("the price process must be adapted")
         T = tree.horizon
@@ -577,15 +577,6 @@ class AlmIntegrand(GenericIntegrand):
         joints = np.hstack([-self.gain_rows, np.ones((tree.n_leaves, 1))])
         fns = [AffinePrecomposition(V, joints[leaf:leaf + 1]) for leaf, V in enumerate(Vs)]
         super().__init__(tree, n_dims, m_dims, fns)
-        self.tag = "alm"
-
-    def conjugate_value(self, leaf, v, y):
-        v = np.asarray(v, dtype=float).ravel()
-        y = float(np.asarray(y).ravel()[0])
-        forced = -y * self.gain_rows[leaf]
-        if np.max(np.abs(v - forced), initial=0.0) > FEAS_TOL:
-            return INF
-        return self.disutilities[leaf].conjugate().value([y])
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +600,8 @@ class BolzaStage:
     def __repr__(self):
         return f"BolzaStage(d={self.d}, fn={self.fn!r})"
 
-    def value(self, x, w) -> float:
-        return self.fn.value(np.concatenate([np.ravel(x), np.ravel(w)]))
-
     def value_many(self, X, W) -> np.ndarray:
-        """``value`` at the rows of X and W, bit for bit."""
+        """K at the rows (x, w) of X and W."""
         return self.fn.value_many(np.hstack([X, W]))
 
     def x_infeasible(self, x) -> bool:
@@ -636,36 +624,19 @@ class BolzaStage:
             return None
         return dom.is_empty()
 
-    def hamiltonian_function_of_x(self, y):
-        return partial_infimum(self.fn, self.d, y)
-
     def hamiltonian_functions_of_x(self, ys) -> list:
-        """H(., y_k) at each row y_k of ``ys``, in one stacked pass
-        (``partial_infima``); the one-row reading is
-        ``hamiltonian_function_of_x``."""
+        """H(., y_k) at each row y_k of ``ys``, or the MINUS_INF sentinel,
+        in one stacked pass (``partial_infima``)."""
         return partial_infima(self.fn, self.d, ys)
 
-    def hamiltonian(self, x, y) -> float:
-        if self.x_infeasible(x):
-            return INF
-        fn = self.hamiltonian_function_of_x(y)
-        if fn is MINUS_INF:
-            return -INF
-        return fn.value(np.ravel(x))
-
-    def hamiltonian_x_conjugate(self, y) -> ConvexFunction:
-        """a -> sup_x { x.a - H(x, y) } for residual tests in x."""
-        fn = self.hamiltonian_function_of_x(y)
-        if fn is MINUS_INF:
-            raise NoClosedFormError("Hamiltonian is -inf at this dual point")
-        return fn.conjugate()
-
-    def conjugate_value(self, a, b) -> float:
-        ab = np.concatenate([np.ravel(a), np.ravel(b)])
-        return self.fn.conjugate().value(ab)
+    def hamiltonian_x_conjugate(self, y, h) -> ConvexFunction:
+        """a -> sup_x { x.a - H(x, y) } for residual tests in x, given the
+        Hamiltonian h = H(., y) that ``hamiltonian_functions_of_x`` built
+        (not MINUS_INF)."""
+        return h.conjugate()
 
     def conjugate_value_many(self, A, B) -> np.ndarray:
-        """``conjugate_value`` at the rows of A and B, bit for bit."""
+        """K* at the rows (a, b) of A and B."""
         return self.fn.conjugate().value_many(np.hstack([A, B]))
 
 
@@ -738,7 +709,7 @@ class KabanovStage(BolzaStage):
             return True
         return self.terminal and np.max(np.abs(z), initial=0.0) > FEAS_TOL
 
-    def hamiltonian_function_of_x(self, y):
+    def _hamiltonian(self, y):
         yz, yk = self._split_dual(y)
         if np.max(np.abs(yk), initial=0.0) > FEAS_TOL:
             return MINUS_INF
@@ -756,27 +727,26 @@ class KabanovStage(BolzaStage):
         return FiniteSum(pieces)
 
     def hamiltonian_functions_of_x(self, ys):
-        """``hamiltonian_function_of_x`` once per distinct row of ``ys``
-        (one support LP each), shared by the rows that agree bit for bit."""
+        """H(., y_k) in closed form, V(-k) + y_z.z - sigma_C(y_z) plus the
+        indicator of z = 0 at the horizon, or MINUS_INF where y_k != 0 or
+        sigma_C(y_z) = +inf: built once per distinct row of ``ys`` (one
+        support LP each), and shared by the rows that agree bit for bit."""
         out = [None] * len(ys)
         for y, rows in _distinct_rows(ys):
-            h = self.hamiltonian_function_of_x(y)
+            h = self._hamiltonian(y)
             for k in rows:
                 out[k] = h
         return out
 
-    def hamiltonian_x_conjugate(self, y):
-        # H(., y)* = K*(., y), an infeasible indicator where H(., y) = -inf
+    def hamiltonian_x_conjugate(self, y, h):
+        # H(., y)* = K*(., y), in closed form where H(., y)'s has none
         return self.conjugate_function_of_a(y)
 
-    def conjugate_value(self, a, b):
-        return self.conjugate_function_of_a(b).value(a)
-
     def conjugate_value_many(self, A, B):
-        """``conjugate_value`` at the rows of A and B, bit for bit (the
-        stage function's conjugate has no closed form; each slice's has):
-        each distinct row b of B, by its bytes, builds its slice once (one
-        support LP) and reads its rows of A in one ``value_many``."""
+        """K* at the rows (a, b) of A and B (the stage function's conjugate
+        has no closed form; each slice's has): each distinct row b of B, by
+        its bytes, builds its slice once (one support LP) and reads its rows
+        of A in one ``value_many``."""
         A, out = np.asarray(A, dtype=float), np.empty(len(A))
         for b, rows in _distinct_rows(B):
             out[rows] = self.conjugate_function_of_a(b).value_many(A[rows])
@@ -810,10 +780,10 @@ class BolzaIntegrand(ParametricIntegrand):
     measurable by construction; the dual convention y_{T+1} = 0 aligns the
     two summation-by-parts forms of the Lagrangian.  The solver compiles
     the integrand node by node from its stage costs, so it has no per-leaf
-    joint function.
+    joint function.  f, l and f* are read stage by stage, one group of
+    ``stage_groups`` at a time (``_stage_pass``), and each leaf's stage
+    terms are then summed in stage order.
     """
-
-    tag = "bolza"
 
     def __init__(self, tree: ScenarioTree, stages):
         stages = [list(blocks) for blocks in stages]
@@ -848,66 +818,77 @@ class BolzaIntegrand(ParametricIntegrand):
                         for st, bs in shared.values()])
         return out
 
-    # -- stacked-vector helpers ---------------------------------------------
+    # -- the integrand's functions, one stage group at a time -------------
 
-    def _states(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return [x[self.x_slices[t]] for t in range(self.tree.stage_count)]
+    def _stage_pass(self, rule) -> np.ndarray:
+        """(n_leaves, stage_count) array of stage terms: column t holds
+        rule(t, stage, leaves) at the rows ``leaves`` of each group of
+        ``stage_groups[t]``, one group at a time."""
+        out = np.empty((self.tree.n_leaves, self.tree.stage_count))
+        for t, groups in enumerate(self.stage_groups):
+            for stage, _, leaves in groups:
+                out[leaves, t] = rule(t, stage, leaves)
+        return out
 
-    def _velocity(self, states, t, u_t):
-        prev = states[t - 1] if t > 0 else np.zeros(self.d)
-        return states[t] - prev + u_t
+    def _shift(self, rows, step: int) -> np.ndarray:
+        """Leaf rows of the stage-(t + step) vectors at stage t's columns,
+        step = 1 or -1, zero past the horizon and before stage 0."""
+        out, d = np.zeros_like(rows), self.d
+        if step > 0:
+            out[:, :-d] = rows[:, d:]
+        else:
+            out[:, d:] = rows[:, :-d]
+        return out
 
-    def _dual_increments(self, y):
-        """dy_{t+1} per stage with y_{T+1} = 0."""
-        y = np.asarray(y, dtype=float).ravel()
-        ys = [y[self.u_slices[t]] for t in range(self.tree.stage_count)]
-        out = []
-        for t in range(self.tree.stage_count):
-            nxt = ys[t + 1] if t + 1 < self.tree.stage_count else np.zeros(self.d)
-            out.append(nxt - ys[t])
-        return ys, out
+    def values(self, X, U):
+        """f(x, u) = sum_t K_t(x_t, x_t - x_{t-1} + u_t) of every leaf,
+        each shared K_t read once per stage over its leaves' rows."""
+        X = np.asarray(X, dtype=float)
+        W = X - self._shift(X, -1) + np.asarray(U, dtype=float)
+        return _stage_sums(self._stage_pass(lambda t, stage, leaves: stage.value_many(
+            X[leaves, self.x_slices[t]], W[leaves, self.x_slices[t]])))
 
-    def value(self, leaf, x, u):
-        states = self._states(x)
-        u = np.asarray(u, dtype=float).ravel()
-        total = 0.0
-        for t in range(self.tree.stage_count):
-            w = self._velocity(states, t, u[self.u_slices[t]])
-            v = self.stage_cost(leaf, t).value(states[t], w)
-            if v == INF:
-                return INF
-            total += v
-        return total
+    def lagrangians(self, X, Y):
+        """l(x, y) = sum_t H_t(x_t, y_t) + (x_t - x_{t-1}).y_t of every
+        leaf, the Hamiltonians of a group built in one call over its
+        leaves' y_t rows: +inf when some stage is x-infeasible or reads
+        +inf, otherwise -inf when some H_t(., y_t) is MINUS_INF."""
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        dX = X - self._shift(X, -1)
 
-    def lagrangian(self, leaf, x, y) -> float:
-        states = self._states(x)
-        ys, _ = self._dual_increments(y)
-        total = 0.0
-        minus = False
-        for t in range(self.tree.stage_count):
-            stage = self.stage_cost(leaf, t)
-            if stage.x_infeasible(states[t]):
-                return INF
-            h = stage.hamiltonian(states[t], ys[t])
-            if h == INF:
-                return INF
-            if h == -INF:
-                minus = True
-                continue
-            prev = states[t - 1] if t > 0 else np.zeros(self.d)
-            total += h + float((states[t] - prev) @ ys[t])
-        return -INF if minus else total
+        def rule(t, stage, leaves):
+            x, y = X[leaves, self.x_slices[t]], Y[leaves, self.u_slices[t]]
+            h = np.full(len(leaves), INF)
+            for k, fn in enumerate(stage.hamiltonian_functions_of_x(y)):
+                if not stage.x_infeasible(x[k]):
+                    h[k] = -INF if fn is MINUS_INF else fn.value(x[k])
+            return h + _row_dots(dX[leaves, self.x_slices[t]], y)
 
-    def conjugate_value(self, leaf, v, y) -> float:
-        v = np.asarray(v, dtype=float).ravel()
-        ys, dys = self._dual_increments(y)
-        total = 0.0
-        for t in range(self.tree.stage_count):
-            term = self.stage_cost(leaf, t).conjugate_value(
-                v[self.x_slices[t]] + dys[t], ys[t]
-            )
-            if term == INF:
-                return INF
-            total += term
-        return total
+        return _stage_sums(self._stage_pass(rule))
+
+    def conjugate_values(self, vs, ys):
+        """f*(v, y) = sum_t K_t*(v_t + y_{t+1} - y_t, y_t) of every leaf,
+        with y_{T+1} = 0, each shared K_t* read once per stage over its
+        leaves' rows (``BolzaStage.conjugate_value_many``)."""
+        Y = np.asarray(ys, dtype=float)
+        A = np.asarray(vs, dtype=float) + (self._shift(Y, 1) - Y)
+        return _stage_sums(self._stage_pass(lambda t, stage, leaves: stage.conjugate_value_many(
+            A[leaves, self.x_slices[t]], Y[leaves, self.u_slices[t]])))
+
+
+def _row_dots(X, Y) -> np.ndarray:
+    """x . y for every pair of rows, one dot product per row as ``x @ y``
+    takes it."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _stage_sums(terms) -> np.ndarray:
+    """Each leaf's stage terms summed stage by stage, as ``total += term``
+    from 0.0: +inf where some term is +inf, so -inf where some term is
+    -inf and none is +inf."""
+    total = np.zeros(len(terms))
+    with np.errstate(invalid="ignore"):  # inf - inf, overwritten below
+        for column in terms.T:
+            total = total + column
+    total[np.any(terms == INF, axis=1)] = INF
+    return total

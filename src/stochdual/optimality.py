@@ -26,6 +26,7 @@ from .integrand import (
     ConstrainedIntegrand,
     KabanovStage,
     MINUS_INF,
+    _row_dots,
 )
 from .solver import Problem
 from .tree import (
@@ -48,12 +49,6 @@ __all__ = [
 
 INF = float("inf")
 DEFAULT_TOL = 1e-6
-
-
-def _row_dots(X, Y) -> np.ndarray:
-    """x . y for every pair of rows, one dot product per row as ``x @ y``
-    takes it."""
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -111,29 +106,31 @@ def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
     tol * max(1, |f| + |f*| + |x.v| + |u.y|) (f* left out where it is
     +inf), with v in the annihilator; the Lagrangian split of the same
     residual is reported alongside when available, and judged at the same
-    scale."""
+    scale.  f, f* and l are each read once, over all leaves
+    (``values``, ``conjugate_values``, ``lagrangians``); a leaf where f =
+    +inf has one ``feasibility`` row."""
     cert = Certificate("pending", tol, y=y, v=v)
     if not is_adapted(x):
         cert.verdict = "fail"
         cert.reason = "candidate decision is not adapted"
         return cert
+    f = p.integrand
     xs, us, ys, vs = (q.rows for q in (x, u, y, v))
+    fvals, stars, lvals = (vals.tolist() for vals in (
+        f.values(xs, us), f.conjugate_values(vs, ys), f.lagrangians(xs, ys)))
     feasible = True
-    for leaf in range(p.tree.n_leaves):
-        fval = p.integrand.value(leaf, xs[leaf], us[leaf])
+    for leaf, (fval, star, lval) in enumerate(zip(fvals, stars, lvals)):
         if fval == INF:
             feasible = False
             cert.add("feasibility", INF, leaf=leaf)
             continue
-        star = p.integrand.conjugate_value(leaf, vs[leaf], ys[leaf])
         xv, uy = float(xs[leaf] @ vs[leaf]), float(us[leaf] @ ys[leaf])
         row_tol = tol * max(1.0, abs(fval) + (abs(star) if star < INF else 0.0)
                             + abs(xv) + abs(uy))
         res = INF if star == INF else fval + star - xv - uy
         cert.add("joint-subgradient", max(res, 0.0), row_tol, leaf=leaf)
         # Lagrangian split: x-part l + f* - x.v, y-part f - u.y - l
-        lval = p.integrand.lagrangian(leaf, xs[leaf], ys[leaf])
-        if np.isfinite(lval):
+        if math.isfinite(lval):
             if star < INF:
                 cert.add("lagrangian-x", max(lval + star - xv, 0.0), row_tol, leaf=leaf)
             cert.add("lagrangian-y", max(fval - uy - lval, 0.0), row_tol, leaf=leaf)
@@ -163,14 +160,13 @@ def check_kkt(p: Problem, x: StochasticProcess, u: StochasticProcess,
         raise TypeError("check_kkt needs an inequality-constrained problem")
     cert = Certificate("pending", tol, y=y, v=v)
     xs, us, ys, vs = (q.rows for q in (x, u, y, v))
-    for leaf in range(p.tree.n_leaves):
+    for leaf, weighted in enumerate(f.lagrangian_functions_of_x(ys)):
         xv, uv, yv = xs[leaf], us[leaf], ys[leaf]
         for j, fj in enumerate(f.constraints[leaf]):
             slack = fj.value(xv) + uv[j]
             cert.add("feasibility", max(slack, 0.0), leaf=leaf, constraint=j)
             cert.add("sign", max(-yv[j], 0.0), leaf=leaf, constraint=j)
             cert.add("complementarity", abs(yv[j] * slack), leaf=leaf, constraint=j)
-        weighted = f.lagrangian_function_of_x(leaf, yv)
         if weighted is MINUS_INF:
             cert.add("stationarity", INF, leaf=leaf)
             continue
@@ -263,43 +259,47 @@ def check_euler_lagrange(p: Problem, x: StochasticProcess, u: StochasticProcess,
 def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProcess,
                              y: StochasticProcess, tol: float = DEFAULT_TOL) -> Certificate:
     """The equivalent two-inclusion system through the stage Hamiltonians:
-    E_t dy_{t+1} in d_x H_t and u_t + dx_t in d_y [-H_t]."""
+    E_t dy_{t+1} in d_x H_t and u_t + dx_t in d_y [-H_t], at each
+    information block's first leaf.  The Hamiltonians (and K_t) of the
+    blocks that share one stage object are built in one call over their
+    rows (``BolzaStage.hamiltonian_functions_of_x``), one group of
+    ``BolzaIntegrand.stage_groups`` at a time."""
     f = p.integrand
     if not isinstance(f, BolzaIntegrand):
         raise TypeError("check_hamiltonian_system needs a dynamic-structure problem")
     if not is_adapted(y):
         raise NotAdaptedError("the dual candidate must be adapted")
+    if not is_adapted(u):
+        raise NotAdaptedError("the parameter must be adapted for the stage conditions")
     cert = Certificate("pending", tol, y=y)
     e_dy = expected_dual_increments(y)
-    for t in range(p.tree.stage_count):
-        for b, block in enumerate(p.tree.blocks(t)):
-            leaf = block[0]
-            stage = f.stage_cost(leaf, t)
-            x_t = x.stage(t)[leaf]
-            y_t = y.stage(t)[leaf]
-            x_prev = x.stage(t - 1)[leaf] if t > 0 else np.zeros(f.d)
-            w = x_t - x_prev + u.stage(t)[leaf]
-            a_t = e_dy[t][leaf]
-            h_fn = stage.hamiltonian_function_of_x(y_t)
-            if h_fn is MINUS_INF:
-                cert.add("state-inclusion", INF, stage=t, block=b)
-                cert.add("velocity-inclusion", INF, stage=t, block=b)
-                continue
-            try:
-                h_conj = stage.hamiltonian_x_conjugate(y_t)
-                res_x = fenchel_residual(h_fn, x_t, a_t, conjugate=h_conj)
-            except NoClosedFormError:
-                res_x = INF
-            cert.add("state-inclusion", max(res_x, 0.0), stage=t, block=b)
-            hval = h_fn.value(x_t)
-            kval = stage.value(x_t, w)
-            if hval == INF or kval == INF:
-                res_y = INF
-            else:
+    for t, groups in enumerate(f.stage_groups):
+        firsts = np.array([block[0] for block in p.tree.blocks(t)])
+        x_prev = x.stage(t - 1) if t > 0 else np.zeros_like(x.stage(t))
+        res_x, res_y = np.empty(firsts.size), np.empty(firsts.size)
+        for stage, blocks, _ in groups:
+            leaves = firsts[blocks]
+            x_t, a_t, y_t = x.stage(t)[leaves], e_dy[t][leaves], y.stage(t)[leaves]
+            w = x_t - x_prev[leaves] + u.stage(t)[leaves]
+            kvals = stage.value_many(x_t, w).tolist()
+            hams = stage.hamiltonian_functions_of_x(y_t)
+            for k, (b, h, kval) in enumerate(zip(blocks.tolist(), hams, kvals)):
+                if h is MINUS_INF:
+                    res_x[b] = res_y[b] = INF
+                    continue
+                try:
+                    res_x[b] = fenchel_residual(
+                        h, x_t[k], a_t[k], conjugate=stage.hamiltonian_x_conjugate(y_t[k], h))
+                except NoClosedFormError:
+                    res_x[b] = INF
+                hval = h.value(x_t[k])
                 # -H(x,.) is the conjugate of K(x,.), so the residual is
                 # K(x,w) - w.y - H(x,y)
-                res_y = kval - float(w @ y_t) - hval
-            cert.add("velocity-inclusion", max(res_y, 0.0), stage=t, block=b)
+                res_y[b] = (INF if hval == INF or kval == INF
+                            else kval - float(w[k] @ y_t[k]) - hval)
+        for b, (rx, ry) in enumerate(zip(res_x.tolist(), res_y.tolist())):
+            cert.add("state-inclusion", max(rx, 0.0), stage=t, block=b)
+            cert.add("velocity-inclusion", max(ry, 0.0), stage=t, block=b)
     return cert.finalize()
 
 

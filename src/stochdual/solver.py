@@ -129,10 +129,6 @@ class Problem:
     def m_dims(self):
         return self.integrand.m_dims
 
-    @property
-    def tag(self):
-        return self.integrand.tag
-
     @cached_property
     def layout(self) -> AdaptedLayout:
         """Block coordinates of the adapted decisions, built once."""
@@ -802,14 +798,6 @@ def _stage_nodes(p: Problem, rows):
     return out
 
 
-def _next_stage(p: Problem, rows):
-    """Leaf vectors of y_{t+1} for leaf vectors of y, with y_{T+1} = 0."""
-    d = p.integrand.d
-    out = np.zeros_like(rows)
-    out[:, :-d] = rows[:, d:]
-    return out
-
-
 class _ParamGroup(NamedTuple):
     """How the parameter enters one lowering group of the primal: per term
     g(M_k z + m_k + N_k u_l), its N_k, the leaf whose u_l it reads, and
@@ -1009,7 +997,7 @@ def _bolza_lagrangian_terms(p: Problem, yvecs):
                                (t, tuple(leaves.tolist()))))
     coupling = np.zeros(layout.width)
     np.add.at(coupling, layout.columns,
-              p.tree.probabilities[:, None] * (yvecs - _next_stage(p, yvecs)))
+              p.tree.probabilities[:, None] * (yvecs - f._shift(yvecs, 1)))
     terms.append(_Term(1.0, Affine(coupling, 0.0), np.arange(layout.width), None))
     return terms
 
@@ -1061,13 +1049,12 @@ def dual_via_orthocomplement(p: Problem, y: StochasticProcess,
       * ``no-closed-form``, with no value and no v, when a Lagrangian or
         a conjugate the bound needs has no closed form.
 
-    E f*(v, y) goes one group at a time.  On static problems
-    ``conjugate_values`` prices each group of leaves whose joints share
-    one inner g in one stacked pass, and any other leaf by its own
+    E f*(v, y) is the integrand's ``conjugate_values``, one group at a
+    time.  On static problems it prices each group of leaves whose joints
+    share one inner g in one stacked pass, and any other leaf by its own
     conjugate.  On dynamic problems each stage t prices the leaves that
     share a stage object in one pass of that stage's conjugate over their
-    stacked (a, y_t) rows, with no slice per node
-    (``_bolza_conjugate_sum``).
+    stacked (a, y_t) rows, with no slice per node.
     """
     cfg = cfg or SolverConfig()
     try:
@@ -1091,10 +1078,7 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
     V = v.rows
     if not in_orthocomplement(v, 1e-9 * max(1.0, float(np.max(np.abs(V), initial=0.0)))):
         return OrthoBound(np.nan, None, "gap-open")
-    if isinstance(p.integrand, BolzaIntegrand):
-        value = _bolza_conjugate_sum(p, yvecs, V)
-    else:
-        value = _leaf_sum(p, p.integrand.conjugate_values(V, yvecs))
+    value = _leaf_sum(p, p.integrand.conjugate_values(V, yvecs))
     # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
     # mean-zero v; the reported phi*(y) must close the sandwich too
     lower = -objective.lagrangian.value(objective.inner.x)
@@ -1109,10 +1093,11 @@ def _stationary_v(p: Problem, yvecs, dob: DualObjective):
     term g(M x + m) contributes M' s, s the subgradient of g its solution
     selects: off the dynamic path that is v_l for the term's leaf l.  On
     it, it is an x_t-gradient of H_t(., y_t), and v_t adds y_t - y_{t+1}
-    (the shift that ``_bolza_conjugate_sum`` undoes); the coupling term
-    has no node."""
-    res, dynamic = dob.inner, isinstance(p.integrand, BolzaIntegrand)
-    V = yvecs - _next_stage(p, yvecs) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
+    (the shift that ``BolzaIntegrand.conjugate_values`` undoes); the
+    coupling term has no node."""
+    f, res = p.integrand, dob.inner
+    dynamic = isinstance(f, BolzaIntegrand)
+    V = yvecs - f._shift(yvecs, 1) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
     obj = dob.lagrangian
     tpl = obj.template
     for idx, group in zip(tpl.grouping, obj._group_subgradients(res)):
@@ -1123,30 +1108,8 @@ def _stationary_v(p: Problem, yvecs, dob: DualObjective):
             stage, leaves = t.node if dynamic else (None, t.node)
             if isinstance(t.fn, AffinePrecomposition):
                 s = t.fn.matrix.T @ s
-            V[leaves, p.integrand.x_slices[stage] if dynamic else slice(None)] += s
+            V[leaves, f.x_slices[stage] if dynamic else slice(None)] += s
     return StochasticProcess.from_leaf_rows(p.tree, p.n_dims, V)
-
-
-def _bolza_conjugate_sum(p: Problem, yvecs, V) -> float:
-    """E f*(v, y) = E sum_t K_t*(v_t + y_{t+1} - y_t, y_t) at the leaf rows
-    V of v: each shared stage conjugate K_t* is read once per stage over
-    the stacked rows of the leaves that carry it
-    (``BolzaStage.conjugate_value_many``), then each leaf's values are
-    summed stage by stage and the leaves in order, bit for bit the sum of
-    p_l ``BolzaIntegrand.conjugate_value``; +inf when some value is.
-    Raises NoClosedFormError when some stage conjugate has no closed
-    form."""
-    f = p.integrand
-    shifted = V + (_next_stage(p, yvecs) - yvecs)
-    vals = np.empty((f.tree.n_leaves, f.tree.stage_count))
-    for t, groups in enumerate(f.stage_groups):
-        for stage, _, leaves in groups:
-            vals[leaves, t] = stage.conjugate_value_many(shifted[leaves, f.x_slices[t]],
-                                                         yvecs[leaves, f.u_slices[t]])
-    per_leaf = np.zeros(f.tree.n_leaves)
-    for t in range(f.tree.stage_count):
-        per_leaf = per_leaf + vals[:, t]
-    return _leaf_sum(p, per_leaf)
 
 
 def _leaf_sum(p: Problem, vals) -> float:

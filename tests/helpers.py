@@ -26,7 +26,7 @@ from stochdual.convex import (
     indicator_nonneg,
     indicator_nonpos,
 )
-from stochdual.integrand import MINUS_INF, BolzaIntegrand, KabanovStage
+from stochdual.integrand import MINUS_INF, AlmIntegrand, BolzaIntegrand, KabanovStage
 from stochdual.tree import ScenarioTree, StochasticProcess, build_tree
 
 
@@ -647,7 +647,7 @@ def solve_bits(p, u):
 
     gap = duality_gap(p, u)
     x, y = gap.primal.optimizer, gap.dual.optimizer
-    if p.tag == "alm":
+    if isinstance(p.integrand, AlmIntegrand):
         cert = check_alm(p, x, u, y)
     else:
         cert = check_saddle(p, x, u, y,
@@ -707,25 +707,108 @@ def joint_function(f, leaf):
     return FiniteSum(pieces)
 
 
-def lagrangian_function_of_x(f, leaf, y):
-    """x -> l(x, y) at ``leaf``, or the MINUS_INF sentinel.  For a Bolza
-    integrand, sum_t H_t(x_t, y_t) + (y_t - y_{t+1}).x_t with y_{T+1} = 0,
-    MINUS_INF when some H_t(., y_t) is; any other integrand gives its
-    own."""
+def stage_parts(f, z):
+    """A leaf vector of a Bolza integrand (x, u, v or y) split by stage."""
+    z = np.asarray(z, dtype=float).ravel()
+    return [z[sl] for sl in f.x_slices]
+
+
+def stage_value(stage, x, w):
+    """K(x, w) of one stage at one point, by K's one-row ``value``."""
+    return stage.fn.value(np.concatenate([np.ravel(x), np.ravel(w)]))
+
+
+def stage_conjugate_value(stage, a, b):
+    """K*(a, b) of one stage at one point, by K*'s one-row ``value``; a
+    Kabanov stage's K* has no closed form, so its slice at b."""
+    if isinstance(stage, KabanovStage):
+        return stage.conjugate_function_of_a(b).value(a)
+    return stage.fn.conjugate().value(np.concatenate([np.ravel(a), np.ravel(b)]))
+
+
+def stage_hamiltonian(stage, x, y):
+    """H(x, y) of one stage at one point: +inf where K(x, .) is
+    identically +inf, -inf where H(., y) is MINUS_INF."""
+    if stage.x_infeasible(x):
+        return np.inf
+    fn = stage.hamiltonian_functions_of_x(np.asarray(y, dtype=float).reshape(1, -1))[0]
+    return -np.inf if fn is MINUS_INF else fn.value(np.ravel(x))
+
+
+def bolza_value(f, leaf, x, u):
+    """f(x, u) at one leaf of a Bolza integrand: sum_t K_t(x_t, x_t -
+    x_{t-1} + u_t) stage by stage, +inf at the first +inf stage cost."""
+    states, us = stage_parts(f, x), stage_parts(f, u)
+    total = 0.0
+    for t in range(f.tree.stage_count):
+        prev = states[t - 1] if t > 0 else np.zeros(f.d)
+        v = stage_value(f.stage_cost(leaf, t), states[t], states[t] - prev + us[t])
+        if v == np.inf:
+            return np.inf
+        total += v
+    return total
+
+
+def bolza_lagrangian(f, leaf, x, y):
+    """l(x, y) at one leaf of a Bolza integrand: sum_t H_t(x_t, y_t) +
+    (x_t - x_{t-1}).y_t stage by stage; +inf when some stage is, otherwise
+    -inf when some H_t(., y_t) is MINUS_INF."""
+    states, ys = stage_parts(f, x), stage_parts(f, y)
+    total, minus = 0.0, False
+    for t in range(f.tree.stage_count):
+        h = stage_hamiltonian(f.stage_cost(leaf, t), states[t], ys[t])
+        if h == np.inf:
+            return np.inf
+        if h == -np.inf:
+            minus = True
+            continue
+        prev = states[t - 1] if t > 0 else np.zeros(f.d)
+        total += h + float((states[t] - prev) @ ys[t])
+    return -np.inf if minus else total
+
+
+def dual_increments(f, y):
+    """(y_t, y_{t+1} - y_t) per stage of a leaf vector y, y_{T+1} = 0."""
+    ys = stage_parts(f, y)
+    nxt = ys[1:] + [np.zeros(f.d)]
+    return ys, [n - y_t for n, y_t in zip(nxt, ys)]
+
+
+def bolza_conjugate_value(f, leaf, v, y):
+    """f*(v, y) at one leaf of a Bolza integrand: sum_t K_t*(v_t + y_{t+1}
+    - y_t, y_t) stage by stage, +inf at the first +inf term."""
+    vs = stage_parts(f, v)
+    ys, dys = dual_increments(f, y)
+    total = 0.0
+    for t in range(f.tree.stage_count):
+        term = stage_conjugate_value(f.stage_cost(leaf, t), vs[t] + dys[t], ys[t])
+        if term == np.inf:
+            return np.inf
+        total += term
+    return total
+
+
+def lagrangian_functions_of_x(f, ys):
+    """x -> l(x, y_l) of every leaf l at row l of ``ys``, or the MINUS_INF
+    sentinel.  For a Bolza integrand, per leaf sum_t H_t(x_t, y_t) + (y_t -
+    y_{t+1}).x_t with y_{T+1} = 0, MINUS_INF when some H_t(., y_t) is; any
+    other integrand gives its own."""
     if not isinstance(f, BolzaIntegrand):
-        return f.lagrangian_function_of_x(leaf, y)
-    ys, _ = f._dual_increments(y)
-    T1 = f.tree.stage_count
+        return f.lagrangian_functions_of_x(ys)
+    return [_bolza_lagrangian_function_of_x(f, leaf, y) for leaf, y in enumerate(ys)]
+
+
+def _bolza_lagrangian_function_of_x(f, leaf, y):
+    ys, dys = dual_increments(f, y)
     pieces, coeff = [], np.zeros(f.n_total)
-    for t in range(T1):
-        h_fn = f.stage_cost(leaf, t).hamiltonian_function_of_x(ys[t])
+    for t in range(f.tree.stage_count):
+        h_fn = f.stage_cost(leaf, t).hamiltonian_functions_of_x(ys[t][None])[0]
         if h_fn is MINUS_INF:
             return MINUS_INF
         M = np.zeros((h_fn.dim, f.n_total))
         M[:, f.x_slices[t]] = np.eye(f.d)
         pieces.append(AffinePrecomposition(h_fn, M))
-        nxt = ys[t + 1] if t + 1 < T1 else np.zeros(f.d)
-        coeff[f.x_slices[t]] += ys[t] - nxt
+        coeff[f.x_slices[t]] -= dys[t]
     pieces.append(Affine(coeff, 0.0))
     return FiniteSum(pieces)
 
@@ -747,7 +830,7 @@ def hbar_function_of_x(stage, y):
     supremum is then empty).  A Kabanov stage's Hamiltonian is closed in x
     already, and its slice's conjugate has no closed form."""
     if isinstance(stage, KabanovStage):
-        return stage.hamiltonian_function_of_x(y)
+        return stage.hamiltonian_functions_of_x(np.asarray(y, dtype=float).reshape(1, -1))[0]
     conj = conjugate_function_of_a(stage, y)
     dom = domain_polyhedron(conj)
     if dom is not None and dom.is_empty():
@@ -755,18 +838,24 @@ def hbar_function_of_x(stage, y):
     return conj.conjugate()
 
 
-def lower_lagrangian(f, leaf, x, y):
-    """The lower variant sup_v { x.v - f*(v, y) } at ``leaf``: l(x, y) where
-    l(., y) is closed proper, -inf where f*(., y) is identically +inf.  For
-    a Bolza integrand, stage by stage through the lsc hulls of the
-    Hamiltonians, minus sum_t x_t.dy_{t+1}; a stage whose shifted conjugate
-    is identically +inf empties the supremum for the whole leaf, so -inf
-    dominates a +inf from another stage."""
+def lower_lagrangians(f, xs, ys):
+    """The lower variant sup_v { x.v - f*(v, y) } of every leaf, at rows l
+    of ``xs`` and ``ys``: l(x, y) where l(., y) is closed proper, -inf
+    where f*(., y) is identically +inf.  For a Bolza integrand, stage by
+    stage through the lsc hulls of the Hamiltonians, minus sum_t
+    x_t.dy_{t+1}; a stage whose shifted conjugate is identically +inf
+    empties the supremum for the whole leaf, so -inf dominates a +inf from
+    another stage."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not isinstance(f, BolzaIntegrand):
-        fn = lagrangian_function_of_x(f, leaf, y)
-        return -np.inf if fn is MINUS_INF else fn.value(x)
-    states = f._states(x)
-    ys, dys = f._dual_increments(y)
+        return [-np.inf if fn is MINUS_INF else fn.value(x)
+                for fn, x in zip(f.lagrangian_functions_of_x(ys), xs)]
+    return [_bolza_lower_lagrangian(f, leaf, x, y) for leaf, (x, y) in enumerate(zip(xs, ys))]
+
+
+def _bolza_lower_lagrangian(f, leaf, x, y):
+    states = stage_parts(f, x)
+    ys, dys = dual_increments(f, y)
     total = 0.0
     minus = plus = False
     for t in range(f.tree.stage_count):
@@ -792,7 +881,7 @@ def conjugate_function_of_v(f, leaf, y):
     own."""
     if not isinstance(f, BolzaIntegrand):
         return f.conjugate_function_of_v(leaf, y)
-    ys, dys = f._dual_increments(y)
+    ys, dys = dual_increments(f, y)
     return SeparableSum([
         AffinePrecomposition(conjugate_function_of_a(f.stage_cost(leaf, t), ys[t]),
                              np.eye(f.d), dys[t])
@@ -821,17 +910,13 @@ def per_leaf_primal(p, u):
 
 def per_leaf_lagrangian(p, y):
     """E l(x, y), leaf by leaf."""
-    rows = y.rows
-    return per_leaf_objective(p, [lagrangian_function_of_x(p.integrand, leaf, rows[leaf])
-                                  for leaf in range(p.tree.n_leaves)])
+    return per_leaf_objective(p, lagrangian_functions_of_x(p.integrand, y.rows))
 
 
 def per_leaf_lower_value(p, y, x):
     """-E lower-l(x, y), leaf by leaf: +inf when some leaf's lower-l is
     -inf, None when none is and some is +inf."""
-    xs, ys = x.rows, y.rows
-    vals = [lower_lagrangian(p.integrand, leaf, xs[leaf], ys[leaf])
-            for leaf in range(p.tree.n_leaves)]
+    vals = lower_lagrangians(p.integrand, x.rows, y.rows)
     if -np.inf in vals:
         return np.inf
     if np.inf in vals:
@@ -897,9 +982,10 @@ def per_leaf_recovered_dual(p, u, x):
     f, xs, us = p.integrand, x.rows, u.rows
     arrays = [np.zeros((p.tree.n_leaves, d)) for d in p.m_dims]
     for leaf in range(p.tree.n_leaves):
-        states = f._states(xs[leaf])
+        states = stage_parts(f, xs[leaf])
         for t in range(p.tree.stage_count):
-            w = f._velocity(states, t, us[leaf][f.u_slices[t]])
+            prev = states[t - 1] if t > 0 else np.zeros(f.d)
+            w = states[t] - prev + us[leaf][f.u_slices[t]]
             y_t = _stage_dual_gradient(f.stage_cost(leaf, t), states[t], w)
             if y_t is None:
                 return None
@@ -1045,7 +1131,8 @@ def bolza_dual_value_per_node(p, u, y):
     total = pairing(u, y)
     for leaf in range(tree.n_leaves):
         for t in range(tree.stage_count):
-            term = f.stage_cost(leaf, t).conjugate_value(expect_dy[t][leaf], y.stage(t)[leaf])
+            term = stage_conjugate_value(f.stage_cost(leaf, t), expect_dy[t][leaf],
+                                         y.stage(t)[leaf])
             if term == np.inf:
                 return -np.inf
             total -= float(tree.probabilities[leaf]) * term
@@ -1068,8 +1155,8 @@ def check_euler_lagrange_per_node(p, x, u, y, tol=1e-6):
             x_t = x.stage(t)[leaf]
             x_prev = x.stage(t - 1)[leaf] if t > 0 else np.zeros(f.d)
             w = x_t - x_prev + u.stage(t)[leaf]
-            kval = stage.value(x_t, w)
-            star = stage.conjugate_value(e_dy[t][leaf], y.stage(t)[leaf])
+            kval = stage_value(stage, x_t, w)
+            star = stage_conjugate_value(stage, e_dy[t][leaf], y.stage(t)[leaf])
             if kval == np.inf or star == np.inf:
                 res = np.inf
             else:
@@ -1078,12 +1165,47 @@ def check_euler_lagrange_per_node(p, x, u, y, tol=1e-6):
     return cert.finalize()
 
 
+def check_hamiltonian_system_per_node(p, x, u, y, tol=1e-6):
+    """``check_hamiltonian_system`` one information block at a time: the
+    Hamiltonian built at the block's first leaf alone, and scalar K
+    values."""
+    from stochdual.convex import NoClosedFormError, fenchel_residual
+    from stochdual.optimality import Certificate
+    from stochdual.tree import expected_dual_increments
+
+    f = p.integrand
+    cert = Certificate("pending", tol, y=y)
+    e_dy = expected_dual_increments(y)
+    for t in range(p.tree.stage_count):
+        for b, block in enumerate(p.tree.blocks(t)):
+            leaf = block[0]
+            stage = f.stage_cost(leaf, t)
+            x_t, y_t = x.stage(t)[leaf], y.stage(t)[leaf]
+            x_prev = x.stage(t - 1)[leaf] if t > 0 else np.zeros(f.d)
+            w = x_t - x_prev + u.stage(t)[leaf]
+            h_fn = stage.hamiltonian_functions_of_x(y_t[None])[0]
+            if h_fn is MINUS_INF:
+                cert.add("state-inclusion", np.inf, stage=t, block=b)
+                cert.add("velocity-inclusion", np.inf, stage=t, block=b)
+                continue
+            try:
+                res_x = fenchel_residual(h_fn, x_t, e_dy[t][leaf],
+                                         conjugate=stage.hamiltonian_x_conjugate(y_t, h_fn))
+            except NoClosedFormError:
+                res_x = np.inf
+            cert.add("state-inclusion", max(res_x, 0.0), stage=t, block=b)
+            hval, kval = h_fn.value(x_t), stage_value(stage, x_t, w)
+            res_y = np.inf if hval == np.inf or kval == np.inf else kval - float(w @ y_t) - hval
+            cert.add("velocity-inclusion", max(res_y, 0.0), stage=t, block=b)
+    return cert.finalize()
+
+
 def bolza_conjugates_per_node(p, y):
     """Per leaf, v -> f*(v, y) = sum_t K_t*(v_t + y_{t+1} - y_t, y_t), each
     stage conjugate a -> K_t*(a, y_t) built in a loop over the nodes (the
     leaves of a block with bit-equal y_t) and shared by the node's leaves."""
     from stochdual.convex import SeparableSum
-    from stochdual.solver import _leaf_vectors, _next_stage, _stage_nodes
+    from stochdual.solver import _leaf_vectors, _stage_nodes
 
     f, yvecs = p.integrand, _leaf_vectors(p, y, "dual")
     stage_fns = [[None] * p.tree.stage_count for _ in range(p.tree.n_leaves)]
@@ -1092,20 +1214,19 @@ def bolza_conjugates_per_node(p, y):
             fn_a = conjugate_function_of_a(f.stages[t][b], yvecs[leaves[0], f.u_slices[t]])
             for leaf in leaves:
                 stage_fns[leaf][t] = fn_a
-    eye, shifts = np.eye(f.d), _next_stage(p, yvecs) - yvecs
+    eye, shifts = np.eye(f.d), f._shift(yvecs, 1) - yvecs
     return [SeparableSum([AffinePrecomposition(fn_a, eye, shifts[leaf, f.u_slices[t]])
                           for t, fn_a in enumerate(fns)])
             for leaf, fns in enumerate(stage_fns)]
 
 
 def joint_conjugate_sum(p, y, v):
-    """E f*(v, y) through a Bolza integrand's own joint rule
-    ``BolzaIntegrand.conjugate_value``, leaf by leaf, the leaves summed in
-    order as a compiled objective sums its terms; +inf when some value
-    is."""
+    """E f*(v, y) through a Bolza integrand's joint rule at each leaf
+    (``bolza_conjugate_value``), the leaves summed in order as a compiled
+    objective sums its terms; +inf when some value is."""
     total = 0.0
     for leaf, (weight, v_l, y_l) in enumerate(zip(p.tree.probabilities.tolist(), v.rows, y.rows)):
-        val = p.integrand.conjugate_value(leaf, v_l, y_l)
+        val = bolza_conjugate_value(p.integrand, leaf, v_l, y_l)
         if val == np.inf:
             return np.inf
         total += weight * val

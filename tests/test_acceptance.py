@@ -305,16 +305,11 @@ def _dual_increment_compensator(p, y):
 
 class TestCriterion6CertificateSoundness:
     def _chain_residual(self, p, x, u, y, v):
-        total_f, total_star = 0.0, 0.0
-        for leaf in range(p.tree.n_leaves):
-            total_f += p.tree.probabilities[leaf] * p.integrand.value(
-                leaf, x.rows[leaf], u.rows[leaf])
-            star = p.integrand.conjugate_value(
-                leaf, v.rows[leaf], y.rows[leaf])
-            if star == INF:
-                return INF
-            total_star += p.tree.probabilities[leaf] * star
-        return abs(total_f - (pairing(u, y) - total_star))
+        stars = p.integrand.conjugate_values(v.rows, y.rows)
+        if np.any(stars == INF):
+            return INF
+        total_f = float(p.tree.probabilities @ p.integrand.values(x.rows, u.rows))
+        return abs(total_f - (pairing(u, y) - float(p.tree.probabilities @ stars)))
 
     def test_pass_certificates_close_the_chain_and_match_grids(self):
         ok = True

@@ -842,6 +842,26 @@ class TestHonestExitCodes:
         assert report["certificate"] == {
             "verdict": "unavailable", "reason": "the dual candidate must be adapted"}
 
+    def test_stage_checkers_refuse_a_non_adapted_parameter(self, tmp_path):
+        # bolza-quadratic-binary.json at its optimal x and y, with 100 added
+        # to u at stage 1 on leaves 1 and 3: the stage conditions read u at
+        # each block's first leaf, so both stage checkers refuse it
+        path = fixture_path("bolza-quadratic-binary.json")
+        problem, _, params, _, _ = parse_problem_file(path)
+        primal = solve_primal(problem, params["u"])
+        y = solve_dual(problem, params["u"], primal=primal).optimizer
+        doc = json.loads(pathlib.Path(path).read_text())
+        doc["parameters"]["u"][1] = [[0.5], [100.5], [-0.5], [99.5]]
+        doc["parameters"]["candidate"] = {
+            key: [proc.stage(t).tolist() for t in range(problem.tree.stage_count)]
+            for key, proc in (("x", primal.optimizer), ("y", y))}
+        bad = write_doc(tmp_path, "nonadapted-u", doc)
+        for checker in ("euler-lagrange", "hamiltonian"):
+            code, report = run(["check", bad, "--checker", checker])
+            assert (code, report["certificate"]) == (cli.EXIT_NO_CONVERGENCE, {
+                "verdict": "unavailable",
+                "reason": "the parameter must be adapted for the stage conditions"})
+
     def test_non_adapted_candidate_defaults_to_the_saddle_checker(self, tmp_path):
         # adapted u, and a candidate y that is not: the saddle checker runs
         # on the candidate, which is not the optimal dual

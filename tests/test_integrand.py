@@ -1,5 +1,7 @@
 """Lagrangians, pointwise conjugates and Hamiltonians against grid oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -41,21 +43,28 @@ from helpers import (
     conjugate_function_of_a,
     hbar_function_of_x,
     joint_function,
-    lower_lagrangian,
+    lower_lagrangians,
     per_leaf_conjugate_values,
     precomposition_lagrangian_per_leaf,
     same_bits,
+    stage_hamiltonian,
 )
 
 INF = float("inf")
 
 
-def grid_lagrangian_oracle(integrand, leaf, x, y, lo=-20.0, hi=20.0, step=0.005):
-    """inf over a u-grid of f(x,u) - u.y (one-dimensional parameter only)."""
+def at_one_leaf(rule, *rows):
+    """A stacked rule of a one-leaf integrand, read at its one row."""
+    return rule(*(np.asarray(r, dtype=float).reshape(1, -1) for r in rows))[0]
+
+
+def grid_lagrangian_oracle(integrand, x, y, lo=-20.0, hi=20.0, step=0.005):
+    """inf over a u-grid of f(x,u) - u.y at a one-leaf integrand
+    (one-dimensional parameter only)."""
     us = np.arange(lo, hi + step / 2, step)
     best = INF
     for u in us:
-        v = integrand.value(leaf, x, [u])
+        v = at_one_leaf(integrand.values, x, [u])
         if v < INF:
             best = min(best, v - u * float(np.ravel(y)[0]))
     return best
@@ -75,20 +84,20 @@ class TestAlmLagrangian:
     def test_value_matches_display(self):
         f = single_leaf_alm()
         # l(x, y) = -V*(y) - y * x * ds
-        assert f.lagrangian(0, [1.0], [1.0]) == pytest.approx(-1.5)
+        assert at_one_leaf(f.lagrangians, [1.0], [1.0]) == pytest.approx(-1.5)
 
     def test_value_matches_grid(self):
         f = single_leaf_alm()
-        oracle = grid_lagrangian_oracle(f, 0, [1.0], [1.0])
-        assert f.lagrangian(0, [1.0], [1.0]) == pytest.approx(oracle, abs=1e-4)
+        oracle = grid_lagrangian_oracle(f, [1.0], [1.0])
+        assert at_one_leaf(f.lagrangians, [1.0], [1.0]) == pytest.approx(oracle, abs=1e-4)
 
     def test_pointwise_conjugate_on_forced_point(self):
         f = single_leaf_alm()
-        assert f.conjugate_value(0, [-1.0], [1.0]) == pytest.approx(0.5)
+        assert at_one_leaf(f.conjugate_values, [-1.0], [1.0]) == pytest.approx(0.5)
 
     def test_pointwise_conjugate_off_forced_point(self):
         f = single_leaf_alm()
-        assert f.conjugate_value(0, [0.3], [1.0]) == INF
+        assert at_one_leaf(f.conjugate_values, [0.3], [1.0]) == INF
 
     def test_joint_conjugate_agrees_with_display(self):
         # the generic fat-matrix rule must reproduce the structured form
@@ -108,42 +117,42 @@ class TestConstrainedLagrangian:
     def test_zero_price_drops_constraints(self):
         f = self.make()
         for x in np.linspace(-2, 2, 9):
-            assert f.lagrangian(0, [x], [0.0]) == pytest.approx(x * x)
+            assert at_one_leaf(f.lagrangians, [x], [0.0]) == pytest.approx(x * x)
 
     def test_negative_price_is_minus_inf(self):
         f = self.make()
-        assert f.lagrangian(0, [0.5], [-1.0]) == -INF
+        assert at_one_leaf(f.lagrangians, [0.5], [-1.0]) == -INF
 
     def test_display_for_positive_price(self):
         f = self.make()
         x, y = 0.3, 2.0
-        assert f.lagrangian(0, [x], [y]) == pytest.approx(x * x + y * (1 - x))
+        assert at_one_leaf(f.lagrangians, [x], [y]) == pytest.approx(x * x + y * (1 - x))
 
     def test_matches_grid_oracle(self):
         f = self.make()
         for y in [0.5, 2.0]:
-            got = f.lagrangian(0, [0.3], [y])
-            oracle = grid_lagrangian_oracle(f, 0, [0.3], [y])
+            got = at_one_leaf(f.lagrangians, [0.3], [y])
+            oracle = grid_lagrangian_oracle(f, [0.3], [y])
             assert got == pytest.approx(oracle, abs=1e-4)
 
     def test_pointwise_conjugate_derived_value(self):
         # sup_x { -x^2 - 2(1 - x) } = -1 at x = 1
         f = self.make()
-        assert f.conjugate_value(0, [0.0], [2.0]) == pytest.approx(-1.0)
+        assert at_one_leaf(f.conjugate_values, [0.0], [2.0]) == pytest.approx(-1.0)
 
     def test_conjugate_matches_2d_grid(self):
         f = self.make()
         xs = np.arange(-10, 10.001, 0.01)
         for (v, y) in [(0.0, 2.0), (1.0, 0.5), (-0.5, 1.0)]:
             vals = -xs * xs - y * (1 - xs) + v * xs
-            assert f.conjugate_value(0, [v], [y]) == pytest.approx(
+            assert at_one_leaf(f.conjugate_values, [v], [y]) == pytest.approx(
                 vals.max(), abs=1e-3
             )
 
     def test_value_enforces_feasibility(self):
         f = self.make()
-        assert f.value(0, [2.0], [0.0]) == pytest.approx(4.0)
-        assert f.value(0, [0.0], [0.0]) == INF  # 1 - 0 + 0 > 0
+        assert at_one_leaf(f.values, [2.0], [0.0]) == pytest.approx(4.0)
+        assert at_one_leaf(f.values, [0.0], [0.0]) == INF  # 1 - 0 + 0 > 0
 
 
 class TestInfinityPrecedence:
@@ -155,8 +164,8 @@ class TestInfinityPrecedence:
         tree = ScenarioTree.deterministic(1)
         f = ConstrainedIntegrand(tree, [1], [Quadratic([1.0])],
                                  [[indicator_interval(-1.0, 1.0)]])
-        assert f.lagrangian(0, [2.0], [-1.0]) == INF
-        assert f.lagrangian(0, [0.5], [-1.0]) == -INF
+        assert at_one_leaf(f.lagrangians, [2.0], [-1.0]) == INF
+        assert at_one_leaf(f.lagrangians, [0.5], [-1.0]) == -INF
 
     def test_lower_lagrangian_minus_inf_dominates_across_stages(self):
         # one stage with an empty shifted-conjugate domain empties the whole
@@ -169,12 +178,12 @@ class TestInfinityPrecedence:
         f = BolzaIntegrand(tree, [[stage_quad], [stage_affine]])
         x = np.array([0.3, -0.2])
         # y_1 != 1 empties stage 1's conjugate in its first argument slice
-        val = lower_lagrangian(f, 0, x, np.array([0.0, 0.3]))
+        val = at_one_leaf(partial(lower_lagrangians, f), x, np.array([0.0, 0.3]))
         assert val == -INF
         # on the dual domain the two variants coincide
         y_ok = np.array([0.2, 1.0])
-        assert lower_lagrangian(f, 0, x, y_ok) == pytest.approx(
-            f.lagrangian(0, x, y_ok), abs=1e-9)
+        assert at_one_leaf(partial(lower_lagrangians, f), x, y_ok) == pytest.approx(
+            at_one_leaf(f.lagrangians, x, y_ok), abs=1e-9)
 
 
 class TestLowerLagrangian:
@@ -184,13 +193,13 @@ class TestLowerLagrangian:
         for _ in range(100):
             x = rng.uniform(-3, 3, 1)
             y = rng.uniform(-3, 3, 1)
-            assert lower_lagrangian(f, 0, x, y) == pytest.approx(
-                f.lagrangian(0, x, y), abs=1e-8
+            assert at_one_leaf(partial(lower_lagrangians, f), x, y) == pytest.approx(
+                at_one_leaf(f.lagrangians, x, y), abs=1e-8
             )
 
     def test_alm_value(self):
         f = single_leaf_alm()
-        assert lower_lagrangian(f, 0, [1.0], [1.0]) == pytest.approx(-1.5)
+        assert at_one_leaf(partial(lower_lagrangians, f), [1.0], [1.0]) == pytest.approx(-1.5)
 
     def test_empty_dual_domain_gives_minus_inf(self):
         # f(x, u) = x^2 + |u|: conjugate in u is an interval indicator, so
@@ -198,8 +207,8 @@ class TestLowerLagrangian:
         tree = build_single(1)
         joint = SeparableSum([Quadratic([1.0]), absolute_value()])
         f = GenericIntegrand(tree, [1], [1], [joint])
-        assert lower_lagrangian(f, 0, [0.5], [2.0]) == -INF
-        assert f.lagrangian(0, [0.5], [2.0]) == -INF
+        assert at_one_leaf(partial(lower_lagrangians, f), [0.5], [2.0]) == -INF
+        assert at_one_leaf(f.lagrangians, [0.5], [2.0]) == -INF
 
     def test_dual_grid_supremum_oracle(self):
         f = single_leaf_alm()
@@ -207,10 +216,10 @@ class TestLowerLagrangian:
         vs = np.arange(-6, 6.0001, 0.004)
         best = -INF
         for v in vs:
-            fv = f.conjugate_value(0, [v], y)
+            fv = at_one_leaf(f.conjugate_values, [v], y)
             if fv < INF:
                 best = max(best, v * x[0] - fv)
-        assert lower_lagrangian(f, 0, x, y) == pytest.approx(best, abs=1e-3)
+        assert at_one_leaf(partial(lower_lagrangians, f), x, y) == pytest.approx(best, abs=1e-3)
 
 
 class TestConcavityInY:
@@ -221,8 +230,8 @@ class TestConcavityInY:
             x = rng.uniform(-2, 2, 1)
             y1 = rng.uniform(-2, 2, 1)
             y2 = rng.uniform(-2, 2, 1)
-            mid = f.lagrangian(0, x, (y1 + y2) / 2)
-            avg = 0.5 * f.lagrangian(0, x, y1) + 0.5 * f.lagrangian(0, x, y2)
+            mid = at_one_leaf(f.lagrangians, x, (y1 + y2) / 2)
+            avg = 0.5 * at_one_leaf(f.lagrangians, x, y1) + 0.5 * at_one_leaf(f.lagrangians, x, y2)
             assert mid >= avg - 1e-9
 
 
@@ -233,20 +242,20 @@ class TestHamiltonian:
     def test_quadratic_value(self):
         st = self.quad_stage()
         # H(x, y) = x^2/2 + min_w (w^2/2 - w y) = x^2/2 - y^2/2
-        assert st.hamiltonian([1.0], [1.0]) == pytest.approx(0.0)
+        assert stage_hamiltonian(st, [1.0], [1.0]) == pytest.approx(0.0)
 
     def test_quadratic_against_grid(self):
         st = self.quad_stage()
         ws = np.arange(-10, 10.001, 0.01)
         for (x, y) in [(1.0, 1.0), (0.3, -0.7), (-2.0, 0.4)]:
             oracle = (0.5 * x * x + 0.5 * ws * ws - ws * y).min()
-            assert st.hamiltonian([x], [y]) == pytest.approx(oracle, abs=1e-4)
+            assert stage_hamiltonian(st, [x], [y]) == pytest.approx(oracle, abs=1e-4)
 
     def test_affine_escape_direction(self):
         # K(x, w) = x^2/2 + w (affine in the velocity): any y != 1 escapes
         st = BolzaStage(SeparableSum([Quadratic([0.5]), Affine([1.0], 0.0)]), 1)
-        assert st.hamiltonian([1.0], [0.5]) == -INF
-        assert st.hamiltonian([1.0], [1.0]) == pytest.approx(0.5)
+        assert stage_hamiltonian(st, [1.0], [0.5]) == -INF
+        assert stage_hamiltonian(st, [1.0], [1.0]) == pytest.approx(0.5)
 
     def test_kabanov_display(self):
         gens = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
@@ -262,14 +271,14 @@ class TestHamiltonian:
             y = np.concatenate([yz, np.zeros(2)])
             sigma = support_function(C, yz)
             expected = -INF if sigma == INF else float(k @ yz) + V.value(-k) - sigma
-            assert st.hamiltonian(x, y) == pytest.approx(expected, abs=1e-9) \
-                if np.isfinite(expected) else st.hamiltonian(x, y) == expected
+            assert stage_hamiltonian(st, x, y) == pytest.approx(expected, abs=1e-9) \
+                if np.isfinite(expected) else stage_hamiltonian(st, x, y) == expected
 
     def test_kabanov_nonzero_yk_is_minus_inf(self):
         gens = np.array([[1.0, -2.0], [-1.0, 0.5]])
         st = KabanovStage(Quadratic([0.5, 0.5]), Polyhedron.from_cone_generators(gens))
         y = np.array([0.0, 0.0, 1.0, 0.0])
-        assert st.hamiltonian(np.zeros(4), y) == -INF
+        assert stage_hamiltonian(st, np.zeros(4), y) == -INF
 
     def test_kabanov_against_velocity_grid(self):
         gens = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
@@ -283,7 +292,7 @@ class TestHamiltonian:
         k = x[2:]
         feas = np.all((W + k) @ C.a_ub.T <= 1e-12, axis=1)
         vals = st.V.value(-k) - W[feas] @ y[:2]
-        assert st.hamiltonian(x, y) == pytest.approx(vals.min(), abs=1e-2)
+        assert stage_hamiltonian(st, x, y) == pytest.approx(vals.min(), abs=1e-2)
 
 
 HULL_STATE_COSTS = [
@@ -308,7 +317,7 @@ def test_hamiltonian_is_its_own_lsc_hull(s, w):
     stage = BolzaStage(SeparableSum([HULL_STATE_COSTS[s], HULL_VELOCITY_COSTS[w]]), 1)
     rng = np.random.default_rng(100 * s + w)
     for y in [0.6, *rng.normal(0.0, 1.5, 4)]:
-        h, hb = stage.hamiltonian_function_of_x([y]), hbar_function_of_x(stage, [y])
+        h, hb = stage.hamiltonian_functions_of_x([[y]])[0], hbar_function_of_x(stage, [y])
         assert (h is MINUS_INF) == (hb is MINUS_INF), y
         if h is MINUS_INF:
             continue
@@ -330,13 +339,13 @@ class TestBolzaAssembly:
         x = np.array([1.0, 1.0])
         y = np.array([1.0, 1.0])
         # direct form: sum_t [H_t + dx_t . y_t]
-        direct = f.lagrangian(0, x, y)
+        direct = at_one_leaf(f.lagrangians, x, y)
         # increment form: sum_t [-x_t . dy_{t+1} + H_t], y_{T+1} = 0
         ys = [y[0:1], y[1:2]]
         dys = [ys[1] - ys[0], -ys[1]]
         states = [x[0:1], x[1:2]]
         incr = sum(
-            float(-states[t] @ dys[t]) + f.stage_cost(0, t).hamiltonian(states[t], ys[t])
+            float(-states[t] @ dys[t]) + stage_hamiltonian(f.stage_cost(0, t), states[t], ys[t])
             for t in range(2)
         )
         assert direct == pytest.approx(incr, abs=1e-12)
@@ -355,13 +364,13 @@ class TestBolzaAssembly:
             f = BolzaIntegrand(tree, stages)
             x = rng.normal(size=2)
             y = rng.normal(size=2)
-            direct = f.lagrangian(0, x, y)
+            direct = at_one_leaf(f.lagrangians, x, y)
             ys = [y[0:1], y[1:2]]
             dys = [ys[1] - ys[0], -ys[1]]
             states = [x[0:1], x[1:2]]
             incr = sum(
                 float(-states[t] @ dys[t])
-                + f.stage_cost(0, t).hamiltonian(states[t], ys[t])
+                + stage_hamiltonian(f.stage_cost(0, t), states[t], ys[t])
                 for t in range(2)
             )
             assert direct == pytest.approx(incr, abs=1e-10)
@@ -370,8 +379,8 @@ class TestBolzaAssembly:
         tree = build_single(1)
         f = BolzaIntegrand(tree, [[self.quad_stage()]])
         x0, y0 = 0.7, -0.4
-        h = f.stage_cost(0, 0).hamiltonian([x0], [y0])
-        assert f.lagrangian(0, [x0], [y0]) == pytest.approx(h + x0 * y0, abs=1e-12)
+        h = stage_hamiltonian(f.stage_cost(0, 0), [x0], [y0])
+        assert at_one_leaf(f.lagrangians, [x0], [y0]) == pytest.approx(h + x0 * y0, abs=1e-12)
 
     def test_value_assembles_stage_costs(self):
         tree = build_single(2)
@@ -380,7 +389,7 @@ class TestBolzaAssembly:
         u = np.array([0.5, -0.5])
         # stage 0: x=1, w=1+0.5; stage 1: x=3, w=(3-1)-0.5
         expected = 0.5 * 1 + 0.5 * 1.5 ** 2 + 0.5 * 9 + 0.5 * 1.5 ** 2
-        assert f.value(0, x, u) == pytest.approx(expected)
+        assert at_one_leaf(f.values, x, u) == pytest.approx(expected)
 
     def test_conjugate_value_against_grid(self):
         tree = build_single(1)
@@ -393,7 +402,7 @@ class TestBolzaAssembly:
                 us = xs
                 vals = x * v + us * y - (0.5 * x * x + 0.5 * (x + us) ** 2)
                 best = max(best, vals.max())
-            assert f.conjugate_value(0, [v], [y]) == pytest.approx(best, abs=1e-3)
+            assert at_one_leaf(f.conjugate_values, [v], [y]) == pytest.approx(best, abs=1e-3)
 
     def test_joint_function_matches_value(self):
         rng = np.random.default_rng(55)
@@ -404,7 +413,7 @@ class TestBolzaAssembly:
             x = rng.normal(size=2)
             u = rng.normal(size=2)
             assert joint.value(np.concatenate([x, u])) == pytest.approx(
-                f.value(0, x, u), abs=1e-12
+                at_one_leaf(f.values, x, u), abs=1e-12
             )
 
 
@@ -425,8 +434,8 @@ class TestKabanovAsBolza:
             x[:2] = 0.0  # terminal constraint z = 0
             yz = rng.normal(size=2)
             y = np.concatenate([yz, np.zeros(2)])
-            direct = f.lagrangian(0, x, y)
-            h = st.hamiltonian(x, y)
+            direct = at_one_leaf(f.lagrangians, x, y)
+            h = stage_hamiltonian(st, x, y)
             expected = h + float(x @ y) if np.isfinite(h) else h
             if direct == -INF or expected == -INF:
                 assert direct == expected
@@ -436,8 +445,8 @@ class TestKabanovAsBolza:
     def test_terminal_state_enforced(self):
         f = self.make()
         x = np.array([1.0, 0.0, 0.0, 0.0])  # z != 0
-        assert f.value(0, x, np.zeros(4)) == INF
-        assert f.lagrangian(0, x, np.zeros(4)) == INF
+        assert at_one_leaf(f.values, x, np.zeros(4)) == INF
+        assert at_one_leaf(f.lagrangians, x, np.zeros(4)) == INF
 
     @pytest.mark.parametrize("terminal", [False, True])
     def test_one_closed_form_for_the_stage_conjugate(self, terminal):
@@ -454,7 +463,8 @@ class TestKabanovAsBolza:
         for bz in np.vstack([polar, rng.normal(size=(8, 2))]):
             for bk in (np.zeros(2), rng.normal(size=2)):
                 b = np.concatenate([bz, bk])
-                fns = (st.hamiltonian_x_conjugate(b), conjugate_function_of_a(st, b))
+                h = st.hamiltonian_functions_of_x([b])[0]
+                fns = (st.hamiltonian_x_conjugate(b, h), conjugate_function_of_a(st, b))
                 for _ in range(3):
                     a = rng.normal(size=4)
                     if rng.random() < 0.5:
@@ -465,7 +475,7 @@ class TestKabanovAsBolza:
                     else:
                         want = st.V.conjugate().value(bz - a[2:]) + support_function(C, bz)
                         finite += 1
-                    got = [fn.value(a) for fn in fns] + [st.conjugate_value(a, b)]
+                    got = [fn.value(a) for fn in fns] + [st.conjugate_value_many([a], [b])[0]]
                     assert same_bits(got, [want] * 3)
         assert finite > 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stochdual import convex, integrand, optimality
+from stochdual.cli import fixture_path, parse_problem_file
 from stochdual.convex import (
     Affine,
     AffinePrecomposition,
@@ -24,6 +25,7 @@ from stochdual.optimality import (
 )
 from stochdual.solver import Problem, duality_gap, solve_primal
 from stochdual.tree import (
+    NotAdaptedError,
     ScenarioTree,
     StochasticProcess,
     adapted_projection,
@@ -347,6 +349,22 @@ class TestEulerLagrangeAndHamiltonian:
             assert el.ok == ham.ok, f"trial {trial}"
             agree += 1
         assert agree == 200
+
+    def test_non_adapted_parameter_is_refused(self):
+        # both stage checkers read u at each block's first leaf only: with
+        # 100 added to u on the second leaf of each stage-1 block of
+        # bolza-quadratic-binary.json, they refuse it at the optimal x, y
+        problem, _, params, _, _ = parse_problem_file(fixture_path("bolza-quadratic-binary.json"))
+        u = params["u"]
+        gap = duality_gap(problem, u)
+        x, y = gap.primal.optimizer, gap.dual.optimizer
+        assert check_hamiltonian_system(problem, x, u, y).ok
+        values = [a.copy() for a in u.values]
+        values[1][[1, 3]] += 100.0
+        bad = StochasticProcess(problem.tree, tuple(values))
+        for check in (check_euler_lagrange, check_hamiltonian_system):
+            with pytest.raises(NotAdaptedError, match="parameter must be adapted"):
+                check(problem, x, bad, y)
 
     def test_pass_is_monotone_in_tolerance(self):
         p, x, u, y = self.single_stage_instance()

@@ -385,20 +385,16 @@ class TestOrthocomplementBound:
         # basis of the subspace: stage-0 component (1, -p0/p1), stage 1 zero
         base = np.array([1.0, -0.4 / 0.6])
         best = np.inf
-        yv = [y.rows[leaf] for leaf in range(2)]
         for z in np.arange(-10, 10.0001, 0.001):
-            total = 0.0
-            for leaf, prob in enumerate((0.4, 0.6)):
-                v = np.array([z * base[leaf], 0.0])
-                total += prob * f.conjugate_value(leaf, v, yv[leaf])
-            best = min(best, total)
+            v = np.column_stack([z * base, np.zeros(2)])
+            best = min(best, float(np.array([0.4, 0.6]) @ f.conjugate_values(v, y.rows)))
         assert bound.value == pytest.approx(best, abs=1e-5)
 
     def test_deterministic_tree_reduces_to_zero_subspace(self):
         p = bolza_problem_deterministic()
         y = StochasticProcess.from_stage_values(p.tree, [[[0.3]], [[-0.2]]])
         bound = dual_via_orthocomplement(p, y)
-        expected = p.integrand.conjugate_value(0, np.zeros(2), y.rows[0])
+        expected = p.integrand.conjugate_values(np.zeros((1, 2)), y.rows)[0]
         assert bound.value == pytest.approx(expected, abs=1e-10)
 
 
@@ -557,8 +553,8 @@ class TestCertifiedBound:
     def test_wrong_conjugate_is_rejected(self, monkeypatch):
         # every conjugate raised by 0.5: E f*(v, y) misses phi*(y) by 0.5
         p, y = self.bolza_case()
-        real_sum = solver._bolza_conjugate_sum
-        monkeypatch.setattr(solver, "_bolza_conjugate_sum", lambda *a: real_sum(*a) + 0.5)
+        real = BolzaIntegrand.conjugate_values
+        monkeypatch.setattr(BolzaIntegrand, "conjugate_values", lambda *a: real(*a) + 0.5)
         dob = dual_objective(p, y)
         solves = bound_solves(monkeypatch)
         self.assert_rejected(dual_via_orthocomplement(p, y, objective=dob), solves)

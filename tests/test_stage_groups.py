@@ -4,10 +4,12 @@ evaluate each shared stage cost or stage conjugate once per group.
 A problem file's equal stage specs parse to one BolzaStage (one
 KabanovStage per distinct trade set, disutility and terminal flag), so the
 primal lowering stacks a stage's nodes and K* is computed once per stage.
-``bolza_dual_value`` and ``check_euler_lagrange`` are checked bit for bit
-against the per-node loops of tests/helpers.py, and the annihilator
-bound's E f*(v, y) against the integrand's joint rule leaf by leaf, on
-irregular trees whose blocks share a few stage objects; the stacked
+``bolza_dual_value``, ``check_euler_lagrange`` and
+``check_hamiltonian_system`` are checked bit for bit against the per-node
+loops of tests/helpers.py, and the annihilator bound's E f*(v, y) against
+the integrand's joint rule leaf by leaf, on irregular trees whose blocks
+share a few stage objects; the integrand's stacked f, l and f* against
+each leaf's stage-by-stage rule on the dynamic documents; the stacked
 Hamiltonians and Kabanov stage conjugates against their one-row rules;
 and the Lagrangian that lowers the nodes' Hamiltonians in one group per
 shared stage against one group per node.
@@ -31,10 +33,10 @@ from stochdual.convex import (
 )
 from stochdual.duality import bolza_dual_value
 from stochdual.integrand import BolzaIntegrand, BolzaStage, KabanovStage
-from stochdual.optimality import check_euler_lagrange
+from stochdual.optimality import check_euler_lagrange, check_hamiltonian_system
 from stochdual.solver import (
     Problem,
-    _bolza_conjugate_sum,
+    _leaf_sum,
     _leaf_vectors,
     primal_objective,
     solve_dual,
@@ -44,10 +46,15 @@ from stochdual.tree import StochasticProcess
 
 from helpers import (
     HALF_SQUARE,
+    bolza_conjugate_value,
     bolza_doc,
     bolza_dual_value_per_node,
+    bolza_lagrangian,
+    bolza_value,
     check_euler_lagrange_per_node,
+    check_hamiltonian_system_per_node,
     conjugate_sum_per_leaf,
+    dynamic_docs,
     grouped_process,
     hbar_function_of_x,
     irregular_tree,
@@ -220,8 +227,8 @@ def test_a_kabanov_dual_solve_builds_each_hamiltonian_once(tmp_path, monkeypatch
     # own
     path = write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3)))
     calls = []
-    real = KabanovStage.hamiltonian_function_of_x
-    monkeypatch.setattr(KabanovStage, "hamiltonian_function_of_x",
+    real = KabanovStage._hamiltonian
+    monkeypatch.setattr(KabanovStage, "_hamiltonian",
                         lambda self, y: calls.append((id(self), y.tobytes())) or real(self, y))
     assert run([command, path])[0] == 0
     assert len(calls) == len(set(calls)) == 14
@@ -260,7 +267,7 @@ def test_hull_emptiness_stays_per_slice_where_dom_reads_b():
     # [-1, 1], where the reference hull and the Hamiltonian are MINUS_INF
     stage = BolzaStage(SeparableSum([Quadratic([0.5]), absolute_value()]), 1)
     assert hbar_function_of_x(stage, [2.0]) is integrand.MINUS_INF
-    assert stage.hamiltonian_function_of_x([2.0]) is integrand.MINUS_INF
+    assert stage.hamiltonian_functions_of_x([[2.0]])[0] is integrand.MINUS_INF
     assert hbar_function_of_x(stage, [0.5]).value([1.0]) == pytest.approx(0.5)
     # the whole-space and the state-only domains are nonempty for every b
     for fn in (SeparableSum([Quadratic([0.5]), Quadratic([0.5])]),
@@ -300,11 +307,7 @@ def test_euler_lagrange_matches_per_node_loop(seed, d):
     x = adapted(rng, p.tree, p.n_dims)
     for scale in (0.05, 3.0):
         y = adapted(rng, p.tree, p.m_dims, scale)
-        got, want = check_euler_lagrange(p, x, u, y), check_euler_lagrange_per_node(p, x, u, y)
-        assert got.verdict == want.verdict
-        assert [{k: r[k] for k in r if k != "residual"} for r in got.rows] == \
-            [{k: r[k] for k in r if k != "residual"} for r in want.rows]
-        assert same_bits([r["residual"] for r in got.rows], [r["residual"] for r in want.rows])
+        same_rows(check_euler_lagrange(p, x, u, y), check_euler_lagrange_per_node(p, x, u, y))
 
 
 def test_euler_lagrange_on_solved_kabanov(tmp_path):
@@ -317,6 +320,99 @@ def test_euler_lagrange_on_solved_kabanov(tmp_path):
     want = check_euler_lagrange_per_node(problem, primal.optimizer, u, y)
     assert got.verdict == want.verdict == "pass"
     assert same_bits([r["residual"] for r in got.rows], [r["residual"] for r in want.rows])
+
+
+def same_rows(got, want):
+    """Two certificates agree in verdict and in every row, bit for bit."""
+    assert got.verdict == want.verdict
+    assert [{k: r[k] for k in r if k != "residual"} for r in got.rows] == \
+        [{k: r[k] for k in r if k != "residual"} for r in want.rows]
+    assert same_bits([r["residual"] for r in got.rows], [r["residual"] for r in want.rows])
+
+
+@pytest.mark.parametrize("seed, d", CASES)
+def test_hamiltonian_system_matches_per_node_loop(seed, d):
+    p, rng = shared_bolza(seed, d)
+    u = adapted(rng, p.tree, p.m_dims)
+    x = adapted(rng, p.tree, p.n_dims)
+    for scale in (0.05, 3.0):
+        y = adapted(rng, p.tree, p.m_dims, scale)
+        same_rows(check_hamiltonian_system(p, x, u, y),
+                  check_hamiltonian_system_per_node(p, x, u, y))
+
+
+def test_hamiltonian_system_on_solved_kabanov(tmp_path):
+    problem, _, params, _, _ = parse_problem_file(
+        write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3))))
+    u = params["u"]
+    primal = solve_primal(problem, u)
+    y = solve_dual(problem, u, primal=primal).optimizer
+    got = check_hamiltonian_system(problem, primal.optimizer, u, y)
+    same_rows(got, check_hamiltonian_system_per_node(problem, primal.optimizer, u, y))
+    assert got.verdict == "pass"
+
+
+def leaf_rows(p, rng):
+    """Leaf rows (X, U, Y, V) for a dynamic problem's f, l and f*.  On a
+    currency market the leaves take, by index mod 4: rows where all three
+    are finite (y on a ray of both solvency cones' polars with y_k = 0, a
+    trade inside the cone, z_T = 0, and v cancelling the z-part of y's
+    increments); the same with y_k != 0 at the horizon (H_T is MINUS_INF,
+    f* is +inf); the same with z_T != 0 (x-infeasible at the horizon); and
+    random rows.  Elsewhere every row is random."""
+    f = p.integrand
+    n, T1, d = f.tree.n_leaves, f.tree.stage_count, f.d
+    X, U, Y, V = (rng.normal(size=(n, T1 * d)) for _ in range(4))
+    if isinstance(f.stages[0][0], KabanovStage):
+        h, kind = d // 2, np.arange(n) % 4
+        for leaf in np.flatnonzero(kind < 3):
+            x, u, y, v = (A[leaf].reshape(T1, d) for A in (X, U, Y, V))
+            y[:, :h], y[:, h:] = rng.uniform(0.1, 1.0, (T1, 1)), 0.0
+            x[-1, :h] = 0.0
+            dz = x[:, :h] - np.vstack([np.zeros(h), x[:-1, :h]])
+            u[:, :h] = -dz - x[:, h:] - rng.uniform(0.1, 1.0, (T1, 1))
+            v[:, :h] = -(np.vstack([y[1:, :h], np.zeros(h)]) - y[:, :h])
+        Y[kind == 1, -1] = 1.0
+        X[kind == 2, -d] = 1.0
+    return X, U, Y, V
+
+
+def test_stacked_rules_match_the_per_leaf_rules():
+    # f, l and f* one stage group at a time, bit for bit each leaf's own
+    # stage-by-stage rule, on the dynamic documents: rows with f* = +inf,
+    # with some H_t MINUS_INF (l = -inf) and with an x-infeasible stage
+    # (f = l = +inf) included
+    seen = {"f": set(), "l": set(), "f*": set()}
+    for name, doc in dynamic_docs().items():
+        p, _ = parse_doc(doc)
+        f = p.integrand
+        X, U, Y, V = leaf_rows(p, np.random.default_rng(len(name)))
+        for key, got, ref, A, B in (("f", f.values(X, U), bolza_value, X, U),
+                                    ("l", f.lagrangians(X, Y), bolza_lagrangian, X, Y),
+                                    ("f*", f.conjugate_values(V, Y), bolza_conjugate_value, V, Y)):
+            want = [ref(f, leaf, a, b) for leaf, (a, b) in enumerate(zip(A, B))]
+            assert same_bits(got, want), (name, key)
+            seen[key] |= {np.sign(w) if np.isinf(w) else 0.0 for w in want}
+    assert seen == {"f": {0.0, 1.0}, "l": {-1.0, 0.0, 1.0}, "f*": {0.0, 1.0}}
+
+
+def test_kabanov_checker_support_lps(tmp_path, monkeypatch):
+    # support LPs (Polyhedron.support) per command on a 64-leaf market: the
+    # saddle checker builds each distinct (stage, y_t row) Hamiltonian and
+    # K* slice once, and the Hamiltonian checker builds the Hamiltonians
+    # one stage group at a time
+    path = write_doc(tmp_path, "kabanov-H6", kabanov_doc(6, np.random.default_rng(0)))
+    calls = []
+    real = Polyhedron.support
+    monkeypatch.setattr(Polyhedron, "support", lambda self, y: calls.append(1) or real(self, y))
+    counts = {}
+    for command in (["report"], ["check", "--checker", "saddle"],
+                    ["check", "--checker", "hamiltonian"]):
+        calls.clear()
+        code, report = run(command + [path])
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
+        counts[command[-1]] = len(calls)
+    assert counts == {"report": 496, "saddle": 484, "hamiltonian": 369}
 
 
 @pytest.mark.parametrize("seed, d", CASES)
@@ -333,7 +429,7 @@ def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
     for scale in (0.02, 3.0):
         v = StochasticProcess(p.tree, tuple(scale * a for a in
                                             random_process(rng, p.tree, p.n_dims).values))
-        got = _bolza_conjugate_sum(p, yvecs, v.rows)
+        got = _leaf_sum(p, p.integrand.conjugate_values(v.rows, yvecs))
         assert same_bits(got, joint_conjugate_sum(p, y, v))
         # the per-node slices of K* agree to rounding: fixing b in K*
         # folds it into the slice's constants, in another order
@@ -344,7 +440,7 @@ def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
 def test_kabanov_stacked_conjugate_matches_row_by_row(tmp_path, monkeypatch, terminal):
     # a shared market stage prices each distinct row b once (one slice, one
     # support LP) and reads its rows of a in one pass: bit for bit
-    # ``conjugate_value`` row by row, on rows repeated across the blocks
+    # each row's own slice, row by row, on rows repeated across the blocks
     # that share the stage, rows off the polar cone and rows with b_k != 0
     problem, _, _, _, _ = parse_problem_file(
         write_doc(tmp_path, "kabanov", kabanov_doc(3, np.random.default_rng(3))))
@@ -365,7 +461,7 @@ def test_kabanov_stacked_conjugate_matches_row_by_row(tmp_path, monkeypatch, ter
                         lambda self, b: calls.append(b.tobytes()) or real(self, b))
     got = stage.conjugate_value_many(A, B)
     assert len(calls) == len(set(calls)) == 7
-    want = [stage.conjugate_value(a, b) for a, b in zip(A, B)]
+    want = [real(stage, b).value(a) for a, b in zip(A, B)]
     assert same_bits(got, want)
     assert np.isfinite(got).any() and np.isinf(got).any()
 
@@ -403,7 +499,7 @@ def test_stacked_hamiltonians_match_the_one_row_rule(d):
         stacked = stage.hamiltonian_functions_of_x(Y)
         assert len(stacked) == len(Y)
         for h, y in zip(stacked, Y):
-            one = stage.hamiltonian_function_of_x(y)
+            one = stage.hamiltonian_functions_of_x(y[None])[0]
             assert (h is integrand.MINUS_INF) == (one is integrand.MINUS_INF)
             if h is integrand.MINUS_INF:
                 minus += 1
@@ -428,8 +524,8 @@ def test_kabanov_stacked_hamiltonians_match_the_one_row_rule(monkeypatch, termin
                           np.vstack([np.zeros((5, 2)), rng.normal(size=(1, 2))])])
     Y = distinct[np.r_[np.arange(6), rng.integers(0, 6, 6)]]
     calls = []
-    real = KabanovStage.hamiltonian_function_of_x
-    monkeypatch.setattr(KabanovStage, "hamiltonian_function_of_x",
+    real = KabanovStage._hamiltonian
+    monkeypatch.setattr(KabanovStage, "_hamiltonian",
                         lambda self, y: calls.append(y.tobytes()) or real(self, y))
     stacked = stage.hamiltonian_functions_of_x(Y)
     assert len(calls) == len(set(calls)) == 6
