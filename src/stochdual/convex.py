@@ -420,25 +420,37 @@ class PiecewiseLinear(_Scalar):
         one column per scale."""
         X = np.asarray(X, dtype=float).reshape(-1)
         scale = np.asarray(scale, dtype=float)
-        out = np.full(X.shape + scale.shape, INF)
-        ok = ~((X < self.lo - FEAS_TOL) | (X > self.hi + FEAS_TOL))
-        xs = X[ok].reshape((-1,) + (1,) * scale.ndim)  # a column per point with K scales
-        xs = np.where(self.lo > xs, self.lo, xs)
-        xs = np.where(self.hi < xs, self.hi, xs)
+        xs = X.reshape((-1,) + (1,) * scale.ndim)  # a column per point with K scales
+        # on a domain with a finite end the points beyond its band are
+        # +inf, the others clamped to it; on R no point is either
+        whole = self.lo == -INF and self.hi == INF
+        if not whole:
+            ok = ~((X < self.lo - FEAS_TOL) | (X > self.hi + FEAS_TOL))
+            xs = xs[ok]
+            if self.lo != -INF:
+                xs = np.where(self.lo > xs, self.lo, xs)
+            if self.hi != INF:
+                xs = np.where(self.hi < xs, self.hi, xs)
         up = self.anchor_x <= xs
         left, right = np.where(up, self.anchor_x, xs), np.where(up, xs, self.anchor_x)
         total = np.zeros(xs.shape)
+        breaks, slopes = self.breaks, self.slopes
 
         def piece(lo_knot, hi_knot):
-            j = np.searchsorted(self.breaks, 0.5 * (lo_knot + hi_knot), side="right")
-            return (scale * self.slopes[j]) * (hi_knot - lo_knot)
+            # the slope of the piece that holds the midpoint
+            j = breaks.searchsorted(0.5 * (lo_knot + hi_knot), side="right") if breaks.size else 0
+            return (scale * slopes[j]) * (hi_knot - lo_knot)
 
-        for b in self.breaks:  # the knots strictly inside, in increasing order
+        for b in breaks.tolist():  # the knots strictly inside, in increasing order
             inside = (b > left) & (b < right)
             total = np.where(inside, total + piece(left, b), total)
             left = np.where(inside, b, left)
         total = total + piece(left, right)
-        out[ok] = scale * self.anchor_val + np.where(xs >= self.anchor_x, 1.0, -1.0) * total
+        vals = scale * self.anchor_val + np.where(xs >= self.anchor_x, 1.0, -1.0) * total
+        if whole:
+            return vals
+        out = np.full(X.shape + scale.shape, INF)
+        out[ok] = vals
         return out
 
     def _conjugate(self):
@@ -503,9 +515,12 @@ class PiecewiseLinear(_Scalar):
         number or an array of positive numbers), the lines of
         ``self.scaled(scale)``, without building that function.  Piece j
         is read at its left end."""
-        ends = np.concatenate([[self.lo if self.lo != -INF else self.breaks[0]], self.breaks])
-        return [(scale * s, v - (scale * s) * z0)
-                for s, v, z0 in zip(self.slopes, self.value_many(ends, scale), ends)]
+        ends = [self.lo if self.lo != -INF else float(self.breaks[0]), *self.breaks.tolist()]
+        lines = []
+        for s, v, z0 in zip(self.slopes, self.value_many(ends, scale), ends):
+            slope = scale * s
+            lines.append((slope, v - slope * z0))
+        return lines
 
 
 def absolute_value() -> PiecewiseLinear:

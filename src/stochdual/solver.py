@@ -274,12 +274,12 @@ class _Atom:
     aux: np.ndarray | None  # (K,) its epigraph variable, numbered from 0; None if smooth
     rows: np.ndarray  # (K, k) its inequality rows
     coefs: np.ndarray  # (K, k) each row's coefficient on row.z
-    intercepts: list  # one (K,) array per supporting line; its rows come first
+    intercepts: np.ndarray  # (K, lines) each supporting line's; its rows come first
     fn: ConvexFunction  # the atom's g, for its domain rows and its Taylor reading
 
     @property
     def n_lines(self) -> int:
-        return len(self.intercepts)
+        return self.intercepts.shape[1]
 
     def args(self, z, off) -> np.ndarray:
         """(K,) the atom's arguments row.z_k + off_k, z_k the terms'
@@ -289,12 +289,13 @@ class _Atom:
     def rhs(self, off) -> np.ndarray:
         """(K, k) right-hand sides of the rows at the atom's offsets ``off``:
         each weighted line's, then the domain's hi and lo rows."""
-        rhs = [-(intercept + self.coefs[:, j] * off) for j, intercept in enumerate(self.intercepts)]
+        rhs = -(self.intercepts + self.coefs[:, :self.n_lines] * off[:, None])
+        domain = []
         if self.fn.hi != INF:
-            rhs.append(self.fn.hi - off)
+            domain.append(self.fn.hi - off)
         if self.fn.lo != -INF:
-            rhs.append(off - self.fn.lo)
-        return np.column_stack(rhs) if rhs else np.zeros((len(off), 0))
+            domain.append(off - self.fn.lo)
+        return np.concatenate([rhs, np.stack(domain, axis=1)], axis=1) if domain else rhs
 
 
 @dataclass
@@ -401,47 +402,56 @@ def _lower(n: int, n_terms: int, groups: list[_Group], forms) -> _Lowering:
     run of consecutive terms of a group.  The forms' shapes, P, G, A and
     atom rows do not depend on the offsets, so any offsets give the same
     lowering."""
-    counts = np.zeros((4, n_terms), dtype=int)  # G rows, A rows, atoms, epigraph variables
-    for g, form in zip(groups, forms):
-        counts[:, g.idx] = [[form.G.shape[-2]], [form.A.shape[-2]], [len(form.epi)],
-                            [sum(isinstance(fn, PiecewiseLinear) for _, _, fn in form.epi)]]
+    # per group: its terms' numbers of G rows, A rows, atoms and epigraph
+    # variables, and each atom's rows (a kinked atom's lines, then the
+    # domain's hi and lo rows); each term's group, and its place in it
+    sizes, atom_sizes = [], []
+    for form in forms:
+        fns = [fn for _, _, fn in form.epi]
+        pwl = [isinstance(fn, PiecewiseLinear) for fn in fns]
+        sizes.append((form.G.shape[-2], form.A.shape[-2], len(fns), sum(pwl)))
+        atom_sizes.append([(fn.slopes.size if k else 0) + (fn.hi != INF) + (fn.lo != -INF)
+                           for fn, k in zip(fns, pwl)])
+    owner, place = np.zeros((2, n_terms), dtype=int)
+    for k, g in enumerate(groups):
+        owner[g.idx], place[g.idx] = k, np.arange(len(g.idx))
+    counts = np.array(sizes, dtype=int).reshape(-1, 4).T[:, owner]
     first = np.cumsum(counts, axis=1) - counts  # each term's first row / atom / variable
-    n_ineq, n_eq, n_atoms, n_aux = (int(k) for k in counts.sum(axis=1))
+    n_ineq, n_eq, n_atoms, n_aux = counts.sum(axis=1).tolist()
     atom_rows = np.zeros(n_atoms, dtype=int)
-    for g, form in zip(groups, forms):
-        for j, (_, _, fn) in enumerate(form.epi):
-            lines = fn.slopes.size if isinstance(fn, PiecewiseLinear) else 0
-            atom_rows[first[2, g.idx] + j] = lines + (fn.hi != INF) + (fn.lo != -INF)
+    for g, rows in zip(groups, atom_sizes):
+        for j, r in enumerate(rows):
+            atom_rows[first[2, g.idx] + j] = r
     atom_first = n_ineq + np.cumsum(atom_rows) - atom_rows
     total, n_rows = n + n_aux, n_ineq + int(atom_rows.sum())
     P, G, A = np.zeros((total, total)), np.zeros((n_rows, total)), np.zeros((n_eq, total))
-    # each term's group, and its place in the group
-    owner, place = np.zeros((2, n_terms), dtype=int)
-    for k, (g, form) in enumerate(zip(groups, forms)):
+    for g, form, (n_g, n_a, _, _), rows in zip(groups, forms, sizes, atom_sizes):
         C = g.cols
-        owner[g.idx], place[g.idx] = k, np.arange(len(g.idx))
-        g.rows = first[0, g.idx, None] + np.arange(form.G.shape[-2])
-        g.eq_rows = first[1, g.idx, None] + np.arange(form.A.shape[-2])
-        G[g.rows[:, :, None], C[:, None, :]] = form.G
-        A[g.eq_rows[:, :, None], C[:, None, :]] = form.A
+        g.rows = first[0, g.idx, None] + np.arange(n_g)
+        g.eq_rows = first[1, g.idx, None] + np.arange(n_a)
+        if n_g:
+            G[g.rows[:, :, None], C[:, None, :]] = form.G
+        if n_a:
+            A[g.eq_rows[:, :, None], C[:, None, :]] = form.A
         g.atoms, aux = [], first[3, g.idx]
-        for j, (row, _, fn) in enumerate(form.epi):
+        atoms = first[2, g.idx]
+        ones = np.ones(len(g.idx))
+        for j, ((row, _, fn), r) in enumerate(zip(form.epi, rows)):
             # a kinked atom's lines of each term's weighted g, then its
             # domain rows
             kinked = isinstance(fn, PiecewiseLinear)
             lines = fn.supporting_lines(g.weights) if kinked else []
-            ones = np.ones(len(g.idx))
             coefs = [s for s, _ in lines] + [ones] * (fn.hi != INF) + [-ones] * (fn.lo != -INF)
-            at = _Atom(row, aux if kinked else None,
-                       atom_first[first[2, g.idx] + j, None] + np.arange(len(coefs)),
-                       np.column_stack(coefs) if coefs else np.zeros((len(ones), 0)),
-                       [b for _, b in lines], fn)
+            at = _Atom(row, aux if kinked else None, atom_first[atoms + j, None] + np.arange(r),
+                       np.stack(coefs, axis=1) if coefs else np.zeros((len(ones), 0)),
+                       np.stack([b for _, b in lines], axis=1) if lines
+                       else np.zeros((len(ones), 0)), fn)
             G[at.rows[:, :, None], C[:, None, :]] = at.coefs[:, :, None] * at.row[:, None, :]
             if kinked:
                 G[at.rows[:, :at.n_lines], n + aux[:, None]] = -1.0
                 aux = aux + 1
             g.atoms.append(at)
-    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    cuts = ((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist()
     runs = [(int(owner[i]), slice(place[i], place[i] + j - i))
             for i, j in zip([0, *cuts], [*cuts, n_terms])] if n_terms else []
     for k, run in runs:
@@ -685,8 +695,8 @@ def _solve(data, method: str, **kw) -> _MinResult:
     if res.x is None:
         return _MinResult(res.status, None, res.value, res.iterations, 0.0, method)
     # the largest violation of the rows G w <= h and A w = b
-    resid = max(float(np.max(G @ res.x - h, initial=0.0)),
-                float(np.max(np.abs(A @ res.x - b), initial=0.0)))
+    resid = max(float((G @ res.x - h).max(initial=0.0)),
+                float(np.abs(A @ res.x - b).max(initial=0.0)))
     return _MinResult(res.status, res.x[:n_main], res.value, res.iterations, resid, method,
                       res.ineq_multipliers, res.eq_multipliers)
 
@@ -1076,12 +1086,14 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
         return OrthoBound(np.nan, None, objective.inner_status)
     v = _stationary_v(p, yvecs, objective)
     V = v.rows
-    if not in_orthocomplement(v, 1e-9 * max(1.0, float(np.max(np.abs(V), initial=0.0)))):
+    if not in_orthocomplement(v, 1e-9 * max(1.0, float(np.abs(V).max(initial=0.0)))):
         return OrthoBound(np.nan, None, "gap-open")
     value = _leaf_sum(p, p.integrand.conjugate_values(V, yvecs))
     # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
-    # mean-zero v; the reported phi*(y) must close the sandwich too
-    lower = -objective.lagrangian.value(objective.inner.x)
+    # mean-zero v; the reported phi*(y) must close the sandwich too.  The
+    # lower variant is -E l(x*, y), read at the inner minimizer x* (None
+    # where l(x*, y) = +inf), never the QP's own value
+    lower = -INF if objective.lower_value is None else objective.lower_value
     tol = cfg.tol * max(1.0, abs(value))
     if np.isfinite(value) and all(abs(value - w) <= tol for w in (lower, objective.value)):
         return OrthoBound(float(value), v, "optimal")

@@ -669,6 +669,16 @@ def kinked_doc(family, horizon, seed, cost):
     return bolza_doc(horizon, cost, rng, velocity_cost=velocity)
 
 
+def kinked_docs():
+    """The problem documents behind data/kinked_reports.json, by name:
+    |z| hedging on binary trees of horizon 2 to 5 and the horizon-3 Bolza
+    LP |x| + |w|, each drawn with seed = horizon."""
+    abs_v = {"kind": "abs"}
+    docs = {f"hedging-abs-H{h}": kinked_doc("hedging", h, h, abs_v) for h in range(2, 6)}
+    docs["bolza-lp-abs-H3"] = kinked_doc("bolza-lp", 3, 3, abs_v)
+    return docs
+
+
 # ---------------------------------------------------------------------------
 # per-leaf references for the node-wise compilation of dynamic problems
 # ---------------------------------------------------------------------------

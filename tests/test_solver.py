@@ -532,6 +532,15 @@ class TestCertifiedBound:
         p = kinked_bolza(irregular_tree(5), 2, rng)
         return p, small_dual(rng, p)
 
+    def moved_inner_point(self, dob, shift):
+        """``dob`` with its inner point moved by ``shift``, and the lower
+        variant read there as ``dual_objective`` reads it: -l(x, y), None
+        where l(x, y) = +inf."""
+        x = dob.inner.x + shift
+        value = dob.lagrangian.value(x)
+        return dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, x=x),
+                                   lower_value=None if value == INF else -value)
+
     def assert_rejected(self, bound, solves, status="gap-open"):
         # the rejected v is not reported, and nothing is solved over v
         assert (bound.status, bound.v, solves) == (status, None, [])
@@ -572,11 +581,28 @@ class TestCertifiedBound:
         self.assert_rejected(dual_via_orthocomplement(p, y, objective=stopped(dob)), solves,
                              "max-iter")
 
+    def test_lower_variant_is_read_not_evaluated(self, monkeypatch):
+        # the bound reads the lower variant that dual_objective read at the
+        # inner point, and evaluates no objective itself; a lower variant
+        # off phi*(y) leaves the sandwich open
+        p, y = self.bolza_case()
+        dob = dual_objective(p, y)
+        solves, evaluated = bound_solves(monkeypatch), []
+        value = solver.CompiledObjective.value
+        monkeypatch.setattr(solver.CompiledObjective, "value",
+                            lambda obj, z: evaluated.append(obj) or value(obj, z))
+        assert dual_via_orthocomplement(p, y, objective=dob).status == "optimal"
+        for lower in (dob.lower_value - 1e-3, None):
+            bound = dual_via_orthocomplement(
+                p, y, objective=dataclasses.replace(dob, lower_value=lower))
+            self.assert_rejected(bound, solves)
+        assert evaluated == []
+
     def test_inner_point_off_the_domain_is_rejected(self, monkeypatch):
         # f(x, u) = g(x0) + u^2 / 2 with g kinked on [-1, 1]: the v read
         # off the true solve, paired with an inner point outside the domain
         # of l(., y), has no lower side of the sandwich, whatever phi*(y)
-        # it reports
+        # it reports: the lower variant read there is None (l = +inf)
         tree = two_leaf_tree((0.4, 0.6))
         g = PiecewiseLinear([0.0], [-1.0, 2.0], lo=-1.0, hi=1.0)
         joint = SeparableSum([g, Quadratic([0.5])])
@@ -589,7 +615,8 @@ class TestCertifiedBound:
         assert dual_via_orthocomplement(p, y, objective=dob).value == \
             pytest.approx(dob.value, abs=1e-12)
         assert solves == []
-        outside = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, x=dob.inner.x + 5.0))
+        outside = self.moved_inner_point(dob, 5.0)
+        assert outside.lower_value is None
         self.assert_rejected(dual_via_orthocomplement(p, y, objective=outside), solves)
 
     def test_moved_newton_point_is_rejected(self, monkeypatch):
@@ -607,7 +634,8 @@ class TestCertifiedBound:
         assert (bound.status, solves) == ("optimal", [])
         assert in_orthocomplement(bound.v)
         assert bound.value == pytest.approx(1.0 + 0.5 * (2.0 / 9.0 + 8.0 / 9.0), abs=1e-9)
-        outside = dataclasses.replace(dob, inner=dataclasses.replace(dob.inner, x=dob.inner.x + 5.0))
+        outside = self.moved_inner_point(dob, 5.0)
+        assert outside.lower_value < dob.value - 1.0
         self.assert_rejected(dual_via_orthocomplement(p, y, objective=outside), solves)
 
     @pytest.mark.parametrize("state_cost", [{"kind": "exponential", "offset": -1},
