@@ -18,7 +18,8 @@ fall back to the grid oracle (tests only).  Every kind but the support
 function has a QP form (``QPForm``): a quadratic part on a polyhedron plus
 scalar atoms, kinked piecewise-linear or smooth (exponential, entropy,
 which ``taylor`` reads to second order), and so has every combination of
-them.  The domain of a function is read off its form
+them.  ``qp_form`` raises ``NoClosedFormError`` where there is none, as
+every missing rule does.  The domain of a function is read off its form
 (``domain_polyhedron``).
 
 No kind carries a subgradient rule.  The solver reads each subgradient it
@@ -230,8 +231,8 @@ class ConvexFunction:
         """
         raise NoClosedFormError(f"no slicing rule for kind '{self.kind}'")
 
-    def qp_form(self) -> QPForm | None:
-        return None
+    def qp_form(self) -> QPForm:
+        raise NoClosedFormError(f"no QP form for kind '{self.kind}'")
 
 
 def _split_fix(idx, vals, dim):
@@ -636,13 +637,13 @@ class Exponential(_Scalar):
 class Polyhedron:
     """{z : a_ub z <= b_ub, a_eq z = b_eq}, optionally a cone (rhs zero).
 
-    Cones may alternatively be described by generators; in dimension <= 2
-    the facet form is derived automatically so all downstream machinery can
-    work with inequality rows.
+    A cone given by generators (dimension <= 2) is turned into its facet
+    form (``from_cone_generators``), so all downstream machinery works with
+    inequality rows.
     """
 
     def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                 generators=None, cone=False, validate=True):
+                 cone=False, validate=True):
         def shape(a, b):
             if a is None:
                 return None, None
@@ -658,13 +659,10 @@ class Polyhedron:
 
         self.a_ub, self.b_ub = shape(a_ub, b_ub)
         self.a_eq, self.b_eq = shape(a_eq, b_eq)
-        self.generators = None if generators is None else np.asarray(generators, dtype=float)
         dims = set()
         for a in (self.a_ub, self.a_eq):
             if a is not None:
                 dims.add(a.shape[1])
-        if self.generators is not None:
-            dims.add(self.generators.shape[1])
         if len(dims) != 1:
             raise ValueError("polyhedron pieces disagree on the dimension")
         self.dim = dims.pop()
@@ -694,19 +692,19 @@ class Polyhedron:
             has_neg = bool(np.any(G[:, 0] < 0))
             if has_pos and has_neg:
                 a = np.zeros((0, 1))
-                return Polyhedron(a_ub=a, b_ub=np.zeros(0), generators=G, cone=True)
+                return Polyhedron(a_ub=a, b_ub=np.zeros(0), cone=True)
             if has_pos:
-                return Polyhedron(a_ub=[[-1.0]], b_ub=[0.0], generators=G, cone=True)
+                return Polyhedron(a_ub=[[-1.0]], b_ub=[0.0], cone=True)
             if has_neg:
-                return Polyhedron(a_ub=[[1.0]], b_ub=[0.0], generators=G, cone=True)
-            return Polyhedron(a_eq=np.eye(1), b_eq=[0.0], generators=G, cone=True)
+                return Polyhedron(a_ub=[[1.0]], b_ub=[0.0], cone=True)
+            return Polyhedron(a_eq=np.eye(1), b_eq=[0.0], cone=True)
         if d != 2:
             raise NotImplementedError(
                 "generator-form cones are supported in dimension <= 2; "
                 "supply inequality rows for higher dimensions"
             )
         if G.shape[0] == 0:
-            return Polyhedron(a_eq=np.eye(2), b_eq=np.zeros(2), generators=G, cone=True)
+            return Polyhedron(a_eq=np.eye(2), b_eq=np.zeros(2), cone=True)
         angles = np.sort(np.arctan2(G[:, 1], G[:, 0]))
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
         widest = int(np.argmax(gaps))
@@ -719,9 +717,8 @@ class Polyhedron:
                 # orient so the generators satisfy n.g <= 0
                 if np.max(G @ n) > 1e-12:
                     n = -n
-                return Polyhedron(a_ub=[n], b_ub=[0.0], generators=G, cone=True)
-            return Polyhedron(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0),
-                              generators=G, cone=True)
+                return Polyhedron(a_ub=[n], b_ub=[0.0], cone=True)
+            return Polyhedron(a_ub=np.zeros((0, 2)), b_ub=np.zeros(0), cone=True)
         # pointed sector: facets at the two rays adjacent to the widest gap
         th1 = angles[widest]
         th2 = angles[(widest + 1) % angles.size]
@@ -732,7 +729,7 @@ class Polyhedron:
             if np.max(G @ n) > 1e-12:
                 n = -n
             rows.append(n)
-        return Polyhedron(a_ub=np.array(rows), b_ub=np.zeros(2), generators=G, cone=True)
+        return Polyhedron(a_ub=np.array(rows), b_ub=np.zeros(2), cone=True)
 
     def residual(self, z) -> float:
         z = np.asarray(z, dtype=float).ravel()
@@ -837,9 +834,7 @@ class SupportFunction(ConvexFunction):
         P = self.polyhedron
         return SupportFunction(Polyhedron(
             a_ub=P.a_ub, b_ub=alpha * P.b_ub, a_eq=P.a_eq, b_eq=alpha * P.b_eq,
-            cone=P.cone,
-            generators=None if P.generators is None else alpha * P.generators,
-            validate=False,
+            cone=P.cone, validate=False,
         ))
 
 
@@ -895,13 +890,8 @@ class SeparableSum(ConvexFunction):
         return _plus_const(out, const)
 
     def qp_form(self):
-        forms = []
-        for i, part in enumerate(self.parts):
-            f = part.qp_form()
-            if f is None:
-                return None
-            forms.append(f.embed(np.arange(self.offsets[i], self.offsets[i + 1]), self.dim))
-        return QPForm.add(forms, self.dim)
+        return QPForm.add([part.qp_form().embed(np.arange(lo, hi), self.dim) for part, lo, hi
+                           in zip(self.parts, self.offsets[:-1], self.offsets[1:])], self.dim)
 
 
 class AffinePrecomposition(ConvexFunction):
@@ -960,8 +950,7 @@ class AffinePrecomposition(ConvexFunction):
         )
 
     def qp_form(self):
-        f = self.inner.qp_form()
-        return None if f is None else f.compose(self.matrix, self.offset)
+        return self.inner.qp_form().compose(self.matrix, self.offset)
 
 
 class FiniteSum(ConvexFunction):
@@ -1031,13 +1020,7 @@ class FiniteSum(ConvexFunction):
         return FiniteSum([s.fix(idx, vals) for s in self.summands])
 
     def qp_form(self):
-        forms = []
-        for s in self.summands:
-            f = s.qp_form()
-            if f is None:
-                return None
-            forms.append(f)
-        return QPForm.add(forms, self.dim)
+        return QPForm.add([s.qp_form() for s in self.summands], self.dim)
 
 
 def _sum_rows(values, n: int) -> np.ndarray:
@@ -1209,8 +1192,9 @@ def domain_polyhedron(fn: ConvexFunction) -> Polyhedron | None:
     """dom(fn), read off its QP form: the form's inequality and equality
     rows, and each atom's [lo, hi] on the atom's row.  None when fn has no
     form (a support function)."""
-    form = fn.qp_form()
-    if form is None:
+    try:
+        form = fn.qp_form()
+    except NoClosedFormError:
         return None
     G, h = [form.G], [form.h]
     for row, off, g in form.epi:

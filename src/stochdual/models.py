@@ -35,7 +35,11 @@ def _require_convex(fn, what: str):
         raise TypeError(f"{what} must be a catalog convex function, got {type(fn).__name__}")
 
 
-def _validate_disutility(V: ConvexFunction, what: str, grid_hi: float = 2.0):
+# the disutility check's sample grid: 5 points per axis on [0, _GRID_HI]
+_GRID_HI = 2.0
+
+
+def _validate_disutility(V: ConvexFunction, what: str):
     """V(0) = 0 and componentwise nondecreasing, sampled on the nonnegative
     orthant (the canonical quadratic disutility is not monotone on the
     negative side, so the sample grid stays where the model needs growth).
@@ -45,7 +49,7 @@ def _validate_disutility(V: ConvexFunction, what: str, grid_hi: float = 2.0):
     d = V.dim
     if d == 0:  # the grid has one axis per coordinate, and none here
         raise ValueError(f"{what} has no coordinates (dimension 0)")
-    axis = np.linspace(0.0, grid_hi, 5)
+    axis = np.linspace(0.0, _GRID_HI, 5)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     base = V.value_many(pts)

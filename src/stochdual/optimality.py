@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import NoClosedFormError, fenchel_residual, support_attains, support_function
+from .convex import NoClosedFormError, fenchel_residual, support_function
 from .duality import check_martingale_density
 from .integrand import (
     AlmIntegrand,
@@ -99,6 +99,16 @@ class Certificate:
         return self
 
 
+def _not_adapted(cert: Certificate, *decisions: StochasticProcess) -> bool:
+    """Whether some candidate decision is not adapted; ``cert`` then fails
+    with that reason.  Every checker asks this first: its conditions hold
+    for adapted decisions only."""
+    if all(is_adapted(d) for d in decisions):
+        return False
+    cert.verdict, cert.reason = "fail", "candidate decision is not adapted"
+    return True
+
+
 def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
                  y: StochasticProcess, v: StochasticProcess,
                  tol: float = DEFAULT_TOL) -> Certificate:
@@ -110,9 +120,7 @@ def check_saddle(p: Problem, x: StochasticProcess, u: StochasticProcess,
     (``values``, ``conjugate_values``, ``lagrangians``); a leaf where f =
     +inf has one ``feasibility`` row."""
     cert = Certificate("pending", tol, y=y, v=v)
-    if not is_adapted(x):
-        cert.verdict = "fail"
-        cert.reason = "candidate decision is not adapted"
+    if _not_adapted(cert, x):
         return cert
     f = p.integrand
     xs, us, ys, vs = (q.rows for q in (x, u, y, v))
@@ -159,6 +167,8 @@ def check_kkt(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not isinstance(f, ConstrainedIntegrand):
         raise TypeError("check_kkt needs an inequality-constrained problem")
     cert = Certificate("pending", tol, y=y, v=v)
+    if _not_adapted(cert, x):
+        return cert
     xs, us, ys, vs = (q.rows for q in (x, u, y, v))
     for leaf, weighted in enumerate(f.lagrangian_functions_of_x(ys)):
         xv, uv, yv = xs[leaf], us[leaf], ys[leaf]
@@ -197,6 +207,8 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if not isinstance(f, AlmIntegrand):
         raise TypeError("check_alm needs a hedging-model problem")
     cert = Certificate("pending", tol, y=y)
+    if _not_adapted(cert, x):
+        return cert
     vals = y.rows.ravel()
     if np.max(np.abs(vals), initial=0.0) <= tol:
         cert.verdict = "degenerate"
@@ -230,11 +242,13 @@ def check_euler_lagrange(p: Problem, x: StochasticProcess, u: StochasticProcess,
     f = p.integrand
     if not isinstance(f, BolzaIntegrand):
         raise TypeError("check_euler_lagrange needs a dynamic-structure problem")
+    cert = Certificate("pending", tol, y=y)
+    if _not_adapted(cert, x):
+        return cert
     if not is_adapted(y):
         raise NotAdaptedError("the dual candidate must be adapted")
     if not is_adapted(u):
         raise NotAdaptedError("the parameter must be adapted for the stage conditions")
-    cert = Certificate("pending", tol, y=y)
     e_dy = expected_dual_increments(y)
     for t, groups in enumerate(f.stage_groups):
         # each shared K_t and K_t* evaluated once over the first leaves of
@@ -267,11 +281,13 @@ def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProc
     f = p.integrand
     if not isinstance(f, BolzaIntegrand):
         raise TypeError("check_hamiltonian_system needs a dynamic-structure problem")
+    cert = Certificate("pending", tol, y=y)
+    if _not_adapted(cert, x):
+        return cert
     if not is_adapted(y):
         raise NotAdaptedError("the dual candidate must be adapted")
     if not is_adapted(u):
         raise NotAdaptedError("the parameter must be adapted for the stage conditions")
-    cert = Certificate("pending", tol, y=y)
     e_dy = expected_dual_increments(y)
     for t, groups in enumerate(f.stage_groups):
         firsts = np.array([block[0] for block in p.tree.blocks(t)])
@@ -316,11 +332,13 @@ def check_consistent_price_system(p: Problem, z: StochasticProcess,
         isinstance(st, KabanovStage) for blocks in f.stages for st in blocks
     ):
         raise TypeError("check_consistent_price_system needs a currency-market problem")
+    cert = Certificate("pending", tol, y=y)
+    if _not_adapted(cert, z, k):
+        return cert
     if not is_adapted(y):
         raise NotAdaptedError("the price system must be adapted")
     tree = p.tree
     T = tree.horizon
-    cert = Certificate("pending", tol, y=y)
     if max(float(np.max(np.abs(y.stage(t)), initial=0.0)) for t in range(T + 1)) <= tol:
         cert.verdict = "degenerate"
         cert.reason = "zero dual: not a price system"
@@ -342,11 +360,11 @@ def check_consistent_price_system(p: Problem, z: StochasticProcess,
             Vstar = stage.V.conjugate()
             res_v = fenchel_residual(Vstar, y_t, -k_t, conjugate=stage.V)
             cert.add("consumption-subgradient", max(res_v, 0.0), stage=t, block=b)
-            attain = support_attains(stage.C, y_t, trade, tol)
-            cert.add("trade-support", attain.residual if np.isfinite(attain.residual)
+            # sigma_C(y_t), one LP: the trade attains it, and on a cone it is 0
+            sigma = support_function(stage.C, y_t)
+            cert.add("trade-support", max(sigma - float(trade @ y_t), 0.0) if sigma < INF
                      else INF, stage=t, block=b)
             if stage.C.cone:
-                sigma = support_function(stage.C, y_t)
                 cert.add("polar-membership", abs(sigma) if np.isfinite(sigma) else INF,
                          stage=t, block=b)
                 cert.add("complementarity", abs(float(trade @ y_t)), stage=t, block=b)

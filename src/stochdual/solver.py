@@ -370,15 +370,13 @@ def _inner_forms(fns, M, m):
     a shared inner g is lowered once, with the maps M; affine functions
     stack their slopes and constants m = (q, c), with M None; a shared
     shifted g is lowered once and stacked with each function's constant
-    m_k, with M None.  None when there is no form."""
+    m_k, with M None."""
     fn = fns[0]
     if M is not None:
-        inner = fn.inner.qp_form()
-        return None if inner is None else (inner, M)
+        return fn.inner.qp_form(), M
     if isinstance(m, tuple):
         return QPForm(fn.dim, q=m[0], c=m[1]), None
-    form = _shifted_core(fn)[0].qp_form()
-    return None if form is None else (form.as_stack(m), None)
+    return _shifted_core(fn)[0].qp_form().as_stack(m), None
 
 
 class _OffsetParts(NamedTuple):
@@ -474,10 +472,11 @@ class _Template:
     terms g(M_k z + m_k) (``maps``; None for a group of other terms), the
     terms' own offsets (``base``: the stacked m_k of such a group, the
     stacked slopes and constants of a group of affine terms as a pair, the
-    constants c_k of a group g + c_k), the groups' forms (``groups``, None
-    with a support function), from the first lowering on P, G and A,
-    read-only (``lowering``), and the spectral factor of P (``spectral``).
-    A ``CompiledObjective`` reads it at one list of per-group offsets."""
+    constants c_k of a group g + c_k), the groups' forms (``groups``), from
+    the first lowering on P, G and A, read-only (``lowering``), and the
+    spectral factor of P (``spectral``).  A ``CompiledObjective`` reads it
+    at one list of per-group offsets.  A term with no QP form (a support
+    function) raises NoClosedFormError when the groups are read."""
 
     def __init__(self, n: int, terms: list[_Term]):
         self.n, self.terms = n, terms
@@ -501,16 +500,11 @@ class _Template:
         self.lowering = None
 
     @cached_property
-    def groups(self) -> list[_Group] | None:
-        """The ``_Group`` of each group of terms; None when some group has
-        no form."""
-        groups = []
-        for idx, cols, M, m in zip(self.grouping, self.cols, self.maps, self.base):
-            found = _inner_forms([self.terms[i].fn for i in idx], M, m)
-            if found is None:
-                return None
-            groups.append(_Group(idx, cols, self.weights[idx], *found))
-        return groups
+    def groups(self) -> list[_Group]:
+        """The ``_Group`` of each group of terms."""
+        return [_Group(idx, cols, self.weights[idx],
+                       *_inner_forms([self.terms[i].fn for i in idx], M, m))
+                for idx, cols, M, m in zip(self.grouping, self.cols, self.maps, self.base)]
 
     @cached_property
     def spectral(self) -> SpectralFactor:
@@ -518,14 +512,12 @@ class _Template:
 
     def lowered(self, offsets):
         """(lowering, parts): the lowering, and the ``_OffsetParts`` of each
-        group's forms at ``offsets`` (``_Group.parts``); None with a
-        support function.  The first call lowers the groups' forms composed at its
-        offsets, and reads a precomposition group's parts off its composed
-        form; the forms' shapes, P, G, A and atom rows do not depend on the
-        offsets, so a later call (on a kept template) computes only the
-        parts that move with them."""
-        if self.groups is None:
-            return None
+        group's forms at ``offsets`` (``_Group.parts``).  The first call
+        lowers the groups' forms composed at its offsets, and reads a
+        precomposition group's parts off its composed form; the forms'
+        shapes, P, G, A and atom rows do not depend on the offsets, so a
+        later call (on a kept template) computes only the parts that move
+        with them."""
         if self.lowering is not None:
             return self.lowering, [g.parts(m) for g, m in zip(self.groups, offsets)]
         forms = [g.inner if g.M is None else g.inner.compose(g.M, m)
@@ -590,15 +582,15 @@ class CompiledObjective:
     def _lowered(self):
         """(lowering, parts): the template's ``_Lowering``, and per group
         the ``_OffsetParts`` of its K local forms at this objective's
-        offsets; None with a support function."""
+        offsets."""
         return self.template.lowered(self.offsets)
 
     @property
-    def _lowering(self) -> _Lowering | None:
-        return None if self._lowered is None else self._lowered[0]
+    def _lowering(self) -> _Lowering:
+        return self._lowered[0]
 
     def qp_data(self):
-        """Lowered quadratic program, or None with a support function.
+        """Lowered quadratic program.
 
         Each group of terms scatters its stacked local forms into the rows
         and columns of its leaves or nodes in one pass.  A kinked atom
@@ -608,8 +600,6 @@ class CompiledObjective:
         steps add its model (``_newton_step``).  P, G and A are the
         template's read-only arrays; q, c, h and b are this objective's.
         """
-        if self._lowered is None:
-            return None
         low, parts = self._lowered
         n = self.n
         q, c = np.zeros(n + low.n_aux), 0.0
@@ -703,11 +693,8 @@ def _solve(data, method: str, **kw) -> _MinResult:
 
 def _minimize(obj: CompiledObjective) -> _MinResult:
     """The lowered program solved once, or, when it holds a smooth atom, by
-    Newton's method; NoClosedFormError when a term has no QP form (a
-    support function)."""
+    Newton's method."""
     data = obj.qp_data()
-    if data is None:
-        raise NoClosedFormError("no QP form for a support function")
     if obj._lowering.smooth:
         return _newton_minimize(obj, data)
     _, _, _, G, _, A, _, _ = data
@@ -923,13 +910,14 @@ def _bolza_primal_terms(p: Problem, nodes):
 
 
 def solve_primal(p: Problem, u: StochasticProcess) -> SolveResult:
-    """Minimize E f(x, u) over adapted x; ``no-closed-form`` when some term
-    has no QP form (a support function)."""
-    layout, obj = primal_objective(p, u)
+    """Minimize E f(x, u) over adapted x; ``no-closed-form`` when some
+    leaf has no joint form (a constraint that is not affine) or some term
+    no QP form (a support function)."""
     try:
+        layout, obj = primal_objective(p, u)
         res = _minimize(obj)
     except NoClosedFormError:
-        return SolveResult(None, np.nan, 0, INF, "no-closed-form", "newton", compiled=obj)
+        return SolveResult(None, np.nan, 0, INF, "no-closed-form", "newton")
     opt = layout.to_process(res.x) if res.x is not None and res.status in ("optimal", "max-iter") else None
     return SolveResult(opt, res.value, res.iterations, res.residual, res.status,
                        res.method, compiled=obj, solution=res)

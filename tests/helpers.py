@@ -572,6 +572,38 @@ def dynamic_docs():
     return docs
 
 
+# the tree section of a document with two leaves of probability 1/2
+TWO_LEAVES = {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]}
+
+
+def no_model_docs():
+    """Documents whose primal has no QP form, by name: |x_0 - u| as a
+    support function on two leaves, and x^2 under a constraint that is not
+    an ``Affine`` instance, x^2 - 1 + u <= 0 or the precomposed 1 - x + u
+    <= 0.  Every command reports a ``no-closed-form`` primal on them."""
+    def constrained(constraint):
+        return {"tree": TWO_LEAVES,
+                "model": {"family": "constrained", "x_dims": [1, 0],
+                          "objective": {"kind": "quadratic", "weights": [1.0]},
+                          "constraints": [constraint]},
+                "parameters": {"u": [0, [0.0, -0.5]]}}
+
+    support = {"kind": "support", "A": [[1.0], [-1.0]], "b": [1.0, 1.0]}
+    return {
+        "support-loss": {
+            "tree": TWO_LEAVES,
+            "model": {"family": "generic", "x_dims": [1, 0], "u_dims": [0, 1],
+                      "functions": [{"kind": "precompose", "inner": support,
+                                     "matrix": [[1.0, -1.0]]}]},
+            "parameters": {"u": [0, [1.0, -0.5]]}},
+        "quadratic-constraint": constrained(
+            {"kind": "quadratic", "weights": [1.0], "offset": -1.0}),
+        "precomposed-affine-constraint": constrained(
+            {"kind": "precompose", "inner": {"kind": "affine", "a": [-1.0], "b": 1.0},
+             "matrix": [[1.0]]}),
+    }
+
+
 def write_doc(directory, name, doc):
     """Write a problem document as sorted JSON; returns the path."""
     path = directory / f"{name}.json"
@@ -1098,14 +1130,18 @@ def precomposition_lagrangian_per_leaf(fn, nx, y):
 
 def check_alm_per_leaf(p, x, u, y, tol=1e-6):
     """``check_alm`` leaf by leaf: one Fenchel residual per leaf and the
-    annihilator row from a second pass over v = -y ds."""
+    annihilator row from a second pass over v = -y ds; a position x that
+    is not adapted fails first."""
     from stochdual.convex import fenchel_residual
     from stochdual.duality import check_martingale_density
     from stochdual.optimality import Certificate
-    from stochdual.tree import in_orthocomplement
+    from stochdual.tree import in_orthocomplement, is_adapted
 
     f = p.integrand
     cert = Certificate("pending", tol, y=y)
+    if not is_adapted(x):
+        cert.verdict, cert.reason = "fail", "candidate decision is not adapted"
+        return cert
     vals = y.rows.ravel()
     if np.max(np.abs(vals), initial=0.0) <= tol:
         cert.verdict = "degenerate"

@@ -21,7 +21,17 @@ from stochdual.cli import (
 )
 from stochdual.solver import AdaptedLayout, solve_dual, solve_primal
 
-from helpers import HALF_SQUARE, bolza_doc, bound_solves, hedging_file, same_bits, write_doc
+from helpers import (
+    HALF_SQUARE,
+    TWO_LEAVES,
+    bolza_doc,
+    bound_solves,
+    hedging_file,
+    kabanov_doc,
+    no_model_docs,
+    same_bits,
+    write_doc,
+)
 
 FIXTURES = [
     "quadratic-tracking.json",
@@ -513,6 +523,47 @@ class TestSolveOnce:
 SUPPORT_ABS = {"kind": "support", "A": [[1.0], [-1.0]], "b": [1.0, 1.0]}
 
 
+def moved_optimum(doc, tmp_path):
+    """``doc`` with its solved x as the candidate, leaf 1's stage-0 entry
+    moved by 5: not adapted, while each block's first leaf keeps the
+    optimum."""
+    problem, _, params, _, _ = parse_problem_file(write_doc(tmp_path, "optimum", doc))
+    x = solve_primal(problem, params["u"]).optimizer
+    stages = [x.stage(t).tolist() for t in range(problem.tree.stage_count)]
+    stages[0][1] = [v + 5.0 for v in stages[0][1]]
+    return {**doc, "parameters": {**doc["parameters"], "candidate": {"x": stages}}}
+
+
+def bolza_binary_moved(tmp_path):
+    return moved_optimum(json.loads(pathlib.Path(
+        fixture_path("bolza-quadratic-binary.json")).read_text()), tmp_path)
+
+
+# checker -> a document (written to tmp_path) whose candidate x is not adapted
+NON_ADAPTED = {
+    # x^2 under 1 - x + u <= 0: x_0 = 1 at u = 0 and 1/2 at u = -1/2, each
+    # with the multiplier that prices its leaf
+    "kkt": lambda tmp_path: {
+        "tree": TWO_LEAVES,
+        "model": {"family": "constrained", "x_dims": [1, 0],
+                  "objective": {"kind": "quadratic", "weights": [1.0]},
+                  "constraints": [{"kind": "affine", "a": [-1.0], "b": 1.0}]},
+        "parameters": {"u": [0, [0.0, -0.5]],
+                       "candidate": {"x": [[1.0, 0.5], 0], "y": [0, [2.0, 1.0]], "v": [0, 0]}}},
+    # z^2/2 hedging, price 1 -> 1.2 / 0.9: y_l = V'(w_l) on each leaf's
+    # own position, and y has zero-mean gains
+    "alm": lambda tmp_path: {
+        "tree": TWO_LEAVES,
+        "model": {"family": "alm", "disutility": {"kind": "quadratic", "weights": [0.5]},
+                  "price": [[[1.0], [1.0]], [[1.2], [0.9]]]},
+        "parameters": {"u": [0, 0.0],
+                       "candidate": {"x": [[1.0, -4.0], 0], "y": [0, [-0.2, -0.4]]}}},
+    "euler-lagrange": bolza_binary_moved,
+    "hamiltonian": bolza_binary_moved,
+    "cps": lambda tmp_path: moved_optimum(kabanov_doc(2, np.random.default_rng(2)), tmp_path),
+}
+
+
 class TestHonestExitCodes:
     def test_kinked_velocity_dual_closes_the_gap(self):
         # 1/2 x^2 + |w| on two leaves: the dual is the velocity subgradient
@@ -634,6 +685,22 @@ class TestHonestExitCodes:
         assert (report["primal"]["status"], report["primal"]["value"]) == ("no-closed-form", None)
         assert report["dual"]["status"] == "not-run"
         assert report["certificate"] == {"verdict": "unavailable", "reason": "no-closed-form"}
+
+    @pytest.mark.parametrize("command", ["solve", "dualize", "gap", "check", "report"])
+    @pytest.mark.parametrize("name", sorted(no_model_docs()))
+    def test_document_without_a_model_is_a_status(self, tmp_path, name, command):
+        # a support term has no QP form, and a constraint that is not an
+        # Affine instance no joint form: each command reports the primal's
+        # status, on the compile as on the solve, and raises nothing
+        code, report = run([command, write_doc(tmp_path, name, no_model_docs()[name])])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        if command == "check":
+            assert report["certificate"] == {"verdict": "unavailable",
+                                             "reason": "no-closed-form"}
+        else:
+            assert report["primal"]["status"] == "no-closed-form"
+        if "dual" in report:
+            assert report["dual"]["status"] == "not-run"
 
     @pytest.mark.parametrize("fn, method", [({"kind": "quadratic", "weights": [1]}, "polyhedral"),
                                             ({"kind": "exponential"}, "newton")],
@@ -871,6 +938,17 @@ class TestHonestExitCodes:
         code, report = run(["check", write_doc(tmp_path, "bolza-candidate", doc)])
         assert report["checker"] == "saddle"
         assert (code, report["certificate"]["verdict"]) == (cli.EXIT_CHECK_FAIL, "fail")
+
+    @pytest.mark.parametrize("checker", sorted(NON_ADAPTED))
+    def test_every_checker_fails_a_non_adapted_decision(self, tmp_path, checker):
+        # each candidate x is optimal leaf by leaf, or at each block's first
+        # leaf, where the stage checkers read it; the saddle checker and the
+        # family's own checker both refuse it as not adapted
+        path = write_doc(tmp_path, checker, NON_ADAPTED[checker](tmp_path))
+        for name in (checker, "saddle"):
+            code, report = run(["check", path, "--checker", name])
+            assert (code, report["certificate"]["verdict"], report["certificate"]["reason"]) \
+                == (cli.EXIT_CHECK_FAIL, "fail", "candidate decision is not adapted")
 
     def test_dual_engine_failure_is_a_status(self, monkeypatch, tmp_path):
         problem, _, params, _, _ = parse_problem_file(abs_generic_file(tmp_path)[0])

@@ -263,6 +263,14 @@ class TestSupportFunctions:
         with pytest.raises(ValueError, match="infeasible"):
             support_function(P, [1.0])
 
+    def test_generators_around_the_origin_span_the_plane(self):
+        # no gap between the rays' angles exceeds pi: the cone is R^2, a
+        # cone with no rows, whose support function is 0 only at y = 0
+        C = Polyhedron.from_cone_generators([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        assert C.cone and (C.a_ub.shape, C.a_eq.shape) == ((0, 2), (0, 2))
+        assert support_function(C, [0.0, 0.0]) == 0.0
+        assert support_function(C, [1.0, -0.5]) == INF
+
     def test_generator_cone_d3_rejected(self):
         with pytest.raises(NotImplementedError):
             Polyhedron.from_cone_generators(np.eye(3))
@@ -570,9 +578,12 @@ class TestQuadraticModel:
     def test_support_function_has_no_model(self):
         box = Polyhedron(a_ub=[[1.0], [-1.0]], b_ub=[1.0, 1.0])
         fn = SeparableSum([Exponential(), SupportFunction(box)])
-        assert fn.qp_form() is None and domain_polyhedron(fn) is None
+        with pytest.raises(NoClosedFormError, match="no QP form"):
+            fn.qp_form()
+        assert domain_polyhedron(fn) is None
         obj = CompiledObjective(2, [_Term(1.0, fn, np.arange(2), 0)])
-        assert obj.qp_data() is None
+        with pytest.raises(NoClosedFormError, match="no QP form"):
+            obj.qp_data()
         with pytest.raises(NoClosedFormError, match="no QP form"):
             _minimize(obj)
 

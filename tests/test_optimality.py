@@ -196,7 +196,7 @@ class TestCheckAlm:
 
 def hedging_candidates(p, rng, draws=4):
     """(x, u, y) triples on a hedging problem: the solved ½z² optimum and
-    its primal, then random positions, liabilities and densities, some y
+    its primal, then random adapted positions and random densities, some y
     outside dom V* (negative, or above the top slope)."""
     tree, n = p.tree, p.tree.n_leaves
     u = StochasticProcess(tree, tuple(np.zeros((n, 0)) for _ in range(tree.horizon))
@@ -205,7 +205,7 @@ def hedging_candidates(p, rng, draws=4):
     gap = duality_gap(quad, u)
     out = [(gap.primal.optimizer, u, gap.dual.optimizer)]
     for _ in range(draws):
-        x = random_process(rng, tree, p.n_dims)
+        x = adapted_projection(random_process(rng, tree, p.n_dims))
         y = StochasticProcess.from_leaf_rows(tree, p.m_dims, rng.uniform(-0.5, 2.5, (n, 1)))
         out.append((x, u, y))
     return out

@@ -399,8 +399,9 @@ def test_stacked_rules_match_the_per_leaf_rules():
 def test_kabanov_checker_support_lps(tmp_path, monkeypatch):
     # support LPs (Polyhedron.support) per command on a 64-leaf market: the
     # saddle checker builds each distinct (stage, y_t row) Hamiltonian and
-    # K* slice once, and the Hamiltonian checker builds the Hamiltonians
-    # one stage group at a time
+    # K* slice once, the Hamiltonian checker builds the Hamiltonians one
+    # stage group at a time, and the price-system checker of ``report``
+    # prices each block's sigma_C once
     path = write_doc(tmp_path, "kabanov-H6", kabanov_doc(6, np.random.default_rng(0)))
     calls = []
     real = Polyhedron.support
@@ -412,7 +413,7 @@ def test_kabanov_checker_support_lps(tmp_path, monkeypatch):
         code, report = run(command + [path])
         assert (code, report["certificate"]["verdict"]) == (0, "pass")
         counts[command[-1]] = len(calls)
-    assert counts == {"report": 496, "saddle": 484, "hamiltonian": 369}
+    assert counts == {"report": 369, "saddle": 484, "hamiltonian": 369}
 
 
 @pytest.mark.parametrize("seed, d", CASES)
