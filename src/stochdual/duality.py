@@ -72,15 +72,15 @@ def check_martingale_density(y, s: StochasticProcess, tol: float = 1e-8) -> Mart
     tree = s.tree
     if vals.size != tree.n_leaves:
         raise ValueError("density values must be leaf-indexed")
-    negativity = float(np.max(-vals, initial=0.0))
-    is_zero = float(np.max(np.abs(vals), initial=0.0)) <= tol
+    negativity = float((-vals).max(initial=0.0))
+    is_zero = float(np.abs(vals).max(initial=0.0)) <= tol
     # column block t: y ds_{t+1}, the price's stages all d wide
     d, width = s.dims[0], s.rows.shape[1]
     terms = vals[:, None] * (s.rows[:, d:] - s.rows[:, :width - d])
+    # each stage-t block's mean once; np.max keeps a NaN mean, so it fails
     worst = 0.0
     for t in range(tree.horizon):
-        mean = tree.conditional_mean(terms[:, t * d:(t + 1) * d], t)
-        worst = float(np.max(np.abs(mean), initial=worst))
+        worst = float(np.abs(tree.block_means(terms[:, t * d:(t + 1) * d], t)).max(initial=worst))
     size = float(np.abs(terms).max(initial=0.0))
     mean_tol = tol * max(1.0, size) if np.isfinite(size) else tol
     ok = (negativity <= tol) and (worst <= mean_tol) and not is_zero

@@ -9,12 +9,19 @@ the data; every other row is judged at the absolute tolerance.
 Zero duals in the density-cone models are reported as "degenerate" rather
 than pass/fail: the cone of positive density multiples excludes zero, yet
 zero duals do arise at trivial optima.
+
+Each checker first asks, in one comparison over the leaf rows
+(``is_adapted``), whether its candidate decision is adapted.  Block
+conditions read each information block's mean once (``block_means``),
+and the per-leaf and per-block residuals computed over stacked rows are
+added to the certificate a table at a time (``Certificate.add_rows``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
@@ -53,7 +60,13 @@ DEFAULT_TOL = 1e-6
 
 @dataclass
 class Certificate:
-    """Verdict plus the residual table backing it."""
+    """Verdict plus the residual table backing it.
+
+    Each row is a dict ``{"condition", "residual", "ok", ...}`` whose
+    trailing keys say where it holds (``leaf``, ``stage``, ``block``,
+    ``constraint``).  ``add_rows`` appends a per-leaf or per-block table,
+    and ``add`` one row, by the same rule.  ``finalize`` passes the
+    certificate when every row is ok."""
 
     verdict: str  # pass | fail | degenerate
     tol: float
@@ -84,19 +97,39 @@ class Certificate:
 
     def add(self, condition: str, residual: float, tol: float | None = None,
             **where):
-        tol = self.tol if tol is None else tol
-        self.rows.append({
-            "condition": condition,
-            "residual": float(residual),
-            "ok": bool(residual <= tol),
-            **where,
-        })
+        """One row: the one-row reading of ``add_rows``, with no index key."""
+        self.add_rows(condition, (residual,), tol, **where)
+
+    def add_rows(self, condition: str | tuple[str, ...], residuals,
+                 tol: float | None = None, key: str | None = None, **where):
+        """Append a per-leaf or per-block table, one row per residual in
+        order: ``{"condition", "residual", "ok", **where}``, then ``key: i``
+        (``"leaf"``, ``"block"``, ``"stage"``) for the table's i-th index
+        when ``key`` is given.  With a tuple of k conditions, the residuals
+        run through them in turn, k rows per index (the state and velocity
+        rows of one block).  A residual is kept as a float, NaN and -0.0 as
+        they are, and is ok when it is <= tol (the certificate's tolerance
+        by default), which a NaN never is."""
+        tol = float(self.tol if tol is None else tol)
+        names = (condition,) if isinstance(condition, str) else condition
+        rows = [{"condition": c, "residual": r, "ok": r <= tol, **where}
+                for c, r in zip(cycle(names), map(float, residuals))]
+        if key is not None:
+            for j, row in enumerate(rows):
+                row[key] = j // len(names)
+        self.rows += rows
 
     def finalize(self) -> "Certificate":
         if self.verdict == "degenerate":
             return self
         self.verdict = "pass" if all(r["ok"] for r in self.rows) else "fail"
         return self
+
+
+def _nonnegative(res: np.ndarray) -> list:
+    """``max(r, 0.0)`` of each residual, as floats: a negative r reads 0.0,
+    and NaN and -0.0 are kept as they are."""
+    return np.where(res < 0.0, 0.0, res).tolist()
 
 
 def _not_adapted(cert: Certificate, *decisions: StochasticProcess) -> bool:
@@ -210,7 +243,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
     if _not_adapted(cert, x):
         return cert
     vals = y.rows.ravel()
-    if np.max(np.abs(vals), initial=0.0) <= tol:
+    if np.abs(vals).max(initial=0.0) <= tol:
         cert.verdict = "degenerate"
         cert.reason = "zero dual: the density cone excludes it"
         return cert
@@ -226,8 +259,7 @@ def check_alm(p: Problem, x: StochasticProcess, u: StochasticProcess,
         w, v = wealth[leaves], vals[leaves]
         gx, gv = V.value_many(w[:, None]), V.conjugate().value_many(v[:, None])
         res[leaves] = np.where((gx == INF) | (gv == INF), INF, gx + gv - w * v)
-    for leaf, r in enumerate(res.tolist()):
-        cert.add("disutility-subgradient", max(r, 0.0), leaf=leaf)
+    cert.add_rows("disutility-subgradient", _nonnegative(res), key="leaf")
     # v_t = -y ds_{t+1} must have zero conditional means
     cert.v = StochasticProcess.from_leaf_rows(p.tree, p.n_dims, -vals[:, None] * f.gain_rows)
     cert.add("annihilator", report.max_residual, report.tol)
@@ -265,8 +297,7 @@ def check_euler_lagrange(p: Problem, x: StochasticProcess, u: StochasticProcess,
             with np.errstate(invalid="ignore"):
                 gap = kval + star - _row_dots(x_t, a_t) - _row_dots(w, y_t)
             res[blocks] = np.where((kval == INF) | (star == INF), INF, gap)
-        for b, r in enumerate(res.tolist()):
-            cert.add("stage-subgradient", max(r, 0.0), stage=t, block=b)
+        cert.add_rows("stage-subgradient", _nonnegative(res), key="block", stage=t)
     return cert.finalize()
 
 
@@ -292,7 +323,8 @@ def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProc
     for t, groups in enumerate(f.stage_groups):
         firsts = np.array([block[0] for block in p.tree.blocks(t)])
         x_prev = x.stage(t - 1) if t > 0 else np.zeros_like(x.stage(t))
-        res_x, res_y = np.empty(firsts.size), np.empty(firsts.size)
+        # one (state, velocity) residual pair per block
+        res = np.empty((firsts.size, 2))
         for stage, blocks, _ in groups:
             leaves = firsts[blocks]
             x_t, a_t, y_t = x.stage(t)[leaves], e_dy[t][leaves], y.stage(t)[leaves]
@@ -301,21 +333,20 @@ def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProc
             hams = stage.hamiltonian_functions_of_x(y_t)
             for k, (b, h, kval) in enumerate(zip(blocks.tolist(), hams, kvals)):
                 if h is MINUS_INF:
-                    res_x[b] = res_y[b] = INF
+                    res[b] = INF
                     continue
                 try:
-                    res_x[b] = fenchel_residual(
+                    res[b, 0] = fenchel_residual(
                         h, x_t[k], a_t[k], conjugate=stage.hamiltonian_x_conjugate(y_t[k], h))
                 except NoClosedFormError:
-                    res_x[b] = INF
+                    res[b, 0] = INF
                 hval = h.value(x_t[k])
                 # -H(x,.) is the conjugate of K(x,.), so the residual is
                 # K(x,w) - w.y - H(x,y)
-                res_y[b] = (INF if hval == INF or kval == INF
-                            else kval - float(w[k] @ y_t[k]) - hval)
-        for b, (rx, ry) in enumerate(zip(res_x.tolist(), res_y.tolist())):
-            cert.add("state-inclusion", max(rx, 0.0), stage=t, block=b)
-            cert.add("velocity-inclusion", max(ry, 0.0), stage=t, block=b)
+                res[b, 1] = (INF if hval == INF or kval == INF
+                             else kval - float(w[k] @ y_t[k]) - hval)
+        cert.add_rows(("state-inclusion", "velocity-inclusion"), _nonnegative(res.ravel()),
+                      key="block", stage=t)
     return cert.finalize()
 
 
@@ -344,9 +375,8 @@ def check_consistent_price_system(p: Problem, z: StochasticProcess,
         cert.reason = "zero dual: not a price system"
         return cert
     # martingale property stops at t = T-1; no terminal convention is used
-    for t in range(T):
-        mean = tree.conditional_mean(y.stage(t + 1) - y.stage(t), t)
-        cert.add("martingale", float(np.max(np.abs(mean), initial=0.0)), stage=t)
+    means = (tree.block_means(y.stage(t + 1) - y.stage(t), t) for t in range(T))
+    cert.add_rows("martingale", [np.abs(m).max(initial=0.0) for m in means], key="stage")
     for t in range(T + 1):
         for b, block in enumerate(tree.blocks(t)):
             leaf = block[0]

@@ -912,12 +912,13 @@ def _bolza_primal_terms(p: Problem, nodes):
 def solve_primal(p: Problem, u: StochasticProcess) -> SolveResult:
     """Minimize E f(x, u) over adapted x; ``no-closed-form`` when some
     leaf has no joint form (a constraint that is not affine) or some term
-    no QP form (a support function)."""
+    no QP form (a support function).  No engine runs then, so that result
+    names no method."""
     try:
         layout, obj = primal_objective(p, u)
         res = _minimize(obj)
     except NoClosedFormError:
-        return SolveResult(None, np.nan, 0, INF, "no-closed-form", "newton")
+        return SolveResult(None, np.nan, 0, INF, "no-closed-form")
     opt = layout.to_process(res.x) if res.x is not None and res.status in ("optimal", "max-iter") else None
     return SolveResult(opt, res.value, res.iterations, res.residual, res.status,
                        res.method, compiled=obj, solution=res)

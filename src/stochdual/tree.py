@@ -7,14 +7,16 @@ is one array of leaf rows whose stage-t columns are its stage-t component;
 it is adapted when that component is constant on every stage-t block.
 Conditional expectations, the expectation pairing E(u.y) and the
 zero-conditional-mean test used for dual variables are all block
-operations on these columns.
+operations on these columns: each block's mean is taken once
+(``ScenarioTree.block_means``), which the zero-mean test reads as it is
+and a conditional expectation repeats on the block's leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -150,21 +152,23 @@ class ScenarioTree:
 
     @cached_property
     def _block_weights(self):
-        """Per stage, its blocks stacked by size: one (leaf indices (K, s),
-        leaf probabilities (K, 1, s), block probabilities (K, 1, 1)) triple
-        per block size s, sizes in order of first block.  Each block's
-        probability is its own sum of its leaves' probabilities."""
+        """Per stage, its blocks stacked by size: one (block ordinals (K,),
+        leaf indices (K, s), leaf probabilities (K, 1, s), block
+        probabilities (K, 1, 1)) quadruple per block size s, sizes in order
+        of first block.  Each block's probability is its own sum of its
+        leaves' probabilities."""
         out = []
         for stage in self.partitions:
             sizes = {}
-            for block in stage:
-                sizes.setdefault(len(block), []).append(block)
-            triples = []
-            for blocks in sizes.values():
-                idx = np.array(blocks)
+            for b, block in enumerate(stage):
+                sizes.setdefault(len(block), []).append(b)
+            groups = []
+            for ordinals in sizes.values():
+                idx = np.array([stage[b] for b in ordinals])
                 w = self.probabilities[idx]
-                triples.append((idx, w[:, None, :], np.array([row.sum() for row in w])[:, None, None]))
-            out.append(tuple(triples))
+                groups.append((np.array(ordinals), idx, w[:, None, :],
+                               np.array([row.sum() for row in w])[:, None, None]))
+            out.append(tuple(groups))
         return tuple(out)
 
     @cached_property
@@ -178,9 +182,28 @@ class ScenarioTree:
             out.append((others, firsts[others]))
         return tuple(out)
 
-    def conditional_mean(self, arr, t: int) -> np.ndarray:
-        """E_t of a leaf-indexed array: the probability-weighted mean of its
-        rows over each stage-t block, repeated on the block's leaves.  The
+    @cached_property
+    def _adapted_pairs_by_dims(self) -> dict:
+        return {}
+
+    def _adapted_pairs(self, dims: tuple[int, ...]):
+        """Flat C-order indices into an (n_leaves, sum(dims)) leaf-row
+        array: each stage-t entry of a leaf that is not the first of its
+        stage-t block, and the same entry of that block's first leaf.  Built
+        once per ``dims`` from ``_later_leaves``."""
+        pairs = self._adapted_pairs_by_dims.get(dims)
+        if pairs is None:
+            width, later, first = sum(dims), [], []
+            for (others, firsts), d, end in zip(self._later_leaves, dims, accumulate(dims)):
+                cols = np.arange(end - d, end)
+                later.append((others[:, None] * width + cols).ravel())
+                first.append((firsts[:, None] * width + cols).ravel())
+            pairs = self._adapted_pairs_by_dims[dims] = (np.concatenate(later), np.concatenate(first))
+        return pairs
+
+    def block_means(self, arr, t: int) -> np.ndarray:
+        """The probability-weighted mean of a leaf-indexed array's rows over
+        each stage-t block, one row per block in partition order.  The
         blocks' index arrays and weights are built once per tree, stacked
         by block size; the blocks of one size take their means in one
         batched ``w @ arr[idx] / mass``, (K, 1, s) @ (K, s, d), whose
@@ -189,10 +212,17 @@ class ScenarioTree:
         scatter-add over all blocks at once would round differently)."""
         arr = np.asarray(arr, dtype=float)
         rows = arr.reshape(len(arr), -1)
-        new = np.empty_like(rows)
-        for idx, w, mass in self._block_weights[t]:
-            new[idx] = w @ rows[idx] / mass
-        return new.reshape(arr.shape)
+        means = np.empty((len(self.partitions[t]), rows.shape[1]))
+        for ordinals, idx, w, mass in self._block_weights[t]:
+            means[ordinals] = (w @ rows[idx] / mass)[:, 0]
+        return means
+
+    def conditional_mean(self, arr, t: int) -> np.ndarray:
+        """E_t of a leaf-indexed array: each stage-t block's mean
+        (``block_means``) repeated on the block's leaves, with the array's
+        shape."""
+        arr = np.asarray(arr, dtype=float)
+        return self.block_means(arr, t)[self.leaf_block[t]].reshape(arr.shape)
 
     # -- convenience constructors ----------------------------------------
 
@@ -228,6 +258,12 @@ def build_tree(probabilities: Sequence, partitions: Sequence) -> ScenarioTree:
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise TreeError(f"probabilities must be numbers or 'p/q' strings: {exc}")
     return ScenarioTree(probs, partitions)
+
+
+@cache
+def _stage_columns(dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """The column slice of each stage in a leaf-row array of these dims."""
+    return tuple(slice(end - d, end) for d, end in zip(dims, accumulate(dims)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,8 +306,7 @@ class StochasticProcess:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dims", dims)
-        ends = accumulate(dims)
-        object.__setattr__(self, "values", tuple(rows[:, e - d:e] for d, e in zip(dims, ends)))
+        object.__setattr__(self, "values", tuple(rows[:, cols] for cols in _stage_columns(dims)))
 
     def stage(self, t: int) -> np.ndarray:
         return self.values[t]
@@ -352,11 +387,11 @@ def expected_dual_increments(y: StochasticProcess) -> tuple[np.ndarray, ...]:
 def is_adapted(proc: StochasticProcess) -> bool:
     """Exact blockwise constancy check (adapted processes are built
     blockwise): each leaf's stage-t row equals the row of the first leaf of
-    its stage-t block, where a NaN equals nothing."""
-    for arr, (others, firsts) in zip(proc.values, proc.tree._later_leaves):
-        if not np.array_equal(arr[others], arr[firsts]):
-            return False
-    return True
+    its stage-t block, where a NaN equals nothing.  One comparison over
+    ``rows``, through the tree's flat index pairs for the process's dims."""
+    later, first = proc.tree._adapted_pairs(proc.dims)
+    rows = proc.rows
+    return bool((rows.take(later) == rows.take(first)).all())
 
 
 def pairing(u: StochasticProcess, y: StochasticProcess) -> float:
@@ -399,9 +434,8 @@ def in_orthocomplement(v: StochasticProcess, tol: float = 1e-9) -> OrthoReport:
     for t, arr in enumerate(v.values):
         if arr.shape[1] == 0:
             continue
-        firsts = [block[0] for block in tree.partitions[t]]
-        res = np.max(np.abs(tree.conditional_mean(arr, t)[firsts]), axis=1)
-        b = int(np.argmax(res))  # first block in partition order on ties, or first NaN
+        res = np.abs(tree.block_means(arr, t)).max(axis=1)
+        b = int(res.argmax())  # first block in partition order on ties, or first NaN
         if not res[b] <= worst:
             worst, worst_stage, worst_block = float(res[b]), t, b
             if np.isnan(worst):

@@ -455,6 +455,28 @@ def random_process(rng, tree, dims):
     )
 
 
+def is_adapted_per_stage(proc):
+    """``is_adapted`` one stage at a time: each stage array's rows at the
+    leaves that are not the first of their block against its rows at their
+    blocks' first leaves, two gathers per stage."""
+    for arr, (others, firsts) in zip(proc.values, proc.tree._later_leaves):
+        if not np.array_equal(arr[others], arr[firsts]):
+            return False
+    return True
+
+
+def conditional_mean_scatter(tree, arr, t):
+    """E_t written straight onto the leaves: each stacked group's batched
+    ``w @ arr[idx] / mass`` scattered to its blocks' leaves, with no
+    per-block table in between."""
+    arr = np.asarray(arr, dtype=float)
+    rows = arr.reshape(len(arr), -1)
+    new = np.empty_like(rows)
+    for _, idx, w, mass in tree._block_weights[t]:
+        new[idx] = w @ rows[idx] / mass
+    return new.reshape(arr.shape)
+
+
 CATALOG_SAMPLES = _catalog_samples()
 
 

@@ -11,6 +11,7 @@ from stochdual.models import build_kabanov
 from stochdual.optimality import check_consistent_price_system
 from stochdual.solver import AdaptedLayout
 from stochdual.tree import (
+    ScenarioTree,
     StochasticProcess,
     adapted_projection,
     build_tree,
@@ -19,7 +20,14 @@ from stochdual.tree import (
     is_adapted,
 )
 
-from helpers import STAGE_DIMS, irregular_tree, selection_matrix
+from helpers import (
+    STAGE_DIMS,
+    conditional_mean_scatter,
+    irregular_tree,
+    is_adapted_per_stage,
+    same_bits,
+    selection_matrix,
+)
 
 SEEDS = range(6)
 CONE_GENERATORS = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
@@ -111,6 +119,137 @@ class TestConditionalMean:
         for t in range(tree.horizon):
             mean = brute_mean(tree, y.stage(t + 1) - y.stage(t), t)
             assert rows[t] == pytest.approx(float(np.max(np.abs(mean))), rel=0, abs=1e-15)
+
+
+class TestBlockMeans:
+    """One mean per block, in partition order: the rule that
+    ``conditional_mean``, the martingale test and the zero-mean test read."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("d", (0, 1, 3))
+    def test_bits_of_the_leaf_means(self, seed, d):
+        tree = irregular_tree(seed)
+        rng = np.random.default_rng(700 + seed)
+        for t in range(tree.stage_count):
+            arr = rng.normal(size=(tree.n_leaves, d)) * 10.0 ** rng.integers(-8, 8, tree.n_leaves)[:, None]
+            means = tree.block_means(arr, t)
+            assert means.shape == (len(tree.blocks(t)), d)
+            for got in (means[tree.leaf_block[t]], tree.conditional_mean(arr, t)):
+                assert same_bits(got, conditional_mean_scatter(tree, arr, t))
+            # row b is block b's mean, the one its first leaf carries
+            firsts = [block[0] for block in tree.blocks(t)]
+            assert same_bits(means, conditional_mean_scatter(tree, arr, t)[firsts])
+
+    def test_trees_mix_block_sizes_within_a_stage(self):
+        mixed = [t for seed in SEEDS for tree in [irregular_tree(seed)]
+                 for t in range(tree.stage_count) if len(tree._block_weights[t]) > 1]
+        assert mixed
+
+    def test_leaf_vector_keeps_its_shape(self):
+        tree = irregular_tree(0)
+        arr = np.random.default_rng(7).normal(size=tree.n_leaves)
+        for t in range(tree.stage_count):
+            assert tree.block_means(arr, t).shape == (len(tree.blocks(t)), 1)
+            assert same_bits(tree.conditional_mean(arr, t), conditional_mean_scatter(tree, arr, t))
+
+    def test_nan_stays_in_its_block(self):
+        tree = build_tree([0.25] * 4, [[[0, 1, 2, 3]], [[2, 3], [0, 1]]])
+        means = tree.block_means(np.array([[1.0], [3.0], [np.nan], [5.0]]), 1)
+        assert np.isnan(means[0, 0]) and means[1, 0] == 2.0
+
+
+class TestIsAdapted:
+    """The one comparison over the leaf rows against the per-stage loop."""
+
+    @staticmethod
+    def adapted(tree, dims, seed):
+        return adapted_projection(random_process(np.random.default_rng(800 + seed), tree, dims))
+
+    @staticmethod
+    def with_entry(proc, leaf, col, value):
+        rows = proc.rows.copy()
+        rows[leaf, col] = value
+        return StochasticProcess.from_leaf_rows(proc.tree, proc.dims, rows)
+
+    @staticmethod
+    def agree(proc):
+        got = is_adapted(proc)
+        assert got is is_adapted_per_stage(proc)
+        return got
+
+    @staticmethod
+    def stage_of(proc, t):
+        start = sum(proc.dims[:t])
+        return range(start, start + proc.dims[t])
+
+    def blocks_by_size(self, tree, dims, large):
+        """(t, block) pairs of stages with columns, blocks of two or more
+        leaves when ``large``, singletons otherwise."""
+        return [(t, block) for t, d in enumerate(dims) if d
+                for block in tree.blocks(t) if (len(block) > 1) == large]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_processes(self, seed):
+        tree = irregular_tree(seed)
+        rng = np.random.default_rng(900 + seed)
+        assert self.agree(self.adapted(tree, STAGE_DIMS, seed))
+        assert not self.agree(random_process(rng, tree, STAGE_DIMS))
+        proc = self.adapted(tree, STAGE_DIMS, seed)
+        for t, block in self.blocks_by_size(tree, STAGE_DIMS, large=True):
+            for leaf in block:
+                col = self.stage_of(proc, t)[-1]
+                assert not self.agree(self.with_entry(proc, leaf, col, np.nextafter(proc.rows[leaf, col], np.inf)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_nan_at_a_first_leaf(self, seed):
+        tree = irregular_tree(seed)
+        proc = self.adapted(tree, STAGE_DIMS, seed)
+        for t, block in self.blocks_by_size(tree, STAGE_DIMS, large=True):
+            assert not self.agree(self.with_entry(proc, block[0], self.stage_of(proc, t)[0], np.nan))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_nan_at_a_later_leaf(self, seed):
+        tree = irregular_tree(seed)
+        proc = self.adapted(tree, STAGE_DIMS, seed)
+        for t, block in self.blocks_by_size(tree, STAGE_DIMS, large=True):
+            assert not self.agree(self.with_entry(proc, block[-1], self.stage_of(proc, t)[0], np.nan))
+
+    def test_nan_at_a_singleton_block_is_not_compared(self):
+        cases = 0
+        for seed in SEEDS:
+            tree = irregular_tree(seed)
+            proc = self.adapted(tree, STAGE_DIMS, seed)
+            for t, (leaf,) in self.blocks_by_size(tree, STAGE_DIMS, large=False):
+                assert self.agree(self.with_entry(proc, leaf, self.stage_of(proc, t)[0], np.nan))
+                cases += 1
+        assert cases
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_zero_width_stage(self, seed):
+        # STAGE_DIMS has a zero-width stage; so does a process of no columns
+        tree = irregular_tree(seed)
+        assert 0 in STAGE_DIMS
+        dims = (0,) * tree.stage_count
+        assert self.agree(StochasticProcess.zeros(tree, dims))
+        proc = self.adapted(tree, (1, 0, 0, 2), seed)
+        assert self.agree(proc)
+        t, block = self.blocks_by_size(tree, (0, 0, 0, 2), large=True)[0]
+        assert not self.agree(self.with_entry(proc, block[-1], 2, 7.0))
+
+    def test_one_leaf_tree(self):
+        tree = ScenarioTree.deterministic(3)
+        proc = StochasticProcess.from_leaf_rows(tree, (2, 0, 1), np.array([[np.nan, 1.0, np.inf]]))
+        assert self.agree(proc)
+
+    def test_pairs_kept_per_dims(self):
+        tree = irregular_tree(0)
+        assert tree._adapted_pairs(STAGE_DIMS) is tree._adapted_pairs(STAGE_DIMS)
+        later, first = tree._adapted_pairs(STAGE_DIMS)
+        assert later.shape == first.shape
+        width = sum(STAGE_DIMS)
+        expected = sum(d * (tree.n_leaves - len(tree.blocks(t))) for t, d in enumerate(STAGE_DIMS))
+        assert later.size == expected
+        assert np.all(later // width != first // width)
 
 
 class TestOrthocomplementWorst:

@@ -67,6 +67,62 @@ def test_max_residual_is_the_largest_row_or_inf(residuals, want):
     assert cert.max_residual == want
 
 
+TABLE = [np.nan, INF, -0.0, -2.5, 0.0, 1e-7, 3.0, np.float64(5e-7), -INF]
+
+
+def same_rows(got, want):
+    """Rows equal key for key, in key order, residuals bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert list(a) == list(b)
+        assert all(type(a[k]) is type(b[k]) for k in a)
+        assert {**a, "residual": 0} == {**b, "residual": 0}
+        assert same_bits(a["residual"], b["residual"]), (a, b)
+
+
+class TestAddRows:
+    """One rule for the row format: a table of residuals against a loop of
+    one-row ``add`` calls."""
+
+    @pytest.mark.parametrize("tol", [None, 2.0])
+    @pytest.mark.parametrize("key, where", [("leaf", {}), ("block", {"stage": 3}),
+                                            ("stage", {})])
+    def test_one_condition(self, key, where, tol):
+        got, want = (optimality.Certificate("pending", 1e-6) for _ in range(2))
+        got.add_rows("row", TABLE, tol, key=key, **where)
+        for i, r in enumerate(TABLE):
+            want.add("row", r, tol, **where, **{key: i})
+        same_rows(got.rows, want.rows)
+        limit = 1e-6 if tol is None else tol
+        same_rows(got.rows, [{"condition": "row", "residual": float(r), "ok": bool(r <= limit),
+                              **where, key: i} for i, r in enumerate(TABLE)])
+        assert [r["ok"] for r in got.rows][:4] == [False, False, True, True]
+
+    def test_conditions_in_turn(self):
+        got, want = (optimality.Certificate("pending", 1e-6) for _ in range(2))
+        got.add_rows(("x", "y"), np.array(TABLE[:8]), key="block", stage=1)
+        for b in range(4):
+            want.add("x", TABLE[2 * b], stage=1, block=b)
+            want.add("y", TABLE[2 * b + 1], stage=1, block=b)
+        same_rows(got.rows, want.rows)
+
+    def test_no_key(self):
+        got, want = (optimality.Certificate("pending", 1e-6) for _ in range(2))
+        got.add_rows("row", TABLE, 1.0, constraint=2)
+        for r in TABLE:
+            want.add("row", r, 1.0, constraint=2)
+        same_rows(got.rows, want.rows)
+        assert got.rows[0] == {"condition": "row", "residual": got.rows[0]["residual"],
+                               "ok": False, "constraint": 2}
+
+    def test_nonnegative_is_max_with_zero(self):
+        got = optimality._nonnegative(np.array(TABLE, dtype=float))
+        want = [max(r, 0.0) for r in np.array(TABLE, dtype=float).tolist()]
+        assert all(type(r) is float for r in got)
+        assert same_bits(got, want)
+        assert np.signbit(got[2])
+
+
 class TestCheckSaddle:
     def make_certificate_inputs(self):
         p = tracking_problem()
