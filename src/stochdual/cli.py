@@ -413,10 +413,12 @@ def _dual_representation(problem, family, u, dual_res, bound) -> dict:
         if not np.isfinite(out["density_dual_value"]):
             out["density_dual_value"] = None
     if family == "bolza":
+        # null when u is not adapted, a K_t* has no closed form, or a
+        # support LP of K_t* does not terminate
         try:
             val = bolza_dual_value(problem, u, y)
             out["stage_conjugate_dual_value"] = val if np.isfinite(val) else None
-        except (ValueError, PivotLimitError):
+        except (NotAdaptedError, NoClosedFormError, PivotLimitError):
             out["stage_conjugate_dual_value"] = None
     return out
 

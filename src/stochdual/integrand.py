@@ -14,7 +14,10 @@ For dynamic (Bolza) structure each rule goes one stage group at a time,
 through the stage costs K_t, the stage Hamiltonians
 H_t(x_t, y_t) = inf_w { K_t(x_t, w) - w.y_t } and the stage conjugates
 K_t*, each read once for all the nodes that share a stage object, in one
-stacked pass over their rows.
+stacked pass over their rows.  K_t* has one rule,
+``BolzaStage.conjugate_value_many``: K_t's closed-form conjugate, or else
+K_t*(., y) = H_t(., y)*, the x-conjugate of one Hamiltonian per distinct
+row y.
 
 Each of these Lagrangians is closed in x: a partial infimum of a catalog
 function is a finite sum of closed catalog functions, or the MINUS_INF
@@ -629,15 +632,29 @@ class BolzaStage:
         in one stacked pass (``partial_infima``)."""
         return partial_infima(self.fn, self.d, ys)
 
-    def hamiltonian_x_conjugate(self, y, h) -> ConvexFunction:
-        """a -> sup_x { x.a - H(x, y) } for residual tests in x, given the
-        Hamiltonian h = H(., y) that ``hamiltonian_functions_of_x`` built
-        (not MINUS_INF)."""
-        return h.conjugate()
-
     def conjugate_value_many(self, A, B) -> np.ndarray:
-        """K* at the rows (a, b) of A and B."""
-        return self.fn.conjugate().value_many(np.hstack([A, B]))
+        """K* at the rows (a, b) of A and B, the one rule for K*: in one
+        stacked pass when K has a closed-form conjugate, else through one
+        slice a -> K*(a, b) per distinct row b of B, by its bytes
+        (``conjugate_functions_of_a``), each reading its rows of A in one
+        ``value_many``."""
+        try:
+            conj = self.fn.conjugate()
+        except NoClosedFormError:
+            A, out = np.asarray(A, dtype=float), np.empty(len(A))
+            groups = _distinct_rows(B)
+            for (_, rows), fn in zip(groups, self.conjugate_functions_of_a([b for b, _ in groups])):
+                out[rows] = fn.value_many(A[rows])
+            return out
+        return conj.value_many(np.hstack([A, B]))
+
+    def conjugate_functions_of_a(self, bs) -> list:
+        """K*(., b) = H(., b)* at each row b of ``bs``: the x-conjugate of
+        each Hamiltonian, +inf everywhere where it is MINUS_INF.  Raises
+        NoClosedFormError where some Hamiltonian or its conjugate has no
+        closed form."""
+        return [infeasible(self.d) if h is MINUS_INF else h.conjugate()
+                for h in self.hamiltonian_functions_of_x(np.asarray(bs))]
 
 
 def _distinct_rows(ys):
@@ -693,38 +710,41 @@ class KabanovStage(BolzaStage):
                 a_eq=rows, b_eq=np.zeros(d), validate=False)))
         return FiniteSum(pieces)
 
-    def _split_state(self, x):
-        x = np.ravel(x)
-        d = self.currency_dim
-        return x[:d], x[d:]
-
-    def _split_dual(self, y):
-        y = np.ravel(y)
-        d = self.currency_dim
-        return y[:d], y[d:]
-
     def x_infeasible(self, x):
-        z, k = self._split_state(x)
-        if self.V.value(-k) == INF:
+        x, d = np.ravel(x), self.currency_dim
+        if self.V.value(-x[d:]) == INF:
             return True
-        return self.terminal and np.max(np.abs(z), initial=0.0) > FEAS_TOL
+        return self.terminal and np.max(np.abs(x[:d]), initial=0.0) > FEAS_TOL
 
-    def _hamiltonian(self, y):
-        yz, yk = self._split_dual(y)
-        if np.max(np.abs(yk), initial=0.0) > FEAS_TOL:
-            return MINUS_INF
-        sigma = support_function(self.C, yz)
-        if sigma == INF:
-            return MINUS_INF
+    def _support(self, y):
+        """(y_z, sigma_C(y_z)) for a dual y = (y_z, y_k), by one support LP,
+        or None where y_k != 0 or sigma_C(y_z) = +inf: there H(., y) is
+        MINUS_INF and K*(., y) is +inf everywhere."""
+        y, d = np.ravel(y), self.currency_dim
+        if np.max(np.abs(y[d:]), initial=0.0) > FEAS_TOL:
+            return None
+        sigma = support_function(self.C, y[:d])
+        return None if sigma == INF else (y[:d], sigma)
+
+    def _of_k(self, fn, shift, tilt, const, z_fixed):
+        """(z, k) -> fn(shift - k) + tilt.(z, k) + const, plus the
+        indicator of z = 0 when ``z_fixed``."""
         d = self.currency_dim
-        sel_neg_k = np.zeros((d, 2 * d)); sel_neg_k[:, d:] = -np.eye(d)
-        tilt = np.concatenate([np.zeros(d), yz])
-        pieces = [AffinePrecomposition(self.V, sel_neg_k), Affine(tilt, -sigma)]
-        if self.terminal:
+        neg_k = np.zeros((d, 2 * d)); neg_k[:, d:] = -np.eye(d)
+        pieces = [AffinePrecomposition(fn, neg_k, shift), Affine(tilt, const)]
+        if z_fixed:
             rows = np.zeros((d, 2 * d)); rows[:, :d] = np.eye(d)
             pieces.append(PolyhedralIndicator(Polyhedron(
                 a_eq=rows, b_eq=np.zeros(d), validate=False)))
         return FiniteSum(pieces)
+
+    def _hamiltonian(self, y):
+        support = self._support(y)
+        if support is None:
+            return MINUS_INF
+        yz, sigma = support
+        return self._of_k(self.V, None, np.concatenate([np.zeros(self.currency_dim), yz]),
+                          -sigma, self.terminal)
 
     def hamiltonian_functions_of_x(self, ys):
         """H(., y_k) in closed form, V(-k) + y_z.z - sigma_C(y_z) plus the
@@ -738,39 +758,22 @@ class KabanovStage(BolzaStage):
                 out[k] = h
         return out
 
-    def hamiltonian_x_conjugate(self, y, h):
-        # H(., y)* = K*(., y), in closed form where H(., y)'s has none
-        return self.conjugate_function_of_a(y)
-
-    def conjugate_value_many(self, A, B):
-        """K* at the rows (a, b) of A and B (the stage function's conjugate
-        has no closed form; each slice's has): each distinct row b of B, by
-        its bytes, builds its slice once (one support LP) and reads its rows
-        of A in one ``value_many``."""
-        A, out = np.asarray(A, dtype=float), np.empty(len(A))
-        for b, rows in _distinct_rows(B):
-            out[rows] = self.conjugate_function_of_a(b).value_many(A[rows])
-        return out
+    def conjugate_functions_of_a(self, bs):
+        """K*(., b) at each row b of ``bs`` in closed form
+        (``conjugate_function_of_a``), one support LP each: K itself has
+        no closed-form conjugate, but each of its slices has."""
+        return [self.conjugate_function_of_a(b) for b in bs]
 
     def conjugate_function_of_a(self, b):
         """K*(., b) in closed form: a -> V*(b_z - a_k) + sigma_C(b_z), plus
         the indicator of a_z = 0 before the horizon; +inf everywhere when
         b_k != 0 or sigma_C(b_z) = +inf."""
-        bz, bk = self._split_dual(b)
-        d = self.currency_dim
-        if np.max(np.abs(bk), initial=0.0) > FEAS_TOL:
-            return infeasible(2 * d)
-        sigma = support_function(self.C, bz)
-        if sigma == INF:
-            return infeasible(2 * d)
-        map_k = np.zeros((d, 2 * d)); map_k[:, d:] = -np.eye(d)
-        pieces = [AffinePrecomposition(self.V.conjugate(), map_k, bz),
-                  Affine(np.zeros(2 * d), sigma)]
-        if not self.terminal:
-            rows = np.zeros((d, 2 * d)); rows[:, :d] = np.eye(d)
-            pieces.append(PolyhedralIndicator(Polyhedron(
-                a_eq=rows, b_eq=np.zeros(d), validate=False)))
-        return FiniteSum(pieces)
+        support = self._support(b)
+        if support is None:
+            return infeasible(2 * self.currency_dim)
+        bz, sigma = support
+        return self._of_k(self.V.conjugate(), bz, np.zeros(2 * self.currency_dim), sigma,
+                          not self.terminal)
 
 
 class BolzaIntegrand(ParametricIntegrand):

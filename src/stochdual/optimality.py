@@ -15,6 +15,11 @@ Each checker first asks, in one comparison over the leaf rows
 conditions read each information block's mean once (``block_means``),
 and the per-leaf and per-block residuals computed over stacked rows are
 added to the certificate a table at a time (``Certificate.add_rows``).
+
+The two stage checkers share one walk over the stage groups
+(``_stage_conditions``), which reads K_t and K_t* once per group: the
+Euler-Lagrange row is K + K* - x.a - w.y, and the Hamiltonian system
+splits it by H_t into H + K* - x.a and K - w.y - H.
 """
 
 from __future__ import annotations
@@ -270,48 +275,47 @@ def check_euler_lagrange(p: Problem, x: StochasticProcess, u: StochasticProcess,
                          y: StochasticProcess, tol: float = DEFAULT_TOL) -> Certificate:
     """Stagewise inclusion (E_t dy_{t+1}, y_t) in the stage-cost
     subdifferential at (x_t, dx_t + u_t), via one Fenchel residual per
-    information block."""
-    f = p.integrand
-    if not isinstance(f, BolzaIntegrand):
-        raise TypeError("check_euler_lagrange needs a dynamic-structure problem")
-    cert = Certificate("pending", tol, y=y)
-    if _not_adapted(cert, x):
-        return cert
-    if not is_adapted(y):
-        raise NotAdaptedError("the dual candidate must be adapted")
-    if not is_adapted(u):
-        raise NotAdaptedError("the parameter must be adapted for the stage conditions")
-    e_dy = expected_dual_increments(y)
-    for t, groups in enumerate(f.stage_groups):
-        # each shared K_t and K_t* evaluated once over the first leaves of
-        # the blocks that carry it
-        firsts = np.array([block[0] for block in p.tree.blocks(t)])
-        x_prev = x.stage(t - 1) if t > 0 else np.zeros_like(x.stage(t))
-        res = np.empty(firsts.size)
-        for stage, blocks, _ in groups:
-            leaves = firsts[blocks]
-            x_t, a_t, y_t = x.stage(t)[leaves], e_dy[t][leaves], y.stage(t)[leaves]
-            w = x_t - x_prev[leaves] + u.stage(t)[leaves]
-            kval = stage.value_many(x_t, w)
-            star = stage.conjugate_value_many(a_t, y_t)
-            with np.errstate(invalid="ignore"):
-                gap = kval + star - _row_dots(x_t, a_t) - _row_dots(w, y_t)
-            res[blocks] = np.where((kval == INF) | (star == INF), INF, gap)
-        cert.add_rows("stage-subgradient", _nonnegative(res), key="block", stage=t)
-    return cert.finalize()
+    information block: K(x_t, w_t) + K*(a_t, y_t) - x_t.a_t - w_t.y_t."""
+    def rule(stage, x_t, a_t, y_t, w, kval, star):
+        with np.errstate(invalid="ignore"):
+            gap = kval + star - _row_dots(x_t, a_t) - _row_dots(w, y_t)
+        return np.where((kval == INF) | (star == INF), INF, gap)[:, None]
+
+    return _stage_conditions("check_euler_lagrange", ("stage-subgradient",), rule,
+                             p, x, u, y, tol)
 
 
 def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProcess,
                              y: StochasticProcess, tol: float = DEFAULT_TOL) -> Certificate:
-    """The equivalent two-inclusion system through the stage Hamiltonians:
-    E_t dy_{t+1} in d_x H_t and u_t + dx_t in d_y [-H_t], at each
-    information block's first leaf.  The Hamiltonians (and K_t) of the
-    blocks that share one stage object are built in one call over their
-    rows (``BolzaStage.hamiltonian_functions_of_x``), one group of
-    ``BolzaIntegrand.stage_groups`` at a time."""
+    """The equivalent two-inclusion system through the stage Hamiltonians,
+    at each information block's first leaf: E_t dy_{t+1} in d_x H_t, by
+    H + K* - x.a as K*(., y) = H(., y)*, and u_t + dx_t in d_y [-H_t], by
+    K - w.y - H as -H(x, .) = K(x, .)*.  A group's Hamiltonians are built
+    in one call over its rows."""
+    def rule(stage, x_t, a_t, y_t, w, kval, star):
+        res = np.full((len(x_t), 2), INF)
+        xa, wy = _row_dots(x_t, a_t).tolist(), _row_dots(w, y_t).tolist()
+        for k, h in enumerate(stage.hamiltonian_functions_of_x(y_t)):
+            hval = INF if h is MINUS_INF else h.value(x_t[k])
+            if hval != INF:
+                res[k] = (INF if star[k] == INF else hval + star[k] - xa[k],
+                          INF if kval[k] == INF else kval[k] - wy[k] - hval)
+        return res
+
+    return _stage_conditions("check_hamiltonian_system",
+                             ("state-inclusion", "velocity-inclusion"), rule, p, x, u, y, tol)
+
+
+def _stage_conditions(name, conditions, rule, p, x, u, y, tol) -> Certificate:
+    """The stage checkers' one walk: for each stage group, at the first
+    leaves of its blocks, x_t, a_t = E_t dy_{t+1}, y_t and w_t = dx_t + u_t,
+    K(x_t, w_t) and K*(a_t, y_t) each read once over the group's rows;
+    ``rule`` turns them into one residual per block and condition, and
+    each stage's table is added in block order, the conditions of a block
+    in turn."""
     f = p.integrand
     if not isinstance(f, BolzaIntegrand):
-        raise TypeError("check_hamiltonian_system needs a dynamic-structure problem")
+        raise TypeError(f"{name} needs a dynamic-structure problem")
     cert = Certificate("pending", tol, y=y)
     if _not_adapted(cert, x):
         return cert
@@ -323,30 +327,14 @@ def check_hamiltonian_system(p: Problem, x: StochasticProcess, u: StochasticProc
     for t, groups in enumerate(f.stage_groups):
         firsts = np.array([block[0] for block in p.tree.blocks(t)])
         x_prev = x.stage(t - 1) if t > 0 else np.zeros_like(x.stage(t))
-        # one (state, velocity) residual pair per block
-        res = np.empty((firsts.size, 2))
+        res = np.empty((firsts.size, len(conditions)))
         for stage, blocks, _ in groups:
             leaves = firsts[blocks]
             x_t, a_t, y_t = x.stage(t)[leaves], e_dy[t][leaves], y.stage(t)[leaves]
             w = x_t - x_prev[leaves] + u.stage(t)[leaves]
-            kvals = stage.value_many(x_t, w).tolist()
-            hams = stage.hamiltonian_functions_of_x(y_t)
-            for k, (b, h, kval) in enumerate(zip(blocks.tolist(), hams, kvals)):
-                if h is MINUS_INF:
-                    res[b] = INF
-                    continue
-                try:
-                    res[b, 0] = fenchel_residual(
-                        h, x_t[k], a_t[k], conjugate=stage.hamiltonian_x_conjugate(y_t[k], h))
-                except NoClosedFormError:
-                    res[b, 0] = INF
-                hval = h.value(x_t[k])
-                # -H(x,.) is the conjugate of K(x,.), so the residual is
-                # K(x,w) - w.y - H(x,y)
-                res[b, 1] = (INF if hval == INF or kval == INF
-                             else kval - float(w[k] @ y_t[k]) - hval)
-        cert.add_rows(("state-inclusion", "velocity-inclusion"), _nonnegative(res.ravel()),
-                      key="block", stage=t)
+            res[blocks] = rule(stage, x_t, a_t, y_t, w, stage.value_many(x_t, w),
+                               stage.conjugate_value_many(a_t, y_t))
+        cert.add_rows(conditions, _nonnegative(res.ravel()), key="block", stage=t)
     return cert.finalize()
 
 

@@ -598,6 +598,25 @@ def dynamic_docs():
 TWO_LEAVES = {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]}
 
 
+def sum_stage_doc(*state_costs):
+    """A Bolza document on the two-leaf tree whose one stage cost is
+    written as a general ``sum``: each state cost precomposed with x, and
+    w^2/2 precomposed with w.  K* then has no closed form, and H_t's
+    x-conjugate has one exactly when a single state cost is given."""
+    K = {"kind": "sum", "terms": [
+        {"kind": "precompose", "inner": cost, "matrix": [[1, 0]]} for cost in state_costs] + [
+        {"kind": "precompose", "inner": HALF_SQUARE, "matrix": [[0, 1]]}]}
+    return {"tree": TWO_LEAVES,
+            "model": {"family": "bolza", "state_dim": 1, "stages": [[K], [K, K]]},
+            "parameters": {"u": [[[1.0], [1.0]], [[1.5], [0.5]]]}}
+
+
+# K = |x| + w^2/2, whose K_t* is read through H_t; and |x| + pwl(x) + w^2/2,
+# where neither K_t* nor H_t's x-conjugate has a closed form
+SUM_STAGE_DOC = sum_stage_doc({"kind": "abs"})
+NEITHER_DOC = sum_stage_doc({"kind": "abs"}, {"kind": "pwl", "breaks": [1], "slopes": [0, 2]})
+
+
 def no_model_docs():
     """Documents whose primal has no QP form, by name: |x_0 - u| as a
     support function on two leaves, and x^2 under a constraint that is not
@@ -1024,7 +1043,7 @@ def _stage_dual_gradient(stage, x_t, w_t):
     from stochdual.integrand import KabanovStage
 
     if isinstance(stage, KabanovStage):
-        _, k = stage._split_state(np.ravel(x_t))
+        k = np.ravel(x_t)[stage.currency_dim:]
         try:
             yz = subgradient(stage.V, -k)
         except NoClosedFormError:
@@ -1235,8 +1254,12 @@ def check_euler_lagrange_per_node(p, x, u, y, tol=1e-6):
 
 def check_hamiltonian_system_per_node(p, x, u, y, tol=1e-6):
     """``check_hamiltonian_system`` one information block at a time: the
-    Hamiltonian built at the block's first leaf alone, and scalar K
-    values."""
+    Hamiltonian built at the block's first leaf alone, scalar K values,
+    and the state residual a Fenchel residual of H(., y) through its own
+    conjugate, ``h.conjugate()``, or where that has no closed form the
+    slice a -> K*(a, y) (``conjugate_function_of_a``): the checker reads
+    K*(a, y) = H(., y)*(a) at the stacked rows, so the two agree to
+    rounding."""
     from stochdual.convex import NoClosedFormError, fenchel_residual
     from stochdual.optimality import Certificate
     from stochdual.tree import expected_dual_increments
@@ -1257,10 +1280,10 @@ def check_hamiltonian_system_per_node(p, x, u, y, tol=1e-6):
                 cert.add("velocity-inclusion", np.inf, stage=t, block=b)
                 continue
             try:
-                res_x = fenchel_residual(h_fn, x_t, e_dy[t][leaf],
-                                         conjugate=stage.hamiltonian_x_conjugate(y_t, h_fn))
+                h_star = h_fn.conjugate()
             except NoClosedFormError:
-                res_x = np.inf
+                h_star = conjugate_function_of_a(stage, y_t)
+            res_x = fenchel_residual(h_fn, x_t, e_dy[t][leaf], conjugate=h_star)
             cert.add("state-inclusion", max(res_x, 0.0), stage=t, block=b)
             hval, kval = h_fn.value(x_t), stage_value(stage, x_t, w)
             res_y = np.inf if hval == np.inf or kval == np.inf else kval - float(w @ y_t) - hval

@@ -23,6 +23,8 @@ from stochdual.solver import AdaptedLayout, solve_dual, solve_primal
 
 from helpers import (
     HALF_SQUARE,
+    NEITHER_DOC,
+    SUM_STAGE_DOC,
     TWO_LEAVES,
     bolza_doc,
     bound_solves,
@@ -597,30 +599,74 @@ class TestHonestExitCodes:
 
     def test_stage_conjugate_without_a_closed_form_is_a_status(self, tmp_path):
         # K(x, w) = |x| + w^2/2 written as a general sum of two
-        # precompositions: the primal and the dual need no conjugate, but K*
-        # has no closed form, so the saddle and Euler-Lagrange certificates
-        # and the annihilator bound end as statuses
-        K = {"kind": "sum", "terms": [
-            {"kind": "precompose", "inner": {"kind": "abs"}, "matrix": [[1, 0]]},
-            {"kind": "precompose", "inner": {"kind": "quadratic", "weights": [0.5]},
-             "matrix": [[0, 1]]}]}
-        doc = {"tree": {"probabilities": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]},
-               "model": {"family": "bolza", "state_dim": 1, "stages": [[K], [K, K]]},
-               "parameters": {"u": [[[1.0], [1.0]], [[1.5], [0.5]]]}}
-        path = write_doc(tmp_path, "sum-stage", doc)
-        for argv in (["report", path], ["check", path, "--checker", "saddle"]):
-            code, report = run(argv)
-            assert code == cli.EXIT_NO_CONVERGENCE, argv
-            assert report["certificate"] == {"verdict": "unavailable",
-                                             "reason": "no-closed-form"}
+        # precompositions: K* has no closed form, but H_t(., y) = |x| - y^2/2
+        # has an x-conjugate, and K_t*(., y) = H_t(., y)* is read through
+        # it, so the report, every checker and the annihilator bound have
+        # their values
+        path = write_doc(tmp_path, "sum-stage", SUM_STAGE_DOC)
         code, report = run(["report", path])
+        assert (code, report["certificate"]["verdict"]) == (0, "pass")
         assert (report["primal"]["status"], report["dual"]["status"]) == ("optimal", "optimal")
         assert report["gap"] == 0.0
-        assert report["dual_representation"]["annihilator_bound"] is None
+        dual = report["dual_representation"]
+        assert dual["annihilator_bound"] == dual["conjugate_at_y"] == 0.8125
+        assert dual["stage_conjugate_dual_value"] == report["primal"]["value"] == \
+            report["dual"]["value"] == 1.0625
+        for checker in sorted(CHECKERS["bolza"]):
+            code, report = run(["check", path, "--checker", checker])
+            assert (code, report["certificate"]["verdict"]) == (0, "pass"), checker
         problem, _, params, _, _ = cli.parse_problem_file(path)
         dual = solve_dual(problem, params["u"])
         bound = solver.dual_via_orthocomplement(problem, dual.optimizer)
-        assert (bound.status, bound.v) == ("no-closed-form", None) and np.isnan(bound.value)
+        assert (bound.status, bound.value) == ("optimal", 0.8125)
+
+    def test_stage_conjugate_with_neither_closed_form_is_a_status(self, tmp_path):
+        # K(x, w) = |x| + pwl(x) + w^2/2 as a general sum: neither K* nor
+        # H_t(., y)'s x-conjugate has a closed form, so every checker that
+        # reads K_t* ends as a status, the Hamiltonian checker too, and the
+        # report keeps its primal and dual values
+        path = write_doc(tmp_path, "neither", NEITHER_DOC)
+        for checker in sorted(CHECKERS["bolza"]):
+            code, report = run(["check", path, "--checker", checker])
+            assert (code, report["certificate"]) == (cli.EXIT_NO_CONVERGENCE, {
+                "verdict": "unavailable", "reason": "no-closed-form"}), checker
+        code, report = run(["report", path])
+        assert (code, report["dual"]["status"]) == (cli.EXIT_NO_CONVERGENCE, "optimal")
+        assert abs(report["gap"]) <= 1e-12
+        dual = report["dual_representation"]
+        assert dual["annihilator_bound"] is dual["stage_conjugate_dual_value"] is None
+
+    @pytest.mark.parametrize("case", ["not-adapted", "no-closed-form", "max-iter"])
+    def test_missing_stage_conjugate_dual_value_keeps_the_exit_code(
+            self, tmp_path, monkeypatch, case):
+        # the dynamic dual value is null for each outcome it stands for: u
+        # not adapted, a K_t* with no closed form, and a support LP of K_t*
+        # (the velocity cost an interval written as a polyhedron) stopped at
+        # the iteration cap; the exit code is the report's own
+        if case == "not-adapted":
+            path, want = fixture_path("bolza-nonadapted.json"), 0
+        elif case == "no-closed-form":
+            path, want = write_doc(tmp_path, case, NEITHER_DOC), cli.EXIT_NO_CONVERGENCE
+        else:
+            path, want = write_doc(tmp_path, case, bolza_doc(
+                2, HALF_SQUARE, np.random.default_rng(0),
+                velocity_cost={"kind": "polyhedron", "A": [[1], [-1]], "b": [2, 2]})), 0
+            code, report = run(["report", path])
+            assert (code, report["dual_representation"]["stage_conjugate_dual_value"]) == (0, 0.0)
+            monkeypatch.setattr(cli, "bolza_dual_value",
+                                starved(monkeypatch, cli.bolza_dual_value))
+        code, report = run(["report", path])
+        assert (code, report["dual_representation"]["stage_conjugate_dual_value"]) == (want, None)
+
+    def test_other_stage_conjugate_dual_value_errors_are_not_swallowed(self, monkeypatch):
+        # only the three outcomes above read as null; any other error of
+        # the dynamic dual value is a fault, and it surfaces
+        def broken(*args):
+            raise ValueError("not one of the three outcomes")
+
+        monkeypatch.setattr(cli, "bolza_dual_value", broken)
+        with pytest.raises(ValueError, match="not one of the three outcomes"):
+            run(["report", fixture_path("bolza-quadratic.json")])
 
     def test_saddle_rows_are_judged_at_the_scale_of_their_terms(self, tmp_path):
         # liabilities near 3e6: f, f*, x.v and u.y are near 1e12, and the

@@ -450,21 +450,26 @@ class TestKabanovAsBolza:
 
     @pytest.mark.parametrize("terminal", [False, True])
     def test_one_closed_form_for_the_stage_conjugate(self, terminal):
-        # H(., b)* = K*(., b): the Hamiltonian's conjugate, K*'s value and
-        # K*'s slice are one closed form, V*(b_z - a_k) + sigma_C(b_z) with
-        # a_z = 0 before the horizon, bit for bit; b off the polar cone
-        # (sigma_C = +inf) or with b_k != 0 gives +inf everywhere
+        # H(., b)* = K*(., b): the Hamiltonian's own conjugate (where it
+        # has a closed form: before the horizon, with H(., b) finite), K*'s
+        # value and K*'s slice are one closed form, V*(b_z - a_k) +
+        # sigma_C(b_z) with a_z = 0 before the horizon, bit for bit; b off
+        # the polar cone (sigma_C = +inf) or with b_k != 0 gives +inf
+        # everywhere
         rng = np.random.default_rng(57)
         gens = np.array([[1.0, -2.0], [-1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
         C = Polyhedron.from_cone_generators(gens)
         st = KabanovStage(Quadratic(rng.uniform(0.2, 2.0, 2), rng.normal(size=2)), C, terminal)
         polar = np.abs(rng.normal(size=(8, 2))) @ np.array([[2.0, 1.0], [1.0, 2.0]])  # its rays
-        finite = 0
+        finite = h_conjugates = 0
         for bz in np.vstack([polar, rng.normal(size=(8, 2))]):
             for bk in (np.zeros(2), rng.normal(size=2)):
                 b = np.concatenate([bz, bk])
                 h = st.hamiltonian_functions_of_x([b])[0]
-                fns = (st.hamiltonian_x_conjugate(b, h), conjugate_function_of_a(st, b))
+                fns = [conjugate_function_of_a(st, b)]
+                if h is not MINUS_INF and not terminal:
+                    fns.append(h.conjugate())
+                    h_conjugates += 1
                 for _ in range(3):
                     a = rng.normal(size=4)
                     if rng.random() < 0.5:
@@ -476,8 +481,8 @@ class TestKabanovAsBolza:
                         want = st.V.conjugate().value(bz - a[2:]) + support_function(C, bz)
                         finite += 1
                     got = [fn.value(a) for fn in fns] + [st.conjugate_value_many([a], [b])[0]]
-                    assert same_bits(got, [want] * 3)
-        assert finite > 0
+                    assert same_bits(got, [want] * len(got))
+        assert finite > 0 and (terminal or h_conjugates > 0)
 
 
 
