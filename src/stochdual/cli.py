@@ -17,7 +17,7 @@ solves the primal, the dual and the annihilator bound at most once and
 shares them between its sections.  Reports are emitted as JSON (sorted
 keys, no timestamps) or aligned text, deterministic at a fixed BLAS
 thread count: a threaded BLAS may round large products differently under
-another count (ROADMAP item 7).
+another count (ROADMAP item 13).
 """
 
 from __future__ import annotations

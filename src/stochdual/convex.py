@@ -624,9 +624,11 @@ class Exponential(_Scalar):
         return Exponential(alpha * self.coeff, self.rate, alpha * self.offset)
 
     def taylor(self, a):
-        """(value, slope, curvature) at each argument a."""
-        e = self.coeff * np.exp(self.rate * np.asarray(a, dtype=float))
-        return e + self.offset, self.rate * e, self.rate ** 2 * e
+        """(value, slope, curvature) at each argument a; an overflow reads
+        as +inf."""
+        with np.errstate(over="ignore"):
+            e = self.coeff * np.exp(self.rate * np.asarray(a, dtype=float))
+            return e + self.offset, self.rate * e, self.rate ** 2 * e
 
 
 # ---------------------------------------------------------------------------

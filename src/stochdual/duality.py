@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrand import AlmIntegrand, BolzaIntegrand
-from .solver import Problem
+from .solver import Problem, _weighted_sum
 from .tree import (
     NotAdaptedError,
     StochasticProcess,
@@ -100,8 +100,7 @@ def alm_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess,
     stars = np.empty(vals.size)
     for leaves, V, _, _ in f.leaf_groups[0]:
         stars[leaves] = V.conjugate().value_many(vals[leaves, None])
-    star = sum(p_l * s for p_l, s in zip(p.tree.probabilities.tolist(), stars.tolist()))
-    return pairing(u, y) - star
+    return pairing(u, y) - _weighted_sum(p.tree.probabilities, stars)
 
 
 def bolza_dual_value(p: Problem, u: StochasticProcess, y: StochasticProcess) -> float:

@@ -49,12 +49,12 @@ with every smooth atom's Taylor reading at the current point added
 (``_newton_minimize``).  At a solution, the stationarity of the QP selects
 a subgradient s_k of g at each term's argument, one group at a time
 (``CompiledObjective._group_subgradients``), a smooth atom's slope being
-that of Newton's last model.  The dual solve reads y_l = sum_k N_k' s_k
-over the primal terms of leaf l, with no projection (the parameter block of
-the subgradient (v, y) in the subdifferential of f at (x, u) that the
-optimum picks), and prices it by one inner solve; its status says why a
-dual is missing or its gap open.  The same reader gives the annihilator
-bound's v as M_k' s_k on the Lagrangian.
+that of Newton's last model.  One reader takes y and v off a solution as
+sum_k T_k' s_k (``_read_off``): y with T = N on the primal, with no
+projection (the parameter block of the subgradient (v, y) in the
+subdifferential of f at (x, u) that the optimum picks), priced by one inner
+solve whose status says why a dual is missing or its gap open; the
+annihilator bound's v with T = M on the Lagrangian.
 """
 
 from __future__ import annotations
@@ -258,7 +258,8 @@ class _Term:
     weight: float
     fn: ConvexFunction
     cols: np.ndarray  # the coordinates the term reads, distinct
-    node: object  # a leaf index, (stage, leaves) for a node term, or None
+    to: object  # the leaf or leaves whose rows receive its share (``_read_off``)
+    at: int = 0  # the share's first column in the row: a Hamiltonian's x_t
     # primal terms: N, the map from a leaf's parameter vector into the
     # argument of the term's g (see CompiledObjective._group_subgradients)
     param: np.ndarray | None = None
@@ -473,8 +474,9 @@ class _Template:
     terms' own offsets (``base``: the stacked m_k of such a group, the
     stacked slopes and constants of a group of affine terms as a pair, the
     constants c_k of a group g + c_k), the groups' forms (``groups``), from
-    the first lowering on P, G and A, read-only (``lowering``), and the
-    spectral factor of P (``spectral``).  A ``CompiledObjective`` reads it
+    the first lowering on P, G and A, read-only (``lowering``), the
+    spectral factor of P (``spectral``) and where each term's share of a
+    read-off goes (``receivers``).  A ``CompiledObjective`` reads it
     at one list of per-group offsets.  A term with no QP form (a support
     function) raises NoClosedFormError when the groups are read."""
 
@@ -505,6 +507,23 @@ class _Template:
         return [_Group(idx, cols, self.weights[idx],
                        *_inner_forms([self.terms[i].fn for i in idx], M, m))
                 for idx, cols, M, m in zip(self.grouping, self.cols, self.maps, self.base)]
+
+    @cached_property
+    def receivers(self) -> list[tuple]:
+        """Per group, ``_read_off``'s (T, owner, leaves, cols): T the terms'
+        stacked N, else the maps M, else None for I; per receiving leaf, in
+        term order, its term's place in the group, the leaf (a column) and
+        the columns of its row that the share goes to."""
+        out = []
+        for idx, M, C in zip(self.grouping, self.maps, self.cols):
+            terms = [self.terms[i] for i in idx]
+            # a leaf index is one receiver, an array of leaves one per entry
+            owner = np.repeat(np.arange(len(terms)), [getattr(t.to, "size", 1) for t in terms])
+            T = M if terms[0].param is None else np.array([t.param for t in terms])
+            cols = (np.array([t.at for t in terms])[owner, None]
+                    + np.arange(C.shape[1] if T is None else T.shape[-1]))
+            out.append((T, owner, np.concatenate([t.to for t in terms], axis=None)[:, None], cols))
+        return out
 
     @cached_property
     def spectral(self) -> SpectralFactor:
@@ -571,12 +590,7 @@ class CompiledObjective:
                 vals[idx] = (m[0][:, None, :] @ Z[..., None])[:, 0, 0] + m[1]
             else:  # one g, shifted by each term's constant
                 vals[idx] = _shifted_core(fn)[0].value_many(Z) + m
-        if (vals == INF).any():
-            return INF
-        total = 0.0
-        for v in (tpl.weights * vals).tolist():
-            total += v
-        return total
+        return _weighted_sum(tpl.weights, vals)
 
     @cached_property
     def _lowered(self):
@@ -662,6 +676,17 @@ class CompiledObjective:
         return out
 
 
+def _weighted_sum(weights, vals) -> float:
+    """sum_k weights_k vals_k in order, as Python floats; +inf when some
+    value is."""
+    if (vals == INF).any():
+        return INF
+    total = 0.0
+    for v in (weights * vals).tolist():
+        total += v
+    return total
+
+
 @dataclass
 class _MinResult:
     status: str
@@ -712,12 +737,15 @@ def _newton_minimize(obj: CompiledObjective, data) -> _MinResult:
     below it, one more full step polishes the gradient that the dual
     reads.  An optimum carries that last step's multipliers and the point
     it expanded at, so the dual and the annihilator bound read it as they
-    read any QP's."""
+    read any QP's.  A smooth atom's Taylor reading that is not finite, or
+    a polishing step whose value is +inf, ends ``max-iter`` with no point."""
     x = np.zeros(obj.n)
     f = obj.value(x)
     for it in range(1, _NEWTON_STEPS + 1):
-        step_data, q_scale = _newton_step(obj, data, x)
-        step = _solve(step_data, "newton", q_scale=q_scale)
+        stepped = _newton_step(obj, data, x)
+        if stepped is None:
+            return _MinResult("max-iter", None, f, it, INF, "newton")
+        step = _solve(stepped[0], "newton", q_scale=stepped[1])
         if step.status != "optimal":
             return _MinResult(step.status, None, step.value, it, INF, "newton")
         floor = 1e-14 * max(1.0, abs(f)) if f < INF else 0.0
@@ -728,7 +756,10 @@ def _newton_minimize(obj: CompiledObjective, data) -> _MinResult:
                 break
             t *= 0.5
         else:  # converged: the polishing step
-            return _MinResult("optimal", x + step.x, obj.value(x + step.x), it, step.residual,
+            value = obj.value(x + step.x)
+            if value == INF:
+                return _MinResult("max-iter", None, f, it, INF, "newton")
+            return _MinResult("optimal", x + step.x, value, it, step.residual,
                               "newton", step.multipliers, step.eq_multipliers, x)
         x, f = x + t * step.x, trial
     return _MinResult("max-iter", x, f, _NEWTON_STEPS, 0.0, "newton")
@@ -736,11 +767,12 @@ def _newton_minimize(obj: CompiledObjective, data) -> _MinResult:
 
 def _newton_step(obj: CompiledObjective, data, x):
     """(the program of Newton's step at x, the size of the summands its q
-    adds up from).  The lowered program ``data`` is shifted to the step d
-    on the main coordinates (q <- P x + q, h <- h - G x, b <- b - A x),
-    and each smooth atom g(row.z + off) adds W g''(a) row row' to P, W
-    g'(a) row to q and W g(a) to c, g's Taylor reading at its arguments a
-    at x, one stacked pass per atom of a group."""
+    adds up from), or None when some smooth atom's Taylor reading at x is
+    not finite.  The lowered program ``data`` is shifted to the step d on
+    the main coordinates (q <- P x + q, h <- h - G x, b <- b - A x), and
+    each smooth atom g(row.z + off) adds W g''(a) row row' to P, W g'(a)
+    row to q and W g(a) to c, g's Taylor reading at its arguments a at x,
+    one stacked pass per atom of a group."""
     P, q, c, G, h, A, b, n = data
     Px = P[:n, :n] @ x
     P, q = P.copy(), q.copy()
@@ -752,7 +784,9 @@ def _newton_step(obj: CompiledObjective, data, x):
         C, W, z = g.cols, g.weights, x[g.cols]
         for at, off in zip(g.atoms, part.offs):
             if at.aux is None:
-                value, slope, curv = at.fn.taylor(at.args(z, off))
+                value, slope, curv = reading = at.fn.taylor(at.args(z, off))
+                if not np.isfinite(reading).all():
+                    return None
                 np.add.at(P, (C[:, :, None], C[:, None, :]),
                           (W * curv)[:, None, None] * at.row[:, :, None] * at.row[:, None, :])
                 share = (W * slope)[:, None] * at.row
@@ -795,45 +829,29 @@ def _stage_nodes(p: Problem, rows):
     return out
 
 
-class _ParamGroup(NamedTuple):
-    """How the parameter enters one lowering group of the primal: per term
-    g(M_k z + m_k + N_k u_l), its N_k, the leaf whose u_l it reads, and
-    (leaves, owner), each leaf that the term's share N_k' s_k of y goes to
-    and the term's place in the group."""
-
-    N: np.ndarray  # (K, r, m)
-    reads: np.ndarray  # (K,)
-    leaves: np.ndarray
-    owner: np.ndarray
-
-
 class _PrimalTemplate(_Template):
     """The primal of one problem with u left symbolic.
 
     Every primal term is g(M_k z + m_k + N_k u_l), with u_l the parameter
     vector of its leaf (of its node's first leaf on a dynamic problem), so
     only the offsets move with u.  The template holds the terms at u = 0
-    and how u enters each group (``params``); a solve at u reads it at
-    base + N u (``objective``), so P, G and A are lowered, and P factored,
-    once for every u."""
+    and reads it at base + N u (``objective``), through the N that y is
+    read out through, so P, G and A are lowered, and P factored, once for
+    every u."""
 
     def __init__(self, p: Problem, nodes):
-        terms, reads, shares = (_static_primal_terms(p) if nodes is None
-                                else _bolza_primal_terms(p, nodes))
-        super().__init__(p.layout.width, terms)
-        self.params = []
-        for idx in self.grouping:
-            leaves = [shares[i] for i in idx]
-            self.params.append(_ParamGroup(
-                np.array([terms[i].param for i in idx]), reads[idx], np.concatenate(leaves),
-                np.repeat(np.arange(len(idx)), [len(s) for s in leaves])))
+        super().__init__(p.layout.width, _static_primal_terms(p) if nodes is None
+                         else _bolza_primal_terms(p, nodes))
+        # each term reads u at the first leaf it names
+        self.reads = [leaves[np.searchsorted(owner, np.arange(owner[-1] + 1)), 0]
+                      for _, owner, leaves, _ in self.receivers]
 
     def objective(self, uvecs) -> CompiledObjective:
         """The primal at the leaf vectors ``uvecs`` of u: m_k + N_k u_l,
         one stacked pass per group."""
         return CompiledObjective(self.n, self.terms, [
-            m + (g.N @ uvecs[g.reads][..., None])[..., 0] for m, g in zip(self.base, self.params)],
-            self)
+            m + (N @ uvecs[reads][..., None])[..., 0]
+            for m, (N, *_), reads in zip(self.base, self.receivers, self.reads)], self)
 
 
 def _primal_template(p: Problem, uvecs) -> _PrimalTemplate:
@@ -867,8 +885,8 @@ def primal_objective(p: Problem, u: StochasticProcess):
 
 
 def _static_primal_terms(p: Problem):
-    """(terms, reads, shares): one term g(M x + m) per leaf at u = 0, with
-    its N; each reads u at its leaf, and its share of y goes to that leaf."""
+    """One term g(M x + m) per leaf at u = 0, with its N; its share of y
+    goes to that leaf."""
     f, layout = p.integrand, p.layout
     n, m = f.n_total, f.m_total
     lift = np.vstack([np.eye(n), np.zeros((m, n))])  # x -> (x, 0)
@@ -881,32 +899,27 @@ def _static_primal_terms(p: Problem):
             fn = AffinePrecomposition(joint.inner, joint.matrix[:, :n], joint.offset)
         else:
             fn, N = AffinePrecomposition(joint, lift), free
-        terms.append(_Term(weight, fn, cols, leaf, N))
-    reads = np.arange(len(terms))
-    return terms, reads, reads[:, None]
+        terms.append(_Term(weight, fn, cols, leaf, param=N))
+    return terms
 
 
 def _bolza_primal_terms(p: Problem, nodes):
     """One term K_t(x_t, x_t - x_{t-1} + u_t) per stage-t node of ``nodes``
-    (``_stage_nodes``), over the node's x_{t-1} and x_t columns, at u = 0,
-    as (terms, reads, shares): each reads u at its node's first leaf, and
+    (``_stage_nodes``), over the node's x_{t-1} and x_t columns, at u = 0;
     its share of y goes to each of the node's leaves."""
     f, columns = p.integrand, p.layout.columns
     eye, zero = np.eye(f.d), np.zeros((f.d, f.d))
     first = np.vstack([eye, eye])                   # x_0 -> (x_0, x_0)
     later = np.block([[zero, eye], [-eye, eye]])    # (x_{t-1}, x_t) -> (x_t, dx_t)
-    terms, reads, shares = [], [], []
+    terms = []
     for t, stage in enumerate(nodes):
         xs = f.x_slices[t] if t == 0 else slice(f.x_slices[t - 1].start, f.x_slices[t].stop)
         N = np.zeros((2 * f.d, f.m_total))  # u_t -> (0, u_t)
         N[f.d:, f.u_slices[t]] = eye
         for b, leaves, weight in stage:
             fn = AffinePrecomposition(f.stages[t][b].fn, later if t else first)
-            terms.append(_Term(weight, fn, columns[leaves[0], xs],
-                               (t, tuple(leaves.tolist())), N))
-            reads.append(leaves[0])
-            shares.append(leaves)
-    return terms, np.array(reads, dtype=int), shares
+            terms.append(_Term(weight, fn, columns[leaves[0], xs], leaves, param=N))
+    return terms
 
 
 def solve_primal(p: Problem, u: StochasticProcess) -> SolveResult:
@@ -992,12 +1005,12 @@ def _bolza_lagrangian_terms(p: Problem, yvecs):
             for i, h in zip(idx, fns):
                 hams[i] = h
         for (_, leaves, weight), h in zip(nodes, hams):
-            terms.append(_Term(weight, h, layout.columns[leaves[0], f.x_slices[t]],
-                               (t, tuple(leaves.tolist()))))
+            terms.append(_Term(weight, h, layout.columns[leaves[0], f.x_slices[t]], leaves,
+                               f.x_slices[t].start))
     coupling = np.zeros(layout.width)
     np.add.at(coupling, layout.columns,
               p.tree.probabilities[:, None] * (yvecs - f._shift(yvecs, 1)))
-    terms.append(_Term(1.0, Affine(coupling, 0.0), np.arange(layout.width), None))
+    terms.append(_Term(1.0, Affine(coupling, 0.0), np.arange(layout.width), np.arange(0)))
     return terms
 
 
@@ -1077,7 +1090,7 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
     V = v.rows
     if not in_orthocomplement(v, 1e-9 * max(1.0, float(np.abs(V).max(initial=0.0)))):
         return OrthoBound(np.nan, None, "gap-open")
-    value = _leaf_sum(p, p.integrand.conjugate_values(V, yvecs))
+    value = _weighted_sum(p.tree.probabilities, p.integrand.conjugate_values(V, yvecs))
     # -E l(x*, y) <= phi*(y) <= inf <= E f*(v, y) for adapted x* and
     # mean-zero v; the reported phi*(y) must close the sandwich too.  The
     # lower variant is -E l(x*, y), read at the inner minimizer x* (None
@@ -1090,38 +1103,25 @@ def _orthocomplement_bound(p: Problem, y: StochasticProcess, cfg: SolverConfig,
 
 
 def _stationary_v(p: Problem, yvecs, dob: DualObjective):
-    """v read off the optimal inner solve behind ``dob``.  A Lagrangian
-    term g(M x + m) contributes M' s, s the subgradient of g its solution
-    selects: off the dynamic path that is v_l for the term's leaf l.  On
-    it, it is an x_t-gradient of H_t(., y_t), and v_t adds y_t - y_{t+1}
-    (the shift that ``BolzaIntegrand.conjugate_values`` undoes); the
-    coupling term has no node."""
-    f, res = p.integrand, dob.inner
-    dynamic = isinstance(f, BolzaIntegrand)
-    V = yvecs - f._shift(yvecs, 1) if dynamic else np.zeros((p.tree.n_leaves, sum(p.n_dims)))
-    obj = dob.lagrangian
-    tpl = obj.template
-    for idx, group in zip(tpl.grouping, obj._group_subgradients(res)):
-        for i, s in zip(idx.tolist(), group):
-            t = tpl.terms[i]  # its node, and its map when a precomposition
-            if t.node is None:
-                continue
-            stage, leaves = t.node if dynamic else (None, t.node)
-            if isinstance(t.fn, AffinePrecomposition):
-                s = t.fn.matrix.T @ s
-            V[leaves, f.x_slices[stage] if dynamic else slice(None)] += s
-    return StochasticProcess.from_leaf_rows(p.tree, p.n_dims, V)
+    """v read off the optimal inner solve behind ``dob``: ``_read_off``
+    with T = M on the Lagrangian, from y_t - y_{t+1} on the dynamic path
+    (the shift that ``BolzaIntegrand.conjugate_values`` undoes)."""
+    f = p.integrand
+    base = (yvecs - f._shift(yvecs, 1) if isinstance(f, BolzaIntegrand)
+            else np.zeros((p.tree.n_leaves, sum(p.n_dims))))
+    return StochasticProcess.from_leaf_rows(p.tree, p.n_dims,
+                                            _read_off(dob.lagrangian, dob.inner, base))
 
 
-def _leaf_sum(p: Problem, vals) -> float:
-    """sum_l p_l vals_l over the leaves in order, as a compiled objective
-    sums its terms; +inf when some value is."""
-    if np.any(vals == INF):
-        return INF
-    total = 0.0
-    for weight, value in zip(p.tree.probabilities.tolist(), np.asarray(vals).tolist()):
-        total += weight * value
-    return total
+def _read_off(obj: CompiledObjective, res: _MinResult, rows) -> np.ndarray:
+    """``rows`` plus each term's T_k' s_k on the rows of its leaves from its
+    column on (``_Template.receivers``), s_k the subgradient of its g that
+    ``res`` selects: one stacked product and one scatter per group."""
+    for (T, owner, leaves, cols), s in zip(obj.template.receivers, obj._group_subgradients(res)):
+        if T is not None:
+            s = (T.swapaxes(-1, -2) @ s[..., None])[..., 0]
+        np.add.at(rows, (leaves, cols), s[owner])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -1181,16 +1181,11 @@ def _recover_dual_candidate(p, primal):
     """y_l = sum_k N_k' s_k over the primal terms g(M_k x + m_k + N_k u_l)
     of leaf l, s_k the subgradient of g at the term's argument that the
     primal's QP selects (on Newton's method, its last step's); a node
-    term's share goes to each of its leaves.  The shares are read one
-    lowering group at a time: one stacked N_k' s_k product and one scatter
-    per group.  y is not projected: on a dynamic problem it is adapted
-    when u is."""
-    obj = primal.compiled
+    term's share goes to each of its leaves (``_read_off`` with T = N).
+    y is not projected: on a dynamic problem it is adapted when u is."""
     rows = np.zeros((p.tree.n_leaves, sum(p.m_dims)))
-    for g, s in zip(obj.template.params, obj._group_subgradients(primal.solution)):
-        shares = (g.N.swapaxes(-1, -2) @ s[..., None])[..., 0]
-        np.add.at(rows, g.leaves, shares[g.owner])
-    return StochasticProcess.from_leaf_rows(p.tree, p.m_dims, rows)
+    return StochasticProcess.from_leaf_rows(
+        p.tree, p.m_dims, _read_off(primal.compiled, primal.solution, rows))
 
 
 def duality_gap(p: Problem, u: StochasticProcess,

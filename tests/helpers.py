@@ -4,6 +4,7 @@ Oracles here are deliberately naive (vertex enumeration, dense grids) and
 never call the code paths they are checking.
 """
 
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -115,8 +116,6 @@ def terms(obj):
     """The terms of a compiled objective: its template's terms read at the
     objective's offsets, those of a group read at other offsets than its
     own rebuilt as ``Affine`` or ``AffinePrecomposition``."""
-    from stochdual.solver import _Term
-
     tpl = obj.template
     out = list(tpl.terms)
     for idx, m, own in zip(tpl.grouping, obj.offsets, tpl.base):
@@ -129,8 +128,7 @@ def terms(obj):
             fns = [AffinePrecomposition(out[i].fn.inner, out[i].fn.matrix, off)
                    for i, off in zip(idx, m)]
         for i, fn in zip(idx, fns):
-            t = out[i]
-            out[i] = _Term(t.weight, fn, t.cols, t.node, t.param)
+            out[i] = dataclasses.replace(out[i], fn=fn)
     return out
 
 
@@ -1074,6 +1072,40 @@ def per_leaf_recovered_dual(p, u, x):
                 return None
             arrays[t][leaf] = y_t
     return StochasticProcess(p.tree, tuple(arrays))
+
+
+def group_scatter_dual(p, primal):
+    """The leaf rows of y read off the primal group by group: per lowering
+    group, its terms' stacked N_k' s_k, each scattered to the rows of the
+    leaves its term names."""
+    obj = primal.compiled
+    tpl, rows = obj.template, np.zeros((p.tree.n_leaves, sum(p.m_dims)))
+    for idx, s in zip(tpl.grouping, obj._group_subgradients(primal.solution)):
+        group = [tpl.terms[i] for i in idx]
+        leaves = [np.atleast_1d(t.to) for t in group]
+        shares = (np.array([t.param for t in group]).swapaxes(-1, -2) @ s[..., None])[..., 0]
+        owner = np.repeat(np.arange(len(group)), [len(ls) for ls in leaves])
+        np.add.at(rows, np.concatenate(leaves), shares[owner])
+    return rows
+
+
+def term_loop_v(p, yvecs, dob):
+    """The leaf rows of v read off the inner solve behind ``dob`` term by
+    term: M' s on a precomposition g(M x + m), s itself on any other term,
+    added to the rows of the leaves the term names from its first column
+    on, after the Bolza base y_t - y_{t+1}."""
+    f, obj = p.integrand, dob.lagrangian
+    V = (yvecs - f._shift(yvecs, 1) if isinstance(f, BolzaIntegrand)
+         else np.zeros((p.tree.n_leaves, sum(p.n_dims))))
+    for idx, group in zip(obj.template.grouping, obj._group_subgradients(dob.inner)):
+        for i, s in zip(idx.tolist(), group):
+            t = obj.template.terms[i]
+            if not np.size(t.to):  # the coupling term
+                continue
+            if isinstance(t.fn, AffinePrecomposition):
+                s = t.fn.matrix.T @ s
+            V[t.to, t.at:t.at + len(s)] += s
+    return V
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Static checks of the package's modules, read with the standard library's
-``ast``: every name a module's ``__all__`` lists resolves in it, and no
-module but ``__init__`` imports a name it never uses.  A deletion that
-leaves a stale export or import behind fails here."""
+``ast``: every name a module's ``__all__`` lists resolves in it, no module
+but ``__init__`` imports a name it never uses, and no private name a module
+defines goes unread in the package.  A deletion that leaves a stale
+export, import or helper behind fails here."""
 
 import ast
 import importlib
@@ -62,6 +63,36 @@ def test_no_unused_import(module):
     tree = parse(module)
     used = used_names(tree)
     assert [(name, line) for name, line in imported_names(tree) if name not in used] == []
+
+
+def private_definitions(tree):
+    """The private (single-underscore) names a module defines at its top
+    level: its functions, its classes and their methods, and the names it
+    assigns."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(tree):
+    """Every name the module reads, as a variable or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {module: parse(module) for module in MODULES}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    assert [(module, name) for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in read] == []
 
 
 def catalog_kinds(tree):

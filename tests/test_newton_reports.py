@@ -15,6 +15,10 @@ A change that moves a report on purpose regenerates the snapshot with
     PYTHONPATH=src python tests/test_newton_reports.py
 
 and says which fields moved.
+
+Two e^z - 1 hedging documents whose e^z overflows where Newton's method
+starts must end ``max-iter`` with no dual: never a traceback, never a
+primal ``optimal`` at +inf.
 """
 
 import json
@@ -80,6 +84,18 @@ def test_newton_report_matches_snapshot(name, tmp_path):
     got = report(name, tmp_path)
     assert got["primal"]["method"] == "newton"
     assert differences(reprs_as_floats(got), reprs_as_floats(SNAPSHOT[name])) == []
+
+
+@pytest.mark.parametrize("horizon, n", [(3, 8), (1, 2)])
+def test_an_overflowing_taylor_reading_ends_max_iter(horizon, n, tmp_path):
+    # liabilities near 3e3 put e^z far past overflow at x = 0, so the first
+    # step's Taylor reading is +inf.  Newton ends max-iter with no point
+    # and no dual is read, with no RuntimeWarning (an error in this suite),
+    # where an infinite model would raise LinAlgError in the step's
+    # factor (the first document) or end optimal at +inf (the second)
+    doc = workloads.hedging_doc(horizon, EXP, 1e3 * workloads.liability(np.random.default_rng(0), n))
+    code, rep = run(["report", write_doc(tmp_path, "overflow", doc), "--json"])
+    assert (rep["primal"]["status"], rep["dual"]["status"], code) == ("max-iter", "not-run", 4)
 
 
 def test_repr_strings_are_compared_as_floats():

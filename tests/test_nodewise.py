@@ -10,14 +10,16 @@ trees are irregular, the state dimension is 1 or 2, and u and y are
 adapted, split inside blocks, or different on every leaf.  A static
 problem whose every leaf's Lagrangian is affine in x keeps one compiled
 Lagrangian and reads it at each y; it is checked against the Lagrangian
-built afresh at that y.
+built afresh at that y.  The one read-off of y and v, one stacked product
+and one scatter per lowering group, is checked bit for bit against the
+group scatter of y and the term-by-term loop of v in tests/helpers.py.
 """
 
 import numpy as np
 import pytest
 
 from stochdual import solver
-from stochdual.cli import fixture_path, parse_problem_file
+from stochdual.cli import fixture_path, parse_problem_file, run
 from stochdual.convex import (
     AffinePrecomposition,
     PiecewiseLinear,
@@ -38,11 +40,17 @@ from stochdual.solver import (
 from stochdual.tree import ScenarioTree, StochasticProcess, in_orthocomplement, pairing
 
 from helpers import (
+    HALF_SQUARE,
     basis_bound,
     binary_hedging,
+    bolza_doc,
     bound_solves,
+    dynamic_docs,
+    group_scatter_dual,
     grouped_process,
     irregular_tree,
+    kinked_docs,
+    parse_doc,
     per_leaf_conjugates,
     per_leaf_lagrangian,
     per_leaf_lower_value,
@@ -51,7 +59,11 @@ from helpers import (
     random_process,
     same_bits,
     subgradient,
+    term_loop_v,
+    write_doc,
 )
+from test_fixture_reports import FIXTURE_DIR
+from test_newton_reports import newton_docs
 
 SHAPES = ("adapted", "split", "leafwise")
 
@@ -431,3 +443,69 @@ def test_one_epigraph_atom_per_node():
     p, u = abs_bolza(4, "leafwise")
     P, q, c, G, h, A, b, n_main = primal_objective(p, u)[1].qp_data()
     assert (P.shape[0] - n_main, G.shape[0]) == (80, 160)
+
+
+# ---------------------------------------------------------------------------
+# one read-off for y and v
+# ---------------------------------------------------------------------------
+
+
+def precomposed_bolza(horizon):
+    """``bolza_doc(horizon, x^2/2)`` with every stage cost written as the
+    precomposition (x + w)^2 / 2, whose Hamiltonian -y^2/2 + x y is affine
+    in x."""
+    doc = bolza_doc(horizon, HALF_SQUARE, np.random.default_rng(3))
+    stage = {"kind": "precompose", "inner": HALF_SQUARE, "matrix": [[1, 1]]}
+    doc["model"]["stages"] = [[stage] * len(blocks) for blocks in doc["model"]["stages"]]
+    return doc
+
+
+def read_off_docs():
+    """Every bundled fixture by its file name, and the generated documents
+    of the dynamic, kinked and Newton snapshots and of the precomposed
+    Bolza problem at horizons 3 and 0, each parsed to (problem, u)."""
+    docs = {}
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        problem, _, params, _, _ = parse_problem_file(str(path))
+        docs[path.name] = problem, params["u"]
+    for name, doc in {**dynamic_docs(), **kinked_docs(), **newton_docs(),
+                      "precomposed-H3": precomposed_bolza(3),
+                      "precomposed-H0": precomposed_bolza(0)}.items():
+        docs[name] = parse_doc(doc)
+    return docs
+
+
+READ_OFF_DOCS = read_off_docs()
+
+
+@pytest.mark.parametrize("name", sorted(READ_OFF_DOCS))
+def test_one_read_off_matches_the_per_term_readers(name):
+    # y through the primal's N and v through the Lagrangian's maps, in one
+    # stacked product and one scatter per group, bit for bit the group
+    # scatter of y and the term-by-term loop of v
+    p, u = READ_OFF_DOCS[name]
+    primal = solve_primal(p, u)
+    dual = solve_dual(p, u, primal=primal)
+    assert dual.status == "optimal"
+    assert same_bits(dual.optimizer.rows, group_scatter_dual(p, primal))
+    rows = dual.optimizer.rows
+    v = solver._stationary_v(p, rows, dual.objective).rows
+    assert same_bits(v, term_loop_v(p, rows, dual.objective))
+
+
+@pytest.mark.parametrize("horizon, bound", [(3, 1.548832861276214e-29), (0, 0.0)])
+def test_affine_hamiltonians_read_off_in_one_group(horizon, bound, tmp_path):
+    # the affine Hamiltonians of every stage lower in one group, each read
+    # off from its own x_t column; at horizon 0 the coupling term, which
+    # receives nothing, shares that group
+    doc = precomposed_bolza(horizon)
+    p, u = parse_doc(doc)
+    tpl = solve_dual(p, u).objective.lagrangian.template
+    _, owner, leaves, cols = tpl.receivers[0]
+    nodes = sum(len(p.tree.blocks(t)) for t in range(horizon + 1))
+    assert len(tpl.grouping[0]) == nodes + (horizon == 0)
+    assert sorted(set(cols[:, 0].tolist())) == [sl.start for sl in p.integrand.x_slices]
+    assert len(leaves) == len(owner) == p.tree.n_leaves * (horizon + 1)
+    code, rep = run(["report", write_doc(tmp_path, "precomposed", doc), "--json"])
+    assert (code, rep["certificate"]["verdict"]) == (0, "pass")
+    assert rep["dual_representation"]["annihilator_bound"] == bound

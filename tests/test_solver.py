@@ -779,6 +779,21 @@ class TestNewtonPath:
         assert rep.primal.value == pytest.approx(want, rel=1e-12, abs=0)
         assert abs(rep.gap) <= 1e-12 * max(1.0, abs(want))
 
+    def test_an_infinite_polishing_step_ends_max_iter(self, monkeypatch):
+        # the polishing step is kept only at a finite value: with the
+        # objective read as +inf at the point it lands on, Newton ends
+        # max-iter with no point, at the value before the step
+        p = exponential_alm()
+        _, obj = primal_objective(p, alm_u(p.tree, 0.0))
+        res = solver._minimize(obj)
+        assert res.status == "optimal"
+        real = solver.CompiledObjective.value
+        monkeypatch.setattr(solver.CompiledObjective, "value",
+                            lambda self, z: INF if np.array_equal(z, res.x) else real(self, z))
+        stuck = solver._minimize(obj)
+        assert (stuck.status, stuck.x, stuck.iterations) == ("max-iter", None, res.iterations)
+        assert stuck.value == real(obj, res.expansion)
+
     def test_entropy_hedging_dual_objective(self):
         # phi*(y) = inf over mean-zero v of E exp(v1) + y^2 / 2 = 1 + 5/9
         p = entropy_hedging()

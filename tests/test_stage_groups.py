@@ -38,8 +38,8 @@ from stochdual.integrand import BolzaIntegrand, BolzaStage, KabanovStage
 from stochdual.optimality import check_euler_lagrange, check_hamiltonian_system
 from stochdual.solver import (
     Problem,
-    _leaf_sum,
     _leaf_vectors,
+    _weighted_sum,
     primal_objective,
     solve_dual,
     solve_primal,
@@ -441,7 +441,7 @@ def test_annihilator_sum_matches_per_leaf_terms(seed, d, shape):
     for scale in (0.02, 3.0):
         v = StochasticProcess(p.tree, tuple(scale * a for a in
                                             random_process(rng, p.tree, p.n_dims).values))
-        got = _leaf_sum(p, p.integrand.conjugate_values(v.rows, yvecs))
+        got = _weighted_sum(p.tree.probabilities, p.integrand.conjugate_values(v.rows, yvecs))
         assert same_bits(got, joint_conjugate_sum(p, y, v))
         # the per-node slices of K* agree to rounding: fixing b in K*
         # folds it into the slice's constants, in another order
